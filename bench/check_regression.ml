@@ -1,13 +1,17 @@
 (* The bench-regression gate: diffs the cycle counts in a fresh
    BENCH_results.json (written by `bench/main.exe -- quick`) against the
    committed BENCH_baseline.json and fails on ANY drift — a changed count,
-   a metric that disappeared, or a new metric not yet in the baseline.
+   a metric that disappeared, or a new metric not yet in the baseline. It
+   also gates the hot-path allocation: any [*.bytes_per_op] above its
+   baseline fails.
 
      dune exec bench/check_regression.exe
      dune exec bench/check_regression.exe -- baseline.json results.json
 
    Cycle counts in this repository are deterministic, so an exact match is
-   the correct bar. Wall times are reported for context but never gate.
+   the correct bar; allocation per hot-path op is deterministic too, and
+   may only go down. Wall times (wall_s, self_profile, hotpath ns/op) are
+   reported for context but never gate.
    When a simulator change legitimately moves the numbers, regenerate the
    baseline (`dune exec bench/main.exe -- quick && cp BENCH_results.json
    BENCH_baseline.json`) and commit it alongside the change. *)
@@ -136,37 +140,63 @@ let () =
         (List.length sp)
   | _ -> ());
   (* The hotpath section pairs wall time (ns/op) with allocation
-     (bytes/op) per quiet-path benchmark. Both are machine-dependent, so
-     like self_profile they are reported with baseline context but never
-     gated. *)
-  (let floats json =
-     match
-       Option.bind (Gem_util.Jsonx.member "hotpath" json) Gem_util.Jsonx.to_obj
-     with
-     | Some kvs ->
-         List.filter_map
-           (fun (k, v) ->
-             Option.map (fun f -> (k, f)) (Gem_util.Jsonx.to_float v))
-           kvs
-     | None -> []
-   in
-   let res_hp = floats results in
-   let base_hp = floats baseline in
-   List.iter
-     (fun (k, ns) ->
-       if Filename.check_suffix k ".ns_per_op" then
-         let name = Filename.chop_suffix k ".ns_per_op" in
-         match List.assoc_opt (name ^ ".bytes_per_op") res_hp with
-         | Some bytes ->
-             let context =
-               match List.assoc_opt k base_hp with
-               | Some b -> Printf.sprintf " (baseline %.1f ns/op)" b
-               | None -> ""
-             in
-             Printf.printf "info hotpath %s: %.1f ns/op, %.1f B/op%s\n" name
-               ns bytes context
-         | None -> ())
-     res_hp);
+     (bytes/op) per quiet-path benchmark. Wall time is machine-dependent
+     and only reported. Allocation is a deterministic function of the
+     code: a bytes/op above its baseline — or a hot path that appeared or
+     vanished — fails; a drop passes (commit the lower baseline to lock
+     it in). *)
+  let hotpath_gates =
+    let floats json =
+      match
+        Option.bind (Gem_util.Jsonx.member "hotpath" json) Gem_util.Jsonx.to_obj
+      with
+      | Some kvs ->
+          List.filter_map
+            (fun (k, v) ->
+              Option.map (fun f -> (k, f)) (Gem_util.Jsonx.to_float v))
+            kvs
+      | None -> []
+    in
+    let bytes_of kvs =
+      List.filter (fun (k, _) -> Filename.check_suffix k ".bytes_per_op") kvs
+    in
+    let res_hp = floats results in
+    let base_hp = floats baseline in
+    let base_bytes = bytes_of base_hp and res_bytes = bytes_of res_hp in
+    List.iter
+      (fun (k, b) ->
+        match List.assoc_opt k res_bytes with
+        | None -> problem "hotpath/%s: in baseline but missing from results" k
+        | Some r when r > b ->
+            problem "hotpath/%s: baseline %.1f B/op, got %.1f (%+.1f)" k b r
+              (r -. b)
+        | Some _ -> ())
+      base_bytes;
+    List.iter
+      (fun (k, _) ->
+        if not (List.mem_assoc k base_bytes) then
+          problem
+            "hotpath/%s: new allocation gate not in baseline (regenerate \
+             BENCH_baseline.json)"
+            k)
+      res_bytes;
+    List.iter
+      (fun (k, ns) ->
+        if Filename.check_suffix k ".ns_per_op" then
+          let name = Filename.chop_suffix k ".ns_per_op" in
+          match List.assoc_opt (name ^ ".bytes_per_op") res_hp with
+          | Some bytes ->
+              let context =
+                match List.assoc_opt k base_hp with
+                | Some b -> Printf.sprintf " (baseline %.1f ns/op)" b
+                | None -> ""
+              in
+              Printf.printf "info hotpath %s: %.1f ns/op, %.1f B/op%s\n" name
+                ns bytes context
+          | None -> ())
+      res_hp;
+    List.length base_bytes
+  in
   (match
      ( Gem_util.Jsonx.to_obj (obj_field baseline_path baseline "wall_s"),
        Gem_util.Jsonx.to_obj (obj_field results_path results "wall_s") )
@@ -183,9 +213,9 @@ let () =
         rw
   | _ -> ());
   if !fail_count = 0 then (
-    Printf.printf "OK: %d metrics match %s\n"
+    Printf.printf "OK: %d metrics match %s, %d hotpath allocation gates hold\n"
       (List.length base_m + serving_count)
-      baseline_path;
+      baseline_path hotpath_gates;
     exit 0)
   else (
     Printf.printf "%d regression(s) against %s\n" !fail_count baseline_path;

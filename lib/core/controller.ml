@@ -1,30 +1,35 @@
 open Gem_util
 open Gem_sim
 
+(* The staged configuration and preload state are mutable records the
+   controller owns for its whole life: config, Preload and Compute
+   commands update them in place rather than allocating a fresh record
+   per command on the dispatch path. *)
 type ex_cfg = {
-  dataflow : [ `WS | `OS ];
-  activation : Peripheral.activation;
-  sys_shift : int;
-  a_transpose : bool;
-  b_transpose : bool;
+  mutable dataflow : [ `WS | `OS ];
+  mutable activation : Peripheral.activation;
+  mutable sys_shift : int;
+  mutable a_transpose : bool;
+  mutable b_transpose : bool;
 }
 
-type ld_cfg = { stride : int; scale : float; shrunk : bool }
+type ld_cfg = { mutable stride : int; mutable scale : float; mutable shrunk : bool }
 
 type st_cfg = {
-  st_stride : int;
-  st_act : Peripheral.activation;
-  st_scale : float;
-  st_pool : Isa.pool_cfg option;
+  mutable st_stride : int;
+  mutable st_act : Peripheral.activation;
+  mutable st_scale : float;
+  mutable st_pool : Isa.pool_cfg option;
 }
 
 type preload_state = {
-  pl_bd : Local_addr.t;
-  pl_c : Local_addr.t;
-  pl_bd_rows : int;
-  pl_bd_cols : int;
-  pl_c_rows : int;
-  pl_c_cols : int;
+  mutable pl_staged : bool;  (** a Preload has executed *)
+  mutable pl_bd : Local_addr.t;
+  mutable pl_c : Local_addr.t;
+  mutable pl_bd_rows : int;
+  mutable pl_bd_cols : int;
+  mutable pl_c_rows : int;
+  mutable pl_c_cols : int;
 }
 
 type os_resident = { os_data : Matrix.t; os_dest : Local_addr.t }
@@ -52,10 +57,10 @@ type t = {
   functional : bool;
   mutable issue_cycles : int;
   (* configuration state *)
-  mutable ex_cfg : ex_cfg;
+  ex_cfg : ex_cfg;
   ld_cfgs : ld_cfg array; (* three mvin channels *)
-  mutable st_cfg : st_cfg;
-  mutable preload : preload_state option;
+  st_cfg : st_cfg;
+  preload : preload_state;
   mutable loop_bounds : Isa.loop_bounds option;
   mutable loop_addrs : Isa.loop_addrs option;
   mutable loop_outs : Isa.loop_outs option;
@@ -142,7 +147,16 @@ let create ?engine ?(name = "accel") ?(core = 0) ~params ~port ~tlb
     ld_cfgs = Array.init 3 (fun _ -> { stride = 0; scale = 1.0; shrunk = false });
     st_cfg =
       { st_stride = 0; st_act = Peripheral.No_activation; st_scale = 1.0; st_pool = None };
-    preload = None;
+    preload =
+      {
+        pl_staged = false;
+        pl_bd = Local_addr.garbage;
+        pl_c = Local_addr.garbage;
+        pl_bd_rows = 0;
+        pl_bd_cols = 0;
+        pl_c_rows = 0;
+        pl_c_cols = 0;
+      };
     loop_bounds = None;
     loop_addrs = None;
     loop_outs = None;
@@ -378,16 +392,14 @@ let do_preload t ~b ~c ~b_rows ~b_cols ~c_rows ~c_cols =
       end;
       t.os_acc <- None
   | _ -> ());
-  t.preload <-
-    Some
-      {
-        pl_bd = b;
-        pl_c = c;
-        pl_bd_rows = b_rows;
-        pl_bd_cols = b_cols;
-        pl_c_rows = c_rows;
-        pl_c_cols = c_cols;
-      };
+  let pl = t.preload in
+  pl.pl_staged <- true;
+  pl.pl_bd <- b;
+  pl.pl_c <- c;
+  pl.pl_bd_rows <- b_rows;
+  pl.pl_bd_cols <- b_cols;
+  pl.pl_c_rows <- c_rows;
+  pl.pl_c_cols <- c_cols;
   retire t t.issue
 
 let read_block_or_zeros t la ~rows ~cols =
@@ -400,11 +412,9 @@ let do_compute t (args : Isa.compute_args) ~preloaded =
   let a_rows = min args.Isa.a_rows dim and a_cols = min args.Isa.a_cols dim in
   match t.ex_cfg.dataflow with
   | `WS ->
-      let pl =
-        match t.preload with
-        | Some pl -> pl
-        | None -> trap t (Fault.Illegal_inst "WS compute without preload")
-      in
+      let pl = t.preload in
+      if not pl.pl_staged then
+        trap t (Fault.Illegal_inst "WS compute without preload");
       let k = a_cols and out_cols = pl.pl_c_cols in
       let cycles =
         Mesh.pipelined_block_cycles t.p ~dataflow:`WS ~rows:a_rows ~k
@@ -454,14 +464,12 @@ let do_compute t (args : Isa.compute_args) ~preloaded =
         if not (Local_addr.is_garbage pl.pl_c) then
           Scratchpad.write_block t.spad pl.pl_c result.Mesh.out
       end;
-      if preloaded then t.preload <- Some { pl with pl_bd = Local_addr.garbage };
+      if preloaded then pl.pl_bd <- Local_addr.garbage;
       retire t ex_done
   | `OS ->
-      let pl =
-        match t.preload with
-        | Some pl -> pl
-        | None -> trap t (Fault.Illegal_inst "OS compute without preload")
-      in
+      let pl = t.preload in
+      if not pl.pl_staged then
+        trap t (Fault.Illegal_inst "OS compute without preload");
       let k = a_cols in
       let out_rows = a_rows and out_cols = min args.Isa.bd_cols dim in
       let cycles =
@@ -763,8 +771,8 @@ let span_args t cmd =
       (* Mirrors do_compute: WS output width comes from the staged
          preload, OS from the command itself. *)
       let cols =
-        match (t.ex_cfg.dataflow, t.preload) with
-        | `WS, Some pl -> pl.pl_c_cols
+        match t.ex_cfg.dataflow with
+        | `WS when t.preload.pl_staged -> t.preload.pl_c_cols
         | _ -> min args.Isa.bd_cols dim
       in
       let preload =
@@ -810,29 +818,23 @@ let rec execute_with t ~issue_cost ~count_insn (cmd : Isa.t) =
   t.issue <- t.issue + issue_cost;
   (match cmd with
   | Isa.Config_ex c ->
-      t.ex_cfg <-
-        {
-          dataflow = c.Isa.dataflow;
-          activation = c.Isa.activation;
-          sys_shift = c.Isa.sys_shift;
-          a_transpose = c.Isa.a_transpose;
-          b_transpose = c.Isa.b_transpose;
-        }
+      let ex = t.ex_cfg in
+      ex.dataflow <- c.Isa.dataflow;
+      ex.activation <- c.Isa.activation;
+      ex.sys_shift <- c.Isa.sys_shift;
+      ex.a_transpose <- c.Isa.a_transpose;
+      ex.b_transpose <- c.Isa.b_transpose
   | Isa.Config_ld c ->
-      t.ld_cfgs.(c.Isa.ld_id) <-
-        {
-          stride = c.Isa.ld_stride_bytes;
-          scale = c.Isa.ld_scale;
-          shrunk = c.Isa.ld_shrunk;
-        }
+      let ld = t.ld_cfgs.(c.Isa.ld_id) in
+      ld.stride <- c.Isa.ld_stride_bytes;
+      ld.scale <- c.Isa.ld_scale;
+      ld.shrunk <- c.Isa.ld_shrunk
   | Isa.Config_st c ->
-      t.st_cfg <-
-        {
-          st_stride = c.Isa.st_stride_bytes;
-          st_act = c.Isa.st_activation;
-          st_scale = c.Isa.st_scale;
-          st_pool = c.Isa.st_pool;
-        }
+      let st = t.st_cfg in
+      st.st_stride <- c.Isa.st_stride_bytes;
+      st.st_act <- c.Isa.st_activation;
+      st.st_scale <- c.Isa.st_scale;
+      st.st_pool <- c.Isa.st_pool
   | Isa.Mvin (mv, id) -> do_mvin t mv id
   | Isa.Mvout mv -> do_mvout t mv
   | Isa.Preload { b; c; b_cols; b_rows; c_cols; c_rows } ->
@@ -981,7 +983,8 @@ let snapshot t =
       ("ex_cfg", ex_cfg_json);
       ("ld_cfgs", J.List (Array.to_list (Array.map ld_cfg_json t.ld_cfgs)));
       ("st_cfg", st_cfg_json);
-      ("preload", opt_to_json preload_json t.preload);
+      ( "preload",
+        if t.preload.pl_staged then preload_json t.preload else J.Null );
       ("loop_bounds", opt_to_json bounds_json t.loop_bounds);
       ( "loop_addrs",
         opt_to_json
@@ -1029,58 +1032,49 @@ let restore t j =
       t.s.flushes <- flushes
   | _ -> Snap.fail "controller stats: expected 8 counters");
   let ex = Snap.member "ex_cfg" j in
-  t.ex_cfg <-
-    {
-      dataflow =
-        (match Snap.get_str "dataflow" ex with
-        | "ws" -> `WS
-        | "os" -> `OS
-        | s -> Snap.fail "bad dataflow %S" s);
-      activation = activation_of_json (Snap.member "activation" ex);
-      sys_shift = Snap.get_int "sys_shift" ex;
-      a_transpose = Snap.get_bool "a_transpose" ex;
-      b_transpose = Snap.get_bool "b_transpose" ex;
-    };
+  t.ex_cfg.dataflow <-
+    (match Snap.get_str "dataflow" ex with
+    | "ws" -> `WS
+    | "os" -> `OS
+    | s -> Snap.fail "bad dataflow %S" s);
+  t.ex_cfg.activation <- activation_of_json (Snap.member "activation" ex);
+  t.ex_cfg.sys_shift <- Snap.get_int "sys_shift" ex;
+  t.ex_cfg.a_transpose <- Snap.get_bool "a_transpose" ex;
+  t.ex_cfg.b_transpose <- Snap.get_bool "b_transpose" ex;
   let lds = Snap.get_list "ld_cfgs" j in
   Snap.check ~what:"ld channel count" (List.length lds = 3);
   List.iteri
     (fun i c ->
-      t.ld_cfgs.(i) <-
-        {
-          stride = Snap.get_int "stride" c;
-          scale = Snap.get_float "scale" c;
-          shrunk = Snap.get_bool "shrunk" c;
-        })
+      let ld = t.ld_cfgs.(i) in
+      ld.stride <- Snap.get_int "stride" c;
+      ld.scale <- Snap.get_float "scale" c;
+      ld.shrunk <- Snap.get_bool "shrunk" c)
     lds;
   let st = Snap.member "st_cfg" j in
-  t.st_cfg <-
-    {
-      st_stride = Snap.get_int "stride" st;
-      st_act = activation_of_json (Snap.member "act" st);
-      st_scale = Snap.get_float "scale" st;
-      st_pool =
-        opt_of_json
-          (fun p ->
-            match Snap.int_list p with
-            | [ window; stride; padding ] -> { Isa.window; stride; padding }
-            | _ -> Snap.fail "bad pool cfg")
-          (Snap.member "pool" st);
-    };
-  t.preload <-
+  t.st_cfg.st_stride <- Snap.get_int "stride" st;
+  t.st_cfg.st_act <- activation_of_json (Snap.member "act" st);
+  t.st_cfg.st_scale <- Snap.get_float "scale" st;
+  t.st_cfg.st_pool <-
     opt_of_json
       (fun p ->
         match Snap.int_list p with
-        | [ bd; c; bd_rows; bd_cols; c_rows; c_cols ] ->
-            {
-              pl_bd = Local_addr.of_bits bd;
-              pl_c = Local_addr.of_bits c;
-              pl_bd_rows = bd_rows;
-              pl_bd_cols = bd_cols;
-              pl_c_rows = c_rows;
-              pl_c_cols = c_cols;
-            }
-        | _ -> Snap.fail "bad preload state")
-      (Snap.member "preload" j);
+        | [ window; stride; padding ] -> { Isa.window; stride; padding }
+        | _ -> Snap.fail "bad pool cfg")
+      (Snap.member "pool" st);
+  (match Snap.member "preload" j with
+  | J.Null -> t.preload.pl_staged <- false
+  | p -> (
+      match Snap.int_list p with
+      | [ bd; c; bd_rows; bd_cols; c_rows; c_cols ] ->
+          let pl = t.preload in
+          pl.pl_staged <- true;
+          pl.pl_bd <- Local_addr.of_bits bd;
+          pl.pl_c <- Local_addr.of_bits c;
+          pl.pl_bd_rows <- bd_rows;
+          pl.pl_bd_cols <- bd_cols;
+          pl.pl_c_rows <- c_rows;
+          pl.pl_c_cols <- c_cols
+      | _ -> Snap.fail "bad preload state"));
   t.loop_bounds <-
     opt_of_json
       (fun b ->

@@ -478,7 +478,12 @@ let field ~what ~lo ~hi v =
 let finite_scale scale =
   if Float.is_finite scale then Ok () else Error (Fault.Acc_overflow { scale })
 
-let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
+(* Sequencing for the validator: the first error wins. Every check is a
+   pure comparison whose [Error] (and message) is built only when it
+   fails, so chaining with a plain function instead of a [let*] closure
+   keeps the validation of a well-formed command allocation-free — it
+   runs on every dispatched command. *)
+let ( &> ) r next = match r with Ok () -> next | Error _ -> r
 
 (* A strided local access touches rows [row, row + strides*dim + rows) of
    its target memory: mvin/mvout place each dim-wide column block a full
@@ -513,80 +518,79 @@ let validate p cmd =
   let dim = Params.dim p in
   match cmd with
   | Config_ex { dataflow; sys_shift; _ } ->
-      let* () = field ~what:"sys_shift" ~lo:0 ~hi:63 sys_shift in
+      field ~what:"sys_shift" ~lo:0 ~hi:63 sys_shift
+      &>
       if Dataflow.supports p.Params.dataflow dataflow then Ok ()
       else
         illegal "dataflow %s not supported by this instance (%s)"
           (match dataflow with `WS -> "WS" | `OS -> "OS")
           (Dataflow.to_string p.Params.dataflow)
   | Config_ld { ld_stride_bytes; ld_scale; ld_id; _ } ->
-      let* () = field ~what:"ld_id" ~lo:0 ~hi:2 ld_id in
-      let* () = field ~what:"ld_stride" ~lo:0 ~hi:0xFFFF_FFFF ld_stride_bytes in
-      finite_scale ld_scale
+      field ~what:"ld_id" ~lo:0 ~hi:2 ld_id
+      &> field ~what:"ld_stride" ~lo:0 ~hi:0xFFFF_FFFF ld_stride_bytes
+      &> finite_scale ld_scale
   | Config_st { st_stride_bytes; st_scale; st_pool; _ } ->
-      let* () = field ~what:"st_stride" ~lo:0 ~hi:0xFFFF_FFFF st_stride_bytes in
-      let* () =
-        match st_pool with
-        | None -> Ok ()
-        | Some { window; stride; padding } ->
-            let* () = field ~what:"pool window" ~lo:1 ~hi:15 window in
-            let* () = field ~what:"pool stride" ~lo:1 ~hi:15 stride in
-            field ~what:"pool padding" ~lo:0 ~hi:15 padding
-      in
-      finite_scale st_scale
+      field ~what:"st_stride" ~lo:0 ~hi:0xFFFF_FFFF st_stride_bytes
+      &> (match st_pool with
+         | None -> Ok ()
+         | Some { window; stride; padding } ->
+             field ~what:"pool window" ~lo:1 ~hi:15 window
+             &> field ~what:"pool stride" ~lo:1 ~hi:15 stride
+             &> field ~what:"pool padding" ~lo:0 ~hi:15 padding)
+      &> finite_scale st_scale
   | Mvin ({ dram_addr; local; cols; rows }, id) ->
-      let* () = field ~what:"mvin id" ~lo:0 ~hi:2 id in
-      let* () = field ~what:"dram_addr" ~lo:0 ~hi:dram_max dram_addr in
-      let* () = field ~what:"mvin cols" ~lo:1 ~hi:(4 * dim) cols in
-      let* () = field ~what:"mvin rows" ~lo:1 ~hi:dim rows in
+      field ~what:"mvin id" ~lo:0 ~hi:2 id
+      &> field ~what:"dram_addr" ~lo:0 ~hi:dram_max dram_addr
+      &> field ~what:"mvin cols" ~lo:1 ~hi:(4 * dim) cols
+      &> field ~what:"mvin rows" ~lo:1 ~hi:dim rows
+      &>
       if Local_addr.is_garbage local then
         illegal "mvin destination is the garbage address"
       else if Local_addr.accumulate_flag local && not (Local_addr.is_accumulator local)
       then illegal "mvin accumulate flag on a scratchpad destination"
       else local_extent ~p ~local ~cols ~rows
   | Mvout { dram_addr; local; cols; rows } ->
-      let* () = field ~what:"dram_addr" ~lo:0 ~hi:dram_max dram_addr in
-      let* () = field ~what:"mvout cols" ~lo:1 ~hi:dim cols in
-      let* () = field ~what:"mvout rows" ~lo:1 ~hi:dim rows in
+      field ~what:"dram_addr" ~lo:0 ~hi:dram_max dram_addr
+      &> field ~what:"mvout cols" ~lo:1 ~hi:dim cols
+      &> field ~what:"mvout rows" ~lo:1 ~hi:dim rows
+      &>
       if Local_addr.is_garbage local then
         illegal "mvout source is the garbage address"
       else local_extent ~p ~local ~cols ~rows
   | Preload { b; c; b_cols; b_rows; c_cols; c_rows } ->
-      let* () = field ~what:"preload b_cols" ~lo:1 ~hi:dim b_cols in
-      let* () = field ~what:"preload b_rows" ~lo:1 ~hi:dim b_rows in
-      let* () = field ~what:"preload c_cols" ~lo:1 ~hi:dim c_cols in
-      let* () = field ~what:"preload c_rows" ~lo:1 ~hi:dim c_rows in
-      let* () =
-        if Local_addr.is_garbage b then Ok ()
-        else block_extent ~p ~local:b ~rows:b_rows
-      in
+      field ~what:"preload b_cols" ~lo:1 ~hi:dim b_cols
+      &> field ~what:"preload b_rows" ~lo:1 ~hi:dim b_rows
+      &> field ~what:"preload c_cols" ~lo:1 ~hi:dim c_cols
+      &> field ~what:"preload c_rows" ~lo:1 ~hi:dim c_rows
+      &> (if Local_addr.is_garbage b then Ok ()
+         else block_extent ~p ~local:b ~rows:b_rows)
+      &>
       if Local_addr.is_garbage c then Ok ()
       else block_extent ~p ~local:c ~rows:c_rows
   | Compute_preloaded { a; bd; a_cols; a_rows; bd_cols; bd_rows }
   | Compute_accumulated { a; bd; a_cols; a_rows; bd_cols; bd_rows } ->
-      let* () = field ~what:"compute a_cols" ~lo:1 ~hi:0xFFFF a_cols in
-      let* () = field ~what:"compute a_rows" ~lo:1 ~hi:0xFFFF a_rows in
-      let* () = field ~what:"compute bd_cols" ~lo:1 ~hi:0xFFFF bd_cols in
-      let* () = field ~what:"compute bd_rows" ~lo:1 ~hi:0xFFFF bd_rows in
-      let* () =
-        if Local_addr.is_garbage a then Ok ()
-        else block_extent ~p ~local:a ~rows:(min a_rows dim)
-      in
+      field ~what:"compute a_cols" ~lo:1 ~hi:0xFFFF a_cols
+      &> field ~what:"compute a_rows" ~lo:1 ~hi:0xFFFF a_rows
+      &> field ~what:"compute bd_cols" ~lo:1 ~hi:0xFFFF bd_cols
+      &> field ~what:"compute bd_rows" ~lo:1 ~hi:0xFFFF bd_rows
+      &> (if Local_addr.is_garbage a then Ok ()
+         else block_extent ~p ~local:a ~rows:(min a_rows dim))
+      &>
       if Local_addr.is_garbage bd then Ok ()
       else block_extent ~p ~local:bd ~rows:(min bd_rows dim)
   | Loop_ws_bounds { lw_m; lw_k; lw_n; _ } ->
-      let* () = field ~what:"loop m" ~lo:1 ~hi:0xFFFF lw_m in
-      let* () = field ~what:"loop k" ~lo:1 ~hi:0xFFFF lw_k in
-      field ~what:"loop n" ~lo:1 ~hi:0xFFFF lw_n
+      field ~what:"loop m" ~lo:1 ~hi:0xFFFF lw_m
+      &> field ~what:"loop k" ~lo:1 ~hi:0xFFFF lw_k
+      &> field ~what:"loop n" ~lo:1 ~hi:0xFFFF lw_n
   | Loop_ws_addrs { lw_a; lw_b } ->
-      let* () = field ~what:"loop a" ~lo:0 ~hi:dram_max lw_a in
-      field ~what:"loop b" ~lo:0 ~hi:dram_max lw_b
+      field ~what:"loop a" ~lo:0 ~hi:dram_max lw_a
+      &> field ~what:"loop b" ~lo:0 ~hi:dram_max lw_b
   | Loop_ws_outs { lw_bias; lw_c } ->
-      let* () = field ~what:"loop bias" ~lo:0 ~hi:dram_max lw_bias in
-      field ~what:"loop c" ~lo:0 ~hi:dram_max lw_c
+      field ~what:"loop bias" ~lo:0 ~hi:dram_max lw_bias
+      &> field ~what:"loop c" ~lo:0 ~hi:dram_max lw_c
   | Loop_ws { lw_a_stride; lw_b_stride; lw_c_stride; lw_scale } ->
-      let* () = field ~what:"a stride" ~lo:0 ~hi:0xFF_FFFF lw_a_stride in
-      let* () = field ~what:"b stride" ~lo:0 ~hi:0xFF_FFFF lw_b_stride in
-      let* () = field ~what:"c stride" ~lo:0 ~hi:0xFF_FFFF lw_c_stride in
-      finite_scale lw_scale
+      field ~what:"a stride" ~lo:0 ~hi:0xFF_FFFF lw_a_stride
+      &> field ~what:"b stride" ~lo:0 ~hi:0xFF_FFFF lw_b_stride
+      &> field ~what:"c stride" ~lo:0 ~hi:0xFF_FFFF lw_c_stride
+      &> finite_scale lw_scale
   | Flush | Fence -> Ok ()

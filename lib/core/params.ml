@@ -33,35 +33,53 @@ let acc_row_bytes t = dim_cols t * Dtype.bytes t.acc_type
 let acc_rows t = t.acc_capacity_bytes / acc_row_bytes t
 let acc_rows_per_bank t = acc_rows t / t.acc_banks
 
+(* [validate] runs on every compute command (through
+   [Mesh.pipelined_block_cycles]), so a valid record must cost no
+   allocation: the checks thread a plain list that is only consed onto,
+   and the two formatted messages are built only when their check
+   fails. *)
+let check cond msg errs = if cond then errs else msg :: errs
+
 let validate t =
-  let errors = ref [] in
-  let check cond msg = if not cond then errors := msg :: !errors in
-  check (t.mesh_rows > 0 && t.mesh_cols > 0) "mesh dimensions must be positive";
-  check (t.tile_rows > 0 && t.tile_cols > 0) "tile dimensions must be positive";
-  check (dim_rows t = dim_cols t)
-    (Printf.sprintf "spatial array must be square, got %dx%d" (dim_rows t)
-       (dim_cols t));
-  check
-    (Dtype.valid_acc_for ~input:t.input_type ~acc:t.acc_type)
-    (Printf.sprintf "accumulator type %s cannot accumulate %s inputs"
-       (Dtype.to_string t.acc_type)
-       (Dtype.to_string t.input_type));
-  check (t.sp_capacity_bytes > 0) "scratchpad capacity must be positive";
-  check (t.acc_capacity_bytes > 0) "accumulator capacity must be positive";
-  check (Mathx.is_pow2 t.sp_banks) "scratchpad bank count must be a power of two";
-  check (Mathx.is_pow2 t.acc_banks) "accumulator bank count must be a power of two";
-  if t.mesh_rows > 0 && t.mesh_cols > 0 && t.tile_rows > 0 && t.tile_cols > 0 then begin
+  let e = [] in
+  let e = check (t.mesh_rows > 0 && t.mesh_cols > 0) "mesh dimensions must be positive" e in
+  let e = check (t.tile_rows > 0 && t.tile_cols > 0) "tile dimensions must be positive" e in
+  let e =
+    if dim_rows t = dim_cols t then e
+    else
+      Printf.sprintf "spatial array must be square, got %dx%d" (dim_rows t)
+        (dim_cols t)
+      :: e
+  in
+  let e =
+    if Dtype.valid_acc_for ~input:t.input_type ~acc:t.acc_type then e
+    else
+      Printf.sprintf "accumulator type %s cannot accumulate %s inputs"
+        (Dtype.to_string t.acc_type)
+        (Dtype.to_string t.input_type)
+      :: e
+  in
+  let e = check (t.sp_capacity_bytes > 0) "scratchpad capacity must be positive" e in
+  let e = check (t.acc_capacity_bytes > 0) "accumulator capacity must be positive" e in
+  let e = check (Mathx.is_pow2 t.sp_banks) "scratchpad bank count must be a power of two" e in
+  let e = check (Mathx.is_pow2 t.acc_banks) "accumulator bank count must be a power of two" e in
+  let dims_positive =
+    t.mesh_rows > 0 && t.mesh_cols > 0 && t.tile_rows > 0 && t.tile_cols > 0
+  in
+  let e =
     check
-      (t.sp_capacity_bytes mod (sp_row_bytes t * t.sp_banks) = 0)
-      "scratchpad capacity must divide evenly into banked rows";
+      ((not dims_positive) || t.sp_capacity_bytes mod (sp_row_bytes t * t.sp_banks) = 0)
+      "scratchpad capacity must divide evenly into banked rows" e
+  in
+  let e =
     check
-      (t.acc_capacity_bytes mod (acc_row_bytes t * t.acc_banks) = 0)
-      "accumulator capacity must divide evenly into banked rows"
-  end;
-  check (t.dma_bus_bytes > 0) "DMA bus width must be positive";
-  check (t.max_in_flight > 0) "in-flight command window must be positive";
-  check (t.freq_ghz > 0.) "clock frequency must be positive";
-  match !errors with [] -> Ok () | errs -> Error (List.rev errs)
+      ((not dims_positive) || t.acc_capacity_bytes mod (acc_row_bytes t * t.acc_banks) = 0)
+      "accumulator capacity must divide evenly into banked rows" e
+  in
+  let e = check (t.dma_bus_bytes > 0) "DMA bus width must be positive" e in
+  let e = check (t.max_in_flight > 0) "in-flight command window must be positive" e in
+  let e = check (t.freq_ghz > 0.) "clock frequency must be positive" e in
+  match e with [] -> Ok () | errs -> Error (List.rev errs)
 
 let validate_exn t =
   match validate t with

@@ -7,6 +7,7 @@ type t = {
   sets : int;
   set_shift : int;
   set_mask : int;
+  tag_shift : int; (* set_shift + log2 sets: addr lsr tag_shift = tag *)
   tags : int array; (* set*ways + way; -1 = invalid *)
   dirty : bool array;
   age : int array; (* larger = more recently used *)
@@ -44,6 +45,7 @@ let create ?engine ?(name = "cache") ~size_bytes ~ways ~line_bytes () =
       sets;
       set_shift = Mathx.log2_exact line_bytes;
       set_mask = sets - 1;
+      tag_shift = Mathx.log2_exact line_bytes + Mathx.log2_exact sets;
       tags = Array.make (sets * ways) (-1);
       dirty = Array.make (sets * ways) false;
       age = Array.make (sets * ways) 0;
@@ -79,55 +81,56 @@ let ways t = t.ways
 let line_bytes t = t.line_bytes
 let sets t = t.sets
 
-let decompose t addr =
-  let line = addr lsr t.set_shift in
-  let set = line land t.set_mask in
-  let tag = line lsr (Mathx.log2_exact t.sets) in
-  (set, tag)
+let set_of t addr = (addr lsr t.set_shift) land t.set_mask
+let tag_of t addr = addr lsr t.tag_shift
+
+(* The way holding [tag] in the set starting at [base], or -1. The lookup
+   and victim helpers are top-level recursive functions over ints so an
+   access builds no closure, tuple or option: [access] runs once per L2
+   line of every DMA burst. *)
+let rec find_way t base tag w =
+  if w >= t.ways then -1
+  else if t.tags.(base + w) = tag then w
+  else find_way t base tag (w + 1)
+
+(* Victim choice: the first invalid way if any, else the least recently
+   used (the first of equal ages). *)
+let rec lru_way t base w best best_age =
+  if w >= t.ways then best
+  else
+    let age = t.age.(base + w) in
+    if age < best_age then lru_way t base (w + 1) w age
+    else lru_way t base (w + 1) best best_age
+
+let victim_way t base =
+  let free = find_way t base (-1) 0 in
+  if free >= 0 then free else lru_way t base 0 0 max_int
 
 let access t ~addr ~write =
   if addr < 0 then invalid_arg "Cache.access: negative address";
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let set, tag = decompose t addr in
-  let base = set * t.ways in
-  (* Look for a hit. *)
-  let rec find w = if w >= t.ways then None
-    else if t.tags.(base + w) = tag then Some w
-    else find (w + 1)
-  in
-  match find 0 with
-  | Some w ->
-      t.hits <- t.hits + 1;
-      t.age.(base + w) <- t.clock;
-      if write then t.dirty.(base + w) <- true;
-      Hit
-  | None ->
-      t.misses <- t.misses + 1;
-      if write then t.write_misses <- t.write_misses + 1
-      else t.read_misses <- t.read_misses + 1;
-      (* Choose victim: an invalid way if any, else LRU. *)
-      let victim = ref 0 in
-      let best_age = ref max_int in
-      (try
-         for w = 0 to t.ways - 1 do
-           if t.tags.(base + w) = -1 then begin
-             victim := w;
-             raise Exit
-           end;
-           if t.age.(base + w) < !best_age then begin
-             best_age := t.age.(base + w);
-             victim := w
-           end
-         done
-       with Exit -> ());
-      let idx = base + !victim in
-      let writeback = t.tags.(idx) <> -1 && t.dirty.(idx) in
-      if writeback then t.writebacks <- t.writebacks + 1;
-      t.tags.(idx) <- tag;
-      t.dirty.(idx) <- write;
-      t.age.(idx) <- t.clock;
-      if writeback then Miss_writeback else Miss
+  let base = set_of t addr * t.ways in
+  let tag = tag_of t addr in
+  let w = find_way t base tag 0 in
+  if w >= 0 then begin
+    t.hits <- t.hits + 1;
+    t.age.(base + w) <- t.clock;
+    if write then t.dirty.(base + w) <- true;
+    Hit
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    if write then t.write_misses <- t.write_misses + 1
+    else t.read_misses <- t.read_misses + 1;
+    let idx = base + victim_way t base in
+    let writeback = t.tags.(idx) <> -1 && t.dirty.(idx) in
+    if writeback then t.writebacks <- t.writebacks + 1;
+    t.tags.(idx) <- tag;
+    t.dirty.(idx) <- write;
+    t.age.(idx) <- t.clock;
+    if writeback then Miss_writeback else Miss
+  end
 
 let access_range t ~addr ~bytes ~write =
   if bytes < 0 then invalid_arg "Cache.access_range: negative size";
@@ -146,14 +149,7 @@ let access_range t ~addr ~bytes ~write =
   end;
   (!hits, !misses, !wbs)
 
-let probe t ~addr =
-  let set, tag = decompose t addr in
-  let base = set * t.ways in
-  let rec find w =
-    if w >= t.ways then false
-    else t.tags.(base + w) = tag || find (w + 1)
-  in
-  find 0
+let probe t ~addr = find_way t (set_of t addr * t.ways) (tag_of t addr) 0 >= 0
 
 let resident_lines t =
   Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags

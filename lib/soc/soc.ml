@@ -35,37 +35,41 @@ let data_base cores = 0x4000_0000 + (cores * 0x0100_0000)
 let va_base = 0x0001_0000
 
 (* One L2+DRAM access path shared by every requester on the SoC. Runs once
-   per cache line of every DMA burst, so the loop is tail-recursive with
-   unboxed int accumulators: the quiet path allocates nothing. *)
+   per cache line of every DMA burst, so the line walk is a top-level
+   tail-recursive function over unboxed ints (a local closure over
+   [last]/[occupancy] would be allocated per call): the quiet path
+   allocates nothing. *)
+let rec mem_lines soc ~now ~write ~line ~occupancy ~last ln finish =
+  if ln > last then finish
+  else begin
+    let cfg = soc.cfg in
+    let addr = ln * line in
+    let port_done = Engine.acquire soc.engine soc.l2_port ~now ~occupancy in
+    let line_done =
+      match Cache.access soc.l2 ~addr ~write with
+      | Cache.Hit -> port_done + cfg.Soc_config.l2_hit_latency
+      | Cache.Miss ->
+          (* Allocate: fetch the line from DRAM. *)
+          Dram.access soc.dram ~now:port_done ~bytes:line ~write:false
+      | Cache.Miss_writeback ->
+          (* A dirty victim writes back, consuming bandwidth but not
+             adding to the critical path. *)
+          let fetch_done =
+            Dram.access soc.dram ~now:port_done ~bytes:line ~write:false
+          in
+          ignore (Dram.access soc.dram ~now:port_done ~bytes:line ~write:true);
+          fetch_done
+    in
+    mem_lines soc ~now ~write ~line ~occupancy ~last (ln + 1)
+      (if line_done > finish then line_done else finish)
+  end
+
 let mem_access soc ~now ~paddr ~bytes ~write =
   let cfg = soc.cfg in
   let line = cfg.Soc_config.l2_line_bytes in
   let occupancy = Mathx.ceil_div line cfg.Soc_config.l2_port_bytes in
   let first = paddr / line and last = (paddr + max bytes 1 - 1) / line in
-  let rec lines ln finish =
-    if ln > last then finish
-    else begin
-      let addr = ln * line in
-      let port_done = Engine.acquire soc.engine soc.l2_port ~now ~occupancy in
-      let line_done =
-        match Cache.access soc.l2 ~addr ~write with
-        | Cache.Hit -> port_done + cfg.Soc_config.l2_hit_latency
-        | Cache.Miss ->
-            (* Allocate: fetch the line from DRAM. *)
-            Dram.access soc.dram ~now:port_done ~bytes:line ~write:false
-        | Cache.Miss_writeback ->
-            (* A dirty victim writes back, consuming bandwidth but not
-               adding to the critical path. *)
-            let fetch_done =
-              Dram.access soc.dram ~now:port_done ~bytes:line ~write:false
-            in
-            ignore (Dram.access soc.dram ~now:port_done ~bytes:line ~write:true);
-            fetch_done
-      in
-      lines (ln + 1) (if line_done > finish then line_done else finish)
-    end
-  in
-  lines first now
+  mem_lines soc ~now ~write ~line ~occupancy ~last first now
 
 let make_port soc : Gemmini.Dma.port =
   {
@@ -360,7 +364,7 @@ type op =
   | Insn of Gemmini.Isa.t
   | Host_work of { cycles : int; tag : string }
   | Marker of (core -> unit)
-  | Guarded of { op : op; run : core -> unit }
+  | Guarded of { op : op; run : core -> op -> unit }
 
 module P = Gem_obs.Profile
 
@@ -369,7 +373,7 @@ let exec_op_quiet c = function
   | Host_work { cycles; tag = _ } ->
       Gemmini.Controller.host_work c.controller ~cycles
   | Marker f -> f c
-  | Guarded { run; op = _ } -> run c
+  | Guarded { run; op } -> run c op
 
 (* An op is private when executing it touches only its own core's state:
    config/compute/preload instructions and the loop staging commands stay
@@ -406,13 +410,6 @@ let run_sequential t programs =
   let n = Array.length programs in
   (* Per-core stream cursors. *)
   let cursors = Array.map (fun s -> ref s) programs in
-  let next_op i =
-    match !(cursors.(i)) () with
-    | Seq.Nil -> None
-    | Seq.Cons (op, rest) ->
-        cursors.(i) := rest;
-        Some op
-  in
   let done_flags = Array.make n false in
   let finished = ref 0 in
   while !finished < n do
@@ -430,9 +427,11 @@ let run_sequential t programs =
       end
     done;
     let i = !best in
-    match next_op i with
-    | Some op -> exec_op t.cores_arr.(i) op
-    | None ->
+    match !(cursors.(i)) () with
+    | Seq.Cons (op, rest) ->
+        cursors.(i) := rest;
+        exec_op t.cores_arr.(i) op
+    | Seq.Nil ->
         done_flags.(i) <- true;
         incr finished
   done;

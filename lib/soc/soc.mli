@@ -91,11 +91,13 @@ type op =
   | Host_work of { cycles : int; tag : string }
   | Marker of (core -> unit)
       (** executed (zero cost) when the core reaches this point *)
-  | Guarded of { op : op; run : core -> unit }
-      (** [run] executes [op] wrapped in caller-supplied trap handling
-          (the runtime's fault policies). Keeping the underlying [op]
-          visible lets the parallel driver classify the work as
-          core-private or shared without forcing the wrapper. *)
+  | Guarded of { op : op; run : core -> op -> unit }
+      (** [run core op] executes [op] wrapped in caller-supplied trap
+          handling (the runtime's fault policies). One [run] handler is
+          shared by every op it guards, so wrapping allocates no
+          per-op closure. Keeping the underlying [op] visible lets the
+          parallel driver classify the work as core-private or shared
+          without forcing the wrapper. *)
 
 val exec_op : core -> op -> unit
 (** Executes one op on the core. Exposed so recovery layers (the

@@ -15,9 +15,14 @@ let max_block_len = 4
 
 type conv_im2col = Im2col_on_cpu | Im2col_on_accel | Im2col_preexpanded of int
 
-let matmul_ops p ?tiling ?schedule ?bias ?bias_column
+(* Every kernel emits onto a reversed accumulator ([acc], most recent op
+   first) and returns it extended: the runtime threads one accumulator
+   through a whole layer and reverses it once, instead of concatenating
+   per-kernel lists. [matmul_ops] is the one-kernel list. *)
+
+let matmul_rev p ?tiling ?schedule ?bias ?bias_column
     ?(act = Peripheral.No_activation) ?(scale = 1.0) ?a_row_stride
-    ?b_row_stride ?c_row_stride ?(a_condense = 1.0) ~a ~b ~out ~m ~k ~n () =
+    ?b_row_stride ?c_row_stride ?(a_condense = 1.0) ~a ~b ~out ~m ~k ~n acc =
   if m <= 0 || k <= 0 || n <= 0 then invalid_arg "Kernels.matmul: empty problem";
   if Option.is_some bias && Option.is_some bias_column then
     invalid_arg "Kernels.matmul: bias and bias_column are exclusive";
@@ -52,7 +57,7 @@ let matmul_ops p ?tiling ?schedule ?bias ?bias_column
   let a_base parity = parity * a_tile_rows in
   let b_base parity = (2 * a_tile_rows) + (parity * b_tile_rows) in
   let c_base ii jj = (ii * tl.Tiling.tj) + jj |> ( * ) dim in
-  let ops = ref [] in
+  let ops = ref acc in
   let emit i = ops := insn i :: !ops in
   emit
     (Isa.Config_ex
@@ -211,7 +216,13 @@ let matmul_ops p ?tiling ?schedule ?bias ?bias_column
       done
     done
   done;
-  List.rev !ops
+  !ops
+
+let matmul_ops p ?tiling ?schedule ?bias ?bias_column ?act ?scale ?a_row_stride
+    ?b_row_stride ?c_row_stride ?a_condense ~a ~b ~out ~m ~k ~n () =
+  List.rev
+    (matmul_rev p ?tiling ?schedule ?bias ?bias_column ?act ?scale ?a_row_stride
+       ?b_row_stride ?c_row_stride ?a_condense ~a ~b ~out ~m ~k ~n [])
 
 let matmul_loop_ws_ops p ?bias ?(act = Peripheral.No_activation) ?(scale = 1.0)
     ~a ~b ~out ~m ~k ~n () =
@@ -229,12 +240,12 @@ let matmul_loop_ws_ops p ?bias ?(act = Peripheral.No_activation) ?(scale = 1.0)
 
 (* --- residual addition ---------------------------------------------------- *)
 
-let resadd_ops p ?(relu = false) ~x ~y ~out ~elems () =
+let resadd_rev p ?(relu = false) ~x ~y ~out ~elems acc =
   if elems <= 0 then invalid_arg "Kernels.resadd: empty";
   let p = Params.validate_exn p in
   let dim = Params.dim p in
   let acc_groups = Params.acc_rows p / dim in
-  let ops = ref [] in
+  let ops = ref acc in
   let emit i = ops := insn i :: !ops in
   let row_bytes = dim in
   emit (Isa.Config_ld { ld_stride_bytes = row_bytes; ld_scale = 1.0; ld_shrunk = true; ld_id = 0 });
@@ -280,11 +291,11 @@ let resadd_ops p ?(relu = false) ~x ~y ~out ~elems () =
     incr g;
     row := !row + rows
   done;
-  List.rev !ops
+  !ops
 
 (* --- pooling --------------------------------------------------------------- *)
 
-let maxpool_ops p ~cpu ~input ~out ~spec () =
+let maxpool_rev p ~cpu ~input ~out ~spec acc =
   let open Gem_dnn.Layer in
   let p = Params.validate_exn p in
   let dim = Params.dim p in
@@ -293,17 +304,16 @@ let maxpool_ops p ~cpu ~input ~out ~spec () =
   let out_w = ((spec.p_in_w + (2 * spec.p_padding) - spec.window) / spec.p_stride) + 1 in
   let out_elems = out_h * out_w * spec.p_ch in
   if not p.Params.has_pooling then
-    [
-      Gem_soc.Soc.Host_work
-        {
-          cycles = Gem_cpu.Cpu_model.pooling_cycles cpu ~elems:out_elems ~window:spec.window;
-          tag = "maxpool(cpu)";
-        };
-    ]
+    Gem_soc.Soc.Host_work
+      {
+        cycles = Gem_cpu.Cpu_model.pooling_cycles cpu ~elems:out_elems ~window:spec.window;
+        tag = "maxpool(cpu)";
+      }
+    :: acc
   else begin
     (* The pooling unit works on the store path: stream the input through
        the scratchpad, write the pooled map back. *)
-    let ops = ref [] in
+    let ops = ref acc in
     let emit i = ops := insn i :: !ops in
     emit (Isa.Config_ld { ld_stride_bytes = dim; ld_scale = 1.0; ld_shrunk = false; ld_id = 0 });
     emit
@@ -354,7 +364,7 @@ let maxpool_ops p ~cpu ~input ~out ~spec () =
         si := !si + rows
       end
     done;
-    List.rev !ops
+    !ops
   end
 
 (* --- host-side work -------------------------------------------------------- *)
@@ -367,8 +377,8 @@ let host_elementwise_ops ~cpu ~elems ~tag =
 
 (* --- convolution ------------------------------------------------------------ *)
 
-let conv_ops p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
-    ~patch_scratch () =
+let conv_rev p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
+    ~patch_scratch acc =
   let open Gem_dnn.Layer in
   let oh, ow = conv_out_dims spec in
   let act = if spec.relu then Peripheral.Relu else Peripheral.No_activation in
@@ -378,21 +388,20 @@ let conv_ops p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
        bottleneck the paper calls out. *)
     let m = oh * ow and k = spec.kernel * spec.kernel in
     let per_channel_patch = m * k in
-    let host =
+    let acc =
       match im2col with
       | Im2col_on_cpu ->
-          [
-            Gem_soc.Soc.Host_work
-              {
-                cycles =
-                  Gem_cpu.Cpu_model.im2col_cycles cpu
-                    ~patch_elems:(per_channel_patch * spec.in_ch);
-                tag = "im2col(cpu,dw)";
-              };
-          ]
-      | Im2col_on_accel | Im2col_preexpanded _ -> []
+          Gem_soc.Soc.Host_work
+            {
+              cycles =
+                Gem_cpu.Cpu_model.im2col_cycles cpu
+                  ~patch_elems:(per_channel_patch * spec.in_ch);
+              tag = "im2col(cpu,dw)";
+            }
+          :: acc
+      | Im2col_on_accel | Im2col_preexpanded _ -> acc
     in
-    let channel_ops ch =
+    let channel_ops acc ch =
       let a_va, a_condense, a_stride =
         match im2col with
         | Im2col_on_cpu -> (patch_scratch + (ch * per_channel_patch), 1.0, k)
@@ -403,27 +412,32 @@ let conv_ops p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
             in
             (input + (ch * spec.in_h * spec.in_w / max 1 spec.in_ch), min 1.0 ratio, k)
       in
-      matmul_ops p
+      matmul_rev p
         ?bias:(Option.map (fun b -> b + (4 * ch)) bias)
         ~act ~scale ~a_row_stride:a_stride ~a_condense ~a:a_va
         ~b:(weights + (ch * k))
         ~out:(out + ch) ~c_row_stride:spec.in_ch (* NHWC channel-strided output *)
-        ~m ~k ~n:1 ()
+        ~m ~k ~n:1 acc
     in
-    host @ List.concat (List.init spec.in_ch channel_ops)
+    let acc = ref acc in
+    for ch = 0 to spec.in_ch - 1 do
+      acc := channel_ops !acc ch
+    done;
+    !acc
   end
   else begin
     let m = oh * ow and k = spec.kernel * spec.kernel * spec.in_ch and n = spec.out_ch in
     match im2col with
     | Im2col_on_cpu ->
-        Gem_soc.Soc.Host_work
-          {
-            cycles = Gem_cpu.Cpu_model.im2col_cycles cpu ~patch_elems:(m * k);
-            tag = "im2col(cpu)";
-          }
-        :: matmul_ops p ?bias ~act ~scale ~a:patch_scratch ~b:weights ~out ~m ~k ~n ()
+        matmul_rev p ?bias ~act ~scale ~a:patch_scratch ~b:weights ~out ~m ~k ~n
+          (Gem_soc.Soc.Host_work
+             {
+               cycles = Gem_cpu.Cpu_model.im2col_cycles cpu ~patch_elems:(m * k);
+               tag = "im2col(cpu)";
+             }
+          :: acc)
     | Im2col_preexpanded va ->
-        matmul_ops p ?bias ~act ~scale ~a:va ~b:weights ~out ~m ~k ~n ()
+        matmul_rev p ?bias ~act ~scale ~a:va ~b:weights ~out ~m ~k ~n acc
     | Im2col_on_accel ->
         if not p.Params.has_im2col then
           invalid_arg "Kernels.conv: accelerator has no im2col block";
@@ -432,6 +446,6 @@ let conv_ops p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
         let ratio =
           float_of_int (spec.in_h * spec.in_w * spec.in_ch) /. float_of_int (m * k)
         in
-        matmul_ops p ?bias ~act ~scale ~a:input ~a_condense:(min 1.0 ratio) ~m ~k ~n
-          ~b:weights ~out ()
+        matmul_rev p ?bias ~act ~scale ~a:input ~a_condense:(min 1.0 ratio) ~m ~k ~n
+          ~b:weights ~out acc
   end

@@ -12,6 +12,13 @@
 
 type op = Gem_soc.Soc.op
 
+(** The [*_rev] kernels emit onto a {e reversed} accumulator: each
+    returns the kernel's ops in reverse order prepended to the list it is
+    given. The runtime threads one accumulator through a whole layer and
+    reverses it once, so lowering copies no per-kernel lists. The
+    matmul also comes as [matmul_ops], which returns its command list in
+    order. *)
+
 val matmul_ops :
   Gemmini.Params.t ->
   ?tiling:Tiling.t ->
@@ -45,6 +52,27 @@ val matmul_ops :
     the A-side fetch footprint to model the on-the-fly im2col unit
     reading the raw input instead of the expanded patch matrix. *)
 
+val matmul_rev :
+  Gemmini.Params.t ->
+  ?tiling:Tiling.t ->
+  ?schedule:Schedule.t ->
+  ?bias:int ->
+  ?bias_column:int ->
+  ?act:Gemmini.Peripheral.activation ->
+  ?scale:float ->
+  ?a_row_stride:int ->
+  ?b_row_stride:int ->
+  ?c_row_stride:int ->
+  ?a_condense:float ->
+  a:int ->
+  b:int ->
+  out:int ->
+  m:int ->
+  k:int ->
+  n:int ->
+  op list ->
+  op list
+
 val matmul_loop_ws_ops :
   Gemmini.Params.t ->
   ?bias:int ->
@@ -69,7 +97,7 @@ type conv_im2col =
   | Im2col_preexpanded of int
       (** patch matrix already at this VA (functional-mode path) *)
 
-val conv_ops :
+val conv_rev :
   Gemmini.Params.t ->
   cpu:Gem_cpu.Cpu_model.kind ->
   im2col:conv_im2col ->
@@ -80,33 +108,33 @@ val conv_ops :
   out:int ->
   spec:Gem_dnn.Layer.conv_spec ->
   patch_scratch:int ->
-  unit ->
+  op list ->
   op list
 (** Convolution as im2col + tiled matmul. [patch_scratch] is the VA of
     the reusable patch-matrix buffer (used by the CPU path). Depthwise
     convolutions lower to per-channel skinny matmuls (poor array
     utilization — the MobileNetV2 effect). *)
 
-val resadd_ops :
+val resadd_rev :
   Gemmini.Params.t ->
   ?relu:bool ->
   x:int ->
   y:int ->
   out:int ->
   elems:int ->
-  unit ->
+  op list ->
   op list
 (** Element-wise int8 addition through the accumulator: stream X in,
     accumulate Y onto it, store back. No weight reuse at all — the
     memory-bound layer class of Fig. 9. *)
 
-val maxpool_ops :
+val maxpool_rev :
   Gemmini.Params.t ->
   cpu:Gem_cpu.Cpu_model.kind ->
   input:int ->
   out:int ->
   spec:Gem_dnn.Layer.pool_spec ->
-  unit ->
+  op list ->
   op list
 (** With the pooling unit: data streams through the accelerator's store
     path. Without: host-CPU loop. *)

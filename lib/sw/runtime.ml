@@ -301,45 +301,54 @@ let span_close_marker ~name time_of =
         ~component:(Gemmini.Controller.host_component ctrl)
         ~time:(time_of ctrl) name)
 
+(* --- per-layer emission ------------------------------------------------------
+
+   A layer's ops are built in one pass onto a single reversed accumulator
+   ([acc], most recent op first): every emitter below, like the kernels'
+   [*_rev] forms, returns [acc] extended with its own ops. The caller
+   reverses the finished layer once. *)
+
 (* A kernel span opens at the issue cursor (dispatch of the kernel's first
-   command) and closes at the finish horizon once its commands retire. *)
-let kernel_span name = function
-  | [] -> []
-  | ops ->
-      (span_open_marker ~cat:"kernel" ~name Gemmini.Controller.now :: ops)
-      @ [ span_close_marker ~name Gemmini.Controller.finish_time ]
+   command) and closes at the finish horizon once its commands retire. A
+   kernel that emits nothing gets no span. *)
+let kernel_span name emit acc =
+  let opened =
+    span_open_marker ~cat:"kernel" ~name Gemmini.Controller.now :: acc
+  in
+  let body = emit opened in
+  if body == opened then acc
+  else span_close_marker ~name Gemmini.Controller.finish_time :: body
 
-(* --- per-layer emission ------------------------------------------------------ *)
-
-let layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer =
+let layer_rev soc core tensors ~mode ~functional ~idx ~input_va layer acc =
   let params = Gemmini.Controller.params (Soc.controller core) in
   let cpu = Soc.cpu core in
   let out_va = tensors.t_out.(idx) in
-  let marker f = [ Soc.Marker f ] in
+  (* Functional-mode data staging runs as a host marker ahead of the
+     layer's commands; timing mode emits nothing for it. *)
+  let staging f acc = if functional then Soc.Marker f :: acc else acc in
+  let host_work ~elems ~tag acc =
+    List.rev_append (Kernels.host_elementwise_ops ~cpu ~elems ~tag) acc
+  in
   match (mode, layer) with
   | Cpu_only, l ->
-      [ Soc.Host_work { cycles = cpu_layer_cycles cpu l; tag = "cpu-layer" } ]
+      Soc.Host_work { cycles = cpu_layer_cycles cpu l; tag = "cpu-layer" } :: acc
   | Accel _, Layer.Elementwise { e_elems; e_name } ->
-      (if functional then
-         (* Host ops are identity passes in the functional model. *)
-         marker (fun core ->
+      acc
+      |> staging (fun core ->
+             (* Host ops are identity passes in the functional model. *)
              let data = Soc.host_read_i8 soc core ~vaddr:input_va ~n:e_elems in
              Soc.host_write_i8 soc core ~vaddr:out_va data)
-       else [])
-      @ kernel_span e_name
-          (Kernels.host_elementwise_ops ~cpu ~elems:e_elems ~tag:e_name)
+      |> kernel_span e_name (host_work ~elems:e_elems ~tag:e_name)
   | Accel _, Layer.Global_avg_pool { g_h; g_w; g_ch } ->
-      (if functional then
-         marker (fun core ->
+      acc
+      |> staging (fun core ->
              let t = read_tensor soc core ~vaddr:input_va ~shape:[| 1; g_h; g_w; g_ch |] in
              write_tensor soc core ~vaddr:out_va (Gemmini.Peripheral.avg_pool_global t))
-       else [])
-      @ kernel_span "gap"
-          (Kernels.host_elementwise_ops ~cpu ~elems:(g_h * g_w * g_ch)
-             ~tag:"gap")
+      |> kernel_span "gap" (host_work ~elems:(g_h * g_w * g_ch) ~tag:"gap")
   | Accel _, Layer.Max_pool p ->
       if functional then
-        marker (fun core ->
+        Soc.Marker
+          (fun core ->
             let t =
               read_tensor soc core ~vaddr:input_va
                 ~shape:[| 1; p.Layer.p_in_h; p.Layer.p_in_w; p.Layer.p_ch |]
@@ -349,56 +358,26 @@ let layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer =
                 ~stride:p.Layer.p_stride ~padding:p.Layer.p_padding t
             in
             write_tensor soc core ~vaddr:out_va pooled)
+        :: acc
       else
         kernel_span "maxpool"
-          (Kernels.maxpool_ops params ~cpu ~input:input_va ~out:out_va ~spec:p
-             ())
+          (fun acc ->
+            Kernels.maxpool_rev params ~cpu ~input:input_va ~out:out_va ~spec:p acc)
+          acc
   | Accel _, Layer.Residual_add { r_h; r_w; r_ch; back1; back2 } ->
       let operand back =
         let j = idx - back in
         if j < 0 then tensors.t_input else tensors.t_out.(j)
       in
       kernel_span "resadd"
-        (Kernels.resadd_ops params ~x:(operand back1) ~y:(operand back2)
-           ~out:out_va
-           ~elems:(r_h * r_w * r_ch) ())
+        (fun acc ->
+          Kernels.resadd_rev params ~x:(operand back1) ~y:(operand back2)
+            ~out:out_va
+            ~elems:(r_h * r_w * r_ch)
+            acc)
+        acc
   | Accel { im2col_on_accel }, Layer.Conv spec ->
       let patch_va = tensors.t_patch.(idx) in
-      let prep =
-        if functional then
-          (* Materialize the patch matrix so the datapath reads real data;
-             the hardware im2col block is modeled in timing mode only. *)
-          marker (fun core ->
-              let t =
-                read_tensor soc core ~vaddr:input_va
-                  ~shape:[| 1; spec.Layer.in_h; spec.Layer.in_w; spec.Layer.in_ch |]
-              in
-              if spec.Layer.depthwise then begin
-                let mk = Layer.as_matmul layer |> Option.get in
-                let per = mk.Layer.m * mk.Layer.k in
-                for ch = 0 to spec.Layer.in_ch - 1 do
-                  let chan =
-                    Tensor.init [| 1; spec.Layer.in_h; spec.Layer.in_w; 1 |]
-                      (fun i -> Tensor.get4 t 0 i.(1) i.(2) ch)
-                  in
-                  let patch =
-                    Gemmini.Peripheral.im2col ~input:chan ~kernel:spec.Layer.kernel
-                      ~stride:spec.Layer.stride ~padding:spec.Layer.padding
-                  in
-                  let flat = Array.concat (Array.to_list patch) in
-                  Soc.host_write_i8 soc core ~vaddr:(patch_va + (ch * per)) flat
-                done
-              end
-              else begin
-                let patch =
-                  Gemmini.Peripheral.im2col ~input:t ~kernel:spec.Layer.kernel
-                    ~stride:spec.Layer.stride ~padding:spec.Layer.padding
-                in
-                let flat = Array.concat (Array.to_list patch) in
-                Soc.host_write_i8 soc core ~vaddr:patch_va flat
-              end)
-        else []
-      in
       let im2col : Kernels.conv_im2col =
         match
           Lower.resolve_im2col params ~mode:(Accel { im2col_on_accel })
@@ -408,45 +387,103 @@ let layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer =
         | Lower.Im_accel -> Kernels.Im2col_on_accel
         | Lower.Im_cpu -> Kernels.Im2col_on_cpu
       in
-      prep
-      @ kernel_span "conv"
-          (Kernels.conv_ops params ~cpu ~im2col ~bias:(tensors.t_bias.(idx))
-             ~scale:out_scale ~input:input_va ~weights:(tensors.t_weights.(idx))
-             ~out:out_va ~spec ~patch_scratch:tensors.t_patch.(idx) ())
+      acc
+      |> staging (fun core ->
+             (* Materialize the patch matrix so the datapath reads real
+                data; the hardware im2col block is modeled in timing mode
+                only. *)
+             let t =
+               read_tensor soc core ~vaddr:input_va
+                 ~shape:[| 1; spec.Layer.in_h; spec.Layer.in_w; spec.Layer.in_ch |]
+             in
+             if spec.Layer.depthwise then begin
+               let mk = Layer.as_matmul layer |> Option.get in
+               let per = mk.Layer.m * mk.Layer.k in
+               for ch = 0 to spec.Layer.in_ch - 1 do
+                 let chan =
+                   Tensor.init [| 1; spec.Layer.in_h; spec.Layer.in_w; 1 |]
+                     (fun i -> Tensor.get4 t 0 i.(1) i.(2) ch)
+                 in
+                 let patch =
+                   Gemmini.Peripheral.im2col ~input:chan ~kernel:spec.Layer.kernel
+                     ~stride:spec.Layer.stride ~padding:spec.Layer.padding
+                 in
+                 let flat = Array.concat (Array.to_list patch) in
+                 Soc.host_write_i8 soc core ~vaddr:(patch_va + (ch * per)) flat
+               done
+             end
+             else begin
+               let patch =
+                 Gemmini.Peripheral.im2col ~input:t ~kernel:spec.Layer.kernel
+                   ~stride:spec.Layer.stride ~padding:spec.Layer.padding
+               in
+               let flat = Array.concat (Array.to_list patch) in
+               Soc.host_write_i8 soc core ~vaddr:patch_va flat
+             end)
+      |> kernel_span "conv" (fun acc ->
+             Kernels.conv_rev params ~cpu ~im2col ~bias:(tensors.t_bias.(idx))
+               ~scale:out_scale ~input:input_va ~weights:(tensors.t_weights.(idx))
+               ~out:out_va ~spec ~patch_scratch:tensors.t_patch.(idx) acc)
   | Accel _, Layer.Matmul mm ->
       let act =
         if mm.Layer.relu then Gemmini.Peripheral.Relu
         else Gemmini.Peripheral.No_activation
       in
-      let instance i =
+      let instance acc i =
         kernel_span "matmul"
-        @@
-        if mm.Layer.m = 1 then
-          (* C^T = W^T . x: the transposed weight matrix is the streaming
-             A operand (page-sequential rows); x and C^T are flat vectors,
-             so no data movement changes. Bias becomes per-row, which the
-             store path cannot broadcast — the kernel biases through the
-             accumulator mvin channel all the same because each output
-             block row sees its own bias word. For the swapped layout the
-             bias is added via a host-free accumulate mvin of the bias
-             vector reinterpreted column-wise. *)
-          Kernels.matmul_ops params
-            ~bias_column:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
-            ~act ~scale:out_scale
-            ~a:(tensors.t_weights.(idx) + (i * mm.Layer.k * mm.Layer.n))
-            ~b:(input_va + (i * mm.Layer.m * mm.Layer.k))
-            ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
-            ~m:mm.Layer.n ~k:mm.Layer.k ~n:1 ()
-        else
-          Kernels.matmul_ops params
-            ~bias:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
-            ~act ~scale:out_scale
-            ~a:(input_va + (i * mm.Layer.m * mm.Layer.k))
-            ~b:(tensors.t_weights.(idx) + (i * mm.Layer.k * mm.Layer.n))
-            ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
-            ~m:mm.Layer.m ~k:mm.Layer.k ~n:mm.Layer.n ()
+          (fun acc ->
+           if mm.Layer.m = 1 then
+             (* C^T = W^T . x: the transposed weight matrix is the
+                streaming A operand (page-sequential rows); x and C^T are
+                flat vectors, so no data movement changes. Bias becomes
+                per-row, which the store path cannot broadcast — the
+                kernel biases through the accumulator mvin channel all
+                the same because each output block row sees its own bias
+                word. For the swapped layout the bias is added via a
+                host-free accumulate mvin of the bias vector
+                reinterpreted column-wise. *)
+             Kernels.matmul_rev params
+               ~bias_column:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
+               ~act ~scale:out_scale
+               ~a:(tensors.t_weights.(idx) + (i * mm.Layer.k * mm.Layer.n))
+               ~b:(input_va + (i * mm.Layer.m * mm.Layer.k))
+               ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
+               ~m:mm.Layer.n ~k:mm.Layer.k ~n:1 acc
+           else
+             Kernels.matmul_rev params
+               ~bias:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
+               ~act ~scale:out_scale
+               ~a:(input_va + (i * mm.Layer.m * mm.Layer.k))
+               ~b:(tensors.t_weights.(idx) + (i * mm.Layer.k * mm.Layer.n))
+               ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
+               ~m:mm.Layer.m ~k:mm.Layer.k ~n:mm.Layer.n acc)
+          acc
       in
-      List.concat (List.init mm.Layer.count instance)
+      let acc = ref acc in
+      for i = 0 to mm.Layer.count - 1 do
+        acc := instance !acc i
+      done;
+      !acc
+
+(* Reverses a finished layer, wrapping every accelerator op in [Guarded]
+   with the run's one trap handler as it goes; markers stay bare (they
+   are host code, not commands). [tail] is appended unchanged. *)
+let rec rev_guarded run acc tail =
+  match acc with
+  | [] -> tail
+  | (Soc.Marker _ as m) :: rest -> rev_guarded run rest (m :: tail)
+  | op :: rest -> rev_guarded run rest (Soc.Guarded { op; run } :: tail)
+
+(* The program stream walks each layer's finished list directly: layer
+   [idx + 1] is lowered only once layer [idx]'s ops are exhausted, so one
+   layer's list is live at a time, and the stream adds one node per op. *)
+let layers_stream ~first ~last layer tail =
+  let rec walk ops idx () =
+    match ops with
+    | op :: rest -> Seq.Cons (op, walk rest idx)
+    | [] -> if idx >= last then tail () else walk (layer idx) (idx + 1) ()
+  in
+  walk [] first
 
 (* Emission over pre-allocated tensors: the shared core of one-shot plans
    ([plan_ops_with] allocates then emits) and serving re-entry
@@ -461,10 +498,15 @@ let network_ops ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
   let layers = Array.of_list model.Layer.layers in
   let cpu = Soc.cpu core in
   let last_finish = ref resume_finish in
+  (* Guarded stream: every accelerator op routes through [guarded_exec]
+     under this one handler. Plan-level markers (functional-mode data
+     staging) run unguarded — they are host code, not accelerator
+     commands. All wrapping is zero-cost, so clean runs are
+     cycle-identical to unguarded ones. *)
+  let run = Option.map (fun g -> guarded_exec soc g) guard in
   let emit_layer_quiet idx =
     let name, layer = layers.(idx) in
     let input_va = if idx = 0 then tensors.t_input else tensors.t_out.(idx - 1) in
-    let ops = layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer in
     (* The layer span opens at the previous layer's finish horizon (the
        same base lr_cycles measures from), so layer slices tile the
        timeline without overlap. *)
@@ -495,36 +537,29 @@ let network_ops ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
           | None -> ()
           | Some cb -> cb ~layer:idx ~records:(List.rev !records) ~finish:f)
     in
-    let ops = ops @ [ Kernels.fence ] in
-    match guard with
-    | None -> (layer_open :: ops) @ [ finish_marker ]
-    | Some g ->
-        (* Guarded stream: a begin marker arms the per-layer recovery
-           state, and every op routes through [guarded_exec]. Plan-level
-           markers (functional-mode data staging) run unguarded — they
-           are host code, not accelerator commands. All wrapping is
-           zero-cost, so clean runs are cycle-identical to unguarded
-           ones. *)
-        let begin_marker =
-          Soc.Marker
-            (fun core ->
-              g.g_layer <- name;
-              g.g_layer_cpu <- cpu_layer_cycles cpu layer;
-              g.g_layer_start <-
-                Gemmini.Controller.finish_time (Soc.controller core);
-              g.g_skip <- false)
-        in
-        let wrap op =
-          match op with
-          | Soc.Marker _ -> op
-          | _ ->
-              (* [Guarded] rather than an opaque [Marker]: the parallel
-                 driver can still see the underlying op to classify it as
-                 core-private or shared. *)
-              Soc.Guarded
-                { op; run = (fun core -> guarded_exec soc g core op) }
-        in
-        (layer_open :: begin_marker :: List.map wrap ops) @ [ finish_marker ]
+    let head =
+      match guard with
+      | None -> [ layer_open ]
+      | Some g ->
+          (* A begin marker arms the per-layer recovery state. *)
+          let begin_marker =
+            Soc.Marker
+              (fun core ->
+                g.g_layer <- name;
+                g.g_layer_cpu <- cpu_layer_cycles cpu layer;
+                g.g_layer_start <-
+                  Gemmini.Controller.finish_time (Soc.controller core);
+                g.g_skip <- false)
+          in
+          [ begin_marker; layer_open ]
+    in
+    let acc =
+      Kernels.fence
+      :: layer_rev soc core tensors ~mode ~functional ~idx ~input_va layer head
+    in
+    match run with
+    | None -> List.rev_append acc [ finish_marker ]
+    | Some run -> rev_guarded run acc [ finish_marker ]
   in
   (* Lowering is forced lazily between dispatches (Seq consumption), so
      it sits outside the soc.dispatch probe and needs its own. *)
@@ -537,37 +572,30 @@ let network_ops ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
     end
     else emit_layer_quiet idx
   in
-  let n = Array.length layers in
   let net_name = model.Layer.model_name in
   let body =
-    Seq.concat_map
-      (fun idx -> List.to_seq (emit_layer idx))
-      (Seq.init (max 0 (n - start_layer)) (fun i -> start_layer + i))
+    layers_stream ~first:start_layer ~last:(Array.length layers) emit_layer
+      (Seq.return
+         (span_close_marker ~name:net_name Gemmini.Controller.finish_time))
   in
   (* The whole program sits under one network-level span. A resumed run
      does not re-open it: the open event is already in the restored trace
      ring, so re-emitting would double it and break byte-identity. *)
-  let head =
+  let body =
     if start_layer = 0 then
-      Seq.return
+      Seq.cons
         (span_open_marker ~cat:"network" ~name:net_name
            Gemmini.Controller.finish_time)
-    else Seq.empty
+        body
+    else body
   in
-  let head =
-    if rebase then
-      Seq.cons
-        (Soc.Marker
-           (fun core ->
-             last_finish :=
-               Gemmini.Controller.finish_time (Soc.controller core)))
-        head
-    else head
-  in
-  Seq.append head
-    (Seq.append body
-       (Seq.return
-          (span_close_marker ~name:net_name Gemmini.Controller.finish_time)))
+  if rebase then
+    Seq.cons
+      (Soc.Marker
+         (fun core ->
+           last_finish := Gemmini.Controller.finish_time (Soc.controller core)))
+      body
+  else body
 
 let plan_ops_with ?start_layer ?resume_finish ?on_layer soc core model ~mode
     ~records ~guard =
@@ -816,7 +844,6 @@ let run_functional soc ~core:core_idx model ~input ~seed =
     let emit_layer idx =
       let name, layer = layers.(idx) in
       let input_va = if idx = 0 then tensors.t_input else tensors.t_out.(idx - 1) in
-      let ops = layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer in
       let finish_marker =
         Soc.Marker
           (fun core ->
@@ -831,11 +858,12 @@ let run_functional soc ~core:core_idx model ~input ~seed =
               :: !records;
             last_finish := f)
       in
-      ops @ [ Kernels.fence; finish_marker ]
+      List.rev_append
+        (Kernels.fence
+        :: layer_rev soc core tensors ~mode ~functional ~idx ~input_va layer [])
+        [ finish_marker ]
     in
-    Seq.concat_map
-      (fun idx -> List.to_seq (emit_layer idx))
-      (Seq.init (Array.length layers) (fun i -> i))
+    layers_stream ~first:0 ~last:(Array.length layers) emit_layer Seq.empty
   in
   let tensors = Option.get !tensors_ref in
   write_weights soc core tensors ~seed model;

@@ -163,6 +163,14 @@ let make_slot () = { s_paddr = 0; s_finish = 0; s_level = Filter }
    allocation-free quiet path the test suite pins down. *)
 let paddr_of ~offset ppn = (ppn lsl Page_table.page_bits) lor offset
 
+(* Top-level for the same reason: a local refill helper would close over
+   [t], [filter] and [vpn] on every translation that misses the filter. *)
+let fill_filter t filter ~vpn ppn =
+  if t.cfg.filter_registers then begin
+    filter.vpn <- vpn;
+    filter.ppn <- ppn
+  end
+
 let translate_into t slot ~now ~vaddr ~write =
   let vpn = Page_table.vpn_of_vaddr vaddr in
   let offset = Page_table.page_offset vaddr in
@@ -188,56 +196,53 @@ let translate_into t slot ~now ~vaddr ~write =
     slot.s_level <- Filter
   end
   else begin
-    let fill_filter ppn =
-      if t.cfg.filter_registers then begin
-        filter.vpn <- vpn;
-        filter.ppn <- ppn
-      end
-    in
-    match Tlb.lookup t.private_tlb ~vpn with
-    | Tlb.Hit ppn ->
-        t.private_hits <- t.private_hits + 1;
-        fill_filter ppn;
-        observe t now Private;
-        let finish = now + t.cfg.private_hit_latency in
+    let ppn = Tlb.lookup t.private_tlb ~vpn in
+    if ppn <> Tlb.miss then begin
+      t.private_hits <- t.private_hits + 1;
+      fill_filter t filter ~vpn ppn;
+      observe t now Private;
+      let finish = now + t.cfg.private_hit_latency in
+      t.stall_cycles <- t.stall_cycles + (finish - now);
+      slot.s_paddr <- paddr_of ~offset ppn;
+      slot.s_finish <- finish;
+      slot.s_level <- Private
+    end
+    else
+      let ppn = Tlb.lookup t.shared_tlb ~vpn in
+      if ppn <> Tlb.miss then begin
+        t.shared_hits <- t.shared_hits + 1;
+        Tlb.fill t.private_tlb ~vpn ~ppn;
+        fill_filter t filter ~vpn ppn;
+        observe t now Shared;
+        let finish =
+          now + t.cfg.private_hit_latency + t.cfg.shared_hit_latency
+        in
         t.stall_cycles <- t.stall_cycles + (finish - now);
         slot.s_paddr <- paddr_of ~offset ppn;
         slot.s_finish <- finish;
-        slot.s_level <- Private
-    | Tlb.Miss -> (
-        match Tlb.lookup t.shared_tlb ~vpn with
-        | Tlb.Hit ppn ->
-            t.shared_hits <- t.shared_hits + 1;
-            Tlb.fill t.private_tlb ~vpn ~ppn;
-            fill_filter ppn;
-            observe t now Shared;
-            let finish =
-              now + t.cfg.private_hit_latency + t.cfg.shared_hit_latency
-            in
-            t.stall_cycles <- t.stall_cycles + (finish - now);
-            slot.s_paddr <- paddr_of ~offset ppn;
-            slot.s_finish <- finish;
-            slot.s_level <- Shared
-        | Tlb.Miss ->
-            t.walks <- t.walks + 1;
-            observe t now Walk;
-            let miss_time =
-              now + t.cfg.private_hit_latency + t.cfg.shared_hit_latency
-            in
-            let ppn, finish =
-              try Ptw.walk t.ptw ~now:miss_time ~vpn
-              with Ptw.Page_fault vpn ->
-                Engine.trap t.engine
-                  (Fault.make ~core:t.core ~component:t.name ~cycle:miss_time
-                     (Fault.Page_fault { vpn; write }))
-            in
-            Tlb.fill t.private_tlb ~vpn ~ppn;
-            Tlb.fill t.shared_tlb ~vpn ~ppn;
-            fill_filter ppn;
-            t.stall_cycles <- t.stall_cycles + (finish - now);
-            slot.s_paddr <- paddr_of ~offset ppn;
-            slot.s_finish <- finish;
-            slot.s_level <- Walk)
+        slot.s_level <- Shared
+      end
+      else begin
+        t.walks <- t.walks + 1;
+        observe t now Walk;
+        let miss_time =
+          now + t.cfg.private_hit_latency + t.cfg.shared_hit_latency
+        in
+        let ppn, finish =
+          try Ptw.walk t.ptw ~now:miss_time ~vpn
+          with Ptw.Page_fault vpn ->
+            Engine.trap t.engine
+              (Fault.make ~core:t.core ~component:t.name ~cycle:miss_time
+                 (Fault.Page_fault { vpn; write }))
+        in
+        Tlb.fill t.private_tlb ~vpn ~ppn;
+        Tlb.fill t.shared_tlb ~vpn ~ppn;
+        fill_filter t filter ~vpn ppn;
+        t.stall_cycles <- t.stall_cycles + (finish - now);
+        slot.s_paddr <- paddr_of ~offset ppn;
+        slot.s_finish <- finish;
+        slot.s_level <- Walk
+      end
   end
 
 let translate t ~now ~vaddr ~write =

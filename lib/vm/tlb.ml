@@ -10,7 +10,7 @@ type t = {
   mutable hits : int;
 }
 
-type result = Hit of int | Miss
+let miss = -1
 
 let create ~entries =
   if entries < 0 then invalid_arg "Tlb.create: negative size";
@@ -26,15 +26,18 @@ let create ~entries =
 
 let entries t = t.entries
 
+(* Every translation that misses the filter registers probes here, so a
+   lookup returns the bare PPN (or [miss]) instead of an option-wrapped
+   or boxed result. *)
 let lookup t ~vpn =
   t.lookups <- t.lookups + 1;
   t.clock <- t.clock + 1;
-  match Hashtbl.find_opt t.index vpn with
-  | Some e ->
+  match Hashtbl.find t.index vpn with
+  | e ->
       t.hits <- t.hits + 1;
       e.age <- t.clock;
-      Hit e.ppn
-  | None -> Miss
+      e.ppn
+  | exception Not_found -> miss
 
 let probe t ~vpn =
   match Hashtbl.find_opt t.index vpn with Some e -> Some e.ppn | None -> None

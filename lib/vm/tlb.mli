@@ -12,10 +12,12 @@ val create : entries:int -> t
 
 val entries : t -> int
 
-type result = Hit of int (** PPN *) | Miss
+val miss : int
+(** [-1]: the {!lookup} result of a miss (PPNs are non-negative). *)
 
-val lookup : t -> vpn:int -> result
-(** Updates recency on hit, counts statistics. *)
+val lookup : t -> vpn:int -> int
+(** The PPN on a hit, {!miss} otherwise. Updates recency on hit, counts
+    statistics; allocates nothing. *)
 
 val probe : t -> vpn:int -> int option
 (** Like {!lookup} but with no recency/statistics side effects. *)

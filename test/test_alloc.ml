@@ -1,0 +1,154 @@
+(* Zero-allocation pins for the quiet command path: every call a quiet
+   timing run makes per command — validation, the staging commands'
+   controller updates, the L2 access and the TLB hit — must allocate
+   nothing on valid input. [Test_sim.measure_alloc] calibrates away its
+   own counter reads, so any byte reported here is the callee's. *)
+
+open Gemmini
+module L = Local_addr
+
+let measure_alloc = Test_sim.measure_alloc
+let iters = 1_000
+
+let check_zero name f =
+  let bytes = measure_alloc (fun () -> for _ = 1 to iters do f () done) in
+  Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0. bytes
+
+let p = Params.default
+
+(* One well-formed command per constructor, every optional path taken
+   (pooling store config, accumulator destinations, garbage operands). *)
+let valid_cmds =
+  [
+    Isa.Config_ex
+      { dataflow = `WS; activation = Peripheral.Relu; sys_shift = 3;
+        a_transpose = false; b_transpose = true };
+    Isa.Config_ld
+      { ld_stride_bytes = 64; ld_scale = 0.5; ld_shrunk = true; ld_id = 2 };
+    Isa.Config_st
+      { st_stride_bytes = 64; st_activation = Peripheral.No_activation;
+        st_scale = 0.0625;
+        st_pool = Some { Isa.window = 3; stride = 2; padding = 1 } };
+    Isa.Mvin
+      ( { Isa.dram_addr = 0x1000; local = L.scratchpad ~row:32; cols = 64;
+          rows = 16 },
+        1 );
+    Isa.Mvin
+      ( { Isa.dram_addr = 0x2000; local = L.accumulator ~accumulate:true ~row:16 ();
+          cols = 16; rows = 8 },
+        2 );
+    Isa.Mvout
+      { Isa.dram_addr = 0x3000; local = L.accumulator ~row:0 (); cols = 16;
+        rows = 16 };
+    Isa.Preload
+      { b = L.scratchpad ~row:0; c = L.accumulator ~row:0 (); b_cols = 16;
+        b_rows = 16; c_cols = 16; c_rows = 16 };
+    Isa.Preload
+      { b = L.garbage; c = L.garbage; b_cols = 16; b_rows = 16; c_cols = 16;
+        c_rows = 16 };
+    Isa.Compute_preloaded
+      { Isa.a = L.scratchpad ~row:16; bd = L.garbage; a_cols = 16;
+        a_rows = 16; bd_cols = 16; bd_rows = 16 };
+    Isa.Compute_accumulated
+      { Isa.a = L.scratchpad ~row:16; bd = L.accumulator ~row:32 ();
+        a_cols = 16; a_rows = 16; bd_cols = 16; bd_rows = 16 };
+    Isa.Loop_ws_bounds
+      { lw_m = 64; lw_k = 64; lw_n = 64; lw_has_bias = true;
+        lw_activation = Peripheral.Relu };
+    Isa.Loop_ws_addrs { lw_a = 0x1000; lw_b = 0x2000 };
+    Isa.Loop_ws_outs { lw_bias = 0x3000; lw_c = 0x4000 };
+    Isa.Loop_ws
+      { lw_a_stride = 64; lw_b_stride = 64; lw_c_stride = 64; lw_scale = 1.0 };
+    Isa.Flush;
+    Isa.Fence;
+  ]
+
+let test_isa_validate () =
+  List.iter
+    (fun cmd ->
+      (match Isa.validate p cmd with
+      | Ok () -> ()
+      | Error c ->
+          Alcotest.failf "%s rejected: %s" (Isa.to_string cmd)
+            (Gem_sim.Fault.cause_detail c));
+      check_zero ("Isa.validate " ^ Isa.mnemonic cmd) (fun () ->
+          ignore (Isa.validate p cmd)))
+    valid_cmds
+
+let test_params_validate () =
+  List.iter
+    (fun (name, params) ->
+      Alcotest.(check bool) (name ^ " is valid") true
+        (Params.validate params = Ok ());
+      check_zero ("Params.validate " ^ name) (fun () ->
+          ignore (Params.validate params)))
+    [ ("default", Params.default); ("edge", Params.edge); ("cloud", Params.cloud) ]
+
+(* One set, two ways, 64-byte lines: cycling three lines through the set
+   misses on every access. *)
+let test_cache_access () =
+  let module C = Gem_mem.Cache in
+  let c = C.create ~size_bytes:128 ~ways:2 ~line_bytes:64 () in
+  let expect name want addr ~write =
+    let got = C.access c ~addr ~write in
+    if got <> want then Alcotest.failf "%s: unexpected cache outcome" name
+  in
+  expect "first touch" C.Miss 0 ~write:false;
+  check_zero "Cache.access hit" (fun () ->
+      expect "hit" C.Hit 0 ~write:false);
+  let line = ref 0 in
+  check_zero "Cache.access clean miss" (fun () ->
+      line := (!line + 1) mod 3;
+      expect "clean miss" C.Miss (64 * (10 + !line)) ~write:false);
+  (* Dirty every resident line, then keep writing: each miss evicts a
+     dirty victim. *)
+  for l = 0 to 2 do ignore (C.access c ~addr:(64 * (20 + l)) ~write:true) done;
+  (* Lines 21 and 22 are resident; 20 comes next. *)
+  line := 2;
+  check_zero "Cache.access writeback miss" (fun () ->
+      line := (!line + 1) mod 3;
+      expect "writeback miss" C.Miss_writeback (64 * (20 + !line)) ~write:true)
+
+let test_tlb_hit () =
+  let module T = Gem_vm.Tlb in
+  let tlb = T.create ~entries:4 in
+  T.fill tlb ~vpn:7 ~ppn:70;
+  Alcotest.(check int) "hit returns the ppn" 70 (T.lookup tlb ~vpn:7);
+  check_zero "Tlb.lookup hit" (fun () -> ignore (T.lookup tlb ~vpn:7))
+
+(* Timing-mode controller on a private engine with the null port: the
+   staging and compute commands touch only controller state and the
+   engine's pipes. *)
+let test_controller_execute () =
+  let pt = Gem_vm.Page_table.create ~node_region_base:0x1000_0000 () in
+  let ptw =
+    Gem_vm.Ptw.create ~page_table:pt
+      ~mem_read:(fun ~now ~paddr:_ ~bytes:_ -> now + 20)
+      ()
+  in
+  let tlb = Gem_vm.Hierarchy.create Gem_vm.Hierarchy.default_config ~ptw in
+  let ctrl =
+    Controller.create ~params:p ~port:Dma.null_port ~tlb ~issue_cycles:1 ()
+  in
+  let named = List.map (fun cmd -> (Isa.mnemonic cmd, cmd)) valid_cmds in
+  let run name = Controller.execute ctrl (List.assoc name named) in
+  List.iter
+    (fun name ->
+      (* Warm once (first Preload stages the operands the computes use). *)
+      run "preload";
+      run name;
+      check_zero ("Controller.execute " ^ name) (fun () -> run name))
+    [ "config_ex"; "config_ld"; "config_st"; "preload"; "compute.preloaded";
+      "compute.accumulated" ]
+
+let suite =
+  [
+    Alcotest.test_case "Isa.validate, every constructor" `Quick
+      test_isa_validate;
+    Alcotest.test_case "Params.validate presets" `Quick test_params_validate;
+    Alcotest.test_case "Cache.access hit/miss/writeback" `Quick
+      test_cache_access;
+    Alcotest.test_case "Tlb.lookup hit" `Quick test_tlb_hit;
+    Alcotest.test_case "timing Controller.execute staging/compute" `Quick
+      test_controller_execute;
+  ]

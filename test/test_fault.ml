@@ -110,6 +110,209 @@ let test_validate_edges () =
   check_ok "fence" Isa.Fence;
   check_ok "flush" Isa.Flush
 
+(* --- validator error table ---------------------------------------------------
+
+   The command and parameter validators build their messages only on the
+   failure path; these pin the exact [Error] values (cause and message
+   text, in check order) that invalid input produces, so that the
+   allocation-free rewrite of the valid path cannot drift them. *)
+
+let ws_only = { p with Gemmini.Params.dataflow = Gemmini.Dataflow.WS }
+
+let cmd_error_table =
+  let ex ?(dataflow = `WS) ~sys_shift () =
+    Isa.Config_ex
+      { dataflow; activation = Gemmini.Peripheral.No_activation; sys_shift;
+        a_transpose = false; b_transpose = false }
+  in
+  let ld ?(stride = 0) ?(scale = 1.0) id =
+    Isa.Config_ld
+      { ld_stride_bytes = stride; ld_scale = scale; ld_shrunk = false; ld_id = id }
+  in
+  let st ?(stride = 0) ?(scale = 1.0) ?pool () =
+    Isa.Config_st
+      { st_stride_bytes = stride; st_activation = Gemmini.Peripheral.No_activation;
+        st_scale = scale; st_pool = pool }
+  in
+  let mv ?(dram = 0) ?(local = Local_addr.scratchpad ~row:0) ?(cols = 16)
+      ?(rows = 16) () =
+    { Isa.dram_addr = dram; local; cols; rows }
+  in
+  let preload ?(b = Local_addr.scratchpad ~row:0)
+      ?(c = Local_addr.accumulator ~row:0 ()) ?(b_rows = 16) ?(c_rows = 16) () =
+    Isa.Preload { b; c; b_cols = 16; b_rows; c_cols = 16; c_rows }
+  in
+  let compute ?(a = Local_addr.scratchpad ~row:0) ?(a_cols = 16) ?(bd_rows = 16)
+      ?(bd = Local_addr.garbage) () =
+    { Isa.a; bd; a_cols; a_rows = 16; bd_cols = 16; bd_rows }
+  in
+  let sp_rows = Gemmini.Params.sp_rows p and acc_rows = Gemmini.Params.acc_rows p in
+  [
+    ( "ex shift", p, ex ~sys_shift:64 (),
+      "illegal-inst: sys_shift = 64 out of range [0, 63]" );
+    ( "ex dataflow", ws_only, ex ~dataflow:`OS ~sys_shift:0 (),
+      "illegal-inst: dataflow OS not supported by this instance (WS)" );
+    ( "ex shift before dataflow", ws_only, ex ~dataflow:`OS ~sys_shift:(-1) (),
+      "illegal-inst: sys_shift = -1 out of range [0, 63]" );
+    ( "ld id", p, ld 3,
+      "illegal-inst: ld_id = 3 out of range [0, 2]" );
+    ( "ld stride", p, ld ~stride:(1 lsl 32) 0,
+      "illegal-inst: ld_stride = 4294967296 out of range [0, 4294967295]" );
+    ( "ld scale", p, ld ~scale:Float.infinity 0,
+      "acc-overflow: non-finite scale inf" );
+    ( "ld id before scale", p, ld ~scale:Float.nan 7,
+      "illegal-inst: ld_id = 7 out of range [0, 2]" );
+    ( "st stride", p, st ~stride:(-1) (),
+      "illegal-inst: st_stride = -1 out of range [0, 4294967295]" );
+    ( "st pool window", p, st ~pool:{ Isa.window = 0; stride = 1; padding = 0 } (),
+      "illegal-inst: pool window = 0 out of range [1, 15]" );
+    ( "st pool stride", p, st ~pool:{ Isa.window = 2; stride = 16; padding = 0 } (),
+      "illegal-inst: pool stride = 16 out of range [1, 15]" );
+    ( "st pool padding", p, st ~pool:{ Isa.window = 2; stride = 2; padding = -1 } (),
+      "illegal-inst: pool padding = -1 out of range [0, 15]" );
+    ( "st pool before scale", p,
+      st ~scale:Float.nan ~pool:{ Isa.window = 0; stride = 1; padding = 0 } (),
+      "illegal-inst: pool window = 0 out of range [1, 15]" );
+    ( "st scale", p, st ~scale:Float.neg_infinity (),
+      "acc-overflow: non-finite scale -inf" );
+    ( "mvin id", p, Isa.Mvin (mv ~rows:0 (), 3),
+      "illegal-inst: mvin id = 3 out of range [0, 2]" );
+    ( "mvin dram", p, Isa.Mvin (mv ~dram:(1 lsl 48) (), 0),
+      "illegal-inst: dram_addr = 281474976710656 out of range [0, 281474976710655]" );
+    ( "mvin cols", p, Isa.Mvin (mv ~cols:65 (), 1),
+      "illegal-inst: mvin cols = 65 out of range [1, 64]" );
+    ( "mvin rows", p, Isa.Mvin (mv ~rows:0 (), 2),
+      "illegal-inst: mvin rows = 0 out of range [1, 16]" );
+    ( "mvin garbage", p, Isa.Mvin (mv ~local:Local_addr.garbage (), 0),
+      "illegal-inst: mvin destination is the garbage address" );
+    ( "mvin accumulate on scratchpad", p,
+      Isa.Mvin (mv ~local:(Local_addr.of_bits ((1 lsl 30) lor 5)) (), 0),
+      "illegal-inst: mvin accumulate flag on a scratchpad destination" );
+    ( "mvin oob", p, Isa.Mvin (mv ~local:(Local_addr.scratchpad ~row:(sp_rows - 8)) ~cols:32 (), 0),
+      "local-oob: scratchpad rows [16376, 16408) exceed 16384 rows" );
+    ( "mvin acc oob", p,
+      Isa.Mvin (mv ~local:(Local_addr.accumulator ~row:(acc_rows - 4) ()) (), 2),
+      "local-oob: accumulator rows [1020, 1036) exceed 1024 rows" );
+    ( "mvout dram", p, Isa.Mvout (mv ~dram:(-5) ()),
+      "illegal-inst: dram_addr = -5 out of range [0, 281474976710655]" );
+    ( "mvout cols", p, Isa.Mvout (mv ~cols:17 ()),
+      "illegal-inst: mvout cols = 17 out of range [1, 16]" );
+    ( "mvout rows", p, Isa.Mvout (mv ~rows:17 ()),
+      "illegal-inst: mvout rows = 17 out of range [1, 16]" );
+    ( "mvout garbage", p, Isa.Mvout (mv ~local:Local_addr.garbage ()),
+      "illegal-inst: mvout source is the garbage address" );
+    ( "mvout oob", p,
+      Isa.Mvout (mv ~local:(Local_addr.accumulator ~row:(acc_rows - 1) ()) ()),
+      "local-oob: accumulator rows [1023, 1039) exceed 1024 rows" );
+    ( "preload b_rows", p, preload ~b_rows:0 (),
+      "illegal-inst: preload b_rows = 0 out of range [1, 16]" );
+    ( "preload c_rows", p, preload ~c_rows:17 (),
+      "illegal-inst: preload c_rows = 17 out of range [1, 16]" );
+    ( "preload b oob", p, preload ~b:(Local_addr.scratchpad ~row:(sp_rows - 1)) (),
+      "local-oob: scratchpad rows [16383, 16399) exceed 16384 rows" );
+    ( "preload c oob", p,
+      preload ~c:(Local_addr.accumulator ~row:(acc_rows - 2) ()) (),
+      "local-oob: accumulator rows [1022, 1038) exceed 1024 rows" );
+    ( "preload b oob before c oob", p,
+      preload ~b:(Local_addr.scratchpad ~row:(sp_rows - 1))
+        ~c:(Local_addr.accumulator ~row:(acc_rows - 2) ()) (),
+      "local-oob: scratchpad rows [16383, 16399) exceed 16384 rows" );
+    ( "compute a_cols", p, Isa.Compute_preloaded (compute ~a_cols:0x10000 ()),
+      "illegal-inst: compute a_cols = 65536 out of range [1, 65535]" );
+    ( "compute bd_rows", p, Isa.Compute_accumulated (compute ~bd_rows:0 ()),
+      "illegal-inst: compute bd_rows = 0 out of range [1, 65535]" );
+    ( "compute a oob", p,
+      Isa.Compute_preloaded (compute ~a:(Local_addr.scratchpad ~row:(sp_rows - 3)) ()),
+      "local-oob: scratchpad rows [16381, 16397) exceed 16384 rows" );
+    ( "compute bd oob", p,
+      Isa.Compute_accumulated
+        (compute ~bd:(Local_addr.accumulator ~row:acc_rows ()) ()),
+      "local-oob: accumulator rows [1024, 1040) exceed 1024 rows" );
+    ( "loop bounds", p,
+      Isa.Loop_ws_bounds
+        { lw_m = 1; lw_k = 0x10000; lw_n = 0; lw_has_bias = false;
+          lw_activation = Gemmini.Peripheral.No_activation },
+      "illegal-inst: loop k = 65536 out of range [1, 65535]" );
+    ( "loop addrs", p, Isa.Loop_ws_addrs { lw_a = 0; lw_b = -1 },
+      "illegal-inst: loop b = -1 out of range [0, 281474976710655]" );
+    ( "loop outs", p, Isa.Loop_ws_outs { lw_bias = 1 lsl 48; lw_c = 1 lsl 49 },
+      "illegal-inst: loop bias = 281474976710656 out of range [0, 281474976710655]" );
+    ( "loop strides", p,
+      Isa.Loop_ws
+        { lw_a_stride = 0; lw_b_stride = 1 lsl 24; lw_c_stride = 0; lw_scale = 1.0 },
+      "illegal-inst: b stride = 16777216 out of range [0, 16777215]" );
+    ( "loop scale", p,
+      Isa.Loop_ws
+        { lw_a_stride = 0; lw_b_stride = 0; lw_c_stride = 0; lw_scale = Float.nan },
+      "acc-overflow: non-finite scale nan" );
+  ]
+
+let cause_text cause =
+  Printf.sprintf "%s: %s" (Fault.cause_label cause) (Fault.cause_detail cause)
+
+let test_validate_error_table () =
+  List.iter
+    (fun (name, params, cmd, want) ->
+      match Isa.validate params cmd with
+      | Ok () -> Alcotest.failf "%s: accepted %s" name (Isa.to_string cmd)
+      | Error cause -> Alcotest.(check string) name want (cause_text cause))
+    cmd_error_table
+
+let params_error_table =
+  let module P = Gemmini.Params in
+  [
+    ( "zero mesh", { P.default with mesh_rows = 0 },
+      [
+        "mesh dimensions must be positive";
+        "spatial array must be square, got 0x16";
+      ] );
+    ( "non-square", { P.default with mesh_cols = 8 },
+      [
+        "spatial array must be square, got 16x8";
+      ] );
+    ( "float acc for int input",
+      { P.default with acc_type = Gemmini.Dtype.Fp32 },
+      [
+        "accumulator type fp32 cannot accumulate int8 inputs";
+      ] );
+    ( "everything wrong",
+      { P.default with
+        tile_cols = 0; sp_capacity_bytes = 0; acc_capacity_bytes = 100;
+        sp_banks = 3; acc_banks = 0; dma_bus_bytes = 0; max_in_flight = 0;
+        freq_ghz = 0. },
+      [
+        "tile dimensions must be positive";
+        "spatial array must be square, got 16x0";
+        "scratchpad capacity must be positive";
+        "scratchpad bank count must be a power of two";
+        "accumulator bank count must be a power of two";
+        "DMA bus width must be positive";
+        "in-flight command window must be positive";
+        "clock frequency must be positive";
+      ] );
+    ( "unbanked capacities",
+      { P.default with sp_capacity_bytes = 1000; acc_capacity_bytes = 1000 },
+      [
+        "scratchpad capacity must divide evenly into banked rows";
+        "accumulator capacity must divide evenly into banked rows";
+      ] );
+  ]
+
+let test_params_error_table () =
+  List.iter
+    (fun (name, params, want) ->
+      match Gemmini.Params.validate params with
+      | Ok () -> Alcotest.failf "%s: accepted" name
+      | Error errs -> Alcotest.(check (list string)) name want errs)
+    params_error_table;
+  Alcotest.check_raises "validate_exn joins every message"
+    (Invalid_argument
+       "Params: mesh dimensions must be positive; spatial array must be \
+        square, got 0x16")
+    (fun () ->
+      ignore
+        (Gemmini.Params.validate_exn { Gemmini.Params.default with mesh_rows = 0 }))
+
 (* --- fuzz: malformed streams only ever trap -------------------------------- *)
 
 let random_local rng =
@@ -500,6 +703,8 @@ let suite =
     Alcotest.test_case "PTW: faulting walk leaves walker free" `Quick
       test_ptw_fault_no_occupancy;
     Alcotest.test_case "Isa.validate edges" `Quick test_validate_edges;
+    Alcotest.test_case "Isa.validate error table" `Quick test_validate_error_table;
+    Alcotest.test_case "Params.validate error table" `Quick test_params_error_table;
     Alcotest.test_case "fuzz: 1000 malformed streams only trap" `Quick
       test_fuzz_streams;
     Alcotest.test_case "Retry_map completes ResNet with unmapped pages" `Quick

@@ -4,6 +4,7 @@ let () =
       ("util", Test_util.suite);
       ("obs", Test_obs.suite);
       ("sim", Test_sim.suite);
+      ("alloc", Test_alloc.suite);
       ("trace", Test_trace.suite);
       ("mem", Test_mem.suite);
       ("vm", Test_vm.suite);

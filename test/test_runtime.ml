@@ -109,8 +109,9 @@ let test_resadd () =
   Soc.host_write_i8 soc core ~vaddr:x_va x;
   Soc.host_write_i8 soc core ~vaddr:y_va y;
   let ops =
-    Kernels.resadd_ops small_params ~x:x_va ~y:y_va ~out:out_va ~elems ()
-    @ [ Kernels.fence ]
+    List.rev
+      (Kernels.fence
+      :: Kernels.resadd_rev small_params ~x:x_va ~y:y_va ~out:out_va ~elems [])
   in
   ignore (Soc.run_program soc core (List.to_seq ops));
   let got = Soc.host_read_i8 soc core ~vaddr:out_va ~n:elems in
@@ -219,6 +220,94 @@ let test_strided_conv () =
   in
   run_net_test model ~input_shape:[| 1; 9; 9; 2 |] ~seed:31 ()
 
+(* --- lowering equivalence ------------------------------------------------------ *)
+
+(* Pinned digests of the op streams the runtime emits for every zoo
+   network at scale 8: a change to the emission path must reproduce the
+   identical op sequence. [plan_ops] streams hash each op's rendering (markers are
+   opaque closures, so they hash by kind); the guarded [Runtime.run]
+   program is observed through the span events it emits on a live
+   engine — network/layer/kernel markers and every spanned command, with
+   their time stamps. *)
+
+let rec op_line = function
+  | Soc.Insn i -> Gemmini.Isa.to_string i
+  | Soc.Host_work { cycles; tag } -> Printf.sprintf "host %d %s" cycles tag
+  | Soc.Marker _ -> "marker"
+  | Soc.Guarded { op; _ } -> "guarded " ^ op_line op
+
+let chain h line = Digest.string (h ^ line)
+
+let plan_digest model ~mode =
+  let soc = Soc.create Soc_config.default in
+  let ops = Runtime.plan_ops soc (Soc.core soc 0) model ~mode ~records:(ref []) in
+  Digest.to_hex (Seq.fold_left (fun h op -> chain h (op_line op)) "" ops)
+
+let guarded_run_digest model =
+  let soc = Soc.create Soc_config.default in
+  let engine = Soc.engine soc in
+  let h = ref "" in
+  Gem_sim.Engine.add_sink engine (function
+    | Gem_sim.Engine.Span_open { component; time; name; cat; args } ->
+        h :=
+          chain !h
+            (Printf.sprintf "open %s %d %s %s %s" component time name cat
+               (String.concat ","
+                  (List.map (fun (k, v) -> k ^ "=" ^ v) args)))
+    | Gem_sim.Engine.Span_close { component; time; name } ->
+        h := chain !h (Printf.sprintf "close %s %d %s" component time name)
+    | _ -> ());
+  let r =
+    Runtime.run soc ~core:0 model
+      ~mode:(Runtime.Accel { im2col_on_accel = true })
+  in
+  Printf.sprintf "%s/%d" (Digest.to_hex !h) r.Runtime.r_total_cycles
+
+let lowering_digests =
+  [
+    ( "resnet50",
+      ( "52986e21236e5c87eb1595f8785a47bd",
+        "7146f93ceae600b4577dfdb9082189a3",
+        "f7d9607db5b354907e75d13b2a36ac77/2215054" ) );
+    ( "alexnet",
+      ( "2d3bbefeb1b7ee2788ca9eed40108f4e",
+        "bcfaa29b8a665f8f0858d9f45a781e11",
+        "8938fa92e6e3f365be9ba4a43a0215a1/479790" ) );
+    ( "squeezenet",
+      ( "fe12fb601594781ee37c9c953a78268f",
+        "34b0a9626f92a49dd97319ceb5a84d3d",
+        "bcd2b6fb1929c9410e344f4c90d3ba86/552008" ) );
+    ( "mobilenetv2",
+      ( "d023e200fed372eccb3fe3d8d16dc944",
+        "91127fac2d8066148298d514f72d4792",
+        "204948e927315fa2f377a19616b9e05c/2928563" ) );
+    ( "bert",
+      ( "914e9f9fbe3e363bbfaf84b7e74b2b0a",
+        "914e9f9fbe3e363bbfaf84b7e74b2b0a",
+        "4ec2b14f80f8a19fdbb91b9d636f6c8b/8458633" ) );
+  ]
+
+let test_lowering_digests () =
+  List.iter
+    (fun (name, (want_im2col, want_cpu_im2col, want_run)) ->
+      let model =
+        Gem_dnn.Model_zoo.scale_model ~factor:8
+          (Option.get (Gem_dnn.Model_zoo.find name))
+      in
+      let got_im2col =
+        plan_digest model ~mode:(Runtime.Accel { im2col_on_accel = true })
+      in
+      let got_cpu_im2col =
+        plan_digest model ~mode:(Runtime.Accel { im2col_on_accel = false })
+      in
+      let got_run = guarded_run_digest model in
+      Alcotest.(check string) (name ^ " plan_ops (accel im2col)") want_im2col
+        got_im2col;
+      Alcotest.(check string) (name ^ " plan_ops (cpu im2col)") want_cpu_im2col
+        got_cpu_im2col;
+      Alcotest.(check string) (name ^ " guarded run spans") want_run got_run)
+    lowering_digests
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_kernel_matmul;
@@ -228,4 +317,6 @@ let suite =
     Alcotest.test_case "depthwise + pointwise end-to-end" `Quick
       (run_net_test tiny_dw ~input_shape:[| 1; 6; 6; 4 |] ~seed:13);
     Alcotest.test_case "strided padded conv end-to-end" `Quick test_strided_conv;
+    Alcotest.test_case "lowering digests match the reference (zoo/8)" `Quick
+      test_lowering_digests;
   ]

@@ -244,26 +244,44 @@ let test_heap_grow_shrink () =
 
    The flattened hot path promises zero per-event heap allocation while no
    observer is attached: Resource.acquire, the engine's quiet acquire
-   loop, and the DMA's timing-only transfer walk. [Gc.allocated_bytes]
+   loop, and the DMA's timing-only transfer walk. Allocation-counter
    deltas pin that down — a regression that boxes a result or rebuilds a
    closure per event shows up as bytes per iteration. *)
 
+(* Words allocated so far, on both heaps: [Gc.minor_words] (the minor
+   count inside [Gc.counters] and [Gc.allocated_bytes] under-report the
+   words still in the minor arena on OCaml 5.1) plus the major words that
+   were not promoted from the minor heap — blocks above [Max_young_wosize]
+   go straight to the major heap and are never seen by the minor count. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 let measure_alloc f =
-  (* Empty the minor arena first: the measured loops allocate well under
-     one arena, so no collection can land inside the measurement window
-     and perturb the counter. *)
+  (* Empty the arena first so no collection lands inside the measurement
+     window, and calibrate away the tuple and boxed floats the counter
+     reads themselves allocate. *)
   Gc.minor ();
-  (* Calibrate away the allocation of the [Gc.allocated_bytes] floats
-     themselves. *)
   let overhead =
-    let a = Gc.allocated_bytes () in
-    let b = Gc.allocated_bytes () in
+    let a = allocated_words () in
+    let b = allocated_words () in
     b -. a
   in
-  let before = Gc.allocated_bytes () in
+  let before = allocated_words () in
   f ();
-  let after = Gc.allocated_bytes () in
-  after -. before -. overhead
+  let after = allocated_words () in
+  (after -. before -. overhead) *. float_of_int (Sys.word_size / 8)
+
+(* The measure must see what it pins against: a small minor block and a
+   block too large for the minor heap, each to the byte. *)
+let test_measure_alloc_counts_both_heaps () =
+  let sink = ref [||] in
+  let word = float_of_int (Sys.word_size / 8) in
+  let small = measure_alloc (fun () -> sink := Array.make 3 0) in
+  Alcotest.(check (float 0.)) "4-word minor block" (4. *. word) small;
+  let large = measure_alloc (fun () -> sink := Array.make 300 0) in
+  Alcotest.(check (float 0.)) "301-word major block" (301. *. word) large;
+  ignore (Sys.opaque_identity !sink)
 
 let test_alloc_free_resource_acquire () =
   let r = Resource.create ~name:"r" in
@@ -338,6 +356,52 @@ let test_alloc_constant_dma_transfer () =
   Alcotest.(check bool) "per-transfer bytes are one small record" true
     (one <= 64.)
 
+(* The same pin on the path [run] actually executes: core 0's DMA of a
+   default SoC, whose port walks every row's lines through the shared L2
+   port, the cache and DRAM. Transfers stay inside one mapped page so
+   translation hits the filter registers; the cold variant drops the L2
+   before every transfer, so each line also misses to DRAM. *)
+let test_alloc_constant_soc_dma_transfer () =
+  let soc = Soc.create Soc_config.default in
+  let core = Soc.core soc 0 in
+  let dma = Gemmini.Controller.dma (Soc.controller core) in
+  let va = Soc.alloc soc core ~bytes:Gem_vm.Page_table.page_size in
+  let per_call ~write ~cold rows =
+    let transfer i =
+      if cold then Gem_mem.Cache.invalidate_all (Soc.l2 soc);
+      if write then
+        ignore
+          (Gemmini.Dma.mvout_timing_rows dma ~now:(i * 10_000) ~vaddr:va
+             ~stride_bytes:64 ~rows ~row_bytes:64)
+      else
+        ignore
+          (Gemmini.Dma.mvin dma ~now:(i * 10_000) ~vaddr:va ~stride_bytes:64
+             ~rows ~row_bytes:64)
+    in
+    (* Warm the TLB/filters so the measured calls stay on the hit path. *)
+    transfer 0;
+    let iters = 1_000 in
+    let bytes =
+      measure_alloc (fun () ->
+          for i = 1 to iters do
+            transfer i
+          done)
+    in
+    bytes /. float_of_int iters
+  in
+  List.iter
+    (fun (dir, write, cold) ->
+      let one = per_call ~write ~cold 1 and many = per_call ~write ~cold 32 in
+      Alcotest.(check (float 0.)) (dir ^ " bytes independent of rows") one many;
+      Alcotest.(check bool) (dir ^ " bytes are one small result") true
+        (one <= 64.))
+    [
+      ("mvin", false, false);
+      ("mvin (cold L2)", false, true);
+      ("mvout", true, false);
+      ("mvout (cold L2)", true, true);
+    ]
+
 (* --- determinism guard ----------------------------------------------------
 
    The fig7/fig9-style experiments rely on simulated-time interleaving of
@@ -395,12 +459,16 @@ let suite =
     Alcotest.test_case "heap: same-key insertion order" `Quick
       test_heap_tie_stability;
     Alcotest.test_case "heap: grow, drain, reuse" `Quick test_heap_grow_shrink;
+    Alcotest.test_case "alloc measure counts minor and major heaps" `Quick
+      test_measure_alloc_counts_both_heaps;
     Alcotest.test_case "alloc-free: Resource.acquire" `Quick
       test_alloc_free_resource_acquire;
     Alcotest.test_case "alloc-free: quiet engine acquire" `Quick
       test_alloc_free_engine_quiet;
     Alcotest.test_case "alloc-constant: timing-only DMA transfer" `Quick
       test_alloc_constant_dma_transfer;
+    Alcotest.test_case "alloc-constant: SoC-backed DMA transfer" `Quick
+      test_alloc_constant_soc_dma_transfer;
     Alcotest.test_case "engine: dual-core determinism" `Quick
       test_dual_core_determinism;
   ]

@@ -54,9 +54,8 @@ let test_tlb_lru () =
 let test_tlb_zero_entries () =
   let tlb = Tlb.create ~entries:0 in
   Tlb.fill tlb ~vpn:1 ~ppn:10;
-  (match Tlb.lookup tlb ~vpn:1 with
-  | Tlb.Miss -> ()
-  | Tlb.Hit _ -> Alcotest.fail "0-entry TLB must always miss");
+  Alcotest.(check int) "0-entry TLB must always miss" Tlb.miss
+    (Tlb.lookup tlb ~vpn:1);
   Alcotest.(check int) "stats" 1 (Tlb.misses tlb)
 
 let test_ptw_timing_and_cache () =
