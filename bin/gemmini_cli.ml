@@ -62,6 +62,14 @@ let with_self_profile self_profile f =
           Printf.eprintf "[profile] wrote %s\n%!" file)
         f
 
+(* A trap the fault policy does not recover from ends the run: report it
+   as the run's outcome (exit 1), not as an internal error. *)
+let abort_on_trap f =
+  try f ()
+  with Gem_sim.Fault.Trap fault ->
+    Printf.eprintf "[run] aborted: %s\n%!" (Gem_sim.Fault.to_string fault);
+    exit 1
+
 let write_metrics reg = function
   | None -> ()
   | Some file ->
@@ -121,8 +129,18 @@ let model_term =
     & opt (conv (parse, print)) Gem_dnn.Model_zoo.resnet50
     & info [ "model" ] ~doc:"DNN to run (resnet50, alexnet, squeezenet1.1, mobilenetv2, bert-base-seq128).")
 
+(* Counts and divisors that must be at least 1: a zero or negative value
+   is a usage error at parse time, not an exception deep in the run. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let scale_term =
-  Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Channel-scale divisor for faster runs.")
+  Arg.(value & opt pos_int 1 & info [ "scale" ] ~doc:"Channel-scale divisor for faster runs.")
 
 (* --- subcommands --------------------------------------------------------------- *)
 
@@ -239,6 +257,7 @@ let run_cmd =
       || policy = Runtime.Resume_checkpoint
     in
     let reg = Metrics.create () in
+    abort_on_trap @@ fun () ->
     with_self_profile self_profile @@ fun () ->
     match backend with
     | Gem_sw.Backend.Analytic ->
@@ -389,7 +408,7 @@ let run_cmd =
   in
   let cores =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "cores" ]
           ~doc:
             "Accelerator cores; with more than one, every core runs the \
@@ -397,7 +416,7 @@ let run_cmd =
   in
   let domains =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "domains" ]
           ~doc:
             "Host OCaml Domains driving a multi-core simulation (cycle \
@@ -421,7 +440,7 @@ let run_cmd =
   in
   let checkpoint_every =
     Arg.(
-      value & opt (some int) None
+      value & opt (some pos_int) None
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
             "Snapshot the full simulation state after every $(docv)-th \

@@ -5,7 +5,7 @@ module Runtime = Gem_sw.Runtime
 module Layer = Gem_dnn.Layer
 module Fault = Gem_sim.Fault
 
-let format_version = "1"
+let format_version = "2"
 
 (* --- envelope --------------------------------------------------------------- *)
 

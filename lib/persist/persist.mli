@@ -2,7 +2,7 @@
 
     A checkpoint captures the complete mutable state of a run at a fenced
     layer boundary — the {!Gem_sim.Engine} (clock, resource occupancy,
-    fault tallies, trace ring), the whole SoC (scratchpad/accumulator,
+    fault tallies), the whole SoC (scratchpad/accumulator,
     caches, DRAM and main-memory contents, TLBs, page tables, armed
     injection plans with their RNG cursors), and the runtime's progress
     (completed layers and their records). The golden property, gated in

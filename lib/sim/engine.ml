@@ -56,36 +56,6 @@ let event_time = function
   | Span_close { time; _ } ->
       time
 
-let event_component = function
-  | Acquire { component; _ } | Transfer { component; _ }
-  | Translate { component; _ } | Note { component; _ } | Fault { component; _ }
-  | Span_open { component; _ } | Span_close { component; _ } ->
-      component
-
-let pp_event fmt = function
-  | Acquire { component; time; start; finish } ->
-      Format.fprintf fmt "[%a] %-16s acquire start=%a finish=%a" Time.pp time
-        component Time.pp start Time.pp finish
-  | Transfer { component; time; dir; bytes } ->
-      Format.fprintf fmt "[%a] %-16s %s %d bytes" Time.pp time component
-        (match dir with `Read -> "read" | `Write -> "write")
-        bytes
-  | Translate { component; time; level } ->
-      Format.fprintf fmt "[%a] %-16s translate via %s" Time.pp time component
-        level
-  | Note { component; time; detail } ->
-      Format.fprintf fmt "[%a] %-16s %s" Time.pp time component detail
-  | Fault { component; time; kind; detail } ->
-      Format.fprintf fmt "[%a] %-16s FAULT %s: %s" Time.pp time component kind
-        detail
-  | Span_open { component; time; name; cat; args } ->
-      Format.fprintf fmt "[%a] %-16s span open %s (%s)%s" Time.pp time component
-        name cat
-        (String.concat ""
-           (List.map (fun (k, v) -> Printf.sprintf " %s=%s" k v) args))
-  | Span_close { component; time; name } ->
-      Format.fprintf fmt "[%a] %-16s span close %s" Time.pp time component name
-
 type sample = {
   p_requests : int;
   p_busy : Time.cycles;
@@ -114,11 +84,6 @@ type t = {
   mutable entries : entry list; (* reversed registration order *)
   mutable next_res_id : int; (* dense ids handed to owned resources *)
   name_counts : (string, int) Hashtbl.t;
-  capacity : int;
-  ring : event option array;
-  mutable next : int;
-  mutable total : int;
-  mutable trace_on : bool;
   mutable sinks : (event -> unit) list;
   fault_counts : (string, int) Hashtbl.t; (* component name -> traps *)
   mutable total_faults : int;
@@ -130,18 +95,12 @@ type t = {
   trap_lock : Mutex.t; (* fault tally, reachable from worker domains *)
 }
 
-let create ?(trace_capacity = 4096) ?(trace = false) () =
-  if trace_capacity <= 0 then invalid_arg "Engine.create: capacity <= 0";
+let create () =
   {
     clock = Time.zero;
     entries = [];
     next_res_id = 0;
     name_counts = Hashtbl.create 16;
-    capacity = trace_capacity;
-    ring = Array.make trace_capacity None;
-    next = 0;
-    total = 0;
-    trace_on = trace;
     sinks = [];
     fault_counts = Hashtbl.create 16;
     total_faults = 0;
@@ -209,10 +168,7 @@ let exit_parallel t =
   t.par_slots <- [||];
   Array.iter (fun c -> if c > t.clock then t.clock <- c) slots
 
-let tracing t = t.trace_on
-let set_tracing t b = t.trace_on <- b
-let observing t = t.trace_on || t.sinks <> []
-let live = observing
+let live t = match t.sinks with [] -> false | _ :: _ -> true
 let add_sink t f = t.sinks <- t.sinks @ [ f ]
 
 module P = Gem_obs.Profile
@@ -220,28 +176,11 @@ module P = Gem_obs.Profile
 let emit t event =
   if !P.on then P.enter P.event;
   observe t (event_time event);
-  if t.trace_on then begin
-    t.ring.(t.next) <- Some event;
-    t.next <- (t.next + 1) mod t.capacity;
-    t.total <- t.total + 1
-  end;
   List.iter (fun sink -> sink event) t.sinks;
   if !P.on then P.leave P.event
 
-let events t =
-  let out = ref [] in
-  for i = 0 to t.capacity - 1 do
-    let idx = (t.next + t.capacity - 1 - i) mod t.capacity in
-    match t.ring.(idx) with Some e -> out := e :: !out | None -> ()
-  done;
-  !out
-
-let event_count t = t.total
-
-(* Events recorded while tracing but since overwritten by the wrapping
-   ring. Sinks are unaffected (they see every event as it is emitted);
-   only the retained [events] view loses history. *)
-let dropped_events t = if t.total > t.capacity then t.total - t.capacity else 0
+(* Sinks see every event as it is emitted, so nothing is ever dropped. *)
+let dropped_events _ = 0
 
 (* --- timing -------------------------------------------------------------- *)
 
@@ -249,7 +188,7 @@ let acquire t res ~now ~occupancy =
   if !P.on then P.enter P.acquire;
   let finish = Resource.acquire res ~now ~occupancy in
   observe t finish;
-  if observing t then
+  if live t then
     emit t
       (Acquire
          {
@@ -267,7 +206,7 @@ let occupy t res ~now ~start ~until =
   if !P.on then P.enter P.acquire;
   Resource.occupy_until res ~now ~start ~until;
   observe t until;
-  if observing t then
+  if live t then
     emit t
       (Acquire { component = Resource.name res; time = now; start; finish = until });
   if !P.on then P.leave P.acquire
@@ -289,7 +228,7 @@ let trap t (fault : Fault.t) =
   t.total_faults <- t.total_faults + 1;
   Mutex.unlock t.trap_lock;
   observe t fault.Fault.cycle;
-  if observing t then
+  if live t then
     emit t
       (Fault
          {
@@ -334,8 +273,6 @@ let stats t = List.rev_map (stat_of_entry t) t.entries
 let register_metrics ?(prefix = "engine.") t reg =
   let module M = Gem_obs.Metrics in
   M.pull_int reg (prefix ^ "clock") (fun () -> now t);
-  M.pull_int reg (prefix ^ "events") (fun () -> event_count t);
-  M.pull_int reg (prefix ^ "dropped_events") (fun () -> dropped_events t);
   M.pull_int reg (prefix ^ "faults") (fun () -> total_faults t);
   List.iter
     (fun e ->
@@ -345,8 +282,6 @@ let register_metrics ?(prefix = "engine.") t reg =
       M.pull_int reg (base ^ ".busy") (fun () -> (stat_of_entry t e).stat_busy);
       M.pull_int reg (base ^ ".wait") (fun () -> (stat_of_entry t e).stat_wait))
     (List.rev t.entries)
-
-let horizon t = t.clock
 
 let utilization_table t ?horizon:h () =
   let module Table = Gem_util.Table in
@@ -385,8 +320,8 @@ let utilization_table t ?horizon:h () =
 (* --- snapshot / restore ----------------------------------------------------
 
    The engine's mutable state is the chip-wide timing substrate: the clock,
-   every owned resource's arbitration counters, the fault attribution
-   table, and the retained event ring. All of it serializes to
+   every owned resource's arbitration counters and the fault attribution
+   table. All of it serializes to
    deterministic JSON (owned resources keyed by their unique registered
    names, fault counts sorted) so a snapshot of a quiesced SoC is
    byte-stable. Probes are excluded: the components they sample snapshot
@@ -394,80 +329,6 @@ let utilization_table t ?horizon:h () =
 
 module J = Gem_util.Jsonx
 module Snap = Gem_util.Snap
-
-let dir_token = function `Read -> "r" | `Write -> "w"
-
-let dir_of_token = function
-  | "r" -> `Read
-  | "w" -> `Write
-  | s -> Snap.fail "bad transfer direction %S" s
-
-let event_to_json = function
-  | Acquire { component; time; start; finish } ->
-      J.Obj
-        [ ("t", J.String "acq"); ("c", J.String component); ("at", J.Int time);
-          ("s", J.Int start); ("f", J.Int finish) ]
-  | Transfer { component; time; dir; bytes } ->
-      J.Obj
-        [ ("t", J.String "xfer"); ("c", J.String component); ("at", J.Int time);
-          ("d", J.String (dir_token dir)); ("b", J.Int bytes) ]
-  | Translate { component; time; level } ->
-      J.Obj
-        [ ("t", J.String "xlat"); ("c", J.String component); ("at", J.Int time);
-          ("l", J.String level) ]
-  | Note { component; time; detail } ->
-      J.Obj
-        [ ("t", J.String "note"); ("c", J.String component); ("at", J.Int time);
-          ("n", J.String detail) ]
-  | Fault { component; time; kind; detail } ->
-      J.Obj
-        [ ("t", J.String "fault"); ("c", J.String component); ("at", J.Int time);
-          ("k", J.String kind); ("n", J.String detail) ]
-  | Span_open { component; time; name; cat; args } ->
-      J.Obj
-        [ ("t", J.String "open"); ("c", J.String component); ("at", J.Int time);
-          ("n", J.String name); ("k", J.String cat);
-          ( "a",
-            J.List
-              (List.map
-                 (fun (k, v) -> J.List [ J.String k; J.String v ])
-                 args) ) ]
-  | Span_close { component; time; name } ->
-      J.Obj
-        [ ("t", J.String "close"); ("c", J.String component);
-          ("at", J.Int time); ("n", J.String name) ]
-
-let event_of_json j =
-  let component = Snap.get_str "c" j and time = Snap.get_int "at" j in
-  match Snap.get_str "t" j with
-  | "acq" ->
-      Acquire
-        { component; time; start = Snap.get_int "s" j;
-          finish = Snap.get_int "f" j }
-  | "xfer" ->
-      Transfer
-        { component; time; dir = dir_of_token (Snap.get_str "d" j);
-          bytes = Snap.get_int "b" j }
-  | "xlat" -> Translate { component; time; level = Snap.get_str "l" j }
-  | "note" -> Note { component; time; detail = Snap.get_str "n" j }
-  | "fault" ->
-      Fault
-        { component; time; kind = Snap.get_str "k" j;
-          detail = Snap.get_str "n" j }
-  | "open" ->
-      let args =
-        List.map
-          (fun p ->
-            match Snap.list p with
-            | [ k; v ] -> (Snap.str k, Snap.str v)
-            | _ -> Snap.fail "bad span arg pair")
-          (Snap.get_list "a" j)
-      in
-      Span_open
-        { component; time; name = Snap.get_str "n" j;
-          cat = Snap.get_str "k" j; args }
-  | "close" -> Span_close { component; time; name = Snap.get_str "n" j }
-  | tag -> Snap.fail "unknown event tag %S" tag
 
 let snapshot t =
   let resources =
@@ -492,9 +353,7 @@ let snapshot t =
     [ ("clock", J.Int t.clock);
       ("resources", J.Obj resources);
       ("fault_counts", J.Obj fault_counts);
-      ("total_faults", J.Int t.total_faults);
-      ("event_total", J.Int t.total);
-      ("events", J.List (List.map event_to_json (events t))) ]
+      ("total_faults", J.Int t.total_faults) ]
 
 let restore t j =
   let by_name = Hashtbl.create 16 in
@@ -523,20 +382,10 @@ let restore t j =
   List.iter
     (fun (k, v) -> Hashtbl.replace t.fault_counts k (Snap.int v))
     (Snap.obj (Snap.member "fault_counts" j));
-  t.total_faults <- Snap.get_int "total_faults" j;
-  let evs = List.map event_of_json (Snap.get_list "events" j) in
-  let n = List.length evs in
-  Snap.check ~what:"trace ring capacity" (n <= t.capacity);
-  Array.fill t.ring 0 t.capacity None;
-  List.iteri (fun i e -> t.ring.(i) <- Some e) evs;
-  t.next <- n mod t.capacity;
-  t.total <- Snap.get_int "event_total" j
+  t.total_faults <- Snap.get_int "total_faults" j
 
 let reset t =
   t.clock <- Time.zero;
-  Array.fill t.ring 0 t.capacity None;
-  t.next <- 0;
-  t.total <- 0;
   Hashtbl.reset t.fault_counts;
   t.total_faults <- 0;
   List.iter

@@ -12,8 +12,8 @@
       (a pure statistics sampler for components whose timing is charged
       elsewhere);
     - a {e typed event stream}: components emit structured {!event}s at
-      their boundaries instead of ad-hoc string traces, kept in a bounded
-      ring and fanned out to pluggable sinks;
+      their boundaries instead of ad-hoc string traces, fanned out to
+      pluggable sinks (span recorders, trace writers, collectors);
     - {e metric sinks}: per-component busy/wait/utilization counters
       aggregated on demand into {!stat} rows or a rendered table (the
       "where did the cycles go" view behind [gemmini_cli --profile]).
@@ -73,8 +73,6 @@ type event =
           scope; see {!Span} for the stack discipline. *)
 
 val event_time : event -> Time.cycles
-val event_component : event -> string
-val pp_event : Format.formatter -> event -> unit
 
 (** A probe's answer when sampled. *)
 type sample = {
@@ -95,9 +93,8 @@ type stat = {
   stat_note : string;
 }
 
-val create : ?trace_capacity:int -> ?trace:bool -> unit -> t
-(** A fresh context. Event tracing is off by default; the ring keeps the
-    most recent [trace_capacity] (default 4096) events when on. *)
+val create : unit -> t
+(** A fresh context with no sinks attached. *)
 
 (* --- registry ---------------------------------------------------------- *)
 
@@ -164,39 +161,27 @@ val set_domain_slot : int -> unit
 
 (* --- events ------------------------------------------------------------ *)
 
-val tracing : t -> bool
-val set_tracing : t -> bool -> unit
-
 val live : t -> bool
-(** True when emitted events go anywhere (tracing on or sinks attached);
+(** True when sinks are attached, so emitted events go somewhere;
     components use this to skip event construction on the hot path. A
-    disabled run must allocate no event records at all. *)
-
-val observing : t -> bool
-(** Alias of {!live} (the original name; kept for existing callers). *)
+    quiet run must allocate no event records at all. *)
 
 val emit : t -> event -> unit
-(** Feeds the sinks, and the ring when tracing. Advances the clock. *)
+(** Feeds every sink, in registration order. Advances the clock. *)
 
 val add_sink : t -> (event -> unit) -> unit
-(** Sinks see every event from registration on, regardless of tracing. *)
-
-val events : t -> event list
-(** Retained events, oldest first. *)
-
-val event_count : t -> int
-(** Total events recorded while tracing (including overwritten ones). *)
+(** Sinks see every event from registration on. *)
 
 val dropped_events : t -> int
-(** Events recorded while tracing but overwritten by the wrapping ring —
-    the amount of history {!events} silently lost. 0 while the ring has
-    not wrapped. Sinks never drop: they see every event at emission. *)
+(** Always 0: no sink drops events, each sees every event at emission.
+    Kept only because the frozen benchmark harness
+    ([perfbench/workloads.ml]) reads it. *)
 
 (* --- faults ------------------------------------------------------------ *)
 
 val trap : t -> Fault.t -> 'a
 (** Records the fault against its component, advances the clock to the
-    fault cycle, emits a [Fault] event when anyone is observing, and
+    fault cycle, emits a [Fault] event when the engine is {!live}, and
     raises {!Fault.Trap}. The single reporting path for engine-attached
     components. *)
 
@@ -210,41 +195,30 @@ val total_faults : t -> int
 val stats : t -> stat list
 (** One row per registered component, in registration order. *)
 
-val horizon : t -> Time.cycles
-(** Alias of {!now}: the denominator for utilization. *)
-
 val utilization_table : t -> ?horizon:Time.cycles -> unit -> Gem_util.Table.t
 (** Per-component utilization/wait table ready for printing. [horizon]
     defaults to the engine clock. *)
 
 val register_metrics : ?prefix:string -> t -> Gem_obs.Metrics.t -> unit
-(** Registers pull gauges for the clock, event/drop/fault totals and
+(** Registers pull gauges for the clock, the fault total and
     per-component requests/busy/wait under [prefix] (default
     ["engine."]). Sampling happens at registry-snapshot time, never on
     the simulation path. *)
 
 val reset : t -> unit
-(** Rewind the clock, clear the ring, zero the fault counters and reset
-    every owned resource. Registrations, sinks and probe targets
-    survive. *)
+(** Rewind the clock, zero the fault counters and reset every owned
+    resource. Registrations, sinks and probe targets survive. *)
 
 (* --- snapshot / restore ------------------------------------------------- *)
 
-val event_to_json : event -> Gem_util.Jsonx.t
-(** Deterministic tagged encoding; inverse of {!event_of_json}. *)
-
-val event_of_json : Gem_util.Jsonx.t -> event
-(** Raises {!Gem_util.Snap.Malformed} on shape mismatch. *)
-
 val snapshot : t -> Gem_util.Jsonx.t
 (** The engine's full mutable state: clock, every owned resource's
-    arbitration counters (keyed by unique registered name), fault
-    attribution, and the retained event ring (oldest first). Probes are
-    excluded — the components they sample serialize their own state. *)
+    arbitration counters (keyed by unique registered name) and fault
+    attribution. Probes are excluded — the components they sample serialize their own state. *)
 
 val restore : t -> Gem_util.Jsonx.t -> unit
 (** Overwrites the engine's mutable state from a {!snapshot}. The target
     engine must carry the same resource registry (same names, elaborated
     from the same SoC config); any mismatch raises
-    {!Gem_util.Snap.Malformed}. Tracing/sink configuration is an observer
-    setting and is left untouched. *)
+    {!Gem_util.Snap.Malformed}. Attached sinks are an observer setting and
+    are left untouched. *)

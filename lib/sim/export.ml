@@ -96,24 +96,178 @@ let attach ?(window = 65536) ?(lat_range = 4096.) ?(lat_buckets = 64)
 
 let recorder t = t.recorder
 let engine t = t.engine
-let finalize t = Span.finalize t.recorder ~horizon:(Engine.horizon t.engine)
+let finalize t = Span.finalize t.recorder ~horizon:(Engine.now t.engine)
 
-(* --- track table ---------------------------------------------------------
+(* --- chrome encoder ---------------------------------------------------------
 
-   One Chrome "process" per core scope (shared components form the "soc"
-   process), one "thread" per component. Order is the engine registration
-   order, which is construction order and thus deterministic; components
-   that emitted events without registering (unit tests with bare engines)
-   are appended in sorted order. *)
-
-type track = { tk_name : string; tk_scope : string; tk_pid : int; tk_tid : int }
+   The one Chrome Trace Event writer behind both exporters. The file is one
+   big JSON array; each record is built as a Jsonx value and printed on its
+   own line, so output stays deterministic and the whole file still parses
+   as standard JSON. One "process" per core scope (shared components form
+   the "soc" process), one "thread" per component; a track's metadata rows
+   are written right before the first record that needs them. *)
 
 let scope_of_name name =
   match String.index_opt name '/' with
   | Some i -> String.sub name 0 i
   | None -> "soc"
 
-let tracks t =
+module Chrome = struct
+  type t = {
+    out : string -> unit;
+    mutable first : bool;
+    mutable records : int;
+    pids : (string, int) Hashtbl.t; (* scope -> pid *)
+    tid_counts : (string, int) Hashtbl.t; (* scope -> tids handed out *)
+    tracks : (string, int * int) Hashtbl.t; (* component -> (pid, tid) *)
+  }
+
+  let create out =
+    out "[\n";
+    {
+      out;
+      first = true;
+      records = 0;
+      pids = Hashtbl.create 8;
+      tid_counts = Hashtbl.create 8;
+      tracks = Hashtbl.create 32;
+    }
+
+  let record t j =
+    if t.first then t.first <- false else t.out ",\n";
+    t.out (J.to_string j);
+    t.records <- t.records + 1
+
+  let meta t name ids arg =
+    record t
+      (J.Obj
+         ((("ph", J.String "M") :: ("name", J.String name) :: ids)
+         @ [ ("args", J.Obj [ arg ]) ]))
+
+  let track t component =
+    match Hashtbl.find_opt t.tracks component with
+    | Some pt -> pt
+    | None ->
+        let scope = scope_of_name component in
+        let pid =
+          match Hashtbl.find_opt t.pids scope with
+          | Some p -> p
+          | None ->
+              let p = Hashtbl.length t.pids + 1 in
+              Hashtbl.add t.pids scope p;
+              let ids = [ ("pid", J.Int p) ] in
+              meta t "process_name" ids ("name", J.String scope);
+              meta t "process_sort_index" ids ("sort_index", J.Int p);
+              p
+        in
+        let tid =
+          Option.value ~default:0 (Hashtbl.find_opt t.tid_counts scope) + 1
+        in
+        Hashtbl.replace t.tid_counts scope tid;
+        let ids = [ ("pid", J.Int pid); ("tid", J.Int tid) ] in
+        meta t "thread_name" ids ("name", J.String component);
+        meta t "thread_sort_index" ids ("sort_index", J.Int tid);
+        Hashtbl.add t.tracks component (pid, tid);
+        (pid, tid)
+
+  (* Network and layer spans obey sync-slice stack discipline on their
+     track and render as one X slice, written at close when the duration
+     is known. Kernels, commands and DMA bursts overlap their siblings
+     (issue-side pipelining), so they render as async b/e pairs: "b" at
+     open, "e" at close. *)
+  let is_sync cat = cat = "network" || cat = "layer" || cat = "acquire"
+
+  let span_args (s : Span.span) =
+    ("span", J.Int s.Span.id)
+    :: ("parent", J.Int s.Span.parent)
+    :: List.map (fun (k, v) -> (k, J.String v)) s.Span.args
+
+  let span_open t (s : Span.span) =
+    if not (is_sync s.Span.cat) then begin
+      let pid, tid = track t s.Span.component in
+      record t
+        (J.Obj
+           [
+             ("ph", J.String "b");
+             ("name", J.String s.Span.name);
+             ("cat", J.String s.Span.cat);
+             ("id", J.Int s.Span.id);
+             ("pid", J.Int pid);
+             ("tid", J.Int tid);
+             ("ts", J.Int s.Span.t0);
+             ("args", J.Obj (span_args s));
+           ])
+    end
+
+  let span_close t (s : Span.span) =
+    let pid, tid = track t s.Span.component in
+    let t1 = if s.Span.t1 < 0 then s.Span.t0 else s.Span.t1 in
+    if is_sync s.Span.cat then
+      record t
+        (J.Obj
+           [
+             ("ph", J.String "X");
+             ("name", J.String s.Span.name);
+             ("cat", J.String s.Span.cat);
+             ("pid", J.Int pid);
+             ("tid", J.Int tid);
+             ("ts", J.Int s.Span.t0);
+             ("dur", J.Int (t1 - s.Span.t0));
+             ("args", J.Obj (span_args s));
+           ])
+    else
+      record t
+        (J.Obj
+           [
+             ("ph", J.String "e");
+             ("name", J.String s.Span.name);
+             ("cat", J.String s.Span.cat);
+             ("id", J.Int s.Span.id);
+             ("pid", J.Int pid);
+             ("tid", J.Int tid);
+             ("ts", J.Int t1);
+           ])
+
+  (* A fault is an instant event on its component's track. *)
+  let fault t ~component ~time ~kind ~detail =
+    let pid, tid = track t component in
+    record t
+      (J.Obj
+         [
+           ("ph", J.String "i");
+           ("name", J.String kind);
+           ("cat", J.String "fault");
+           ("s", J.String "t");
+           ("pid", J.Int pid);
+           ("tid", J.Int tid);
+           ("ts", J.Int time);
+           ("args", J.Obj [ ("detail", J.String detail) ]);
+         ])
+
+  let counter t ~name ~pid ~ts ~key v =
+    record t
+      (J.Obj
+         [
+           ("ph", J.String "C");
+           ("name", J.String name);
+           ("pid", J.Int pid);
+           ("ts", J.Int ts);
+           ("args", J.Obj [ (key, v) ]);
+         ])
+
+  let finish t = t.out "\n]\n"
+end
+
+(* --- batch chrome export ----------------------------------------------------
+
+   Tracks appear in engine registration order, which is construction order
+   and thus deterministic; components that emitted events without
+   registering (unit tests with bare engines) follow in sorted order. The
+   batch writer touches every track up front so all metadata leads the
+   file, then replays the recorded spans in recording order, then writes
+   the counter tracks and fault instants. *)
+
+let track_names t =
   let registered = List.map fst (Engine.components t.engine) in
   let seen = Hashtbl.create 32 in
   List.iter (fun n -> Hashtbl.replace seen n ()) registered;
@@ -126,218 +280,48 @@ let tracks t =
   in
   List.iter note (List.rev t.comp_order);
   Span.iter t.recorder (fun s -> note s.Span.component);
-  let names = registered @ List.sort compare !extra in
-  let pids = Hashtbl.create 8 in
-  let next_pid = ref 0 in
-  let tids = Hashtbl.create 8 in
-  List.map
-    (fun name ->
-      let scope = scope_of_name name in
-      let pid =
-        match Hashtbl.find_opt pids scope with
-        | Some p -> p
-        | None ->
-            incr next_pid;
-            Hashtbl.add pids scope !next_pid;
-            !next_pid
-      in
-      let tid =
-        let n = Option.value ~default:0 (Hashtbl.find_opt tids scope) + 1 in
-        Hashtbl.replace tids scope n;
-        n
-      in
-      { tk_name = name; tk_scope = scope; tk_pid = pid; tk_tid = tid })
-    names
+  registered @ List.sort compare !extra
 
-(* --- chrome trace export ------------------------------------------------- *)
-
-(* The file is one big JSON array. Each event is built as a Jsonx value and
-   printed on its own line, so the emitter stays deterministic and the
-   whole file still parses as standard JSON. *)
 let write_chrome t out =
-  let tks = tracks t in
-  let track_tbl = Hashtbl.create 32 in
-  List.iter (fun tk -> Hashtbl.replace track_tbl tk.tk_name tk) tks;
-  let track name =
-    match Hashtbl.find_opt track_tbl name with
-    | Some tk -> tk
-    | None -> { tk_name = name; tk_scope = "soc"; tk_pid = 1; tk_tid = 0 }
-  in
-  let first = ref true in
-  let event j =
-    if !first then first := false else out ",\n";
-    out (J.to_string j)
-  in
-  out "[\n";
-  (* A wrapped engine ring silently lost history; say so in-band rather
-     than shipping a trace that looks complete. Only emitted when events
-     were actually dropped, so unwrapped traces are byte-identical to
-     before. *)
-  let dropped = Engine.dropped_events t.engine in
-  if dropped > 0 then
-    event
-      (J.Obj
-         [
-           ("ph", J.String "i");
-           ("name", J.String "dropped_events");
-           ("cat", J.String "meta");
-           ("s", J.String "g");
-           ("pid", J.Int 0);
-           ("tid", J.Int 0);
-           ("ts", J.Int 0);
-           ("args", J.Obj [ ("dropped", J.Int dropped) ]);
-         ]);
-  (* Metadata: process and thread names. *)
-  let seen_pid = Hashtbl.create 8 in
-  List.iter
-    (fun tk ->
-      if not (Hashtbl.mem seen_pid tk.tk_pid) then begin
-        Hashtbl.replace seen_pid tk.tk_pid ();
-        event
-          (J.Obj
-             [
-               ("ph", J.String "M");
-               ("name", J.String "process_name");
-               ("pid", J.Int tk.tk_pid);
-               ("args", J.Obj [ ("name", J.String tk.tk_scope) ]);
-             ]);
-        event
-          (J.Obj
-             [
-               ("ph", J.String "M");
-               ("name", J.String "process_sort_index");
-               ("pid", J.Int tk.tk_pid);
-               ("args", J.Obj [ ("sort_index", J.Int tk.tk_pid) ]);
-             ])
-      end;
-      event
-        (J.Obj
-           [
-             ("ph", J.String "M");
-             ("name", J.String "thread_name");
-             ("pid", J.Int tk.tk_pid);
-             ("tid", J.Int tk.tk_tid);
-             ("args", J.Obj [ ("name", J.String tk.tk_name) ]);
-           ]);
-      event
-        (J.Obj
-           [
-             ("ph", J.String "M");
-             ("name", J.String "thread_sort_index");
-             ("pid", J.Int tk.tk_pid);
-             ("tid", J.Int tk.tk_tid);
-             ("args", J.Obj [ ("sort_index", J.Int tk.tk_tid) ]);
-           ]))
-    tks;
-  (* Spans. Network and layer spans obey sync-slice stack discipline on
-     their track; kernels, commands and DMA bursts overlap their siblings
-     (issue-side pipelining), so they render as async b/e pairs. *)
+  let enc = Chrome.create out in
+  let names = track_names t in
+  List.iter (fun name -> ignore (Chrome.track enc name)) names;
   Span.iter t.recorder (fun s ->
-      let tk = track s.Span.component in
-      let args =
-        ("span", J.Int s.Span.id)
-        :: ("parent", J.Int s.Span.parent)
-        :: List.map (fun (k, v) -> (k, J.String v)) s.Span.args
-      in
-      let t1 = if s.Span.t1 < 0 then s.Span.t0 else s.Span.t1 in
-      match s.Span.cat with
-      | "network" | "layer" | "acquire" ->
-          event
-            (J.Obj
-               [
-                 ("ph", J.String "X");
-                 ("name", J.String s.Span.name);
-                 ("cat", J.String s.Span.cat);
-                 ("pid", J.Int tk.tk_pid);
-                 ("tid", J.Int tk.tk_tid);
-                 ("ts", J.Int s.Span.t0);
-                 ("dur", J.Int (t1 - s.Span.t0));
-                 ("args", J.Obj args);
-               ])
-      | _ ->
-          event
-            (J.Obj
-               [
-                 ("ph", J.String "b");
-                 ("name", J.String s.Span.name);
-                 ("cat", J.String s.Span.cat);
-                 ("id", J.Int s.Span.id);
-                 ("pid", J.Int tk.tk_pid);
-                 ("tid", J.Int tk.tk_tid);
-                 ("ts", J.Int s.Span.t0);
-                 ("args", J.Obj args);
-               ]);
-          event
-            (J.Obj
-               [
-                 ("ph", J.String "e");
-                 ("name", J.String s.Span.name);
-                 ("cat", J.String s.Span.cat);
-                 ("id", J.Int s.Span.id);
-                 ("pid", J.Int tk.tk_pid);
-                 ("tid", J.Int tk.tk_tid);
-                 ("ts", J.Int t1);
-               ]));
+      Chrome.span_open enc s;
+      Chrome.span_close enc s);
   (* Counter tracks: windowed utilization, outstanding occupancy and
      transferred bytes per component with activity. *)
-  let counter ~name ~pid ~ts ~key v =
-    event
-      (J.Obj
-         [
-           ("ph", J.String "C");
-           ("name", J.String name);
-           ("pid", J.Int pid);
-           ("ts", J.Int ts);
-           ("args", J.Obj [ (key, v) ]);
-         ])
-  in
+  let w = float_of_int t.window in
   List.iter
-    (fun tk ->
-      match Hashtbl.find_opt t.comps tk.tk_name with
+    (fun name ->
+      match Hashtbl.find_opt t.comps name with
       | None -> ()
       | Some c ->
-          let w = float_of_int t.window in
+          let pid, _ = Chrome.track enc name in
+          let counter suffix ~key time v =
+            Chrome.counter enc ~name:(name ^ suffix) ~pid
+              ~ts:(int_of_float time) ~key v
+          in
           Array.iter
             (fun (time, sum, _) ->
-              counter
-                ~name:(tk.tk_name ^ " util %")
-                ~pid:tk.tk_pid ~ts:(int_of_float time) ~key:"value"
-                (J.Float (100. *. sum /. w)))
+              counter " util %" ~key:"value" time (J.Float (100. *. sum /. w)))
             (Stats.Series.window_totals c.c_busy);
           Array.iter
             (fun (time, mean) ->
-              counter
-                ~name:(tk.tk_name ^ " outstanding")
-                ~pid:tk.tk_pid ~ts:(int_of_float time) ~key:"cycles"
-                (J.Float mean))
+              counter " outstanding" ~key:"cycles" time (J.Float mean))
             (Stats.Series.windows c.c_backlog);
           if c.c_transfers > 0 then
             Array.iter
               (fun (time, sum, _) ->
-                counter
-                  ~name:(tk.tk_name ^ " bytes")
-                  ~pid:tk.tk_pid ~ts:(int_of_float time) ~key:"value"
-                  (J.Int (int_of_float sum)))
+                counter " bytes" ~key:"value" time (J.Int (int_of_float sum)))
               (Stats.Series.window_totals c.c_bytes))
-    tks;
-  (* Faults as instant events on their component's track. *)
+    names;
   List.iter
     (fun f ->
-      let tk = track f.f_component in
-      event
-        (J.Obj
-           [
-             ("ph", J.String "i");
-             ("name", J.String f.f_kind);
-             ("cat", J.String "fault");
-             ("s", J.String "t");
-             ("pid", J.Int tk.tk_pid);
-             ("tid", J.Int tk.tk_tid);
-             ("ts", J.Int f.f_time);
-             ("args", J.Obj [ ("detail", J.String f.f_detail) ]);
-           ]))
+      Chrome.fault enc ~component:f.f_component ~time:f.f_time ~kind:f.f_kind
+        ~detail:f.f_detail)
     (List.rev t.faults);
-  out "\n]\n"
+  Chrome.finish enc
 
 let chrome_string t =
   let buf = Buffer.create 65536 in
@@ -354,19 +338,19 @@ let write_chrome_file t path =
 
 let latency t =
   List.filter_map
-    (fun tk ->
-      match Hashtbl.find_opt t.comps tk.tk_name with
+    (fun name ->
+      match Hashtbl.find_opt t.comps name with
       | Some c when c.c_acquires > 0 ->
-          Some (tk.tk_name, c.c_acquires, Stats.Histogram.summary c.c_lat)
+          Some (name, c.c_acquires, Stats.Histogram.summary c.c_lat)
       | _ -> None)
-    (tracks t)
+    (track_names t)
 
 (* --- text report ---------------------------------------------------------- *)
 
 let fmt_cycles f = if Float.is_nan f then "-" else Table.fmt_f ~dec:1 f
 
 let report t =
-  let horizon = Engine.horizon t.engine in
+  let horizon = Engine.now t.engine in
   let buf = Buffer.create 4096 in
   (* Per-layer breakdown from the span tree. *)
   let layers = ref [] and kernels = Hashtbl.create 16 in
@@ -464,322 +448,70 @@ let report t =
     Buffer.add_string buf
       (Printf.sprintf "span anomalies: %d orphan close(s), %d forced close(s)\n"
          orphans forced);
-  (* Ring truncation must not be silent: the retained-event view is what
-     [events]-based consumers see, and it is incomplete once wrapped. *)
-  let dropped = Engine.dropped_events t.engine in
-  if dropped > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "trace ring wrapped: %d of %d event(s) dropped from the retained view\n"
-         dropped
-         (Engine.event_count t.engine));
   Buffer.contents buf
 
 (* --- streaming chrome export ----------------------------------------------
 
-   The batch exporter above buffers the whole span tree in memory before
-   writing; long serving runs would grow without bound. The streaming
-   writer is an engine sink that appends Chrome events to its output as
-   they retire: async spans (kernel/command/dma/request) cost nothing to
-   hold — the "b" half is written at open — and sync slices
-   (network/layer) are held only while open, so memory is bounded by the
-   span nesting depth, not the run length.
-
-   Track metadata is emitted lazily, the first time a component appears;
-   because the simulation is deterministic, first-appearance order is
-   too, and two identical runs stream byte-identical files. Counter
-   tracks and queue-latency aggregation are deliberately out of scope —
-   attach a batch collector alongside when those are wanted. *)
+   The batch exporter keeps the whole span tree until it writes; long
+   serving runs would grow without bound. The streaming writer feeds a
+   non-retaining span recorder whose opens and closes go straight to the
+   encoder, so memory is bounded by span nesting depth, not run length.
+   Because the simulation is deterministic, so is first-appearance track
+   order, and two identical runs stream byte-identical files. *)
 
 module Streaming = struct
-  type frame = {
-    sf_id : int;
-    sf_parent : int;
-    sf_name : string;
-    sf_cat : string;
-    sf_component : string;
-    sf_t0 : Time.cycles;
-    sf_args : (string * string) list;
+  type t = {
+    engine : Engine.t;
+    enc : Chrome.t;
+    spans : Span.t;
+    mutable close : unit -> unit;
+    mutable finished : bool;
   }
-
-  type stream = {
-    st_engine : Engine.t;
-    st_out : string -> unit;
-    mutable st_close : unit -> unit;
-    mutable st_first : bool;
-    st_pids : (string, int) Hashtbl.t; (* scope -> pid *)
-    mutable st_next_pid : int;
-    st_tid_counts : (string, int) Hashtbl.t; (* scope -> tids handed out *)
-    st_tracks : (string, int * int) Hashtbl.t; (* component -> (pid, tid) *)
-    st_stacks : (string, frame list ref) Hashtbl.t; (* scope -> open spans *)
-    st_scope_memo : (string, string) Hashtbl.t;
-    mutable st_scope : string; (* last scope that opened a span *)
-    mutable st_next_id : int;
-    mutable st_orphans : int;
-    mutable st_forced : int;
-    mutable st_events : int;
-    mutable st_finished : bool;
-  }
-
-  type t = stream
-
-  let event t j =
-    if t.st_first then t.st_first <- false else t.st_out ",\n";
-    t.st_out (J.to_string j);
-    t.st_events <- t.st_events + 1
-
-  (* Same dynamic scoping as Span.on_event: unprefixed (shared)
-     components attribute to the scope that most recently opened a span,
-     which is the executing core. *)
-  let dyn_scope t component =
-    match Hashtbl.find_opt t.st_scope_memo component with
-    | Some s -> s
-    | None -> (
-        match String.index_opt component '/' with
-        | Some i ->
-            let s = String.sub component 0 i in
-            Hashtbl.replace t.st_scope_memo component s;
-            s
-        | None -> if t.st_scope = "" then component else t.st_scope)
-
-  let stack_for t scope =
-    match Hashtbl.find_opt t.st_stacks scope with
-    | Some s -> s
-    | None ->
-        let s = ref [] in
-        Hashtbl.add t.st_stacks scope s;
-        s
-
-  (* Track assignment mirrors the batch exporter (one process per static
-     scope, one thread per component) but is lazy: metadata rows are
-     written right before the first event that needs them. *)
-  let track t component =
-    match Hashtbl.find_opt t.st_tracks component with
-    | Some pt -> pt
-    | None ->
-        let scope = scope_of_name component in
-        let pid =
-          match Hashtbl.find_opt t.st_pids scope with
-          | Some p -> p
-          | None ->
-              t.st_next_pid <- t.st_next_pid + 1;
-              let p = t.st_next_pid in
-              Hashtbl.add t.st_pids scope p;
-              event t
-                (J.Obj
-                   [
-                     ("ph", J.String "M");
-                     ("name", J.String "process_name");
-                     ("pid", J.Int p);
-                     ("args", J.Obj [ ("name", J.String scope) ]);
-                   ]);
-              event t
-                (J.Obj
-                   [
-                     ("ph", J.String "M");
-                     ("name", J.String "process_sort_index");
-                     ("pid", J.Int p);
-                     ("args", J.Obj [ ("sort_index", J.Int p) ]);
-                   ]);
-              p
-        in
-        let tid =
-          let n =
-            Option.value ~default:0 (Hashtbl.find_opt t.st_tid_counts scope) + 1
-          in
-          Hashtbl.replace t.st_tid_counts scope n;
-          n
-        in
-        event t
-          (J.Obj
-             [
-               ("ph", J.String "M");
-               ("name", J.String "thread_name");
-               ("pid", J.Int pid);
-               ("tid", J.Int tid);
-               ("args", J.Obj [ ("name", J.String component) ]);
-             ]);
-        event t
-          (J.Obj
-             [
-               ("ph", J.String "M");
-               ("name", J.String "thread_sort_index");
-               ("pid", J.Int pid);
-               ("tid", J.Int tid);
-               ("args", J.Obj [ ("sort_index", J.Int tid) ]);
-             ]);
-        Hashtbl.add t.st_tracks component (pid, tid);
-        (pid, tid)
-
-  let is_sync cat = cat = "network" || cat = "layer" || cat = "acquire"
-
-  let frame_args fr =
-    ("span", J.Int fr.sf_id)
-    :: ("parent", J.Int fr.sf_parent)
-    :: List.map (fun (k, v) -> (k, J.String v)) fr.sf_args
-
-  (* Writes a frame's terminating record: the full X slice for sync
-     categories (only now is the duration known), the "e" half for async
-     ones (their "b" went out at open time). *)
-  let close_frame t fr ~time =
-    let pid, tid = track t fr.sf_component in
-    if is_sync fr.sf_cat then
-      event t
-        (J.Obj
-           [
-             ("ph", J.String "X");
-             ("name", J.String fr.sf_name);
-             ("cat", J.String fr.sf_cat);
-             ("pid", J.Int pid);
-             ("tid", J.Int tid);
-             ("ts", J.Int fr.sf_t0);
-             ("dur", J.Int (time - fr.sf_t0));
-             ("args", J.Obj (frame_args fr));
-           ])
-    else
-      event t
-        (J.Obj
-           [
-             ("ph", J.String "e");
-             ("name", J.String fr.sf_name);
-             ("cat", J.String fr.sf_cat);
-             ("id", J.Int fr.sf_id);
-             ("pid", J.Int pid);
-             ("tid", J.Int tid);
-             ("ts", J.Int time);
-           ])
-
-  let on_event t (ev : Engine.event) =
-    if not t.st_finished then
-      match ev with
-      | Engine.Span_open { component; time; name; cat; args } ->
-          let scope = dyn_scope t component in
-          t.st_scope <- scope;
-          let stack = stack_for t scope in
-          let parent =
-            match !stack with [] -> -1 | fr :: _ -> fr.sf_id
-          in
-          let fr =
-            {
-              sf_id = t.st_next_id;
-              sf_parent = parent;
-              sf_name = name;
-              sf_cat = cat;
-              sf_component = component;
-              sf_t0 = time;
-              sf_args = args;
-            }
-          in
-          t.st_next_id <- t.st_next_id + 1;
-          stack := fr :: !stack;
-          if not (is_sync cat) then begin
-            let pid, tid = track t component in
-            event t
-              (J.Obj
-                 [
-                   ("ph", J.String "b");
-                   ("name", J.String name);
-                   ("cat", J.String cat);
-                   ("id", J.Int fr.sf_id);
-                   ("pid", J.Int pid);
-                   ("tid", J.Int tid);
-                   ("ts", J.Int time);
-                   ("args", J.Obj (frame_args fr));
-                 ])
-          end
-      | Engine.Span_close { component; time; name } ->
-          let scope = dyn_scope t component in
-          let stack = stack_for t scope in
-          if List.exists (fun fr -> fr.sf_name = name) !stack then begin
-            (* Same discipline as Span: close the innermost open span
-               with this name; anything still open inside it is
-               force-closed at the same stamp. *)
-            let rec close = function
-              | [] -> []
-              | fr :: rest ->
-                  close_frame t fr ~time;
-                  if fr.sf_name = name then rest
-                  else begin
-                    t.st_forced <- t.st_forced + 1;
-                    close rest
-                  end
-            in
-            stack := close !stack
-          end
-          else t.st_orphans <- t.st_orphans + 1
-      | Engine.Fault { component; time; kind; detail } ->
-          let pid, tid = track t component in
-          event t
-            (J.Obj
-               [
-                 ("ph", J.String "i");
-                 ("name", J.String kind);
-                 ("cat", J.String "fault");
-                 ("s", J.String "t");
-                 ("pid", J.Int pid);
-                 ("tid", J.Int tid);
-                 ("ts", J.Int time);
-                 ("args", J.Obj [ ("detail", J.String detail) ]);
-               ])
-      | Engine.Acquire _ | Engine.Transfer _ | Engine.Translate _
-      | Engine.Note _ ->
-          ()
 
   let attach engine ~out =
+    let enc = Chrome.create out in
     let t =
       {
-        st_engine = engine;
-        st_out = out;
-        st_close = (fun () -> ());
-        st_first = true;
-        st_pids = Hashtbl.create 8;
-        st_next_pid = 0;
-        st_tid_counts = Hashtbl.create 8;
-        st_tracks = Hashtbl.create 32;
-        st_stacks = Hashtbl.create 8;
-        st_scope_memo = Hashtbl.create 16;
-        st_scope = "";
-        st_next_id = 0;
-        st_orphans = 0;
-        st_forced = 0;
-        st_events = 0;
-        st_finished = false;
+        engine;
+        enc;
+        spans =
+          Span.create
+            ~observer:
+              {
+                Span.on_open = Chrome.span_open enc;
+                on_close = Chrome.span_close enc;
+              }
+            ();
+        close = ignore;
+        finished = false;
       }
     in
-    out "[\n";
-    Engine.add_sink engine (on_event t);
+    Engine.add_sink engine (fun ev ->
+        if not t.finished then
+          match ev with
+          | Engine.Fault { component; time; kind; detail } ->
+              Chrome.fault enc ~component ~time ~kind ~detail
+          | Engine.Span_open _ | Engine.Span_close _ -> Span.on_event t.spans ev
+          | Engine.Acquire _ | Engine.Transfer _ | Engine.Translate _
+          | Engine.Note _ ->
+              ());
     t
 
   let attach_file engine path =
     let oc = open_out path in
     let t = attach engine ~out:(output_string oc) in
-    t.st_close <- (fun () -> close_out oc);
+    t.close <- (fun () -> close_out oc);
     t
 
   let finish t =
-    if not t.st_finished then begin
-      let horizon = Engine.horizon t.st_engine in
-      (* Deterministic sweep order for still-open frames. *)
-      let scopes =
-        List.sort compare
-          (Hashtbl.fold (fun k _ acc -> k :: acc) t.st_stacks [])
-      in
-      List.iter
-        (fun scope ->
-          let stack = stack_for t scope in
-          List.iter
-            (fun fr ->
-              t.st_forced <- t.st_forced + 1;
-              close_frame t fr ~time:horizon)
-            !stack;
-          stack := [])
-        scopes;
-      t.st_out "\n]\n";
-      t.st_finished <- true;
-      t.st_close ()
+    if not t.finished then begin
+      Span.finalize t.spans ~horizon:(Engine.now t.engine);
+      Chrome.finish t.enc;
+      t.finished <- true;
+      t.close ()
     end
 
-  let events_written t = t.st_events
-  let orphan_closes t = t.st_orphans
-  let forced_closes t = t.st_forced
+  let events_written t = t.enc.Chrome.records
+  let orphan_closes t = Span.orphan_closes t.spans
+  let forced_closes t = Span.forced_closes t.spans
 end

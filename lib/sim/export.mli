@@ -18,7 +18,8 @@
       and counter tracks for windowed utilization, outstanding occupancy
       and transferred bytes. Timestamps are cycle numbers presented as
       microseconds. Output is deterministic byte-for-byte: fixed track
-      order, insertion-order spans, and {!Gem_util.Jsonx} printing.
+      order, insertion-order spans, and {!Gem_util.Jsonx} printing. The
+      record encoder is the one {!Streaming} uses.
 
     - {!report} renders a plain-text hierarchical profile: per-layer
       breakdown (cycles, share of total, kernels, command count) plus a
@@ -52,8 +53,9 @@ val recorder : t -> Span.t
 val engine : t -> Engine.t
 
 val finalize : t -> unit
-(** {!Span.finalize} at the engine horizon. Call after the run, before
-    exporting. Idempotent in effect: already-closed spans are untouched. *)
+(** {!Span.finalize} at the engine clock ({!Engine.now}). Call after the
+    run, before exporting. Idempotent in effect: already-closed spans are
+    untouched. *)
 
 val latency : t -> (string * int * Gem_util.Stats.Histogram.summary) list
 (** Per-component [(name, acquires, latency summary)] in track order. *)
@@ -70,26 +72,24 @@ val write_chrome_file : t -> string -> unit
 (** {!write_chrome} into a file (buffered). *)
 
 val report : t -> string
-(** The plain-text hierarchical profile. Ends with a
-    ["trace ring wrapped: ..."] line when the engine's bounded event
-    ring overwrote history ({!Engine.dropped_events} > 0); the chrome
-    output likewise carries a ["dropped_events"] instant. Runs whose
-    ring never wrapped produce byte-identical output to before these
-    markers existed. *)
+(** The plain-text hierarchical profile. Ends with a ["span anomalies"]
+    line when closes were orphaned or forced. *)
 
 (** Constant-memory Chrome-trace writer for arbitrarily long runs.
 
-    An engine sink that appends events to its output as they retire
-    instead of buffering the whole span tree: async spans (kernel,
-    command, dma, request) write their ["b"] half at open and ["e"] half
-    at close; sync slices (network/layer) are held only while open, so
-    live memory is bounded by span nesting depth, not run length. This
-    is what [serve --trace-out] uses.
+    An engine sink that drives a non-retaining {!Span} recorder and
+    writes each span as it opens and closes instead of buffering the
+    whole span tree: async spans (kernel, command, dma, request) write
+    their ["b"] half at open and ["e"] half at close; sync slices
+    (network/layer) are written at close, so live memory is bounded by
+    span nesting depth, not run length. This is what [serve --trace-out]
+    uses.
 
-    Differences from the batch exporter: track metadata appears lazily
-    (first use) rather than up front, and there are no counter tracks or
-    queue-latency aggregates — attach a batch collector alongside when
-    those are needed. Determinism is unchanged: a deterministic run
+    It shares the batch exporter's span stack and record encoder, so both
+    write the same span records and tracks for one run. Differences:
+    track metadata appears at first use rather than up front, and there
+    are no counter tracks or queue-latency aggregates — attach a batch
+    collector alongside when those are needed. A deterministic run
     streams a byte-identical file every time. *)
 module Streaming : sig
   type t
@@ -102,7 +102,7 @@ module Streaming : sig
   (** {!attach} to a freshly opened file; {!finish} closes it. *)
 
   val finish : t -> unit
-  (** Force-closes any still-open spans at the engine horizon, writes
+  (** Force-closes any still-open spans at the engine clock, writes
       the array closer, and releases the output. Idempotent; events
       arriving after [finish] are ignored. *)
 

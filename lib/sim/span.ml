@@ -21,11 +21,14 @@ let dummy =
     args = [];
   }
 
+type observer = { on_open : span -> unit; on_close : span -> unit }
+
 type t = {
-  mutable buf : span array;
-  mutable len : int;
-  (* scope (core prefix of the component name) -> stack of open span ids *)
-  stacks : (string, int list ref) Hashtbl.t;
+  mutable buf : span array; (* retained spans, indexed by id *)
+  mutable len : int; (* spans opened so far: the next id *)
+  retain : bool; (* no observer: keep every span in [buf] *)
+  (* scope (core prefix of the component name) -> stack of open spans *)
+  stacks : (string, span list ref) Hashtbl.t;
   (* memoized component -> scope for prefixed names; full runs see the
      same dozen components millions of times *)
   scope_memo : (string, string) Hashtbl.t;
@@ -33,49 +36,59 @@ type t = {
   mutable orphans : int;
   mutable forced : int;
   acquire_spans : string -> bool;
+  observer : observer;
 }
 
 let no_acquire_spans _ = false
+let ignore_span (_ : span) = ()
+let retaining = { on_open = ignore_span; on_close = ignore_span }
 
-let create ?(acquire_spans = no_acquire_spans) () =
+let create ?(acquire_spans = no_acquire_spans) ?observer () =
+  let retain = Option.is_none observer in
   {
-    buf = Array.make 256 dummy;
+    buf = (if retain then Array.make 256 dummy else [||]);
     len = 0;
+    retain;
     stacks = Hashtbl.create 8;
     scope_memo = Hashtbl.create 16;
     current_scope = "";
     orphans = 0;
     forced = 0;
     acquire_spans;
+    observer = Option.value observer ~default:retaining;
   }
 
 let count t = t.len
+let retained t = if t.retain then t.len else 0
 
 let get t id =
-  if id < 0 || id >= t.len then invalid_arg "Span.get: id out of range";
+  if id < 0 || id >= retained t then invalid_arg "Span.get: id out of range";
   t.buf.(id)
 
 let iter t f =
-  for i = 0 to t.len - 1 do
+  for i = 0 to retained t - 1 do
     f t.buf.(i)
   done
 
-let to_list t = List.init t.len (fun i -> t.buf.(i))
+let to_list t = List.init (retained t) (fun i -> t.buf.(i))
 let orphan_closes t = t.orphans
 let forced_closes t = t.forced
 
 let open_count t =
   Hashtbl.fold (fun _ stack acc -> acc + List.length !stack) t.stacks 0
 
-let push t span =
-  if t.len = Array.length t.buf then begin
-    let bigger = Array.make (2 * t.len) dummy in
-    Array.blit t.buf 0 bigger 0 t.len;
-    t.buf <- bigger
+let record t ~parent ~name ~cat ~component ~t0 ~t1 ~args =
+  let span = { id = t.len; parent; name; cat; component; t0; t1; args } in
+  if t.retain then begin
+    if t.len = Array.length t.buf then begin
+      let bigger = Array.make (2 * t.len) dummy in
+      Array.blit t.buf 0 bigger 0 t.len;
+      t.buf <- bigger
+    end;
+    t.buf.(t.len) <- span
   end;
-  t.buf.(t.len) <- span;
   t.len <- t.len + 1;
-  span.id
+  span
 
 (* Shared components carry no core prefix; their events attribute to the
    scope that most recently opened a span, which is the executing core
@@ -99,30 +112,32 @@ let stack_for t scope =
       Hashtbl.add t.stacks scope s;
       s
 
+let parent_of stack = match !stack with [] -> -1 | p :: _ -> p.id
+
 let on_event t (ev : Engine.event) =
   match ev with
   | Engine.Span_open { component; time; name; cat; args } ->
       let scope = scope_of t component in
       t.current_scope <- scope;
       let stack = stack_for t scope in
-      let parent = match !stack with [] -> -1 | p :: _ -> p in
-      let id =
-        push t
-          { id = t.len; parent; name; cat; component; t0 = time; t1 = -1; args }
+      let span =
+        record t ~parent:(parent_of stack) ~name ~cat ~component ~t0:time
+          ~t1:(-1) ~args
       in
-      stack := id :: !stack
+      stack := span :: !stack;
+      t.observer.on_open span
   | Engine.Span_close { component; time; name } ->
       let scope = scope_of t component in
       let stack = stack_for t scope in
-      if List.exists (fun id -> t.buf.(id).name = name) !stack then begin
+      if List.exists (fun s -> s.name = name) !stack then begin
         (* Close the innermost open span with this name; anything opened
            inside it that never closed is force-closed at the same stamp
            so the tree stays well-formed. *)
         let rec close = function
           | [] -> []
-          | id :: rest ->
-              let s = t.buf.(id) in
+          | s :: rest ->
               s.t1 <- time;
+              t.observer.on_close s;
               if s.name = name then rest
               else begin
                 t.forced <- t.forced + 1;
@@ -134,42 +149,36 @@ let on_event t (ev : Engine.event) =
       else t.orphans <- t.orphans + 1
   | Engine.Acquire { component; time; start; finish } ->
       if t.acquire_spans component then begin
-        let scope = scope_of t component in
-        let stack = stack_for t scope in
-        let parent = match !stack with [] -> -1 | p :: _ -> p in
+        let stack = stack_for t (scope_of t component) in
         let args =
           if start > time then [ ("queue", string_of_int (start - time)) ]
           else []
         in
-        ignore
-          (push t
-             {
-               id = t.len;
-               parent;
-               name = component;
-               cat = "acquire";
-               component;
-               t0 = start;
-               t1 = finish;
-               args;
-             })
+        let span =
+          record t ~parent:(parent_of stack) ~name:component ~cat:"acquire"
+            ~component ~t0:start ~t1:finish ~args
+        in
+        t.observer.on_open span;
+        t.observer.on_close span
       end
   | Engine.Transfer _ | Engine.Translate _ | Engine.Note _ | Engine.Fault _ ->
       ()
 
 let finalize t ~horizon =
-  Hashtbl.iter
-    (fun _ stack ->
+  let scopes =
+    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.stacks [])
+  in
+  List.iter
+    (fun scope ->
+      let stack = Hashtbl.find t.stacks scope in
       List.iter
-        (fun id ->
-          let s = t.buf.(id) in
-          if s.t1 < 0 then begin
-            s.t1 <- horizon;
-            t.forced <- t.forced + 1
-          end)
+        (fun s ->
+          s.t1 <- horizon;
+          t.forced <- t.forced + 1;
+          t.observer.on_close s)
         !stack;
       stack := [])
-    t.stacks
+    scopes
 
 let attach ?acquire_spans engine =
   let t = create ?acquire_spans () in

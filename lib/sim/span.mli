@@ -20,7 +20,13 @@
     with no matching open is counted as an {e orphan} and ignored; a close
     that skips over inner open spans force-closes them (counted in
     {!forced_closes}), so one missing close cannot corrupt the rest of the
-    tree. *)
+    tree.
+
+    A recorder can instead report every open and close to an {!observer}
+    as it happens and keep no closed spans at all: live memory is then
+    bounded by nesting depth. This is how the streaming Chrome writer
+    ({!Export.Streaming}) follows the same stack discipline without a
+    copy of it. *)
 
 type span = {
   id : int;  (** index in recording order; stable span identifier *)
@@ -33,14 +39,26 @@ type span = {
   args : (string * string) list;
 }
 
+type observer = {
+  on_open : span -> unit;  (** right after the span is pushed ([t1 = -1]) *)
+  on_close : span -> unit;
+      (** right after its end stamp is set, whether by a matching close, a
+          skipping close or {!finalize} *)
+}
+
 type t
 (** A span recorder; feed it events via {!on_event} or {!attach}. *)
 
-val create : ?acquire_spans:(string -> bool) -> unit -> t
+val create : ?acquire_spans:(string -> bool) -> ?observer:observer -> unit -> t
 (** [acquire_spans component] decides whether [Acquire] events on
     [component] become leaf spans (category ["acquire"], spanning service
     start to finish). Default: never — full runs see millions of acquires,
-    which belong in histograms, not individual spans. *)
+    which belong in histograms, not individual spans.
+
+    Without an [observer] the recorder keeps every span for {!get} and
+    {!iter}. With one, it reports each span open and close (acquire spans
+    open and close at once) and retains nothing: a closed span is dropped
+    once [on_close] returns. *)
 
 val attach : ?acquire_spans:(string -> bool) -> Engine.t -> t
 (** {!create} + {!Engine.add_sink}. *)
@@ -50,8 +68,10 @@ val on_event : t -> Engine.event -> unit
 
 val finalize : t -> horizon:Time.cycles -> unit
 (** Force-closes every still-open span at [horizon] (counted in
-    {!forced_closes}) and empties the stacks. Call once after a run; spans
-    a fault aborted mid-flight then still carry an end stamp. *)
+    {!forced_closes}) and empties the stacks. Scopes are visited in sorted
+    order, innermost span first, so the [on_close] order is deterministic.
+    Call once after a run; spans a fault aborted mid-flight then still
+    carry an end stamp. *)
 
 (* --- emission helpers --------------------------------------------------- *)
 
@@ -75,10 +95,11 @@ val count : t -> int
 (** Spans recorded so far; ids are [0 .. count - 1]. *)
 
 val get : t -> int -> span
-(** Raises [Invalid_argument] for an out-of-range id. *)
+(** Raises [Invalid_argument] for an out-of-range id, and for every id
+    when the recorder has an observer (it retains nothing). *)
 
 val iter : t -> (span -> unit) -> unit
-(** In recording order (parents before their children). *)
+(** Retained spans in recording order (parents before their children). *)
 
 val to_list : t -> span list
 

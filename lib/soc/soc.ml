@@ -690,7 +690,7 @@ let run_parallel ?(domains = 1) t programs =
   (* Trace/event observers and the span collector are inherently
      sequential consumers, and a single stream (or core) has nothing to
      overlap: fall back to the reference driver. *)
-  if domains <= 1 || n <= 1 || Engine.observing t.engine then
+  if domains <= 1 || n <= 1 || Engine.live t.engine then
     run_sequential t programs
   else run_domains t programs ~domains
 

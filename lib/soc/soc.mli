@@ -63,7 +63,7 @@ val arm_injection : t -> seed:int -> rate:float -> unit
 
 val snapshot : t -> Gem_util.Jsonx.t
 (** The full mutable state of the chip: engine clock + resource registry
-    + trace ring, L2 tags/dirty/LRU, DRAM counters, main-memory pages
+    + fault tallies, L2 tags/dirty/LRU, DRAM counters, main-memory pages
     (functional mode), the physical-page bump allocator, and per core the
     controller (nested scratchpad/DMA), TLB hierarchy, page-table tree,
     virtual-address allocator, swap table and armed injection plan (with
@@ -118,7 +118,7 @@ val run_parallel : ?domains:int -> t -> op Seq.t array -> Gem_sim.Time.cycles ar
     exactly the sequential order: cycle counts, metrics and snapshots
     are byte-identical at any Domain count. Falls back to the sequential
     driver for single-program runs and whenever the engine has trace
-    observers attached ({!Gem_sim.Engine.observing}). *)
+    observers attached ({!Gem_sim.Engine.live}). *)
 
 val finish_time : t -> Gem_sim.Time.cycles
 (** Max finish time over cores. *)

@@ -124,7 +124,15 @@ let watchdog_check guard core =
              ~cycle:(Gemmini.Controller.now ctrl)
              (Fault.Watchdog_timeout { limit; spent }))
 
-let rec guarded_exec soc guard core op =
+(* Consecutive re-issues of one command Retry_map allows before it gives
+   up as Abort would. At injection rates near 1 the re-rolled fault fires
+   again on nearly every attempt, so an unbounded retry never ends; clean
+   runs and low rates never come close to the cap. *)
+let max_reissues = 64
+
+let rec guarded_exec soc guard core op = attempt soc guard core op ~reissues:0
+
+and attempt soc guard core op ~reissues =
   try
     if guard.g_skip then
       (* Degraded layer: its remaining accelerator ops are dropped; the
@@ -137,9 +145,9 @@ let rec guarded_exec soc guard core op =
       watchdog_check guard core;
       Soc.exec_op core op
     end
-  with Fault.Trap f -> handle_trap soc guard core op f
+  with Fault.Trap f -> handle_trap soc guard core op ~reissues f
 
-and handle_trap soc guard core op (f : Fault.t) =
+and handle_trap soc guard core op ~reissues (f : Fault.t) =
   let record action =
     guard.g_faults <-
       { fr_fault = f; fr_layer = guard.g_layer; fr_action = action }
@@ -149,20 +157,21 @@ and handle_trap soc guard core op (f : Fault.t) =
   | Abort, _ ->
       record "abort";
       raise (Fault.Trap f)
-  | Retry_map, Fault.Page_fault { vpn; _ } ->
+  | Retry_map, Fault.Page_fault { vpn; _ } when reissues < max_reissues ->
       (* The host's page-fault handler: map (or swap back in) the
          faulting page, then re-issue the whole command. *)
       record "remap";
       Soc.map_page soc core ~vaddr:(vpn * Gem_vm.Page_table.page_size);
-      guarded_exec soc guard core op
-  | Retry_map, Fault.Dma_bus_error _ ->
+      attempt soc guard core op ~reissues:(reissues + 1)
+  | Retry_map, Fault.Dma_bus_error _ when reissues < max_reissues ->
       (* Transient bus error: re-issue. Injection re-rolls on the retry,
-         so with rate < 1 this converges. *)
+         so with a low rate this converges. *)
       record "retry";
-      guarded_exec soc guard core op
+      attempt soc guard core op ~reissues:(reissues + 1)
   | Retry_map, _ ->
       (* Not a recoverable-by-retry condition (illegal instruction,
-         out-of-bounds, watchdog): give up as Abort would. *)
+         out-of-bounds, watchdog) or out of re-issues: give up as Abort
+         would. *)
       record "abort";
       raise (Fault.Trap f)
   | Degrade, _ ->

@@ -556,6 +556,18 @@ let test_dual_core_injection_determinism () =
   Alcotest.(check (list string)) "dual-core fault traces match" t1 t2;
   Alcotest.(check (list int)) "dual-core finish times match" c1 c2
 
+(* At rate 1.0 every re-issue faults again, so Retry_map must give up after
+   a bounded number of re-issues and let the trap escape. *)
+let test_retry_bounded () =
+  let soc = single_core_soc () in
+  Soc.arm_injection soc ~seed:3 ~rate:1.0;
+  match
+    Runtime.run ~policy:Runtime.Retry_map soc ~core:0 squeezenet8
+      ~mode:accel_mode
+  with
+  | _ -> Alcotest.fail "a rate-1.0 retry run must end in a trap"
+  | exception Fault.Trap _ -> ()
+
 (* --- injection across checkpoint/restore ------------------------------------ *)
 
 let rec drop n l =
@@ -716,6 +728,8 @@ let suite =
       test_injection_determinism;
     Alcotest.test_case "injection determinism (dual core)" `Quick
       test_dual_core_injection_determinism;
+    Alcotest.test_case "Retry_map gives up at rate 1.0" `Quick
+      test_retry_bounded;
     Alcotest.test_case "injection determinism across restore" `Quick
       test_injection_restore_determinism;
     Alcotest.test_case "Degrade on final layer closes network span" `Quick

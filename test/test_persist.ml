@@ -78,6 +78,10 @@ let test_envelope_rejects () =
   (* Version from a different build. *)
   write_raw path (bogus (String.make 32 '0') "999");
   expect_error "version mismatch" (Persist.load ~path);
+  (* Version 1 snapshots carried the engine's event ring; a well-formed
+     one (valid checksum) is still refused on its version alone. *)
+  write_raw path (bogus (Digest.to_hex (Digest.string "42")) "1");
+  expect_error "version 1 envelope" (Persist.load ~path);
   (* Not JSON at all. *)
   write_raw path "{ not json";
   expect_error "garbage" (Persist.load ~path);
@@ -90,7 +94,7 @@ let test_envelope_rejects () =
 (* The golden property: interrupt a run at a mid-network checkpoint,
    rebuild a fresh SoC, restore, run the remainder — the final cycle
    count, per-layer records, profile table and the full serialized SoC
-   state (engine clock, resource counters, trace ring, memory contents)
+   state (engine clock, resource counters, fault tallies, memory contents)
    must be byte-identical to the uninterrupted run's. *)
 let check_restore_identity model =
   let name = model.Gem_dnn.Layer.model_name in

@@ -63,42 +63,6 @@ let test_resource_reset () =
   Alcotest.(check int) "requests" 0 (Resource.requests r);
   Alcotest.(check string) "name survives" "r" (Resource.name r)
 
-(* --- Trace ---------------------------------------------------------------- *)
-
-let test_trace_ring () =
-  let tr = Trace.create ~capacity:4 ~enabled:true () in
-  for i = 1 to 6 do
-    Trace.record tr ~time:(10 * i) ~tag:"t" (string_of_int i)
-  done;
-  Alcotest.(check int) "count is total recorded" 6 (Trace.count tr);
-  let evs = Trace.events tr in
-  Alcotest.(check int) "capacity retained" 4 (List.length evs);
-  Alcotest.(check (list string)) "oldest first, newest last"
-    [ "3"; "4"; "5"; "6" ]
-    (List.map (fun e -> e.Trace.detail) evs);
-  Alcotest.(check (list int)) "times follow"
-    [ 30; 40; 50; 60 ]
-    (List.map (fun e -> e.Trace.time) evs)
-
-let test_trace_disabled_and_recordf () =
-  let tr = Trace.create ~capacity:4 ~enabled:false () in
-  Trace.record tr ~time:0 ~tag:"t" "dropped";
-  Alcotest.(check int) "disabled drops" 0 (Trace.count tr);
-  (* recordf must not even evaluate its format arguments when disabled. *)
-  let calls = ref 0 in
-  let expensive () v =
-    incr calls;
-    string_of_int v
-  in
-  Trace.recordf tr ~time:0 ~tag:"t" "val=%a" expensive 42;
-  Alcotest.(check int) "no formatting when disabled" 0 !calls;
-  Trace.set_enabled tr true;
-  Trace.recordf tr ~time:5 ~tag:"t" "val=%a" expensive 42;
-  Alcotest.(check int) "formats when enabled" 1 !calls;
-  match Trace.events tr with
-  | [ e ] -> Alcotest.(check string) "formatted detail" "val=42" e.Trace.detail
-  | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)
-
 (* --- Engine --------------------------------------------------------------- *)
 
 let test_engine_registry () =
@@ -143,20 +107,18 @@ let test_engine_clock_and_stats () =
   Alcotest.(check int) "observe never rewinds" 100 (Engine.now e)
 
 let test_engine_events_and_sinks () =
-  let e = Engine.create ~trace_capacity:8 () in
+  let e = Engine.create () in
   let bus = Engine.resource e ~kind:Engine.Bus ~name:"bus" in
-  Alcotest.(check bool) "quiet by default" false (Engine.observing e);
+  Alcotest.(check bool) "quiet by default" false (Engine.live e);
   ignore (Engine.acquire e bus ~now:0 ~occupancy:4);
-  Alcotest.(check int) "no events while quiet" 0 (Engine.event_count e);
-  Engine.set_tracing e true;
   let seen = ref [] in
   Engine.add_sink e (fun ev -> seen := ev :: !seen);
+  Alcotest.(check bool) "a sink makes it live" true (Engine.live e);
+  Alcotest.(check int) "no events from before the sink" 0 (List.length !seen);
   ignore (Engine.acquire e bus ~now:10 ~occupancy:2);
   Engine.emit e
     (Engine.Transfer { component = "bus"; time = 12; dir = `Read; bytes = 64 });
-  Alcotest.(check int) "ring recorded both" 2 (Engine.event_count e);
-  Alcotest.(check int) "sink saw both" 2 (List.length !seen);
-  (match Engine.events e with
+  (match List.rev !seen with
   | [
    Engine.Acquire { component; start; finish; _ };
    Engine.Transfer { bytes; _ };
@@ -165,12 +127,14 @@ let test_engine_events_and_sinks () =
       Alcotest.(check int) "acquire start follows first burst" 10 start;
       Alcotest.(check int) "acquire finish" 12 finish;
       Alcotest.(check int) "transfer bytes" 64 bytes
-  | _ -> Alcotest.fail "expected [Acquire; Transfer]");
+  | _ -> Alcotest.fail "expected [Acquire; Transfer] in emission order");
+  Alcotest.(check int) "nothing is dropped" 0 (Engine.dropped_events e);
   Engine.reset e;
-  Alcotest.(check int) "reset clears the ring" 0 (Engine.event_count e);
   Alcotest.(check int) "reset clears the clock" 0 (Engine.now e);
+  ignore (Engine.acquire e bus ~now:0 ~occupancy:1);
+  Alcotest.(check int) "sinks survive reset" 3 (List.length !seen);
   match Engine.stats e with
-  | [ s ] -> Alcotest.(check int) "reset clears resources" 0 s.Engine.stat_requests
+  | [ s ] -> Alcotest.(check int) "reset clears resources" 1 s.Engine.stat_requests
   | _ -> Alcotest.fail "registry survives reset"
 
 (* --- Heap ------------------------------------------------------------------ *)
@@ -298,7 +262,7 @@ let test_alloc_free_engine_quiet () =
   let e = Engine.create () in
   let bus = Engine.resource e ~kind:Engine.Bus ~name:"bus" in
   ignore (Engine.acquire e bus ~now:0 ~occupancy:1);
-  Alcotest.(check bool) "engine is quiet" false (Engine.observing e);
+  Alcotest.(check bool) "engine is quiet" false (Engine.live e);
   let bytes =
     measure_alloc (fun () ->
         for i = 1 to 10_000 do
@@ -446,9 +410,6 @@ let suite =
     Alcotest.test_case "resource: next_free/occupy_until" `Quick
       test_resource_next_free_occupy;
     Alcotest.test_case "resource: reset" `Quick test_resource_reset;
-    Alcotest.test_case "trace: ring overwrite order" `Quick test_trace_ring;
-    Alcotest.test_case "trace: disabled recordf is free" `Quick
-      test_trace_disabled_and_recordf;
     Alcotest.test_case "engine: registry and probes" `Quick
       test_engine_registry;
     Alcotest.test_case "engine: clock and stats" `Quick

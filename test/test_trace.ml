@@ -1,7 +1,6 @@
-(* Observability: histogram percentile summaries, engine event-ring
-   wraparound with span events, span nesting and error handling, and the
-   Chrome trace / report exporters (structure, determinism, and timing
-   neutrality). *)
+(* Observability: histogram percentile summaries, span nesting and error
+   handling, and the Chrome trace / report exporters (structure,
+   determinism, timing neutrality, and batch/streaming agreement). *)
 
 open Gem_sim
 module Stats = Gem_util.Stats
@@ -48,37 +47,13 @@ let test_histogram_clamped () =
     s.Stats.Histogram.max;
   Alcotest.(check int) "count" 10 (Stats.Histogram.count h)
 
-(* --- engine ring wraparound with span events -------------------------------- *)
+(* --- span events ------------------------------------------------------------- *)
 
 let span_open ~component ~time ~name ~cat =
   Engine.Span_open { component; time; name; cat; args = [] }
 
 let span_close ~component ~time ~name =
   Engine.Span_close { component; time; name }
-
-let test_ring_wraparound () =
-  let e = Engine.create ~trace_capacity:4 ~trace:true () in
-  for i = 1 to 3 do
-    Engine.emit e
-      (span_open ~component:"c" ~time:(10 * i)
-         ~name:(Printf.sprintf "s%d" i)
-         ~cat:"kernel");
-    Engine.emit e
-      (span_close ~component:"c" ~time:((10 * i) + 5)
-         ~name:(Printf.sprintf "s%d" i))
-  done;
-  Alcotest.(check int) "total recorded" 6 (Engine.event_count e);
-  let evs = Engine.events e in
-  Alcotest.(check int) "capacity retained" 4 (List.length evs);
-  (* Oldest first: the ring kept the events of spans 2 and 3. *)
-  Alcotest.(check (list int)) "times oldest-first" [ 20; 25; 30; 35 ]
-    (List.map Engine.event_time evs);
-  (* A recorder fed only the surviving ring contents sees closes for
-     span 1 never opened: the orphan counter, not a crash. *)
-  let r = Span.create () in
-  List.iter (Span.on_event r) evs;
-  Alcotest.(check int) "ring replay recovers spans" 2 (Span.count r);
-  Alcotest.(check int) "no orphans in surviving window" 0 (Span.orphan_closes r)
 
 (* --- span nesting and error handling ---------------------------------------- *)
 
@@ -156,6 +131,93 @@ let test_acquire_spans () =
   Alcotest.(check string) "cat" "acquire" s.Span.cat;
   Alcotest.(check int) "t0 is service start" 7 s.Span.t0;
   Alcotest.(check int) "t1 is finish" 12 s.Span.t1
+
+(* An observing recorder must see the spans a retaining one keeps, as they
+   open and close, and keep none of them itself. *)
+let test_span_observer () =
+  let events =
+    [
+      span_open ~component:"core0/host" ~time:0 ~name:"net" ~cat:"network";
+      span_open ~component:"core0/host" ~time:10 ~name:"l1" ~cat:"layer";
+      span_open ~component:"core0/mesh" ~time:20 ~name:"mm" ~cat:"kernel";
+      span_close ~component:"core0/host" ~time:40 ~name:"l1";
+      span_open ~component:"core0/host" ~time:45 ~name:"l2" ~cat:"layer";
+    ]
+  in
+  let log = ref [] in
+  let note tag (s : Span.span) = log := (tag, s.Span.id, s.Span.t1) :: !log in
+  let observed =
+    Span.create ~observer:{ Span.on_open = note "open"; on_close = note "close" }
+      ()
+  in
+  let retained = Span.create () in
+  List.iter
+    (fun ev ->
+      Span.on_event observed ev;
+      Span.on_event retained ev)
+    events;
+  Span.finalize observed ~horizon:99;
+  Span.finalize retained ~horizon:99;
+  Alcotest.(check (list (triple string int int)))
+    "opens carry no end stamp; closes innermost first"
+    [
+      ("open", 0, -1);
+      ("open", 1, -1);
+      ("open", 2, -1);
+      ("close", 2, 40);
+      ("close", 1, 40);
+      ("open", 3, -1);
+      ("close", 3, 99);
+      ("close", 0, 99);
+    ]
+    (List.rev !log);
+  Alcotest.(check int) "same span count" (Span.count retained)
+    (Span.count observed);
+  Alcotest.(check int) "same forced closes" (Span.forced_closes retained)
+    (Span.forced_closes observed);
+  Alcotest.(check int) "nothing retained" 0
+    (List.length (Span.to_list observed));
+  Alcotest.check_raises "get refuses every id"
+    (Invalid_argument "Span.get: id out of range") (fun () ->
+      ignore (Span.get observed 0))
+
+(* finalize force-closes scopes in sorted order whatever order they were
+   opened in, so streamed force-closes are deterministic. *)
+let test_span_finalize_sorted () =
+  let closes scopes =
+    let log = ref [] in
+    let r =
+      Span.create
+        ~observer:
+          {
+            Span.on_open = ignore;
+            on_close = (fun s -> log := s.Span.name :: !log);
+          }
+        ()
+    in
+    List.iter
+      (fun scope ->
+        Span.on_event r
+          (span_open ~component:(scope ^ "/host") ~time:0 ~name:(scope ^ ".l")
+             ~cat:"layer");
+        Span.on_event r
+          (span_open ~component:(scope ^ "/mesh") ~time:1 ~name:(scope ^ ".k")
+             ~cat:"kernel"))
+      scopes;
+    Span.finalize r ~horizon:5;
+    Alcotest.(check int) "all forced" (2 * List.length scopes)
+      (Span.forced_closes r);
+    List.rev !log
+  in
+  let expected =
+    [ "core0.k"; "core0.l"; "core1.k"; "core1.l"; "core2.k"; "core2.l" ]
+  in
+  Alcotest.(check (list string)) "opened in order" expected
+    (closes [ "core0"; "core1"; "core2" ]);
+  Alcotest.(check (list string)) "opened in reverse" expected
+    (closes [ "core2"; "core1"; "core0" ]);
+  Alcotest.(check (list string)) "opened shuffled" expected
+    (closes [ "core1"; "core2"; "core0" ])
 
 (* --- export: chrome structure, hierarchy, determinism, neutrality ----------- *)
 
@@ -270,37 +332,26 @@ let test_report_renders () =
   Alcotest.(check bool) "mentions a real layer" true
     (contains ~sub:"conv1" report)
 
-(* --- ring truncation is reported, never silent ------------------------------ *)
-
-let test_dropped_events_reported () =
-  (* A 4-slot ring fed 6 events drops the oldest 2 — and must say so in
-     both export formats. *)
-  let e = Engine.create ~trace_capacity:4 ~trace:true () in
+(* No sink drops events, so neither writer emits a drop marker and the
+   engine reports none. *)
+let test_no_dropped_events_marker () =
+  let buf = Buffer.create (1 lsl 16) in
+  let soc = Soc.create Soc_config.default in
+  let e = Soc.engine soc in
   let c = Export.attach e in
-  for i = 1 to 3 do
-    Engine.emit e
-      (span_open ~component:"core0/host" ~time:(10 * i)
-         ~name:(Printf.sprintf "s%d" i)
-         ~cat:"layer");
-    Engine.emit e
-      (span_close ~component:"core0/host" ~time:((10 * i) + 5)
-         ~name:(Printf.sprintf "s%d" i))
-  done;
+  let s = Export.Streaming.attach e ~out:(Buffer.add_string buf) in
+  ignore
+    (Runtime.run soc ~core:0 (Lazy.force small_model)
+       ~mode:(Runtime.Accel { im2col_on_accel = true }));
   Export.finalize c;
-  Alcotest.(check int) "dropped count" 2 (Engine.dropped_events e);
-  Alcotest.(check bool) "chrome carries a dropped_events marker" true
+  Export.Streaming.finish s;
+  Alcotest.(check int) "engine drops nothing" 0 (Engine.dropped_events e);
+  Alcotest.(check bool) "no marker in batch trace" false
     (contains ~sub:"dropped_events" (Export.chrome_string c));
-  Alcotest.(check bool) "report calls out the wrapped ring" true
-    (contains ~sub:"2 of 6 event(s) dropped" (Export.report c))
-
-let test_dropped_events_absent_when_clean () =
-  (* Collector sinks are ring-independent: a default engine that never
-     wraps must not grow a marker (existing byte-gates depend on it). *)
-  let c, _ = traced_run () in
-  Alcotest.(check bool) "no marker in clean trace" false
-    (contains ~sub:"dropped_events" (Export.chrome_string c));
-  Alcotest.(check bool) "no note in clean report" false
-    (contains ~sub:"ring wrapped" (Export.report c))
+  Alcotest.(check bool) "no marker in streamed trace" false
+    (contains ~sub:"dropped_events" (Buffer.contents buf));
+  Alcotest.(check bool) "no drop note in report" false
+    (contains ~sub:"dropped" (Export.report c))
 
 (* --- streaming chrome writer ------------------------------------------------ *)
 
@@ -376,6 +427,76 @@ let test_streaming_finish_idempotent () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "finished stream does not parse: %s" e
 
+(* Both writers drive the same span stack and encoder, so on one run they
+   must emit the same span records on the same tracks. Only the record
+   order differs (batch: all metadata first, streaming: at first use),
+   plus what the batch writer adds: counter tracks, and a track for every
+   registered component even when nothing happened on it. *)
+let test_batch_and_streaming_agree () =
+  let buf = Buffer.create (1 lsl 16) in
+  let soc = Soc.create Soc_config.default in
+  let c = Export.attach (Soc.engine soc) in
+  let s = Export.Streaming.attach (Soc.engine soc) ~out:(Buffer.add_string buf) in
+  ignore
+    (Runtime.run soc ~core:0 (Lazy.force small_model)
+       ~mode:(Runtime.Accel { im2col_on_accel = true }));
+  Export.finalize c;
+  Export.Streaming.finish s;
+  let records text =
+    match J.of_string text with
+    | Ok j -> Option.get (J.to_list j)
+    | Error e -> Alcotest.failf "trace does not parse: %s" e
+  in
+  let str k ev = Option.bind (J.member k ev) J.to_str in
+  (* Span records with (pid, tid) resolved to the track's thread name, as
+     a sorted multiset, plus the set of thread names declared. *)
+  let spans_and_threads evs =
+    let threads = Hashtbl.create 16 in
+    List.iter
+      (fun ev ->
+        if str "name" ev = Some "thread_name" then
+          Hashtbl.replace threads
+            (J.member "pid" ev, J.member "tid" ev)
+            (Option.get (Option.bind (J.member "args" ev) (str "name"))))
+      evs;
+    let spans =
+      List.filter_map
+        (fun ev ->
+          match str "ph" ev with
+          | Some ("X" | "b" | "e") ->
+              let track =
+                Hashtbl.find threads (J.member "pid" ev, J.member "tid" ev)
+              in
+              let fields =
+                List.filter_map
+                  (fun k -> Option.map (fun v -> (k, v)) (J.member k ev))
+                  [ "ph"; "name"; "cat"; "ts"; "dur"; "args" ]
+              in
+              Some (track, J.to_string (J.Obj fields))
+          | _ -> None)
+        evs
+    in
+    ( List.sort compare spans,
+      List.sort compare (Hashtbl.fold (fun _ n acc -> n :: acc) threads []) )
+  in
+  let batch_spans, batch_threads =
+    spans_and_threads (records (Export.chrome_string c))
+  and streamed_spans, streamed_threads =
+    spans_and_threads (records (Buffer.contents buf))
+  in
+  Alcotest.(check bool) "run recorded spans" true (batch_spans <> []);
+  Alcotest.(check (list (pair string string)))
+    "same span records on the same tracks" batch_spans streamed_spans;
+  Alcotest.(check (list string))
+    "streamed tracks are exactly the tracks spans landed on"
+    (List.sort_uniq compare (List.map fst batch_spans))
+    streamed_threads;
+  List.iter
+    (fun n ->
+      if not (List.mem n batch_threads) then
+        Alcotest.failf "streamed track %s missing from the batch trace" n)
+    streamed_threads
+
 let suite =
   [
     Alcotest.test_case "histogram: empty summary" `Quick test_histogram_empty;
@@ -383,13 +504,15 @@ let suite =
       test_histogram_single_bucket;
     Alcotest.test_case "histogram: clamped samples" `Quick
       test_histogram_clamped;
-    Alcotest.test_case "engine ring: span-event wraparound" `Quick
-      test_ring_wraparound;
     Alcotest.test_case "span: nesting and parents" `Quick test_span_nesting;
     Alcotest.test_case "span: orphan and forced closes" `Quick
       test_span_orphan_and_forced;
     Alcotest.test_case "span: per-core scopes" `Quick test_span_scopes;
     Alcotest.test_case "span: acquire predicate" `Quick test_acquire_spans;
+    Alcotest.test_case "span: observer retains nothing" `Quick
+      test_span_observer;
+    Alcotest.test_case "span: finalize visits scopes sorted" `Quick
+      test_span_finalize_sorted;
     Alcotest.test_case "chrome: structure" `Quick test_chrome_structure;
     Alcotest.test_case "chrome: full hierarchy" `Quick
       test_span_hierarchy_end_to_end;
@@ -397,10 +520,8 @@ let suite =
     Alcotest.test_case "collector: timing neutral" `Quick
       test_collector_timing_neutral;
     Alcotest.test_case "report: renders tables" `Quick test_report_renders;
-    Alcotest.test_case "ring: dropped events reported" `Quick
-      test_dropped_events_reported;
-    Alcotest.test_case "ring: no marker when clean" `Quick
-      test_dropped_events_absent_when_clean;
+    Alcotest.test_case "chrome: no dropped_events marker" `Quick
+      test_no_dropped_events_marker;
     Alcotest.test_case "streaming: valid and paired" `Quick
       test_streaming_valid_and_paired;
     Alcotest.test_case "streaming: deterministic" `Quick
@@ -409,4 +530,6 @@ let suite =
       test_streaming_timing_neutral;
     Alcotest.test_case "streaming: finish idempotent" `Quick
       test_streaming_finish_idempotent;
+    Alcotest.test_case "chrome: batch and streaming agree" `Quick
+      test_batch_and_streaming_agree;
   ]
