@@ -129,18 +129,46 @@ let model_term =
     & opt (conv (parse, print)) Gem_dnn.Model_zoo.resnet50
     & info [ "model" ] ~doc:"DNN to run (resnet50, alexnet, squeezenet1.1, mobilenetv2, bert-base-seq128).")
 
-(* Counts and divisors that must be at least 1: a zero or negative value
-   is a usage error at parse time, not an exception deep in the run. *)
-let pos_int =
+(* Counts, divisors and job counts have a floor: a value below it is a
+   usage error at parse time, not an exception deep in the run. *)
+let int_at_least lo ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let pos_int = int_at_least 1 ~what:"positive"
+let non_neg_int = int_at_least 0 ~what:"non-negative"
+
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0. && p <= 1. -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let scale_term =
   Arg.(value & opt pos_int 1 & info [ "scale" ] ~doc:"Channel-scale divisor for faster runs.")
+
+let cores_term =
+  Arg.(
+    value & opt pos_int 1
+    & info [ "cores" ]
+        ~doc:
+          "Accelerator cores; with more than one, every core runs the \
+           model in parallel.")
+
+let jobs_term =
+  Arg.(
+    value & opt non_neg_int 1
+    & info [ "jobs"; "j" ]
+        ~doc:
+          "Simulation worker domains. 1 (the default) runs serially; 0 \
+           uses the machine's recommended domain count. Results are \
+           ordered by point, so any job count produces identical output.")
 
 (* --- subcommands --------------------------------------------------------------- *)
 
@@ -202,7 +230,7 @@ let policy_conv =
 
 let run_cmd =
   let run p backend model scale im2col_on_accel profile inject_seed inject_rate
-      policy watchdog cores domains trace_out trace_format checkpoint_every
+      policy watchdog cores trace_out trace_format checkpoint_every
       checkpoint_out restore max_replays self_profile metrics_out =
     let model = Gem_dnn.Model_zoo.scale_model ~factor:scale model in
     let core_cfg = { Soc_config.default_core with accel = p } in
@@ -335,7 +363,7 @@ let run_cmd =
       else None
     in
     let rq =
-      Gem_sw.Backend.request ~policy ?watchdog ~domains ~config
+      Gem_sw.Backend.request ~policy ?watchdog ~config
         (Array.init cores (fun _ -> (model, mode)))
     in
     let results = Gem_sw.Backend_cycle.run_on soc rq in
@@ -392,7 +420,7 @@ let run_cmd =
   in
   let inject_rate =
     Arg.(
-      value & opt float 0.01
+      value & opt probability 0.01
       & info [ "inject-rate" ]
           ~doc:"Per-event fault probability when injection is armed.")
   in
@@ -405,23 +433,6 @@ let run_cmd =
     Arg.(
       value & opt (some int) None
       & info [ "watchdog" ] ~doc:"Max cycles any single layer may spend.")
-  in
-  let cores =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "cores" ]
-          ~doc:
-            "Accelerator cores; with more than one, every core runs the \
-             model in parallel and outputs are labeled per core.")
-  in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ]
-          ~doc:
-            "Host OCaml Domains driving a multi-core simulation (cycle \
-             backend). Cycle counts are byte-identical at any value; \
-             more than one only changes wall-clock time.")
   in
   let trace_out =
     Arg.(
@@ -475,7 +486,7 @@ let run_cmd =
     Term.(
       const run $ params_term $ backend_term $ model_term $ scale_term
       $ im2col $ profile $ inject_seed $ inject_rate $ policy $ watchdog
-      $ cores $ domains $ trace_out $ trace_format $ checkpoint_every
+      $ cores_term $ trace_out $ trace_format $ checkpoint_every
       $ checkpoint_out $ restore $ max_replays $ self_profile_term
       $ metrics_out_term)
 
@@ -521,11 +532,6 @@ let profile_cmd =
         Profile.write_file ~total_s file;
         Printf.eprintf "[profile] wrote %s\n%!" file
   in
-  let cores =
-    Arg.(
-      value & opt int 1
-      & info [ "cores" ] ~doc:"Accelerator cores running the model in parallel.")
-  in
   let out =
     Arg.(
       value
@@ -541,7 +547,7 @@ let profile_cmd =
           and allocation per engine phase; simulated cycles unaffected).")
     Term.(
       const run $ params_term $ backend_term $ model_term $ scale_term
-      $ cores $ out)
+      $ cores_term $ out)
 
 let sweep_cmd =
   let run model scale backend jobs cache_dir no_cache out journal resume
@@ -620,15 +626,6 @@ let sweep_cmd =
           rr.Gem_dse.Exec.results;
         Gem_util.Table.print t
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ]
-          ~doc:
-            "Simulation worker domains. 1 (the default) runs serially; 0 \
-             uses the machine's recommended domain count. Results are \
-             ordered by point, so any job count produces identical output.")
-  in
   let cache_dir =
     Arg.(
       value & opt string "_dse_cache"
@@ -695,7 +692,7 @@ let sweep_cmd =
          "Sweep spatial-array sizes for a workload (parallel, cached, \
           crash-safe: see --jobs, --cache-dir and --journal).")
     Term.(
-      const run $ model_term $ scale_term $ backend_term $ jobs $ cache_dir
+      const run $ model_term $ scale_term $ backend_term $ jobs_term $ cache_dir
       $ no_cache $ out $ journal $ resume $ retries $ backoff_ms $ deadline
       $ self_profile_term $ metrics_out_term)
 
@@ -889,7 +886,7 @@ let experiment_cmd =
 
 let serve_cmd =
   let module Serve = Gem_serve.Serve in
-  let run p model scale backend cores_list domains arrival seed batch slos
+  let run p model scale backend cores_list arrival seed batch slos
       duration no_warmup out trace_out warm warm_out rates jobs self_profile
       metrics_out =
     let name = model.Gem_dnn.Layer.model_name in
@@ -933,7 +930,7 @@ let serve_cmd =
               | Some file ->
                   (* Streaming writer: events land on disk as they
                      retire, so long serving runs trace in constant
-                     memory instead of filling the bounded ring. *)
+                     memory. *)
                   Some
                     (fun soc ->
                       stream :=
@@ -955,7 +952,7 @@ let serve_cmd =
         let result =
           with_self_profile self_profile (fun () ->
               try
-                Serve.run ?attach ?warm_in:warm ?warm_out ~domains
+                Serve.run ?attach ?warm_in:warm ?warm_out
                   (scenario_for ~cores ~arrival)
               with Invalid_argument msg ->
                 Printf.eprintf "[serve] %s\n%!" msg;
@@ -1044,14 +1041,6 @@ let serve_cmd =
              scenario; a comma-separated list becomes a sweep axis with \
              --rates.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ]
-          ~doc:
-            "Host OCaml Domains driving the simulation (cycle backend, \
-             single scenario). Reports are byte-identical at any value.")
-  in
   let arrival =
     Arg.(
       value
@@ -1138,14 +1127,6 @@ let serve_cmd =
              comma-separated) x --cores through the DSE executor and \
              print a throughput-vs-latency CSV.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ]
-          ~doc:
-            "Worker domains for --rates curves; any value prints \
-             identical bytes.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1153,8 +1134,8 @@ let serve_cmd =
           (latency percentiles, SLO attainment, throughput curves).")
     Term.(
       const run $ params_term $ model_term $ scale_term $ backend_term
-      $ cores $ domains $ arrival $ seed $ batch $ slos $ duration
-      $ no_warmup $ out $ trace_out $ warm $ warm_out $ rates $ jobs
+      $ cores $ arrival $ seed $ batch $ slos $ duration
+      $ no_warmup $ out $ trace_out $ warm $ warm_out $ rates $ jobs_term
       $ self_profile_term $ metrics_out_term)
 
 let () =

@@ -801,19 +801,22 @@ let rec execute_with t ~issue_cost ~count_insn (cmd : Isa.t) =
   else t.s.loop_micro_ops <- t.s.loop_micro_ops + 1;
   (* Span opens at dispatch, closes at the retire high-water mark the
      command reaches — so a span covers queueing as well as service.
-     LOOP_WS micro-ops fold into the parent LOOP_WS span. *)
-  let span = count_insn && Engine.live t.engine && spanned cmd in
+     LOOP_WS micro-ops fold into the parent LOOP_WS span. A quiet run
+     keeps the same [cmd_finish] and clock as an observed one. *)
+  let span = count_insn && spanned cmd in
   if span then begin
     t.cmd_finish <- t.issue;
-    Engine.emit t.engine
-      (Engine.Span_open
-         {
-           component = span_track t cmd;
-           time = t.issue;
-           name = Isa.mnemonic cmd;
-           cat = "command";
-           args = span_args t cmd;
-         })
+    if Engine.live t.engine then
+      Engine.emit t.engine
+        (Engine.Span_open
+           {
+             component = span_track t cmd;
+             time = t.issue;
+             name = Isa.mnemonic cmd;
+             cat = "command";
+             args = span_args t cmd;
+           })
+    else Engine.observe t.engine t.issue
   end;
   t.issue <- t.issue + issue_cost;
   (match cmd with
@@ -851,14 +854,14 @@ let rec execute_with t ~issue_cost ~count_insn (cmd : Isa.t) =
         ~execute_sub:(execute_with t ~issue_cost:1 ~count_insn:false)
   | Isa.Flush -> do_flush t
   | Isa.Fence -> do_fence t);
-  if span then
-    Engine.emit t.engine
-      (Engine.Span_close
-         {
-           component = span_track t cmd;
-           time = max t.issue t.cmd_finish;
-           name = Isa.mnemonic cmd;
-         })
+  if span then begin
+    let time = max t.issue t.cmd_finish in
+    if Engine.live t.engine then
+      Engine.emit t.engine
+        (Engine.Span_close
+           { component = span_track t cmd; time; name = Isa.mnemonic cmd })
+    else Engine.observe t.engine time
+  end
 
 let execute t cmd = execute_with t ~issue_cost:t.issue_cycles ~count_insn:true cmd
 

@@ -168,11 +168,13 @@ let burst_open t ~now ~name ~rows ~bytes =
            args =
              [ ("rows", string_of_int rows); ("bytes", string_of_int bytes) ];
          })
+  else Engine.observe t.engine now
 
 let burst_close t ~time ~name =
   if Engine.live t.engine then
     Engine.emit t.engine
       (Engine.Span_close { component = Resource.name t.bus; time; name })
+  else Engine.observe t.engine time
 
 let mvin t ~now ~vaddr ~stride_bytes ~rows ~row_bytes =
   if rows <= 0 || row_bytes <= 0 then invalid_arg "Dma.mvin: empty transfer";

@@ -113,7 +113,7 @@ and core_decide st i =
     end
   end
 
-let run ?(domains = 1) soc ~sessions ~arrivals ~policy =
+let run soc ~sessions ~arrivals ~policy =
   let cores = Array.length (Soc.cores soc) in
   if Array.length sessions <> cores then
     invalid_arg "Sched.run: need one session per core";
@@ -121,7 +121,7 @@ let run ?(domains = 1) soc ~sessions ~arrivals ~policy =
     { arrivals; policy; sessions; next = 0; completions = []; dispatches = [] }
   in
   let programs = Array.init cores (fun i -> core_stream st i) in
-  ignore (Soc.run_parallel ~domains soc programs);
+  ignore (Soc.run_parallel soc programs);
   {
     sc_completions = List.rev st.completions;
     sc_dispatches = List.rev st.dispatches;

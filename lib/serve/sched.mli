@@ -24,7 +24,6 @@ type result = {
 }
 
 val run :
-  ?domains:int ->
   Gem_soc.Soc.t ->
   sessions:Gem_sw.Runtime.session array ->
   arrivals:Arrival.request array ->
@@ -33,6 +32,5 @@ val run :
 (** [sessions] must hold one session per SoC core (index = core id);
     [arrivals] must be sorted by [rq_arrival] and carry {e absolute}
     cycles (already offset by the warm-start base, if any). Runs the SoC
-    until every request completes. [domains] is forwarded to
-    {!Gem_soc.Soc.run_parallel}; results are byte-identical at any
-    count. *)
+    until every request completes, one {!Gem_soc.Soc.run_parallel}
+    program per core. *)

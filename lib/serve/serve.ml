@@ -166,7 +166,7 @@ let check_warm_meta sv meta =
       "Gem_serve: warm-start envelope does not match this scenario \
        (model/scale/cores/mode)"
 
-let run_cycle ?hist ?attach ?warm_in ?warm_out ?(domains = 1) sv =
+let run_cycle ?hist ?attach ?warm_in ?warm_out sv =
   let model = resolve_model sv in
   let duration = Slo.cycles_of_ms sv.sv_duration_ms in
   let arrivals = Arrival.generate sv.sv_arrival ~seed:sv.sv_seed ~duration in
@@ -216,9 +216,7 @@ let run_cycle ?hist ?attach ?warm_in ?warm_out ?(domains = 1) sv =
       (fun r -> { r with Arrival.rq_arrival = r.Arrival.rq_arrival + base })
       arrivals
   in
-  let sched =
-    Sched.run ~domains soc ~sessions ~arrivals ~policy:sv.sv_batch
-  in
+  let sched = Sched.run soc ~sessions ~arrivals ~policy:sv.sv_batch in
   let horizon_abs = max 1 (Soc.finish_time soc) in
   let engine_stats = Gem_sim.Engine.stats (Soc.engine soc) in
   let comp_util =
@@ -253,10 +251,9 @@ let run_cycle ?hist ?attach ?warm_in ?warm_out ?(domains = 1) sv =
     sr_comp_p95 = comp_p95;
   }
 
-let run ?hist ?attach ?warm_in ?warm_out ?domains sv =
+let run ?hist ?attach ?warm_in ?warm_out ?domains:_ sv =
   match sv.sv_backend with
-  | Gem_sw.Backend.Cycle ->
-      run_cycle ?hist ?attach ?warm_in ?warm_out ?domains sv
+  | Gem_sw.Backend.Cycle -> run_cycle ?hist ?attach ?warm_in ?warm_out sv
   | Gem_sw.Backend.Analytic ->
       if warm_in <> None || warm_out <> None then
         invalid_arg "Gem_serve: warm start needs the cycle backend";

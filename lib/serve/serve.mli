@@ -73,7 +73,11 @@ val run :
     scenario instead of re-running the warmup, and the arrival timeline
     is rebased past the restored finish horizon. Raises
     [Invalid_argument] on an unknown model, a warm-envelope mismatch, or
-    warm flags on the analytic backend. *)
+    warm flags on the analytic backend.
+
+    [domains] is accepted and ignored: the SoC has one sequential
+    driver. Kept only because the frozen benchmark harness
+    ([perfbench/workloads.ml]) passes it. *)
 
 val register_metrics : Gem_obs.Metrics.t -> result -> unit
 (** Registers the run's serving metrics: headline figures

@@ -82,29 +82,21 @@ type entry = { e_name : string; e_kind : kind; e_impl : impl }
 type t = {
   mutable clock : Time.cycles;
   mutable entries : entry list; (* reversed registration order *)
-  mutable next_res_id : int; (* dense ids handed to owned resources *)
   name_counts : (string, int) Hashtbl.t;
   mutable sinks : (event -> unit) list;
   fault_counts : (string, int) Hashtbl.t; (* component name -> traps *)
   mutable total_faults : int;
-  (* Parallel-section clock: length 0 outside a parallel section (clock
-     updates go straight to [clock]); inside one, every domain advances
-     only its own slot and the coordinator folds the maxima back into
-     [clock] at the barrier. *)
-  mutable par_slots : Time.cycles array;
-  trap_lock : Mutex.t; (* fault tally, reachable from worker domains *)
+  trap_lock : Mutex.t; (* fault tally *)
 }
 
 let create () =
   {
     clock = Time.zero;
     entries = [];
-    next_res_id = 0;
     name_counts = Hashtbl.create 16;
     sinks = [];
     fault_counts = Hashtbl.create 16;
     total_faults = 0;
-    par_slots = [||];
     trap_lock = Mutex.create ();
   }
 
@@ -124,8 +116,6 @@ let no_note () = ""
 let resource ?(note = no_note) t ~kind ~name =
   let name = unique_name t name in
   let res = Resource.create ~name in
-  Resource.set_id res t.next_res_id;
-  t.next_res_id <- t.next_res_id + 1;
   t.entries <- { e_name = name; e_kind = kind; e_impl = Owned { res; note } } :: t.entries;
   res
 
@@ -140,33 +130,7 @@ let components t =
 
 let now t = t.clock
 
-(* Which parallel-clock slot the calling domain advances. The coordinator
-   keeps the default slot 0; worker domains are pinned to their own slot
-   by [set_domain_slot] right after spawn. *)
-let slot_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-let set_domain_slot i = Domain.DLS.set slot_key i
-
-let observe t time =
-  let slots = t.par_slots in
-  if Array.length slots = 0 then begin
-    if time > t.clock then t.clock <- time
-  end
-  else begin
-    let s = Domain.DLS.get slot_key in
-    if time > Array.unsafe_get slots s then Array.unsafe_set slots s time
-  end
-
-let enter_parallel t ~slots =
-  if slots <= 0 then invalid_arg "Engine.enter_parallel: slots <= 0";
-  if Array.length t.par_slots <> 0 then
-    invalid_arg "Engine.enter_parallel: already parallel";
-  t.par_slots <- Array.make slots t.clock
-
-let exit_parallel t =
-  let slots = t.par_slots in
-  t.par_slots <- [||];
-  Array.iter (fun c -> if c > t.clock then t.clock <- c) slots
+let observe t time = if time > t.clock then t.clock <- time
 
 let live t = match t.sinks with [] -> false | _ :: _ -> true
 let add_sink t f = t.sinks <- t.sinks @ [ f ]
@@ -219,9 +183,8 @@ let faults t ~component =
 let total_faults t = t.total_faults
 
 let trap t (fault : Fault.t) =
-  (* The tally is cold (one lock per trap, not per event) but must be
-     domain-safe: worker domains report Degrade/validate faults while the
-     coordinator may be tallying its own. *)
+  (* The tally is cold (one lock per trap, not per event), so it stays
+     domain-safe at no cost to the hot path. *)
   Mutex.lock t.trap_lock;
   Hashtbl.replace t.fault_counts fault.Fault.component
     (faults t ~component:fault.Fault.component + 1);

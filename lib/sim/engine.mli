@@ -135,29 +135,11 @@ val now : t -> Time.cycles
 (** High-water mark of simulated time observed by the engine. *)
 
 val observe : t -> Time.cycles -> unit
-(** Advances the clock to [max (now t) time]. Inside a parallel section
-    (see {!enter_parallel}) the calling domain advances only its own
-    clock slot; the maxima are folded back into the clock at
-    {!exit_parallel}. *)
-
-(* --- parallel sections -------------------------------------------------- *)
-
-val enter_parallel : t -> slots:int -> unit
-(** Opens a parallel section with [slots] per-domain clock slots, each
-    seeded with the current clock. While open, {!observe} (and therefore
-    {!acquire}/{!occupy}) advances the calling domain's slot instead of
-    the shared clock, so worker domains never race on it. The engine
-    must be quiet ([live t = false]) — the caller guarantees no events
-    are emitted from workers. *)
-
-val exit_parallel : t -> unit
-(** Closes the section: folds every slot's high-water mark back into the
-    clock. Must be called from the coordinating domain after all workers
-    have joined. *)
-
-val set_domain_slot : int -> unit
-(** Pins the calling domain to clock slot [i] of the open parallel
-    section. The coordinating domain keeps the default slot 0. *)
+(** Advances the clock to [max (now t) time]. A component that builds an
+    event only when {!live} calls this with the event's time instead on
+    a quiet run (unless an earlier call already covered that time, as for
+    a transfer stamped with its own request time), so attaching a sink
+    never moves the clock. *)
 
 (* --- events ------------------------------------------------------------ *)
 

@@ -1,6 +1,5 @@
 type t = {
   name : string;
-  mutable id : int;
   mutable busy_until : Time.cycles;
   mutable busy_cycles : Time.cycles;
   mutable requests : int;
@@ -8,11 +7,9 @@ type t = {
 }
 
 let create ~name =
-  { name; id = -1; busy_until = 0; busy_cycles = 0; requests = 0; wait_cycles = 0 }
+  { name; busy_until = 0; busy_cycles = 0; requests = 0; wait_cycles = 0 }
 
 let name t = t.name
-let id t = t.id
-let set_id t id = t.id <- id
 
 let acquire t ~now ~occupancy =
   if occupancy < 0 then invalid_arg "Resource.acquire: negative occupancy";

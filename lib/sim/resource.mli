@@ -13,15 +13,6 @@ val create : name:string -> t
 
 val name : t -> string
 
-val id : t -> int
-(** Dense integer id assigned at engine-registration time (-1 for a
-    free-standing resource). The hot path keys per-domain state by this
-    int instead of hashing the name. *)
-
-val set_id : t -> int -> unit
-(** Called once by {!Engine.resource} when the resource enters the
-    registry. *)
-
 val acquire : t -> now:Time.cycles -> occupancy:Time.cycles -> Time.cycles
 (** [acquire t ~now ~occupancy] reserves the resource and returns the
     completion time. Requires [occupancy >= 0]. A zero-occupancy request

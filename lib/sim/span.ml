@@ -188,7 +188,9 @@ let attach ?acquire_spans engine =
 let emit_open engine ~component ~time ?(cat = "span") ?(args = []) name =
   if Engine.live engine then
     Engine.emit engine (Engine.Span_open { component; time; name; cat; args })
+  else Engine.observe engine time
 
 let emit_close engine ~component ~time name =
   if Engine.live engine then
     Engine.emit engine (Engine.Span_close { component; time; name })
+  else Engine.observe engine time

@@ -3,8 +3,8 @@
     A span is a named interval of simulated time (begin/end cycle stamps)
     with a parent link and free-form attributes. Components open and close
     spans by emitting {!Engine.Span_open}/{!Engine.Span_close} events —
-    usually via {!emit_open}/{!emit_close}, which are no-ops unless the
-    engine is {!Engine.live} — and a recorder attached as an engine sink
+    usually via {!emit_open}/{!emit_close}, which only advance the clock
+    unless the engine is {!Engine.live} — and a recorder attached as an engine sink
     rebuilds the tree:
 
     {v network > layer > kernel > ISA command > resource acquisition v}
@@ -83,8 +83,8 @@ val emit_open :
   ?args:(string * string) list ->
   string ->
   unit
-(** Emits [Span_open] when the engine is {!Engine.live}; otherwise does
-    nothing. [cat] defaults to ["span"]. Call sites on hot paths should
+(** Emits [Span_open] when the engine is {!Engine.live}; otherwise only
+    advances the clock to [time] ({!Engine.observe}). [cat] defaults to ["span"]. Call sites on hot paths should
     additionally guard argument construction behind {!Engine.live}. *)
 
 val emit_close : Engine.t -> component:string -> time:Time.cycles -> string -> unit

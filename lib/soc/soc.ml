@@ -375,20 +375,6 @@ let exec_op_quiet c = function
   | Marker f -> f c
   | Guarded { run; op } -> run c op
 
-(* An op is private when executing it touches only its own core's state:
-   config/compute/preload instructions and the loop staging commands stay
-   inside the controller and scratchpad, and host work only advances the
-   core clock. Mvin/Mvout and the composite WS loop drive DMA through the
-   shared L2/DRAM (and the functional main memory); markers run arbitrary
-   host closures. Those must execute on the coordinator. *)
-let rec op_is_private = function
-  | Insn (Gemmini.Isa.Mvin _ | Gemmini.Isa.Mvout _ | Gemmini.Isa.Loop_ws _) ->
-      false
-  | Insn _ -> true
-  | Host_work _ -> true
-  | Marker _ -> false
-  | Guarded { op; run = _ } -> op_is_private op
-
 (* The per-op dispatch probe is the self-profiler's widest net: nested
    engine/DMA probes subtract themselves out, so "soc.dispatch" self
    time is pure dispatch overhead. The quiet path stays branch-only;
@@ -406,8 +392,10 @@ let run_program _t c program =
   Seq.iter (exec_op c) program;
   Gemmini.Controller.finish_time c.controller
 
-let run_sequential t programs =
+let run_parallel t programs =
   let n = Array.length programs in
+  if n > Array.length t.cores_arr then
+    invalid_arg "Soc.run_parallel: more programs than cores";
   (* Per-core stream cursors. *)
   let cursors = Array.map (fun s -> ref s) programs in
   let done_flags = Array.make n false in
@@ -438,261 +426,6 @@ let run_sequential t programs =
   Array.mapi
     (fun i _ -> Gemmini.Controller.finish_time (controller t.cores_arr.(i)))
     programs
-
-(* --- Domain-parallel driver -----------------------------------------------
-
-   Private ops execute on worker Domains; shared ops (DMA through the
-   L2/DRAM, markers, and forcing the lazy program streams themselves)
-   stay on the coordinator. Picks happen in exactly the sequential
-   driver's order, established conservatively:
-
-   - a core is either {e busy} (one op in flight on its worker) or
-     {e drained} (waiting to be picked). The sequential pick order is
-     lexicographic (now, index), encoded as the single int key
-     [now * n + index];
-   - a core's clock never decreases while an op executes, so a busy
-     core's next pick key is at least [bound * n + index], where [bound]
-     is its clock at dispatch time;
-   - hence the earliest drained core [j] may be picked iff its key is
-     strictly below every busy core's dispatch bound: the sequential
-     driver would pick [j] before any busy core could be picked again.
-     Otherwise the coordinator waits for a busy core to retire.
-
-   Overlapping a shared op with in-flight private ops is safe because
-   they touch disjoint state (shared L2/DRAM vs. a core's controller and
-   scratchpad) and the engine clock is kept in per-domain slots folded by
-   max at the end ({!Engine.enter_parallel}). Publication is
-   release/acquire through each mailbox's [m_state]: the coordinator
-   writes [m_op] then stores 1; the worker loads 1, runs the op, stores
-   0; the coordinator loads 0 and may again touch that core's state. *)
-
-type mailbox = {
-  mutable m_op : op; (* meaningful only while m_state = 1 *)
-  m_state : int Atomic.t; (* 0 = core idle, 1 = op in flight *)
-}
-
-(* An eventcount: waiters spin briefly, then publish [ga_sleeping] and
-   block on the condition. Wakers only take the mutex when a sleeper is
-   published, so the uncontended (true-multicore) handoff stays a pair
-   of atomic operations; on an oversubscribed host (fewer hardware
-   threads than Domains) blocking hands the CPU straight to the peer
-   instead of burning a scheduler quantum spinning. *)
-type gate = {
-  ga_mutex : Mutex.t;
-  ga_cond : Condition.t;
-  ga_sleeping : bool Atomic.t;
-}
-
-let make_gate () =
-  {
-    ga_mutex = Mutex.create ();
-    ga_cond = Condition.create ();
-    ga_sleeping = Atomic.make false;
-  }
-
-let gate_wake g =
-  if Atomic.get g.ga_sleeping then begin
-    Mutex.lock g.ga_mutex;
-    Condition.signal g.ga_cond;
-    Mutex.unlock g.ga_mutex
-  end
-
-(* Sleep unless [ready ()] already holds. Publishing [ga_sleeping] before
-   re-checking closes the lost-wakeup race: a waker that misses the flag
-   wrote its state before our re-check reads it (SC atomics), and one
-   that sees the flag signals under the mutex we hold until the wait.
-   Spurious wakeups are fine — every caller loops on its own predicate. *)
-let gate_sleep g ~ready =
-  Mutex.lock g.ga_mutex;
-  Atomic.set g.ga_sleeping true;
-  if not (ready ()) then Condition.wait g.ga_cond g.ga_mutex;
-  Atomic.set g.ga_sleeping false;
-  Mutex.unlock g.ga_mutex
-
-let spin_budget = 200
-
-let run_domains t programs ~domains =
-  let n = Array.length programs in
-  let workers = min (domains - 1) n in
-  let nop = Host_work { cycles = 0; tag = "idle" } in
-  let mailboxes =
-    Array.init n (fun _ -> { m_op = nop; m_state = Atomic.make 0 })
-  in
-  let exns : exn option array = Array.make n None in
-  let quit = Atomic.make false in
-  let wgates = Array.init workers (fun _ -> make_gate ()) in
-  let done_gate = make_gate () in
-  Engine.enter_parallel t.engine ~slots:(workers + 1);
-  (* Worker [w] owns cores [i] with [i mod workers = w]: at most one op
-     is in flight per core, so the owner is the only domain that touches
-     a busy core's state. *)
-  let worker w () =
-    Engine.set_domain_slot (w + 1);
-    let gate = wgates.(w) in
-    let pending () =
-      let p = ref false in
-      let i = ref w in
-      while !i < n do
-        if Atomic.get mailboxes.(!i).m_state = 1 then p := true;
-        i := !i + workers
-      done;
-      !p
-    in
-    let stop = ref false in
-    let idle = ref 0 in
-    while not !stop do
-      let progress = ref false in
-      let i = ref w in
-      while !i < n do
-        let mb = mailboxes.(!i) in
-        if Atomic.get mb.m_state = 1 then begin
-          (try exec_op t.cores_arr.(!i) mb.m_op
-           with e -> exns.(!i) <- Some e);
-          Atomic.set mb.m_state 0;
-          gate_wake done_gate;
-          progress := true
-        end;
-        i := !i + workers
-      done;
-      if !progress then idle := 0
-      else if Atomic.get quit then stop := true
-      else begin
-        incr idle;
-        if !idle < spin_budget then Domain.cpu_relax ()
-        else begin
-          idle := 0;
-          gate_sleep gate ~ready:(fun () -> pending () || Atomic.get quit)
-        end
-      end
-    done
-  in
-  let doms = Array.init workers (fun w -> Domain.spawn (worker w)) in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set quit true;
-      (* Unconditional broadcast: a worker between its sleeping-publish
-         and its wait re-checks [quit] under the mutex, so none can miss
-         the shutdown. *)
-      Array.iter
-        (fun g ->
-          Mutex.lock g.ga_mutex;
-          Condition.broadcast g.ga_cond;
-          Mutex.unlock g.ga_mutex)
-        wgates;
-      Array.iter Domain.join doms;
-      Engine.exit_parallel t.engine)
-    (fun () ->
-      Engine.set_domain_slot 0;
-      let cursors = Array.map (fun s -> ref s) programs in
-      let busy = Array.make n false in
-      let bound = Array.make n 0 in
-      let key_of i =
-        (Gemmini.Controller.now t.cores_arr.(i).controller * n) + i
-      in
-      let some_retired () =
-        let some = ref false in
-        for i = 0 to n - 1 do
-          if busy.(i) && Atomic.get mailboxes.(i).m_state = 0 then
-            some := true
-        done;
-        !some
-      in
-      (* Drained cores, keyed by pick order. Every drained period pushes
-         exactly one entry and pops it exactly once. *)
-      let ready = Heap.create () in
-      for i = 0 to n - 1 do
-        Heap.push ready ~key:(key_of i) i
-      done;
-      let finished = ref 0 in
-      let fatal = ref false in
-      let idle = ref 0 in
-      while !finished < n && not !fatal do
-        (* Retire completed ops: their cores become pickable again. *)
-        let reaped = ref false in
-        for i = 0 to n - 1 do
-          if busy.(i) && Atomic.get mailboxes.(i).m_state = 0 then begin
-            busy.(i) <- false;
-            if exns.(i) <> None then fatal := true
-            else Heap.push ready ~key:(key_of i) i;
-            reaped := true
-          end
-        done;
-        if not !fatal then begin
-          let safe key =
-            let ok = ref true in
-            for i = 0 to n - 1 do
-              if busy.(i) && (bound.(i) * n) + i <= key then ok := false
-            done;
-            !ok
-          in
-          match Heap.peek_key ready with
-          | Some key when safe key ->
-              idle := 0;
-              let j =
-                match Heap.pop ready with
-                | Some (_, j) -> j
-                | None -> assert false
-              in
-              (match !(cursors.(j)) () with
-              | Seq.Nil -> incr finished
-              | Seq.Cons (op, rest) ->
-                  cursors.(j) := rest;
-                  if op_is_private op then begin
-                    bound.(j) <-
-                      Gemmini.Controller.now t.cores_arr.(j).controller;
-                    busy.(j) <- true;
-                    mailboxes.(j).m_op <- op;
-                    Atomic.set mailboxes.(j).m_state 1;
-                    gate_wake wgates.(j mod workers)
-                  end
-                  else begin
-                    exec_op t.cores_arr.(j) op;
-                    Heap.push ready ~key:(key_of j) j
-                  end)
-          | _ ->
-              if !reaped then idle := 0
-              else begin
-                incr idle;
-                if !idle < spin_budget then Domain.cpu_relax ()
-                else begin
-                  idle := 0;
-                  (* Unsafe to pick while ops are in flight: wait for a
-                     retirement. The unsafe-pick state implies at least
-                     one busy core, so a wake-up is guaranteed. *)
-                  gate_sleep done_gate ~ready:some_retired
-                end
-              end
-        end
-      done;
-      if !fatal then begin
-        (* Wait for the remaining in-flight ops, then surface the first
-           worker exception in core order (matching the sequential
-           driver's deterministic abort for single-core programs; the
-           exact abort point with concurrent cores is documented as the
-           one divergence from the sequential schedule). *)
-        for i = 0 to n - 1 do
-          while busy.(i) && Atomic.get mailboxes.(i).m_state = 1 do
-            gate_sleep done_gate ~ready:(fun () ->
-                Atomic.get mailboxes.(i).m_state = 0)
-          done
-        done;
-        Array.iter (function Some e -> raise e | None -> ()) exns
-      end;
-      Array.mapi
-        (fun i _ ->
-          Gemmini.Controller.finish_time (controller t.cores_arr.(i)))
-        programs)
-
-let run_parallel ?(domains = 1) t programs =
-  let n = Array.length programs in
-  if n > Array.length t.cores_arr then
-    invalid_arg "Soc.run_parallel: more programs than cores";
-  (* Trace/event observers and the span collector are inherently
-     sequential consumers, and a single stream (or core) has nothing to
-     overlap: fall back to the reference driver. *)
-  if domains <= 1 || n <= 1 || Engine.live t.engine then
-    run_sequential t programs
-  else run_domains t programs ~domains
 
 let finish_time t =
   Array.fold_left

@@ -95,9 +95,7 @@ type op =
       (** [run core op] executes [op] wrapped in caller-supplied trap
           handling (the runtime's fault policies). One [run] handler is
           shared by every op it guards, so wrapping allocates no
-          per-op closure. Keeping the underlying [op] visible lets the
-          parallel driver classify the work as core-private or shared
-          without forcing the wrapper. *)
+          per-op closure. *)
 
 val exec_op : core -> op -> unit
 (** Executes one op on the core. Exposed so recovery layers (the
@@ -107,18 +105,13 @@ val exec_op : core -> op -> unit
 val run_program : t -> core -> op Seq.t -> Gem_sim.Time.cycles
 (** Runs a single core's program to completion; returns its finish time. *)
 
-val run_parallel : ?domains:int -> t -> op Seq.t array -> Gem_sim.Time.cycles array
-(** Runs one program per core, interleaved in simulated-time order (the
-    core whose issue cursor is earliest executes next), so shared-resource
-    contention is interleaving-accurate. Returns per-core finish times.
-
-    With [domains > 1] (default 1), core-private ops execute on up to
-    [domains - 1] worker Domains while shared ops stay on the
-    coordinator, scheduled so every simulated-time pick happens in
-    exactly the sequential order: cycle counts, metrics and snapshots
-    are byte-identical at any Domain count. Falls back to the sequential
-    driver for single-program runs and whenever the engine has trace
-    observers attached ({!Gem_sim.Engine.live}). *)
+val run_parallel : t -> op Seq.t array -> Gem_sim.Time.cycles array
+(** Runs one program per core, interleaved in simulated-time order: the
+    core whose issue cursor is earliest executes its next op, ties going
+    to the lowest core index. Shared-resource contention is therefore
+    interleaving-accurate, and every run is deterministic. Returns
+    per-core finish times. Raises [Invalid_argument] when there are more
+    programs than cores. *)
 
 val finish_time : t -> Gem_sim.Time.cycles
 (** Max finish time over cores. *)

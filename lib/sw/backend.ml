@@ -14,22 +14,17 @@ type request = {
   bq_jobs : (Gem_dnn.Layer.model * Lower.mode) array;
   bq_policy : Runtime.policy;
   bq_watchdog : int option;
-  bq_domains : int;
-      (* host Domains for the cycle backend's multi-core driver; the
-         analytic backend ignores it *)
 }
 
-let request ?(policy = Runtime.Abort) ?watchdog ?(domains = 1) ~config jobs =
+let request ?(policy = Runtime.Abort) ?watchdog ~config jobs =
   if Array.length jobs = 0 then invalid_arg "Backend.request: no jobs";
   if Array.length jobs > List.length config.Gem_soc.Soc_config.cores then
     invalid_arg "Backend.request: more jobs than cores";
-  if domains < 1 then invalid_arg "Backend.request: domains must be >= 1";
   {
     bq_config = config;
     bq_jobs = jobs;
     bq_policy = policy;
     bq_watchdog = watchdog;
-    bq_domains = domains;
   }
 
 module type S = sig

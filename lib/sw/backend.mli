@@ -18,21 +18,16 @@ type request = {
       (** one job per core, in core order *)
   bq_policy : Runtime.policy;
   bq_watchdog : int option;
-  bq_domains : int;
-      (** host Domains for the cycle backend's multi-core driver (results
-          are byte-identical at any count); the analytic backend ignores
-          it *)
 }
 
 val request :
   ?policy:Runtime.policy ->
   ?watchdog:int ->
-  ?domains:int ->
   config:Gem_soc.Soc_config.t ->
   (Gem_dnn.Layer.model * Lower.mode) array ->
   request
-(** Validates the job/core shape (at least one job, no more jobs than
-    cores) and [domains >= 1] (default 1). *)
+(** Validates the job/core shape: at least one job, and no more jobs
+    than cores. *)
 
 module type S = sig
   val kind : kind

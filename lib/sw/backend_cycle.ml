@@ -14,8 +14,7 @@ let run_on soc (rq : Backend.request) =
   | [| (model, mode) |] ->
       [| Runtime.run ~policy ?watchdog soc ~core:0 model ~mode |]
   | jobs ->
-      Runtime.run_parallel ~policy ?watchdog ~domains:rq.Backend.bq_domains
-        soc jobs
+      Runtime.run_parallel ~policy ?watchdog soc jobs
 
 let run (rq : Backend.request) =
   let soc = Soc.create rq.Backend.bq_config in

@@ -708,7 +708,7 @@ let run ?(policy = Abort) ?watchdog ?prepare ?(start_layer = 0) ?resume
   in
   make_result soc core_idx model mode !records total ~faults:guard.g_faults
 
-let run_parallel ?(policy = Abort) ?watchdog ?(domains = 1) soc jobs =
+let run_parallel ?(policy = Abort) ?watchdog soc jobs =
   let programs =
     Array.mapi
       (fun i (model, mode) ->
@@ -723,7 +723,7 @@ let run_parallel ?(policy = Abort) ?watchdog ?(domains = 1) soc jobs =
   in
   let finishes =
     try
-      Soc.run_parallel ~domains soc
+      Soc.run_parallel soc
         (Array.map (fun (_, _, ops) -> ops) programs)
     with Fault.Trap f ->
       (* Close the faulting core's open spans; the other cores' streams

@@ -152,15 +152,13 @@ val run :
 val run_parallel :
   ?policy:policy ->
   ?watchdog:int ->
-  ?domains:int ->
   Gem_soc.Soc.t ->
   (Gem_dnn.Layer.model * mode) array ->
   result array
 (** One inference per core, interleaved in simulated time (the Fig. 9
     dual-core experiments). Each core gets its own recovery state under
-    the shared [policy]. With [domains > 1], core-private work runs on
-    worker Domains ({!Gem_soc.Soc.run_parallel}); results are
-    byte-identical at any Domain count. *)
+    the shared [policy]. The cores are interleaved by
+    {!Gem_soc.Soc.run_parallel}. *)
 
 val cpu_only_cycles :
   Gem_cpu.Cpu_model.kind -> Gem_dnn.Layer.model -> Gem_sim.Time.cycles

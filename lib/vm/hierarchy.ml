@@ -132,6 +132,7 @@ let observe t now level =
     Engine.emit t.engine
       (Engine.Translate
          { component = t.name; time = now; level = level_label level })
+  else Engine.observe t.engine now
 
 let note_locality t ~vpn ~write =
   if write then begin

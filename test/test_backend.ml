@@ -45,6 +45,22 @@ let test_registry () =
     "kind_of_string rejects junk" true
     (Backend.kind_of_string "verilate" = None)
 
+let test_request_shape () =
+  (* The job/core shape is checked when the request is built, before any
+     backend runs: [profile --cores 0] reaches here with no jobs. *)
+  let job = (model ~scale:8 "alexnet", accel_mode) in
+  Alcotest.check_raises "no jobs" (Invalid_argument "Backend.request: no jobs")
+    (fun () -> ignore (Backend.request ~config:Soc_config.default [||]));
+  Alcotest.check_raises "more jobs than cores"
+    (Invalid_argument "Backend.request: more jobs than cores") (fun () ->
+      ignore (Backend.request ~config:Soc_config.default [| job; job |]));
+  let rq = Backend.request ~config:Soc_config.dual_core [| job; job |] in
+  Alcotest.(check int) "one job per core" 2 (Array.length rq.Backend.bq_jobs);
+  Alcotest.(check bool) "policy defaults to Abort" true
+    (rq.Backend.bq_policy = Runtime.Abort);
+  Alcotest.(check (option int)) "no watchdog by default" None
+    rq.Backend.bq_watchdog
+
 (* --- cycle backend = pre-seam runtime, byte-identical ------------------------ *)
 
 let test_cycle_byte_identity () =
@@ -240,6 +256,7 @@ let test_command_counts () =
 let suite =
   [
     Alcotest.test_case "registry: names and round-trip" `Quick test_registry;
+    Alcotest.test_case "request: job/core shape" `Quick test_request_shape;
     Alcotest.test_case "cycle backend: byte-identical to seed" `Slow
       test_cycle_byte_identity;
     Alcotest.test_case "conformance: identical layer walks" `Slow

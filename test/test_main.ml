@@ -16,7 +16,6 @@ let () =
       ("runtime", Test_runtime.suite);
       ("backend", Test_backend.suite);
       ("soc", Test_soc.suite);
-      ("parallel", Test_parallel.suite);
       ("loop_ws", Test_loop_ws.suite);
       ("fault", Test_fault.suite);
       ("persist", Test_persist.suite);

@@ -266,6 +266,14 @@ let test_sharding_analytic () =
   Alcotest.(check string) "byte-identical report" (Report.render r)
     (Report.render r2)
 
+let test_domains_ignored () =
+  (* [?domains] survives only for callers written against the old
+     Domain driver; the SoC has one sequential driver, so any value
+     leaves the report untouched. *)
+  Alcotest.(check string) "report at ~domains:4"
+    (Report.render (Serve.run tiny_scenario))
+    (Report.render (Serve.run ~domains:4 tiny_scenario))
+
 (* --- streamed request-level chrome traces -------------------------------- *)
 
 module Export = Gem_sim.Export
@@ -366,6 +374,8 @@ let suite =
     Alcotest.test_case "2-core sharding (cycle)" `Slow test_sharding_cycle;
     Alcotest.test_case "2-core sharding (analytic)" `Quick
       test_sharding_analytic;
+    Alcotest.test_case "2-core: ?domains is accepted and ignored" `Quick
+      test_domains_ignored;
     Alcotest.test_case "2-core trace: request spans well-nested" `Slow
       test_serve_trace_request_spans;
     Alcotest.test_case "2-core trace: deterministic" `Slow

@@ -137,73 +137,6 @@ let test_engine_events_and_sinks () =
   | [ s ] -> Alcotest.(check int) "reset clears resources" 1 s.Engine.stat_requests
   | _ -> Alcotest.fail "registry survives reset"
 
-(* --- Heap ------------------------------------------------------------------ *)
-
-let drain h =
-  let rec go acc =
-    match Heap.pop h with None -> List.rev acc | Some kv -> go (kv :: acc)
-  in
-  go []
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "fresh heap empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek on empty" None (Heap.peek_key h);
-  List.iter
-    (fun k -> Heap.push h ~key:k (10 * k))
-    [ 7; 3; 9; 1; 4; 8; 2; 6; 5; 0 ];
-  Alcotest.(check int) "size" 10 (Heap.size h);
-  Alcotest.(check (option int)) "peek is min" (Some 0) (Heap.peek_key h);
-  Alcotest.(check (list (pair int int))) "pops sorted by key"
-    (List.init 10 (fun k -> (k, 10 * k)))
-    (drain h);
-  Alcotest.(check bool) "drained" true (Heap.is_empty h)
-
-let test_heap_tie_stability () =
-  (* The multi-core driver breaks equal-time ties by insertion order;
-     equal keys must pop FIFO even across sift-up/down reshuffles. *)
-  let h = Heap.create () in
-  Heap.push h ~key:5 "a";
-  Heap.push h ~key:3 "x";
-  Heap.push h ~key:5 "b";
-  Heap.push h ~key:1 "y";
-  Heap.push h ~key:5 "c";
-  Alcotest.(check (list (pair int string))) "ties pop in insertion order"
-    [ (1, "y"); (3, "x"); (5, "a"); (5, "b"); (5, "c") ]
-    (drain h);
-  (* Stability must survive interleaved pops (the seq counter keeps
-     advancing; it is not reset by reaching empty). *)
-  Heap.push h ~key:2 "p";
-  Heap.push h ~key:2 "q";
-  Alcotest.(check (option (pair int string))) "reuse after drain"
-    (Some (2, "p")) (Heap.pop h);
-  Heap.push h ~key:2 "r";
-  Alcotest.(check (list (pair int string))) "FIFO across interleaved pops"
-    [ (2, "q"); (2, "r") ]
-    (drain h)
-
-let test_heap_grow_shrink () =
-  (* Push far past the initial capacity, drain to empty, and reuse: the
-     backing array growth must be invisible to ordering. *)
-  let h = Heap.create () in
-  for i = 99 downto 0 do
-    Heap.push h ~key:i i
-  done;
-  Alcotest.(check int) "grew past initial capacity" 100 (Heap.size h);
-  Alcotest.(check (list (pair int int))) "descending inserts pop ascending"
-    (List.init 100 (fun i -> (i, i)))
-    (drain h);
-  (* Shrink back to empty and round-trip again across the old boundary. *)
-  for round = 1 to 3 do
-    for i = 0 to 20 do
-      Heap.push h ~key:(i mod 4) (round * 100 + i)
-    done;
-    let keys = List.map fst (drain h) in
-    Alcotest.(check (list int)) "reused heap still sorted"
-      (List.sort compare keys) keys;
-    Alcotest.(check bool) "empty again" true (Heap.is_empty h)
-  done
-
 (* --- allocation-free quiet hot path ----------------------------------------
 
    The flattened hot path promises zero per-event heap allocation while no
@@ -416,10 +349,6 @@ let suite =
       test_engine_clock_and_stats;
     Alcotest.test_case "engine: events and sinks" `Quick
       test_engine_events_and_sinks;
-    Alcotest.test_case "heap: ordering" `Quick test_heap_ordering;
-    Alcotest.test_case "heap: same-key insertion order" `Quick
-      test_heap_tie_stability;
-    Alcotest.test_case "heap: grow, drain, reuse" `Quick test_heap_grow_shrink;
     Alcotest.test_case "alloc measure counts minor and major heaps" `Quick
       test_measure_alloc_counts_both_heaps;
     Alcotest.test_case "alloc-free: Resource.acquire" `Quick

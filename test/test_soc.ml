@@ -1,10 +1,13 @@
 (* gem_soc + controller integration: allocation, host access, fences,
-   multi-core interleaving and contention. *)
+   multi-core interleaving and contention, the interleaver's schedule,
+   and its invariance under observation and checkpoint/restore. *)
 
 module Soc = Gem_soc.Soc
 module Soc_config = Gem_soc.Soc_config
 module Runtime = Gem_sw.Runtime
 module Kernels = Gem_sw.Kernels
+module Engine = Gem_sim.Engine
+module Jsonx = Gem_util.Jsonx
 
 let small_model = Gem_dnn.Model_zoo.(scale_model ~factor:8 squeezenet)
 let mode = Runtime.Accel { im2col_on_accel = true }
@@ -107,6 +110,198 @@ let test_determinism () =
   in
   Alcotest.(check (pair int int)) "dual-core sim is deterministic" (run ()) (run ())
 
+(* --- the interleaver --------------------------------------------------------
+
+   [Soc.run_parallel] is the SoC's only multi-core driver: the live core
+   whose issue cursor is earliest runs its next op, ties going to the
+   lowest core index. Host work advances only its own core's cursor and
+   markers cost nothing, so programs built from the two pin the schedule
+   exactly. *)
+
+let cores_config n =
+  Soc_config.with_cores
+    (List.init n (fun _ -> Soc_config.default_core))
+    Soc_config.default
+
+(* Runs [programs] (lists of [`Work n] / [`Mark]) and returns the
+   markers' (core, cursor) log in execution order plus the finish times. *)
+let interleave ?(cores = 2) programs =
+  let soc = Soc.create (cores_config cores) in
+  let log = ref [] in
+  let to_op i = function
+    | `Work cycles -> Soc.Host_work { cycles; tag = "work" }
+    | `Mark ->
+        Soc.Marker
+          (fun c ->
+            log := (i, Gemmini.Controller.now (Soc.controller c)) :: !log)
+  in
+  let finish =
+    Soc.run_parallel soc
+      (Array.mapi (fun i p -> List.to_seq (List.map (to_op i) p)) programs)
+  in
+  (List.rev !log, Array.to_list finish, soc)
+
+let log_t = Alcotest.(list (pair int int))
+
+let test_interleave_earliest_first () =
+  let log, finish, _ =
+    interleave
+      [|
+        [ `Work 10; `Mark; `Work 10; `Mark; `Work 10; `Mark ];
+        [ `Work 15; `Mark; `Work 15; `Mark ];
+      |]
+  in
+  Alcotest.check log_t "earliest cursor runs next"
+    [ (0, 10); (1, 15); (0, 20); (0, 30); (1, 30) ]
+    log;
+  Alcotest.(check (list int)) "per-core finish times" [ 30; 30 ] finish
+
+let test_interleave_ties () =
+  let prog = [ `Mark; `Work 5; `Mark; `Work 5; `Mark ] in
+  let log, finish, _ = interleave ~cores:3 [| prog; prog; prog |] in
+  Alcotest.check log_t "equal cursors go in core order"
+    [
+      (0, 0); (1, 0); (2, 0);
+      (0, 5); (1, 5); (2, 5);
+      (0, 10); (1, 10); (2, 10);
+    ]
+    log;
+  Alcotest.(check (list int)) "per-core finish times" [ 10; 10; 10 ] finish
+
+let test_interleave_empty_program () =
+  (* A core with nothing to run retires at once and never blocks the
+     others, even though its cursor stays earliest. *)
+  let log, finish, _ = interleave [| []; [ `Work 7; `Mark; `Work 3; `Mark ] |] in
+  Alcotest.check log_t "busy core runs alone" [ (1, 7); (1, 10) ] log;
+  Alcotest.(check (list int)) "idle core finishes at zero" [ 0; 10 ] finish
+
+let test_interleave_shape () =
+  let _, finish, soc = interleave [| [ `Work 4 ] |] in
+  Alcotest.(check (list int)) "one program on a dual-core SoC" [ 4 ] finish;
+  Alcotest.(check int) "the unused core never moves" 0
+    (Gemmini.Controller.now (Soc.controller (Soc.core soc 1)));
+  let _, finish, _ = interleave [||] in
+  Alcotest.(check (list int)) "no programs, no finish times" [] finish;
+  Alcotest.check_raises "more programs than cores"
+    (Invalid_argument "Soc.run_parallel: more programs than cores")
+    (fun () -> ignore (interleave [| []; []; [] |]))
+
+(* --- multi-core invariance --------------------------------------------------
+
+   Everything observable about a finished multi-core run: per-core cycle
+   counts, the rendered engine utilization table (requests/busy/wait for
+   every component) and the full SoC snapshot (controllers, caches, TLBs,
+   page tables, injection cursors). Neighbouring cores alternate im2col
+   placement so they run asymmetric programs and an interleaving bug
+   cannot hide behind symmetry. *)
+
+let squeezenet16 = Gem_dnn.Model_zoo.(scale_model ~factor:16 squeezenet)
+let mobilenetv2_32 = Gem_dnn.Model_zoo.(scale_model ~factor:32 mobilenetv2)
+
+let jobs ?(cores = 2) model =
+  Array.init cores (fun i ->
+      (model, Runtime.Accel { im2col_on_accel = i mod 2 = 0 }))
+
+let fingerprint soc rs =
+  ( Array.to_list (Array.map (fun r -> r.Runtime.r_total_cycles) rs),
+    Gem_util.Table.render (Engine.utilization_table (Soc.engine soc) ()),
+    Jsonx.to_string (Soc.snapshot soc) )
+
+let check_fingerprint label (c0, p0, s0) (c1, p1, s1) =
+  Alcotest.(check (list int)) (label ^ ": cycle counts") c0 c1;
+  Alcotest.(check string) (label ^ ": utilization table") p0 p1;
+  Alcotest.(check string) (label ^ ": SoC snapshot") s0 s1
+
+(* One run, optionally with a counting sink attached (which makes the
+   engine live: every acquire builds and emits an event), under the
+   self-profiler (which wraps every op in probes), or with fault
+   injection armed (which covers the retry path). Returns the
+   fingerprint, the fault trace and the number of events the sink saw. *)
+let observed_run ?(cores = 2) ?(inject = false) ?(probed = false) ~sink model
+    =
+  let module P = Gem_obs.Profile in
+  let soc = Soc.create (cores_config cores) in
+  if inject then Soc.arm_injection soc ~seed:42 ~rate:0.0005;
+  let events = ref 0 in
+  if sink then Engine.add_sink (Soc.engine soc) (fun _ -> incr events);
+  if probed then P.enable ();
+  let rs =
+    Fun.protect
+      ~finally:(fun () ->
+        if probed then begin
+          P.disable ();
+          P.reset ()
+        end)
+      (fun () ->
+        Runtime.run_parallel ~policy:Runtime.Retry_map soc
+          (jobs ~cores model))
+  in
+  let faults =
+    Array.to_list rs
+    |> List.concat_map (fun r ->
+           List.map
+             (fun fr ->
+               fr.Runtime.fr_action ^ " "
+               ^ Gem_sim.Fault.to_string fr.Runtime.fr_fault)
+             r.Runtime.r_faults)
+  in
+  (fingerprint soc rs, faults, !events)
+
+let check_sink_invariance ?cores model name =
+  let label = Printf.sprintf "%s at %d cores" name (Option.value cores ~default:2) in
+  let quiet, _, quiet_events = observed_run ?cores ~sink:false model in
+  let observed, _, observed_events = observed_run ?cores ~sink:true model in
+  Alcotest.(check int) (label ^ ": quiet run emits nothing") 0 quiet_events;
+  Alcotest.(check bool) (label ^ ": sink saw events") true (observed_events > 0);
+  check_fingerprint (label ^ ": sink vs quiet") quiet observed
+
+let test_sink_invariance () =
+  let quiet, quiet_faults, quiet_events =
+    observed_run ~inject:true ~sink:false squeezenet16
+  in
+  let observed, observed_faults, observed_events =
+    observed_run ~inject:true ~sink:true squeezenet16
+  in
+  let probed, probed_faults, _ =
+    observed_run ~inject:true ~probed:true ~sink:false squeezenet16
+  in
+  Alcotest.(check int) "quiet run emits nothing" 0 quiet_events;
+  Alcotest.(check bool) "sink saw events" true (observed_events > 0);
+  Alcotest.(check bool) "injection fired" true (quiet_faults <> []);
+  check_fingerprint "sink vs quiet" quiet observed;
+  Alcotest.(check (list string)) "sink fault trace" quiet_faults observed_faults;
+  check_fingerprint "probed vs quiet" quiet probed;
+  Alcotest.(check (list string)) "probed fault trace" quiet_faults probed_faults
+
+let test_quad_core_sink_invariance () =
+  check_sink_invariance ~cores:4 squeezenet16 "squeezenet/16"
+
+let test_mobilenet_sink_invariance () =
+  List.iter
+    (fun cores -> check_sink_invariance ~cores mobilenetv2_32 "mobilenetv2/32")
+    [ 1; 2; 4 ]
+
+let check_restore_continuation ~cores =
+  (* Round 1 on one SoC, snapshot, round 2 on the same SoC; a fresh SoC
+     restored from the round-1 snapshot must finish round 2 identically. *)
+  let soc = Soc.create (cores_config cores) in
+  ignore (Runtime.run_parallel soc (jobs ~cores squeezenet16));
+  let snap = Soc.snapshot soc in
+  let continued =
+    fingerprint soc (Runtime.run_parallel soc (jobs ~cores mobilenetv2_32))
+  in
+  let fresh = Soc.create (cores_config cores) in
+  Soc.restore fresh snap;
+  Alcotest.(check string) "restore is lossless" (Jsonx.to_string snap)
+    (Jsonx.to_string (Soc.snapshot fresh));
+  let restored =
+    fingerprint fresh (Runtime.run_parallel fresh (jobs ~cores mobilenetv2_32))
+  in
+  check_fingerprint "restored round 2" continued restored
+
+let test_restore_continuation () = check_restore_continuation ~cores:2
+let test_quad_core_restore () = check_restore_continuation ~cores:4
+
 let test_cpu_model_sanity () =
   let open Gem_cpu.Cpu_model in
   Alcotest.(check bool) "boom beats rocket" true
@@ -129,5 +324,23 @@ let suite =
     Alcotest.test_case "dual-core contention" `Quick test_dual_core_contention;
     Alcotest.test_case "run_parallel == run for one core" `Quick test_parallel_single_equivalence;
     Alcotest.test_case "multi-core determinism" `Quick test_determinism;
+    Alcotest.test_case "interleave: earliest cursor runs next" `Quick
+      test_interleave_earliest_first;
+    Alcotest.test_case "interleave: ties go to the lowest core" `Quick
+      test_interleave_ties;
+    Alcotest.test_case "interleave: empty program retires at once" `Quick
+      test_interleave_empty_program;
+    Alcotest.test_case "interleave: program count vs cores" `Quick
+      test_interleave_shape;
+    Alcotest.test_case "dual-core: sink and probed runs equal quiet run" `Quick
+      test_sink_invariance;
+    Alcotest.test_case "quad-core: sink run equals quiet run" `Quick
+      test_quad_core_sink_invariance;
+    Alcotest.test_case "mobilenetv2: sink run equals quiet at 1/2/4 cores"
+      `Quick test_mobilenet_sink_invariance;
+    Alcotest.test_case "dual-core: restored round 2 equals continued" `Quick
+      test_restore_continuation;
+    Alcotest.test_case "quad-core: restored round 2 equals continued" `Quick
+      test_quad_core_restore;
     Alcotest.test_case "CPU cost model sanity" `Quick test_cpu_model_sanity;
   ]
