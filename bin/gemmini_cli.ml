@@ -170,6 +170,12 @@ let jobs_term =
            uses the machine's recommended domain count. Results are \
            ordered by point, so any job count produces identical output.")
 
+let trace_out_term ~doc =
+  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+
+let seed_term ~default ~doc =
+  Arg.(value & opt int default & info [ "seed" ] ~doc)
+
 (* --- subcommands --------------------------------------------------------------- *)
 
 let describe_cmd =
@@ -355,7 +361,7 @@ let run_cmd =
     (match inject_seed with
     | Some seed -> Soc.arm_injection soc ~seed ~rate:inject_rate
     | None -> ());
-    (* The trace collector doubles as the profile's latency source; it
+    (* The trace collector doubles as the profile's layer breakdown; it
        never perturbs simulated timing. *)
     let collector =
       if trace_out <> None || profile then
@@ -435,10 +441,7 @@ let run_cmd =
       & info [ "watchdog" ] ~doc:"Max cycles any single layer may spend.")
   in
   let trace_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Write an execution trace of the run to $(docv).")
+    trace_out_term ~doc:"Write an execution trace of the run to $(docv)."
   in
   let trace_format =
     let fmt = Arg.enum [ ("chrome", `Chrome); ("report", `Report) ] in
@@ -756,7 +759,7 @@ let fuzz_cmd =
       if !failures > 0 then exit 1
     end
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"First case seed; case $(i) uses seed + i.") in
+  let seed = seed_term ~default:1 ~doc:"First case seed; case $(i) uses seed + i." in
   let count = Arg.(value & opt int 100 & info [ "count" ] ~doc:"Cases to run (self-test: per-mutation budget).") in
   let shrink = Arg.(value & flag & info [ "shrink" ] ~doc:"Minimize each failing program (ddmin) and print it.") in
   let self_test =
@@ -1052,10 +1055,8 @@ let serve_cmd =
              per second at 1 GHz.")
   in
   let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ]
-          ~doc:"Arrival-stream seed; equal seeds give byte-identical runs.")
+    seed_term ~default:42
+      ~doc:"Arrival-stream seed; equal seeds give byte-identical runs."
   in
   let batch =
     Arg.(
@@ -1095,12 +1096,10 @@ let serve_cmd =
       & info [ "out" ] ~doc:"Single-scenario output: report (default) or csv.")
   in
   let trace_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace of the serving run (request > network > \
-             layer spans) to $(docv). Cycle backend only.")
+    trace_out_term
+      ~doc:
+        "Write a Chrome trace of the serving run (request > network > \
+         layer spans) to $(docv). Cycle backend only."
   in
   let warm =
     Arg.(

@@ -176,9 +176,6 @@ let evaluate (p : Point.t) : Outcome.t =
     | Gem_sw.Backend.Analytic -> evaluate_analytic p base model
     | Gem_sw.Backend.Cycle ->
     let soc = Soc.create p.Point.soc in
-    (* Histograms and series only — span recording would churn memory for
-       hundreds of thousands of spans per point with no reader. *)
-    let collector = Gem_sim.Export.attach ~spans:false (Soc.engine soc) in
     let hierarchy = Soc.tlb (Soc.core soc 0) in
     let series =
       Option.map
@@ -207,26 +204,8 @@ let evaluate (p : Point.t) : Outcome.t =
     let total =
       Array.fold_left (fun acc r -> max acc r.Runtime.r_total_cycles) 0 results
     in
-    let engine_stats = Gem_sim.Engine.stats (Soc.engine soc) in
-    let comp_util =
-      let horizon = float_of_int (max 1 total) in
-      List.map
-        (fun (s : Gem_sim.Engine.stat) ->
-          ( s.Gem_sim.Engine.stat_name,
-            float_of_int s.Gem_sim.Engine.stat_busy /. horizon ))
-        engine_stats
-    in
-    let comp_wait =
-      List.map
-        (fun (s : Gem_sim.Engine.stat) ->
-          (s.Gem_sim.Engine.stat_name, s.Gem_sim.Engine.stat_wait))
-        engine_stats
-    in
-    let comp_p95_lat =
-      List.map
-        (fun (name, _, (s : Gem_util.Stats.Histogram.summary)) ->
-          (name, s.Gem_util.Stats.Histogram.p95))
-        (Gem_sim.Export.latency collector)
+    let comp_util, comp_wait, comp_p95_lat =
+      Gem_sim.Engine.component_summary (Soc.engine soc) ~horizon:total
     in
     let class_cycles =
       List.map

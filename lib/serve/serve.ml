@@ -172,10 +172,8 @@ let run_cycle ?hist ?attach ?warm_in ?warm_out sv =
   let arrivals = Arrival.generate sv.sv_arrival ~seed:sv.sv_seed ~duration in
   let ncores = cores sv in
   let soc = Soc.create sv.sv_soc in
-  (* Internal collector: queue-latency histograms only. An extra span-
-     recording collector (Chrome trace) rides in via [attach]; neither
-     perturbs simulated timing. *)
-  let collector = Gem_sim.Export.attach ~spans:false (Soc.engine soc) in
+  (* The engine keeps every figure the result reports, so the run stays
+     quiet unless [attach] adds a sink, which never perturbs timing. *)
   Option.iter (fun f -> f soc) attach;
   (* Tensor allocation is deterministic, so sessions made on the fresh
      SoC compute the same addresses a warm snapshot was taken over;
@@ -217,27 +215,9 @@ let run_cycle ?hist ?attach ?warm_in ?warm_out sv =
       arrivals
   in
   let sched = Sched.run soc ~sessions ~arrivals ~policy:sv.sv_batch in
-  let horizon_abs = max 1 (Soc.finish_time soc) in
-  let engine_stats = Gem_sim.Engine.stats (Soc.engine soc) in
-  let comp_util =
-    List.map
-      (fun (s : Gem_sim.Engine.stat) ->
-        ( s.Gem_sim.Engine.stat_name,
-          float_of_int s.Gem_sim.Engine.stat_busy /. float_of_int horizon_abs
-        ))
-      engine_stats
-  in
-  let comp_wait =
-    List.map
-      (fun (s : Gem_sim.Engine.stat) ->
-        (s.Gem_sim.Engine.stat_name, s.Gem_sim.Engine.stat_wait))
-      engine_stats
-  in
-  let comp_p95 =
-    List.map
-      (fun (name, _, (s : Gem_util.Stats.Histogram.summary)) ->
-        (name, s.Gem_util.Stats.Histogram.p95))
-      (Gem_sim.Export.latency collector)
+  let comp_util, comp_wait, comp_p95 =
+    Gem_sim.Engine.component_summary (Soc.engine soc)
+      ~horizon:(Soc.finish_time soc)
   in
   {
     sr_scenario = sv;

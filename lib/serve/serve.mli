@@ -64,8 +64,8 @@ val run :
   result
 (** Runs the scenario. [hist] is passed to {!Slo.analyze} (reset and
     reused). [attach] runs after SoC creation and before any simulation —
-    the hook for an extra {!Gem_sim.Export} collector when a Chrome trace
-    is wanted; cycle backend only.
+    the hook for a sink (a Chrome trace); cycle backend only. Without it
+    the run is quiet: {!Gem_sim.Engine.live} stays false.
 
     Warm start (cycle backend only): [warm_out] saves a
     {!Gem_persist.Persist} envelope of the post-warmup SoC snapshot;

@@ -230,6 +230,26 @@ let stat_of_entry t e =
 
 let stats t = List.rev_map (stat_of_entry t) t.entries
 
+module H = Gem_util.Stats.Histogram
+
+let latency t =
+  List.fold_left
+    (fun acc e ->
+      match e.e_impl with
+      | Probe _ -> acc
+      | Owned { res; _ } ->
+          let h = Resource.latency res in
+          let n = H.count h in
+          if n = 0 then acc else (e.e_name, n, H.summary h) :: acc)
+    [] t.entries
+
+let component_summary t ~horizon =
+  let stats = stats t in
+  let horizon = float_of_int (max 1 horizon) in
+  ( List.map (fun s -> (s.stat_name, float_of_int s.stat_busy /. horizon)) stats,
+    List.map (fun s -> (s.stat_name, s.stat_wait)) stats,
+    List.map (fun (name, _, (s : H.summary)) -> (name, s.H.p95)) (latency t) )
+
 (* Pull-based: closures over [t] are sampled when the registry is
    snapshotted, after the run — registration itself costs nothing on the
    simulation path. *)

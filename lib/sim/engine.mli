@@ -16,7 +16,8 @@
       pluggable sinks (span recorders, trace writers, collectors);
     - {e metric sinks}: per-component busy/wait/utilization counters
       aggregated on demand into {!stat} rows or a rendered table (the
-      "where did the cycles go" view behind [gemmini_cli --profile]).
+      "where did the cycles go" view behind [gemmini_cli --profile]),
+      and queue-latency histograms ({!latency}), kept on quiet runs too.
 
     Components that are constructed without an engine get a fresh private
     one, so unit tests of a single layer need no ceremony; an SoC creates
@@ -82,7 +83,8 @@ type sample = {
   p_note : string;
 }
 
-(** One aggregated metric row. *)
+(** One aggregated metric row: the counters {!restore} overwrites, so a
+    restored run's rows equal an uninterrupted run's. *)
 type stat = {
   stat_name : string;
   stat_kind : kind;
@@ -176,6 +178,18 @@ val total_faults : t -> int
 
 val stats : t -> stat list
 (** One row per registered component, in registration order. *)
+
+val latency : t -> (string * int * Gem_util.Stats.Histogram.summary) list
+(** [(name, samples, summary)] of {!Resource.latency} for every owned
+    resource with a sample, in registration order. Not part of
+    {!snapshot}: after {!restore} it holds only this engine's requests. *)
+
+val component_summary :
+  t ->
+  horizon:Time.cycles ->
+  (string * float) list * (string * Time.cycles) list * (string * float) list
+(** [(util, wait, p95)]: busy over [max 1 horizon] and wait per {!stats}
+    row, and p95 per {!latency} row — what serving and sweeps report. *)
 
 val utilization_table : t -> ?horizon:Time.cycles -> unit -> Gem_util.Table.t
 (** Per-component utilization/wait table ready for printing. [horizon]

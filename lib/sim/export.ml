@@ -2,14 +2,11 @@ module Stats = Gem_util.Stats
 module J = Gem_util.Jsonx
 module Table = Gem_util.Table
 
-(* Per-component aggregates fed by Acquire/Transfer events. *)
+(* Per-component windowed series fed by Acquire/Transfer events. *)
 type comp = {
-  c_name : string;
-  c_lat : Stats.Histogram.t; (* queue latency: service start - request *)
   c_busy : Stats.Series.t; (* busy cycles, attributed to the start window *)
   c_backlog : Stats.Series.t; (* outstanding occupancy: finish - request *)
   c_bytes : Stats.Series.t; (* transferred bytes per window *)
-  mutable c_acquires : int;
   mutable c_transfers : int;
 }
 
@@ -20,13 +17,12 @@ type fault_mark = {
   f_detail : string;
 }
 
+(* Counter-track window width, in cycles. *)
+let window = 65536.
+
 type t = {
   engine : Engine.t;
-  window : int;
-  lat_range : float;
-  lat_buckets : int;
   recorder : Span.t;
-  spans_on : bool;
   comps : (string, comp) Hashtbl.t;
   mutable comp_order : string list; (* first-seen, reversed *)
   mutable faults : fault_mark list; (* reversed *)
@@ -36,15 +32,11 @@ let comp_for t name =
   match Hashtbl.find_opt t.comps name with
   | Some c -> c
   | None ->
-      let w = float_of_int t.window in
       let c =
         {
-          c_name = name;
-          c_lat = Stats.Histogram.create ~buckets:t.lat_buckets ~range:t.lat_range;
-          c_busy = Stats.Series.create ~window:w;
-          c_backlog = Stats.Series.create ~window:w;
-          c_bytes = Stats.Series.create ~window:w;
-          c_acquires = 0;
+          c_busy = Stats.Series.create ~window;
+          c_backlog = Stats.Series.create ~window;
+          c_bytes = Stats.Series.create ~window;
           c_transfers = 0;
         }
       in
@@ -56,8 +48,6 @@ let on_event t (ev : Engine.event) =
   (match ev with
   | Engine.Acquire { component; time; start; finish } ->
       let c = comp_for t component in
-      c.c_acquires <- c.c_acquires + 1;
-      Stats.Histogram.add c.c_lat (float_of_int (start - time));
       Stats.Series.add c.c_busy ~time:(float_of_int start)
         (float_of_int (finish - start));
       Stats.Series.add c.c_backlog ~time:(float_of_int time)
@@ -73,19 +63,13 @@ let on_event t (ev : Engine.event) =
   | Engine.Span_open _ | Engine.Span_close _ | Engine.Translate _
   | Engine.Note _ ->
       ());
-  if t.spans_on then Span.on_event t.recorder ev
+  Span.on_event t.recorder ev
 
-let attach ?(window = 65536) ?(lat_range = 4096.) ?(lat_buckets = 64)
-    ?(spans = true) ?acquire_spans engine =
-  if window <= 0 then invalid_arg "Export.attach: window <= 0";
+let attach engine =
   let t =
     {
       engine;
-      window;
-      lat_range;
-      lat_buckets;
-      recorder = Span.create ?acquire_spans ();
-      spans_on = spans;
+      recorder = Span.create ();
       comps = Hashtbl.create 16;
       comp_order = [];
       faults = [];
@@ -95,7 +79,6 @@ let attach ?(window = 65536) ?(lat_range = 4096.) ?(lat_buckets = 64)
   t
 
 let recorder t = t.recorder
-let engine t = t.engine
 let finalize t = Span.finalize t.recorder ~horizon:(Engine.now t.engine)
 
 (* --- chrome encoder ---------------------------------------------------------
@@ -291,7 +274,6 @@ let write_chrome t out =
       Chrome.span_close enc s);
   (* Counter tracks: windowed utilization, outstanding occupancy and
      transferred bytes per component with activity. *)
-  let w = float_of_int t.window in
   List.iter
     (fun name ->
       match Hashtbl.find_opt t.comps name with
@@ -304,7 +286,8 @@ let write_chrome t out =
           in
           Array.iter
             (fun (time, sum, _) ->
-              counter " util %" ~key:"value" time (J.Float (100. *. sum /. w)))
+              counter " util %" ~key:"value" time
+                (J.Float (100. *. sum /. window)))
             (Stats.Series.window_totals c.c_busy);
           Array.iter
             (fun (time, mean) ->
@@ -333,17 +316,6 @@ let write_chrome_file t path =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> write_chrome t (output_string oc))
-
-(* --- summaries ------------------------------------------------------------ *)
-
-let latency t =
-  List.filter_map
-    (fun name ->
-      match Hashtbl.find_opt t.comps name with
-      | Some c when c.c_acquires > 0 ->
-          Some (name, c.c_acquires, Stats.Histogram.summary c.c_lat)
-      | _ -> None)
-    (track_names t)
 
 (* --- text report ---------------------------------------------------------- *)
 
@@ -419,8 +391,8 @@ let report t =
     Buffer.add_string buf (Table.render tbl);
     Buffer.add_char buf '\n'
   end;
-  (* Queue-latency distribution per component. *)
-  (match latency t with
+  (* Queue-latency distribution per component, kept by the engine. *)
+  (match Engine.latency t.engine with
   | [] -> ()
   | rows ->
       let tbl =

@@ -2,10 +2,8 @@
 
     An [Export.t] is an engine sink that aggregates the event stream into
     - a {!Span.t} recorder (the network > layer > kernel > command tree),
-    - per-component queue-latency {e histograms} (request-to-service-start
-      cycles of every [Acquire] event),
     - windowed {e time series}: busy occupancy, outstanding backlog and
-      transferred bytes per fixed-width window of simulated time.
+      transferred bytes per 65536-cycle window of simulated time.
 
     Two export formats:
 
@@ -23,7 +21,8 @@
 
     - {!report} renders a plain-text hierarchical profile: per-layer
       breakdown (cycles, share of total, kernels, command count) plus a
-      per-component queue-latency table (p50/p95/p99/max).
+      per-component queue-latency table (p50/p95/p99/max) read from
+      {!Engine.latency}.
 
     Attaching a collector never changes simulated timing — events carry
     timestamps already observed by the clock — so traced runs report
@@ -31,34 +30,16 @@
 
 type t
 
-val attach :
-  ?window:int ->
-  ?lat_range:float ->
-  ?lat_buckets:int ->
-  ?spans:bool ->
-  ?acquire_spans:(string -> bool) ->
-  Engine.t ->
-  t
+val attach : Engine.t -> t
 (** Registers the collector as a sink on [engine] (making it
-    {!Engine.live}) and returns it.
-
-    [window] (default 65536) is the time-series bucket width in cycles.
-    [lat_range]/[lat_buckets] (default 4096.0 / 64) shape the queue-latency
-    histograms; samples beyond the range clamp into the last bucket while
-    the recorded maximum stays exact. [spans:false] drops span and acquire
-    events (histograms and series only — what a DSE sweep wants).
-    [acquire_spans] is passed to {!Span.create}. *)
+    {!Engine.live}) and returns it. *)
 
 val recorder : t -> Span.t
-val engine : t -> Engine.t
 
 val finalize : t -> unit
 (** {!Span.finalize} at the engine clock ({!Engine.now}). Call after the
     run, before exporting. Idempotent in effect: already-closed spans are
     untouched. *)
-
-val latency : t -> (string * int * Gem_util.Stats.Histogram.summary) list
-(** Per-component [(name, acquires, latency summary)] in track order. *)
 
 val write_chrome : t -> (string -> unit) -> unit
 (** Streams the JSON through the callback (called many times with small
@@ -88,8 +69,8 @@ val report : t -> string
     It shares the batch exporter's span stack and record encoder, so both
     write the same span records and tracks for one run. Differences:
     track metadata appears at first use rather than up front, and there
-    are no counter tracks or queue-latency aggregates — attach a batch
-    collector alongside when those are needed. A deterministic run
+    are no counter tracks — attach a batch collector alongside when those
+    are needed. A deterministic run
     streams a byte-identical file every time. *)
 module Streaming : sig
   type t

@@ -4,18 +4,38 @@ type t = {
   mutable busy_cycles : Time.cycles;
   mutable requests : int;
   mutable wait_cycles : Time.cycles;
+  lat_counts : int array; (* queue latency, 64-cycle buckets *)
+  mutable lat_max : Time.cycles;
 }
 
+(* Bucket [min 63 (wait / 64)] of a non-negative wait is exactly
+   [Stats.Histogram]'s bucket with 64 buckets over range 4096.0. *)
+let lat_buckets = 64
+let lat_shift = 6
+
 let create ~name =
-  { name; busy_until = 0; busy_cycles = 0; requests = 0; wait_cycles = 0 }
+  { name; busy_until = 0; busy_cycles = 0; requests = 0; wait_cycles = 0;
+    lat_counts = Array.make lat_buckets 0; lat_max = 0 }
 
 let name t = t.name
 
+let[@inline] record_wait t wait =
+  t.wait_cycles <- t.wait_cycles + wait;
+  t.requests <- t.requests + 1;
+  let b = wait lsr lat_shift in
+  let b = if b > lat_buckets - 1 then lat_buckets - 1 else b in
+  (* waits are never negative, so [b] is in [0, lat_buckets) *)
+  Array.unsafe_set t.lat_counts b (Array.unsafe_get t.lat_counts b + 1);
+  if wait > t.lat_max then t.lat_max <- wait
+
+(* [max now t.busy_until] with an int comparison: the polymorphic
+   [Stdlib.max] is an out-of-line call on the hot path. *)
+let[@inline] slot t ~now = if now >= t.busy_until then now else t.busy_until
+
 let acquire t ~now ~occupancy =
   if occupancy < 0 then invalid_arg "Resource.acquire: negative occupancy";
-  let start = max now t.busy_until in
-  t.wait_cycles <- t.wait_cycles + (start - now);
-  t.requests <- t.requests + 1;
+  let start = slot t ~now in
+  record_wait t (start - now);
   (* A zero-occupancy request is a probe of the service slot: it must not
      advance [busy_until], or a later probe would make earlier-in-time
      requesters queue behind simulated time that was never occupied. *)
@@ -25,13 +45,12 @@ let acquire t ~now ~occupancy =
   end;
   start + occupancy
 
-let next_free t ~now = max now t.busy_until
+let next_free t ~now = slot t ~now
 
 let occupy_until t ~now ~start ~until =
   if start < now then invalid_arg "Resource.occupy_until: start before now";
   if until < start then invalid_arg "Resource.occupy_until: until before start";
-  t.wait_cycles <- t.wait_cycles + (start - now);
-  t.requests <- t.requests + 1;
+  record_wait t (start - now);
   if until > start then begin
     t.busy_cycles <- t.busy_cycles + (until - start);
     if until > t.busy_until then t.busy_until <- until
@@ -42,6 +61,11 @@ let busy_cycles t = t.busy_cycles
 let requests t = t.requests
 let wait_cycles t = t.wait_cycles
 
+let latency t =
+  Gem_util.Stats.Histogram.of_counts
+    ~range:(float_of_int (lat_buckets lsl lat_shift))
+    ~max:(float_of_int t.lat_max) t.lat_counts
+
 let utilization t ~horizon =
   if horizon <= 0 then 0.
   else float_of_int t.busy_cycles /. float_of_int horizon
@@ -50,7 +74,9 @@ let reset t =
   t.busy_until <- 0;
   t.busy_cycles <- 0;
   t.requests <- 0;
-  t.wait_cycles <- 0
+  t.wait_cycles <- 0;
+  Array.fill t.lat_counts 0 lat_buckets 0;
+  t.lat_max <- 0
 
 let force_state t ~busy_until ~busy_cycles ~requests ~wait_cycles =
   t.busy_until <- busy_until;

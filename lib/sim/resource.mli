@@ -5,7 +5,8 @@
     service starts at [max now busy_until] and completes [occupancy] cycles
     later. This greedy timestamp arbitration is how contention between the
     accelerator's load/store streams — and between cores of a multi-core
-    SoC — is modeled. *)
+    SoC — is modeled. Every request also records its queue latency
+    (start minus [now]) in the resource's own allocation-free histogram. *)
 
 type t
 
@@ -39,6 +40,10 @@ val requests : t -> int
 val wait_cycles : t -> Time.cycles
 (** Total cycles requests spent queued behind earlier requests. *)
 
+val latency : t -> Gem_util.Stats.Histogram.t
+(** A copy of the queue-latency histogram (64 buckets over 4096.0 cycles,
+    exact max) of every request since creation or {!reset}. *)
+
 val utilization : t -> horizon:Time.cycles -> float
 (** Fraction of [horizon] the resource spent busy. *)
 
@@ -52,4 +57,4 @@ val force_state :
   wait_cycles:Time.cycles ->
   unit
 (** Overwrite all four arbitration counters at once — the checkpoint
-    restore path. Not for use during simulation. *)
+    restore path. Not for use during simulation. Leaves {!latency} alone. *)

@@ -84,6 +84,13 @@ module Histogram = struct
     if range <= 0. then invalid_arg "Histogram.create: range <= 0";
     { counts = Array.make buckets 0; range; n = 0; raw_max = nan }
 
+  let of_counts ~range ~max counts =
+    if Array.length counts = 0 || range <= 0. then
+      invalid_arg "Histogram.of_counts";
+    let n = Array.fold_left ( + ) 0 counts in
+    let raw_max = if n = 0 then nan else max in
+    { counts = Array.copy counts; range; n; raw_max }
+
   let bucket_of t x =
     let b = int_of_float (x /. t.range *. float_of_int (Array.length t.counts)) in
     Mathx.clamp ~lo:0 ~hi:(Array.length t.counts - 1) b

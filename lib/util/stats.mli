@@ -49,6 +49,10 @@ module Histogram : sig
       the percentiles plus the exact largest raw sample. *)
 
   val create : buckets:int -> range:float -> t
+  val of_counts : range:float -> max:float -> int array -> t
+  (** A histogram over [0, range) with these bucket counts (copied) and
+      exact maximum, for callers that bin their own samples. *)
+
   val add : t -> float -> unit
   val bucket_counts : t -> int array
   val count : t -> int

@@ -358,6 +358,175 @@ let test_serve_trace_deterministic () =
   Alcotest.(check string) "report unchanged by streaming"
     (Report.render quiet) (Report.render ra)
 
+(* --- engine-held queue latency ---------------------------------------------
+
+   Each engine-owned resource keeps its own queue-latency histogram, so
+   serving and sweeps attach no collector. The reference below is the
+   collector they used to attach: one float histogram per component, fed
+   [start - time] of every Acquire event. On the same run both must give
+   the same per-component summaries, bit for bit. *)
+
+module Engine = Gem_sim.Engine
+module H = Gem_util.Stats.Histogram
+module Soc = Gem_soc.Soc
+
+let reference_sink engine =
+  let tbl = Hashtbl.create 16 in
+  Engine.add_sink engine (function
+    | Engine.Acquire { component; time; start; _ } ->
+        let h =
+          match Hashtbl.find_opt tbl component with
+          | Some h -> h
+          | None ->
+              let h = H.create ~buckets:64 ~range:4096. in
+              Hashtbl.add tbl component h;
+              h
+        in
+        H.add h (float_of_int (start - time))
+    | _ -> ());
+  tbl
+
+let summary_row (name, n, (s : H.summary)) =
+  (name, n, [ s.H.p50; s.H.p95; s.H.p99; s.H.max ])
+
+let reference_rows engine tbl =
+  List.filter_map
+    (fun (name, _) ->
+      Option.map
+        (fun h -> summary_row (name, H.count h, H.summary h))
+        (Hashtbl.find_opt tbl name))
+    (Engine.components engine)
+
+let check_reference what engine tbl =
+  let rows = List.map summary_row (Engine.latency engine) in
+  Alcotest.(check bool) (what ^ ": engine kept latencies") true (rows <> []);
+  Alcotest.(check int)
+    (what ^ ": no unregistered component")
+    (Hashtbl.length tbl)
+    (List.length (reference_rows engine tbl));
+  Alcotest.(check (list (triple string int (list (float 0.)))))
+    (what ^ ": engine histograms = reference sink")
+    (reference_rows engine tbl) rows
+
+(* Runs [sv] with the reference sink attached (after [arm]) and checks
+   the engine's histograms against it, and [sr_comp_p95] too unless an
+   armed fault aborted the run. Returns the SoC. *)
+let check_serve_reference what ?(arm = ignore) ?warm_in sv =
+  let captured = ref None in
+  let result =
+    try
+      Some
+        (Serve.run ?warm_in
+           ~attach:(fun soc ->
+             arm soc;
+             captured := Some (soc, reference_sink (Soc.engine soc)))
+           sv)
+    with Gem_sim.Fault.Trap _ -> None
+  in
+  let soc, tbl = Option.get !captured in
+  check_reference what (Soc.engine soc) tbl;
+  Option.iter
+    (fun (r : Serve.result) ->
+      Alcotest.(check (list (pair string (float 0.))))
+        (what ^ ": sr_comp_p95 = reference p95")
+        (List.map
+           (fun (name, _, ps) -> (name, List.nth ps 1))
+           (reference_rows (Soc.engine soc) tbl))
+        r.Serve.sr_comp_p95)
+    result;
+  soc
+
+let test_latency_reference_warmup () =
+  ignore (check_serve_reference "warmup" tiny_scenario)
+
+let test_latency_reference_warm_restore () =
+  let path = Filename.temp_file "gem_serve_warm" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore (Serve.run ~warm_out:path tiny_scenario);
+      ignore (check_serve_reference "warm restore" ~warm_in:path tiny_scenario))
+
+let test_latency_reference_injected () =
+  let soc =
+    check_serve_reference "injection armed"
+      ~arm:(fun soc -> Soc.arm_injection soc ~seed:7 ~rate:1e-4)
+      tiny_scenario
+  in
+  Alcotest.(check bool) "a fault was injected" true
+    (Engine.total_faults (Soc.engine soc) > 0)
+
+(* A cycle-backend sweep point reports the p95 the reference sink sees on
+   the same run. *)
+let test_latency_reference_dse () =
+  let module Point = Gem_dse.Point in
+  let p = Point.make ~label:"ref" ~model:"squeezenet1.1" ~scale:8 () in
+  let outcome = Gem_dse.Exec.evaluate p in
+  let soc = Soc.create p.Point.soc in
+  let tbl = reference_sink (Soc.engine soc) in
+  let model =
+    Gem_dnn.Model_zoo.scale_model ~factor:8
+      (Option.get (Gem_dnn.Model_zoo.find "squeezenet1.1"))
+  in
+  ignore
+    (Gem_sw.Backend_cycle.run_on soc
+       (Gem_sw.Backend.request ~config:p.Point.soc [| (model, p.Point.mode) |]));
+  Alcotest.(check (list (pair string (float 0.))))
+    "comp_p95_lat = reference p95"
+    (List.map
+       (fun (name, _, ps) -> (name, List.nth ps 1))
+       (reference_rows (Soc.engine soc) tbl))
+    outcome.Gem_dse.Outcome.comp_p95_lat
+
+(* Serving and sweeps run quiet: nothing is attached unless the caller
+   asks, so no event record is ever built. *)
+let test_serve_runs_quiet () =
+  let captured = ref None in
+  ignore (Serve.run ~attach:(fun soc -> captured := Some soc) tiny_scenario);
+  Alcotest.(check bool) "serve engine not live" false
+    (Engine.live (Soc.engine (Option.get !captured)))
+
+let test_dse_runs_quiet () =
+  let module P = Gem_obs.Profile in
+  P.reset ();
+  P.enable ();
+  let phases =
+    Fun.protect
+      ~finally:(fun () ->
+        P.disable ();
+        P.reset ())
+      (fun () ->
+        ignore
+          (Gem_dse.Exec.evaluate
+             (Gem_dse.Point.make ~model:"squeezenet1.1" ~scale:8 ()));
+        P.phases ())
+  in
+  let calls name =
+    List.fold_left
+      (fun acc ph -> if ph.P.ph_name = name then acc + ph.P.ph_calls else acc)
+      0 phases
+  in
+  Alcotest.(check bool) "the point acquired resources" true
+    (calls P.acquire > 0);
+  Alcotest.(check int) "no event emitted: engine not live" 0 (calls P.event)
+
+(* A sink attached through [~attach] is observation only: every reported
+   figure equals the quiet run's. *)
+let test_sink_attached_equals_quiet () =
+  let quiet = Serve.run tiny_scenario in
+  let observed =
+    Serve.run
+      ~attach:(fun soc -> Engine.add_sink (Soc.engine soc) ignore)
+      tiny_scenario
+  in
+  let same what a b = Alcotest.(check bool) what true (compare a b = 0) in
+  same "sr_report" quiet.Serve.sr_report observed.Serve.sr_report;
+  same "sr_completions" quiet.Serve.sr_completions
+    observed.Serve.sr_completions;
+  same "sr_comp_util" quiet.Serve.sr_comp_util observed.Serve.sr_comp_util;
+  same "sr_comp_wait" quiet.Serve.sr_comp_wait observed.Serve.sr_comp_wait;
+  same "sr_comp_p95" quiet.Serve.sr_comp_p95 observed.Serve.sr_comp_p95
+
 let suite =
   [
     Alcotest.test_case "arrival determinism" `Quick test_arrival_determinism;
@@ -380,4 +549,16 @@ let suite =
       test_serve_trace_request_spans;
     Alcotest.test_case "2-core trace: deterministic" `Slow
       test_serve_trace_deterministic;
+    Alcotest.test_case "queue latency = reference sink: warmup" `Slow
+      test_latency_reference_warmup;
+    Alcotest.test_case "queue latency = reference sink: warm restore" `Slow
+      test_latency_reference_warm_restore;
+    Alcotest.test_case "queue latency = reference sink: injection armed" `Slow
+      test_latency_reference_injected;
+    Alcotest.test_case "queue latency = reference sink: cycle sweep point"
+      `Slow test_latency_reference_dse;
+    Alcotest.test_case "serve runs quiet" `Slow test_serve_runs_quiet;
+    Alcotest.test_case "cycle sweep point runs quiet" `Slow test_dse_runs_quiet;
+    Alcotest.test_case "sink-attached serve = quiet serve" `Slow
+      test_sink_attached_equals_quiet;
   ]

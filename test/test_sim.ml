@@ -63,6 +63,31 @@ let test_resource_reset () =
   Alcotest.(check int) "requests" 0 (Resource.requests r);
   Alcotest.(check string) "name survives" "r" (Resource.name r)
 
+(* Every request lands in the resource's queue-latency histogram: 64
+   buckets of 64 cycles, the last open-ended, with an exact maximum. *)
+let test_resource_latency () =
+  let module H = Gem_util.Stats.Histogram in
+  let r = Resource.create ~name:"r" in
+  Alcotest.(check int) "empty" 0 (H.count (Resource.latency r));
+  ignore (Resource.acquire r ~now:0 ~occupancy:5000);
+  (* waits 0, 63, 64 and 4999 (clamped into the last bucket) *)
+  ignore (Resource.acquire r ~now:4937 ~occupancy:0);
+  ignore (Resource.acquire r ~now:4936 ~occupancy:0);
+  ignore (Resource.acquire r ~now:1 ~occupancy:0);
+  let h = Resource.latency r in
+  let counts = H.bucket_counts h in
+  Alcotest.(check int) "count" 4 (H.count h);
+  Alcotest.(check (list int)) "buckets 0, 1 and 63"
+    [ 2; 1; 1 ]
+    [ counts.(0); counts.(1); counts.(63) ];
+  Alcotest.(check (float 0.)) "exact max" 4999. (H.max h);
+  Resource.force_state r ~busy_until:0 ~busy_cycles:0 ~requests:0
+    ~wait_cycles:0;
+  Alcotest.(check int) "force_state keeps it" 4
+    (H.count (Resource.latency r));
+  Resource.reset r;
+  Alcotest.(check int) "reset clears it" 0 (H.count (Resource.latency r))
+
 (* --- Engine --------------------------------------------------------------- *)
 
 let test_engine_registry () =
@@ -76,6 +101,10 @@ let test_engine_registry () =
   Alcotest.(check (list string)) "registration order"
     [ "bus"; "bus#2"; "tlb" ]
     (List.map fst (Engine.components e));
+  ignore (Engine.acquire e b ~now:0 ~occupancy:1);
+  Alcotest.(check (list (pair string int)))
+    "latency rows: requested owned resources only" [ ("bus#2", 1) ]
+    (List.map (fun (name, n, _) -> (name, n)) (Engine.latency e));
   match Engine.stats e with
   | [ _; _; p ] ->
       Alcotest.(check string) "probe name" "tlb" p.Engine.stat_name;
@@ -189,7 +218,15 @@ let test_alloc_free_resource_acquire () =
           ignore (Resource.acquire r ~now:i ~occupancy:1)
         done)
   in
-  Alcotest.(check (float 0.)) "Resource.acquire allocates nothing" 0. bytes
+  Alcotest.(check (float 0.)) "Resource.acquire allocates nothing" 0. bytes;
+  (* Queued requests fill every latency bucket, the clamped one too. *)
+  let queued =
+    measure_alloc (fun () ->
+        for _ = 1 to 10_000 do
+          ignore (Resource.acquire r ~now:0 ~occupancy:1)
+        done)
+  in
+  Alcotest.(check (float 0.)) "queued acquires allocate nothing" 0. queued
 
 let test_alloc_free_engine_quiet () =
   let e = Engine.create () in
@@ -343,6 +380,8 @@ let suite =
     Alcotest.test_case "resource: next_free/occupy_until" `Quick
       test_resource_next_free_occupy;
     Alcotest.test_case "resource: reset" `Quick test_resource_reset;
+    Alcotest.test_case "resource: queue-latency histogram" `Quick
+      test_resource_latency;
     Alcotest.test_case "engine: registry and probes" `Quick
       test_engine_registry;
     Alcotest.test_case "engine: clock and stats" `Quick
