@@ -10,8 +10,7 @@
 
    Cycle counts in this repository are deterministic, so an exact match is
    the correct bar; allocation per hot-path op is deterministic too, and
-   may only go down. Wall times (wall_s, self_profile, hotpath ns/op) are
-   reported for context but never gate.
+   may only go down. Wall-clock figures are perfbench's, not this gate's.
    When a simulator change legitimately moves the numbers, regenerate the
    baseline (`dune exec bench/main.exe -- quick && cp BENCH_results.json
    BENCH_baseline.json`) and commit it alongside the change. *)
@@ -126,25 +125,10 @@ let () =
         0
     | None, None -> 0
   in
-  (* The self_profile section is wall-clock attribution of the simulator's
-     own host time (bench/main.exe selfprofile). Machine-dependent by
-     nature, so it is acknowledged here and deliberately never gated —
-     same policy as wall_s. *)
-  (match
-     Option.bind
-       (Gem_util.Jsonx.member "self_profile" results)
-       Gem_util.Jsonx.to_obj
-   with
-  | Some sp when sp <> [] ->
-      Printf.printf "info self_profile: %d wall-only entries (ungated)\n"
-        (List.length sp)
-  | _ -> ());
-  (* The hotpath section pairs wall time (ns/op) with allocation
-     (bytes/op) per quiet-path benchmark. Wall time is machine-dependent
-     and only reported. Allocation is a deterministic function of the
-     code: a bytes/op above its baseline — or a hot path that appeared or
-     vanished — fails; a drop passes (commit the lower baseline to lock
-     it in). *)
+  (* The hotpath section holds allocation (bytes/op) per quiet-path
+     benchmark, a deterministic function of the code: a bytes/op above its
+     baseline — or a hot path that appeared or vanished — fails; a drop
+     passes (commit the lower baseline to lock it in). *)
   let hotpath_gates =
     let floats json =
       match
@@ -157,12 +141,7 @@ let () =
             kvs
       | None -> []
     in
-    let bytes_of kvs =
-      List.filter (fun (k, _) -> Filename.check_suffix k ".bytes_per_op") kvs
-    in
-    let res_hp = floats results in
-    let base_hp = floats baseline in
-    let base_bytes = bytes_of base_hp and res_bytes = bytes_of res_hp in
+    let base_bytes = floats baseline and res_bytes = floats results in
     List.iter
       (fun (k, b) ->
         match List.assoc_opt k res_bytes with
@@ -180,38 +159,8 @@ let () =
              BENCH_baseline.json)"
             k)
       res_bytes;
-    List.iter
-      (fun (k, ns) ->
-        if Filename.check_suffix k ".ns_per_op" then
-          let name = Filename.chop_suffix k ".ns_per_op" in
-          match List.assoc_opt (name ^ ".bytes_per_op") res_hp with
-          | Some bytes ->
-              let context =
-                match List.assoc_opt k base_hp with
-                | Some b -> Printf.sprintf " (baseline %.1f ns/op)" b
-                | None -> ""
-              in
-              Printf.printf "info hotpath %s: %.1f ns/op, %.1f B/op%s\n" name
-                ns bytes context
-          | None -> ())
-      res_hp;
     List.length base_bytes
   in
-  (match
-     ( Gem_util.Jsonx.to_obj (obj_field baseline_path baseline "wall_s"),
-       Gem_util.Jsonx.to_obj (obj_field results_path results "wall_s") )
-   with
-  | Some bw, Some rw ->
-      List.iter
-        (fun (k, v) ->
-          match Gem_util.Jsonx.to_float v with
-          | None -> ()
-          | Some r -> (
-              match Option.bind (List.assoc_opt k bw) Gem_util.Jsonx.to_float with
-              | Some b -> Printf.printf "info %s: %.2fs (baseline %.2fs)\n" k r b
-              | None -> Printf.printf "info %s: %.2fs (no baseline)\n" k r))
-        rw
-  | _ -> ());
   if !fail_count = 0 then (
     Printf.printf "OK: %d metrics match %s, %d hotpath allocation gates hold\n"
       (List.length base_m + serving_count)

@@ -4,7 +4,6 @@
      gemmini_cli header     [...]          -- emit gemmini_params.h
      gemmini_cli synth      [...]          -- area/fmax/power estimate
      gemmini_cli run        --model NAME   -- simulate an inference
-     gemmini_cli profile    --model NAME   -- profile the simulator itself
      gemmini_cli sweep      --model NAME   -- sweep array sizes
      gemmini_cli experiment --id fig7      -- reproduce a paper figure *)
 
@@ -30,7 +29,8 @@ let self_profile_term =
           "Profile the simulator itself: attribute host wall time and \
            allocation to engine/runtime phases, write the ranked JSON \
            report to $(docv) and print the table to stderr. Simulated \
-           cycle counts are unaffected (gated in bench).")
+           cycle counts are unaffected (checked by the test suite and a \
+           CI byte-identity gate).")
 
 let metrics_out_term =
   Arg.(
@@ -79,6 +79,36 @@ let write_metrics reg = function
 
 (* --- shared parameter flags -------------------------------------------------- *)
 
+(* Counts, divisors and job counts have a floor: a value below it is a
+   usage error at parse time, not an exception deep in the run. *)
+let int_at_least lo ~what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_at_least 1 ~what:"positive"
+let non_neg_int = int_at_least 0 ~what:"non-negative"
+
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0. && p <= 1. -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* Durations, rates and time budgets: a finite float above zero. *)
+let pos_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0. -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let preset =
   let parse s =
     match String.lowercase_ascii s with
@@ -98,9 +128,9 @@ let params_term =
     Arg.(value & opt preset Gemmini.Params.default
          & info [ "preset" ] ~doc:"Instance preset: default, edge, cloud, tpu256, nvdla256.")
   in
-  let dim = Arg.(value & opt (some int) None & info [ "dim" ] ~doc:"Square array dimension (PE rows).") in
-  let sp = Arg.(value & opt (some int) None & info [ "sp-kb" ] ~doc:"Scratchpad capacity in KiB.") in
-  let acc = Arg.(value & opt (some int) None & info [ "acc-kb" ] ~doc:"Accumulator capacity in KiB.") in
+  let dim = Arg.(value & opt (some pos_int) None & info [ "dim" ] ~doc:"Square array dimension (PE rows).") in
+  let sp = Arg.(value & opt (some pos_int) None & info [ "sp-kb" ] ~doc:"Scratchpad capacity in KiB.") in
+  let acc = Arg.(value & opt (some pos_int) None & info [ "acc-kb" ] ~doc:"Accumulator capacity in KiB.") in
   let im2col = Arg.(value & opt (some bool) None & info [ "im2col" ] ~doc:"Include the im2col block.") in
   let build p dim sp acc im2col =
     let p = match dim with Some d -> { p with Gemmini.Params.mesh_rows = d; mesh_cols = d; tile_rows = 1; tile_cols = 1 } | None -> p in
@@ -128,27 +158,6 @@ let model_term =
     value
     & opt (conv (parse, print)) Gem_dnn.Model_zoo.resnet50
     & info [ "model" ] ~doc:"DNN to run (resnet50, alexnet, squeezenet1.1, mobilenetv2, bert-base-seq128).")
-
-(* Counts, divisors and job counts have a floor: a value below it is a
-   usage error at parse time, not an exception deep in the run. *)
-let int_at_least lo ~what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let pos_int = int_at_least 1 ~what:"positive"
-let non_neg_int = int_at_least 0 ~what:"non-negative"
-
-let probability =
-  let parse s =
-    match float_of_string_opt s with
-    | Some p when p >= 0. && p <= 1. -> Ok p
-    | _ -> Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
 
 let scale_term =
   Arg.(value & opt pos_int 1 & info [ "scale" ] ~doc:"Channel-scale divisor for faster runs.")
@@ -437,7 +446,7 @@ let run_cmd =
   in
   let watchdog =
     Arg.(
-      value & opt (some int) None
+      value & opt (some non_neg_int) None
       & info [ "watchdog" ] ~doc:"Max cycles any single layer may spend.")
   in
   let trace_out =
@@ -479,7 +488,7 @@ let run_cmd =
   in
   let max_replays =
     Arg.(
-      value & opt int 3
+      value & opt non_neg_int 3
       & info [ "max-replays" ]
           ~doc:
             "With --fault-policy resume-checkpoint: recovery replays \
@@ -492,65 +501,6 @@ let run_cmd =
       $ cores_term $ trace_out $ trace_format $ checkpoint_every
       $ checkpoint_out $ restore $ max_replays $ self_profile_term
       $ metrics_out_term)
-
-(* --- profile: where does the simulator's own time go? ------------------------ *)
-
-let profile_cmd =
-  let run p backend model scale cores out =
-    let model = Gem_dnn.Model_zoo.scale_model ~factor:scale model in
-    let core_cfg = { Soc_config.default_core with accel = p } in
-    let config =
-      { Soc_config.default with cores = List.init cores (fun _ -> core_cfg) }
-    in
-    let mode = Runtime.Accel { im2col_on_accel = true } in
-    let rq =
-      Gem_sw.Backend.request ~config
-        (Array.init cores (fun _ -> (model, mode)))
-    in
-    Profile.reset ();
-    Profile.enable ();
-    let t0 = Unix.gettimeofday () in
-    let results =
-      Fun.protect
-        ~finally:(fun () -> Profile.disable ())
-        (fun () ->
-          match backend with
-          | Gem_sw.Backend.Analytic -> Gem_sw.Backend_analytic.run rq
-          | Gem_sw.Backend.Cycle ->
-              Gem_sw.Backend_cycle.run_on (Soc.create config) rq)
-    in
-    let total_s = Unix.gettimeofday () -. t0 in
-    let horizon =
-      Array.fold_left (fun acc r -> max acc r.Runtime.r_total_cycles) 0 results
-    in
-    Printf.printf "%s on %s [%s backend]: %s cycles simulated\n\n"
-      model.Gem_dnn.Layer.model_name
-      (Gemmini.Params.describe p)
-      (Gem_sw.Backend.kind_name backend)
-      (Gem_util.Table.fmt_int horizon);
-    print_string (Profile.render ~total_s ());
-    match out with
-    | None -> ()
-    | Some file ->
-        Profile.write_file ~total_s file;
-        Printf.eprintf "[profile] wrote %s\n%!" file
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Also write the ranked phase report as JSON to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Self-profile the simulator: run one inference with the host-side \
-          profiler enabled and print the ranked phase table (wall seconds \
-          and allocation per engine phase; simulated cycles unaffected).")
-    Term.(
-      const run $ params_term $ backend_term $ model_term $ scale_term
-      $ cores_term $ out)
 
 let sweep_cmd =
   let run model scale backend jobs cache_dir no_cache out journal resume
@@ -667,7 +617,7 @@ let sweep_cmd =
   in
   let retries =
     Arg.(
-      value & opt int 0
+      value & opt non_neg_int 0
       & info [ "retries" ]
           ~doc:
             "Retries per failing point (exponential backoff) before it is \
@@ -676,13 +626,13 @@ let sweep_cmd =
   in
   let backoff_ms =
     Arg.(
-      value & opt int 100
+      value & opt non_neg_int 100
       & info [ "backoff-ms" ]
           ~doc:"First retry backoff in milliseconds; doubles per attempt.")
   in
   let deadline =
     Arg.(
-      value & opt (some float) None
+      value & opt (some pos_float) None
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
             "Wall-clock budget per point evaluation (checked after the \
@@ -760,7 +710,7 @@ let fuzz_cmd =
     end
   in
   let seed = seed_term ~default:1 ~doc:"First case seed; case $(i) uses seed + i." in
-  let count = Arg.(value & opt int 100 & info [ "count" ] ~doc:"Cases to run (self-test: per-mutation budget).") in
+  let count = Arg.(value & opt pos_int 100 & info [ "count" ] ~doc:"Cases to run (self-test: per-mutation budget).") in
   let shrink = Arg.(value & flag & info [ "shrink" ] ~doc:"Minimize each failing program (ddmin) and print it.") in
   let self_test =
     Arg.(
@@ -986,6 +936,12 @@ let serve_cmd =
              scenarios, not --rates curves";
           exit 2
         end;
+        if cores_list = [] || rates = [] then begin
+          prerr_endline
+            "[serve] --rates curves need at least one rate and one --cores \
+             value";
+          exit 2
+        end;
         let spec =
           {
             Gem_dse.Point.ss_arrival = Gem_serve.Arrival.spec_to_string arrival;
@@ -1037,7 +993,7 @@ let serve_cmd =
   let cores =
     Arg.(
       value
-      & opt (list int) [ 2 ]
+      & opt (list pos_int) [ 2 ]
       & info [ "cores" ]
           ~doc:
             "Gemmini cores sharing the L2/DRAM. A single value for one \
@@ -1071,13 +1027,13 @@ let serve_cmd =
   let slos =
     Arg.(
       value
-      & opt (list float) [ 5.0; 10.0 ]
+      & opt (list pos_float) [ 5.0; 10.0 ]
       & info [ "slo-ms" ]
           ~doc:"SLO targets in milliseconds (comma-separated).")
   in
   let duration =
     Arg.(
-      value & opt float 5.0
+      value & opt pos_float 5.0
       & info [ "duration" ] ~docv:"MS"
           ~doc:"Arrival-window length in milliseconds.")
   in
@@ -1119,7 +1075,7 @@ let serve_cmd =
   let rates =
     Arg.(
       value
-      & opt (some (list float)) None
+      & opt (some (list pos_float)) None
       & info [ "rates" ]
           ~doc:
             "Curve mode: sweep these Poisson arrival rates (req/s, \
@@ -1150,7 +1106,6 @@ let () =
             header_cmd;
             synth_cmd;
             run_cmd;
-            profile_cmd;
             serve_cmd;
             sweep_cmd;
             xval_cmd;

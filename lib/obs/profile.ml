@@ -10,7 +10,7 @@
    2. Simulated time must be untouched: the profiler observes only host
       wall time ([Unix.gettimeofday]) and host allocation
       ([Gc.allocated_bytes]), so cycle counts are byte-identical with
-      profiling on or off (gated in bench/main.ml).
+      profiling on or off (checked by test_soc.ml and a CI byte gate).
    3. Domain-safe: DSE executors spawn worker Domains; each domain gets
       its own state via [Domain.DLS], registered under a mutex into a
       global list that [phases]/[reset] merge or clear.

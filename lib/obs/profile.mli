@@ -10,7 +10,8 @@
     Probe sites guard on [!on] before calling {!enter}/{!leave}, so the
     disabled cost is one branch on a bool ref: no allocation, no clock
     read. Enabled or not, the profiler reads only host wall time and GC
-    counters — simulated cycle counts are unaffected (gated in bench).
+    counters — simulated cycle counts are unaffected (checked by
+    test_soc.ml and a CI byte gate).
 
     Exclusive ("self") time follows the standard stack discipline: a
     phase's self time excludes time spent in nested probed phases.

@@ -835,46 +835,11 @@ let run_functional soc ~core:core_idx model ~input ~seed =
   if Option.is_none (Soc.mainmem soc) then
     invalid_arg "Runtime.run_functional: SoC is not functional";
   let core = Soc.core soc core_idx in
-  let records = ref [] in
-  (* Allocation happens inside plan_ops; stage input and weights before
-     executing. The tensors record is recomputed identically because the
-     bump allocator is deterministic — so instead we plan first, then pull
-     the input VA from the plan via a prelude marker. *)
-  let mode = Accel { im2col_on_accel = false } in
-  let tensors_ref = ref None in
+  let tensors = allocate_tensors soc core model ~functional:true in
   let ops =
-    (* Re-implement plan_ops with access to tensors: allocate here, then
-       reuse the internal emission path. *)
-    let functional = true in
-    let tensors = allocate_tensors soc core model ~functional in
-    tensors_ref := Some tensors;
-    let layers = Array.of_list model.Layer.layers in
-    let last_finish = ref 0 in
-    let emit_layer idx =
-      let name, layer = layers.(idx) in
-      let input_va = if idx = 0 then tensors.t_input else tensors.t_out.(idx - 1) in
-      let finish_marker =
-        Soc.Marker
-          (fun core ->
-            let f = Gemmini.Controller.finish_time (Soc.controller core) in
-            records :=
-              {
-                lr_name = name;
-                lr_class = Layer.class_of layer;
-                lr_cycles = f - !last_finish;
-                lr_macs = Layer.macs layer;
-              }
-              :: !records;
-            last_finish := f)
-      in
-      List.rev_append
-        (Kernels.fence
-        :: layer_rev soc core tensors ~mode ~functional ~idx ~input_va layer [])
-        [ finish_marker ]
-    in
-    layers_stream ~first:0 ~last:(Array.length layers) emit_layer Seq.empty
+    network_ops soc core model ~mode:(Accel { im2col_on_accel = false })
+      ~records:(ref []) ~guard:None ~tensors
   in
-  let tensors = Option.get !tensors_ref in
   write_weights soc core tensors ~seed model;
   write_tensor soc core ~vaddr:tensors.t_input input;
   ignore (Soc.run_program soc core ops);

@@ -216,7 +216,9 @@ let check_fingerprint label (c0, p0, s0) (c1, p1, s1) =
    engine live: every acquire builds and emits an event), under the
    self-profiler (which wraps every op in probes), or with fault
    injection armed (which covers the retry path). Returns the
-   fingerprint, the fault trace and the number of events the sink saw. *)
+   fingerprint, the fault trace, the number of events the sink saw, and
+   the phases and anomalies (orphan, forced leaves) a probed run
+   recorded. *)
 let observed_run ?(cores = 2) ?(inject = false) ?(probed = false) ~sink model
     =
   let module P = Gem_obs.Profile in
@@ -225,11 +227,13 @@ let observed_run ?(cores = 2) ?(inject = false) ?(probed = false) ~sink model
   let events = ref 0 in
   if sink then Engine.add_sink (Soc.engine soc) (fun _ -> incr events);
   if probed then P.enable ();
+  let profiled = ref ([], (0, 0)) in
   let rs =
     Fun.protect
       ~finally:(fun () ->
         if probed then begin
           P.disable ();
+          profiled := (P.phases (), P.anomalies ());
           P.reset ()
         end)
       (fun () ->
@@ -245,33 +249,51 @@ let observed_run ?(cores = 2) ?(inject = false) ?(probed = false) ~sink model
                ^ Gem_sim.Fault.to_string fr.Runtime.fr_fault)
              r.Runtime.r_faults)
   in
-  (fingerprint soc rs, faults, !events)
+  (fingerprint soc rs, faults, !events, !profiled)
 
 let check_sink_invariance ?cores model name =
   let label = Printf.sprintf "%s at %d cores" name (Option.value cores ~default:2) in
-  let quiet, _, quiet_events = observed_run ?cores ~sink:false model in
-  let observed, _, observed_events = observed_run ?cores ~sink:true model in
+  let quiet, _, quiet_events, _ = observed_run ?cores ~sink:false model in
+  let observed, _, observed_events, _ =
+    observed_run ?cores ~sink:true model
+  in
   Alcotest.(check int) (label ^ ": quiet run emits nothing") 0 quiet_events;
   Alcotest.(check bool) (label ^ ": sink saw events") true (observed_events > 0);
   check_fingerprint (label ^ ": sink vs quiet") quiet observed
 
 let test_sink_invariance () =
-  let quiet, quiet_faults, quiet_events =
+  let module P = Gem_obs.Profile in
+  P.reset ();
+  let quiet, quiet_faults, quiet_events, _ =
     observed_run ~inject:true ~sink:false squeezenet16
   in
-  let observed, observed_faults, observed_events =
+  Alcotest.(check int) "disabled profiler records no phases" 0
+    (List.length (P.phases ()));
+  let observed, observed_faults, observed_events, _ =
     observed_run ~inject:true ~sink:true squeezenet16
   in
-  let probed, probed_faults, _ =
+  let probed, probed_faults, _, (_, (orphans, _)) =
     observed_run ~inject:true ~probed:true ~sink:false squeezenet16
   in
+  (* A trap unwinds the probe frames open under it and the next leave
+     force-pops them, so only orphan leaves must stay at zero here. *)
+  Alcotest.(check int) "trapped probed run: no orphan leaves" 0 orphans;
   Alcotest.(check int) "quiet run emits nothing" 0 quiet_events;
   Alcotest.(check bool) "sink saw events" true (observed_events > 0);
   Alcotest.(check bool) "injection fired" true (quiet_faults <> []);
   check_fingerprint "sink vs quiet" quiet observed;
   Alcotest.(check (list string)) "sink fault trace" quiet_faults observed_faults;
   check_fingerprint "probed vs quiet" quiet probed;
-  Alcotest.(check (list string)) "probed fault trace" quiet_faults probed_faults
+  Alcotest.(check (list string)) "probed fault trace" quiet_faults probed_faults;
+  (* Without traps every probe frame closes where it opened. *)
+  let clean, _, _, _ = observed_run ~sink:false squeezenet16 in
+  let clean_probed, _, _, (phases, anomalies) =
+    observed_run ~probed:true ~sink:false squeezenet16
+  in
+  check_fingerprint "clean probed vs quiet" clean clean_probed;
+  Alcotest.(check bool) "probed run records phases" true (phases <> []);
+  Alcotest.(check (pair int int)) "clean probed run: no orphan or forced leaves"
+    (0, 0) anomalies
 
 let test_quad_core_sink_invariance () =
   check_sink_invariance ~cores:4 squeezenet16 "squeezenet/16"
