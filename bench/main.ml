@@ -256,6 +256,14 @@ let run_hotpath_bench () =
              ignore
                (Gemmini.Dma.mvin dma ~now:(i * 1000) ~vaddr:va ~stride_bytes:64
                   ~rows:16 ~row_bytes:64)
+           done);
+       (* 16 rows x 4 B inside one L2 line: rows 1-15 are charged in
+          bulk. *)
+       measure "dma_mvin_sameline_soc" 50_000 (fun n ->
+           for i = 1 to n do
+             ignore
+               (Gemmini.Dma.mvin dma ~now:(i * 1000) ~vaddr:va ~stride_bytes:4
+                  ~rows:16 ~row_bytes:4)
            done));
       (let ops k =
          Seq.init k (fun i ->

@@ -132,6 +132,16 @@ let access t ~addr ~write =
     if writeback then Miss_writeback else Miss
   end
 
+let hit_again t ~addr ~write ~n =
+  let base = set_of t addr * t.ways in
+  let w = find_way t base (tag_of t addr) 0 in
+  if w < 0 then invalid_arg "Cache.hit_again: line not resident";
+  t.accesses <- t.accesses + n;
+  t.hits <- t.hits + n;
+  t.clock <- t.clock + n;
+  t.age.(base + w) <- t.clock;
+  if write then t.dirty.(base + w) <- true
+
 let access_range t ~addr ~bytes ~write =
   if bytes < 0 then invalid_arg "Cache.access_range: negative size";
   let hits = ref 0 and misses = ref 0 and wbs = ref 0 in

@@ -71,6 +71,23 @@ let mem_access soc ~now ~paddr ~bytes ~write =
   let first = paddr / line and last = (paddr + max bytes 1 - 1) / line in
   mem_lines soc ~now ~write ~line ~occupancy ~last first now
 
+(* [n] L2 hits on the line holding [paddr], arriving [spacing] apart:
+   the port's max-plus recurrence still runs per request, since other
+   requesters may have left it busy. *)
+let rec port_run port ~occupancy ~spacing n arrival =
+  let port_done = Resource.acquire port ~now:arrival ~occupancy in
+  if n = 1 then port_done
+  else port_run port ~occupancy ~spacing (n - 1) (arrival + spacing)
+
+let hit_run soc ~first ~spacing ~n ~paddr ~write =
+  let cfg = soc.cfg in
+  let occupancy =
+    Mathx.ceil_div cfg.Soc_config.l2_line_bytes cfg.Soc_config.l2_port_bytes
+  in
+  let port_done = port_run soc.l2_port ~occupancy ~spacing n first in
+  Cache.hit_again soc.l2 ~addr:paddr ~write ~n;
+  port_done + cfg.Soc_config.l2_hit_latency
+
 let make_port soc : Gemmini.Dma.port =
   {
     Gemmini.Dma.read_timing =
@@ -87,6 +104,8 @@ let make_port soc : Gemmini.Dma.port =
           fun ~paddr bytes ->
            Array.iteri (fun i b -> Mainmem.write_byte mm ~addr:(paddr + i) b) bytes)
         soc.mainmem;
+    line_bytes = soc.cfg.Soc_config.l2_line_bytes;
+    hit_run = hit_run soc;
   }
 
 let create cfg =

@@ -7,10 +7,12 @@ let round_up a b = ceil_div a b * b
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+(* Top-level so a call builds no closure over [n]. *)
+let rec log2_ceil_go n k p = if p >= n then k else log2_ceil_go n (k + 1) (p * 2)
+
 let log2_ceil n =
   if n < 1 then invalid_arg "Mathx.log2_ceil";
-  let rec go k p = if p >= n then k else go (k + 1) (p * 2) in
-  go 0 1
+  log2_ceil_go n 0 1
 
 let log2_exact n =
   if not (is_pow2 n) then invalid_arg "Mathx.log2_exact: not a power of two";

@@ -67,6 +67,8 @@ let create ?engine ?(name = "tlb") ?(core = -1) cfg ~ptw =
     invalid_arg "Hierarchy.create: private TLB needs at least one entry";
   if cfg.shared_entries < 0 then
     invalid_arg "Hierarchy.create: negative shared TLB size";
+  if cfg.private_hit_latency < 0 || cfg.shared_hit_latency < 0 then
+    invalid_arg "Hierarchy.create: negative hit latency";
   let engine = match engine with Some e -> e | None -> Engine.create () in
   let t =
     {
@@ -244,6 +246,38 @@ let translate_into t slot ~now ~vaddr ~write =
         slot.s_finish <- finish;
         slot.s_level <- Walk
       end
+  end
+
+let quiet t = Option.is_none t.inject && Option.is_none t.observer
+
+(* [n] more requests to the page the last request in this direction
+   translated: a filter hit with filter registers on (the last request
+   filled them), else a private-TLB hit (the last request hit or filled
+   the private TLB). Counters move exactly as [n] calls of
+   {!translate_into} would move them on a quiet hierarchy. *)
+let repeat t ~write ~n =
+  let vpn = if write then t.last_write_vpn else t.last_read_vpn in
+  t.requests <- t.requests + n;
+  if write then begin
+    t.writes <- t.writes + n;
+    t.same_page_writes <- t.same_page_writes + n
+  end
+  else begin
+    t.reads <- t.reads + n;
+    t.same_page_reads <- t.same_page_reads + n
+  end;
+  if t.cfg.filter_registers then begin
+    let filter = if write then t.filter_write else t.filter_read in
+    if filter.vpn <> vpn then
+      invalid_arg "Hierarchy.repeat: filter register lost the page";
+    t.filter_hits <- t.filter_hits + n;
+    0
+  end
+  else begin
+    Tlb.hit_again t.private_tlb ~vpn ~n;
+    t.private_hits <- t.private_hits + n;
+    t.stall_cycles <- t.stall_cycles + (n * t.cfg.private_hit_latency);
+    t.cfg.private_hit_latency
   end
 
 let translate t ~now ~vaddr ~write =

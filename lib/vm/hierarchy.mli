@@ -66,6 +66,19 @@ val translate_into :
     an {!outcome}. The DMA calls this once per page segment of every row,
     so the quiet path must not allocate per request. *)
 
+val quiet : t -> bool
+(** No injection plan is armed and no observer is installed: every
+    request is a pure function of the translation state. *)
+
+val repeat : t -> write:bool -> n:int -> Gem_sim.Time.cycles
+(** Charges [n] (at least one) further requests in direction [write] to
+    the page the previous request in that direction translated, and
+    returns each one's latency. On a {!quiet} hierarchy, with nothing
+    translated in between, the state and statistics match [n] calls of
+    {!translate_into}: each is a filter hit (0 cycles) with filter
+    registers on, else a private-TLB hit. Emits no event and observes no
+    time. *)
+
 val invalidate : t -> vpn:int -> unit
 (** Drops one translation from the filter registers and both TLBs (the
     page-unmap shootdown path). The next access re-walks. *)

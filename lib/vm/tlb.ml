@@ -39,6 +39,15 @@ let lookup t ~vpn =
       e.ppn
   | exception Not_found -> miss
 
+let hit_again t ~vpn ~n =
+  match Hashtbl.find t.index vpn with
+  | e ->
+      t.lookups <- t.lookups + n;
+      t.hits <- t.hits + n;
+      t.clock <- t.clock + n;
+      e.age <- t.clock
+  | exception Not_found -> invalid_arg "Tlb.hit_again: vpn not resident"
+
 let probe t ~vpn =
   match Hashtbl.find_opt t.index vpn with Some e -> Some e.ppn | None -> None
 

@@ -19,6 +19,11 @@ val lookup : t -> vpn:int -> int
 (** The PPN on a hit, {!miss} otherwise. Updates recency on hit, counts
     statistics; allocates nothing. *)
 
+val hit_again : t -> vpn:int -> n:int -> unit
+(** The state and statistics [n] hitting {!lookup}s of a resident [vpn]
+    leave behind, in one step. Raises [Invalid_argument] when [vpn] is not
+    resident. *)
+
 val probe : t -> vpn:int -> int option
 (** Like {!lookup} but with no recency/statistics side effects. *)
 

@@ -116,6 +116,19 @@ let test_tlb_hit () =
   Alcotest.(check int) "hit returns the ppn" 70 (T.lookup tlb ~vpn:7);
   check_zero "Tlb.lookup hit" (fun () -> ignore (T.lookup tlb ~vpn:7))
 
+(* The cache and DMA derive their line shifts through these at create
+   time; a local recursive helper would close over its argument. *)
+let test_mathx_log2 () =
+  let module M = Gem_util.Mathx in
+  Alcotest.(check int) "log2_ceil 100" 7 (M.log2_ceil 100);
+  Alcotest.(check int) "log2_exact 64" 6 (M.log2_exact 64);
+  let n = ref 1 in
+  check_zero "Mathx.log2_ceil" (fun () ->
+      n := (!n mod 4096) + 1;
+      ignore (Sys.opaque_identity (M.log2_ceil !n)));
+  check_zero "Mathx.log2_exact" (fun () ->
+      ignore (Sys.opaque_identity (M.log2_exact (Sys.opaque_identity 64))))
+
 (* Timing-mode controller on a private engine with the null port: the
    staging and compute commands touch only controller state and the
    engine's pipes. *)
@@ -149,6 +162,7 @@ let suite =
     Alcotest.test_case "Cache.access hit/miss/writeback" `Quick
       test_cache_access;
     Alcotest.test_case "Tlb.lookup hit" `Quick test_tlb_hit;
+    Alcotest.test_case "Mathx.log2_ceil/log2_exact" `Quick test_mathx_log2;
     Alcotest.test_case "timing Controller.execute staging/compute" `Quick
       test_controller_execute;
   ]

@@ -1,4 +1,4 @@
-(* gem_mem: SRAM banking, set-associative cache behavior, DRAM/bus timing,
+(* gem_mem: SRAM banking, set-associative cache behavior, DRAM timing,
    sparse main memory. *)
 
 open Gem_mem
@@ -95,11 +95,6 @@ let test_dram_timing () =
   Alcotest.(check int) "queued access" 108 t2;
   Alcotest.(check int) "bytes counted" 128 (Dram.bytes_read d)
 
-let test_bus () =
-  let b = Bus.create ~width_bytes:8 () in
-  Alcotest.(check int) "transfer time" 8 (Bus.transfer b ~now:0 ~bytes:64);
-  Alcotest.(check int) "second queues" 16 (Bus.transfer b ~now:0 ~bytes:64)
-
 let test_mainmem () =
   let m = Mainmem.create () in
   Alcotest.(check int) "untouched is zero" 0 (Mainmem.read_byte m ~addr:123456);
@@ -131,7 +126,6 @@ let suite =
     Alcotest.test_case "cache writeback" `Quick test_cache_writeback;
     Alcotest.test_case "cache range access" `Quick test_cache_range;
     Alcotest.test_case "dram timing" `Quick test_dram_timing;
-    Alcotest.test_case "bus timing" `Quick test_bus;
     Alcotest.test_case "main memory" `Quick test_mainmem;
     QCheck_alcotest.to_alcotest qcheck_cache_occupancy;
     QCheck_alcotest.to_alcotest qcheck_mainmem_i32;

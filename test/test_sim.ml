@@ -300,17 +300,17 @@ let test_alloc_constant_soc_dma_transfer () =
   let core = Soc.core soc 0 in
   let dma = Gemmini.Controller.dma (Soc.controller core) in
   let va = Soc.alloc soc core ~bytes:Gem_vm.Page_table.page_size in
-  let per_call ~write ~cold rows =
+  let per_call ?(stride_bytes = 64) ?(row_bytes = 64) ~write ~cold rows =
     let transfer i =
       if cold then Gem_mem.Cache.invalidate_all (Soc.l2 soc);
       if write then
         ignore
           (Gemmini.Dma.mvout_timing_rows dma ~now:(i * 10_000) ~vaddr:va
-             ~stride_bytes:64 ~rows ~row_bytes:64)
+             ~stride_bytes ~rows ~row_bytes)
       else
         ignore
-          (Gemmini.Dma.mvin dma ~now:(i * 10_000) ~vaddr:va ~stride_bytes:64
-             ~rows ~row_bytes:64)
+          (Gemmini.Dma.mvin dma ~now:(i * 10_000) ~vaddr:va ~stride_bytes
+             ~rows ~row_bytes)
     in
     (* Warm the TLB/filters so the measured calls stay on the hit path. *)
     transfer 0;
@@ -328,7 +328,12 @@ let test_alloc_constant_soc_dma_transfer () =
       let one = per_call ~write ~cold 1 and many = per_call ~write ~cold 32 in
       Alcotest.(check (float 0.)) (dir ^ " bytes independent of rows") one many;
       Alcotest.(check bool) (dir ^ " bytes are one small result") true
-        (one <= 64.))
+        (one <= 64.);
+      (* 16 rows x 4 B at stride 4 share one L2 line: rows 1-15 are
+         charged in bulk, which must allocate no more than the walk. *)
+      let sameline = per_call ~stride_bytes:4 ~row_bytes:4 ~write ~cold 16 in
+      Alcotest.(check (float 0.)) (dir ^ " same-line rows: same bytes") one
+        sameline)
     [
       ("mvin", false, false);
       ("mvin (cold L2)", false, true);

@@ -324,6 +324,160 @@ let check_restore_continuation ~cores =
 let test_restore_continuation () = check_restore_continuation ~cores:2
 let test_quad_core_restore () = check_restore_continuation ~cores:4
 
+(* --- bulk DMA rows vs the per-row walk -------------------------------------
+
+   A quiet SoC charges runs of DMA rows that stay in one L2 line and page
+   in bulk; attaching a sink (which makes the engine live) forces the
+   per-row walk. Twin SoCs replay one seeded random transfer sequence and
+   must agree on every call's result and on all state afterwards. *)
+
+module Dma = Gemmini.Dma
+module Rng = Gem_util.Rng
+
+let twin_config ~cores ~filters =
+  cores_config cores
+  |> Soc_config.with_l2_size (16 * 1024)
+  |> Soc_config.map_tlb (fun tlb ->
+         { tlb with Gem_vm.Hierarchy.filter_registers = filters;
+           shared_entries = 8 })
+
+let region_bytes = 320 * 1024
+
+(* One transfer drawn from [rng]: mvin or timing-only mvout, rows 1-64,
+   row_bytes 1-128, strides 0 / sub-line (either sign) / line-sized /
+   page-crossing, bases that straddle lines and pages; one draw in six is
+   an 8 KB sweep that evicts half of the 16 KB L2. The base is an offset
+   into the core's region, clear of its start for negative strides. *)
+let random_transfer rng ~cores =
+  let core = Rng.int rng cores in
+  let write = Rng.bool rng in
+  let page = Gem_vm.Page_table.page_size in
+  if Rng.int rng 6 = 0 then
+    (core, write, Rng.int rng (region_bytes - (8 * 1024)), 128, 64, 128)
+  else
+    let rows = Rng.int_in rng ~lo:1 ~hi:64 in
+    let row_bytes = Rng.int_in rng ~lo:1 ~hi:128 in
+    let stride =
+      match Rng.int rng 7 with
+      | 0 -> 0
+      | 1 -> Rng.int_in rng ~lo:1 ~hi:63
+      | 2 -> -Rng.int_in rng ~lo:1 ~hi:63
+      | 3 -> 64
+      | 4 -> page
+      | 5 -> Rng.int_in rng ~lo:(page - 8) ~hi:(page + 8)
+      | _ -> Rng.int_in rng ~lo:65 ~hi:600
+    in
+    let base =
+      match Rng.int rng 3 with
+      | 0 -> Rng.int rng page
+      | 1 -> (page * Rng.int_in rng ~lo:1 ~hi:8) - Rng.int_in rng ~lo:1 ~hi:64
+      | _ -> (64 * Rng.int_in rng ~lo:1 ~hi:64) - Rng.int_in rng ~lo:1 ~hi:8
+    in
+    let clear = if stride < 0 then -stride * (rows - 1) else 0 in
+    (core, write, clear + base, stride, rows, row_bytes)
+
+(* Replays [steps] random transfers on [soc]; returns every call's
+   (engine_free, finish) and the fault trace. A page fault (injected
+   unmap) is serviced by remapping the page, as the runtime does. *)
+let replay soc ~seed ~steps =
+  let cores = Array.length (Soc.cores soc) in
+  let bases = Array.map (fun c -> Soc.alloc soc c ~bytes:region_bytes) (Soc.cores soc) in
+  let clocks = Array.make cores 0 in
+  let rng = Rng.create ~seed in
+  let results = ref [] and faults = ref [] in
+  for _ = 1 to steps do
+    let core, write, base, stride_bytes, rows, row_bytes =
+      random_transfer rng ~cores
+    in
+    let c = Soc.core soc core in
+    let dma = Gemmini.Controller.dma (Soc.controller c) in
+    let now = clocks.(core) + Rng.int rng 400 in
+    let vaddr = bases.(core) + base in
+    match
+      if write then
+        Dma.mvout_timing_rows dma ~now ~vaddr ~stride_bytes ~rows ~row_bytes
+      else
+        let t = Dma.mvin dma ~now ~vaddr ~stride_bytes ~rows ~row_bytes in
+        (t.Dma.engine_free, t.Dma.finish)
+    with
+    | (engine_free, _) as r ->
+        results := r :: !results;
+        clocks.(core) <- engine_free
+    | exception Gem_sim.Fault.Trap f ->
+        faults := Gem_sim.Fault.to_string f :: !faults;
+        clocks.(core) <- f.Gem_sim.Fault.cycle;
+        (match f.Gem_sim.Fault.cause with
+        | Gem_sim.Fault.Page_fault { vpn; _ } ->
+            Soc.map_page soc c ~vaddr:(vpn * Gem_vm.Page_table.page_size)
+        | _ -> ())
+  done;
+  (List.rev !results, List.rev !faults)
+
+let twin_run ?inject ~cores ~filters ~seed () =
+  let cfg = twin_config ~cores ~filters in
+  let run ~sink =
+    let soc = Soc.create cfg in
+    if sink then Engine.add_sink (Soc.engine soc) ignore;
+    Option.iter (fun rate -> Soc.arm_injection soc ~seed ~rate) inject;
+    let results, faults = replay soc ~seed ~steps:300 in
+    (soc, results, faults)
+  in
+  let label =
+    Printf.sprintf "%d core(s), filters %b, seed %d" cores filters seed
+  in
+  let quiet, q_results, q_faults = run ~sink:false in
+  let walked, w_results, w_faults = run ~sink:true in
+  let eq, ew = (Soc.engine quiet, Soc.engine walked) in
+  Alcotest.(check (list (pair int int)))
+    (label ^ ": every call's engine_free/finish") w_results q_results;
+  Alcotest.(check bool) (label ^ ": Engine.stats") true
+    (Engine.stats eq = Engine.stats ew);
+  Alcotest.(check bool) (label ^ ": Engine.latency histograms") true
+    (Engine.latency eq = Engine.latency ew);
+  Alcotest.(check string) (label ^ ": SoC snapshot")
+    (Jsonx.to_string (Soc.snapshot walked))
+    (Jsonx.to_string (Soc.snapshot quiet));
+  (q_faults, w_faults)
+
+(* Engine.acquire calls one warm 16-row x 4-byte, stride-4 mvin makes. *)
+let sameline_acquires ~sink =
+  let module P = Gem_obs.Profile in
+  let soc = Soc.create Soc_config.default in
+  if sink then Engine.add_sink (Soc.engine soc) ignore;
+  let core = Soc.core soc 0 in
+  let dma = Gemmini.Controller.dma (Soc.controller core) in
+  let vaddr = Soc.alloc soc core ~bytes:4096 in
+  let mvin now = ignore (Dma.mvin dma ~now ~vaddr ~stride_bytes:4 ~rows:16 ~row_bytes:4) in
+  mvin 0;
+  P.reset ();
+  P.enable ();
+  Fun.protect ~finally:P.disable (fun () -> mvin 10_000);
+  let calls =
+    List.fold_left
+      (fun acc ph -> if ph.P.ph_name = P.acquire then acc + ph.P.ph_calls else acc)
+      0 (P.phases ())
+  in
+  P.reset ();
+  calls
+
+let test_bulk_rows_equal_walk () =
+  (* Row 0 takes a bus and a port slot; the other 15 rows are coalesced
+     on the quiet SoC and walked one by one on the live one. *)
+  Alcotest.(check int) "quiet same-line rows skip Engine.acquire" 2
+    (sameline_acquires ~sink:false);
+  Alcotest.(check int) "live engine walks every row" 32
+    (sameline_acquires ~sink:true);
+  List.iter
+    (fun (cores, filters, seed) ->
+      let q_faults, _ = twin_run ~cores ~filters ~seed () in
+      Alcotest.(check (list string)) "no faults without injection" [] q_faults)
+    [ (1, true, 1); (1, false, 2); (2, true, 3); (2, false, 4) ];
+  let q_faults, w_faults =
+    twin_run ~inject:0.002 ~cores:2 ~filters:true ~seed:5 ()
+  in
+  Alcotest.(check bool) "injection fired" true (q_faults <> []);
+  Alcotest.(check (list string)) "injected fault trace" w_faults q_faults
+
 let test_cpu_model_sanity () =
   let open Gem_cpu.Cpu_model in
   Alcotest.(check bool) "boom beats rocket" true
@@ -364,5 +518,7 @@ let suite =
       test_restore_continuation;
     Alcotest.test_case "quad-core: restored round 2 equals continued" `Quick
       test_quad_core_restore;
+    Alcotest.test_case "DMA: bulk row runs equal the per-row walk" `Quick
+      test_bulk_rows_equal_walk;
     Alcotest.test_case "CPU cost model sanity" `Quick test_cpu_model_sanity;
   ]
