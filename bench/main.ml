@@ -175,46 +175,47 @@ let run_serving_bench () =
 
 (* Hot-path bench: allocation per operation for the flattened quiet paths
    (engine acquire, timing-only DMA transfer on a null port and on the
-   SoC's L2/DRAM port, the multi-core dispatch loop). The bytes/op figures
-   land in the hotpath section of BENCH_results.json, which
-   check_regression.exe gates. Set-up (SoC elaboration, page mapping)
-   stays outside the measured window, so bytes/op is the steady-state
-   cost of one call. *)
+   SoC's L2/DRAM port, the multi-core dispatch loop, a whole quiet
+   single-core inference). The bytes/op figures land in the hotpath
+   section of BENCH_results.json, which check_regression.exe gates.
+   Set-up (SoC elaboration, page mapping) stays outside the measured
+   window, so bytes/op is the steady-state cost of one call. *)
 let run_hotpath_bench () =
   banner "Hot path: bytes/op (quiet event loop)" (fun () ->
-      let measure name iters f =
-        (* Words allocated on both heaps: [Gc.minor_words] plus the
-           major words not promoted from the minor heap, so a block too
-           large for the minor heap counts too ([Gc.allocated_bytes] is
-           not used: on OCaml 5.1 it under-reports the words still in the
-           minor arena). The figures are deterministic for one compiler
-           and switch; regenerate the baseline when the compiler changes.
-           One warm-up call keeps first-touch work (page walks) out of
-           the window; a dry run of the same scaffolding calibrates away
-           the counters' own allocations; bytes/op is rounded to 0.1 B so
-           per-call fixed costs amortized over [iters] cannot move the
-           gate. *)
-        let allocated_words () =
-          let _, promoted, major = Gc.counters () in
-          Gc.minor_words () +. major -. promoted
-        in
-        let window g =
-          Gc.minor ();
-          let w0 = allocated_words () in
-          g ();
-          allocated_words () -. w0
-        in
-        f 1;
-        let overhead = window ignore in
-        let words = window (fun () -> f iters) in
+      (* Words allocated on both heaps: [Gc.minor_words] plus the major
+         words not promoted from the minor heap, so a block too large for
+         the minor heap counts too ([Gc.allocated_bytes] is not used: on
+         OCaml 5.1 it under-reports the words still in the minor arena).
+         The figures are deterministic for one compiler and switch;
+         regenerate the baseline when the compiler changes. *)
+      let allocated_words () =
+        let _, promoted, major = Gc.counters () in
+        Gc.minor_words () +. major -. promoted
+      in
+      let window g =
+        Gc.minor ();
+        let w0 = allocated_words () in
+        g ();
+        allocated_words () -. w0
+      in
+      (* bytes/op is rounded to 0.1 B so per-call fixed costs amortized
+         over many ops cannot move the gate. *)
+      let bytes_per_op name ~ops words =
         let bytes =
           Float.round
-            ((words -. overhead) *. float_of_int (Sys.word_size / 8)
-            /. float_of_int iters *. 10.)
+            (words *. float_of_int (Sys.word_size / 8) /. float_of_int ops *. 10.)
           /. 10.
         in
         hotpath_stat (name ^ ".bytes_per_op") bytes;
         Printf.printf "  %-24s %8.1f B/op\n" name bytes
+      in
+      (* One warm-up call keeps first-touch work (page walks) out of the
+         window; a dry run of the same scaffolding calibrates away the
+         counters' own allocations. *)
+      let measure name iters f =
+        f 1;
+        let overhead = window ignore in
+        bytes_per_op name ~ops:iters (window (fun () -> f iters) -. overhead)
       in
       (let open Gem_sim in
        let e = Engine.create () in
@@ -272,7 +273,28 @@ let run_hotpath_bench () =
        in
        let soc = Gem_soc.Soc.create Gem_soc.Soc_config.dual_core in
        measure "soc_dispatch" 50_000 (fun n ->
-           ignore (Gem_soc.Soc.run_parallel soc [| ops (n / 2); ops (n / 2) |]))))
+           ignore (Gem_soc.Soc.run_parallel soc [| ops (n / 2); ops (n / 2) |])));
+      (* A whole quiet inference — lowering, dispatch and the simulated
+         hot path — per op the program emits. SoC elaboration stays
+         outside the window; a first run warms the same code. *)
+      let module Runtime = Gem_sw.Runtime in
+      let model =
+        Gem_dnn.Model_zoo.scale_model ~factor:8 Gem_dnn.Model_zoo.resnet50
+      in
+      let mode = Runtime.Accel { im2col_on_accel = true } in
+      let fresh () = Gem_soc.Soc.create Gem_soc.Soc_config.default in
+      let run soc = ignore (Runtime.run soc ~core:0 model ~mode) in
+      let ops =
+        let soc = fresh () in
+        Seq.length
+          (Runtime.plan_ops soc (Gem_soc.Soc.core soc 0) model ~mode
+             ~records:(ref []))
+      in
+      run (fresh ());
+      let soc = fresh () in
+      let overhead = window ignore in
+      bytes_per_op "runtime_run_resnet50_s8" ~ops
+        (window (fun () -> run soc) -. overhead))
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -70,6 +70,16 @@ let abort_on_trap f =
     Printf.eprintf "[run] aborted: %s\n%!" (Gem_sim.Fault.to_string fault);
     exit 1
 
+(* A missing directory under an output path, or a missing input file, is
+   a usage error of the subcommand: one "[tag]" line and exit 2, never an
+   uncaught exception. A self-profile report that cannot be written fails
+   inside [with_self_profile]'s [finally], hence the second pattern. *)
+let on_io_error tag f =
+  try f ()
+  with Sys_error msg | Fun.Finally_raised (Sys_error msg) ->
+    Printf.eprintf "[%s] %s\n%!" tag msg;
+    exit 2
+
 let write_metrics reg = function
   | None -> ()
   | Some file ->
@@ -300,6 +310,7 @@ let run_cmd =
       || policy = Runtime.Resume_checkpoint
     in
     let reg = Metrics.create () in
+    on_io_error "run" @@ fun () ->
     abort_on_trap @@ fun () ->
     with_self_profile self_profile @@ fun () ->
     match backend with
@@ -505,6 +516,7 @@ let run_cmd =
 let sweep_cmd =
   let run model scale backend jobs cache_dir no_cache out journal resume
       retries backoff_ms deadline self_profile metrics_out =
+    on_io_error "dse" @@ fun () ->
     let name = model.Gem_dnn.Layer.model_name in
     let base = Gem_dse.Point.make ~model:name ~scale ~backend () in
     let dim_axis =
@@ -842,6 +854,7 @@ let serve_cmd =
   let run p model scale backend cores_list arrival seed batch slos
       duration no_warmup out trace_out warm warm_out rates jobs self_profile
       metrics_out =
+    on_io_error "serve" @@ fun () ->
     let name = model.Gem_dnn.Layer.model_name in
     let scenario_for ~cores ~arrival =
       {

@@ -178,7 +178,6 @@ let create cfg =
   soc.cores_arr <- Array.of_list cores;
   soc
 
-let config t = t.cfg
 let engine t = t.engine
 let cores t = t.cores_arr
 let core t i = t.cores_arr.(i)

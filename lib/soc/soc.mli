@@ -21,7 +21,6 @@ val engine : t -> Gem_sim.Engine.t
 (** The chip-wide simulation context; [Gem_sim.Engine.stats] /
     [utilization_table] give the per-component profile. *)
 
-val config : t -> Soc_config.t
 val cores : t -> core array
 val core : t -> int -> core
 val l2 : t -> Gem_mem.Cache.t

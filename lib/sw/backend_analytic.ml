@@ -240,10 +240,6 @@ type mm_counts = {
   mc_mvouts : int;
 }
 
-let mm_total c =
-  c.mc_configs + c.mc_bias_mvins + c.mc_a_mvins + c.mc_b_mvins + c.mc_preloads
-  + c.mc_computes + c.mc_mvouts
-
 let groups_of total tile =
   (* sum over outer iterations of ceil(v / max_block_len) *)
   let acc = ref 0 in

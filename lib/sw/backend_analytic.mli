@@ -65,5 +65,3 @@ val matmul_command_counts : Gemmini.Params.t -> Lower.matmul_shape -> mm_counts
     invocation, derived from the schedule alone. The backend-seam
     conformance test diffs these against the emitted instruction stream,
     proving both backends price the same program. *)
-
-val mm_total : mm_counts -> int

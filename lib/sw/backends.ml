@@ -1,12 +1,5 @@
-let all : (module Backend.S) list =
-  [ (module Backend_cycle); (module Backend_analytic) ]
-
 let of_kind : Backend.kind -> (module Backend.S) = function
   | Backend.Cycle -> (module Backend_cycle)
   | Backend.Analytic -> (module Backend_analytic)
 
 let names = List.map Backend.kind_name Backend.all_kinds
-
-let run kind rq =
-  let module B = (val of_kind kind : Backend.S) in
-  B.run rq

@@ -1,10 +1,4 @@
 (** Registry of execution backends. *)
 
-val all : (module Backend.S) list
-(** Every registered backend, in {!Backend.all_kinds} order. *)
-
 val of_kind : Backend.kind -> (module Backend.S)
 val names : string list
-
-val run : Backend.kind -> Backend.request -> Runtime.result array
-(** Dispatch a request to the backend of the given kind. *)

@@ -12,12 +12,56 @@
 
 type op = Gem_soc.Soc.op
 
-(** The [*_rev] kernels emit onto a {e reversed} accumulator: each
-    returns the kernel's ops in reverse order prepended to the list it is
-    given. The runtime threads one accumulator through a whole layer and
-    reverses it once, so lowering copies no per-kernel lists. The
-    matmul also comes as [matmul_ops], which returns its command list in
-    order. *)
+(** A kernel's outer loop, expanded on demand: each element is one step,
+    which pushes its commands through the [emit] it is given, in program
+    order. A consumer that expands one step at a time holds at most one
+    tile step's commands, never a whole layer's — the software analogue
+    of the LOOP_WS unit, which unrolls the same nest in hardware from a
+    compact descriptor. *)
+type steps = ((op -> unit) -> unit) Seq.t
+
+val single : op -> steps
+(** One step emitting [op]. *)
+
+val ops : steps -> op list
+(** Every step, expanded in order: the list form. *)
+
+val matmul_steps :
+  Gemmini.Params.t ->
+  ?tiling:Tiling.t ->
+  ?schedule:Schedule.t ->
+  ?bias:int ->
+  ?bias_column:int ->
+  ?act:Gemmini.Peripheral.activation ->
+  ?scale:float ->
+  ?a_row_stride:int ->
+  ?b_row_stride:int ->
+  ?c_row_stride:int ->
+  ?a_condense:float ->
+  a:int ->
+  b:int ->
+  out:int ->
+  m:int ->
+  k:int ->
+  n:int ->
+  unit ->
+  steps
+(** C = act(scale * (A.B + bias)), int8 in/out, int32 accumulate. One
+    step is one [(i0, j0, k0)] tile: step 0 also configures the units, a
+    [k0 = 0] step stages the bias into the C tile, and the last [k0] step
+    drains it. [schedule] fixes tile sizes, loop order and dataflow (it
+    subsumes and wins over [tiling], which wraps legacy manual tile
+    sizes in the default schedule); when neither is given the kernel runs
+    {!Schedule.choose}.
+    [bias] is the VA of an int32 per-output-column vector, broadcast to
+    every row with a stride-0 mvin. [bias_column] instead biases per
+    output {e row} (each accumulator row loads its own int32 word; used by
+    the transposed batch-1 GEMM lowering; requires [n <= DIM]). Strides are DRAM row strides in bytes
+    (defaults: dense [k]/[n]/[n]). [a_condense] (timing mode only) scales
+    the A-side fetch footprint to model the on-the-fly im2col unit
+    reading the raw input instead of the expanded patch matrix. Raises
+    [Invalid_argument] on an empty problem or a tiling that does not
+    fit, before any step runs. *)
 
 val matmul_ops :
   Gemmini.Params.t ->
@@ -39,39 +83,7 @@ val matmul_ops :
   n:int ->
   unit ->
   op list
-(** C = act(scale * (A.B + bias)), int8 in/out, int32 accumulate.
-    [schedule] fixes tile sizes, loop order and dataflow (it subsumes and
-    wins over [tiling], which wraps legacy manual tile sizes in the
-    default schedule); when neither is given the kernel runs
-    {!Schedule.choose}.
-    [bias] is the VA of an int32 per-output-column vector, broadcast to
-    every row with a stride-0 mvin. [bias_column] instead biases per
-    output {e row} (each accumulator row loads its own int32 word; used by
-    the transposed batch-1 GEMM lowering; requires [n <= DIM]). Strides are DRAM row strides in bytes
-    (defaults: dense [k]/[n]/[n]). [a_condense] (timing mode only) scales
-    the A-side fetch footprint to model the on-the-fly im2col unit
-    reading the raw input instead of the expanded patch matrix. *)
-
-val matmul_rev :
-  Gemmini.Params.t ->
-  ?tiling:Tiling.t ->
-  ?schedule:Schedule.t ->
-  ?bias:int ->
-  ?bias_column:int ->
-  ?act:Gemmini.Peripheral.activation ->
-  ?scale:float ->
-  ?a_row_stride:int ->
-  ?b_row_stride:int ->
-  ?c_row_stride:int ->
-  ?a_condense:float ->
-  a:int ->
-  b:int ->
-  out:int ->
-  m:int ->
-  k:int ->
-  n:int ->
-  op list ->
-  op list
+(** {!matmul_steps}, expanded into a list. *)
 
 val matmul_loop_ws_ops :
   Gemmini.Params.t ->
@@ -91,16 +103,10 @@ val matmul_loop_ws_ops :
     expands the tile loop, so the host pays four dispatches instead of
     thousands. Dense strides. *)
 
-type conv_im2col =
-  | Im2col_on_cpu  (** host materializes the patch matrix (Fig. 7 left) *)
-  | Im2col_on_accel  (** the optional hardware block expands on the fly *)
-  | Im2col_preexpanded of int
-      (** patch matrix already at this VA (functional-mode path) *)
-
-val conv_rev :
+val conv_steps :
   Gemmini.Params.t ->
   cpu:Gem_cpu.Cpu_model.kind ->
-  im2col:conv_im2col ->
+  im2col:Lower.im2col_choice ->
   ?bias:int ->
   ?scale:float ->
   input:int ->
@@ -108,39 +114,41 @@ val conv_rev :
   out:int ->
   spec:Gem_dnn.Layer.conv_spec ->
   patch_scratch:int ->
-  op list ->
-  op list
-(** Convolution as im2col + tiled matmul. [patch_scratch] is the VA of
-    the reusable patch-matrix buffer (used by the CPU path). Depthwise
-    convolutions lower to per-channel skinny matmuls (poor array
-    utilization — the MobileNetV2 effect). *)
+  unit ->
+  steps
+(** Convolution as im2col + tiled matmul, stepped like {!matmul_steps}
+    (the host im2col, if any, ahead of step 0). [patch_scratch] is the VA
+    of the patch matrix: the reusable buffer the host im2col fills, or
+    the one pre-expanded in DRAM.
+    Depthwise convolutions lower to per-channel skinny matmuls (poor
+    array utilization — the MobileNetV2 effect), each planned when its
+    first step is reached. *)
 
-val resadd_rev :
+val resadd_steps :
   Gemmini.Params.t ->
   ?relu:bool ->
   x:int ->
   y:int ->
   out:int ->
   elems:int ->
-  op list ->
-  op list
+  unit ->
+  steps
 (** Element-wise int8 addition through the accumulator: stream X in,
-    accumulate Y onto it, store back. No weight reuse at all — the
-    memory-bound layer class of Fig. 9. *)
+    accumulate Y onto it, store back, one accumulator row group per step.
+    No weight reuse at all — the memory-bound layer class of Fig. 9. *)
 
-val maxpool_rev :
+val maxpool_steps :
   Gemmini.Params.t ->
   cpu:Gem_cpu.Cpu_model.kind ->
   input:int ->
   out:int ->
   spec:Gem_dnn.Layer.pool_spec ->
-  op list ->
-  op list
+  steps
 (** With the pooling unit: data streams through the accelerator's store
-    path. Without: host-CPU loop. *)
+    path, one pooled row group (and the loads it needs) per step.
+    Without: one host-CPU step. *)
 
-val host_elementwise_ops :
-  cpu:Gem_cpu.Cpu_model.kind -> elems:int -> tag:string -> op list
+val host_elementwise : cpu:Gem_cpu.Cpu_model.kind -> elems:int -> tag:string -> op
 (** Softmax / layernorm / GELU / global-average-pool host work. *)
 
 val fence : op

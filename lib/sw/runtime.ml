@@ -291,10 +291,12 @@ module Span = Gem_sim.Span
 
 (* Zero-cost observability hooks: each marker reads the controller clock
    and emits a span event only when the engine is live, so unobserved runs
-   execute the identical op stream with no event allocation. *)
+   execute the identical op stream with no event allocation. Each is one
+   marker step of the program. *)
+let marker f = Kernels.single (Soc.Marker f)
+
 let span_open_marker ~cat ~name time_of =
-  Soc.Marker
-    (fun core ->
+  marker (fun core ->
       let ctrl = Soc.controller core in
       Span.emit_open
         (Gemmini.Controller.engine ctrl)
@@ -302,62 +304,55 @@ let span_open_marker ~cat ~name time_of =
         ~time:(time_of ctrl) ~cat name)
 
 let span_close_marker ~name time_of =
-  Soc.Marker
-    (fun core ->
+  marker (fun core ->
       let ctrl = Soc.controller core in
       Span.emit_close
         (Gemmini.Controller.engine ctrl)
         ~component:(Gemmini.Controller.host_component ctrl)
         ~time:(time_of ctrl) name)
 
-(* --- per-layer emission ------------------------------------------------------
+(* --- per-layer lowering ---------------------------------------------------------
 
-   A layer's ops are built in one pass onto a single reversed accumulator
-   ([acc], most recent op first): every emitter below, like the kernels'
-   [*_rev] forms, returns [acc] extended with its own ops. The caller
-   reverses the finished layer once. *)
+   A layer lowers to a short list of pieces — its markers and kernels,
+   each a [Kernels.steps] — that the program cursor below expands one
+   step at a time. *)
 
 (* A kernel span opens at the issue cursor (dispatch of the kernel's first
-   command) and closes at the finish horizon once its commands retire. A
-   kernel that emits nothing gets no span. *)
-let kernel_span name emit acc =
-  let opened =
-    span_open_marker ~cat:"kernel" ~name Gemmini.Controller.now :: acc
-  in
-  let body = emit opened in
-  if body == opened then acc
-  else span_close_marker ~name Gemmini.Controller.finish_time :: body
+   command) and closes at the finish horizon once its commands retire. *)
+let kernel_span name steps =
+  [
+    span_open_marker ~cat:"kernel" ~name Gemmini.Controller.now;
+    steps;
+    span_close_marker ~name Gemmini.Controller.finish_time;
+  ]
 
-let layer_rev soc core tensors ~mode ~functional ~idx ~input_va layer acc =
+let layer_pieces soc core tensors ~mode ~functional ~idx ~input_va layer =
   let params = Gemmini.Controller.params (Soc.controller core) in
   let cpu = Soc.cpu core in
   let out_va = tensors.t_out.(idx) in
   (* Functional-mode data staging runs as a host marker ahead of the
      layer's commands; timing mode emits nothing for it. *)
-  let staging f acc = if functional then Soc.Marker f :: acc else acc in
-  let host_work ~elems ~tag acc =
-    List.rev_append (Kernels.host_elementwise_ops ~cpu ~elems ~tag) acc
+  let staging f = if functional then [ marker f ] else [] in
+  let host_work ~elems ~tag =
+    Kernels.single (Kernels.host_elementwise ~cpu ~elems ~tag)
   in
   match (mode, layer) with
   | Cpu_only, l ->
-      Soc.Host_work { cycles = cpu_layer_cycles cpu l; tag = "cpu-layer" } :: acc
+      [ Kernels.single (Soc.Host_work { cycles = cpu_layer_cycles cpu l; tag = "cpu-layer" }) ]
   | Accel _, Layer.Elementwise { e_elems; e_name } ->
-      acc
-      |> staging (fun core ->
-             (* Host ops are identity passes in the functional model. *)
-             let data = Soc.host_read_i8 soc core ~vaddr:input_va ~n:e_elems in
-             Soc.host_write_i8 soc core ~vaddr:out_va data)
-      |> kernel_span e_name (host_work ~elems:e_elems ~tag:e_name)
+      staging (fun core ->
+          (* Host ops are identity passes in the functional model. *)
+          let data = Soc.host_read_i8 soc core ~vaddr:input_va ~n:e_elems in
+          Soc.host_write_i8 soc core ~vaddr:out_va data)
+      @ kernel_span e_name (host_work ~elems:e_elems ~tag:e_name)
   | Accel _, Layer.Global_avg_pool { g_h; g_w; g_ch } ->
-      acc
-      |> staging (fun core ->
-             let t = read_tensor soc core ~vaddr:input_va ~shape:[| 1; g_h; g_w; g_ch |] in
-             write_tensor soc core ~vaddr:out_va (Gemmini.Peripheral.avg_pool_global t))
-      |> kernel_span "gap" (host_work ~elems:(g_h * g_w * g_ch) ~tag:"gap")
+      staging (fun core ->
+          let t = read_tensor soc core ~vaddr:input_va ~shape:[| 1; g_h; g_w; g_ch |] in
+          write_tensor soc core ~vaddr:out_va (Gemmini.Peripheral.avg_pool_global t))
+      @ kernel_span "gap" (host_work ~elems:(g_h * g_w * g_ch) ~tag:"gap")
   | Accel _, Layer.Max_pool p ->
       if functional then
-        Soc.Marker
-          (fun core ->
+        staging (fun core ->
             let t =
               read_tensor soc core ~vaddr:input_va
                 ~shape:[| 1; p.Layer.p_in_h; p.Layer.p_in_w; p.Layer.p_ch |]
@@ -367,81 +362,68 @@ let layer_rev soc core tensors ~mode ~functional ~idx ~input_va layer acc =
                 ~stride:p.Layer.p_stride ~padding:p.Layer.p_padding t
             in
             write_tensor soc core ~vaddr:out_va pooled)
-        :: acc
       else
         kernel_span "maxpool"
-          (fun acc ->
-            Kernels.maxpool_rev params ~cpu ~input:input_va ~out:out_va ~spec:p acc)
-          acc
+          (Kernels.maxpool_steps params ~cpu ~input:input_va ~out:out_va ~spec:p)
   | Accel _, Layer.Residual_add { r_h; r_w; r_ch; back1; back2 } ->
       let operand back =
         let j = idx - back in
         if j < 0 then tensors.t_input else tensors.t_out.(j)
       in
       kernel_span "resadd"
-        (fun acc ->
-          Kernels.resadd_rev params ~x:(operand back1) ~y:(operand back2)
-            ~out:out_va
-            ~elems:(r_h * r_w * r_ch)
-            acc)
-        acc
+        (Kernels.resadd_steps params ~x:(operand back1) ~y:(operand back2)
+           ~out:out_va
+           ~elems:(r_h * r_w * r_ch)
+           ())
   | Accel { im2col_on_accel }, Layer.Conv spec ->
       let patch_va = tensors.t_patch.(idx) in
-      let im2col : Kernels.conv_im2col =
-        match
-          Lower.resolve_im2col params ~mode:(Accel { im2col_on_accel })
-            ~functional
-        with
-        | Lower.Im_pre -> Kernels.Im2col_preexpanded patch_va
-        | Lower.Im_accel -> Kernels.Im2col_on_accel
-        | Lower.Im_cpu -> Kernels.Im2col_on_cpu
+      let im2col =
+        Lower.resolve_im2col params ~mode:(Accel { im2col_on_accel }) ~functional
       in
-      acc
-      |> staging (fun core ->
-             (* Materialize the patch matrix so the datapath reads real
-                data; the hardware im2col block is modeled in timing mode
-                only. *)
-             let t =
-               read_tensor soc core ~vaddr:input_va
-                 ~shape:[| 1; spec.Layer.in_h; spec.Layer.in_w; spec.Layer.in_ch |]
-             in
-             if spec.Layer.depthwise then begin
-               let mk = Layer.as_matmul layer |> Option.get in
-               let per = mk.Layer.m * mk.Layer.k in
-               for ch = 0 to spec.Layer.in_ch - 1 do
-                 let chan =
-                   Tensor.init [| 1; spec.Layer.in_h; spec.Layer.in_w; 1 |]
-                     (fun i -> Tensor.get4 t 0 i.(1) i.(2) ch)
-                 in
-                 let patch =
-                   Gemmini.Peripheral.im2col ~input:chan ~kernel:spec.Layer.kernel
-                     ~stride:spec.Layer.stride ~padding:spec.Layer.padding
-                 in
-                 let flat = Array.concat (Array.to_list patch) in
-                 Soc.host_write_i8 soc core ~vaddr:(patch_va + (ch * per)) flat
-               done
-             end
-             else begin
-               let patch =
-                 Gemmini.Peripheral.im2col ~input:t ~kernel:spec.Layer.kernel
-                   ~stride:spec.Layer.stride ~padding:spec.Layer.padding
-               in
-               let flat = Array.concat (Array.to_list patch) in
-               Soc.host_write_i8 soc core ~vaddr:patch_va flat
-             end)
-      |> kernel_span "conv" (fun acc ->
-             Kernels.conv_rev params ~cpu ~im2col ~bias:(tensors.t_bias.(idx))
-               ~scale:out_scale ~input:input_va ~weights:(tensors.t_weights.(idx))
-               ~out:out_va ~spec ~patch_scratch:tensors.t_patch.(idx) acc)
+      staging (fun core ->
+          (* Materialize the patch matrix so the datapath reads real
+             data; the hardware im2col block is modeled in timing mode
+             only. *)
+          let t =
+            read_tensor soc core ~vaddr:input_va
+              ~shape:[| 1; spec.Layer.in_h; spec.Layer.in_w; spec.Layer.in_ch |]
+          in
+          if spec.Layer.depthwise then begin
+            let mk = Layer.as_matmul layer |> Option.get in
+            let per = mk.Layer.m * mk.Layer.k in
+            for ch = 0 to spec.Layer.in_ch - 1 do
+              let chan =
+                Tensor.init [| 1; spec.Layer.in_h; spec.Layer.in_w; 1 |]
+                  (fun i -> Tensor.get4 t 0 i.(1) i.(2) ch)
+              in
+              let patch =
+                Gemmini.Peripheral.im2col ~input:chan ~kernel:spec.Layer.kernel
+                  ~stride:spec.Layer.stride ~padding:spec.Layer.padding
+              in
+              let flat = Array.concat (Array.to_list patch) in
+              Soc.host_write_i8 soc core ~vaddr:(patch_va + (ch * per)) flat
+            done
+          end
+          else begin
+            let patch =
+              Gemmini.Peripheral.im2col ~input:t ~kernel:spec.Layer.kernel
+                ~stride:spec.Layer.stride ~padding:spec.Layer.padding
+            in
+            let flat = Array.concat (Array.to_list patch) in
+            Soc.host_write_i8 soc core ~vaddr:patch_va flat
+          end)
+      @ kernel_span "conv"
+          (Kernels.conv_steps params ~cpu ~im2col ~bias:(tensors.t_bias.(idx))
+             ~scale:out_scale ~input:input_va ~weights:(tensors.t_weights.(idx))
+             ~out:out_va ~spec ~patch_scratch:patch_va ())
   | Accel _, Layer.Matmul mm ->
       let act =
         if mm.Layer.relu then Gemmini.Peripheral.Relu
         else Gemmini.Peripheral.No_activation
       in
-      let instance acc i =
+      let instance i =
         kernel_span "matmul"
-          (fun acc ->
-           if mm.Layer.m = 1 then
+          (if mm.Layer.m = 1 then
              (* C^T = W^T . x: the transposed weight matrix is the
                 streaming A operand (page-sequential rows); x and C^T are
                 flat vectors, so no data movement changes. Bias becomes
@@ -451,69 +433,126 @@ let layer_rev soc core tensors ~mode ~functional ~idx ~input_va layer acc =
                 word. For the swapped layout the bias is added via a
                 host-free accumulate mvin of the bias vector
                 reinterpreted column-wise. *)
-             Kernels.matmul_rev params
+             Kernels.matmul_steps params
                ~bias_column:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
                ~act ~scale:out_scale
                ~a:(tensors.t_weights.(idx) + (i * mm.Layer.k * mm.Layer.n))
                ~b:(input_va + (i * mm.Layer.m * mm.Layer.k))
                ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
-               ~m:mm.Layer.n ~k:mm.Layer.k ~n:1 acc
+               ~m:mm.Layer.n ~k:mm.Layer.k ~n:1 ()
            else
-             Kernels.matmul_rev params
+             Kernels.matmul_steps params
                ~bias:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
                ~act ~scale:out_scale
                ~a:(input_va + (i * mm.Layer.m * mm.Layer.k))
                ~b:(tensors.t_weights.(idx) + (i * mm.Layer.k * mm.Layer.n))
                ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
-               ~m:mm.Layer.m ~k:mm.Layer.k ~n:mm.Layer.n acc)
-          acc
+               ~m:mm.Layer.m ~k:mm.Layer.k ~n:mm.Layer.n ())
       in
-      let acc = ref acc in
-      for i = 0 to mm.Layer.count - 1 do
-        acc := instance !acc i
-      done;
-      !acc
+      List.concat_map instance (List.init mm.Layer.count Fun.id)
 
-(* Reverses a finished layer, wrapping every accelerator op in [Guarded]
-   with the run's one trap handler as it goes; markers stay bare (they
-   are host code, not commands). [tail] is appended unchanged. *)
-let rec rev_guarded run acc tail =
-  match acc with
-  | [] -> tail
-  | (Soc.Marker _ as m) :: rest -> rev_guarded run rest (m :: tail)
-  | op :: rest -> rev_guarded run rest (Soc.Guarded { op; run } :: tail)
+(* --- the program cursor ----------------------------------------------------------
 
-(* The program stream walks each layer's finished list directly: layer
-   [idx + 1] is lowered only once layer [idx]'s ops are exhausted, so one
-   layer's list is live at a time, and the stream adds one node per op. *)
-let layers_stream ~first ~last layer tail =
-  let rec walk ops idx () =
-    match ops with
-    | op :: rest -> Seq.Cons (op, walk rest idx)
-    | [] -> if idx >= last then tail () else walk (layer idx) (idx + 1) ()
+   A network's program, expanded on demand: each refill lowers the next
+   tile step into one reused buffer, so at most one step's ops are live
+   whatever the layer's size. [pieces] is lazy, so a layer lowers only
+   once the previous layer's pieces are spent. *)
+
+type cursor = {
+  mutable buf : Soc.op array;
+  mutable len : int;
+  mutable pos : int;  (** next op to hand out; the buffer is spent at [len] *)
+  mutable emit : Soc.op -> unit;  (** appends to [buf], allocated once *)
+  mutable steps : Kernels.steps;  (** the rest of the current piece *)
+  mutable pieces : Kernels.steps Seq.t;
+  run : (Soc.core -> Soc.op -> unit) option;
+      (** the guard's trap handler, shared by every accelerator op *)
+}
+
+let push c op =
+  if c.len = Array.length c.buf then begin
+    let bigger = Array.make (2 * c.len) op in
+    Array.blit c.buf 0 bigger 0 c.len;
+    c.buf <- bigger
+  end;
+  Array.unsafe_set c.buf c.len op;
+  c.len <- c.len + 1
+
+let make_cursor ~run pieces =
+  let c =
+    { buf = Array.make 256 Kernels.fence; len = 0; pos = 0; emit = ignore;
+      steps = Seq.empty; pieces; run }
   in
-  walk [] first
+  c.emit <- push c;
+  c
 
-(* Emission over pre-allocated tensors: the shared core of one-shot plans
-   ([plan_ops_with] allocates then emits) and serving re-entry
-   ([request_ops] allocates once per session, then emits per request).
+let rec refill c =
+  match c.steps () with
+  | Seq.Cons (step, rest) ->
+      c.steps <- rest;
+      c.len <- 0;
+      c.pos <- 0;
+      step c.emit;
+      c.len > 0 || refill c
+  | Seq.Nil -> (
+      match c.pieces () with
+      | Seq.Nil -> false
+      | Seq.Cons (steps, pieces) ->
+          c.steps <- steps;
+          c.pieces <- pieces;
+          refill c)
+
+(* Lowering runs between dispatches, outside the soc.dispatch probe, so
+   every refill carries its own. *)
+let has_next c = c.pos < c.len || P.record P.lowering (fun () -> refill c)
+
+let take c =
+  let op = Array.unsafe_get c.buf c.pos in
+  c.pos <- c.pos + 1;
+  op
+
+(* The single-core driver pulls ops straight from the cursor and applies
+   the guard's trap handler to every accelerator op itself: no list cell,
+   [Seq] node or [Guarded] box per op. Markers are host code, not
+   commands, so they run unguarded. *)
+let drive core c =
+  while has_next c do
+    match (take c, c.run) with
+    | (Soc.Marker _ as op), _ | op, None -> Soc.exec_op core op
+    | op, Some run -> run core op
+  done;
+  Gemmini.Controller.finish_time (Soc.controller core)
+
+(* The pull adapter for [Seq] consumers (the multi-core driver, serving,
+   [plan_ops]): with a guard, accelerator ops travel in a [Guarded] box
+   carrying its one shared handler. *)
+let to_seq c =
+  let rec next () =
+    if has_next c then
+      let op =
+        match (take c, c.run) with
+        | (Soc.Marker _ as op), _ | op, None -> op
+        | op, Some run -> Soc.Guarded { op; run }
+      in
+      Seq.Cons (op, next)
+    else Seq.Nil
+  in
+  next
+
+(* The program over pre-allocated tensors: the shared core of one-shot
+   runs ([plan_with] allocates then lowers) and serving re-entry
+   ([request_ops] allocates once per session, then lowers per request).
    [rebase] prepends a zero-cost marker that rebases the per-layer cycle
    accounting on the core's finish horizon at execution time — a request
    dispatched mid-run then reports layer cycles relative to its own start
    rather than to cycle 0. *)
-let network_ops ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
+let network_cursor ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
     ?on_layer soc core model ~mode ~records ~guard ~tensors =
   let functional = Option.is_some (Soc.mainmem soc) in
   let layers = Array.of_list model.Layer.layers in
   let cpu = Soc.cpu core in
   let last_finish = ref resume_finish in
-  (* Guarded stream: every accelerator op routes through [guarded_exec]
-     under this one handler. Plan-level markers (functional-mode data
-     staging) run unguarded — they are host code, not accelerator
-     commands. All wrapping is zero-cost, so clean runs are
-     cycle-identical to unguarded ones. *)
-  let run = Option.map (fun g -> guarded_exec soc g) guard in
-  let emit_layer_quiet idx =
+  let lower idx =
     let name, layer = layers.(idx) in
     let input_va = if idx = 0 then tensors.t_input else tensors.t_out.(idx - 1) in
     (* The layer span opens at the previous layer's finish horizon (the
@@ -523,8 +562,7 @@ let network_ops ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
       span_open_marker ~cat:"layer" ~name Gemmini.Controller.finish_time
     in
     let finish_marker =
-      Soc.Marker
-        (fun core ->
+      marker (fun core ->
           let ctrl = Soc.controller core in
           let f = Gemmini.Controller.finish_time ctrl in
           Span.emit_close
@@ -551,62 +589,47 @@ let network_ops ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
       | None -> [ layer_open ]
       | Some g ->
           (* A begin marker arms the per-layer recovery state. *)
-          let begin_marker =
-            Soc.Marker
-              (fun core ->
+          [
+            marker (fun core ->
                 g.g_layer <- name;
                 g.g_layer_cpu <- cpu_layer_cycles cpu layer;
                 g.g_layer_start <-
                   Gemmini.Controller.finish_time (Soc.controller core);
-                g.g_skip <- false)
-          in
-          [ begin_marker; layer_open ]
+                g.g_skip <- false);
+            layer_open;
+          ]
     in
-    let acc =
-      Kernels.fence
-      :: layer_rev soc core tensors ~mode ~functional ~idx ~input_va layer head
-    in
-    match run with
-    | None -> List.rev_append acc [ finish_marker ]
-    | Some run -> rev_guarded run acc [ finish_marker ]
-  in
-  (* Lowering is forced lazily between dispatches (Seq consumption), so
-     it sits outside the soc.dispatch probe and needs its own. *)
-  let emit_layer idx =
-    if !P.on then begin
-      P.enter P.lowering;
-      let ops = emit_layer_quiet idx in
-      P.leave P.lowering;
-      ops
-    end
-    else emit_layer_quiet idx
+    head
+    @ layer_pieces soc core tensors ~mode ~functional ~idx ~input_va layer
+    @ [ Kernels.single Kernels.fence; finish_marker ]
   in
   let net_name = model.Layer.model_name in
-  let body =
-    layers_stream ~first:start_layer ~last:(Array.length layers) emit_layer
-      (Seq.return
-         (span_close_marker ~name:net_name Gemmini.Controller.finish_time))
-  in
   (* The whole program sits under one network-level span. A resumed run
      does not re-open it: the open event is already in the restored trace
      ring, so re-emitting would double it and break byte-identity. *)
-  let body =
+  let prologue =
+    (if rebase then
+       [
+         marker (fun core ->
+             last_finish := Gemmini.Controller.finish_time (Soc.controller core));
+       ]
+     else [])
+    @
     if start_layer = 0 then
-      Seq.cons
-        (span_open_marker ~cat:"network" ~name:net_name
-           Gemmini.Controller.finish_time)
-        body
-    else body
+      [ span_open_marker ~cat:"network" ~name:net_name Gemmini.Controller.finish_time ]
+    else []
   in
-  if rebase then
-    Seq.cons
-      (Soc.Marker
-         (fun core ->
-           last_finish := Gemmini.Controller.finish_time (Soc.controller core)))
-      body
-  else body
+  let body =
+    Seq.init (max 0 (Array.length layers - start_layer)) (( + ) start_layer)
+    |> Seq.flat_map (fun idx -> List.to_seq (lower idx))
+  in
+  make_cursor
+    ~run:(Option.map (fun g -> guarded_exec soc g) guard)
+    (Seq.append (List.to_seq prologue)
+       (Seq.append body
+          (Seq.return (span_close_marker ~name:net_name Gemmini.Controller.finish_time))))
 
-let plan_ops_with ?start_layer ?resume_finish ?on_layer soc core model ~mode
+let plan_with ?start_layer ?resume_finish ?on_layer soc core model ~mode
     ~records ~guard =
   (* Tensor allocation always covers the WHOLE network, even when
      execution starts mid-way: the bump allocators are deterministic, so
@@ -614,11 +637,11 @@ let plan_ops_with ?start_layer ?resume_finish ?on_layer soc core model ~mode
      and the restored snapshot's mappings line up. *)
   let functional = Option.is_some (Soc.mainmem soc) in
   let tensors = allocate_tensors soc core model ~functional in
-  network_ops ?start_layer ?resume_finish ?on_layer soc core model ~mode
+  network_cursor ?start_layer ?resume_finish ?on_layer soc core model ~mode
     ~records ~guard ~tensors
 
 let plan_ops soc core model ~mode ~records =
-  plan_ops_with soc core model ~mode ~records ~guard:None
+  to_seq (plan_with soc core model ~mode ~records ~guard:None)
 
 (* --- serving re-entry --------------------------------------------------------- *)
 
@@ -646,11 +669,12 @@ let make_session soc ~core:core_idx model ~mode =
   }
 
 let session_core s = s.se_core
-let session_model s = s.se_model
 
 let request_ops session ~records =
-  network_ops ~rebase:true session.se_soc session.se_core session.se_model
-    ~mode:session.se_mode ~records ~guard:None ~tensors:session.se_tensors
+  to_seq
+    (network_cursor ~rebase:true session.se_soc session.se_core
+       session.se_model ~mode:session.se_mode ~records ~guard:None
+       ~tensors:session.se_tensors)
 
 let make_result soc core_id model mode records total ~faults =
   {
@@ -692,8 +716,8 @@ let run ?(policy = Abort) ?watchdog ?prepare ?(start_layer = 0) ?resume
      prefix so the final result covers the whole network. *)
   let records = ref (List.rev prior_records) in
   let guard = make_guard ~policy ~watchdog in
-  let ops =
-    plan_ops_with ~start_layer ~resume_finish ?on_layer soc core model ~mode
+  let cursor =
+    plan_with ~start_layer ~resume_finish ?on_layer soc core model ~mode
       ~records ~guard:(Some guard)
   in
   (* Tensors are allocated by now; [prepare] can perturb the address
@@ -701,7 +725,7 @@ let run ?(policy = Abort) ?watchdog ?prepare ?(start_layer = 0) ?resume
      command issues. *)
   (match prepare with Some f -> f core | None -> ());
   let total =
-    try Soc.run_program soc core ops
+    try drive core cursor
     with Fault.Trap f ->
       close_spans_on_abort core guard model.Layer.model_name;
       raise (Fault.Trap f)
@@ -716,7 +740,7 @@ let run_parallel ?(policy = Abort) ?watchdog soc jobs =
         let records = ref [] in
         let guard = make_guard ~policy ~watchdog in
         let ops =
-          plan_ops_with soc core model ~mode ~records ~guard:(Some guard)
+          to_seq (plan_with soc core model ~mode ~records ~guard:(Some guard))
         in
         (records, guard, ops))
       jobs
@@ -836,13 +860,13 @@ let run_functional soc ~core:core_idx model ~input ~seed =
     invalid_arg "Runtime.run_functional: SoC is not functional";
   let core = Soc.core soc core_idx in
   let tensors = allocate_tensors soc core model ~functional:true in
-  let ops =
-    network_ops soc core model ~mode:(Accel { im2col_on_accel = false })
+  let cursor =
+    network_cursor soc core model ~mode:(Accel { im2col_on_accel = false })
       ~records:(ref []) ~guard:None ~tensors
   in
   write_weights soc core tensors ~seed model;
   write_tensor soc core ~vaddr:tensors.t_input input;
-  ignore (Soc.run_program soc core ops);
+  ignore (drive core cursor);
   (* Read back the final output with the golden model's shape. *)
   let reference_shape =
     Tensor.shape (reference_inference model ~input ~seed)

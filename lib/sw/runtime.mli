@@ -84,8 +84,9 @@ val plan_ops :
   records:layer_record list ref ->
   Kernels.op Seq.t
 (** Lazily-produced command stream for one inference. Tensor allocation
-    happens immediately; per-layer ops materialize as the stream is
-    consumed. *)
+    happens immediately; ops are lowered one tile step at a time as the
+    stream is consumed. The stream is a thin adapter over a mutable
+    cursor: force each node once. *)
 
 (* Serving re-entry: one allocation, many inferences. *)
 
@@ -102,7 +103,6 @@ val make_session :
     allocation, exactly as {!run} would). *)
 
 val session_core : session -> Gem_soc.Soc.core
-val session_model : session -> Gem_dnn.Layer.model
 
 val request_ops : session -> records:layer_record list ref -> Gem_soc.Soc.op Seq.t
 (** The command stream of one inference over the session's tensors,
@@ -111,7 +111,7 @@ val request_ops : session -> records:layer_record list ref -> Gem_soc.Soc.op Seq
     accounting on the core's finish horizon at dispatch, so [records]
     report cycles relative to the request's own start. Traps propagate
     ({!Abort} semantics); serving drivers decide recovery above this
-    level. *)
+    level. Like {!plan_ops}, force each node once. *)
 
 val run :
   ?policy:policy ->
@@ -147,7 +147,9 @@ val run :
     propagates, so observed aborts leave a well-formed span tree.
 
     The guarding is zero-cost: with the default policy a clean run is
-    cycle-identical to older, unguarded runtimes. *)
+    cycle-identical to older, unguarded runtimes. The driver pulls each
+    op straight from the program cursor, so lowering holds at most one
+    tile step's ops and a quiet run allocates no per-op stream node. *)
 
 val run_parallel :
   ?policy:policy ->

@@ -25,7 +25,5 @@ val choose : Gemmini.Params.t -> m:int -> k:int -> n:int -> t
 val of_tiling : Gemmini.Params.t -> Tiling.t -> t
 (** Wrap manually-chosen tile sizes in the default dataflow/loop order. *)
 
-val pick_dataflow : Gemmini.Params.t -> dataflow
 val fits : Gemmini.Params.t -> t -> bool
-val dataflow_name : dataflow -> string
 val describe : t -> string

@@ -2,7 +2,9 @@
    timing run makes per command — validation, the staging commands'
    controller updates, the L2 access and the TLB hit — must allocate
    nothing on valid input. [Test_sim.measure_alloc] calibrates away its
-   own counter reads, so any byte reported here is the callee's. *)
+   own counter reads, so any byte reported here is the callee's. The
+   program cursor gets a bounded-lookahead pin, and its two consumers
+   (direct pull, [Seq] adapter) an equivalence check. *)
 
 open Gemmini
 module L = Local_addr
@@ -154,6 +156,83 @@ let test_controller_execute () =
     [ "config_ex"; "config_ld"; "config_st"; "preload"; "compute.preloaded";
       "compute.accumulated" ]
 
+(* --- the program cursor --------------------------------------------------- *)
+
+module Soc = Gem_soc.Soc
+module Runtime = Gem_sw.Runtime
+
+let accel = Runtime.Accel { im2col_on_accel = true }
+
+(* Lowering expands one tile step at a time: the first 1,000 ops of
+   full-scale resnet50 cost one step's worth of lowering, not all of
+   conv1's list. *)
+let test_bounded_lookahead () =
+  let soc = Soc.create Gem_soc.Soc_config.default in
+  let ops =
+    ref
+      (Runtime.plan_ops soc (Soc.core soc 0) Gem_dnn.Model_zoo.resnet50
+         ~mode:accel ~records:(ref []))
+  in
+  let bytes =
+    measure_alloc (fun () ->
+        for _ = 1 to 1_000 do
+          match !ops () with
+          | Seq.Cons (_, rest) -> ops := rest
+          | Seq.Nil -> Alcotest.fail "resnet50 has fewer than 1,000 ops"
+        done)
+  in
+  if bytes >= 1e6 then
+    Alcotest.failf "first 1,000 ops allocated %.0f B (bound 1 MB)" bytes
+
+let render_faults (r : Runtime.result) =
+  List.map
+    (fun fr ->
+      Printf.sprintf "%s %s %s" fr.Runtime.fr_action fr.Runtime.fr_layer
+        (Gem_sim.Fault.to_string fr.Runtime.fr_fault))
+    r.Runtime.r_faults
+
+(* [Runtime.run] pulls straight from the cursor; [Soc.run_program] over
+   [plan_ops] goes through the [Seq] adapter. Both must drive the SoC to
+   the same cycle, layer records and state. *)
+let test_direct_pull_equals_seq () =
+  List.iter
+    (fun (model : Gem_dnn.Layer.model) ->
+      let model = Gem_dnn.Model_zoo.scale_model ~factor:8 model in
+      let name = model.Gem_dnn.Layer.model_name in
+      let soc_a = Soc.create Gem_soc.Soc_config.default in
+      let r = Runtime.run soc_a ~core:0 model ~mode:accel in
+      let soc_b = Soc.create Gem_soc.Soc_config.default in
+      let records = ref [] in
+      let core = Soc.core soc_b 0 in
+      let cycles =
+        Soc.run_program soc_b core
+          (Runtime.plan_ops soc_b core model ~mode:accel ~records)
+      in
+      Alcotest.(check int) (name ^ " cycles") r.Runtime.r_total_cycles cycles;
+      Alcotest.(check bool) (name ^ " layer records") true
+        (r.Runtime.r_layers = List.rev !records);
+      Alcotest.(check string) (name ^ " snapshot")
+        (Gem_util.Jsonx.to_string (Soc.snapshot soc_a))
+        (Gem_util.Jsonx.to_string (Soc.snapshot soc_b)))
+    Gem_dnn.Model_zoo.all;
+  (* Degrade under injection drops the rest of each trapped layer's ops
+     as they are pulled, but still runs its fence and markers. The pinned
+     fault list and cycles move with any change to the emitted stream or
+     to the driver's guard handling. *)
+  let soc = Soc.create Gem_soc.Soc_config.default in
+  Soc.arm_injection soc ~seed:1 ~rate:0.001;
+  let r =
+    Runtime.run ~policy:Runtime.Degrade soc ~core:0
+      (Gem_dnn.Model_zoo.scale_model ~factor:8 Gem_dnn.Model_zoo.mobilenetv2)
+      ~mode:accel
+  in
+  let faults = render_faults r in
+  Alcotest.(check int) "degrade faults" 56 (List.length faults);
+  Alcotest.(check string) "degrade fault list"
+    "f3402e8f5f49f5240690b1014e289e5c"
+    (Digest.to_hex (Digest.string (String.concat "\n" faults)));
+  Alcotest.(check int) "degrade cycles" 204961016 r.Runtime.r_total_cycles
+
 let suite =
   [
     Alcotest.test_case "Isa.validate, every constructor" `Quick
@@ -165,4 +244,8 @@ let suite =
     Alcotest.test_case "Mathx.log2_ceil/log2_exact" `Quick test_mathx_log2;
     Alcotest.test_case "timing Controller.execute staging/compute" `Quick
       test_controller_execute;
+      Alcotest.test_case "plan_ops: first 1,000 resnet50 ops under 1 MB" `Quick
+      test_bounded_lookahead;
+    Alcotest.test_case "Runtime.run direct pull == Seq adapter (zoo/8)" `Quick
+      test_direct_pull_equals_seq;
   ]

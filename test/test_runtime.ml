@@ -109,9 +109,9 @@ let test_resadd () =
   Soc.host_write_i8 soc core ~vaddr:x_va x;
   Soc.host_write_i8 soc core ~vaddr:y_va y;
   let ops =
-    List.rev
-      (Kernels.fence
-      :: Kernels.resadd_rev small_params ~x:x_va ~y:y_va ~out:out_va ~elems [])
+    Kernels.ops
+      (Kernels.resadd_steps small_params ~x:x_va ~y:y_va ~out:out_va ~elems ())
+    @ [ Kernels.fence ]
   in
   ignore (Soc.run_program soc core (List.to_seq ops));
   let got = Soc.host_read_i8 soc core ~vaddr:out_va ~n:elems in
