@@ -153,20 +153,25 @@ let params_term =
   in
   ret (const build $ preset_arg $ dim $ sp $ acc $ im2col)
 
+let find_model s =
+  match Gem_dnn.Model_zoo.find s with
+  | Some m -> Ok m
+  | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown model %S (available: %s)" s
+             (String.concat ", " Gem_dnn.Model_zoo.names)))
+
+(* A zoo network's name, checked at parse time. *)
+let model_name =
+  let parse s = Result.map (fun _ -> s) (find_model s) in
+  Arg.conv (parse, Format.pp_print_string)
+
 let model_term =
-  let parse s =
-    match Gem_dnn.Model_zoo.find s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown model %S (available: %s)" s
-               (String.concat ", " Gem_dnn.Model_zoo.names)))
-  in
   let print fmt m = Format.fprintf fmt "%s" m.Gem_dnn.Layer.model_name in
   Arg.(
     value
-    & opt (conv (parse, print)) Gem_dnn.Model_zoo.resnet50
+    & opt (conv (find_model, print)) Gem_dnn.Model_zoo.resnet50
     & info [ "model" ] ~doc:"DNN to run (resnet50, alexnet, squeezenet1.1, mobilenetv2, bert-base-seq128).")
 
 let scale_term =
@@ -514,8 +519,8 @@ let run_cmd =
       $ metrics_out_term)
 
 let sweep_cmd =
-  let run model scale backend jobs cache_dir no_cache out journal resume
-      retries backoff_ms deadline self_profile metrics_out =
+  let run model scale backend jobs cache_dir no_cache out self_profile
+      metrics_out =
     on_io_error "dse" @@ fun () ->
     let name = model.Gem_dnn.Layer.model_name in
     let base = Gem_dse.Point.make ~model:name ~scale ~backend () in
@@ -531,14 +536,9 @@ let sweep_cmd =
     let cache =
       if no_cache then None else Some (Gem_dse.Cache.create ~dir:cache_dir ())
     in
-    if resume && journal = None then begin
-      prerr_endline "[dse] --resume needs --journal FILE";
-      exit 2
-    end;
     let rr =
       with_self_profile self_profile (fun () ->
-          Gem_dse.Exec.run ~jobs ~cache ~retries ~backoff_ms ?deadline
-            ?journal ~resume points)
+          Gem_dse.Exec.run ~jobs ~cache points)
     in
     (match metrics_out with
     | None -> ()
@@ -549,19 +549,6 @@ let sweep_cmd =
     Printf.eprintf "[dse] %d point(s): %d simulated, %d cached (jobs %d)\n%!"
       (Array.length points) rr.Gem_dse.Exec.simulated rr.Gem_dse.Exec.cached
       jobs;
-    (* Provenance goes to stderr, never into report rows: a resumed
-       sweep's stdout stays byte-identical to an uninterrupted run's. *)
-    if rr.Gem_dse.Exec.salvaged > 0 then
-      Printf.eprintf "[dse] resume: %d outcome(s) salvaged from %s\n%!"
-        rr.Gem_dse.Exec.salvaged
-        (Option.value ~default:"journal" journal);
-    List.iter
-      (fun (f : Gem_dse.Exec.failure) ->
-        Printf.eprintf
-          "[dse] QUARANTINED point %d (%s) after %d attempt(s): %s\n%!"
-          f.Gem_dse.Exec.f_index f.Gem_dse.Exec.f_point.Gem_dse.Point.label
-          f.Gem_dse.Exec.f_attempts f.Gem_dse.Exec.f_reason)
-      rr.Gem_dse.Exec.quarantined;
     match out with
     | `Json -> print_string (Gem_dse.Report.json_string rr.Gem_dse.Exec.results)
     | `Csv -> print_string (Gem_dse.Report.csv rr.Gem_dse.Exec.results)
@@ -610,56 +597,15 @@ let sweep_cmd =
       value & opt fmt `Table
       & info [ "out" ] ~doc:"Output format: table (default), json or csv.")
   in
-  let journal =
-    Arg.(
-      value & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Atomically record every completed outcome in $(docv); a \
-             killed sweep can be salvaged with --resume.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Salvage completed outcomes from the --journal file of a \
-             previous (killed) sweep instead of re-simulating them. The \
-             final report is byte-identical to an uninterrupted run's.")
-  in
-  let retries =
-    Arg.(
-      value & opt non_neg_int 0
-      & info [ "retries" ]
-          ~doc:
-            "Retries per failing point (exponential backoff) before it is \
-             quarantined. 0 (the default) keeps the historical behavior: \
-             the first failure re-raises.")
-  in
-  let backoff_ms =
-    Arg.(
-      value & opt non_neg_int 100
-      & info [ "backoff-ms" ]
-          ~doc:"First retry backoff in milliseconds; doubles per attempt.")
-  in
-  let deadline =
-    Arg.(
-      value & opt (some pos_float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:
-            "Wall-clock budget per point evaluation (checked after the \
-             evaluation returns); an over-budget point is retried, then \
-             quarantined.")
-  in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
-         "Sweep spatial-array sizes for a workload (parallel, cached, \
-          crash-safe: see --jobs, --cache-dir and --journal).")
+         "Sweep spatial-array sizes for a workload (parallel and cached, \
+          see --jobs and --cache-dir; resumable: rerun with the same \
+          --cache-dir).")
     Term.(
       const run $ model_term $ scale_term $ backend_term $ jobs_term $ cache_dir
-      $ no_cache $ out $ journal $ resume $ retries $ backoff_ms $ deadline
-      $ self_profile_term $ metrics_out_term)
+      $ no_cache $ out $ self_profile_term $ metrics_out_term)
 
 (* --- fuzz: differential testing against the golden model -------------------- *)
 
@@ -743,6 +689,19 @@ let fuzz_cmd =
 
 let xval_cmd =
   let run models scale budget_file out =
+    on_io_error "xval" @@ fun () ->
+    (* The budget is read before the (long) validation, so a bad path
+       fails at once. *)
+    let budget =
+      Option.map
+        (fun file ->
+          match Gem_dse.Xval.load_budget file with
+          | Ok budget -> (file, budget)
+          | Error msg ->
+              Printf.eprintf "[xval] cannot load budget %s: %s\n%!" file msg;
+              exit 2)
+        budget_file
+    in
     let models =
       match models with
       | [] -> Gem_dse.Xval.default_models
@@ -783,25 +742,20 @@ let xval_cmd =
                  (Gem_dse.Xval.report_to_json report));
             output_char oc '\n');
         Printf.eprintf "[xval] wrote %s\n%!" file);
-    match budget_file with
+    match budget with
     | None -> ()
-    | Some file -> (
-        match Gem_dse.Xval.load_budget file with
-        | Error msg ->
-            Printf.eprintf "[xval] cannot load budget %s: %s\n%!" file msg;
-            exit 2
-        | Ok budget -> (
-            match Gem_dse.Xval.check report budget with
-            | Ok () -> Printf.printf "budget check: PASS (%s)\n" file
-            | Error failures ->
-                Printf.printf "budget check: FAIL (%s)\n" file;
-                List.iter (Printf.printf "  %s\n") failures;
-                exit 1))
+    | Some (file, budget) -> (
+        match Gem_dse.Xval.check report budget with
+        | Ok () -> Printf.printf "budget check: PASS (%s)\n" file
+        | Error failures ->
+            Printf.printf "budget check: FAIL (%s)\n" file;
+            List.iter (Printf.printf "  %s\n") failures;
+            exit 1)
   in
   let models =
     Arg.(
       value
-      & opt (list string) []
+      & opt (list model_name) []
       & info [ "models" ]
           ~doc:
             "Comma-separated model-zoo networks to validate (default: all \
@@ -832,17 +786,30 @@ let xval_cmd =
 
 let experiment_cmd =
   let run id quick =
-    match String.lowercase_ascii id with
-    | "table1" -> Gem_experiments.Table1.run ()
-    | "fig3" -> ignore (Gem_experiments.Fig3.run ())
-    | "fig4" -> ignore (Gem_experiments.Fig4.run ~quick ())
-    | "fig6" -> ignore (Gem_experiments.Fig6.run ())
-    | "fig7" -> ignore (Gem_experiments.Fig7.run ~quick ())
-    | "fig8" -> ignore (Gem_experiments.Fig8.run ~quick ())
-    | "fig9" -> ignore (Gem_experiments.Fig9.run ~quick ())
-    | other -> Printf.eprintf "unknown experiment %S\n" other
+    match id with
+    | `Table1 -> Gem_experiments.Table1.run ()
+    | `Fig3 -> ignore (Gem_experiments.Fig3.run ())
+    | `Fig4 -> ignore (Gem_experiments.Fig4.run ~quick ())
+    | `Fig6 -> ignore (Gem_experiments.Fig6.run ())
+    | `Fig7 -> ignore (Gem_experiments.Fig7.run ~quick ())
+    | `Fig8 -> ignore (Gem_experiments.Fig8.run ~quick ())
+    | `Fig9 -> ignore (Gem_experiments.Fig9.run ~quick ())
   in
-  let id = Arg.(required & opt (some string) None & info [ "id" ] ~doc:"table1|fig3|fig4|fig6|fig7|fig8|fig9") in
+  let id =
+    let ids =
+      Arg.enum
+        [
+          ("table1", `Table1);
+          ("fig3", `Fig3);
+          ("fig4", `Fig4);
+          ("fig6", `Fig6);
+          ("fig7", `Fig7);
+          ("fig8", `Fig8);
+          ("fig9", `Fig9);
+        ]
+    in
+    Arg.(required & opt (some ids) None & info [ "id" ] ~doc:"table1|fig3|fig4|fig6|fig7|fig8|fig9")
+  in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Channel-scaled models.") in
   Cmd.v (Cmd.info "experiment" ~doc:"Reproduce a table/figure from the paper.")
     Term.(const run $ id $ quick)

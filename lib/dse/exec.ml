@@ -5,19 +5,10 @@ module H = Gem_vm.Hierarchy
 module Layer = Gem_dnn.Layer
 module P = Gem_obs.Profile
 
-type failure = {
-  f_point : Point.t;
-  f_index : int;
-  f_attempts : int;
-  f_reason : string;
-}
-
 type run_result = {
   results : (Point.t * Outcome.t) array;
   simulated : int;
   cached : int;
-  salvaged : int;
-  quarantined : failure list;
 }
 
 (* --- single-point evaluation ------------------------------------------------ *)
@@ -249,12 +240,15 @@ let evaluate (p : Point.t) : Outcome.t =
 
 let default_jobs () =
   match Sys.getenv_opt "GEMMINI_DSE_JOBS" with
-  | None -> 1
+  | None | Some "" -> 1
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some 0 -> Domain.recommended_domain_count ()
       | Some n when n > 0 -> n
-      | _ -> 1)
+      | _ ->
+          invalid_arg
+            (Printf.sprintf
+               "GEMMINI_DSE_JOBS=%S: expected a non-negative integer" s))
 
 let default_cache () =
   match Sys.getenv_opt "GEMMINI_DSE_CACHE" with
@@ -269,7 +263,7 @@ let pool_map ~jobs f points =
   let n = Array.length points in
   let out = Array.make n None in
   if jobs <= 1 || n <= 1 then
-    Array.iteri (fun i p -> out.(i) <- Some (Ok (f i p))) points
+    Array.iteri (fun i p -> out.(i) <- Some (Ok (f p))) points
   else begin
     let next = Atomic.make 0 in
     let worker () =
@@ -277,7 +271,7 @@ let pool_map ~jobs f points =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
           (out.(i) <-
-             (match f i points.(i) with
+             (match f points.(i) with
              | v -> Some (Ok v)
              | exception e -> Some (Error e)));
           loop ()
@@ -297,195 +291,47 @@ let pool_map ~jobs f points =
       | None -> assert false)
     out
 
-(* --- sweep journal ------------------------------------------------------------ *)
-
-(* A crash-consistent record of every outcome the sweep has completed:
-   rewritten atomically (same-dir temp + rename, pid- and domain-tagged)
-   after each completion, so a SIGKILL at any instant leaves either the
-   previous journal or the new one — and [--resume] salvages whichever
-   survived. Entries are keyed by point digest: the journal is valid
-   across reorderings but never across config changes. *)
-
-let read_journal_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let journal_load path =
-  let tbl = Hashtbl.create 64 in
-  (if Sys.file_exists path then
-     (* A truncated or otherwise corrupt journal salvages nothing — the
-        sweep just re-simulates, it never errors out. *)
-     match Gem_util.Jsonx.of_string (read_journal_file path) with
-     | Error _ | (exception Sys_error _) -> ()
-     | Ok json -> (
-         match json with
-         | Gem_util.Jsonx.Obj kvs -> (
-             match List.assoc_opt "entries" kvs with
-             | Some (Gem_util.Jsonx.List entries) ->
-                 List.iter
-                   (fun entry ->
-                     match entry with
-                     | Gem_util.Jsonx.List
-                         [ Gem_util.Jsonx.String digest; oj ] -> (
-                         match Outcome.of_json oj with
-                         | Ok o -> Hashtbl.replace tbl digest o
-                         | Error _ -> ())
-                     | _ -> ())
-                   entries
-             | _ -> ())
-         | _ -> ()));
-  tbl
-
-let journal_write path tbl =
-  let entries =
-    Hashtbl.fold (fun d o acc -> (d, o) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun (d, o) ->
-           Gem_util.Jsonx.List
-             [ Gem_util.Jsonx.String d; Outcome.to_json o ])
-  in
-  let json = Gem_util.Jsonx.Obj [ ("entries", Gem_util.Jsonx.List entries) ] in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Domain.self () :> int)
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Gem_util.Jsonx.to_string json));
-  Sys.rename tmp path
-
 (* --- the executor --------------------------------------------------------------- *)
 
-let run ?jobs ?cache ?(retries = 0) ?(backoff_ms = 100) ?deadline ?journal
-    ?(resume = false) points =
+(* The probe state is per-domain (DLS), so worker pools attribute their
+   evaluation time without cross-domain contention. *)
+let profiled_evaluate point =
+  if !P.on then begin
+    P.enter P.dse;
+    Fun.protect ~finally:(fun () -> P.leave P.dse) (fun () -> evaluate point)
+  end
+  else evaluate point
+
+let run ?jobs ?cache points =
   let jobs =
-    match jobs with None -> default_jobs () | Some 0 -> Domain.recommended_domain_count () | Some j -> j
+    match jobs with
+    | None -> default_jobs ()
+    | Some 0 -> Domain.recommended_domain_count ()
+    | Some j -> j
   in
   let cache = match cache with None -> default_cache () | Some c -> c in
-  (* Legacy contract: with no retry budget and no deadline, a worker
-     exception propagates to the caller exactly as it always has. Any
-     hardening option switches failures to quarantine semantics. *)
-  let quarantine_mode = retries > 0 || deadline <> None in
-  let salvage =
-    match journal with
-    | Some path when resume -> journal_load path
-    | _ -> Hashtbl.create 0
-  in
-  (* The completion record starts as the salvaged set so rewrites never
-     lose what a previous (killed) run already paid for. *)
-  let completed = Hashtbl.copy salvage in
-  let jlock = Mutex.create () in
-  let record_completion digest outcome =
-    match journal with
-    | None -> ()
-    | Some path ->
-        Mutex.lock jlock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock jlock)
-          (fun () ->
-            Hashtbl.replace completed digest outcome;
-            journal_write path completed)
-  in
-  let eval_once point =
-    let t0 = Unix.gettimeofday () in
-    (* The probe state is per-domain (DLS), so worker pools attribute
-       their evaluation time without cross-domain contention. *)
-    let outcome =
-      if !P.on then begin
-        P.enter P.dse;
-        Fun.protect
-          ~finally:(fun () -> P.leave P.dse)
-          (fun () -> evaluate point)
-      end
-      else evaluate point
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    match deadline with
-    | Some limit when dt > limit ->
-        Error (Printf.sprintf "deadline exceeded: %.2fs > %.2fs" dt limit)
-    | _ -> Ok outcome
-  in
-  let eval_with_retry index point =
-    let rec go attempt =
-      if attempt > 1 then
-        (* Exponential backoff between attempts: transient causes (host
-           memory pressure, a busy machine tripping the deadline) get
-           room to clear. *)
-        Unix.sleepf
-          (float_of_int backoff_ms *. (2. ** float_of_int (attempt - 2))
-          /. 1000.);
-      let verdict =
-        if quarantine_mode then
-          match eval_once point with
-          | v -> v
-          | exception e -> Error (Printexc.to_string e)
-        else eval_once point
-      in
-      match verdict with
-      | Ok outcome -> Ok outcome
-      | Error reason ->
-          if attempt <= retries then go (attempt + 1)
-          else
-            Error
-              {
-                f_point = point;
-                f_index = index;
-                f_attempts = attempt;
-                f_reason = reason;
-              }
-    in
-    go 1
-  in
-  let evaluate_memo i point =
-    match Hashtbl.find_opt salvage (Point.digest point) with
-    | Some outcome -> (Some outcome, `Salvaged)
-    | None -> (
-        let digest = Point.digest point in
-        match cache with
-        | None -> (
-            match eval_with_retry i point with
-            | Ok outcome ->
-                record_completion digest outcome;
-                (Some outcome, `Simulated)
-            | Error f -> (None, `Quarantined f))
-        | Some c -> (
-            match Cache.find c point with
-            | Some outcome ->
-                record_completion digest outcome;
-                (Some outcome, `Cached)
-            | None -> (
-                match eval_with_retry i point with
-                | Ok outcome ->
-                    Cache.store c point outcome;
-                    record_completion digest outcome;
-                    (Some outcome, `Simulated)
-                | Error f -> (None, `Quarantined f))))
+  (* Each outcome reaches the cache the moment it completes, so a sweep
+     that is killed or raises keeps every point it finished: the next run
+     over the same cache re-simulates only the missing ones. *)
+  let evaluate_memo point =
+    match cache with
+    | None -> (profiled_evaluate point, false)
+    | Some c -> (
+        match Cache.find c point with
+        | Some outcome -> (outcome, true)
+        | None ->
+            let outcome = profiled_evaluate point in
+            Cache.store c point outcome;
+            (outcome, false))
   in
   let evaluated = pool_map ~jobs evaluate_memo points in
-  let simulated = ref 0 and cached = ref 0 and salvaged = ref 0 in
-  let quarantined = ref [] in
-  Array.iter
-    (fun (_, src) ->
-      match src with
-      | `Simulated -> incr simulated
-      | `Cached -> incr cached
-      | `Salvaged -> incr salvaged
-      | `Quarantined f -> quarantined := f :: !quarantined)
-    evaluated;
-  let results =
-    Array.to_list (Array.map2 (fun p (o, _) -> (p, o)) points evaluated)
-    |> List.filter_map (fun (p, o) -> Option.map (fun o -> (p, o)) o)
-    |> Array.of_list
+  let cached =
+    Array.fold_left (fun n (_, hit) -> if hit then n + 1 else n) 0 evaluated
   in
   {
-    results;
-    simulated = !simulated;
-    cached = !cached;
-    salvaged = !salvaged;
-    quarantined = List.rev !quarantined;
+    results = Array.map2 (fun p (o, _) -> (p, o)) points evaluated;
+    simulated = Array.length points - cached;
+    cached;
   }
 
 (* --- metrics --------------------------------------------------------------- *)
@@ -494,13 +340,6 @@ let run ?jobs ?cache ?(retries = 0) ?(backoff_ms = 100) ?deadline ?journal
    every value is a settled tally — no sampling races with workers. *)
 let register_metrics reg (r : run_result) =
   let module M = Gem_obs.Metrics in
-  M.int reg "dse.points" (Array.length r.results + List.length r.quarantined);
-  M.int reg "dse.evaluated" (Array.length r.results);
+  M.int reg "dse.points" (Array.length r.results);
   M.int reg "dse.simulated" r.simulated;
-  M.int reg "dse.cached" r.cached;
-  M.int reg "dse.salvaged" r.salvaged;
-  M.int reg "dse.quarantined" (List.length r.quarantined);
-  let attempts =
-    List.fold_left (fun acc f -> acc + f.f_attempts) 0 r.quarantined
-  in
-  M.int reg "dse.failed_attempts" attempts
+  M.int reg "dse.cached" r.cached

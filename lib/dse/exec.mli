@@ -8,22 +8,10 @@
     results structurally equal to a serial run, and a warm-cache run
     reproduces a cold run bit-for-bit. *)
 
-(** A point the executor gave up on after its retry budget. *)
-type failure = {
-  f_point : Point.t;
-  f_index : int;  (** index in the input array *)
-  f_attempts : int;  (** evaluations attempted (1 + retries) *)
-  f_reason : string;  (** last exception text or deadline report *)
-}
-
 type run_result = {
-  results : (Point.t * Outcome.t) array;
-      (** in input order; quarantined points are absent (they are
-          reported in [quarantined], never silently dropped) *)
+  results : (Point.t * Outcome.t) array;  (** in input order *)
   simulated : int;  (** points evaluated this run *)
   cached : int;  (** points served from the cache *)
-  salvaged : int;  (** points served from a resumed journal *)
-  quarantined : failure list;  (** points that exhausted their retries *)
 }
 
 val evaluate : Point.t -> Outcome.t
@@ -36,47 +24,31 @@ val evaluate : Point.t -> Outcome.t
     exceptions (e.g. {!Gem_sim.Fault.Trap}) propagate. *)
 
 val default_jobs : unit -> int
-(** [GEMMINI_DSE_JOBS] when set ([0] means the domain count recommended
-    for this machine), else 1 — serial, so clean runs stay byte-identical
-    with no environment configured. *)
+(** [GEMMINI_DSE_JOBS] when set to a non-empty value ([0] means the
+    domain count recommended for this machine), else 1 — serial, so clean
+    runs stay byte-identical with no environment configured.
+
+    Raises [Invalid_argument] naming the variable when its value is not a
+    non-negative integer. *)
 
 val default_cache : unit -> Cache.t option
 (** A cache at [GEMMINI_DSE_CACHE] when that variable is set, else none. *)
 
-val run :
-  ?jobs:int ->
-  ?cache:Cache.t option ->
-  ?retries:int ->
-  ?backoff_ms:int ->
-  ?deadline:float ->
-  ?journal:string ->
-  ?resume:bool ->
-  Point.t array ->
-  run_result
+val run : ?jobs:int -> ?cache:Cache.t option -> Point.t array -> run_result
 (** [jobs] defaults to {!default_jobs}; [cache] to {!default_cache}.
     [jobs = 0] means [Domain.recommended_domain_count ()].
 
-    Failure handling: with the defaults ([retries = 0], no [deadline]) a
-    worker exception is re-raised (lowest point index wins) after the
-    pool drains — the historical contract. Setting [retries > 0] or a
-    [deadline] switches to quarantine semantics: a failing or
-    over-deadline evaluation is retried up to [retries] times with
-    exponential backoff (first wait [backoff_ms], default 100, doubling
-    per attempt), then the point lands in [quarantined] instead of
-    raising. [deadline] is wall-clock seconds per evaluation, enforced
-    post-hoc — domains cannot be killed mid-simulation, so an
-    over-budget result is discarded and the point retried/quarantined.
+    Each point is looked up in the cache (a hit counts as [cached]); a
+    miss is evaluated and stored (counted as [simulated]). A worker
+    exception is re-raised after the pool drains, lowest point index
+    first; with [jobs = 1] the sweep stops at the first failing point.
 
-    Crash safety: [journal] names a file atomically rewritten after
-    every completed point (digest-keyed outcomes). [resume] salvages a
-    journal left by a killed sweep — salvaged points are not
-    re-evaluated and are tallied in [salvaged]; a truncated journal
-    salvages nothing and the sweep simply re-simulates. The journal
-    records real outcomes only, so a resumed sweep's report is
-    byte-identical to an uninterrupted run's. *)
+    Resumable: every outcome is stored the moment it completes, so after
+    a killed or failed sweep a rerun over the same cache re-simulates only
+    the missing points, and its report is byte-identical to an
+    uninterrupted run's. *)
 
 val register_metrics : Gem_obs.Metrics.t -> run_result -> unit
-(** Registers the sweep tallies ([dse.points], [dse.evaluated],
-    [dse.simulated], [dse.cached], [dse.salvaged], [dse.quarantined],
-    [dse.failed_attempts]) as constant samples. Call after {!run}
-    returns — every value is settled, no worker is still writing. *)
+(** Registers the sweep tallies ([dse.points], [dse.simulated],
+    [dse.cached]) as constant samples. Call after {!run} returns — every
+    value is settled, no worker is still writing. *)

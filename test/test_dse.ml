@@ -40,6 +40,11 @@ let fresh_cache_dir =
     incr counter;
     Filename.temp_dir "gem_dse_test" (string_of_int !counter)
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* --- point hashing ---------------------------------------------------------- *)
 
 let test_digest_keys () =
@@ -225,70 +230,64 @@ let test_worker_exception_propagates () =
   | _ -> Alcotest.fail "unknown model must raise"
   | exception Invalid_argument _ -> ()
 
-(* --- crash-safe sweeps: journal resume and quarantine ------------------------ *)
+let test_default_jobs_env () =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "GEMMINI_DSE_JOBS") in
+  let jobs_with value =
+    Unix.putenv "GEMMINI_DSE_JOBS" value;
+    Exec.default_jobs ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "GEMMINI_DSE_JOBS" saved)
+    (fun () ->
+      Alcotest.(check int) "empty means unset" 1 (jobs_with "");
+      Alcotest.(check int) "explicit count" 3 (jobs_with "3");
+      Alcotest.(check int)
+        "0 means the recommended count"
+        (Domain.recommended_domain_count ())
+        (jobs_with "0");
+      List.iter
+        (fun bad ->
+          match jobs_with bad with
+          | n -> Alcotest.failf "GEMMINI_DSE_JOBS=%S gave %d jobs" bad n
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "error for %S names the variable and value" bad)
+                true
+                (contains ~sub:"GEMMINI_DSE_JOBS" msg && contains ~sub:bad msg))
+        [ "abc"; "-2" ])
 
-let test_journal_resume_byte_identity () =
+(* --- resumable sweeps: the cache is the only outcome store ------------------- *)
+
+let test_cache_resume_byte_identity () =
   let points = tiny_sweep () in
-  let journal = Filename.temp_file "gem_dse_journal" ".json" in
+  let half = Array.sub points 0 (Array.length points / 2) in
   (* The uninterrupted reference. *)
   let full = Exec.run ~jobs:1 ~cache:None points in
-  (* A "killed" sweep: only the first half of the points completed before
-     the journal stopped being appended to. *)
-  let half = Array.sub points 0 (Array.length points / 2) in
-  let _ = Exec.run ~jobs:1 ~cache:None ~journal half in
-  (* Resume salvages the completed half and evaluates only the rest. *)
-  let resumed = Exec.run ~jobs:2 ~cache:None ~journal ~resume:true points in
-  Alcotest.(check int) "completed half salvaged" (Array.length half)
-    resumed.Exec.salvaged;
-  Alcotest.(check int) "only the remainder simulated"
-    (Array.length points - Array.length half)
-    resumed.Exec.simulated;
+  (* A "killed" sweep: only the first half of the points completed. *)
+  let cache = Cache.create ~dir:(fresh_cache_dir ()) () in
+  let _ = Exec.run ~jobs:1 ~cache:(Some cache) half in
+  (* The rerun over the same cache evaluates only the rest. *)
+  let resumed = Exec.run ~jobs:2 ~cache:(Some cache) points in
+  Alcotest.(check (pair int int))
+    "only the remainder simulated"
+    (Array.length points - Array.length half, Array.length half)
+    (resumed.Exec.simulated, resumed.Exec.cached);
   Alcotest.(check string)
     "resumed report byte-identical to uninterrupted run"
     (Report.json_string full.Exec.results)
-    (Report.json_string resumed.Exec.results);
-  (* A truncated journal — killed mid-rewrite — salvages nothing and the
-     sweep simply re-simulates. *)
-  let raw =
-    let ic = open_in_bin journal in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let oc = open_out_bin journal in
-  output_string oc (String.sub raw 0 (String.length raw / 2));
-  close_out oc;
-  let from_scratch = Exec.run ~jobs:1 ~cache:None ~journal ~resume:true points in
-  Alcotest.(check int) "truncated journal salvages nothing" 0
-    from_scratch.Exec.salvaged;
-  Alcotest.(check string)
-    "re-simulated report still byte-identical"
-    (Report.json_string full.Exec.results)
-    (Report.json_string from_scratch.Exec.results);
-  Sys.remove journal
+    (Report.json_string resumed.Exec.results)
 
-let test_quarantine_reports_failures () =
-  let bad =
-    { (tiny_point ()) with Point.model = "no-such-model"; label = "bad" }
-  in
-  let points = Sweep.points [ tiny_point (); bad ] in
-  (* With a retry budget, the failing point is quarantined — reported,
-     not raised and not silently dropped. *)
-  let r = Exec.run ~jobs:2 ~cache:None ~retries:1 ~backoff_ms:1 points in
-  Alcotest.(check int) "healthy point survives" 1 (Array.length r.Exec.results);
-  (match r.Exec.quarantined with
-  | [ f ] ->
-      Alcotest.(check int) "quarantined the right slot" 1 f.Exec.f_index;
-      Alcotest.(check string) "quarantined the right point" "bad"
-        f.Exec.f_point.Point.label;
-      Alcotest.(check int) "1 + retries attempts" 2 f.Exec.f_attempts;
-      Alcotest.(check bool) "reason captured" true
-        (String.length f.Exec.f_reason > 0)
-  | l -> Alcotest.failf "expected 1 quarantined point, got %d" (List.length l));
-  let p, _ = r.Exec.results.(0) in
-  Alcotest.(check string) "surviving outcome belongs to the healthy point"
-    (Point.digest (tiny_point ()))
-    (Point.digest p)
+let test_failed_sweep_keeps_completed () =
+  let good = tiny_point () in
+  let bad = { (tiny_point ()) with Point.model = "no-such-model" } in
+  let cache = Cache.create ~dir:(fresh_cache_dir ()) () in
+  (match Exec.run ~jobs:1 ~cache:(Some cache) (Sweep.points [ good; bad ]) with
+  | _ -> Alcotest.fail "unknown model must raise"
+  | exception Invalid_argument _ -> ());
+  let rerun = Exec.run ~jobs:1 ~cache:(Some cache) (Sweep.points [ good ]) in
+  Alcotest.(check (pair int int))
+    "the completed point comes from the cache" (0, 1)
+    (rerun.Exec.simulated, rerun.Exec.cached)
 
 (* --- cached-vs-fresh byte identity ------------------------------------------ *)
 
@@ -322,8 +321,10 @@ let suite =
       test_worker_exception_propagates;
     Alcotest.test_case "cache: report byte identity" `Quick
       test_cached_report_byte_identity;
-    Alcotest.test_case "exec: journal resume byte identity" `Quick
-      test_journal_resume_byte_identity;
-    Alcotest.test_case "exec: quarantine reports failures" `Quick
-      test_quarantine_reports_failures;
+    Alcotest.test_case "exec: GEMMINI_DSE_JOBS is validated" `Quick
+      test_default_jobs_env;
+    Alcotest.test_case "exec: cache resume byte identity" `Quick
+      test_cache_resume_byte_identity;
+    Alcotest.test_case "exec: failed sweep keeps completed points" `Quick
+      test_failed_sweep_keeps_completed;
   ]
