@@ -258,13 +258,21 @@ let run_hotpath_bench () =
                (Gemmini.Dma.mvin dma ~now:(i * 1000) ~vaddr:va ~stride_bytes:64
                   ~rows:16 ~row_bytes:64)
            done);
-       (* 16 rows x 4 B inside one L2 line: rows 1-15 are charged in
-          bulk. *)
+       (* 16 rows x 4 B inside one L2 line: rows 1-15 are one page run
+          that hits the same line. *)
        measure "dma_mvin_sameline_soc" 50_000 (fun n ->
            for i = 1 to n do
              ignore
                (Gemmini.Dma.mvin dma ~now:(i * 1000) ~vaddr:va ~stride_bytes:4
                   ~rows:16 ~row_bytes:4)
+           done);
+       (* 16 rows x 16 B at stride 64, a new line each: rows 1-15 are one
+          page run. *)
+       measure "dma_mvin_pagerun_soc" 50_000 (fun n ->
+           for i = 1 to n do
+             ignore
+               (Gemmini.Dma.mvin dma ~now:(i * 1000) ~vaddr:va ~stride_bytes:64
+                  ~rows:16 ~row_bytes:16)
            done));
       (let ops k =
          Seq.init k (fun i ->

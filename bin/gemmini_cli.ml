@@ -690,8 +690,8 @@ let fuzz_cmd =
 let xval_cmd =
   let run models scale budget_file out =
     on_io_error "xval" @@ fun () ->
-    (* The budget is read before the (long) validation, so a bad path
-       fails at once. *)
+    (* The budget is read and the report file opened before the (long)
+       validation, so a bad path fails at once. *)
     let budget =
       Option.map
         (fun file ->
@@ -702,6 +702,7 @@ let xval_cmd =
               exit 2)
         budget_file
     in
+    let out = Option.map (fun file -> (file, open_out file)) out in
     let models =
       match models with
       | [] -> Gem_dse.Xval.default_models
@@ -732,8 +733,7 @@ let xval_cmd =
       report.Gem_dse.Xval.x_min_speedup;
     (match out with
     | None -> ()
-    | Some file ->
-        let oc = open_out file in
+    | Some (file, oc) ->
         Fun.protect
           ~finally:(fun () -> close_out oc)
           (fun () ->

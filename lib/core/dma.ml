@@ -6,12 +6,13 @@ type port = {
   write_timing : now:Time.cycles -> paddr:int -> bytes:int -> Time.cycles;
   read_data : (paddr:int -> n:int -> int array) option;
   write_data : (paddr:int -> int array -> unit) option;
-  line_bytes : int;
-  hit_run :
+  page_run :
     first:Time.cycles ->
     spacing:Time.cycles ->
     n:int ->
     paddr:int ->
+    stride:int ->
+    row_bytes:int ->
     write:bool ->
     Time.cycles;
 }
@@ -22,9 +23,9 @@ let null_port =
     write_timing = (fun ~now ~paddr:_ ~bytes:_ -> now);
     read_data = None;
     write_data = None;
-    line_bytes = 0;
-    hit_run =
-      (fun ~first ~spacing ~n ~paddr:_ ~write:_ -> first + ((n - 1) * spacing));
+    page_run =
+      (fun ~first ~spacing ~n ~paddr:_ ~stride:_ ~row_bytes:_ ~write:_ ->
+        first + ((n - 1) * spacing));
   }
 
 type t = {
@@ -44,9 +45,6 @@ type t = {
   tslot : Gem_vm.Hierarchy.slot;
   mutable w_cursor : Time.cycles;
   mutable w_finish : Time.cycles;
-  (* Rows whose addresses agree above this bit share one L2 line and one
-     page; -1 when the port models no lines and rows are never coalesced. *)
-  run_shift : int;
 }
 
 let create ?engine ?(name = "dma") ?(core = -1) p ~port ~tlb =
@@ -72,10 +70,6 @@ let create ?engine ?(name = "dma") ?(core = -1) p ~port ~tlb =
     tslot = Gem_vm.Hierarchy.make_slot ();
     w_cursor = 0;
     w_finish = 0;
-    run_shift =
-      (if port.line_bytes > 0 then
-         min (Mathx.log2_exact port.line_bytes) Gem_vm.Page_table.page_bits
-       else -1);
   }
 
 let tlb t = t.tlb
@@ -96,46 +90,13 @@ module P = Gem_obs.Profile
    the next segment's TLB lookup starts only after this segment has
    secured its bus slot, so TLB hit latency (and every miss) sits on the
    streaming critical path — precisely why the paper's 0-cycle filter
-   registers pay off (Section V-A). Returns (issue cursor, overall
-   finish). *)
-let for_segments t ~now ~vaddr ~bytes ~write ~f =
-  let cursor = ref now in
-  let finish = ref now in
-  let va = ref vaddr in
-  let remaining = ref bytes in
-  while !remaining > 0 do
-    let in_page = page_size - (!va land (page_size - 1)) in
-    let seg = min in_page !remaining in
-    let outcome = Gem_vm.Hierarchy.translate t.tlb ~now:!cursor ~vaddr:!va ~write in
-    let occupancy = Mathx.ceil_div seg t.p.Params.dma_bus_bytes in
-    let bus_done =
-      Engine.acquire t.engine t.bus ~now:outcome.Gem_vm.Hierarchy.finish
-        ~occupancy
-    in
-    (* A segment's bus slot is the injection decision point: a fired
-       Dma_error means this burst was dropped by the interconnect. *)
-    (match t.inject with
-    | Some plan when Inject.fire plan Inject.Dma_error ->
-        Engine.trap t.engine
-          (Fault.make ~core:t.core ~component:(Resource.name t.bus)
-             ~cycle:bus_done
-             (Fault.Dma_bus_error { vaddr = !va; bytes = seg }))
-    | _ -> ());
-    let seg_done = f ~now:bus_done ~vaddr:!va ~paddr:outcome.Gem_vm.Hierarchy.paddr ~bytes:seg in
-    cursor := bus_done;
-    finish := max !finish seg_done;
-    va := !va + seg;
-    remaining := !remaining - seg
-  done;
-  (!cursor, !finish)
-
-(* The timing-only walk: identical traversal and event order to
-   {!for_segments}, but the port timing callback is invoked directly and
-   the translation lands in the reused [t.tslot] — no closure, no outcome
-   record, no refs, no result tuple. This is the simulator's hottest
-   loop (one iteration per page segment of every DMA row), so results
-   come back through [t.w_cursor] / [t.w_finish]. *)
-let rec seg_walk_go t ~write cursor finish va remaining =
+   registers pay off (Section V-A). This is the simulator's hottest loop
+   (one iteration per page segment of every walked DMA row): the
+   translation lands in the reused [t.tslot], and the (issue cursor,
+   overall finish) come back through [t.w_cursor] / [t.w_finish], so a
+   timing-only walk allocates nothing. [data], in functional mode, moves
+   each segment's bytes before its timing is charged. *)
+let rec seg_walk_go t ~write ~data cursor finish va remaining =
   if remaining <= 0 then begin
     t.w_cursor <- cursor;
     t.w_finish <- finish
@@ -150,6 +111,8 @@ let rec seg_walk_go t ~write cursor finish va remaining =
       Engine.acquire t.engine t.bus ~now:slot.Gem_vm.Hierarchy.s_finish
         ~occupancy
     in
+    (* A segment's bus slot is the injection decision point: a fired
+       Dma_error means this burst was dropped by the interconnect. *)
     (match t.inject with
     | Some plan when Inject.fire plan Inject.Dma_error ->
         Engine.trap t.engine
@@ -158,17 +121,15 @@ let rec seg_walk_go t ~write cursor finish va remaining =
              (Fault.Dma_bus_error { vaddr = va; bytes = seg }))
     | _ -> ());
     let paddr = slot.Gem_vm.Hierarchy.s_paddr in
+    (match data with None -> () | Some f -> f ~paddr ~bytes:seg);
     let seg_done =
       if write then t.port.write_timing ~now:bus_done ~paddr ~bytes:seg
       else t.port.read_timing ~now:bus_done ~paddr ~bytes:seg
     in
-    seg_walk_go t ~write bus_done
+    seg_walk_go t ~write ~data bus_done
       (if seg_done > finish then seg_done else finish)
       (va + seg) (remaining - seg)
   end
-
-let seg_walk_timing t ~now ~vaddr ~bytes ~write =
-  seg_walk_go t ~write now now vaddr bytes
 
 (* One span per burst on the bus track (cat "dma"): open at request time,
    close at overall finish. Rendered async so overlapping bursts (memory
@@ -194,67 +155,61 @@ let burst_close t ~time ~name =
       (Engine.Span_close { component = Resource.name t.bus; time; name })
   else Engine.observe t.engine time
 
-(* --- timing-only rows -------------------------------------------------------
+(* --- rows ------------------------------------------------------------------
 
-   Row [r] > 0 that lies wholly inside the L2 line and page the last byte
-   of row [r-1] touched is a foregone conclusion on a quiet SoC: its
-   translation hits where row [r-1] left the page (the filter register, or
-   the private TLB with filters off), its bus slot follows the previous
-   one back to back (the bus is busy exactly until the issue cursor), and
-   its L2 access hits the most recently used line. A run of such rows is
-   charged at once: the hierarchy, bus, L2 port and cache counters move
-   exactly as the per-row walk would move them, and the port's max-plus
-   recurrence still runs once per row against whatever other requesters
-   left on it. Nothing observes the rows in between, so the path is taken
-   only when nothing could: a quiet engine, no injection plan (which rolls
-   once per segment), no hierarchy observer. *)
+   Row [r] > 0 that lies wholly inside the page of row [r-1]'s last byte
+   is a foregone conclusion on a quiet SoC: its translation hits where row
+   [r-1] left the page (the filter register, or the private TLB with
+   filters off), and its bus slot follows the previous one back to back
+   (the private bus is busy exactly until the issue cursor). A run of such
+   rows is charged at once: one {!Gem_vm.Hierarchy.repeat}, one
+   {!Resource.acquire_run} on the bus, and one [port.page_run] that still
+   takes every line's port slot, cache lookup and DRAM fill in order, so
+   every counter and resource state ends as the per-row walk leaves it.
+   Nothing observes the rows in between, so the path is taken only when
+   nothing could: a timing-only transfer on a quiet engine, no injection
+   plan (which rolls once per segment), no hierarchy observer. *)
 
-(* How many rows from [r] on lie wholly inside the block (line and page)
-   of row [r-1]'s last byte. Top-level so the scan builds no closure. *)
-let rec run_end ~shift ~key ~vaddr ~stride_bytes ~rows ~row_bytes j =
+(* How many rows from [j] on lie wholly inside page [key]. Top-level so
+   the scan builds no closure. *)
+let rec run_end ~key ~vaddr ~stride_bytes ~rows ~row_bytes j =
+  let shift = Gem_vm.Page_table.page_bits in
   if j >= rows then j
   else
     let va = vaddr + (j * stride_bytes) in
     if va asr shift = key && (va + row_bytes - 1) asr shift = key then
-      run_end ~shift ~key ~vaddr ~stride_bytes ~rows ~row_bytes (j + 1)
+      run_end ~key ~vaddr ~stride_bytes ~rows ~row_bytes (j + 1)
     else j
 
-let rec bus_run bus ~arrival_gap ~occupancy n now =
-  let bus_done =
-    Resource.acquire bus ~now:(now + arrival_gap) ~occupancy
-  in
-  if n = 1 then bus_done
-  else bus_run bus ~arrival_gap ~occupancy (n - 1) bus_done
-
-(* Charges [n] coalesced rows issued from [cursor]; results land in
-   [t.w_cursor] / [t.w_finish] like a segment walk's. *)
-let charge_run t ~cursor ~n ~row_va ~row_bytes ~write =
+(* Charges [n] page-run rows, the first at [row_va], issued from [cursor];
+   results land in [t.w_cursor] / [t.w_finish] like a segment walk's. *)
+let page_run t ~cursor ~n ~row_va ~stride_bytes ~row_bytes ~write =
   t.row_requests <- t.row_requests + n;
   let lat = Gem_vm.Hierarchy.repeat t.tlb ~write ~n in
   let occupancy = Mathx.ceil_div row_bytes t.p.Params.dma_bus_bytes in
-  let last_bus = bus_run t.bus ~arrival_gap:lat ~occupancy n cursor in
+  let last_bus =
+    Resource.acquire_run t.bus ~now:(cursor + lat) ~gap:lat ~occupancy ~n
+  in
   let spacing = lat + occupancy in
   (* [t.tslot] still holds the translation of row [r-1]'s last page. *)
   let paddr =
     t.tslot.Gem_vm.Hierarchy.s_paddr land lnot (page_size - 1)
     lor (row_va land (page_size - 1))
   in
-  let finish =
-    t.port.hit_run ~first:(last_bus - ((n - 1) * spacing)) ~spacing ~n ~paddr
-      ~write
-  in
-  Engine.observe t.engine finish;
   t.w_cursor <- last_bus;
-  t.w_finish <- finish
+  t.w_finish <-
+    t.port.page_run ~first:(last_bus - ((n - 1) * spacing)) ~spacing ~n ~paddr
+      ~stride:stride_bytes ~row_bytes ~write
 
-(* Every timing-only row of [mvin] and [mvout] runs through here. Rows
-   issue serially through the translate+bus path; memory latency of one
-   row still overlaps the issue of the next. Like a segment walk, the
-   transfer's (issue cursor, finish) land in [t.w_cursor] / [t.w_finish]. *)
-let timing_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~write =
-  let shift = t.run_shift in
+(* Every row of [mvin] and [mvout] runs through here. Rows issue serially
+   through the translate+bus path; memory latency of one row still
+   overlaps the issue of the next. [data ~r ~off ~paddr ~bytes], in
+   functional mode, moves bytes [off, off+bytes) of row [r]. Like a
+   segment walk, the transfer's (issue cursor, finish) land in
+   [t.w_cursor] / [t.w_finish]. *)
+let transfer_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~write ~data =
   let coalesce =
-    shift >= 0
+    Option.is_none data
     && (not (Engine.live t.engine))
     && Option.is_none t.inject
     && Gem_vm.Hierarchy.quiet t.tlb
@@ -265,17 +220,29 @@ let timing_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~write =
     let row_va = vaddr + (!r * stride_bytes) in
     let n =
       if coalesce && !r > 0 then
-        let key = (row_va - stride_bytes + row_bytes - 1) asr shift in
-        run_end ~shift ~key ~vaddr ~stride_bytes ~rows ~row_bytes !r - !r
+        let key =
+          (row_va - stride_bytes + row_bytes - 1) asr Gem_vm.Page_table.page_bits
+        in
+        run_end ~key ~vaddr ~stride_bytes ~rows ~row_bytes !r - !r
       else 0
     in
     if n > 0 then begin
-      charge_run t ~cursor:!cursor ~n ~row_va ~row_bytes ~write;
+      page_run t ~cursor:!cursor ~n ~row_va ~stride_bytes ~row_bytes ~write;
       r := !r + n
     end
     else begin
       t.row_requests <- t.row_requests + 1;
-      seg_walk_timing t ~now:!cursor ~vaddr:row_va ~bytes:row_bytes ~write;
+      let data =
+        match data with
+        | None -> None
+        | Some f ->
+            let row = !r and off = ref 0 in
+            Some
+              (fun ~paddr ~bytes ->
+                f ~r:row ~off:!off ~paddr ~bytes;
+                off := !off + bytes)
+      in
+      seg_walk_go t ~write ~data !cursor !cursor row_va row_bytes;
       incr r
     end;
     cursor := max !cursor t.w_cursor;
@@ -293,36 +260,17 @@ let mvin t ~now ~vaddr ~stride_bytes ~rows ~row_bytes =
   if rows <= 0 || row_bytes <= 0 then invalid_arg "Dma.mvin: empty transfer";
   if !P.on then P.enter P.dma;
   burst_open t ~now ~name:"dma-read" ~rows ~bytes:(rows * row_bytes);
-  let rows_data =
+  let rows_data, data =
     match t.port.read_data with
-    | None ->
-        timing_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~write:false;
-        [||]
+    | None -> ([||], None)
     | Some read ->
-        let rows_data = Array.make rows [||] in
-        let cursor = ref now in
-        let finish = ref now in
-        for r = 0 to rows - 1 do
-          t.row_requests <- t.row_requests + 1;
-          let buf = Array.make row_bytes 0 in
-          let written = ref 0 in
-          let row_cursor, row_done =
-            for_segments t ~now:!cursor ~vaddr:(vaddr + (r * stride_bytes))
-              ~bytes:row_bytes ~write:false
-              ~f:(fun ~now ~vaddr:_ ~paddr ~bytes ->
-                let seg = read ~paddr ~n:bytes in
-                Array.blit seg 0 buf !written bytes;
-                written := !written + bytes;
-                t.port.read_timing ~now ~paddr ~bytes)
-          in
-          rows_data.(r) <- buf;
-          cursor := max !cursor row_cursor;
-          finish := max !finish row_done
-        done;
-        t.w_cursor <- !cursor;
-        t.w_finish <- !finish;
-        rows_data
+        let rows_data = Array.init rows (fun _ -> Array.make row_bytes 0) in
+        ( rows_data,
+          Some
+            (fun ~r ~off ~paddr ~bytes ->
+              Array.blit (read ~paddr ~n:bytes) 0 rows_data.(r) off bytes) )
   in
+  transfer_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~write:false ~data;
   t.bytes_in := !(t.bytes_in) + (rows * row_bytes);
   transfer_event t ~now ~dir:`Read ~bytes:(rows * row_bytes);
   burst_close t ~time:t.w_finish ~name:"dma-read";
@@ -333,27 +281,15 @@ let mvout_common t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~data =
   if rows <= 0 || row_bytes <= 0 then invalid_arg "Dma.mvout: empty transfer";
   if !P.on then P.enter P.dma;
   burst_open t ~now ~name:"dma-write" ~rows ~bytes:(rows * row_bytes);
-  (match (t.port.write_data, data) with
+  let data =
+    match (t.port.write_data, data) with
     | Some write, Some rows_data ->
-        let cursor = ref now in
-        let finish = ref now in
-        for r = 0 to rows - 1 do
-          t.row_requests <- t.row_requests + 1;
-          let consumed = ref 0 in
-          let row_cursor, row_done =
-            for_segments t ~now:!cursor ~vaddr:(vaddr + (r * stride_bytes))
-              ~bytes:row_bytes ~write:true
-              ~f:(fun ~now ~vaddr:_ ~paddr ~bytes ->
-                write ~paddr (Array.sub rows_data.(r) !consumed bytes);
-                consumed := !consumed + bytes;
-                t.port.write_timing ~now ~paddr ~bytes)
-          in
-          cursor := max !cursor row_cursor;
-          finish := max !finish row_done
-        done;
-        t.w_cursor <- !cursor;
-        t.w_finish <- !finish
-    | _ -> timing_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~write:true);
+        Some
+          (fun ~r ~off ~paddr ~bytes ->
+            write ~paddr (Array.sub rows_data.(r) off bytes))
+    | _ -> None
+  in
+  transfer_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~write:true ~data;
   t.bytes_out := !(t.bytes_out) + (rows * row_bytes);
   transfer_event t ~now ~dir:`Write ~bytes:(rows * row_bytes);
   burst_close t ~time:t.w_finish ~name:"dma-write";

@@ -19,21 +19,19 @@ type port = {
   read_data : (paddr:int -> n:int -> int array) option;
       (** returns unsigned bytes *)
   write_data : (paddr:int -> int array -> unit) option;
-  line_bytes : int;
-      (** the memory system's line size, a power of two; 0 when the port
-          models no lines, which turns row coalescing off *)
-  hit_run :
+  page_run :
     first:Gem_sim.Time.cycles ->
     spacing:Gem_sim.Time.cycles ->
     n:int ->
     paddr:int ->
+    stride:int ->
+    row_bytes:int ->
     write:bool ->
     Gem_sim.Time.cycles;
-      (** the timing of [n] requests, the i-th arriving at
-          [first + i*spacing], each wholly inside the line containing
-          [paddr], which the previous request touched last: the same state
-          and statistics as [n] calls of the timing closure, returning the
-          last one's completion *)
+      (** the timing of [n] rows of [row_bytes] inside one page, the i-th
+          at [paddr + i*stride] arriving at [first + i*spacing]: the same
+          state and statistics as a timing-closure call per row, returning
+          the latest completion *)
 }
 
 val null_port : port
@@ -87,9 +85,10 @@ val mvin :
 
     On a quiet engine (no sink), with no injection plan and no hierarchy
     observer, a timing-only transfer charges each run of rows that stay
-    inside the L2 line and page the previous row's last byte touched in
-    one step ({!Gem_vm.Hierarchy.repeat}, [port.hit_run]); every counter
-    and resource state ends as the per-row walk leaves it. *)
+    inside the page of the previous row's last byte in one step
+    ({!Gem_vm.Hierarchy.repeat}, {!Gem_sim.Resource.acquire_run},
+    [port.page_run]); every counter and resource state ends as the
+    per-row walk leaves it. *)
 
 val mvout :
   t ->

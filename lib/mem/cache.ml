@@ -12,6 +12,12 @@ type t = {
   dirty : bool array;
   age : int array; (* larger = more recently used *)
   mutable clock : int;
+  (* The line ([addr lsr set_shift]) the last access touched, and its
+     slot: back-to-back accesses to one line (DMA rows inside a line) hit
+     it without a way scan. It stays resident, since only a later access
+     can evict it. *)
+  mutable mru_line : int;
+  mutable mru_slot : int;
   mutable accesses : int;
   mutable hits : int;
   mutable misses : int;
@@ -50,6 +56,8 @@ let create ?engine ?(name = "cache") ~size_bytes ~ways ~line_bytes () =
       dirty = Array.make (sets * ways) false;
       age = Array.make (sets * ways) 0;
       clock = 0;
+      mru_line = -1;
+      mru_slot = 0;
       accesses = 0;
       hits = 0;
       misses = 0;
@@ -110,13 +118,20 @@ let access t ~addr ~write =
   if addr < 0 then invalid_arg "Cache.access: negative address";
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
+  let line = addr lsr t.set_shift in
   let base = set_of t addr * t.ways in
-  let tag = tag_of t addr in
-  let w = find_way t base tag 0 in
-  if w >= 0 then begin
+  let idx =
+    if line = t.mru_line then t.mru_slot
+    else
+      let w = find_way t base (tag_of t addr) 0 in
+      if w >= 0 then base + w else -1
+  in
+  if idx >= 0 then begin
     t.hits <- t.hits + 1;
-    t.age.(base + w) <- t.clock;
-    if write then t.dirty.(base + w) <- true;
+    t.age.(idx) <- t.clock;
+    if write then t.dirty.(idx) <- true;
+    t.mru_line <- line;
+    t.mru_slot <- idx;
     Hit
   end
   else begin
@@ -126,21 +141,13 @@ let access t ~addr ~write =
     let idx = base + victim_way t base in
     let writeback = t.tags.(idx) <> -1 && t.dirty.(idx) in
     if writeback then t.writebacks <- t.writebacks + 1;
-    t.tags.(idx) <- tag;
+    t.tags.(idx) <- tag_of t addr;
     t.dirty.(idx) <- write;
     t.age.(idx) <- t.clock;
+    t.mru_line <- line;
+    t.mru_slot <- idx;
     if writeback then Miss_writeback else Miss
   end
-
-let hit_again t ~addr ~write ~n =
-  let base = set_of t addr * t.ways in
-  let w = find_way t base (tag_of t addr) 0 in
-  if w < 0 then invalid_arg "Cache.hit_again: line not resident";
-  t.accesses <- t.accesses + n;
-  t.hits <- t.hits + n;
-  t.clock <- t.clock + n;
-  t.age.(base + w) <- t.clock;
-  if write then t.dirty.(base + w) <- true
 
 let access_range t ~addr ~bytes ~write =
   if bytes < 0 then invalid_arg "Cache.access_range: negative size";
@@ -165,6 +172,7 @@ let resident_lines t =
   Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags
 
 let invalidate_all t =
+  t.mru_line <- -1;
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.dirty 0 (Array.length t.dirty) false;
   Array.fill t.age 0 (Array.length t.age) 0
@@ -220,6 +228,7 @@ let restore t j =
   Array.blit age 0 t.age 0 (Array.length age);
   Array.blit dirty 0 t.dirty 0 (Array.length dirty);
   t.clock <- Snap.get_int "clock" j;
+  t.mru_line <- -1;
   t.accesses <- Snap.get_int "accesses" j;
   t.hits <- Snap.get_int "hits" j;
   t.misses <- Snap.get_int "misses" j;

@@ -37,12 +37,6 @@ val access : t -> addr:int -> write:bool -> result
 (** One access to the line containing [addr]. Allocates on miss (evicting
     the set's LRU line) and marks the line dirty on writes. *)
 
-val hit_again : t -> addr:int -> write:bool -> n:int -> unit
-(** The state and statistics [n] hitting {!access}es to the resident line
-    containing [addr] leave behind, in one step: the line becomes the most
-    recently used and, on writes, dirty. Raises [Invalid_argument] when
-    the line is not resident. *)
-
 val access_range : t -> addr:int -> bytes:int -> write:bool -> int * int * int
 (** [access_range t ~addr ~bytes ~write] touches every line overlapping
     [addr, addr+bytes) and returns [(hits, misses, writebacks)]. *)

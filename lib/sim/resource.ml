@@ -45,6 +45,23 @@ let acquire t ~now ~occupancy =
   end;
   start + occupancy
 
+(* A private requester's back-to-back stream: request [i+1] arrives
+   [gap] after request [i] finishes, so only the first can queue and the
+   rest start on arrival. *)
+let acquire_run t ~now ~gap ~occupancy ~n =
+  if occupancy < 0 || gap < 0 || n < 1 then
+    invalid_arg "Resource.acquire_run: negative occupancy or gap, or n < 1";
+  let start = slot t ~now in
+  record_wait t (start - now);
+  t.requests <- t.requests + (n - 1);
+  t.lat_counts.(0) <- t.lat_counts.(0) + (n - 1);
+  let finish = start + ((n - 1) * (gap + occupancy)) + occupancy in
+  if occupancy > 0 then begin
+    t.busy_until <- finish;
+    t.busy_cycles <- t.busy_cycles + (n * occupancy)
+  end;
+  finish
+
 let next_free t ~now = slot t ~now
 
 let occupy_until t ~now ~start ~until =

@@ -20,6 +20,14 @@ val acquire : t -> now:Time.cycles -> occupancy:Time.cycles -> Time.cycles
     returns its service-slot time ([max now busy_until]) and counts as a
     request, but never advances [busy_until] or [busy_cycles]. *)
 
+val acquire_run :
+  t -> now:Time.cycles -> gap:Time.cycles -> occupancy:Time.cycles -> n:int ->
+  Time.cycles
+(** [n] requests of [occupancy] cycles, the first arriving at [now] and
+    each later one [gap] cycles after its predecessor finishes; returns the
+    last one's completion. In O(1), every statistic ends as [n] calls of
+    {!acquire} leave it. Requires [occupancy >= 0], [gap >= 0], [n >= 1]. *)
+
 val next_free : t -> now:Time.cycles -> Time.cycles
 (** When a request arriving at [now] could start service:
     [max now busy_until]. Pure query, no statistics side effects. *)

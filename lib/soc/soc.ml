@@ -19,6 +19,7 @@ type t = {
   engine : Engine.t; (* one simulation context for the whole chip *)
   l2 : Cache.t;
   l2_port : Resource.t;
+  port_occupancy : Time.cycles; (* port cycles per L2 line *)
   dram : Dram.t;
   mainmem : Mainmem.t option;
   mutable cores_arr : core array;
@@ -37,16 +38,22 @@ let va_base = 0x0001_0000
 (* One L2+DRAM access path shared by every requester on the SoC. Runs once
    per cache line of every DMA burst, so the line walk is a top-level
    tail-recursive function over unboxed ints (a local closure over
-   [last]/[occupancy] would be allocated per call): the quiet path
-   allocates nothing. *)
-let rec mem_lines soc ~now ~write ~line ~occupancy ~last ln finish =
+   [last]/[bulk] would be allocated per call): the quiet path
+   allocates nothing. [bulk] takes the port slot through
+   {!Resource.acquire} rather than the engine, for a caller that observes
+   the run's finish itself. *)
+let rec mem_lines soc ~now ~write ~bulk ~last ln finish =
   if ln > last then finish
   else begin
     let cfg = soc.cfg in
-    let addr = ln * line in
-    let port_done = Engine.acquire soc.engine soc.l2_port ~now ~occupancy in
+    let line = cfg.Soc_config.l2_line_bytes in
+    let occupancy = soc.port_occupancy in
+    let port_done =
+      if bulk then Resource.acquire soc.l2_port ~now ~occupancy
+      else Engine.acquire soc.engine soc.l2_port ~now ~occupancy
+    in
     let line_done =
-      match Cache.access soc.l2 ~addr ~write with
+      match Cache.access soc.l2 ~addr:(ln * line) ~write with
       | Cache.Hit -> port_done + cfg.Soc_config.l2_hit_latency
       | Cache.Miss ->
           (* Allocate: fetch the line from DRAM. *)
@@ -60,33 +67,34 @@ let rec mem_lines soc ~now ~write ~line ~occupancy ~last ln finish =
           ignore (Dram.access soc.dram ~now:port_done ~bytes:line ~write:true);
           fetch_done
     in
-    mem_lines soc ~now ~write ~line ~occupancy ~last (ln + 1)
+    mem_lines soc ~now ~write ~bulk ~last (ln + 1)
       (if line_done > finish then line_done else finish)
   end
 
+(* [n] rows of [row_bytes], the i-th arriving at [now + i*spacing] at
+   [paddr + i*stride]: every line of every row takes its own port slot,
+   cache lookup and DRAM fill, in the per-row walk's order. *)
+let rec mem_rows soc ~write ~bulk ~spacing ~stride ~row_bytes n now paddr
+    finish =
+  if n = 0 then finish
+  else
+    let line = soc.cfg.Soc_config.l2_line_bytes in
+    mem_rows soc ~write ~bulk ~spacing ~stride ~row_bytes (n - 1)
+      (now + spacing) (paddr + stride)
+      (mem_lines soc ~now ~write ~bulk ~last:((paddr + row_bytes - 1) / line)
+         (paddr / line) finish)
+
 let mem_access soc ~now ~paddr ~bytes ~write =
-  let cfg = soc.cfg in
-  let line = cfg.Soc_config.l2_line_bytes in
-  let occupancy = Mathx.ceil_div line cfg.Soc_config.l2_port_bytes in
-  let first = paddr / line and last = (paddr + max bytes 1 - 1) / line in
-  mem_lines soc ~now ~write ~line ~occupancy ~last first now
+  mem_rows soc ~write ~bulk:false ~spacing:0 ~stride:0
+    ~row_bytes:(max bytes 1) 1 now paddr now
 
-(* [n] L2 hits on the line holding [paddr], arriving [spacing] apart:
-   the port's max-plus recurrence still runs per request, since other
-   requesters may have left it busy. *)
-let rec port_run port ~occupancy ~spacing n arrival =
-  let port_done = Resource.acquire port ~now:arrival ~occupancy in
-  if n = 1 then port_done
-  else port_run port ~occupancy ~spacing (n - 1) (arrival + spacing)
-
-let hit_run soc ~first ~spacing ~n ~paddr ~write =
-  let cfg = soc.cfg in
-  let occupancy =
-    Mathx.ceil_div cfg.Soc_config.l2_line_bytes cfg.Soc_config.l2_port_bytes
+let page_run soc ~first ~spacing ~n ~paddr ~stride ~row_bytes ~write =
+  let finish =
+    mem_rows soc ~write ~bulk:true ~spacing ~stride ~row_bytes n first paddr
+      first
   in
-  let port_done = port_run soc.l2_port ~occupancy ~spacing n first in
-  Cache.hit_again soc.l2 ~addr:paddr ~write ~n;
-  port_done + cfg.Soc_config.l2_hit_latency
+  Engine.observe soc.engine finish;
+  finish
 
 let make_port soc : Gemmini.Dma.port =
   {
@@ -104,8 +112,7 @@ let make_port soc : Gemmini.Dma.port =
           fun ~paddr bytes ->
            Array.iteri (fun i b -> Mainmem.write_byte mm ~addr:(paddr + i) b) bytes)
         soc.mainmem;
-    line_bytes = soc.cfg.Soc_config.l2_line_bytes;
-    hit_run = hit_run soc;
+    page_run = page_run soc;
   }
 
 let create cfg =
@@ -131,6 +138,8 @@ let create cfg =
       engine;
       l2;
       l2_port;
+      port_occupancy =
+        Mathx.ceil_div cfg.Soc_config.l2_line_bytes cfg.Soc_config.l2_port_bytes;
       dram;
       mainmem = (if cfg.Soc_config.functional then Some (Mainmem.create ()) else None);
       cores_arr = [||];

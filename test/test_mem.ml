@@ -61,6 +61,33 @@ let test_cache_writeback () =
   done;
   Alcotest.(check int) "one writeback of the dirty victim" 1 (Cache.writebacks c)
 
+(* An access to the line the previous access touched skips the way scan;
+   that shortcut must never outlive the line: not an invalidation, not a
+   restore, not an eviction. A write through it still dirties the line. *)
+let test_cache_last_line () =
+  let c = Cache.create ~size_bytes:4096 ~ways:4 ~line_bytes:64 () in
+  let is_miss addr =
+    match Cache.access c ~addr ~write:false with
+    | Cache.Hit -> false
+    | Cache.Miss | Cache.Miss_writeback -> true
+  in
+  let empty = Cache.snapshot c in
+  Alcotest.(check bool) "cold" true (is_miss 0);
+  Alcotest.(check bool) "same line hits" false (is_miss 8);
+  Cache.invalidate_all c;
+  Alcotest.(check bool) "miss after invalidate_all" true (is_miss 16);
+  Cache.restore c empty;
+  Alcotest.(check bool) "miss after restore" true (is_miss 24);
+  ignore (Cache.access c ~addr:32 ~write:true);
+  for i = 1 to 4 do
+    ignore (Cache.access c ~addr:(i * 1024) ~write:false)
+  done;
+  Alcotest.(check int) "the write hit dirtied the line" 1 (Cache.writebacks c);
+  ignore (Cache.access c ~addr:(4 * 1024) ~write:false);
+  Alcotest.(check bool) "miss after eviction" true (is_miss 40);
+  Alcotest.(check (list int)) "accesses, hits, misses since the restore"
+    [ 8; 2; 6 ] [ Cache.accesses c; Cache.hits c; Cache.misses c ]
+
 let qcheck_cache_occupancy =
   QCheck2.Test.make ~name:"cache occupancy never exceeds capacity, access implies resident"
     ~count:50
@@ -124,6 +151,7 @@ let suite =
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
     Alcotest.test_case "cache LRU order" `Quick test_cache_lru_order;
     Alcotest.test_case "cache writeback" `Quick test_cache_writeback;
+    Alcotest.test_case "cache last-line shortcut" `Quick test_cache_last_line;
     Alcotest.test_case "cache range access" `Quick test_cache_range;
     Alcotest.test_case "dram timing" `Quick test_dram_timing;
     Alcotest.test_case "main memory" `Quick test_mainmem;

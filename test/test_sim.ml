@@ -88,6 +88,48 @@ let test_resource_latency () =
   Resource.reset r;
   Alcotest.(check int) "reset clears it" 0 (H.count (Resource.latency r))
 
+(* [acquire_run] charges a private stream in one call: it must leave the
+   resource exactly as [n] back-to-back [acquire]s do, whether the first
+   request queues behind earlier work or not. *)
+let test_resource_acquire_run () =
+  let module H = Gem_util.Stats.Histogram in
+  let state r =
+    let h = Resource.latency r in
+    ( [ Resource.busy_until r; Resource.busy_cycles r; Resource.wait_cycles r;
+        Resource.requests r ],
+      (Array.to_list (H.bucket_counts h), H.max h) )
+  in
+  List.iter
+    (fun (label, busy, now, gap, occupancy, n) ->
+      let bulk = Resource.create ~name:"bulk" and walk = Resource.create ~name:"walk" in
+      List.iter
+        (fun r -> ignore (Resource.acquire r ~now:0 ~occupancy:busy))
+        [ bulk; walk ];
+      let last = Resource.acquire_run bulk ~now ~gap ~occupancy ~n in
+      let rec go i arrival =
+        let finish = Resource.acquire walk ~now:arrival ~occupancy in
+        if i = n then finish else go (i + 1) (finish + gap)
+      in
+      Alcotest.(check int) (label ^ ": last finish") (go 1 now) last;
+      Alcotest.(check (pair (list int) (pair (list int) (float 0.))))
+        (label ^ ": busy_until, busy, wait, requests, histogram, max")
+        (state walk) (state bulk))
+    [
+      ("queued first, gap 0", 500, 20, 0, 3, 16);
+      ("queued first, gap 2", 90, 10, 2, 4, 9);
+      ("idle, gap 5", 10, 40, 5, 1, 7);
+      ("occupancy 0", 200, 30, 3, 0, 5);
+      ("occupancy 0, gap 0", 200, 300, 0, 0, 4);
+      ("n = 1", 100, 0, 7, 6, 1);
+    ];
+  Alcotest.check_raises "n = 0 is refused"
+    (Invalid_argument
+       "Resource.acquire_run: negative occupancy or gap, or n < 1")
+    (fun () ->
+      ignore
+        (Resource.acquire_run (Resource.create ~name:"r") ~now:0 ~gap:0
+           ~occupancy:1 ~n:0))
+
 (* --- Engine --------------------------------------------------------------- *)
 
 let test_engine_registry () =
@@ -333,7 +375,12 @@ let test_alloc_constant_soc_dma_transfer () =
          charged in bulk, which must allocate no more than the walk. *)
       let sameline = per_call ~stride_bytes:4 ~row_bytes:4 ~write ~cold 16 in
       Alcotest.(check (float 0.)) (dir ^ " same-line rows: same bytes") one
-        sameline)
+        sameline;
+      (* 16 rows x 16 B at stride 64, one line each: rows 1-15 are a page
+         run, which must allocate what the 16 x 64 B transfer does. *)
+      let pagerun = per_call ~stride_bytes:64 ~row_bytes:16 ~write ~cold 16 in
+      Alcotest.(check (float 0.)) (dir ^ " line-stride page run: same bytes")
+        (per_call ~write ~cold 16) pagerun)
     [
       ("mvin", false, false);
       ("mvin (cold L2)", false, true);
@@ -387,6 +434,8 @@ let suite =
     Alcotest.test_case "resource: reset" `Quick test_resource_reset;
     Alcotest.test_case "resource: queue-latency histogram" `Quick
       test_resource_latency;
+    Alcotest.test_case "resource: acquire_run equals n acquires" `Quick
+      test_resource_acquire_run;
     Alcotest.test_case "engine: registry and probes" `Quick
       test_engine_registry;
     Alcotest.test_case "engine: clock and stats" `Quick

@@ -326,9 +326,9 @@ let test_quad_core_restore () = check_restore_continuation ~cores:4
 
 (* --- bulk DMA rows vs the per-row walk -------------------------------------
 
-   A quiet SoC charges runs of DMA rows that stay in one L2 line and page
-   in bulk; attaching a sink (which makes the engine live) forces the
-   per-row walk. Twin SoCs replay one seeded random transfer sequence and
+   A quiet SoC charges runs of DMA rows that stay in one page in bulk;
+   attaching a sink (which makes the engine live) forces the per-row
+   walk. Twin SoCs replay one seeded random transfer sequence and
    must agree on every call's result and on all state afterwards. *)
 
 module Dma = Gemmini.Dma
@@ -376,19 +376,39 @@ let random_transfer rng ~cores =
     let clear = if stride < 0 then -stride * (rows - 1) else 0 in
     (core, write, clear + base, stride, rows, row_bytes)
 
-(* Replays [steps] random transfers on [soc]; returns every call's
+(* A page run with a new line per row: rows 2-64 of 1-64 B at a stride of
+   one or two lines, at any offset into the core's region. *)
+let line_stride_transfer rng ~cores =
+  let rows = Rng.int_in rng ~lo:2 ~hi:64 in
+  ( Rng.int rng cores, Rng.bool rng,
+    Rng.int rng (region_bytes - (128 * 64)),
+    64 * Rng.int_in rng ~lo:1 ~hi:2, rows, Rng.int_in rng ~lo:1 ~hi:64 )
+
+(* Rows of 2-8 B at most a line apart, the first straddling two lines:
+   with filter registers on the bus issues a row a cycle, while each row
+   takes one or two 2-cycle L2 port slots, so the port saturates and the
+   queue waits grow along the run. *)
+let straddling_transfer rng ~cores =
+  let row_bytes = Rng.int_in rng ~lo:2 ~hi:8 in
+  let line = 64 * Rng.int_in rng ~lo:1 ~hi:((region_bytes / 64) - 128) in
+  ( Rng.int rng cores, Rng.bool rng,
+    line - Rng.int_in rng ~lo:1 ~hi:(row_bytes - 1),
+    Rng.int_in rng ~lo:row_bytes ~hi:64, Rng.int_in rng ~lo:2 ~hi:64,
+    row_bytes )
+
+(* Replays [steps] transfers drawn by [draw] on [soc] ([cold] drops the L2
+   before each, so every line misses to DRAM); returns every call's
    (engine_free, finish) and the fault trace. A page fault (injected
    unmap) is serviced by remapping the page, as the runtime does. *)
-let replay soc ~seed ~steps =
+let replay ?(draw = random_transfer) ?(cold = false) soc ~seed ~steps =
   let cores = Array.length (Soc.cores soc) in
   let bases = Array.map (fun c -> Soc.alloc soc c ~bytes:region_bytes) (Soc.cores soc) in
   let clocks = Array.make cores 0 in
   let rng = Rng.create ~seed in
   let results = ref [] and faults = ref [] in
   for _ = 1 to steps do
-    let core, write, base, stride_bytes, rows, row_bytes =
-      random_transfer rng ~cores
-    in
+    let core, write, base, stride_bytes, rows, row_bytes = draw rng ~cores in
+    if cold then Gem_mem.Cache.invalidate_all (Soc.l2 soc);
     let c = Soc.core soc core in
     let dma = Gemmini.Controller.dma (Soc.controller c) in
     let now = clocks.(core) + Rng.int rng 400 in
@@ -413,17 +433,19 @@ let replay soc ~seed ~steps =
   done;
   (List.rev !results, List.rev !faults)
 
-let twin_run ?inject ~cores ~filters ~seed () =
+let twin_run ?inject ?(what = "random") ?draw ?cold ~cores ~filters ~seed ()
+    =
   let cfg = twin_config ~cores ~filters in
   let run ~sink =
     let soc = Soc.create cfg in
     if sink then Engine.add_sink (Soc.engine soc) ignore;
     Option.iter (fun rate -> Soc.arm_injection soc ~seed ~rate) inject;
-    let results, faults = replay soc ~seed ~steps:300 in
+    let results, faults = replay ?draw ?cold soc ~seed ~steps:300 in
     (soc, results, faults)
   in
   let label =
-    Printf.sprintf "%d core(s), filters %b, seed %d" cores filters seed
+    Printf.sprintf "%s transfers, %d core(s), filters %b, seed %d" what cores
+      filters seed
   in
   let quiet, q_results, q_faults = run ~sink:false in
   let walked, w_results, w_faults = run ~sink:true in
@@ -439,15 +461,15 @@ let twin_run ?inject ~cores ~filters ~seed () =
     (Jsonx.to_string (Soc.snapshot quiet));
   (q_faults, w_faults)
 
-(* Engine.acquire calls one warm 16-row x 4-byte, stride-4 mvin makes. *)
-let sameline_acquires ~sink =
+(* Engine.acquire calls one warm 16-row mvin makes. *)
+let mvin_acquires ~stride_bytes ~row_bytes ~sink =
   let module P = Gem_obs.Profile in
   let soc = Soc.create Soc_config.default in
   if sink then Engine.add_sink (Soc.engine soc) ignore;
   let core = Soc.core soc 0 in
   let dma = Gemmini.Controller.dma (Soc.controller core) in
   let vaddr = Soc.alloc soc core ~bytes:4096 in
-  let mvin now = ignore (Dma.mvin dma ~now ~vaddr ~stride_bytes:4 ~rows:16 ~row_bytes:4) in
+  let mvin now = ignore (Dma.mvin dma ~now ~vaddr ~stride_bytes ~rows:16 ~row_bytes) in
   mvin 0;
   P.reset ();
   P.enable ();
@@ -462,15 +484,28 @@ let sameline_acquires ~sink =
 
 let test_bulk_rows_equal_walk () =
   (* Row 0 takes a bus and a port slot; the other 15 rows are coalesced
-     on the quiet SoC and walked one by one on the live one. *)
-  Alcotest.(check int) "quiet same-line rows skip Engine.acquire" 2
-    (sameline_acquires ~sink:false);
-  Alcotest.(check int) "live engine walks every row" 32
-    (sameline_acquires ~sink:true);
+     on the quiet SoC and walked one by one on the live one, whether they
+     share row 0's line (4 B at stride 4) or each start a new one (16 B at
+     stride 64). *)
+  List.iter
+    (fun (what, stride_bytes, row_bytes) ->
+      Alcotest.(check int) ("quiet " ^ what ^ " rows skip Engine.acquire") 2
+        (mvin_acquires ~stride_bytes ~row_bytes ~sink:false);
+      Alcotest.(check int) ("live engine walks every " ^ what ^ " row") 32
+        (mvin_acquires ~stride_bytes ~row_bytes ~sink:true))
+    [ ("same-line", 4, 4); ("line-stride", 64, 16) ];
   List.iter
     (fun (cores, filters, seed) ->
-      let q_faults, _ = twin_run ~cores ~filters ~seed () in
-      Alcotest.(check (list string)) "no faults without injection" [] q_faults)
+      List.iter
+        (fun (what, draw, cold) ->
+          let q_faults, _ =
+            twin_run ~what ~draw ~cold ~cores ~filters ~seed ()
+          in
+          Alcotest.(check (list string)) "no faults without injection" []
+            q_faults)
+        [ ("random", random_transfer, false);
+          ("cold line-stride", line_stride_transfer, true);
+          ("line-straddling", straddling_transfer, false) ])
     [ (1, true, 1); (1, false, 2); (2, true, 3); (2, false, 4) ];
   let q_faults, w_faults =
     twin_run ~inject:0.002 ~cores:2 ~filters:true ~seed:5 ()
