@@ -360,10 +360,15 @@ let run_cmd =
                   exit 2)
         in
         let outcome =
-          Gem_persist.Persist.run ~policy ?watchdog
-            ?inject:(Option.map (fun s -> (s, inject_rate)) inject_seed)
-            ?checkpoint_every ?checkpoint_out ?restore:restore_ck
-            ~max_replays ~config ~core:0 model ~mode
+          (* A checkpoint that does not fit this model or SoC. *)
+          try
+            Gem_persist.Persist.run ~policy ?watchdog
+              ?inject:(Option.map (fun s -> (s, inject_rate)) inject_seed)
+              ?checkpoint_every ?checkpoint_out ?restore:restore_ck
+              ~max_replays ~config ~core:0 model ~mode
+          with Invalid_argument msg when restore_ck <> None ->
+            Printf.eprintf "[persist] cannot restore: %s\n%!" msg;
+            exit 2
         in
         print_header ();
         ignore (print_results [| outcome.Gem_persist.Persist.o_result |]);

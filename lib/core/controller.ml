@@ -122,7 +122,10 @@ let create ?engine ?(name = "accel") ?(core = 0) ~params ~port ~tlb
   let ex_pipe = Engine.resource engine ~kind:Engine.Pipeline ~name:(name ^ "/mesh") in
   let st_pipe = Engine.resource engine ~kind:Engine.Pipeline ~name:(name ^ "/st") in
   let dma = Dma.create ~engine ~name:(name ^ "/dma") ~core p ~port ~tlb in
-  let spad = Scratchpad.create ~engine ~name:(name ^ "/spad") ~core p in
+  let functional = Option.is_some port.Dma.read_data in
+  let spad =
+    Scratchpad.create ~engine ~name:(name ^ "/spad") ~core ~functional p
+  in
   {
     p;
     name;
@@ -134,7 +137,7 @@ let create ?engine ?(name = "accel") ?(core = 0) ~params ~port ~tlb
        that profile row (it registers no resource of its own). *)
     mesh = Mesh.create ~engine ~name:(name ^ "/mesh") ~core p;
     dma;
-    functional = Option.is_some port.Dma.read_data;
+    functional;
     issue_cycles;
     ex_cfg =
       {
@@ -912,208 +915,149 @@ let utilization t =
    os_acc) is serialized when present; at a fenced layer boundary — the
    only place the runtime checkpoints — os_acc is always None. *)
 
-module J = Jsonx
+let activation =
+  Snap.map
+    (function
+      | Jsonx.String "none" -> Peripheral.No_activation
+      | Jsonx.String "relu" -> Peripheral.Relu
+      | Jsonx.List [ Jsonx.String "relu6"; Jsonx.Int shift ] -> Peripheral.Relu6 { shift }
+      | _ -> Snap.fail "bad activation")
+    (function
+      | Peripheral.No_activation -> Jsonx.String "none"
+      | Peripheral.Relu -> Jsonx.String "relu"
+      | Peripheral.Relu6 { shift } -> Jsonx.List [ Jsonx.String "relu6"; Jsonx.Int shift ])
+    Snap.json
 
-let activation_to_json = function
-  | Peripheral.No_activation -> J.String "none"
-  | Peripheral.Relu -> J.String "relu"
-  | Peripheral.Relu6 { shift } -> J.List [ J.String "relu6"; J.Int shift ]
+let dataflow =
+  Snap.map
+    (function "ws" -> `WS | "os" -> `OS | s -> Snap.fail "bad dataflow %S" s)
+    (function `WS -> "ws" | `OS -> "os")
+    Snap.string
 
-let activation_of_json = function
-  | J.String "none" -> Peripheral.No_activation
-  | J.String "relu" -> Peripheral.Relu
-  | J.List [ J.String "relu6"; s ] -> Peripheral.Relu6 { shift = Snap.int s }
-  | _ -> Snap.fail "bad activation"
+let ex_cfg =
+  Snap.(
+    obj
+      [ field "dataflow" dataflow (fun c -> c.dataflow) (fun c v -> c.dataflow <- v);
+        field "activation" activation (fun c -> c.activation) (fun c v -> c.activation <- v);
+        field "sys_shift" int (fun c -> c.sys_shift) (fun c v -> c.sys_shift <- v);
+        field "a_transpose" bool (fun c -> c.a_transpose) (fun c v -> c.a_transpose <- v);
+        field "b_transpose" bool (fun c -> c.b_transpose) (fun c v -> c.b_transpose <- v) ])
 
-let matrix_to_json (m : Matrix.t) =
-  J.List (Array.to_list (Array.map Snap.of_int_array m))
+let ld_cfg =
+  Snap.(
+    obj
+      [ field "stride" int (fun c -> c.stride) (fun c v -> c.stride <- v);
+        field "scale" float (fun c -> c.scale) (fun c v -> c.scale <- v);
+        field "shrunk" bool (fun c -> c.shrunk) (fun c v -> c.shrunk <- v) ])
 
-let matrix_of_json j =
-  Array.of_list (List.map Snap.int_array (Snap.list j))
+let pool =
+  Snap.map
+    (fun a -> { Isa.window = a.(0); stride = a.(1); padding = a.(2) })
+    (fun p -> [| p.Isa.window; p.Isa.stride; p.Isa.padding |])
+    (Snap.ints 3)
 
-let opt_to_json f = function None -> J.Null | Some v -> f v
-let opt_of_json f = function J.Null -> None | j -> Some (f j)
+let st_cfg =
+  Snap.(
+    obj
+      [ field "stride" int (fun c -> c.st_stride) (fun c v -> c.st_stride <- v);
+        field "act" activation (fun c -> c.st_act) (fun c v -> c.st_act <- v);
+        field "scale" float (fun c -> c.st_scale) (fun c v -> c.st_scale <- v);
+        field "pool" (option pool) (fun c -> c.st_pool) (fun c v -> c.st_pool <- v) ])
 
-let snapshot t =
-  let ex_cfg_json =
-    J.Obj
-      [ ("dataflow", J.String (match t.ex_cfg.dataflow with `WS -> "ws" | `OS -> "os"));
-        ("activation", activation_to_json t.ex_cfg.activation);
-        ("sys_shift", J.Int t.ex_cfg.sys_shift);
-        ("a_transpose", J.Bool t.ex_cfg.a_transpose);
-        ("b_transpose", J.Bool t.ex_cfg.b_transpose) ]
-  in
-  let ld_cfg_json (c : ld_cfg) =
-    J.Obj
-      [ ("stride", J.Int c.stride); ("scale", J.Float c.scale);
-        ("shrunk", J.Bool c.shrunk) ]
-  in
-  let st_cfg_json =
-    J.Obj
-      [ ("stride", J.Int t.st_cfg.st_stride);
-        ("act", activation_to_json t.st_cfg.st_act);
-        ("scale", J.Float t.st_cfg.st_scale);
-        ( "pool",
-          opt_to_json
-            (fun (p : Isa.pool_cfg) ->
-              Snap.of_int_list [ p.Isa.window; p.Isa.stride; p.Isa.padding ])
-            t.st_cfg.st_pool ) ]
-  in
-  let preload_json pl =
-    Snap.of_int_list
-      [ Local_addr.to_bits pl.pl_bd; Local_addr.to_bits pl.pl_c;
-        pl.pl_bd_rows; pl.pl_bd_cols; pl.pl_c_rows; pl.pl_c_cols ]
-  in
-  let bounds_json (b : Isa.loop_bounds) =
-    J.Obj
-      [ ("m", J.Int b.Isa.lw_m); ("k", J.Int b.Isa.lw_k); ("n", J.Int b.Isa.lw_n);
-        ("bias", J.Bool b.Isa.lw_has_bias);
-        ("act", activation_to_json b.Isa.lw_activation) ]
-  in
-  J.Obj
-    [ ("issue", J.Int t.issue);
-      ("last_ld_finish", J.Int t.last_ld_finish);
-      ("last_st_finish", J.Int t.last_st_finish);
-      ("cmd_finish", J.Int t.cmd_finish);
-      ( "rob",
-        Snap.of_int_list
-          (List.init t.rob_len (fun k ->
-               t.rob.((t.rob_head + k) mod Array.length t.rob))) );
-      ( "stats",
-        Snap.of_int_list
-          [ t.s.insns; t.s.loop_micro_ops; t.s.loads; t.s.stores; t.s.computes;
-            t.s.macs; t.s.host_cycles; t.s.flushes ] );
-      ("ex_cfg", ex_cfg_json);
-      ("ld_cfgs", J.List (Array.to_list (Array.map ld_cfg_json t.ld_cfgs)));
-      ("st_cfg", st_cfg_json);
-      ( "preload",
-        if t.preload.pl_staged then preload_json t.preload else J.Null );
-      ("loop_bounds", opt_to_json bounds_json t.loop_bounds);
-      ( "loop_addrs",
-        opt_to_json
-          (fun (a : Isa.loop_addrs) ->
-            Snap.of_int_list [ a.Isa.lw_a; a.Isa.lw_b ])
-          t.loop_addrs );
-      ( "loop_outs",
-        opt_to_json
-          (fun (o : Isa.loop_outs) ->
-            Snap.of_int_list [ o.Isa.lw_bias; o.Isa.lw_c ])
-          t.loop_outs );
-      ("resident_b", opt_to_json matrix_to_json t.resident_b);
-      ( "os_acc",
-        opt_to_json
-          (fun { os_data; os_dest } ->
-            J.Obj
-              [ ("data", matrix_to_json os_data);
-                ("dest", J.Int (Local_addr.to_bits os_dest)) ])
-          t.os_acc );
-      ("spad", Scratchpad.snapshot ~with_data:t.functional t.spad);
-      ("dma", Dma.snapshot t.dma) ]
+let preload { preload = pl; _ } =
+  if not pl.pl_staged then None
+  else
+    Some
+      [| Local_addr.to_bits pl.pl_bd; Local_addr.to_bits pl.pl_c; pl.pl_bd_rows;
+         pl.pl_bd_cols; pl.pl_c_rows; pl.pl_c_cols |]
 
-let restore t j =
-  t.issue <- Snap.get_int "issue" j;
-  t.last_ld_finish <- Snap.get_int "last_ld_finish" j;
-  t.last_st_finish <- Snap.get_int "last_st_finish" j;
-  t.cmd_finish <- Snap.get_int "cmd_finish" j;
-  rob_clear t;
-  List.iter
-    (fun c ->
-      Gem_util.Snap.check ~what:"rob length"
-        (t.rob_len < Array.length t.rob);
-      t.rob.(t.rob_len) <- c;
-      t.rob_len <- t.rob_len + 1)
-    (Snap.int_list (Snap.member "rob" j));
-  (match Snap.int_list (Snap.member "stats" j) with
-  | [ insns; loop_micro_ops; loads; stores; computes; macs; host_cycles; flushes ] ->
-      t.s.insns <- insns;
-      t.s.loop_micro_ops <- loop_micro_ops;
-      t.s.loads <- loads;
-      t.s.stores <- stores;
-      t.s.computes <- computes;
-      t.s.macs <- macs;
-      t.s.host_cycles <- host_cycles;
-      t.s.flushes <- flushes
-  | _ -> Snap.fail "controller stats: expected 8 counters");
-  let ex = Snap.member "ex_cfg" j in
-  t.ex_cfg.dataflow <-
-    (match Snap.get_str "dataflow" ex with
-    | "ws" -> `WS
-    | "os" -> `OS
-    | s -> Snap.fail "bad dataflow %S" s);
-  t.ex_cfg.activation <- activation_of_json (Snap.member "activation" ex);
-  t.ex_cfg.sys_shift <- Snap.get_int "sys_shift" ex;
-  t.ex_cfg.a_transpose <- Snap.get_bool "a_transpose" ex;
-  t.ex_cfg.b_transpose <- Snap.get_bool "b_transpose" ex;
-  let lds = Snap.get_list "ld_cfgs" j in
-  Snap.check ~what:"ld channel count" (List.length lds = 3);
-  List.iteri
-    (fun i c ->
-      let ld = t.ld_cfgs.(i) in
-      ld.stride <- Snap.get_int "stride" c;
-      ld.scale <- Snap.get_float "scale" c;
-      ld.shrunk <- Snap.get_bool "shrunk" c)
-    lds;
-  let st = Snap.member "st_cfg" j in
-  t.st_cfg.st_stride <- Snap.get_int "stride" st;
-  t.st_cfg.st_act <- activation_of_json (Snap.member "act" st);
-  t.st_cfg.st_scale <- Snap.get_float "scale" st;
-  t.st_cfg.st_pool <-
-    opt_of_json
-      (fun p ->
-        match Snap.int_list p with
-        | [ window; stride; padding ] -> { Isa.window; stride; padding }
-        | _ -> Snap.fail "bad pool cfg")
-      (Snap.member "pool" st);
-  (match Snap.member "preload" j with
-  | J.Null -> t.preload.pl_staged <- false
-  | p -> (
-      match Snap.int_list p with
-      | [ bd; c; bd_rows; bd_cols; c_rows; c_cols ] ->
-          let pl = t.preload in
-          pl.pl_staged <- true;
-          pl.pl_bd <- Local_addr.of_bits bd;
-          pl.pl_c <- Local_addr.of_bits c;
-          pl.pl_bd_rows <- bd_rows;
-          pl.pl_bd_cols <- bd_cols;
-          pl.pl_c_rows <- c_rows;
-          pl.pl_c_cols <- c_cols
-      | _ -> Snap.fail "bad preload state"));
-  t.loop_bounds <-
-    opt_of_json
-      (fun b ->
-        {
-          Isa.lw_m = Snap.get_int "m" b;
-          lw_k = Snap.get_int "k" b;
-          lw_n = Snap.get_int "n" b;
-          lw_has_bias = Snap.get_bool "bias" b;
-          lw_activation = activation_of_json (Snap.member "act" b);
-        })
-      (Snap.member "loop_bounds" j);
-  t.loop_addrs <-
-    opt_of_json
-      (fun a ->
-        match Snap.int_list a with
-        | [ lw_a; lw_b ] -> { Isa.lw_a; lw_b }
-        | _ -> Snap.fail "bad loop addrs")
-      (Snap.member "loop_addrs" j);
-  t.loop_outs <-
-    opt_of_json
-      (fun o ->
-        match Snap.int_list o with
-        | [ lw_bias; lw_c ] -> { Isa.lw_bias; lw_c }
-        | _ -> Snap.fail "bad loop outs")
-      (Snap.member "loop_outs" j);
-  t.resident_b <- opt_of_json matrix_of_json (Snap.member "resident_b" j);
-  t.os_acc <-
-    opt_of_json
-      (fun o ->
-        {
-          os_data = matrix_of_json (Snap.member "data" o);
-          os_dest = Local_addr.of_bits (Snap.get_int "dest" o);
-        })
-      (Snap.member "os_acc" j);
-  Scratchpad.restore t.spad (Snap.member "spad" j);
-  Dma.restore t.dma (Snap.member "dma" j)
+let set_preload { preload = pl; _ } = function
+  | None -> pl.pl_staged <- false
+  | Some a ->
+      pl.pl_staged <- true;
+      pl.pl_bd <- Local_addr.of_bits a.(0);
+      pl.pl_c <- Local_addr.of_bits a.(1);
+      pl.pl_bd_rows <- a.(2);
+      pl.pl_bd_cols <- a.(3);
+      pl.pl_c_rows <- a.(4);
+      pl.pl_c_cols <- a.(5)
+
+let loop_bounds =
+  Snap.(
+    obj
+      ~init:(fun () ->
+        { Isa.lw_m = 0; lw_k = 0; lw_n = 0; lw_has_bias = false;
+          lw_activation = Peripheral.No_activation })
+      [ update "m" int (fun b -> b.Isa.lw_m) (fun b lw_m -> { b with Isa.lw_m });
+        update "k" int (fun b -> b.Isa.lw_k) (fun b lw_k -> { b with Isa.lw_k });
+        update "n" int (fun b -> b.Isa.lw_n) (fun b lw_n -> { b with Isa.lw_n });
+        update "bias" bool (fun b -> b.Isa.lw_has_bias) (fun b lw_has_bias ->
+            { b with Isa.lw_has_bias });
+        update "act" activation (fun b -> b.Isa.lw_activation) (fun b lw_activation ->
+            { b with Isa.lw_activation }) ])
+
+let loop_addrs =
+  Snap.(map (fun (lw_a, lw_b) -> { Isa.lw_a; lw_b }) (fun a -> Isa.(a.lw_a, a.lw_b)))
+    Snap.(pair int int)
+
+let loop_outs =
+  Snap.(map (fun (lw_bias, lw_c) -> { Isa.lw_bias; lw_c }) (fun o -> Isa.(o.lw_bias, o.lw_c)))
+    Snap.(pair int int)
+
+let matrix = Snap.(array int_array)
+
+let os_resident =
+  Snap.(
+    obj
+      ~init:(fun () -> { os_data = [||]; os_dest = Local_addr.garbage })
+      [ update "data" matrix (fun o -> o.os_data) (fun o os_data -> { o with os_data });
+        update "dest" (map Local_addr.of_bits Local_addr.to_bits int) (fun o -> o.os_dest)
+          (fun o os_dest -> { o with os_dest }) ])
+
+let codec =
+  Snap.(
+    obj
+      [ field "issue" int (fun t -> t.issue) (fun t v -> t.issue <- v);
+        field "last_ld_finish" int (fun t -> t.last_ld_finish) (fun t v -> t.last_ld_finish <- v);
+        field "last_st_finish" int (fun t -> t.last_st_finish) (fun t v -> t.last_st_finish <- v);
+        field "cmd_finish" int (fun t -> t.cmd_finish) (fun t v -> t.cmd_finish <- v);
+        field "rob" (list int)
+          (fun t ->
+            List.init t.rob_len (fun k -> t.rob.((t.rob_head + k) mod Array.length t.rob)))
+          (fun t finishes ->
+            let n = List.length finishes in
+            if n > Array.length t.rob then
+              fail "%d commands in flight, room for %d" n (Array.length t.rob);
+            rob_clear t;
+            List.iteri (fun i c -> t.rob.(i) <- c) finishes;
+            t.rob_len <- n);
+        field "stats" (ints 8)
+          (fun { s; _ } ->
+            [| s.insns; s.loop_micro_ops; s.loads; s.stores; s.computes; s.macs; s.host_cycles;
+               s.flushes |])
+          (fun { s; _ } a ->
+            s.insns <- a.(0);
+            s.loop_micro_ops <- a.(1);
+            s.loads <- a.(2);
+            s.stores <- a.(3);
+            s.computes <- a.(4);
+            s.macs <- a.(5);
+            s.host_cycles <- a.(6);
+            s.flushes <- a.(7));
+        sub "ex_cfg" ex_cfg (fun t -> t.ex_cfg);
+        sub "ld_cfgs" (array ld_cfg) (fun t -> t.ld_cfgs);
+        sub "st_cfg" st_cfg (fun t -> t.st_cfg);
+        field "preload" (option (ints 6)) preload set_preload;
+        field "loop_bounds" (option loop_bounds) (fun t -> t.loop_bounds) (fun t v ->
+            t.loop_bounds <- v);
+        field "loop_addrs" (option loop_addrs) (fun t -> t.loop_addrs) (fun t v ->
+            t.loop_addrs <- v);
+        field "loop_outs" (option loop_outs) (fun t -> t.loop_outs) (fun t v -> t.loop_outs <- v);
+        field "resident_b" (option matrix) (fun t -> t.resident_b) (fun t v ->
+            t.resident_b <- v);
+        field "os_acc" (option os_resident) (fun t -> t.os_acc) (fun t v -> t.os_acc <- v);
+        sub "spad" Scratchpad.codec (fun t -> t.spad);
+        sub "dma" Dma.codec (fun t -> t.dma) ])
 
 let reset_time t =
   t.issue <- 0;

@@ -105,14 +105,11 @@ val reset_time : t -> unit
 (** Rewind all clocks and counters to zero (new measurement run); keeps
     configuration and scratchpad contents. *)
 
-val snapshot : t -> Gem_util.Jsonx.t
+val codec : t Gem_util.Snap.t
 (** Everything the next command's timing or decode depends on: issue
     cursor, data-landing high-water marks, the reorder window, staged
     configuration (ex/ld/st configs, preload, LOOP_WS staging), counters,
     nested scratchpad and DMA counters, and — in functional mode — the
     mesh-resident tiles and SRAM contents. The three pipeline resources
-    travel with {!Gem_sim.Engine.snapshot}. *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit
-(** Restores into a controller of the same parameters; raises
-    {!Gem_util.Snap.Malformed} on a shape mismatch. *)
+    travel with {!Gem_sim.Engine.codec}. Restores into a controller of the
+    same parameters. *)

@@ -319,13 +319,9 @@ let inject t = t.inject
 (* The bus resource is engine-owned, the injection plan is shared with
    the TLB hierarchy and snapshotted once at the SoC level — only the
    byte/row counters live here. *)
-let snapshot t =
-  Jsonx.Obj
-    [ ("bytes_in", Jsonx.Int !(t.bytes_in));
-      ("bytes_out", Jsonx.Int !(t.bytes_out));
-      ("row_requests", Jsonx.Int t.row_requests) ]
-
-let restore t j =
-  t.bytes_in := Snap.get_int "bytes_in" j;
-  t.bytes_out := Snap.get_int "bytes_out" j;
-  t.row_requests <- Snap.get_int "row_requests" j
+let codec =
+  Snap.(
+    obj
+      [ field "bytes_in" int (fun t -> !(t.bytes_in)) (fun t v -> t.bytes_in := v);
+        field "bytes_out" int (fun t -> !(t.bytes_out)) (fun t v -> t.bytes_out := v);
+        field "row_requests" int (fun t -> t.row_requests) (fun t v -> t.row_requests <- v) ])

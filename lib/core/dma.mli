@@ -122,8 +122,6 @@ val inject : t -> Gem_sim.Inject.t option
 (** The armed injection plan, if any — the SoC snapshots it once (it is
     the same instance the TLB hierarchy rolls). *)
 
-val snapshot : t -> Gem_util.Jsonx.t
+val codec : t Gem_util.Snap.t
 (** Byte/row counters only; bus timing is engine-owned and the injection
     plan is serialized at the SoC level. *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit

@@ -29,7 +29,7 @@ let register_bank_probe engine ~name ~banks (sram : Sram.t) =
             (Gem_util.Table.fmt_int (Sram.writes sram));
       })
 
-let create ?engine ?(name = "spad") ?(core = -1) p =
+let create ?engine ?(name = "spad") ?(core = -1) ~functional p =
   let p = Params.validate_exn p in
   let t =
     {
@@ -40,11 +40,11 @@ let create ?engine ?(name = "spad") ?(core = -1) p =
       sp =
         Sram.create ~banks:p.Params.sp_banks
           ~rows_per_bank:(Params.sp_rows_per_bank p)
-          ~elems_per_row:(Params.dim_cols p);
+          ~elems_per_row:(Params.dim_cols p) ~data:functional;
       acc =
         Sram.create ~banks:p.Params.acc_banks
           ~rows_per_bank:(Params.acc_rows_per_bank p)
-          ~elems_per_row:(Params.dim_cols p);
+          ~elems_per_row:(Params.dim_cols p) ~data:functional;
     }
   in
   (match engine with
@@ -105,11 +105,6 @@ let reset_stats t =
   Sram.reset_stats t.sp;
   Sram.reset_stats t.acc
 
-let snapshot ?(with_data = false) t =
-  Gem_util.Jsonx.Obj
-    [ ("sp", Sram.snapshot ~with_data t.sp);
-      ("acc", Sram.snapshot ~with_data t.acc) ]
-
-let restore t j =
-  Sram.restore t.sp (Gem_util.Snap.member "sp" j);
-  Sram.restore t.acc (Gem_util.Snap.member "acc" j)
+let codec =
+  Gem_util.Snap.(
+    obj [ sub "sp" Sram.codec (fun t -> t.sp); sub "acc" Sram.codec (fun t -> t.acc) ])

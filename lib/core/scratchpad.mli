@@ -8,11 +8,18 @@
 type t
 
 val create :
-  ?engine:Gem_sim.Engine.t -> ?name:string -> ?core:int -> Params.t -> t
+  ?engine:Gem_sim.Engine.t ->
+  ?name:string ->
+  ?core:int ->
+  functional:bool ->
+  Params.t ->
+  t
 (** When [engine] is given, the scratchpad and accumulator banks register
     metrics probes ([name], [name ^ "-acc"]) in its registry. Garbage
     dereferences, misplaced accumulate flags and out-of-bounds rows raise
-    {!Gem_sim.Fault.Trap} attributed to [core] (default -1). *)
+    {!Gem_sim.Fault.Trap} attributed to [core] (default -1). Only a
+    [~functional] scratchpad holds data: on a timing-only one every data
+    access raises [Invalid_argument]. *)
 
 val params : t -> Params.t
 
@@ -37,8 +44,6 @@ val sp_accesses : t -> int
 val acc_accesses : t -> int
 val reset_stats : t -> unit
 
-val snapshot : ?with_data:bool -> t -> Gem_util.Jsonx.t
-(** Both SRAMs' counters; [~with_data:true] includes contents (functional
-    mode). *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit
+val codec : t Gem_util.Snap.t
+(** Both SRAMs' counters, and their contents when the scratchpad is
+    functional. *)

@@ -63,148 +63,68 @@ let empty =
     serve_slo_attainment = 0.;
   }
 
-let to_json t =
-  J.Obj
-    [
-      ("backend", J.String t.backend);
-      ("total_cycles", J.Int t.total_cycles);
-      ( "per_core_cycles",
-        J.List (Array.to_list (Array.map (fun c -> J.Int c) t.per_core_cycles))
-      );
-      ( "class_cycles",
-        J.Obj (List.map (fun (k, c) -> (k, J.Int c)) t.class_cycles) );
-      ("fmax_ghz", J.Float t.fmax_ghz);
-      ("total_area_um2", J.Float t.total_area_um2);
-      ("array_area_um2", J.Float t.array_area_um2);
-      ("power_mw", J.Float t.power_mw);
-      ("tlb_requests", J.Int t.tlb_requests);
-      ("tlb_walks", J.Int t.tlb_walks);
-      ("tlb_shared_hits", J.Int t.tlb_shared_hits);
-      ("tlb_hit_rate", J.Float t.tlb_hit_rate);
-      ("tlb_same_page_reads", J.Float t.tlb_same_page_reads);
-      ("tlb_same_page_writes", J.Float t.tlb_same_page_writes);
-      ( "tlb_windows",
-        J.List
-          (Array.to_list
-             (Array.map
-                (fun (time, rate) -> J.List [ J.Float time; J.Float rate ])
-                t.tlb_windows)) );
-      ("l2_miss_rate", J.Float t.l2_miss_rate);
-      ( "comp_util",
-        J.Obj (List.map (fun (k, v) -> (k, J.Float v)) t.comp_util) );
-      ("comp_wait", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) t.comp_wait));
-      ( "comp_p95_lat",
-        J.Obj (List.map (fun (k, v) -> (k, J.Float v)) t.comp_p95_lat) );
-      ("serve_offered", J.Int t.serve_offered);
-      ("serve_completed", J.Int t.serve_completed);
-      ("serve_p50_ms", J.Float t.serve_p50_ms);
-      ("serve_p95_ms", J.Float t.serve_p95_ms);
-      ("serve_p99_ms", J.Float t.serve_p99_ms);
-      ("serve_max_ms", J.Float t.serve_max_ms);
-      ("serve_throughput_rps", J.Float t.serve_throughput_rps);
-      ("serve_slo_attainment", J.Float t.serve_slo_attainment);
-    ]
+(* Every field is required: a cache entry from an older schema (one
+   without backend provenance, or written before serving points shared
+   the cache namespace) reads as a miss, not as a wrong result. *)
+let codec =
+  Gem_util.Snap.(
+    obj ~init:(fun () -> empty)
+      [ update "backend" string (fun t -> t.backend) (fun t backend -> { t with backend });
+        update "total_cycles" int (fun t -> t.total_cycles)
+          (fun t total_cycles -> { t with total_cycles });
+        update "per_core_cycles" int_array (fun t -> t.per_core_cycles)
+          (fun t per_core_cycles -> { t with per_core_cycles });
+        update "class_cycles" (assoc int) (fun t -> t.class_cycles)
+          (fun t class_cycles -> { t with class_cycles });
+        update "fmax_ghz" float (fun t -> t.fmax_ghz) (fun t fmax_ghz -> { t with fmax_ghz });
+        update "total_area_um2" float (fun t -> t.total_area_um2)
+          (fun t total_area_um2 -> { t with total_area_um2 });
+        update "array_area_um2" float (fun t -> t.array_area_um2)
+          (fun t array_area_um2 -> { t with array_area_um2 });
+        update "power_mw" float (fun t -> t.power_mw) (fun t power_mw -> { t with power_mw });
+        update "tlb_requests" int (fun t -> t.tlb_requests)
+          (fun t tlb_requests -> { t with tlb_requests });
+        update "tlb_walks" int (fun t -> t.tlb_walks) (fun t tlb_walks -> { t with tlb_walks });
+        update "tlb_shared_hits" int (fun t -> t.tlb_shared_hits)
+          (fun t tlb_shared_hits -> { t with tlb_shared_hits });
+        update "tlb_hit_rate" float (fun t -> t.tlb_hit_rate)
+          (fun t tlb_hit_rate -> { t with tlb_hit_rate });
+        update "tlb_same_page_reads" float (fun t -> t.tlb_same_page_reads)
+          (fun t tlb_same_page_reads -> { t with tlb_same_page_reads });
+        update "tlb_same_page_writes" float (fun t -> t.tlb_same_page_writes)
+          (fun t tlb_same_page_writes -> { t with tlb_same_page_writes });
+        update "tlb_windows" (array (pair float float)) (fun t -> t.tlb_windows)
+          (fun t tlb_windows -> { t with tlb_windows });
+        update "l2_miss_rate" float (fun t -> t.l2_miss_rate)
+          (fun t l2_miss_rate -> { t with l2_miss_rate });
+        update "comp_util" (assoc float) (fun t -> t.comp_util)
+          (fun t comp_util -> { t with comp_util });
+        update "comp_wait" (assoc int) (fun t -> t.comp_wait)
+          (fun t comp_wait -> { t with comp_wait });
+        update "comp_p95_lat" (assoc float) (fun t -> t.comp_p95_lat)
+          (fun t comp_p95_lat -> { t with comp_p95_lat });
+        update "serve_offered" int (fun t -> t.serve_offered)
+          (fun t serve_offered -> { t with serve_offered });
+        update "serve_completed" int (fun t -> t.serve_completed)
+          (fun t serve_completed -> { t with serve_completed });
+        update "serve_p50_ms" float (fun t -> t.serve_p50_ms)
+          (fun t serve_p50_ms -> { t with serve_p50_ms });
+        update "serve_p95_ms" float (fun t -> t.serve_p95_ms)
+          (fun t serve_p95_ms -> { t with serve_p95_ms });
+        update "serve_p99_ms" float (fun t -> t.serve_p99_ms)
+          (fun t serve_p99_ms -> { t with serve_p99_ms });
+        update "serve_max_ms" float (fun t -> t.serve_max_ms)
+          (fun t serve_max_ms -> { t with serve_max_ms });
+        update "serve_throughput_rps" float (fun t -> t.serve_throughput_rps)
+          (fun t serve_throughput_rps -> { t with serve_throughput_rps });
+        update "serve_slo_attainment" float (fun t -> t.serve_slo_attainment)
+          (fun t serve_slo_attainment -> { t with serve_slo_attainment }) ])
+
+let to_json = Gem_util.Snap.snapshot codec
 
 let of_json json =
-  let ( let* ) = Result.bind in
-  let field name conv =
-    match Option.bind (J.member name json) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "outcome: bad or missing field %S" name)
-  in
-  (* Provenance is mandatory: entries written before the backend seam
-     existed must read as cache misses, not as cycle-accurate results. *)
-  let* backend = field "backend" J.to_str in
-  let* total_cycles = field "total_cycles" J.to_int in
-  let* per_core =
-    let* l = field "per_core_cycles" J.to_list in
-    let ints = List.filter_map J.to_int l in
-    if List.length ints = List.length l then Ok (Array.of_list ints)
-    else Error "outcome: non-int per_core_cycles"
-  in
-  let* class_cycles =
-    let* o = field "class_cycles" J.to_obj in
-    let pairs = List.filter_map (fun (k, v) -> Option.map (fun c -> (k, c)) (J.to_int v)) o in
-    if List.length pairs = List.length o then Ok pairs
-    else Error "outcome: non-int class_cycles"
-  in
-  let* fmax_ghz = field "fmax_ghz" J.to_float in
-  let* total_area_um2 = field "total_area_um2" J.to_float in
-  let* array_area_um2 = field "array_area_um2" J.to_float in
-  let* power_mw = field "power_mw" J.to_float in
-  let* tlb_requests = field "tlb_requests" J.to_int in
-  let* tlb_walks = field "tlb_walks" J.to_int in
-  let* tlb_shared_hits = field "tlb_shared_hits" J.to_int in
-  let* tlb_hit_rate = field "tlb_hit_rate" J.to_float in
-  let* tlb_same_page_reads = field "tlb_same_page_reads" J.to_float in
-  let* tlb_same_page_writes = field "tlb_same_page_writes" J.to_float in
-  let* tlb_windows =
-    let* l = field "tlb_windows" J.to_list in
-    let pairs =
-      List.filter_map
-        (function
-          | J.List [ time; rate ] ->
-              (match (J.to_float time, J.to_float rate) with
-              | Some t, Some r -> Some (t, r)
-              | _ -> None)
-          | _ -> None)
-        l
-    in
-    if List.length pairs = List.length l then Ok (Array.of_list pairs)
-    else Error "outcome: malformed tlb_windows"
-  in
-  let* l2_miss_rate = field "l2_miss_rate" J.to_float in
-  let assoc name conv kind =
-    let* o = field name J.to_obj in
-    let pairs =
-      List.filter_map (fun (k, v) -> Option.map (fun x -> (k, x)) (conv v)) o
-    in
-    if List.length pairs = List.length o then Ok pairs
-    else Error (Printf.sprintf "outcome: non-%s %s" kind name)
-  in
-  let* comp_util = assoc "comp_util" J.to_float "float" in
-  let* comp_wait = assoc "comp_wait" J.to_int "int" in
-  let* comp_p95_lat = assoc "comp_p95_lat" J.to_float "float" in
-  (* Required like every other field: pre-serving cache entries must read
-     as misses now that serving points share the cache namespace. *)
-  let* serve_offered = field "serve_offered" J.to_int in
-  let* serve_completed = field "serve_completed" J.to_int in
-  let* serve_p50_ms = field "serve_p50_ms" J.to_float in
-  let* serve_p95_ms = field "serve_p95_ms" J.to_float in
-  let* serve_p99_ms = field "serve_p99_ms" J.to_float in
-  let* serve_max_ms = field "serve_max_ms" J.to_float in
-  let* serve_throughput_rps = field "serve_throughput_rps" J.to_float in
-  let* serve_slo_attainment = field "serve_slo_attainment" J.to_float in
-  Ok
-    {
-      backend;
-      total_cycles;
-      per_core_cycles = per_core;
-      class_cycles;
-      fmax_ghz;
-      total_area_um2;
-      array_area_um2;
-      power_mw;
-      tlb_requests;
-      tlb_walks;
-      tlb_shared_hits;
-      tlb_hit_rate;
-      tlb_same_page_reads;
-      tlb_same_page_writes;
-      tlb_windows;
-      l2_miss_rate;
-      comp_util;
-      comp_wait;
-      comp_p95_lat;
-      serve_offered;
-      serve_completed;
-      serve_p50_ms;
-      serve_p95_ms;
-      serve_p99_ms;
-      serve_max_ms;
-      serve_throughput_rps;
-      serve_slo_attainment;
-    }
+  try Ok (Gem_util.Snap.decode codec json)
+  with Gem_util.Snap.Malformed msg -> Error ("outcome: " ^ msg)
 
 let class_cycles_of t klass =
   Option.value ~default:0

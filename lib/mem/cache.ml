@@ -194,44 +194,22 @@ let reset_stats t =
   t.read_misses <- 0;
   t.write_misses <- 0
 
-module J = Jsonx
-
-let snapshot t =
-  J.Obj
-    [ ("size_bytes", J.Int t.size_bytes);
-      ("ways", J.Int t.ways);
-      ("line_bytes", J.Int t.line_bytes);
-      ("tags", Snap.of_int_array t.tags);
-      ("dirty", J.List (Array.to_list (Array.map (fun b -> J.Bool b) t.dirty)));
-      ("age", Snap.of_int_array t.age);
-      ("clock", J.Int t.clock);
-      ("accesses", J.Int t.accesses);
-      ("hits", J.Int t.hits);
-      ("misses", J.Int t.misses);
-      ("writebacks", J.Int t.writebacks);
-      ("read_misses", J.Int t.read_misses);
-      ("write_misses", J.Int t.write_misses) ]
-
-let restore t j =
-  Snap.check ~what:"cache geometry"
-    (Snap.get_int "size_bytes" j = t.size_bytes
-    && Snap.get_int "ways" j = t.ways
-    && Snap.get_int "line_bytes" j = t.line_bytes);
-  let tags = Snap.int_array (Snap.member "tags" j) in
-  let age = Snap.int_array (Snap.member "age" j) in
-  let dirty = Array.of_list (List.map Snap.bool (Snap.get_list "dirty" j)) in
-  Snap.check ~what:"cache array sizes"
-    (Array.length tags = Array.length t.tags
-    && Array.length age = Array.length t.age
-    && Array.length dirty = Array.length t.dirty);
-  Array.blit tags 0 t.tags 0 (Array.length tags);
-  Array.blit age 0 t.age 0 (Array.length age);
-  Array.blit dirty 0 t.dirty 0 (Array.length dirty);
-  t.clock <- Snap.get_int "clock" j;
-  t.mru_line <- -1;
-  t.accesses <- Snap.get_int "accesses" j;
-  t.hits <- Snap.get_int "hits" j;
-  t.misses <- Snap.get_int "misses" j;
-  t.writebacks <- Snap.get_int "writebacks" j;
-  t.read_misses <- Snap.get_int "read_misses" j;
-  t.write_misses <- Snap.get_int "write_misses" j
+let codec =
+  Snap.(
+    obj
+      [ geometry "size_bytes" int (fun t -> t.size_bytes);
+        geometry "ways" int (fun t -> t.ways);
+        geometry "line_bytes" int (fun t -> t.line_bytes);
+        sub "tags" int_array (fun t -> t.tags);
+        sub "dirty" (array bool) (fun t -> t.dirty);
+        sub "age" int_array (fun t -> t.age);
+        (* The tags just changed under the last-access slot: forget it. *)
+        field "clock" int (fun t -> t.clock) (fun t v ->
+            t.clock <- v;
+            t.mru_line <- -1);
+        field "accesses" int (fun t -> t.accesses) (fun t v -> t.accesses <- v);
+        field "hits" int (fun t -> t.hits) (fun t v -> t.hits <- v);
+        field "misses" int (fun t -> t.misses) (fun t v -> t.misses <- v);
+        field "writebacks" int (fun t -> t.writebacks) (fun t v -> t.writebacks <- v);
+        field "read_misses" int (fun t -> t.read_misses) (fun t v -> t.read_misses <- v);
+        field "write_misses" int (fun t -> t.write_misses) (fun t v -> t.write_misses <- v) ])

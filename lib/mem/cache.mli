@@ -62,10 +62,6 @@ val hit_rate : t -> float
 val miss_rate : t -> float
 val reset_stats : t -> unit
 
-val snapshot : t -> Gem_util.Jsonx.t
-(** Full replacement state (tags/dirty/LRU ages) plus statistics, with the
-    geometry embedded for restore-time verification. *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit
-(** Overwrites contents and statistics from a {!snapshot} taken on a cache
-    of identical geometry; raises {!Gem_util.Snap.Malformed} otherwise. *)
+val codec : t Gem_util.Snap.t
+(** Full replacement state (tags/dirty/LRU ages) plus statistics; the
+    geometry is checked, not restored. *)

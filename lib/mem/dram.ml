@@ -54,11 +54,9 @@ let reset t =
 
 (* The channel resource itself is engine-owned and travels with the
    engine snapshot; only the byte counters live here. *)
-let snapshot t =
-  Gem_util.Jsonx.Obj
-    [ ("bytes_read", Gem_util.Jsonx.Int !(t.bytes_read));
-      ("bytes_written", Gem_util.Jsonx.Int !(t.bytes_written)) ]
-
-let restore t j =
-  t.bytes_read := Gem_util.Snap.get_int "bytes_read" j;
-  t.bytes_written := Gem_util.Snap.get_int "bytes_written" j
+let codec =
+  Gem_util.Snap.(
+    obj
+      [ field "bytes_read" int (fun t -> !(t.bytes_read)) (fun t v -> t.bytes_read := v);
+        field "bytes_written" int (fun t -> !(t.bytes_written))
+          (fun t v -> t.bytes_written := v) ])

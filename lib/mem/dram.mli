@@ -33,8 +33,6 @@ val requests : t -> int
 val busy_cycles : t -> Gem_sim.Time.cycles
 val reset : t -> unit
 
-val snapshot : t -> Gem_util.Jsonx.t
+val codec : t Gem_util.Snap.t
 (** Byte counters only — the channel's timing state is engine-owned and
-    travels with {!Gem_sim.Engine.snapshot}. *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit
+    travels with {!Gem_sim.Engine.codec}. *)

@@ -67,39 +67,29 @@ let hex_of_bytes b =
   done;
   Buffer.contents out
 
-let bytes_of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then Gem_util.Snap.fail "odd hex page length";
-  let hexval c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> Gem_util.Snap.fail "bad hex digit %C" c
-  in
-  Bytes.init (n / 2)
-    (fun i -> Char.chr ((hexval s.[2 * i] lsl 4) lor hexval s.[(2 * i) + 1]))
+(* A page travels as one hex string: the only hand-written format here. *)
+let page =
+  Gem_util.Snap.map
+    (fun s ->
+      let n = String.length s in
+      if n <> 2 * page_size then Gem_util.Snap.fail "bad hex page length %d" n;
+      let hexval c =
+        match c with
+        | '0' .. '9' -> Char.code c - Char.code '0'
+        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+        | _ -> Gem_util.Snap.fail "bad hex digit %C" c
+      in
+      Bytes.init page_size (fun i ->
+          Char.chr ((hexval s.[2 * i] lsl 4) lor hexval s.[(2 * i) + 1])))
+    hex_of_bytes Gem_util.Snap.string
 
-let snapshot t =
-  let pages =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pages [])
-  in
-  Gem_util.Jsonx.List
-    (List.map
-       (fun (key, page) ->
-         Gem_util.Jsonx.List
-           [ Gem_util.Jsonx.Int key; Gem_util.Jsonx.String (hex_of_bytes page) ])
-       pages)
-
-let restore t j =
-  Hashtbl.reset t.pages;
-  List.iter
-    (fun entry ->
-      match Gem_util.Snap.list entry with
-      | [ k; v ] ->
-          let page = bytes_of_hex (Gem_util.Snap.str v) in
-          if Bytes.length page <> page_size then
-            Gem_util.Snap.fail "bad page size %d" (Bytes.length page);
-          Hashtbl.replace t.pages (Gem_util.Snap.int k) page
-      | _ -> Gem_util.Snap.fail "bad mainmem page entry")
-    (Gem_util.Snap.list j)
+let codec =
+  Gem_util.Snap.(
+    view
+      (fun t ->
+        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pages []))
+      (fun t pages ->
+        Hashtbl.reset t.pages;
+        List.iter (fun (k, p) -> Hashtbl.replace t.pages k p) pages)
+      (list (pair int page)))

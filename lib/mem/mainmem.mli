@@ -33,9 +33,6 @@ val write_i32_array : t -> addr:int -> int array -> unit
 
 val touched_pages : t -> int
 
-val snapshot : t -> Gem_util.Jsonx.t
+val codec : t Gem_util.Snap.t
 (** Every touched page as [[key, hex-bytes]], sorted by page key for
-    deterministic output. *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit
-(** Replaces the full contents with a {!snapshot}'s pages. *)
+    deterministic output. Restoring replaces the full contents. *)

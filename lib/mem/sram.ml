@@ -2,19 +2,21 @@ type t = {
   banks : int;
   rows_per_bank : int;
   elems_per_row : int;
-  data : int array array; (* bank -> flattened rows *)
+  data : int array array option; (* bank -> flattened rows; None: timing only *)
   mutable reads : int;
   mutable writes : int;
 }
 
-let create ~banks ~rows_per_bank ~elems_per_row =
+let create ~banks ~rows_per_bank ~elems_per_row ~data =
   if banks <= 0 || rows_per_bank <= 0 || elems_per_row <= 0 then
     invalid_arg "Sram.create: non-positive dimension";
   {
     banks;
     rows_per_bank;
     elems_per_row;
-    data = Array.init banks (fun _ -> Array.make (rows_per_bank * elems_per_row) 0);
+    data =
+      (if not data then None
+       else Some (Array.init banks (fun _ -> Array.make (rows_per_bank * elems_per_row) 0)));
     reads = 0;
     writes = 0;
   }
@@ -34,9 +36,10 @@ let bank_of_row t row =
 
 let locate t row =
   check_row t row;
-  let bank = row / t.rows_per_bank in
-  let local = row mod t.rows_per_bank in
-  (t.data.(bank), local * t.elems_per_row)
+  match t.data with
+  | None -> invalid_arg "Sram: data access on a timing-only SRAM"
+  | Some data ->
+      (data.(row / t.rows_per_bank), (row mod t.rows_per_bank) * t.elems_per_row)
 
 let read_row t ~row =
   let bank, off = locate t row in
@@ -73,8 +76,6 @@ let accumulate_row t ~row src =
     (fun i v -> bank.(off + i) <- Gem_util.Fixed.sat32 (bank.(off + i) + v))
     src
 
-let fill t v = Array.iter (fun bank -> Array.fill bank 0 (Array.length bank) v) t.data
-
 let reads t = t.reads
 let writes t = t.writes
 
@@ -82,40 +83,12 @@ let reset_stats t =
   t.reads <- 0;
   t.writes <- 0
 
-module J = Gem_util.Jsonx
-module Snap = Gem_util.Snap
-
-let snapshot ?(with_data = false) t =
-  let base =
-    [ ("banks", J.Int t.banks);
-      ("rows_per_bank", J.Int t.rows_per_bank);
-      ("elems_per_row", J.Int t.elems_per_row);
-      ("reads", J.Int t.reads);
-      ("writes", J.Int t.writes) ]
-  in
-  let fields =
-    if with_data then
-      base
-      @ [ ("data", J.List (Array.to_list (Array.map Snap.of_int_array t.data))) ]
-    else base
-  in
-  J.Obj fields
-
-let restore t j =
-  Snap.check ~what:"sram geometry"
-    (Snap.get_int "banks" j = t.banks
-    && Snap.get_int "rows_per_bank" j = t.rows_per_bank
-    && Snap.get_int "elems_per_row" j = t.elems_per_row);
-  t.reads <- Snap.get_int "reads" j;
-  t.writes <- Snap.get_int "writes" j;
-  match Gem_util.Jsonx.member "data" j with
-  | None -> ()
-  | Some d ->
-      let banks = List.map Snap.int_array (Snap.list d) in
-      Snap.check ~what:"sram bank count" (List.length banks = t.banks);
-      List.iteri
-        (fun i bank ->
-          Snap.check ~what:"sram bank size"
-            (Array.length bank = Array.length t.data.(i));
-          Array.blit bank 0 t.data.(i) 0 (Array.length bank))
-        banks
+let codec =
+  Gem_util.Snap.(
+    obj
+      [ geometry "banks" int (fun t -> t.banks);
+        geometry "rows_per_bank" int (fun t -> t.rows_per_bank);
+        geometry "elems_per_row" int (fun t -> t.elems_per_row);
+        field "reads" int (fun t -> t.reads) (fun t v -> t.reads <- v);
+        field "writes" int (fun t -> t.writes) (fun t v -> t.writes <- v);
+        optional "data" (array int_array) (fun t -> t.data) ])

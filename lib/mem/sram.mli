@@ -10,7 +10,11 @@
 
 type t
 
-val create : banks:int -> rows_per_bank:int -> elems_per_row:int -> t
+val create :
+  banks:int -> rows_per_bank:int -> elems_per_row:int -> data:bool -> t
+(** [~data:false] makes a timing-only SRAM that holds no values: only
+    functional runs read them, and every data access on it raises
+    [Invalid_argument]. *)
 
 val banks : t -> int
 val rows_per_bank : t -> int
@@ -33,18 +37,10 @@ val accumulate_row : t -> row:int -> int array -> unit
 (** Element-wise saturating int32 addition into the row — the accumulator
     write path when the accumulate bit is set. *)
 
-val fill : t -> int -> unit
-(** Set every element of every row. *)
-
 val reads : t -> int
 val writes : t -> int
 val reset_stats : t -> unit
 
-val snapshot : ?with_data:bool -> t -> Gem_util.Jsonx.t
-(** Geometry + access counters; [~with_data:true] additionally serializes
-    the full contents (functional mode — timing-only runs never write
-    data, so the default skips the arrays). *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit
-(** Restores counters (and contents when present) from a {!snapshot} of an
-    identically-shaped SRAM; raises {!Gem_util.Snap.Malformed} otherwise. *)
+val codec : t Gem_util.Snap.t
+(** Geometry (checked on restore), access counters and, when the SRAM
+    holds data, its full contents. *)

@@ -53,20 +53,22 @@ let load ~path =
       | Error msg -> Error (Printf.sprintf "%s: malformed JSON: %s" path msg)
       | Ok env -> (
           try
-            let version = Snap.get_str "gem_persist_version" env in
+            let str key = Snap.decode Snap.string (Snap.member key env) in
+            let version = str "gem_persist_version" in
             if version <> format_version then
               Error
                 (Printf.sprintf "%s: format version %S, this build reads %S"
                    path version format_version)
             else begin
               let payload = Snap.member "payload" env in
-              let expect = Snap.get_str "checksum" env in
+              let expect = str "checksum" in
               let got = payload_checksum payload in
               if got <> expect then
                 Error
                   (Printf.sprintf "%s: checksum mismatch (file %s, payload %s)"
                      path expect got)
-              else Ok (Snap.obj (Snap.member "meta" env), payload)
+              else
+                Ok (Snap.decode (Snap.assoc Snap.json) (Snap.member "meta" env), payload)
             end
           with Snap.Malformed msg ->
             Error (Printf.sprintf "%s: bad envelope: %s" path msg)))
@@ -87,49 +89,45 @@ let all_classes =
   [ Layer.Class_conv; Layer.Class_depthwise; Layer.Class_matmul;
     Layer.Class_resadd; Layer.Class_pool; Layer.Class_elementwise ]
 
-let klass_of_name s =
-  match List.find_opt (fun k -> Layer.class_name k = s) all_classes with
-  | Some k -> k
-  | None -> Snap.fail "unknown layer class %S" s
+let layer_class =
+  Snap.map
+    (fun s ->
+      match List.find_opt (fun k -> Layer.class_name k = s) all_classes with
+      | Some k -> k
+      | None -> Snap.fail "unknown layer class %S" s)
+    Layer.class_name Snap.string
 
-let record_to_json (r : Runtime.layer_record) =
-  J.Obj
-    [ ("name", J.String r.Runtime.lr_name);
-      ("class", J.String (Layer.class_name r.Runtime.lr_class));
-      ("cycles", J.Int r.Runtime.lr_cycles);
-      ("macs", J.Int r.Runtime.lr_macs) ]
+let record =
+  Snap.(
+    obj
+      ~init:(fun () ->
+        { Runtime.lr_name = ""; lr_class = Layer.Class_conv; lr_cycles = 0; lr_macs = 0 })
+      [ update "name" string
+          (fun r -> r.Runtime.lr_name)
+          (fun r lr_name -> { r with Runtime.lr_name });
+        update "class" layer_class (fun r -> r.Runtime.lr_class)
+          (fun r lr_class -> { r with Runtime.lr_class });
+        update "cycles" int (fun r -> r.Runtime.lr_cycles)
+          (fun r lr_cycles -> { r with Runtime.lr_cycles });
+        update "macs" int (fun r -> r.Runtime.lr_macs)
+          (fun r lr_macs -> { r with Runtime.lr_macs }) ])
 
-let record_of_json j =
-  {
-    Runtime.lr_name = Snap.get_str "name" j;
-    lr_class = klass_of_name (Snap.get_str "class" j);
-    lr_cycles = Snap.get_int "cycles" j;
-    lr_macs = Snap.get_int "macs" j;
-  }
-
-let checkpoint_to_json ck =
-  J.Obj
-    [ ("model", J.String ck.ck_model);
-      ("mode", J.String ck.ck_mode);
-      ("core", J.Int ck.ck_core);
-      ("next_layer", J.Int ck.ck_next_layer);
-      ("last_finish", J.Int ck.ck_last_finish);
-      ("records", J.List (List.map record_to_json ck.ck_records));
-      ("soc", ck.ck_soc) ]
-
-let checkpoint_of_json j =
-  try
-    Ok
-      {
-        ck_model = Snap.get_str "model" j;
-        ck_mode = Snap.get_str "mode" j;
-        ck_core = Snap.get_int "core" j;
-        ck_next_layer = Snap.get_int "next_layer" j;
-        ck_last_finish = Snap.get_int "last_finish" j;
-        ck_records = List.map record_of_json (Snap.get_list "records" j);
-        ck_soc = Snap.member "soc" j;
-      }
-  with Snap.Malformed msg -> Error msg
+let checkpoint =
+  Snap.(
+    obj
+      ~init:(fun () ->
+        { ck_model = ""; ck_mode = ""; ck_core = 0; ck_next_layer = 0;
+          ck_last_finish = 0; ck_records = []; ck_soc = J.Null })
+      [ update "model" string (fun ck -> ck.ck_model) (fun ck ck_model -> { ck with ck_model });
+        update "mode" string (fun ck -> ck.ck_mode) (fun ck ck_mode -> { ck with ck_mode });
+        update "core" int (fun ck -> ck.ck_core) (fun ck ck_core -> { ck with ck_core });
+        update "next_layer" int (fun ck -> ck.ck_next_layer)
+          (fun ck ck_next_layer -> { ck with ck_next_layer });
+        update "last_finish" int (fun ck -> ck.ck_last_finish)
+          (fun ck ck_last_finish -> { ck with ck_last_finish });
+        update "records" (list record) (fun ck -> ck.ck_records)
+          (fun ck ck_records -> { ck with ck_records });
+        update "soc" json (fun ck -> ck.ck_soc) (fun ck ck_soc -> { ck with ck_soc }) ])
 
 let save_checkpoint ~path ck =
   let meta =
@@ -138,12 +136,13 @@ let save_checkpoint ~path ck =
       ("layers_done", J.Int ck.ck_next_layer);
       ("cycle", J.Int ck.ck_last_finish) ]
   in
-  save ~path ~meta ~payload:(checkpoint_to_json ck)
+  save ~path ~meta ~payload:(Snap.snapshot checkpoint ck)
 
 let load_checkpoint ~path =
   match load ~path with
   | Error _ as e -> e
-  | Ok (_meta, payload) -> checkpoint_of_json payload
+  | Ok (_meta, payload) -> (
+      try Ok (Snap.decode checkpoint payload) with Snap.Malformed msg -> Error msg)
 
 (* --- resilient run driver ------------------------------------------------------ *)
 

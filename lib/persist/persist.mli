@@ -51,9 +51,6 @@ type checkpoint = {
   ck_soc : Gem_util.Jsonx.t;  (** {!Gem_soc.Soc.snapshot} *)
 }
 
-val checkpoint_to_json : checkpoint -> Gem_util.Jsonx.t
-val checkpoint_of_json : Gem_util.Jsonx.t -> (checkpoint, string) result
-
 val save_checkpoint : path:string -> checkpoint -> unit
 val load_checkpoint : path:string -> (checkpoint, string) result
 

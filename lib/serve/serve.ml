@@ -189,9 +189,14 @@ let run_cycle ?hist ?attach ?warm_in ?warm_out sv =
           invalid_arg
             (Printf.sprintf "Gem_serve: cannot load warm state %s: %s" path
                reason)
-      | Ok (meta, payload) ->
+      | Ok (meta, payload) -> (
           check_warm_meta sv meta;
-          Soc.restore soc payload)
+          match Soc.restore soc payload with
+          | () -> ()
+          | exception Gem_util.Snap.Malformed msg ->
+              invalid_arg
+                (Printf.sprintf "Gem_serve: warm state %s does not fit this SoC: %s"
+                   path msg)))
   | None ->
       if sv.sv_warmup then begin
         (* One inference per core, contending — the steady state the

@@ -310,62 +310,49 @@ let utilization_table t ?horizon:h () =
    byte-stable. Probes are excluded: the components they sample snapshot
    their own state. *)
 
-module J = Gem_util.Jsonx
 module Snap = Gem_util.Snap
 
-let snapshot t =
-  let resources =
-    List.rev
-      (List.filter_map
-         (fun e ->
-           match e.e_impl with
-           | Probe _ -> None
-           | Owned { res; _ } ->
-               Some
-                 ( e.e_name,
-                   Snap.of_int_list
-                     [ Resource.busy_until res; Resource.busy_cycles res;
-                       Resource.requests res; Resource.wait_cycles res ] ))
-         t.entries)
-  in
-  let fault_counts =
-    List.sort compare
-      (Hashtbl.fold (fun k v acc -> (k, J.Int v) :: acc) t.fault_counts [])
-  in
-  J.Obj
-    [ ("clock", J.Int t.clock);
-      ("resources", J.Obj resources);
-      ("fault_counts", J.Obj fault_counts);
-      ("total_faults", J.Int t.total_faults) ]
+let owned t =
+  List.rev
+    (List.filter_map
+       (fun e -> match e.e_impl with Owned { res; _ } -> Some (e.e_name, res) | Probe _ -> None)
+       t.entries)
 
-let restore t j =
-  let by_name = Hashtbl.create 16 in
+let resources t =
+  List.map
+    (fun (name, r) ->
+      ( name,
+        Resource.[| busy_until r; busy_cycles r; requests r; wait_cycles r |] ))
+    (owned t)
+
+(* The snapshot must name every owned resource once ([Snap.assoc] refuses
+   a name given twice) and no other. *)
+let set_resources t saved =
+  let mine = owned t in
   List.iter
-    (fun e ->
-      match e.e_impl with
-      | Owned { res; _ } -> Hashtbl.replace by_name e.e_name res
-      | Probe _ -> ())
-    t.entries;
-  let saved = Snap.obj (Snap.member "resources" j) in
-  Snap.check ~what:"engine resource registry size"
-    (List.length saved = Hashtbl.length by_name);
-  List.iter
-    (fun (name, v) ->
-      match Hashtbl.find_opt by_name name with
-      | None -> Snap.fail "snapshot resource %S not in this engine" name
-      | Some res -> (
-          match Snap.int_list v with
-          | [ busy_until; busy_cycles; requests; wait_cycles ] ->
-              Resource.force_state res ~busy_until ~busy_cycles ~requests
-                ~wait_cycles
-          | _ -> Snap.fail "resource %S: expected 4 counters" name))
+    (fun (name, _) ->
+      if not (List.mem_assoc name mine) then Snap.fail "resource %S is not in this engine" name)
     saved;
-  t.clock <- Snap.get_int "clock" j;
-  Hashtbl.reset t.fault_counts;
   List.iter
-    (fun (k, v) -> Hashtbl.replace t.fault_counts k (Snap.int v))
-    (Snap.obj (Snap.member "fault_counts" j));
-  t.total_faults <- Snap.get_int "total_faults" j
+    (fun (name, res) ->
+      match List.assoc_opt name saved with
+      | Some c ->
+          Resource.force_state res ~busy_until:c.(0) ~busy_cycles:c.(1) ~requests:c.(2)
+            ~wait_cycles:c.(3)
+      | None -> Snap.fail "resource %S is missing" name)
+    mine
+
+let codec =
+  Snap.(
+    obj
+      [ field "clock" int (fun t -> t.clock) (fun t v -> t.clock <- v);
+        field "resources" (assoc (ints 4)) resources set_resources;
+        field "fault_counts" (assoc int)
+          (fun t -> List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) t.fault_counts []))
+          (fun t counts ->
+            Hashtbl.reset t.fault_counts;
+            List.iter (fun (k, v) -> Hashtbl.replace t.fault_counts k v) counts);
+        field "total_faults" int (fun t -> t.total_faults) (fun t v -> t.total_faults <- v) ])
 
 let reset t =
   t.clock <- Time.zero;

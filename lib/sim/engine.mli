@@ -207,14 +207,11 @@ val reset : t -> unit
 
 (* --- snapshot / restore ------------------------------------------------- *)
 
-val snapshot : t -> Gem_util.Jsonx.t
+val codec : t Gem_util.Snap.t
 (** The engine's full mutable state: clock, every owned resource's
     arbitration counters (keyed by unique registered name) and fault
-    attribution. Probes are excluded — the components they sample serialize their own state. *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit
-(** Overwrites the engine's mutable state from a {!snapshot}. The target
-    engine must carry the same resource registry (same names, elaborated
-    from the same SoC config); any mismatch raises
-    {!Gem_util.Snap.Malformed}. Attached sinks are an observer setting and
-    are left untouched. *)
+    attribution. Probes are excluded — the components they sample
+    serialize their own state. Restoring needs the same resource registry
+    (same names, elaborated from the same SoC config), each name given
+    exactly once; attached sinks are an observer setting and are left
+    untouched. *)

@@ -1,8 +1,8 @@
 type target = Dma_error | Tlb_drop | Unmap
 
 type t = {
-  seed : int;
-  rate : float;
+  mutable seed : int;
+  mutable rate : float;
   dma : Gem_util.Rng.t;
   tlb : Gem_util.Rng.t;
   unmap : Gem_util.Rng.t;
@@ -44,29 +44,24 @@ let count t = function
 
 let total t = t.dma_fired + t.tlb_fired + t.unmap_fired
 
-module J = Gem_util.Jsonx
 module Snap = Gem_util.Snap
 
-let to_json t =
-  J.Obj
-    [ ("seed", J.Int t.seed);
-      ("rate", J.Float t.rate);
-      ("dma", Snap.of_i64 (Gem_util.Rng.state t.dma));
-      ("tlb", Snap.of_i64 (Gem_util.Rng.state t.tlb));
-      ("unmap", Snap.of_i64 (Gem_util.Rng.state t.unmap));
-      ("dma_fired", J.Int t.dma_fired);
-      ("tlb_fired", J.Int t.tlb_fired);
-      ("unmap_fired", J.Int t.unmap_fired) ]
-
-let of_json j =
-  let t = create ~seed:(Snap.get_int "seed" j) ~rate:(Snap.get_float "rate" j) () in
-  Gem_util.Rng.set_state t.dma (Snap.get_i64 "dma" j);
-  Gem_util.Rng.set_state t.tlb (Snap.get_i64 "tlb" j);
-  Gem_util.Rng.set_state t.unmap (Snap.get_i64 "unmap" j);
-  t.dma_fired <- Snap.get_int "dma_fired" j;
-  t.tlb_fired <- Snap.get_int "tlb_fired" j;
-  t.unmap_fired <- Snap.get_int "unmap_fired" j;
-  t
+let codec =
+  let rng key get =
+    Snap.field key Snap.i64 (fun t -> Gem_util.Rng.state (get t)) (fun t v ->
+        Gem_util.Rng.set_state (get t) v)
+  in
+  Snap.(
+    obj
+      ~init:(fun () -> create ~seed:0 ~rate:0. ())
+      [ field "seed" int (fun t -> t.seed) (fun t v -> t.seed <- v);
+        field "rate" float (fun t -> t.rate) (fun t v -> t.rate <- v);
+        rng "dma" (fun t -> t.dma);
+        rng "tlb" (fun t -> t.tlb);
+        rng "unmap" (fun t -> t.unmap);
+        field "dma_fired" int (fun t -> t.dma_fired) (fun t v -> t.dma_fired <- v);
+        field "tlb_fired" int (fun t -> t.tlb_fired) (fun t v -> t.tlb_fired <- v);
+        field "unmap_fired" int (fun t -> t.unmap_fired) (fun t v -> t.unmap_fired <- v) ])
 
 let describe t =
   Printf.sprintf

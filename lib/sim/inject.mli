@@ -36,9 +36,7 @@ val total : t -> int
 val describe : t -> string
 (** One-line summary: seed, rate, per-target fire counts. *)
 
-val to_json : t -> Gem_util.Jsonx.t
-(** Full plan state: seed, rate, the three RNG cursors and fire counts. *)
-
-val of_json : Gem_util.Jsonx.t -> t
-(** Rebuilds a plan mid-stream: subsequent rolls continue exactly where
-    the snapshotted plan left off. Raises {!Gem_util.Snap.Malformed}. *)
+val codec : t Gem_util.Snap.t
+(** Full plan state: seed, rate, the three RNG cursors and fire counts.
+    A decoded plan continues its rolls exactly where the snapshotted plan
+    left off. *)

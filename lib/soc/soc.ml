@@ -259,70 +259,39 @@ let arm_injection t ~seed ~rate =
 
 (* --- snapshot / restore ---------------------------------------------------- *)
 
-module J = Jsonx
-
-let core_snapshot c =
-  let swapped =
-    Hashtbl.fold (fun vpn ppn acc -> (vpn, ppn) :: acc) c.swapped []
-    |> List.sort compare
-    |> List.map (fun (vpn, ppn) -> Snap.of_int_list [ vpn; ppn ])
+(* Built per SoC: restoring a core's injection plan re-wires its unmap
+   hook, which closes over the SoC. *)
+let codec t =
+  let core =
+    Snap.(
+      obj
+        [ geometry "id" int (fun c -> c.id);
+          sub "controller" Gemmini.Controller.codec (fun c -> c.controller);
+          sub "tlb" Gem_vm.Hierarchy.codec (fun c -> c.hierarchy);
+          sub "pt" Gem_vm.Page_table.codec (fun c -> c.page_table);
+          field "next_vaddr" int (fun c -> c.next_vaddr) (fun c v -> c.next_vaddr <- v);
+          field "swapped" (list (pair int int))
+            (fun c ->
+              List.sort compare
+                (Hashtbl.fold (fun vpn ppn acc -> (vpn, ppn) :: acc) c.swapped []))
+            (fun c pairs ->
+              Hashtbl.reset c.swapped;
+              List.iter (fun (vpn, ppn) -> Hashtbl.replace c.swapped vpn ppn) pairs);
+          field "inject" (option Inject.codec)
+            (fun c -> Gemmini.Dma.inject (Gemmini.Controller.dma c.controller))
+            (fun c plan -> Option.iter (wire_inject t c) plan) ])
   in
-  J.Obj
-    [ ("id", J.Int c.id);
-      ("controller", Gemmini.Controller.snapshot c.controller);
-      ("tlb", Gem_vm.Hierarchy.snapshot c.hierarchy);
-      ("pt", Gem_vm.Page_table.snapshot c.page_table);
-      ("next_vaddr", J.Int c.next_vaddr);
-      ("swapped", J.List swapped);
-      ( "inject",
-        match Gemmini.Dma.inject (Gemmini.Controller.dma c.controller) with
-        | None -> J.Null
-        | Some plan -> Inject.to_json plan ) ]
+  Snap.(
+    obj
+      [ sub "engine" Engine.codec (fun t -> t.engine);
+        sub "l2" Cache.codec (fun t -> t.l2);
+        sub "dram" Dram.codec (fun t -> t.dram);
+        sub "mainmem" (option Mainmem.codec) (fun t -> t.mainmem);
+        field "next_paddr" int (fun t -> t.next_paddr) (fun t v -> t.next_paddr <- v);
+        sub "cores" (array core) (fun t -> t.cores_arr) ])
 
-let snapshot t =
-  J.Obj
-    [ ("engine", Engine.snapshot t.engine);
-      ("l2", Cache.snapshot t.l2);
-      ("dram", Dram.snapshot t.dram);
-      ( "mainmem",
-        match t.mainmem with
-        | None -> J.Null
-        | Some mm -> Mainmem.snapshot mm );
-      ("next_paddr", J.Int t.next_paddr);
-      ("cores", J.List (Array.to_list (Array.map core_snapshot t.cores_arr))) ]
-
-let core_restore t c j =
-  Snap.check ~what:"core id" (Snap.get_int "id" j = c.id);
-  Gemmini.Controller.restore c.controller (Snap.member "controller" j);
-  Gem_vm.Hierarchy.restore c.hierarchy (Snap.member "tlb" j);
-  Gem_vm.Page_table.restore c.page_table (Snap.member "pt" j);
-  c.next_vaddr <- Snap.get_int "next_vaddr" j;
-  Hashtbl.reset c.swapped;
-  List.iter
-    (fun pair ->
-      match Snap.int_list pair with
-      | [ vpn; ppn ] -> Hashtbl.replace c.swapped vpn ppn
-      | _ -> Snap.fail "bad swapped-page entry")
-    (Snap.get_list "swapped" j);
-  match Snap.member "inject" j with
-  | J.Null -> ()
-  | pj -> wire_inject t c (Inject.of_json pj)
-
-let restore t j =
-  Engine.restore t.engine (Snap.member "engine" j);
-  Cache.restore t.l2 (Snap.member "l2" j);
-  Dram.restore t.dram (Snap.member "dram" j);
-  (match (t.mainmem, Snap.member "mainmem" j) with
-  | None, J.Null -> ()
-  | Some _, J.Null -> Snap.fail "snapshot lacks main memory (functional SoC)"
-  | Some mm, mj -> Mainmem.restore mm mj
-  | None, _ -> Snap.fail "snapshot has main memory but SoC is timing-only");
-  t.next_paddr <- Snap.get_int "next_paddr" j;
-  let cores_j = Snap.get_list "cores" j in
-  Snap.check ~what:"core count"
-    (List.length cores_j = Array.length t.cores_arr);
-  List.iteri (fun i cj -> core_restore t t.cores_arr.(i) cj) cores_j
-
+let snapshot t = Snap.snapshot (codec t) t
+let restore t j = Snap.restore (codec t) t j
 
 (* --- host-side data access (functional mode) ----------------------------- *)
 

@@ -314,58 +314,38 @@ let same_page_fraction_writes t =
 
 let translation_stall_cycles t = t.stall_cycles
 
-module J = Gem_util.Jsonx
-module Snap = Gem_util.Snap
-
 (* The hierarchy owns the PTW in the SoC wiring, so its snapshot nests the
    walker's. Injection plan state is snapshotted at the SoC level (the
    plan is shared with the DMA); only the translation state lives here. *)
-let snapshot t =
-  J.Obj
-    [ ("private_tlb", Tlb.snapshot t.private_tlb);
-      ("shared_tlb", Tlb.snapshot t.shared_tlb);
-      ("ptw", Ptw.snapshot t.ptw);
-      ("filter_read", Snap.of_int_list [ t.filter_read.vpn; t.filter_read.ppn ]);
-      ( "filter_write",
-        Snap.of_int_list [ t.filter_write.vpn; t.filter_write.ppn ] );
-      ("last_read_vpn", J.Int t.last_read_vpn);
-      ("last_write_vpn", J.Int t.last_write_vpn);
-      ("reads", J.Int t.reads);
-      ("writes", J.Int t.writes);
-      ("same_page_reads", J.Int t.same_page_reads);
-      ("same_page_writes", J.Int t.same_page_writes);
-      ("requests", J.Int t.requests);
-      ("filter_hits", J.Int t.filter_hits);
-      ("private_hits", J.Int t.private_hits);
-      ("shared_hits", J.Int t.shared_hits);
-      ("walks", J.Int t.walks);
-      ("stall_cycles", J.Int t.stall_cycles) ]
-
-let restore t j =
-  Tlb.restore t.private_tlb (Snap.member "private_tlb" j);
-  Tlb.restore t.shared_tlb (Snap.member "shared_tlb" j);
-  Ptw.restore t.ptw (Snap.member "ptw" j);
-  let filter dst key =
-    match Snap.int_list (Snap.member key j) with
-    | [ vpn; ppn ] ->
-        dst.vpn <- vpn;
-        dst.ppn <- ppn
-    | _ -> Snap.fail "bad filter register pair %S" key
+let codec =
+  let filter key get =
+    Gem_util.Snap.field key (Gem_util.Snap.ints 2)
+      (fun t -> [| (get t).vpn; (get t).ppn |])
+      (fun t v ->
+        (get t).vpn <- v.(0);
+        (get t).ppn <- v.(1))
   in
-  filter t.filter_read "filter_read";
-  filter t.filter_write "filter_write";
-  t.last_read_vpn <- Snap.get_int "last_read_vpn" j;
-  t.last_write_vpn <- Snap.get_int "last_write_vpn" j;
-  t.reads <- Snap.get_int "reads" j;
-  t.writes <- Snap.get_int "writes" j;
-  t.same_page_reads <- Snap.get_int "same_page_reads" j;
-  t.same_page_writes <- Snap.get_int "same_page_writes" j;
-  t.requests <- Snap.get_int "requests" j;
-  t.filter_hits <- Snap.get_int "filter_hits" j;
-  t.private_hits <- Snap.get_int "private_hits" j;
-  t.shared_hits <- Snap.get_int "shared_hits" j;
-  t.walks <- Snap.get_int "walks" j;
-  t.stall_cycles <- Snap.get_int "stall_cycles" j
+  Gem_util.Snap.(
+    obj
+      [ sub "private_tlb" Tlb.codec (fun t -> t.private_tlb);
+        sub "shared_tlb" Tlb.codec (fun t -> t.shared_tlb);
+        sub "ptw" Ptw.codec (fun t -> t.ptw);
+        filter "filter_read" (fun t -> t.filter_read);
+        filter "filter_write" (fun t -> t.filter_write);
+        field "last_read_vpn" int (fun t -> t.last_read_vpn) (fun t v -> t.last_read_vpn <- v);
+        field "last_write_vpn" int (fun t -> t.last_write_vpn) (fun t v -> t.last_write_vpn <- v);
+        field "reads" int (fun t -> t.reads) (fun t v -> t.reads <- v);
+        field "writes" int (fun t -> t.writes) (fun t v -> t.writes <- v);
+        field "same_page_reads" int (fun t -> t.same_page_reads)
+          (fun t v -> t.same_page_reads <- v);
+        field "same_page_writes" int (fun t -> t.same_page_writes)
+          (fun t v -> t.same_page_writes <- v);
+        field "requests" int (fun t -> t.requests) (fun t v -> t.requests <- v);
+        field "filter_hits" int (fun t -> t.filter_hits) (fun t v -> t.filter_hits <- v);
+        field "private_hits" int (fun t -> t.private_hits) (fun t v -> t.private_hits <- v);
+        field "shared_hits" int (fun t -> t.shared_hits) (fun t v -> t.shared_hits <- v);
+        field "walks" int (fun t -> t.walks) (fun t v -> t.walks <- v);
+        field "stall_cycles" int (fun t -> t.stall_cycles) (fun t v -> t.stall_cycles <- v) ])
 
 let reset_stats t =
   Tlb.reset_stats t.private_tlb;

@@ -127,11 +127,8 @@ val translation_stall_cycles : t -> Gem_sim.Time.cycles
 
 val reset_stats : t -> unit
 
-val snapshot : t -> Gem_util.Jsonx.t
+val codec : t Gem_util.Snap.t
 (** Both TLBs, the nested PTW, the filter registers, locality cursors and
     statistics. Injection plan state is {e not} included — the plan is
-    shared with the DMA and serialized once at the SoC level. *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit
-(** Restores into a hierarchy of identical configuration; raises
-    {!Gem_util.Snap.Malformed} otherwise. *)
+    shared with the DMA and serialized once at the SoC level. Restores
+    into a hierarchy of identical configuration. *)

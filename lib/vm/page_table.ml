@@ -121,58 +121,41 @@ let translate t ~vaddr =
 let mapped_pages t = t.mapped_pages
 let node_count t = t.node_count
 
-module J = Gem_util.Jsonx
-module Snap = Gem_util.Snap
-
 (* The full radix tree is serialized, including each node's physical base
    address: node allocation order determines the PTE addresses a hardware
    walk reads, so rebuilding the tree any other way would shift walk
-   timing. Only populated slots are stored. *)
-let rec node_to_json n =
-  let children =
-    Array.to_list n.children
-    |> List.mapi (fun i c -> (i, c))
-    |> List.filter_map (fun (i, c) ->
-           match c with
-           | None -> None
-           | Some c -> Some (J.List [ J.Int i; node_to_json c ]))
-  in
-  let leaves =
-    Array.to_list n.leaves
-    |> List.mapi (fun i ppn -> (i, ppn))
-    |> List.filter_map (fun (i, ppn) ->
-           if ppn = -1 then None else Some (J.List [ J.Int i; J.Int ppn ]))
-  in
-  J.Obj [ ("p", J.Int n.paddr); ("c", J.List children); ("l", J.List leaves) ]
+   timing. Only populated slots are stored, as [index, child] and
+   [index, ppn] pairs. *)
+let slot what i =
+  if i < 0 || i >= entries_per_node then
+    Gem_util.Snap.fail "page-table %s index %d outside [0, %d)" what i entries_per_node;
+  i
 
-let rec node_of_json j =
-  let n = make_node (Snap.get_int "p" j) in
-  List.iter
-    (fun pair ->
-      match Snap.list pair with
-      | [ i; c ] -> n.children.(Snap.int i) <- Some (node_of_json c)
-      | _ -> Snap.fail "bad page-table child entry")
-    (Snap.get_list "c" j);
-  List.iter
-    (fun pair ->
-      match Snap.list pair with
-      | [ i; ppn ] -> n.leaves.(Snap.int i) <- Snap.int ppn
-      | _ -> Snap.fail "bad page-table leaf entry")
-    (Snap.get_list "l" j);
-  n
+let populated f = List.filter_map f (List.init entries_per_node Fun.id)
 
-let snapshot t =
-  J.Obj
-    [ ("root", node_to_json t.root);
-      ("next_node_paddr", J.Int t.next_node_paddr);
-      ("mapped_pages", J.Int t.mapped_pages);
-      ("node_count", J.Int t.node_count) ]
+let node =
+  Gem_util.Snap.(
+    fix (fun node ->
+        obj
+          ~init:(fun () -> make_node 0)
+          [ update "p" int (fun n -> n.paddr) (fun n paddr -> { n with paddr });
+            field "c" (list (pair int node))
+              (fun n -> populated (fun i -> Option.map (fun c -> (i, c)) n.children.(i)))
+              (fun n -> List.iter (fun (i, c) -> n.children.(slot "child" i) <- Some c));
+            field "l" (list (pair int int))
+              (fun n ->
+                populated (fun i -> if n.leaves.(i) = -1 then None else Some (i, n.leaves.(i))))
+              (fun n -> List.iter (fun (i, ppn) -> n.leaves.(slot "leaf" i) <- ppn)) ]))
 
-let restore t j =
-  let root = node_of_json (Snap.member "root" j) in
-  Snap.check ~what:"page-table node region" (root.paddr = t.root.paddr);
-  Array.blit root.children 0 t.root.children 0 entries_per_node;
-  Array.blit root.leaves 0 t.root.leaves 0 entries_per_node;
-  t.next_node_paddr <- Snap.get_int "next_node_paddr" j;
-  t.mapped_pages <- Snap.get_int "mapped_pages" j;
-  t.node_count <- Snap.get_int "node_count" j
+let codec =
+  Gem_util.Snap.(
+    obj
+      [ field "root" node (fun t -> t.root) (fun t root ->
+            if root.paddr <> t.root.paddr then
+              fail "root node at %#x, this table's at %#x" root.paddr t.root.paddr;
+            Array.blit root.children 0 t.root.children 0 entries_per_node;
+            Array.blit root.leaves 0 t.root.leaves 0 entries_per_node);
+        field "next_node_paddr" int (fun t -> t.next_node_paddr) (fun t v ->
+            t.next_node_paddr <- v);
+        field "mapped_pages" int (fun t -> t.mapped_pages) (fun t v -> t.mapped_pages <- v);
+        field "node_count" int (fun t -> t.node_count) (fun t v -> t.node_count <- v) ])

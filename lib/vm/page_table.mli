@@ -49,11 +49,9 @@ val walk : t -> vpn:int -> int list * int option
 val mapped_pages : t -> int
 val node_count : t -> int
 
-val snapshot : t -> Gem_util.Jsonx.t
+val codec : t Gem_util.Snap.t
 (** The complete radix tree with per-node physical addresses (allocation
     order determines PTE read addresses, hence walk timing) plus the node
-    allocator cursor. *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit
-(** Replaces the tree of a table created with the same
-    [node_region_base]; raises {!Gem_util.Snap.Malformed} otherwise. *)
+    allocator cursor. Restores only into a table created with the same
+    [node_region_base]; a child or leaf index outside a node is
+    malformed. *)

@@ -93,31 +93,21 @@ let reset_stats t =
   t.pte_cache_hits <- 0;
   t.total_walk_cycles <- 0
 
-module J = Gem_util.Jsonx
-module Snap = Gem_util.Snap
-
 (* The walker resource is engine-owned; what lives here is the PTE cache
    (FIFO order matters for future evictions) and the statistics. *)
-let snapshot t =
-  J.Obj
-    [ ("pte_cache", Snap.of_int_list (List.of_seq (Queue.to_seq t.pte_cache_fifo)));
-      ("walks", J.Int t.walks);
-      ("pte_reads", J.Int t.pte_reads);
-      ("pte_cache_hits", J.Int t.pte_cache_hits);
-      ("total_walk_cycles", J.Int t.total_walk_cycles) ]
-
-let restore t j =
-  let cached = Snap.int_list (Snap.member "pte_cache" j) in
-  Snap.check ~what:"pte cache occupancy"
-    (List.length cached <= max t.pte_cache_entries 0);
-  Hashtbl.reset t.pte_cache;
-  Queue.clear t.pte_cache_fifo;
-  List.iter
-    (fun paddr ->
-      Hashtbl.add t.pte_cache paddr ();
-      Queue.push paddr t.pte_cache_fifo)
-    cached;
-  t.walks <- Snap.get_int "walks" j;
-  t.pte_reads <- Snap.get_int "pte_reads" j;
-  t.pte_cache_hits <- Snap.get_int "pte_cache_hits" j;
-  t.total_walk_cycles <- Snap.get_int "total_walk_cycles" j
+let codec =
+  Gem_util.Snap.(
+    obj
+      [ field "pte_cache" (list int)
+          (fun t -> List.of_seq (Queue.to_seq t.pte_cache_fifo))
+          (fun t cached ->
+            if List.length cached > max t.pte_cache_entries 0 then
+              fail "%d cached PTEs, capacity %d" (List.length cached) t.pte_cache_entries;
+            Hashtbl.reset t.pte_cache;
+            Queue.clear t.pte_cache_fifo;
+            List.iter (fun paddr -> cache_insert t paddr) cached);
+        field "walks" int (fun t -> t.walks) (fun t v -> t.walks <- v);
+        field "pte_reads" int (fun t -> t.pte_reads) (fun t v -> t.pte_reads <- v);
+        field "pte_cache_hits" int (fun t -> t.pte_cache_hits) (fun t v -> t.pte_cache_hits <- v);
+        field "total_walk_cycles" int (fun t -> t.total_walk_cycles) (fun t v ->
+            t.total_walk_cycles <- v) ])

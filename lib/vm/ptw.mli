@@ -35,8 +35,6 @@ val pte_cache_hits : t -> int
 val total_walk_cycles : t -> Gem_sim.Time.cycles
 val reset_stats : t -> unit
 
-val snapshot : t -> Gem_util.Jsonx.t
+val codec : t Gem_util.Snap.t
 (** PTE-cache contents in FIFO insertion order plus statistics; the walker
     resource itself travels with the engine snapshot. *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit

@@ -111,42 +111,26 @@ let reset_stats t =
   t.lookups <- 0;
   t.hits <- 0
 
-module J = Gem_util.Jsonx
-module Snap = Gem_util.Snap
-
-let snapshot t =
-  J.Obj
-    [ ("entries", J.Int t.entries);
-      ( "slots",
-        J.List
-          (Array.to_list
-             (Array.map
-                (fun e -> Snap.of_int_list [ e.vpn; e.ppn; e.age ])
-                t.slots)) );
-      ("used", J.Int t.used);
-      ("clock", J.Int t.clock);
-      ("lookups", J.Int t.lookups);
-      ("hits", J.Int t.hits) ]
-
-let restore t j =
-  Snap.check ~what:"tlb size" (Snap.get_int "entries" j = t.entries);
-  let slots = Snap.get_list "slots" j in
-  Snap.check ~what:"tlb slot count" (List.length slots = t.entries);
-  Hashtbl.reset t.index;
-  List.iteri
-    (fun i s ->
-      match Snap.int_list s with
-      | [ vpn; ppn; age ] ->
-          let e = t.slots.(i) in
-          e.vpn <- vpn;
-          e.ppn <- ppn;
-          e.age <- age;
-          (* Invalidated slots stay allocated but carry vpn = -1 and must
-             not re-enter the index. *)
-          if vpn >= 0 then Hashtbl.replace t.index vpn e
-      | _ -> Snap.fail "tlb slot: expected [vpn; ppn; age]")
-    slots;
-  t.used <- Snap.get_int "used" j;
-  t.clock <- Snap.get_int "clock" j;
-  t.lookups <- Snap.get_int "lookups" j;
-  t.hits <- Snap.get_int "hits" j
+let codec =
+  Gem_util.Snap.(
+    obj
+      [ geometry "entries" int (fun t -> t.entries);
+        field "slots" (array (ints 3))
+          (fun t -> Array.map (fun e -> [| e.vpn; e.ppn; e.age |]) t.slots)
+          (fun t saved ->
+            if Array.length saved <> t.entries then
+              fail "%d slots for %d entries" (Array.length saved) t.entries;
+            Hashtbl.reset t.index;
+            Array.iter2
+              (fun e s ->
+                e.vpn <- s.(0);
+                e.ppn <- s.(1);
+                e.age <- s.(2);
+                (* Invalidated slots stay allocated but carry vpn = -1 and
+                   must not re-enter the index. *)
+                if e.vpn >= 0 then Hashtbl.replace t.index e.vpn e)
+              t.slots saved);
+        field "used" int (fun t -> t.used) (fun t v -> t.used <- v);
+        field "clock" int (fun t -> t.clock) (fun t v -> t.clock <- v);
+        field "lookups" int (fun t -> t.lookups) (fun t v -> t.lookups <- v);
+        field "hits" int (fun t -> t.hits) (fun t v -> t.hits <- v) ])

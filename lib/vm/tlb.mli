@@ -48,11 +48,7 @@ val misses : t -> int
 val hit_rate : t -> float
 val reset_stats : t -> unit
 
-val snapshot : t -> Gem_util.Jsonx.t
+val codec : t Gem_util.Snap.t
 (** Slot-exact state: every slot's vpn/ppn/recency in allocation order,
     plus the LRU clock and statistics — a restored TLB makes byte-identical
-    replacement decisions. *)
-
-val restore : t -> Gem_util.Jsonx.t -> unit
-(** Restores into a TLB of the same size; raises
-    {!Gem_util.Snap.Malformed} otherwise. *)
+    replacement decisions. The size is checked, not restored. *)

@@ -4,7 +4,7 @@
 open Gem_mem
 
 let test_sram_rw () =
-  let s = Sram.create ~banks:4 ~rows_per_bank:8 ~elems_per_row:16 in
+  let s = Sram.create ~banks:4 ~rows_per_bank:8 ~elems_per_row:16 ~data:true in
   Alcotest.(check int) "total rows" 32 (Sram.total_rows s);
   Alcotest.(check int) "bank of row" 2 (Sram.bank_of_row s 17);
   Sram.write_row s ~row:17 (Array.init 16 (fun i -> i));
@@ -18,13 +18,33 @@ let test_sram_rw () =
       ignore (Sram.read_row s ~row:32))
 
 let test_sram_accumulate () =
-  let s = Sram.create ~banks:1 ~rows_per_bank:4 ~elems_per_row:4 in
+  let s = Sram.create ~banks:1 ~rows_per_bank:4 ~elems_per_row:4 ~data:true in
   Sram.write_row s ~row:0 [| 10; 20; 30; 40 |];
   Sram.accumulate_row s ~row:0 [| 1; 2; 3; 4 |];
   Alcotest.(check (array int)) "accumulated" [| 11; 22; 33; 44 |] (Sram.read_row s ~row:0);
   Sram.write_row s ~row:1 [| Gem_util.Fixed.int32_max; 0; 0; 0 |];
   Sram.accumulate_row s ~row:1 [| 100; 0; 0; 0 |];
   Alcotest.(check int) "saturates" Gem_util.Fixed.int32_max (Sram.read_row s ~row:1).(0)
+
+(* A timing-only SRAM holds no values: every data access fails loudly
+   instead of reading zeros, and its snapshot carries no data. *)
+let test_sram_timing_only () =
+  let s = Sram.create ~banks:2 ~rows_per_bank:4 ~elems_per_row:4 ~data:false in
+  Alcotest.(check int) "geometry still answers" 8 (Sram.total_rows s);
+  let refuses what f =
+    Alcotest.check_raises what
+      (Invalid_argument "Sram: data access on a timing-only SRAM") f
+  in
+  refuses "read" (fun () -> ignore (Sram.read_row s ~row:3));
+  refuses "write" (fun () -> Sram.write_row s ~row:3 [| 1 |]);
+  refuses "accumulate" (fun () -> Sram.accumulate_row s ~row:3 [| 1 |]);
+  let snap = Gem_util.Snap.snapshot Sram.codec s in
+  Alcotest.(check bool) "no data in the snapshot" true
+    (Gem_util.Jsonx.member "data" snap = None);
+  let functional = Sram.create ~banks:2 ~rows_per_bank:4 ~elems_per_row:4 ~data:true in
+  match Gem_util.Snap.restore Sram.codec s (Gem_util.Snap.snapshot Sram.codec functional) with
+  | () -> Alcotest.fail "a timing-only SRAM restored data"
+  | exception Gem_util.Snap.Malformed _ -> ()
 
 let test_cache_basics () =
   let c = Cache.create ~size_bytes:4096 ~ways:4 ~line_bytes:64 () in
@@ -71,12 +91,12 @@ let test_cache_last_line () =
     | Cache.Hit -> false
     | Cache.Miss | Cache.Miss_writeback -> true
   in
-  let empty = Cache.snapshot c in
+  let empty = Gem_util.Snap.snapshot Cache.codec c in
   Alcotest.(check bool) "cold" true (is_miss 0);
   Alcotest.(check bool) "same line hits" false (is_miss 8);
   Cache.invalidate_all c;
   Alcotest.(check bool) "miss after invalidate_all" true (is_miss 16);
-  Cache.restore c empty;
+  Gem_util.Snap.restore Cache.codec c empty;
   Alcotest.(check bool) "miss after restore" true (is_miss 24);
   ignore (Cache.access c ~addr:32 ~write:true);
   for i = 1 to 4 do
@@ -148,6 +168,7 @@ let suite =
   [
     Alcotest.test_case "sram read/write" `Quick test_sram_rw;
     Alcotest.test_case "sram accumulate" `Quick test_sram_accumulate;
+    Alcotest.test_case "timing-only sram holds no data" `Quick test_sram_timing_only;
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
     Alcotest.test_case "cache LRU order" `Quick test_cache_lru_order;
     Alcotest.test_case "cache writeback" `Quick test_cache_writeback;

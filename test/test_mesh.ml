@@ -149,7 +149,9 @@ let qcheck_ws_os_equivalence =
 
 (* Negative paths of the local memories: structured traps, never silent
    corruption or an unstructured exception. *)
-let sp4 () = Gemmini.Scratchpad.create { P.default with mesh_rows = 4; mesh_cols = 4 }
+let sp4 () =
+  Gemmini.Scratchpad.create ~functional:true
+    { P.default with mesh_rows = 4; mesh_cols = 4 }
 
 let check_trap name expect f =
   match f () with

@@ -28,7 +28,7 @@ let temp_path suffix =
 let test_envelope_roundtrip () =
   let path = temp_path ".json" in
   let payload =
-    J.Obj [ ("clock", J.Int 12345); ("data", Snap.of_int_list [ 1; 2; 3 ]) ]
+    J.Obj [ ("clock", J.Int 12345); ("data", J.List [ J.Int 1; J.Int 2; J.Int 3 ]) ]
   in
   let meta = [ ("model", J.String "test"); ("layers_done", J.Int 7) ] in
   Persist.save ~path ~meta ~payload;
@@ -240,8 +240,209 @@ let test_resume_checkpoint_bounded () =
       Alcotest.(check string) "cause" "watchdog-timeout"
         (Fault.cause_label f.Fault.cause)
 
+(* --- pinned snapshot bytes ------------------------------------------------------ *)
+
+(* Digests of [Soc.snapshot]'s serialization for three chip states, taken
+   before the component snapshots moved onto the shared codec. Any change
+   to a snapshot byte moves one of them, and a byte change means
+   [Persist.format_version] must be bumped. *)
+
+let timing_2core_injected () =
+  let soc = Soc.create Soc_config.dual_core in
+  Soc.arm_injection soc ~seed:42 ~rate:0.0005;
+  let model = Gem_dnn.Model_zoo.(scale_model ~factor:32 mobilenetv2) in
+  ignore
+    (Runtime.run_parallel ~policy:Runtime.Retry_map soc
+       (Array.init 2 (fun i ->
+            (model, Runtime.Accel { im2col_on_accel = i mod 2 = 0 }))));
+  soc
+
+let functional_1core_matmul () =
+  let soc = Soc.create (Soc_config.with_functional true Soc_config.default) in
+  let core = Soc.core soc 0 in
+  let va = Soc.alloc soc core ~bytes:(1 lsl 16) in
+  Soc.host_write_i8 soc core ~vaddr:va
+    (Array.init 4096 (fun i -> (i * 7 mod 256) - 128));
+  let ops =
+    Gem_sw.Kernels.matmul_ops Gemmini.Params.default ~a:va ~b:(va + 1024)
+      ~out:(va + 32768) ~m:32 ~k:32 ~n:32 ()
+    @ [ Gem_sw.Kernels.fence ]
+  in
+  ignore (Soc.run_program soc core (List.to_seq ops));
+  soc
+
+let snapshot_digests =
+  [ ("2-core timing mobilenetv2/32, injection armed", timing_2core_injected,
+     "47c510d811254a69783b34262af53f34");
+    ("1-core functional matmul", functional_1core_matmul,
+     "13f2804c8077908c510520e1760bd5bf");
+    ("fresh timing SoC", (fun () -> Soc.create Soc_config.default),
+     "1bb28a76b375746b07511b297e315739") ]
+
+let test_snapshot_digests () =
+  List.iter
+    (fun (label, setup, want) ->
+      let got =
+        Digest.to_hex (Digest.string (J.to_string (Soc.snapshot (setup ()))))
+      in
+      Alcotest.(check string) label want got)
+    snapshot_digests
+
+(* --- one codec per component -------------------------------------------------- *)
+
+(* Every component's snapshot survives a restore into a fresh instance
+   byte for byte: snapshot (restore (snapshot x)) = snapshot x. Each case
+   gives the component after a short run and a fresh one of its shape. *)
+type roundtrip =
+  | Roundtrip : {
+      name : string;
+      save : 'a -> J.t;
+      restore : 'a -> J.t -> unit;
+      pair : unit -> 'a * 'a;
+    }
+      -> roundtrip
+
+let codec name c pair =
+  Roundtrip { name; save = Snap.snapshot c; restore = Snap.restore c; pair }
+
+let timing = lazy (timing_2core_injected ())
+let functional = lazy (functional_1core_matmul ())
+let functional_config = Soc_config.with_functional true Soc_config.default
+
+let in_soc setup config get () = (get (Lazy.force setup), get (Soc.create config))
+let core0 f soc = f (Soc.core soc 0)
+let controller0 f = core0 (fun c -> f (Soc.controller c))
+
+let tlb_after_run () =
+  let t = Gem_vm.Tlb.create ~entries:4 in
+  for vpn = 1 to 6 do
+    Gem_vm.Tlb.fill t ~vpn ~ppn:(vpn + 100);
+    ignore (Gem_vm.Tlb.lookup t ~vpn:(vpn - 1))
+  done;
+  Gem_vm.Tlb.invalidate t ~vpn:5;
+  t
+
+let ptw () =
+  let page_table = Gem_vm.Page_table.create ~node_region_base:0x4000_0000 () in
+  let ptw =
+    Gem_vm.Ptw.create ~pte_cache_entries:2 ~page_table
+      ~mem_read:(fun ~now ~paddr:_ ~bytes:_ -> now + 10)
+      ()
+  in
+  (page_table, ptw)
+
+let ptw_after_run () =
+  let page_table, ptw = ptw () in
+  for i = 0 to 9 do
+    Gem_vm.Page_table.map page_table ~vpn:(i * 600) ~ppn:i;
+    ignore (Gem_vm.Ptw.walk ptw ~now:(i * 100) ~vpn:(i * 600))
+  done;
+  ptw
+
+let sram () = Gem_mem.Sram.create ~banks:2 ~rows_per_bank:4 ~elems_per_row:4 ~data:true
+
+let sram_after_run () =
+  let s = sram () in
+  Gem_mem.Sram.write_row s ~row:5 [| 1; -2; 3 |];
+  Gem_mem.Sram.accumulate_row s ~row:5 [| 10; 10; 10; 10 |];
+  ignore (Gem_mem.Sram.read_row s ~row:1);
+  s
+
+let roundtrips =
+  let dual = Soc_config.dual_core in
+  [ codec "engine" Gem_sim.Engine.codec (in_soc timing dual Soc.engine);
+    codec "cache" Gem_mem.Cache.codec (in_soc timing dual Soc.l2);
+    codec "dram" Gem_mem.Dram.codec (in_soc timing dual Soc.dram);
+    codec "mainmem" Gem_mem.Mainmem.codec
+      (in_soc functional functional_config (fun s -> Option.get (Soc.mainmem s)));
+    codec "sram" Gem_mem.Sram.codec (fun () -> (sram_after_run (), sram ()));
+    codec "tlb" Gem_vm.Tlb.codec (fun () ->
+        (tlb_after_run (), Gem_vm.Tlb.create ~entries:4));
+    codec "ptw" Gem_vm.Ptw.codec (fun () -> (ptw_after_run (), snd (ptw ())));
+    codec "page table" Gem_vm.Page_table.codec (in_soc timing dual (core0 Soc.page_table));
+    codec "hierarchy" Gem_vm.Hierarchy.codec (in_soc timing dual (core0 Soc.tlb));
+    codec "controller" Gemmini.Controller.codec
+      (in_soc functional functional_config (controller0 Fun.id));
+    codec "scratchpad" Gemmini.Scratchpad.codec
+      (in_soc functional functional_config (controller0 Gemmini.Controller.scratchpad));
+    codec "dma" Gemmini.Dma.codec (in_soc timing dual (controller0 Gemmini.Controller.dma));
+    codec "inject" Gem_sim.Inject.codec (fun () ->
+        ( Option.get (controller0 (fun c -> Gemmini.Dma.inject (Gemmini.Controller.dma c))
+                        (Lazy.force timing)),
+          Gem_sim.Inject.create ~seed:0 ~rate:0. () ));
+    Roundtrip
+      { name = "soc"; save = Soc.snapshot; restore = Soc.restore;
+        pair = (fun () -> (Lazy.force timing, Soc.create dual)) } ]
+
+let test_roundtrips () =
+  List.iter
+    (fun (Roundtrip { name; save; restore; pair }) ->
+      let ran, fresh = pair () in
+      let snap = J.to_string (save ran) in
+      Alcotest.(check bool) (name ^ ": fresh state differs") true
+        (J.to_string (save fresh) <> snap);
+      restore fresh (save ran);
+      Alcotest.(check string) (name ^ ": restored snapshot") snap (J.to_string (save fresh)))
+    roundtrips
+
+(* --- malformed payloads ------------------------------------------------------- *)
+
+(* [edit path f j] applies [f] at [path]: object keys, and list indices
+   as decimal strings. *)
+let rec edit path f j =
+  match (path, j) with
+  | [], _ -> f j
+  | k :: rest, J.Obj kvs ->
+      J.Obj (List.map (fun (k', v) -> (k', if k' = k then edit rest f v else v)) kvs)
+  | i :: rest, J.List l ->
+      J.List (List.mapi (fun i' v -> if string_of_int i' = i then edit rest f v else v) l)
+  | _ -> Alcotest.failf "no %s in the snapshot" (String.concat "." path)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let allocated_soc () =
+  let soc = Soc.create Soc_config.default in
+  ignore (Soc.alloc soc (Soc.core soc 0) ~bytes:8192);
+  soc
+
+let rename_key from into = function
+  | J.Obj kvs -> J.Obj (List.map (fun (k, v) -> ((if k = from then into else k), v)) kvs)
+  | j -> j
+
+let drop_key key = function
+  | J.Obj kvs -> J.Obj (List.filter (fun (k, _) -> k <> key) kvs)
+  | j -> j
+
+(* Each crafted payload must raise [Snap.Malformed] naming the problem. *)
+let malformed =
+  let root = [ "cores"; "0"; "pt"; "root" ] in
+  [ ( "page-table child index out of range",
+      edit (root @ [ "c"; "0"; "0" ]) (fun _ -> J.Int 99999),
+      "page-table child index 99999 outside [0, 512)" );
+    ( "page-table leaf index out of range",
+      edit (root @ [ "c"; "0"; "1"; "c"; "0"; "1"; "l"; "0"; "0" ]) (fun _ -> J.Int 512),
+      "page-table leaf index 512 outside [0, 512)" );
+    ( "engine resource named twice",
+      edit [ "engine"; "resources" ] (rename_key "l2-port" "dram"),
+      "\"dram\" named twice" );
+    ( "engine resource left out",
+      edit [ "engine"; "resources" ] (drop_key "l2-port"),
+      "resource \"l2-port\" is missing" ) ]
+
+let test_malformed (what, craft, names) () =
+  let payload = craft (Soc.snapshot (allocated_soc ())) in
+  match Soc.restore (allocated_soc ()) payload with
+  | () -> Alcotest.failf "%s: restore accepted the payload" what
+  | exception Snap.Malformed msg ->
+      Alcotest.(check bool) (Printf.sprintf "%S names %S" msg names) true (contains ~sub:names msg)
+
 let suite =
   [
+    Alcotest.test_case "snapshot bytes are pinned" `Quick test_snapshot_digests;
+    Alcotest.test_case "every component codec round-trips" `Quick test_roundtrips;
     Alcotest.test_case "envelope round-trip" `Quick test_envelope_roundtrip;
     Alcotest.test_case "envelope rejects corrupt/truncated/foreign" `Quick
       test_envelope_rejects;
@@ -256,3 +457,7 @@ let suite =
     Alcotest.test_case "Resume_checkpoint budget is bounded" `Quick
       test_resume_checkpoint_bounded;
   ]
+  @ List.map
+      (fun ((what, _, _) as case) ->
+        Alcotest.test_case ("restore refuses: " ^ what) `Quick (test_malformed case))
+      malformed

@@ -447,6 +447,36 @@ let test_latency_reference_warm_restore () =
       ignore (Serve.run ~warm_out:path tiny_scenario);
       ignore (check_serve_reference "warm restore" ~warm_in:path tiny_scenario))
 
+(* A warm file with a valid checksum and matching meta, saved from a SoC
+   whose L2 has another size, must be refused with Invalid_argument (the
+   CLI's one-line [serve] error and exit 2), not escape as
+   Snap.Malformed. *)
+let test_warm_state_misfit () =
+  let sv = tiny_scenario in
+  let cfg = sv.Serve.sv_soc in
+  let other =
+    Soc.create
+      (Gem_soc.Soc_config.with_l2_size (2 * cfg.Gem_soc.Soc_config.l2_size_bytes) cfg)
+  in
+  let meta =
+    [ ("kind", J.String "serve-warm"); ("model", J.String sv.Serve.sv_model);
+      ("scale", J.Int sv.Serve.sv_scale); ("cores", J.Int (Serve.cores sv));
+      ("mode", J.String (Gem_sw.Runtime.mode_desc sv.Serve.sv_mode));
+      ("finish", J.Int 0) ]
+  in
+  let path = Filename.temp_file "gem_serve_warm" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Gem_persist.Persist.save ~path ~meta ~payload:(Soc.snapshot other);
+      match Serve.run ~warm_in:path sv with
+      | _ -> Alcotest.fail "a warm state from another L2 geometry was accepted"
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            ("names the misfit: " ^ msg) true
+            (String.starts_with msg
+               ~prefix:("Gem_serve: warm state " ^ path ^ " does not fit this SoC: ")))
+
 let test_latency_reference_injected () =
   let soc =
     check_serve_reference "injection armed"
@@ -553,6 +583,8 @@ let suite =
       test_latency_reference_warmup;
     Alcotest.test_case "queue latency = reference sink: warm restore" `Slow
       test_latency_reference_warm_restore;
+    Alcotest.test_case "warm state from another SoC is refused" `Quick
+      test_warm_state_misfit;
     Alcotest.test_case "queue latency = reference sink: injection armed" `Slow
       test_latency_reference_injected;
     Alcotest.test_case "queue latency = reference sink: cycle sweep point"
