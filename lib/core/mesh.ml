@@ -247,7 +247,6 @@ let block_cycles p ~dataflow ~rows ~k ~cols ~preload =
 let inter_block_bubble = 4
 
 let pipelined_block_cycles p ~dataflow ~rows ~k ~cols ~preload =
-  let p = Params.validate_exn p in
   if rows <= 0 || k <= 0 || cols <= 0 then
     invalid_arg
       (Printf.sprintf "Mesh.pipelined_block_cycles: non-positive block %dx%dx%d"

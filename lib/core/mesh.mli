@@ -79,7 +79,12 @@ val pipelined_block_cycles :
     preloads are double-buffered behind the previous block's rows, so a
     block occupies the array for [max rows dim] (preloaded) or [rows]
     (weights resident) cycles plus a small inter-block bubble. This is the
-    cost the controller's execute pipeline charges. *)
+    cost the controller's execute pipeline charges.
+
+    Precondition: [Params] has passed {!Params.validate} (as
+    {!Controller.create} and {!create} ensure). This function runs on
+    every compute command and does not re-validate; an invalid record
+    yields a meaningless count, not an error. *)
 
 val block_attrs :
   dataflow:[ `WS | `OS ] ->

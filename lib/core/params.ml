@@ -33,8 +33,8 @@ let acc_row_bytes t = dim_cols t * Dtype.bytes t.acc_type
 let acc_rows t = t.acc_capacity_bytes / acc_row_bytes t
 let acc_rows_per_bank t = acc_rows t / t.acc_banks
 
-(* [validate] runs on every compute command (through
-   [Mesh.pipelined_block_cycles]), so a valid record must cost no
+(* [validate] runs wherever a record enters (every component's [create]
+   and every kernel's lowering), so a valid record must cost no
    allocation: the checks thread a plain list that is only consed onto,
    and the two formatted messages are built only when their check
    fails. *)

@@ -313,6 +313,37 @@ let test_params_error_table () =
       ignore
         (Gemmini.Params.validate_exn { Gemmini.Params.default with mesh_rows = 0 }))
 
+(* The mesh cost model does not re-validate [Params] on each compute, so
+   an invalid record must still be refused where it enters: at the
+   controller and at kernel lowering. *)
+let test_params_refused_on_entry () =
+  let bad = { Gemmini.Params.default with Gemmini.Params.sp_banks = 3 } in
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted an invalid Params.t" name
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (name ^ " names the violation") true
+          (String.starts_with ~prefix:"Params: " msg)
+  in
+  let pt = Gem_vm.Page_table.create ~node_region_base:0x1000_0000 () in
+  let ptw =
+    Gem_vm.Ptw.create ~page_table:pt
+      ~mem_read:(fun ~now ~paddr:_ ~bytes:_ -> now + 20)
+      ()
+  in
+  let tlb = Gem_vm.Hierarchy.create Gem_vm.Hierarchy.default_config ~ptw in
+  refused "Controller.create" (fun () ->
+      ignore
+        (Gemmini.Controller.create ~params:bad ~port:Gemmini.Dma.null_port ~tlb
+           ~issue_cycles:1 ()));
+  refused "Kernels.matmul_steps" (fun () ->
+      let _ : Gem_sw.Kernels.steps =
+        Gem_sw.Kernels.matmul_steps bad ~a:0 ~b:0x1000 ~out:0x2000 ~m:16 ~k:16
+          ~n:16 ()
+      in
+      ())
+
 (* --- fuzz: malformed streams only ever trap -------------------------------- *)
 
 let random_local rng =
@@ -717,6 +748,8 @@ let suite =
     Alcotest.test_case "Isa.validate edges" `Quick test_validate_edges;
     Alcotest.test_case "Isa.validate error table" `Quick test_validate_error_table;
     Alcotest.test_case "Params.validate error table" `Quick test_params_error_table;
+    Alcotest.test_case "invalid Params refused on entry" `Quick
+      test_params_refused_on_entry;
     Alcotest.test_case "fuzz: 1000 malformed streams only trap" `Quick
       test_fuzz_streams;
     Alcotest.test_case "Retry_map completes ResNet with unmapped pages" `Quick
