@@ -274,10 +274,19 @@ let run_hotpath_bench () =
                (Gemmini.Dma.mvin dma ~now:(i * 1000) ~vaddr:va ~stride_bytes:64
                   ~rows:16 ~row_bytes:16)
            done));
+      (* Two programs of [k] ops, four per step (three host-work ops and
+         a marker), as kernels emit several commands per tile step: the
+         interleaver's cost per op, lowering's per step. *)
       (let ops k =
-         Seq.init k (fun i ->
-             if i mod 4 = 3 then Gem_soc.Soc.Marker (fun _ -> ())
-             else Gem_soc.Soc.Host_work { cycles = 3; tag = "w" })
+         let work = Gem_soc.Soc.Host_work { cycles = 3; tag = "w" } in
+         let mark = Gem_soc.Soc.Marker (fun _ -> ()) in
+         Gem_soc.Soc.program
+           (Seq.return
+              (Seq.init (k / 4) (fun _ emit ->
+                   emit work;
+                   emit work;
+                   emit work;
+                   emit mark)))
        in
        let soc = Gem_soc.Soc.create Gem_soc.Soc_config.dual_core in
        measure "soc_dispatch" 50_000 (fun n ->

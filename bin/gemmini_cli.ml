@@ -80,12 +80,33 @@ let on_io_error tag f =
     Printf.eprintf "[%s] %s\n%!" tag msg;
     exit 2
 
+(* Every output file's directory is checked before the run starts, so a
+   bad path costs no simulation and prints nothing on stdout: one
+   "[tag]" line naming the path, exit 2. *)
+let check_outputs tag files =
+  List.iter
+    (fun file ->
+      let dir = Filename.dirname file in
+      if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+        Printf.eprintf "[%s] cannot write %s: no directory %s\n%!" tag file dir;
+        exit 2
+      end)
+    (List.filter_map Fun.id files)
+
 let write_metrics reg = function
   | None -> ()
   | Some file ->
       Metrics.write_file reg file;
       Printf.eprintf "[metrics] wrote %s (%d source(s))\n%!" file
         (Metrics.size reg)
+
+(* A sweep's metrics snapshot (sweep and serve --rates). *)
+let write_dse_metrics rr = function
+  | None -> ()
+  | Some _ as metrics_out ->
+      let reg = Metrics.create () in
+      Gem_dse.Exec.register_metrics reg rr;
+      write_metrics reg metrics_out
 
 (* --- shared parameter flags -------------------------------------------------- *)
 
@@ -102,22 +123,30 @@ let int_at_least lo ~what =
 let pos_int = int_at_least 1 ~what:"positive"
 let non_neg_int = int_at_least 0 ~what:"non-negative"
 
-let probability =
+let float_where ~what ok =
   let parse s =
     match float_of_string_opt s with
-    | Some p when p >= 0. && p <= 1. -> Ok p
-    | _ -> Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_float)
 
-(* Durations, rates and time budgets: a finite float above zero. *)
-let pos_float =
-  let parse s =
-    match float_of_string_opt s with
-    | Some x when Float.is_finite x && x > 0. -> Ok x
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
+let probability =
+  float_where ~what:"a probability in [0, 1]" (fun p -> p >= 0. && p <= 1.)
+
+(* Rates and time budgets: a finite float above zero. *)
+let positive x = Float.is_finite x && x > 0.
+let pos_float = float_where ~what:"a positive number" positive
+
+(* Simulated milliseconds: positive, and a cycle count that fits an int. *)
+let pos_ms =
+  float_where ~what:"a positive number of milliseconds within the cycle range"
+    (fun ms ->
+      positive ms
+      &&
+      match Gem_serve.Slo.cycles_of_ms ms with
+      | _ -> true
+      | exception Invalid_argument _ -> false)
 
 let preset =
   let parse s =
@@ -314,6 +343,7 @@ let run_cmd =
       checkpoint_every <> None || checkpoint_out <> None || restore <> None
       || policy = Runtime.Resume_checkpoint
     in
+    check_outputs "run" [ trace_out; metrics_out; self_profile; checkpoint_out ];
     let reg = Metrics.create () in
     on_io_error "run" @@ fun () ->
     abort_on_trap @@ fun () ->
@@ -417,10 +447,8 @@ let run_cmd =
             (match trace_format with
             | `Chrome -> Gem_sim.Export.write_chrome_file c file
             | `Report ->
-                let oc = open_out file in
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () -> output_string oc (Gem_sim.Export.report c)));
+                Out_channel.with_open_text file (fun oc ->
+                    output_string oc (Gem_sim.Export.report c)));
             Printf.eprintf "[trace] wrote %s (%s)\n%!" file
               (match trace_format with
               | `Chrome -> "chrome"
@@ -526,6 +554,7 @@ let run_cmd =
 let sweep_cmd =
   let run model scale backend jobs cache_dir no_cache out self_profile
       metrics_out =
+    check_outputs "dse" [ metrics_out; self_profile ];
     on_io_error "dse" @@ fun () ->
     let name = model.Gem_dnn.Layer.model_name in
     let base = Gem_dse.Point.make ~model:name ~scale ~backend () in
@@ -545,12 +574,7 @@ let sweep_cmd =
       with_self_profile self_profile (fun () ->
           Gem_dse.Exec.run ~jobs ~cache points)
     in
-    (match metrics_out with
-    | None -> ()
-    | Some _ ->
-        let reg = Metrics.create () in
-        Gem_dse.Exec.register_metrics reg rr;
-        write_metrics reg metrics_out);
+    write_dse_metrics rr metrics_out;
     Printf.eprintf "[dse] %d point(s): %d simulated, %d cached (jobs %d)\n%!"
       (Array.length points) rr.Gem_dse.Exec.simulated rr.Gem_dse.Exec.cached
       jobs;
@@ -694,9 +718,10 @@ let fuzz_cmd =
 
 let xval_cmd =
   let run models scale budget_file out =
+    check_outputs "xval" [ out ];
     on_io_error "xval" @@ fun () ->
-    (* The budget is read and the report file opened before the (long)
-       validation, so a bad path fails at once. *)
+    (* The budget is read before the (long) validation, so a bad path
+       fails at once. *)
     let budget =
       Option.map
         (fun file ->
@@ -707,7 +732,6 @@ let xval_cmd =
               exit 2)
         budget_file
     in
-    let out = Option.map (fun file -> (file, open_out file)) out in
     let models =
       match models with
       | [] -> Gem_dse.Xval.default_models
@@ -736,17 +760,15 @@ let xval_cmd =
       (100. *. report.Gem_dse.Xval.x_max_abs_err)
       (100. *. report.Gem_dse.Xval.x_mean_abs_err)
       report.Gem_dse.Xval.x_min_speedup;
-    (match out with
-    | None -> ()
-    | Some (file, oc) ->
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
+    Option.iter
+      (fun file ->
+        Out_channel.with_open_text file (fun oc ->
             output_string oc
               (Gem_util.Jsonx.to_string ~pretty:true
                  (Gem_dse.Xval.report_to_json report));
             output_char oc '\n');
-        Printf.eprintf "[xval] wrote %s\n%!" file);
+        Printf.eprintf "[xval] wrote %s\n%!" file)
+      out;
     match budget with
     | None -> ()
     | Some (file, budget) -> (
@@ -826,6 +848,7 @@ let serve_cmd =
   let run p model scale backend cores_list arrival seed batch slos
       duration no_warmup out trace_out warm warm_out rates jobs self_profile
       metrics_out =
+    check_outputs "serve" [ trace_out; metrics_out; self_profile; warm_out ];
     on_io_error "serve" @@ fun () ->
     let name = model.Gem_dnn.Layer.model_name in
     let scenario_for ~cores ~arrival =
@@ -860,37 +883,21 @@ let serve_cmd =
         end;
         let reg = Metrics.create () in
         let stream = ref None in
-        let hooks =
-          List.filter_map Fun.id
-            [
-              (match trace_out with
-              | None -> None
-              | Some file ->
-                  (* Streaming writer: events land on disk as they
-                     retire, so long serving runs trace in constant
-                     memory. *)
-                  Some
-                    (fun soc ->
-                      stream :=
-                        Some
-                          (Gem_sim.Export.Streaming.attach_file
-                             (Soc.engine soc) file)));
-              (if metrics_out <> None && backend = Gem_sw.Backend.Cycle then
-                 Some
-                   (fun soc ->
-                     Gem_sim.Engine.register_metrics (Soc.engine soc) reg)
-               else None);
-            ]
-        in
-        let attach =
-          match hooks with
-          | [] -> None
-          | hooks -> Some (fun soc -> List.iter (fun h -> h soc) hooks)
+        let attach soc =
+          (* Streaming writer: events land on disk as they retire, so long
+             serving runs trace in constant memory. *)
+          Option.iter
+            (fun file ->
+              stream :=
+                Some (Gem_sim.Export.Streaming.attach_file (Soc.engine soc) file))
+            trace_out;
+          if metrics_out <> None then
+            Gem_sim.Engine.register_metrics (Soc.engine soc) reg
         in
         let result =
           with_self_profile self_profile (fun () ->
               try
-                Serve.run ?attach ?warm_in:warm ?warm_out
+                Serve.run ~attach ?warm_in:warm ?warm_out
                   (scenario_for ~cores ~arrival)
               with Invalid_argument msg ->
                 Printf.eprintf "[serve] %s\n%!" msg;
@@ -949,12 +956,7 @@ let serve_cmd =
           with_self_profile self_profile (fun () ->
               Gem_dse.Exec.run ~jobs ~cache:None points)
         in
-        (match metrics_out with
-        | None -> ()
-        | Some _ ->
-            let reg = Metrics.create () in
-            Gem_dse.Exec.register_metrics reg rr;
-            write_metrics reg metrics_out);
+        write_dse_metrics rr metrics_out;
         print_string (Gem_dse.Report.csv rr.Gem_dse.Exec.results)
   in
   let arrival_conv =
@@ -1012,13 +1014,13 @@ let serve_cmd =
   let slos =
     Arg.(
       value
-      & opt (list pos_float) [ 5.0; 10.0 ]
+      & opt (list pos_ms) [ 5.0; 10.0 ]
       & info [ "slo-ms" ]
           ~doc:"SLO targets in milliseconds (comma-separated).")
   in
   let duration =
     Arg.(
-      value & opt pos_float 5.0
+      value & opt pos_ms 5.0
       & info [ "duration" ] ~docv:"MS"
           ~doc:"Arrival-window length in milliseconds.")
   in

@@ -23,6 +23,22 @@ let all_classes =
     Layer.Class_elementwise;
   ]
 
+(* Per-class cycles summed over every core's result, in [all_classes]
+   order; both backends report the same breakdown. *)
+let class_cycles results =
+  List.map
+    (fun klass ->
+      let cycles =
+        Array.fold_left
+          (fun acc r ->
+            acc
+            + Option.value ~default:0
+                (List.assoc_opt klass (Runtime.cycles_by_class r)))
+          0 results
+      in
+      (Layer.class_name klass, cycles))
+    all_classes
+
 (* Evaluation with the analytic backend: no SoC elaboration at all — the
    estimator prices the lowering closed-form and supplies its own
    TLB/utilization tallies in place of the engine observers. *)
@@ -39,20 +55,6 @@ let evaluate_analytic (p : Point.t) base model : Outcome.t =
   let tlb_requests = sum (fun d -> d.Gem_sw.Backend_analytic.d_tlb_requests) in
   let tlb_walks = sum (fun d -> d.Gem_sw.Backend_analytic.d_tlb_walks) in
   let tlb_shared = sum (fun d -> d.Gem_sw.Backend_analytic.d_tlb_shared) in
-  let class_cycles =
-    List.map
-      (fun klass ->
-        let cycles =
-          Array.fold_left
-            (fun acc r ->
-              acc
-              + Option.value ~default:0
-                  (List.assoc_opt klass (Runtime.cycles_by_class r)))
-            0 results
-        in
-        (Layer.class_name klass, cycles))
-      all_classes
-  in
   let comp_util =
     let horizon = float_of_int (max 1 total) in
     Array.to_list
@@ -67,7 +69,7 @@ let evaluate_analytic (p : Point.t) base model : Outcome.t =
     Outcome.backend = Gem_sw.Backend.kind_name Gem_sw.Backend.Analytic;
     total_cycles = total;
     per_core_cycles = Array.map (fun r -> r.Runtime.r_total_cycles) results;
-    class_cycles;
+    class_cycles = class_cycles results;
     tlb_requests;
     tlb_walks;
     tlb_shared_hits = tlb_shared;
@@ -198,27 +200,13 @@ let evaluate (p : Point.t) : Outcome.t =
     let comp_util, comp_wait, comp_p95_lat =
       Gem_sim.Engine.component_summary (Soc.engine soc) ~horizon:total
     in
-    let class_cycles =
-      List.map
-        (fun klass ->
-          let cycles =
-            Array.fold_left
-              (fun acc r ->
-                acc
-                + Option.value ~default:0
-                    (List.assoc_opt klass (Runtime.cycles_by_class r)))
-              0 results
-          in
-          (Layer.class_name klass, cycles))
-        all_classes
-    in
     {
       base with
       Outcome.backend = Gem_sw.Backend.kind_name Gem_sw.Backend.Cycle;
       total_cycles = total;
       per_core_cycles =
         Array.map (fun r -> r.Runtime.r_total_cycles) results;
-      class_cycles;
+      class_cycles = class_cycles results;
       tlb_requests = H.requests hierarchy;
       tlb_walks = H.walks hierarchy;
       tlb_shared_hits = H.shared_hits hierarchy;

@@ -28,7 +28,16 @@ let save ~path ~meta ~payload =
      pid keeps concurrent writers (sweep workers, parallel CI jobs) off
      each other's temp files. *)
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
+  (* An error names [path], the file the caller asked for, not the temp. *)
+  let on_path f =
+    try f ()
+    with Sys_error msg ->
+      let n = String.length tmp + 2 in
+      if String.starts_with ~prefix:(tmp ^ ": ") msg then
+        raise (Sys_error (path ^ ": " ^ String.sub msg n (String.length msg - n)))
+      else raise (Sys_error (path ^ ": " ^ msg))
+  in
+  let oc = on_path (fun () -> open_out_bin tmp) in
   (match
      (output_string oc (J.to_string envelope); output_char oc '\n')
    with
@@ -37,7 +46,11 @@ let save ~path ~meta ~payload =
       close_out_noerr oc;
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e);
-  Sys.rename tmp path
+  on_path (fun () ->
+      try Sys.rename tmp path
+      with e ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        raise e)
 
 let read_file path =
   let ic = open_in_bin path in

@@ -70,30 +70,29 @@ let read_trace file ~duration =
        with End_of_file -> ());
       List.rev !times)
 
-let generate spec ~seed ~duration =
-  let times =
-    match spec with
-    | Poisson { rate_rps } ->
-        let rng = Gem_util.Rng.create ~seed in
-        let mean = cycles_per_second /. rate_rps in
-        let rec go t acc =
-          let t = t +. exponential rng ~mean in
-          let cycle = int_of_float t in
-          if cycle >= duration then List.rev acc else go t (cycle :: acc)
-        in
-        go 0.0 []
-    | Bursty { rate_rps; burst } ->
-        let rng = Gem_util.Rng.create ~seed in
-        (* Bursts arrive as a Poisson process slowed by the burst size so
-           the long-run request rate stays rate_rps. *)
-        let mean = cycles_per_second *. float_of_int burst /. rate_rps in
-        let rec go t acc =
-          let t = t +. exponential rng ~mean in
-          let cycle = int_of_float t in
-          if cycle >= duration then List.rev acc
-          else go t (List.init burst (fun _ -> cycle) @ acc)
-        in
-        go 0.0 []
-    | Trace file -> read_trace file ~duration
+(* Bursts of [burst] requests, one burst per gap (Poisson arrivals are
+   bursts of one). The clock is compared as a float, before any
+   conversion: a gap past [max_int] cycles would convert to garbage, and
+   a NaN clock (an infinite mean gap) to anything at all; both end the
+   window. *)
+let bursts ~rate_rps ~burst ~seed ~duration =
+  let rng = Gem_util.Rng.create ~seed in
+  (* The burst rate is slowed by the burst size so the long-run request
+     rate stays rate_rps. *)
+  let mean = cycles_per_second *. float_of_int burst /. rate_rps in
+  let window = float_of_int duration in
+  let rec go t acc =
+    let t = t +. exponential rng ~mean in
+    if not (t < window) then List.rev acc
+    else
+      let cycle = int_of_float t in
+      go t (List.init burst (fun _ -> cycle) @ acc)
   in
-  of_times times
+  go 0.0 []
+
+let generate spec ~seed ~duration =
+  of_times
+    (match spec with
+    | Poisson { rate_rps } -> bursts ~rate_rps ~burst:1 ~seed ~duration
+    | Bursty { rate_rps; burst } -> bursts ~rate_rps ~burst ~seed ~duration
+    | Trace file -> read_trace file ~duration)

@@ -18,16 +18,17 @@ type state = {
   mutable dispatches : (int * int list) list;  (** newest first *)
 }
 
+let marker f = Gem_sw.Kernels.single (Soc.Marker f)
+
 (* One request: open a "request" span on the core's host track, run the
    inference, then record the completion at the core's finish horizon.
    The open marker reads the horizon at execution time, so queueing delay
    (arrival to start) is measured, not assumed. *)
-let request_seq st (rq : Arrival.request) =
+let request_pieces st session (rq : Arrival.request) =
   let name = Printf.sprintf "req%d" rq.Arrival.rq_id in
   let started = ref 0 in
-  let open_op =
-    Soc.Marker
-      (fun core ->
+  let open_piece =
+    marker (fun core ->
         let ctrl = Soc.controller core in
         let t = Controller.finish_time ctrl in
         started := t;
@@ -37,9 +38,8 @@ let request_seq st (rq : Arrival.request) =
           ~args:[ ("arrival", string_of_int rq.Arrival.rq_arrival) ]
           name)
   in
-  let close_op =
-    Soc.Marker
-      (fun core ->
+  let close_piece =
+    marker (fun core ->
         let ctrl = Soc.controller core in
         let t = Controller.finish_time ctrl in
         Span.emit_close (Controller.engine ctrl)
@@ -55,17 +55,18 @@ let request_seq st (rq : Arrival.request) =
           }
           :: st.completions)
   in
-  let records = ref [] in
-  fun session ->
-    Seq.append (Seq.return open_op)
-      (Seq.append (Runtime.request_ops session ~records) (Seq.return close_op))
+  Seq.cons open_piece
+    (Seq.append
+       (Runtime.request_steps session ~records:(ref []))
+       (Seq.return close_piece))
 
-(* The per-core decision loop. The thunk is forced exactly when the core
-   has drained its previous work, so all shared-queue reads/writes happen
-   in simulated-time order (see the interface comment). *)
-(* Decisions are forced between dispatches (Seq laziness), outside the
-   soc.dispatch probe, so the scheduler carries its own phase. *)
-let rec core_stream st i () =
+(* The per-core decision loop, as the pieces of the core's program. A
+   node is forced exactly when the core has drained its previous work, so
+   all shared-queue reads/writes happen in simulated-time order (see the
+   interface comment). Decisions are forced inside the program's refill,
+   outside the soc.dispatch probe, so the scheduler carries its own
+   phase. *)
+let rec core_pieces st i () =
   if !P.on then P.enter P.schedule;
   let node = core_decide st i in
   if !P.on then P.leave P.schedule;
@@ -83,10 +84,9 @@ and core_decide st i =
          advance_to charges no host cycles, so an idle core accrues wall
          time but no utilization. *)
       Seq.Cons
-        ( Soc.Marker
-            (fun core ->
+        ( marker (fun core ->
               Controller.advance_to (Soc.controller core) ~cycle:head),
-          core_stream st i )
+          core_pieces st i )
     else begin
       let k, start =
         Batch.form st.policy ~arrivals:st.arrivals ~next:st.next ~free
@@ -96,20 +96,17 @@ and core_decide st i =
       st.dispatches <-
         (i, Array.to_list (Array.map (fun r -> r.Arrival.rq_id) batch))
         :: st.dispatches;
+      (* Deadline batches may start after [free] (waiting for members);
+         model the hold as idle time before the first request opens. *)
       let lead =
-        (* Deadline batches may start after [free] (waiting for members);
-           model the hold as idle time before the first request opens. *)
-        Seq.return
-          (Soc.Marker
-             (fun core ->
-               Controller.advance_to (Soc.controller core) ~cycle:start))
+        marker (fun core ->
+            Controller.advance_to (Soc.controller core) ~cycle:start)
       in
-      let body =
-        Seq.concat_map
-          (fun rq -> request_seq st rq session)
-          (Array.to_seq batch)
-      in
-      Seq.append (Seq.append lead body) (core_stream st i) ()
+      Seq.Cons
+        ( lead,
+          Seq.append
+            (Seq.concat_map (request_pieces st session) (Array.to_seq batch))
+            (core_pieces st i) )
     end
   end
 
@@ -120,8 +117,9 @@ let run soc ~sessions ~arrivals ~policy =
   let st =
     { arrivals; policy; sessions; next = 0; completions = []; dispatches = [] }
   in
-  let programs = Array.init cores (fun i -> core_stream st i) in
-  ignore (Soc.run_parallel soc programs);
+  ignore
+    (Soc.run_parallel soc
+       (Array.init cores (fun i -> Soc.program (core_pieces st i))));
   {
     sc_completions = List.rev st.completions;
     sc_dispatches = List.rev st.dispatches;

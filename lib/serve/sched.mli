@@ -1,9 +1,10 @@
 (** The serving scheduler: shards an arrival stream across the SoC's
     cores on the cycle-accurate backend.
 
-    Each core runs a lazy decision loop as its {!Gem_soc.Soc.run_parallel}
-    program: whenever the core drains its current work, the next stream
-    element is decided {e at force time} from the shared admission queue.
+    Each core runs a lazy decision loop as the pieces of its
+    {!Gem_soc.Soc.program}: whenever the core drains its current work, the
+    program's refill forces the next piece, which is decided {e at force
+    time} from the shared admission queue.
     Because the interleaver always advances the core whose issue cursor is
     earliest, decisions are serialized in nondecreasing simulated-time
     order — a core that is free {e parks} at the next arrival cycle (via
@@ -12,7 +13,7 @@
     tie-break picks the winner deterministically.
 
     Requests dispatched in one batch execute back-to-back on their core;
-    every request is a full inference via {!Gem_sw.Runtime.request_ops},
+    every request is a full inference via {!Gem_sw.Runtime.request_steps},
     wrapped in a ["request"]-category span on the core's host track so
     traces read request > network > layer > ... *)
 
@@ -32,5 +33,5 @@ val run :
 (** [sessions] must hold one session per SoC core (index = core id);
     [arrivals] must be sorted by [rq_arrival] and carry {e absolute}
     cycles (already offset by the warm-start base, if any). Runs the SoC
-    until every request completes, one {!Gem_soc.Soc.run_parallel}
-    program per core. *)
+    until every request completes: one {!Gem_soc.Soc.program} per core,
+    interleaved by {!Gem_soc.Soc.run_parallel}. *)

@@ -201,12 +201,11 @@ let run_cycle ?hist ?attach ?warm_in ?warm_out sv =
       if sv.sv_warmup then begin
         (* One inference per core, contending — the steady state the
            measured window continues from. Completions are discarded. *)
-        let programs =
-          Array.map
-            (fun s -> Runtime.request_ops s ~records:(ref []))
-            sessions
-        in
-        ignore (Soc.run_parallel soc programs)
+        ignore
+          (Soc.run_parallel soc
+             (Array.map
+                (fun s -> Soc.program (Runtime.request_steps s ~records:(ref [])))
+                sessions))
       end);
   let base = Soc.finish_time soc in
   Option.iter

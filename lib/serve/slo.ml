@@ -17,7 +17,14 @@ type report = {
 }
 
 let ms_of_cycles c = float_of_int c /. 1e6
-let cycles_of_ms ms = int_of_float (ms *. 1e6)
+(* A cycle count must fit an OCaml int: past 2^62 cycles (about 4.6e12
+   ms) [int_of_float] would wrap silently. *)
+let cycles_of_ms ms =
+  let cycles = ms *. 1e6 in
+  if Float.abs cycles < 0x1p62 then int_of_float cycles
+  else
+    invalid_arg
+      (Printf.sprintf "Slo.cycles_of_ms: %g ms is beyond the cycle range" ms)
 
 let latency c = c.c_finish - c.c_arrival
 

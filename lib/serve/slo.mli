@@ -31,6 +31,9 @@ val ms_of_cycles : Gem_sim.Time.cycles -> float
 (** At the 1 GHz convention: cycles / 1e6. *)
 
 val cycles_of_ms : float -> Gem_sim.Time.cycles
+(** At the 1 GHz convention: ms * 1e6, truncated. Raises
+    [Invalid_argument] when the count does not fit an [int] (beyond about
+    4.6e12 ms either way, or NaN) rather than wrapping. *)
 
 val analyze :
   ?hist:Gem_util.Stats.Histogram.t ->

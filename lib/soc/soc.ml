@@ -360,7 +360,8 @@ type op =
   | Insn of Gemmini.Isa.t
   | Host_work of { cycles : int; tag : string }
   | Marker of (core -> unit)
-  | Guarded of { op : op; run : core -> op -> unit }
+
+type steps = ((op -> unit) -> unit) Seq.t
 
 module P = Gem_obs.Profile
 
@@ -369,7 +370,6 @@ let exec_op_quiet c = function
   | Host_work { cycles; tag = _ } ->
       Gemmini.Controller.host_work c.controller ~cycles
   | Marker f -> f c
-  | Guarded { run; op } -> run c op
 
 (* The per-op dispatch probe is the self-profiler's widest net: nested
    engine/DMA probes subtract themselves out, so "soc.dispatch" self
@@ -388,22 +388,82 @@ let run_program _t c program =
   Seq.iter (exec_op c) program;
   Gemmini.Controller.finish_time c.controller
 
+(* A program expanded on demand: each refill lowers the next step into
+   one reused buffer, so at most one step's ops are live whatever the
+   piece's size. [pieces] is lazy, so a piece is built only once the
+   previous one is spent. The buffer is allocated on the first push, so
+   an empty program allocates none. *)
+type program = {
+  mutable buf : op array;
+  mutable len : int;
+  mutable pos : int;  (** next op to hand out; the buffer is spent at [len] *)
+  mutable emit : op -> unit;  (** appends to [buf], allocated once *)
+  mutable steps : steps;  (** the rest of the current piece *)
+  mutable pieces : steps Seq.t;
+  guard : (core -> op -> unit) option;
+}
+
+let push p op =
+  if p.len = Array.length p.buf then begin
+    let bigger = Array.make (max 256 (2 * p.len)) op in
+    Array.blit p.buf 0 bigger 0 p.len;
+    p.buf <- bigger
+  end;
+  Array.unsafe_set p.buf p.len op;
+  p.len <- p.len + 1
+
+let program ?guard pieces =
+  let p =
+    { buf = [||]; len = 0; pos = 0; emit = ignore; steps = Seq.empty; pieces;
+      guard }
+  in
+  p.emit <- push p;
+  p
+
+let rec refill p =
+  match p.steps () with
+  | Seq.Cons (step, rest) ->
+      p.steps <- rest;
+      p.len <- 0;
+      p.pos <- 0;
+      step p.emit;
+      p.len > 0 || refill p
+  | Seq.Nil -> (
+      match p.pieces () with
+      | Seq.Nil -> false
+      | Seq.Cons (steps, pieces) ->
+          p.steps <- steps;
+          p.pieces <- pieces;
+          refill p)
+
+(* Lowering runs between dispatches, outside the soc.dispatch probe, so
+   every refill carries its own. *)
+let has_next p = p.pos < p.len || P.record P.lowering (fun () -> refill p)
+
+let take p =
+  let op = Array.unsafe_get p.buf p.pos in
+  p.pos <- p.pos + 1;
+  op
+
+let op_seq pieces =
+  let p = program pieces in
+  let rec next () = if has_next p then Seq.Cons (take p, next) else Seq.Nil in
+  next
+
 let run_parallel t programs =
   let n = Array.length programs in
   if n > Array.length t.cores_arr then
     invalid_arg "Soc.run_parallel: more programs than cores";
-  (* Per-core stream cursors. *)
-  let cursors = Array.map (fun s -> ref s) programs in
-  let done_flags = Array.make n false in
-  let finished = ref 0 in
-  while !finished < n do
+  let live = Array.make n true in
+  let remaining = ref n in
+  while !remaining > 0 do
     (* Advance the live core whose issue cursor is earliest: simulated-
        time-ordered interleaving of shared-resource accesses. *)
     let best = ref (-1) in
     let best_time = ref max_int in
     for i = 0 to n - 1 do
-      if not done_flags.(i) then begin
-        let now = Gemmini.Controller.now (controller t.cores_arr.(i)) in
+      if live.(i) then begin
+        let now = Gemmini.Controller.now t.cores_arr.(i).controller in
         if now < !best_time then begin
           best_time := now;
           best := i
@@ -411,17 +471,21 @@ let run_parallel t programs =
       end
     done;
     let i = !best in
-    match !(cursors.(i)) () with
-    | Seq.Cons (op, rest) ->
-        cursors.(i) := rest;
-        exec_op t.cores_arr.(i) op
-    | Seq.Nil ->
-        done_flags.(i) <- true;
-        incr finished
+    let p = programs.(i) in
+    if has_next p then begin
+      let c = t.cores_arr.(i) in
+      (* Markers are host code, not commands: the guard wraps only
+         accelerator ops, and one handler serves them all. *)
+      match (take p, p.guard) with
+      | (Marker _ as op), _ | op, None -> exec_op c op
+      | op, Some run -> run c op
+    end
+    else begin
+      live.(i) <- false;
+      decr remaining
+    end
   done;
-  Array.mapi
-    (fun i _ -> Gemmini.Controller.finish_time (controller t.cores_arr.(i)))
-    programs
+  Array.init n (fun i -> Gemmini.Controller.finish_time t.cores_arr.(i).controller)
 
 let finish_time t =
   Array.fold_left

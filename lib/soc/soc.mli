@@ -83,34 +83,49 @@ val host_read_i8 : t -> core -> vaddr:int -> n:int -> int array
 val host_write_i32 : t -> core -> vaddr:int -> int array -> unit
 val host_read_i32 : t -> core -> vaddr:int -> n:int -> int array
 
-(** Programs: per-core streams of accelerator commands, host work, and
-    bookkeeping markers. *)
+(** Ops: accelerator commands, host work, and bookkeeping markers. *)
 type op =
   | Insn of Gemmini.Isa.t
   | Host_work of { cycles : int; tag : string }
   | Marker of (core -> unit)
       (** executed (zero cost) when the core reaches this point *)
-  | Guarded of { op : op; run : core -> op -> unit }
-      (** [run core op] executes [op] wrapped in caller-supplied trap
-          handling (the runtime's fault policies). One [run] handler is
-          shared by every op it guards, so wrapping allocates no
-          per-op closure. *)
+
+type steps = ((op -> unit) -> unit) Seq.t
+(** A loop nest expanded on demand: each element is one step, which
+    pushes its ops through the [emit] it is given, in program order. *)
 
 val exec_op : core -> op -> unit
-(** Executes one op on the core. Exposed so recovery layers (the
-    runtime's fault policies) can wrap each op in their own
-    trap-handling before delegating here. *)
+(** Executes one op on the core, unguarded. *)
+
+type program
+(** The SoC's program type: a cursor over a lazy sequence of pieces, each
+    a {!steps}. Each refill expands the next step into one reused buffer,
+    so at most one step's ops are live, and a piece is built only once
+    the previous one is spent. A program is consumed once. *)
+
+val program : ?guard:(core -> op -> unit) -> steps Seq.t -> program
+(** [program ?guard pieces]. With [guard], every op but a {!Marker} runs
+    as [guard core op] instead of {!exec_op} — the runtime's fault
+    policies wrap each command in their trap handling this way. One
+    handler serves every op, so guarding allocates nothing per op. *)
+
+val op_seq : steps Seq.t -> op Seq.t
+(** The ops of [program pieces] as an ephemeral [Seq], for consumers that
+    inspect the stream or feed {!run_program}: force each node once. *)
 
 val run_program : t -> core -> op Seq.t -> Gem_sim.Time.cycles
-(** Runs a single core's program to completion; returns its finish time. *)
+(** Runs a single core's op stream to completion, unguarded; returns its
+    finish time. *)
 
-val run_parallel : t -> op Seq.t array -> Gem_sim.Time.cycles array
-(** Runs one program per core, interleaved in simulated-time order: the
-    core whose issue cursor is earliest executes its next op, ties going
-    to the lowest core index. Shared-resource contention is therefore
-    interleaving-accurate, and every run is deterministic. Returns
-    per-core finish times. Raises [Invalid_argument] when there are more
-    programs than cores. *)
+val run_parallel : t -> program array -> Gem_sim.Time.cycles array
+(** The SoC's driver: runs program [i] on core [i], interleaved in
+    simulated-time order — the core whose issue cursor is earliest
+    executes its next op, ties going to the lowest core index. Shared-
+    resource contention is therefore interleaving-accurate, and every run
+    is deterministic. Returns per-program finish times. One program runs
+    a single core; an empty program ([program Seq.empty]) leaves its core
+    idle. Raises [Invalid_argument] when there are more programs than
+    cores. *)
 
 val finish_time : t -> Gem_sim.Time.cycles
 (** Max finish time over cores. *)

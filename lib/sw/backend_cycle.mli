@@ -1,6 +1,6 @@
 (** The cycle-accurate execution backend: elaborates the SoC and runs
-    every job through the event-driven simulator ({!Runtime.run} /
-    {!Runtime.run_parallel}). *)
+    every job through the event-driven simulator ({!Runtime.run_parallel},
+    job [i] on core [i]). *)
 
 include Backend.S
 

@@ -13,11 +13,10 @@ let flush_tlb = insn Isa.Flush
    MAX_BLOCK_LEN (4) adjacent DIM-blocks of columns. *)
 let max_block_len = 4
 
-(* Every kernel exposes its outer loop as [steps], a lazy sequence of
-   emitters: step [i] pushes its commands, in program order, through the
-   [emit] it is given. A consumer that expands one step at a time never
-   holds a whole kernel's command list. *)
-type steps = ((op -> unit) -> unit) Seq.t
+(* Every kernel exposes its outer loop as [steps] (see [Soc.steps]): a
+   consumer that expands one step at a time never holds a whole kernel's
+   command list. *)
+type steps = Gem_soc.Soc.steps
 
 let single op = Seq.return (fun emit -> emit op)
 

@@ -18,7 +18,7 @@ type op = Gem_soc.Soc.op
     tile step's commands, never a whole layer's — the software analogue
     of the LOOP_WS unit, which unrolls the same nest in hardware from a
     compact descriptor. *)
-type steps = ((op -> unit) -> unit) Seq.t
+type steps = Gem_soc.Soc.steps
 
 val single : op -> steps
 (** One step emitting [op]. *)

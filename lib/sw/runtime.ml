@@ -2,7 +2,6 @@ open Gem_util
 open Gem_dnn
 module Soc = Gem_soc.Soc
 module Cpu = Gem_cpu.Cpu_model
-module P = Gem_obs.Profile
 module Fault = Gem_sim.Fault
 
 (* The mode (and every other backend-agnostic lowering decision) lives in
@@ -314,8 +313,8 @@ let span_close_marker ~name time_of =
 (* --- per-layer lowering ---------------------------------------------------------
 
    A layer lowers to a short list of pieces — its markers and kernels,
-   each a [Kernels.steps] — that the program cursor below expands one
-   step at a time. *)
+   each a [Kernels.steps] — that a [Soc.program] expands one step at a
+   time. *)
 
 (* A kernel span opens at the issue cursor (dispatch of the kernel's first
    command) and closes at the finish horizon once its commands retire. *)
@@ -451,102 +450,17 @@ let layer_pieces soc core tensors ~mode ~functional ~idx ~input_va layer =
       in
       List.concat_map instance (List.init mm.Layer.count Fun.id)
 
-(* --- the program cursor ----------------------------------------------------------
-
-   A network's program, expanded on demand: each refill lowers the next
-   tile step into one reused buffer, so at most one step's ops are live
-   whatever the layer's size. [pieces] is lazy, so a layer lowers only
-   once the previous layer's pieces are spent. *)
-
-type cursor = {
-  mutable buf : Soc.op array;
-  mutable len : int;
-  mutable pos : int;  (** next op to hand out; the buffer is spent at [len] *)
-  mutable emit : Soc.op -> unit;  (** appends to [buf], allocated once *)
-  mutable steps : Kernels.steps;  (** the rest of the current piece *)
-  mutable pieces : Kernels.steps Seq.t;
-  run : (Soc.core -> Soc.op -> unit) option;
-      (** the guard's trap handler, shared by every accelerator op *)
-}
-
-let push c op =
-  if c.len = Array.length c.buf then begin
-    let bigger = Array.make (2 * c.len) op in
-    Array.blit c.buf 0 bigger 0 c.len;
-    c.buf <- bigger
-  end;
-  Array.unsafe_set c.buf c.len op;
-  c.len <- c.len + 1
-
-let make_cursor ~run pieces =
-  let c =
-    { buf = Array.make 256 Kernels.fence; len = 0; pos = 0; emit = ignore;
-      steps = Seq.empty; pieces; run }
-  in
-  c.emit <- push c;
-  c
-
-let rec refill c =
-  match c.steps () with
-  | Seq.Cons (step, rest) ->
-      c.steps <- rest;
-      c.len <- 0;
-      c.pos <- 0;
-      step c.emit;
-      c.len > 0 || refill c
-  | Seq.Nil -> (
-      match c.pieces () with
-      | Seq.Nil -> false
-      | Seq.Cons (steps, pieces) ->
-          c.steps <- steps;
-          c.pieces <- pieces;
-          refill c)
-
-(* Lowering runs between dispatches, outside the soc.dispatch probe, so
-   every refill carries its own. *)
-let has_next c = c.pos < c.len || P.record P.lowering (fun () -> refill c)
-
-let take c =
-  let op = Array.unsafe_get c.buf c.pos in
-  c.pos <- c.pos + 1;
-  op
-
-(* The single-core driver pulls ops straight from the cursor and applies
-   the guard's trap handler to every accelerator op itself: no list cell,
-   [Seq] node or [Guarded] box per op. Markers are host code, not
-   commands, so they run unguarded. *)
-let drive core c =
-  while has_next c do
-    match (take c, c.run) with
-    | (Soc.Marker _ as op), _ | op, None -> Soc.exec_op core op
-    | op, Some run -> run core op
-  done;
-  Gemmini.Controller.finish_time (Soc.controller core)
-
-(* The pull adapter for [Seq] consumers (the multi-core driver, serving,
-   [plan_ops]): with a guard, accelerator ops travel in a [Guarded] box
-   carrying its one shared handler. *)
-let to_seq c =
-  let rec next () =
-    if has_next c then
-      let op =
-        match (take c, c.run) with
-        | (Soc.Marker _ as op), _ | op, None -> op
-        | op, Some run -> Soc.Guarded { op; run }
-      in
-      Seq.Cons (op, next)
-    else Seq.Nil
-  in
-  next
-
-(* The program over pre-allocated tensors: the shared core of one-shot
-   runs ([plan_with] allocates then lowers) and serving re-entry
-   ([request_ops] allocates once per session, then lowers per request).
+(* The program over pre-allocated tensors, as the lazy pieces a
+   [Soc.program] expands one tile step at a time: the shared core of
+   one-shot runs ([plan_with] allocates then lowers) and serving
+   re-entry ([request_steps] allocates once per session, then lowers per
+   request). [pieces] is lazy, so a layer lowers only once the previous
+   layer's pieces are spent.
    [rebase] prepends a zero-cost marker that rebases the per-layer cycle
    accounting on the core's finish horizon at execution time — a request
    dispatched mid-run then reports layer cycles relative to its own start
    rather than to cycle 0. *)
-let network_cursor ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
+let network_pieces ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
     ?on_layer soc core model ~mode ~records ~guard ~tensors =
   let functional = Option.is_some (Soc.mainmem soc) in
   let layers = Array.of_list model.Layer.layers in
@@ -623,11 +537,9 @@ let network_cursor ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
     Seq.init (max 0 (Array.length layers - start_layer)) (( + ) start_layer)
     |> Seq.flat_map (fun idx -> List.to_seq (lower idx))
   in
-  make_cursor
-    ~run:(Option.map (fun g -> guarded_exec soc g) guard)
-    (Seq.append (List.to_seq prologue)
-       (Seq.append body
-          (Seq.return (span_close_marker ~name:net_name Gemmini.Controller.finish_time))))
+  Seq.append (List.to_seq prologue)
+    (Seq.append body
+       (Seq.return (span_close_marker ~name:net_name Gemmini.Controller.finish_time)))
 
 let plan_with ?start_layer ?resume_finish ?on_layer soc core model ~mode
     ~records ~guard =
@@ -637,11 +549,11 @@ let plan_with ?start_layer ?resume_finish ?on_layer soc core model ~mode
      and the restored snapshot's mappings line up. *)
   let functional = Option.is_some (Soc.mainmem soc) in
   let tensors = allocate_tensors soc core model ~functional in
-  network_cursor ?start_layer ?resume_finish ?on_layer soc core model ~mode
+  network_pieces ?start_layer ?resume_finish ?on_layer soc core model ~mode
     ~records ~guard ~tensors
 
 let plan_ops soc core model ~mode ~records =
-  to_seq (plan_with soc core model ~mode ~records ~guard:None)
+  Soc.op_seq (plan_with soc core model ~mode ~records ~guard:None)
 
 (* --- serving re-entry --------------------------------------------------------- *)
 
@@ -670,11 +582,9 @@ let make_session soc ~core:core_idx model ~mode =
 
 let session_core s = s.se_core
 
-let request_ops session ~records =
-  to_seq
-    (network_cursor ~rebase:true session.se_soc session.se_core
-       session.se_model ~mode:session.se_mode ~records ~guard:None
-       ~tensors:session.se_tensors)
+let request_steps session ~records =
+  network_pieces ~rebase:true session.se_soc session.se_core session.se_model
+    ~mode:session.se_mode ~records ~guard:None ~tensors:session.se_tensors
 
 let make_result soc core_id model mode records total ~faults =
   {
@@ -706,65 +616,62 @@ let close_spans_on_abort core guard net_name =
     Span.emit_close engine ~component ~time net_name
   end
 
+(* [Soc.run_parallel] runs program i on core i: every run, one core or
+   many, goes through it, and a core without a program of its own gets an
+   empty one, which ends at once. *)
+let run_on_cores soc programs =
+  let n = Array.fold_left (fun acc (i, _) -> max acc (i + 1)) 0 programs in
+  let padded = Array.init n (fun _ -> Soc.program Seq.empty) in
+  Array.iter (fun (i, p) -> padded.(i) <- p) programs;
+  Soc.run_parallel soc padded
+
+(* One network on core [i] under its own recovery state: its guarded
+   program, how to close its spans when a trap cuts the run, and its
+   result from the core's finish time. *)
+let job ?start_layer ?resume_finish ?on_layer ?(records = ref []) ~policy
+    ~watchdog soc i model ~mode =
+  let guard = make_guard ~policy ~watchdog in
+  let pieces =
+    plan_with ?start_layer ?resume_finish ?on_layer soc (Soc.core soc i) model
+      ~mode ~records ~guard:(Some guard)
+  in
+  ( (i, Soc.program ~guard:(guarded_exec soc guard) pieces),
+    (fun () ->
+      close_spans_on_abort (Soc.core soc i) guard model.Layer.model_name),
+    fun finishes ->
+      make_result soc i model mode !records finishes.(i)
+        ~faults:guard.g_faults )
+
+let execute soc jobs =
+  match run_on_cores soc (Array.map (fun (p, _, _) -> p) jobs) with
+  | finishes -> Array.map (fun (_, _, result) -> result finishes) jobs
+  | exception Fault.Trap f ->
+      (* Close the faulting core's open spans; the other cores' streams
+         were cut mid-flight, so close theirs too. *)
+      Array.iter (fun (_, abort, _) -> abort ()) jobs;
+      raise (Fault.Trap f)
+
 let run ?(policy = Abort) ?watchdog ?prepare ?(start_layer = 0) ?resume
-    ?on_layer soc ~core:core_idx model ~mode =
-  let core = Soc.core soc core_idx in
+    ?on_layer soc ~core model ~mode =
   let prior_records, resume_finish =
     match resume with None -> ([], 0) | Some (rs, f) -> (rs, f)
   in
   (* [records] accumulates most-recent-first; seed it with the salvaged
      prefix so the final result covers the whole network. *)
   let records = ref (List.rev prior_records) in
-  let guard = make_guard ~policy ~watchdog in
-  let cursor =
-    plan_with ~start_layer ~resume_finish ?on_layer soc core model ~mode
-      ~records ~guard:(Some guard)
+  let job =
+    job ~start_layer ~resume_finish ?on_layer ~records ~policy ~watchdog soc
+      core model ~mode
   in
   (* Tensors are allocated by now; [prepare] can perturb the address
      space (e.g. unmap pages) or restore a snapshot before the first
      command issues. *)
-  (match prepare with Some f -> f core | None -> ());
-  let total =
-    try drive core cursor
-    with Fault.Trap f ->
-      close_spans_on_abort core guard model.Layer.model_name;
-      raise (Fault.Trap f)
-  in
-  make_result soc core_idx model mode !records total ~faults:guard.g_faults
+  Option.iter (fun f -> f (Soc.core soc core)) prepare;
+  (execute soc [| job |]).(0)
 
 let run_parallel ?(policy = Abort) ?watchdog soc jobs =
-  let programs =
-    Array.mapi
-      (fun i (model, mode) ->
-        let core = Soc.core soc i in
-        let records = ref [] in
-        let guard = make_guard ~policy ~watchdog in
-        let ops =
-          to_seq (plan_with soc core model ~mode ~records ~guard:(Some guard))
-        in
-        (records, guard, ops))
-      jobs
-  in
-  let finishes =
-    try
-      Soc.run_parallel soc
-        (Array.map (fun (_, _, ops) -> ops) programs)
-    with Fault.Trap f ->
-      (* Close the faulting core's open spans; the other cores' streams
-         were cut mid-flight, so close theirs too. *)
-      Array.iteri
-        (fun i (model, _) ->
-          let _, guard, _ = programs.(i) in
-          close_spans_on_abort (Soc.core soc i) guard model.Layer.model_name)
-        jobs;
-      raise (Fault.Trap f)
-  in
-  Array.mapi
-    (fun i (model, mode) ->
-      let records, guard, _ = programs.(i) in
-      make_result soc i model mode !records finishes.(i)
-        ~faults:guard.g_faults)
-    jobs
+  execute soc
+    (Array.mapi (fun i (model, mode) -> job ~policy ~watchdog soc i model ~mode) jobs)
 
 (* --- functional execution and the golden model ------------------------------- *)
 
@@ -860,13 +767,13 @@ let run_functional soc ~core:core_idx model ~input ~seed =
     invalid_arg "Runtime.run_functional: SoC is not functional";
   let core = Soc.core soc core_idx in
   let tensors = allocate_tensors soc core model ~functional:true in
-  let cursor =
-    network_cursor soc core model ~mode:(Accel { im2col_on_accel = false })
+  let pieces =
+    network_pieces soc core model ~mode:(Accel { im2col_on_accel = false })
       ~records:(ref []) ~guard:None ~tensors
   in
   write_weights soc core tensors ~seed model;
   write_tensor soc core ~vaddr:tensors.t_input input;
-  ignore (drive core cursor);
+  ignore (run_on_cores soc [| (core_idx, Soc.program pieces) |]);
   (* Read back the final output with the golden model's shape. *)
   let reference_shape =
     Tensor.shape (reference_inference model ~input ~seed)

@@ -83,16 +83,17 @@ val plan_ops :
   mode:mode ->
   records:layer_record list ref ->
   Kernels.op Seq.t
-(** Lazily-produced command stream for one inference. Tensor allocation
-    happens immediately; ops are lowered one tile step at a time as the
-    stream is consumed. The stream is a thin adapter over a mutable
-    cursor: force each node once. *)
+(** The unguarded command stream of one inference, as the ephemeral
+    {!Gem_soc.Soc.op_seq} view for {!Gem_soc.Soc.run_program} and for
+    consumers that inspect the stream: force each node once. Tensor
+    allocation happens immediately; ops are lowered one tile step at a
+    time as the stream is consumed. *)
 
 (* Serving re-entry: one allocation, many inferences. *)
 
 type session
 (** A model pinned to one core with its tensors allocated exactly once.
-    Each {!request_ops} stream re-executes the network over the same
+    Each {!request_steps} inference re-executes the network over the same
     virtual addresses — weights stay resident, activation buffers are
     reused — so a serving run's address space and page tables do not grow
     with the request count. *)
@@ -104,14 +105,16 @@ val make_session :
 
 val session_core : session -> Gem_soc.Soc.core
 
-val request_ops : session -> records:layer_record list ref -> Gem_soc.Soc.op Seq.t
-(** The command stream of one inference over the session's tensors,
-    including the network/layer span markers and per-layer fences. The
-    stream starts with a zero-cost marker rebasing per-layer cycle
+val request_steps :
+  session -> records:layer_record list ref -> Kernels.steps Seq.t
+(** The pieces of one inference over the session's tensors, including
+    the network/layer span markers and per-layer fences, for a
+    {!Gem_soc.Soc.program} (or a larger sequence of pieces) to expand.
+    The first piece is a zero-cost marker rebasing per-layer cycle
     accounting on the core's finish horizon at dispatch, so [records]
-    report cycles relative to the request's own start. Traps propagate
-    ({!Abort} semantics); serving drivers decide recovery above this
-    level. Like {!plan_ops}, force each node once. *)
+    report cycles relative to the request's own start. Unguarded: traps
+    propagate ({!Abort} semantics), and serving drivers decide recovery
+    above this level. *)
 
 val run :
   ?policy:policy ->
@@ -147,9 +150,10 @@ val run :
     propagates, so observed aborts leave a well-formed span tree.
 
     The guarding is zero-cost: with the default policy a clean run is
-    cycle-identical to older, unguarded runtimes. The driver pulls each
-    op straight from the program cursor, so lowering holds at most one
-    tile step's ops and a quiet run allocates no per-op stream node. *)
+    cycle-identical to older, unguarded runtimes. The run is a
+    {!Gem_soc.Soc.program} on core [core] (other cores idle) executed by
+    {!Gem_soc.Soc.run_parallel}, so lowering holds at most one tile
+    step's ops and a quiet run allocates no per-op stream node. *)
 
 val run_parallel :
   ?policy:policy ->
@@ -157,10 +161,12 @@ val run_parallel :
   Gem_soc.Soc.t ->
   (Gem_dnn.Layer.model * mode) array ->
   result array
-(** One inference per core, interleaved in simulated time (the Fig. 9
-    dual-core experiments). Each core gets its own recovery state under
-    the shared [policy]. The cores are interleaved by
-    {!Gem_soc.Soc.run_parallel}. *)
+(** One inference per core, job [i] on core [i], interleaved in simulated
+    time (the Fig. 9 dual-core experiments). Each core gets its own
+    recovery state under the shared [policy]. The same driver as {!run}:
+    one guarded {!Gem_soc.Soc.program} per core, interleaved by
+    {!Gem_soc.Soc.run_parallel}. A single job is exactly {!run} on core
+    0. *)
 
 val cpu_only_cycles :
   Gem_cpu.Cpu_model.kind -> Gem_dnn.Layer.model -> Gem_sim.Time.cycles
@@ -177,7 +183,8 @@ val run_functional :
   Gem_util.Tensor.t
 (** Runs a real inference through the accelerator datapath: weights are
     generated deterministically from [seed], data moves through the DMA /
-    scratchpad / mesh. Returns the final activation tensor (NHWC). The
+    scratchpad / mesh, and the unguarded program runs through
+    {!Gem_soc.Soc.run_parallel} like every other run. Returns the final activation tensor (NHWC). The
     SoC must be functional. *)
 
 val reference_inference :

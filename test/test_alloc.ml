@@ -191,9 +191,9 @@ let render_faults (r : Runtime.result) =
         (Gem_sim.Fault.to_string fr.Runtime.fr_fault))
     r.Runtime.r_faults
 
-(* [Runtime.run] pulls straight from the cursor; [Soc.run_program] over
-   [plan_ops] goes through the [Seq] adapter. Both must drive the SoC to
-   the same cycle, layer records and state. *)
+(* [Runtime.run] executes its guarded program through [Soc.run_parallel];
+   [Soc.run_program] over [plan_ops] goes through the [Seq] view. Both
+   must drive the SoC to the same cycle, layer records and state. *)
 let test_direct_pull_equals_seq () =
   List.iter
     (fun (model : Gem_dnn.Layer.model) ->

@@ -585,7 +585,14 @@ let test_dual_core_injection_determinism () =
   Alcotest.(check bool) "injection fired on both cores" true
     (List.length t1 > 0);
   Alcotest.(check (list string)) "dual-core fault traces match" t1 t2;
-  Alcotest.(check (list int)) "dual-core finish times match" c1 c2
+  Alcotest.(check (list int)) "dual-core finish times match" c1 c2;
+  (* Pinned values: the trace and finish times move with any change to
+     the interleaving or to where the guard runs. *)
+  Alcotest.(check int) "dual-core faults" 251 (List.length t1);
+  Alcotest.(check string) "dual-core fault trace"
+    "fc924f9b21df16ea07b40a90e8ad5745"
+    (Digest.to_hex (Digest.string (String.concat "\n" t1)));
+  Alcotest.(check (list int)) "dual-core finish times" [ 785564; 791206 ] c1
 
 (* At rate 1.0 every re-issue faults again, so Retry_map must give up after
    a bounded number of re-issues and let the trap escape. *)

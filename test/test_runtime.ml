@@ -230,11 +230,10 @@ let test_strided_conv () =
    engine — network/layer/kernel markers and every spanned command, with
    their time stamps. *)
 
-let rec op_line = function
+let op_line = function
   | Soc.Insn i -> Gemmini.Isa.to_string i
   | Soc.Host_work { cycles; tag } -> Printf.sprintf "host %d %s" cycles tag
   | Soc.Marker _ -> "marker"
-  | Soc.Guarded { op; _ } -> "guarded " ^ op_line op
 
 let chain h line = Digest.string (h ^ line)
 

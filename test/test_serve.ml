@@ -41,6 +41,22 @@ let test_arrival_bursty () =
           a.(i - 1).Arrival.rq_arrival r.Arrival.rq_arrival)
     a
 
+(* A rate so low that the first gap is past any representable cycle:
+   the window is over at once, whatever the float-to-int conversion of
+   such a gap would give. *)
+let test_arrival_tiny_rate () =
+  List.iter
+    (fun spec ->
+      Alcotest.(check int)
+        (Arrival.spec_to_string spec ^ " offers nothing")
+        0
+        (Array.length (Arrival.generate spec ~seed:42 ~duration:1_000_000)))
+    [
+      Arrival.Poisson { rate_rps = 1e-10 };
+      Arrival.Bursty { rate_rps = 1e-10; burst = 4 };
+      Arrival.Poisson { rate_rps = 1e-300 };
+    ]
+
 let test_arrival_trace () =
   let file = Filename.temp_file "arrivals" ".txt" in
   Fun.protect
@@ -171,6 +187,17 @@ let test_slo_arithmetic () =
   Alcotest.(check (list (pair int int))) "per-core counts" [ (0, 1); (1, 1) ]
     rp.Slo.rp_per_core
 
+let test_slo_cycles_range () =
+  Alcotest.(check int) "1 ms" 1_000_000 (Slo.cycles_of_ms 1.0);
+  Alcotest.(check int) "1e12 ms" (1_000_000 * 1_000_000_000_000)
+    (Slo.cycles_of_ms 1e12);
+  List.iter
+    (fun ms ->
+      match Slo.cycles_of_ms ms with
+      | c -> Alcotest.failf "%g ms gave %d cycles" ms c
+      | exception Invalid_argument _ -> ())
+    [ 1e13; 1e300; Float.infinity; Float.nan ]
+
 let test_slo_origin_and_reuse () =
   (* Absolute cycles with a warm-start origin: latency is offset-free,
      horizon is origin-relative. *)
@@ -265,6 +292,37 @@ let test_sharding_analytic () =
   let r2 = Serve.run sv in
   Alcotest.(check string) "byte-identical report" (Report.render r)
     (Report.render r2)
+
+(* The scheduler's decisions and the completions they produce, pinned:
+   they move with any change to when [Sched] forces its decision loop,
+   which the program's refill does lazily. *)
+let schedule_digest (r : Serve.result) =
+  let lines =
+    List.map
+      (fun (core, ids) ->
+        Printf.sprintf "dispatch %d %s" core
+          (String.concat "," (List.map string_of_int ids)))
+      r.Serve.sr_dispatches
+    @ List.map
+        (fun c ->
+          Printf.sprintf "complete %d core%d %d %d %d" c.Slo.c_id c.Slo.c_core
+            c.Slo.c_arrival c.Slo.c_start c.Slo.c_finish)
+        r.Serve.sr_completions
+  in
+  Printf.sprintf "%d/%s" (List.length lines)
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+let test_schedule_pinned () =
+  let sv = { tiny_scenario with Serve.sv_duration_ms = 4.0 } in
+  Alcotest.(check string) "fixed:2" "31/fa35f1c3442359b785cb5ef1a2b00afc"
+    (schedule_digest (Serve.run sv));
+  Alcotest.(check string) "deadline:3" "28/f384e44ae16ece98fb6ec17d37a1fb51"
+    (schedule_digest
+       (Serve.run
+          {
+            sv with
+            Serve.sv_batch = Batch.Deadline { capacity = 3; max_wait = 50_000 };
+          }))
 
 let test_domains_ignored () =
   (* [?domains] survives only for callers written against the old
@@ -561,6 +619,8 @@ let suite =
   [
     Alcotest.test_case "arrival determinism" `Quick test_arrival_determinism;
     Alcotest.test_case "arrival bursty" `Quick test_arrival_bursty;
+    Alcotest.test_case "arrival tiny rate ends at once" `Quick
+      test_arrival_tiny_rate;
     Alcotest.test_case "arrival trace file" `Quick test_arrival_trace;
     Alcotest.test_case "arrival parsing" `Quick test_arrival_parse;
     Alcotest.test_case "batch none" `Quick test_batch_no_batch;
@@ -568,11 +628,14 @@ let suite =
     Alcotest.test_case "batch deadline" `Quick test_batch_deadline;
     Alcotest.test_case "batch parsing" `Quick test_batch_parse;
     Alcotest.test_case "slo arithmetic" `Quick test_slo_arithmetic;
+    Alcotest.test_case "slo ms out of cycle range" `Quick
+      test_slo_cycles_range;
     Alcotest.test_case "slo origin + histogram reuse" `Quick
       test_slo_origin_and_reuse;
     Alcotest.test_case "2-core sharding (cycle)" `Slow test_sharding_cycle;
     Alcotest.test_case "2-core sharding (analytic)" `Quick
       test_sharding_analytic;
+    Alcotest.test_case "2-core schedule pinned" `Quick test_schedule_pinned;
     Alcotest.test_case "2-core: ?domains is accepted and ignored" `Quick
       test_domains_ignored;
     Alcotest.test_case "2-core trace: request spans well-nested" `Slow

@@ -135,10 +135,13 @@ let interleave ?(cores = 2) programs =
           (fun c ->
             log := (i, Gemmini.Controller.now (Soc.controller c)) :: !log)
   in
-  let finish =
-    Soc.run_parallel soc
-      (Array.mapi (fun i p -> List.to_seq (List.map (to_op i) p)) programs)
+  (* Each program is one step: the interleaver still picks a core before
+     every op, not every step. *)
+  let program i p =
+    Soc.program
+      (Seq.return (Seq.return (fun emit -> List.iter (fun x -> emit (to_op i x)) p)))
   in
+  let finish = Soc.run_parallel soc (Array.mapi program programs) in
   (List.rev !log, Array.to_list finish, soc)
 
 let log_t = Alcotest.(list (pair int int))
