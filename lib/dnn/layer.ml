@@ -57,6 +57,10 @@ let conv_out_dims c =
   let out d = ((d + (2 * c.padding) - c.kernel) / c.stride) + 1 in
   (out c.in_h, out c.in_w)
 
+let pool_out_dims p =
+  let out d = ((d + (2 * p.p_padding) - p.window) / p.p_stride) + 1 in
+  (out p.p_in_h, out p.p_in_w)
+
 let macs = function
   | Conv c ->
       let oh, ow = conv_out_dims c in
@@ -87,8 +91,8 @@ let out_bytes = function
   | Matmul m -> m.m * m.n * m.count
   | Residual_add { r_h; r_w; r_ch; _ } -> r_h * r_w * r_ch
   | Max_pool p ->
-      let out d = ((d + (2 * p.p_padding) - p.window) / p.p_stride) + 1 in
-      out p.p_in_h * out p.p_in_w * p.p_ch
+      let oh, ow = pool_out_dims p in
+      oh * ow * p.p_ch
   | Global_avg_pool { g_ch; _ } -> g_ch
   | Elementwise { e_elems; _ } -> e_elems
 

@@ -58,6 +58,9 @@ val class_name : klass -> string
 val conv_out_dims : conv_spec -> int * int
 (** (out_h, out_w). *)
 
+val pool_out_dims : pool_spec -> int * int
+(** (out_h, out_w) of a pooling window sweep. *)
+
 val macs : t -> int
 (** Multiply-accumulates (0 for non-MAC layers). *)
 

@@ -126,10 +126,8 @@ let evaluate_serve (p : Point.t) base (spec : Point.serve_spec) : Outcome.t =
     serve_p99_ms = ms sum.Gem_util.Stats.Histogram.p99;
     serve_max_ms = ms sum.Gem_util.Stats.Histogram.max;
     serve_throughput_rps = rp.Gem_serve.Slo.rp_throughput_rps;
-    serve_slo_attainment =
-      (match rp.Gem_serve.Slo.rp_attainment with
-      | (_, a) :: _ -> a
-      | [] -> 1.0);
+    (* The scenario names exactly one SLO. *)
+    serve_slo_attainment = snd (List.hd rp.Gem_serve.Slo.rp_attainment);
   }
 
 let evaluate (p : Point.t) : Outcome.t =

@@ -49,7 +49,8 @@ type t = {
   serve_max_ms : float;
   serve_throughput_rps : float;
   serve_slo_attainment : float;
-      (** fraction of offered requests inside the spec's SLO *)
+      (** fraction of offered requests inside the spec's SLO; NaN when
+          none was offered *)
 }
 
 val empty : t

@@ -44,7 +44,7 @@ let run_config model cpu ~im2col =
 let measure_model model =
   {
     model = model.Gem_dnn.Layer.model_name;
-    baseline_rocket = Runtime.cpu_only_cycles Cpu.Rocket model;
+    baseline_rocket = Gem_sw.Lower.cpu_only_cycles Cpu.Rocket model;
     rocket_cpu_im2col = run_config model Cpu.Rocket ~im2col:false;
     boom_cpu_im2col = run_config model Cpu.Boom ~im2col:false;
     rocket_accel_im2col = run_config model Cpu.Rocket ~im2col:true;

@@ -12,11 +12,13 @@ let policy_of_string s =
       | _ -> Error (Printf.sprintf "fixed batch size must be >= 1: %S" n))
   | [ "deadline"; n; wait_us ] -> (
       match (int_of_string_opt n, float_of_string_opt wait_us) with
-      | Some n, Some w when n >= 1 && w >= 0. ->
+      | Some n, Some w when n >= 1 && w >= 0. && Slo.in_cycle_range (w *. 1e3) ->
           Ok (Deadline { capacity = n; max_wait = int_of_float (w *. 1e3) })
       | _ ->
           Error
-            (Printf.sprintf "deadline needs CAPACITY>=1 and WAIT_US>=0: %S:%S"
+            (Printf.sprintf
+               "deadline needs CAPACITY>=1 and a finite WAIT_US>=0 within the \
+                cycle range: %S:%S"
                n wait_us))
   | _ ->
       Error

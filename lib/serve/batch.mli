@@ -18,7 +18,9 @@ type policy =
 
 val policy_of_string : string -> (policy, string) result
 (** Parses ["none"], ["fixed:N"] and ["deadline:N:WAIT_US"] ([WAIT_US] in
-    microseconds, i.e. thousands of cycles at 1 GHz). *)
+    microseconds, i.e. thousands of cycles at 1 GHz). A [WAIT_US] that is
+    negative, not finite, or whose cycle count reaches 2^62 is an
+    [Error]. *)
 
 val policy_to_string : policy -> string
 

@@ -47,7 +47,9 @@ let render (r : Serve.result) =
     (f s.Gem_util.Stats.Histogram.p99)
     (f s.Gem_util.Stats.Histogram.max);
   List.iter
-    (fun (slo, att) -> line "slo %.2f ms: %.2f%% attained" slo (pct att))
+    (fun (slo, att) ->
+      if Float.is_nan att then line "slo %.2f ms: n/a (no request offered)" slo
+      else line "slo %.2f ms: %.2f%% attained" slo (pct att))
     rp.Slo.rp_attainment;
   let batches = List.length r.Serve.sr_dispatches in
   let mean_batch =
@@ -77,7 +79,7 @@ let csv_row (r : Serve.result) =
   let s = rp.Slo.rp_latency in
   let f c = c /. 1e6 in
   let slo, att =
-    match rp.Slo.rp_attainment with (s, a) :: _ -> (s, a) | [] -> (0., 1.)
+    match rp.Slo.rp_attainment with (s, a) :: _ -> (s, a) | [] -> (0., Float.nan)
   in
   Printf.sprintf
     "%s,%d,%d,%s,%s,%s,%d,%.3f,%d,%d,%.3f,%.1f,%.3f,%.3f,%.3f,%.3f,%.2f,%.2f,%.2f,%.2f,%d\n"

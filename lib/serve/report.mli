@@ -11,7 +11,8 @@ val csv_header : string
 
 val csv_row : Serve.result -> string
 (** One CSV line (trailing newline). The SLO columns report the first
-    SLO in the scenario's list (0 / 100% when none was requested);
+    SLO in the scenario's list ([0] / [nan] when none was requested, and
+    [nan] attainment when no request was offered);
     utilization columns aggregate engine components by name suffix:
     mean over matching [*/mesh] and [*/dma] tracks, sum over matching
     wait counters. *)

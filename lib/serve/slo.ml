@@ -19,9 +19,11 @@ type report = {
 let ms_of_cycles c = float_of_int c /. 1e6
 (* A cycle count must fit an OCaml int: past 2^62 cycles (about 4.6e12
    ms) [int_of_float] would wrap silently. *)
+let in_cycle_range cycles = Float.abs cycles < 0x1p62
+
 let cycles_of_ms ms =
   let cycles = ms *. 1e6 in
-  if Float.abs cycles < 0x1p62 then int_of_float cycles
+  if in_cycle_range cycles then int_of_float cycles
   else
     invalid_arg
       (Printf.sprintf "Slo.cycles_of_ms: %g ms is beyond the cycle range" ms)
@@ -67,8 +69,9 @@ let analyze ?hist ~origin ~offered ~cores ~slos_ms completions =
             0 completions
         in
         (* Offered, not completed, in the denominator: a request still
-           queued at the end of the run has missed its SLO. *)
-        (slo, if offered = 0 then 1.0 else float_of_int ok /. float_of_int offered))
+           queued at the end of the run has missed its SLO. An empty
+           window has no attainment at all: NaN, never a perfect 1.0. *)
+        (slo, if offered = 0 then Float.nan else float_of_int ok /. float_of_int offered))
       slos_ms
   in
   let per_core =

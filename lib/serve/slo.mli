@@ -22,13 +22,18 @@ type report = {
       (** completed requests per second at 1 GHz over the horizon *)
   rp_attainment : (float * float) list;
       (** per requested SLO: (slo in ms, fraction of {e offered} requests
-          finished within it) — an uncompleted request counts as missed *)
+          finished within it) — an uncompleted request counts as missed;
+          NaN (not available) when no request was offered *)
   rp_per_core : (int * int) list;
       (** completions per core, ascending core id, all cores present *)
 }
 
 val ms_of_cycles : Gem_sim.Time.cycles -> float
 (** At the 1 GHz convention: cycles / 1e6. *)
+
+val in_cycle_range : float -> bool
+(** Whether a cycle count truncates to an [int] without wrapping: below
+    2^62 in magnitude (false for NaN and infinities). *)
 
 val cycles_of_ms : float -> Gem_sim.Time.cycles
 (** At the 1 GHz convention: ms * 1e6, truncated. Raises

@@ -227,7 +227,7 @@ let stream_miss_lines m ~span ~sweeps =
 
 let max_block_len = 4
 
-(* Exact command counts of one [Kernels.matmul_ops] invocation, derived
+(* Exact command counts of one [Kernels.matmul_steps] invocation, derived
    from the schedule alone. The conformance test diffs these against the
    emitted stream, proving both backends price the same program. *)
 type mm_counts = {
@@ -512,16 +512,7 @@ let estimate_resadd m c ~elems =
 let estimate_maxpool m c (spec : Layer.pool_spec) =
   let dim = m.dim in
   let in_elems = spec.Layer.p_in_h * spec.Layer.p_in_w * spec.Layer.p_ch in
-  let out_h =
-    ((spec.Layer.p_in_h + (2 * spec.Layer.p_padding) - spec.Layer.window)
-     / spec.Layer.p_stride)
-    + 1
-  in
-  let out_w =
-    ((spec.Layer.p_in_w + (2 * spec.Layer.p_padding) - spec.Layer.window)
-     / spec.Layer.p_stride)
-    + 1
-  in
+  let out_h, out_w = Layer.pool_out_dims spec in
   let out_elems = out_h * out_w * spec.Layer.p_ch in
   let in_rows = Mathx.ceil_div in_elems dim in
   let out_rows = Mathx.ceil_div out_elems dim in
@@ -600,11 +591,9 @@ let estimate_core (cfg : Soc_config.t) ~core ~cores model ~(mode : Lower.mode)
       let start = horizon c in
       (match lp.Lower.lp_kernel with
       | Lower.K_host hw -> host_work c ~cycles:hw.Lower.hw_cycles
-      | Lower.K_matmul { prep; insts } ->
+      | Lower.K_matmul { prep; shape; count; _ } ->
           Option.iter (fun hw -> host_work c ~cycles:hw.Lower.hw_cycles) prep;
-          List.iter
-            (fun (ms, count) -> estimate_matmul m c ms ~reps:count)
-            insts
+          estimate_matmul m c shape ~reps:count
       | Lower.K_resadd { elems } -> estimate_resadd m c ~elems
       | Lower.K_maxpool { spec } -> estimate_maxpool m c spec);
       fence c;

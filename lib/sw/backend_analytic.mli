@@ -61,7 +61,7 @@ type mm_counts = {
 }
 
 val matmul_command_counts : Gemmini.Params.t -> Lower.matmul_shape -> mm_counts
-(** Exact per-opcode command counts of one {!Kernels.matmul_ops}
+(** Exact per-opcode command counts of one {!Kernels.matmul_steps}
     invocation, derived from the schedule alone. The backend-seam
     conformance test diffs these against the emitted instruction stream,
     proving both backends price the same program. *)

@@ -6,6 +6,10 @@ type op = Gem_soc.Soc.op
 
 let insn i = Gem_soc.Soc.Insn i
 
+(* A step pushes each command through [emit push]: a top-level function,
+   so a step allocates no emitter closure of its own. *)
+let emit push i = push (insn i)
+
 let fence = insn Isa.Fence
 let flush_tlb = insn Isa.Flush
 
@@ -28,36 +32,31 @@ let ops s =
 (* One step is one (i0, j0, k0) tile of the i0 -> j0 -> k0 nest: step 0
    also configures the units, a k0 = 0 step first stages the bias into
    the C tile, and the last k0 step drains it. *)
-let matmul_steps p ?tiling ?schedule ?bias ?bias_column
-    ?(act = Peripheral.No_activation) ?(scale = 1.0) ?a_row_stride
-    ?b_row_stride ?c_row_stride ?(a_condense = 1.0) ~a ~b ~out ~m ~k ~n () =
+let matmul_steps p ?bias ?(act = Peripheral.No_activation) ?(scale = 1.0) ~a
+    ~b ~out (ms : Lower.matmul_shape) =
+  let m = ms.Lower.ms_m and k = ms.Lower.ms_k and n = ms.Lower.ms_n in
   if m <= 0 || k <= 0 || n <= 0 then invalid_arg "Kernels.matmul: empty problem";
-  if Option.is_some bias && Option.is_some bias_column then
-    invalid_arg "Kernels.matmul: bias and bias_column are exclusive";
-  if Option.is_some bias_column && n > Gemmini.Params.dim p then
-    invalid_arg "Kernels.matmul: bias_column requires n <= DIM";
+  let column =
+    match (ms.Lower.ms_bias, bias) with
+    | `None, None | `Broadcast, Some _ -> false
+    | `Column, Some _ -> true
+    | `None, Some _ | (`Broadcast | `Column), None ->
+        invalid_arg "Kernels.matmul: bias address and shape bias disagree"
+  in
+  if column && n > Gemmini.Params.dim p then
+    invalid_arg "Kernels.matmul: a per-row bias requires n <= DIM";
   let p = Params.validate_exn p in
   let dim = Params.dim p in
-  let sched =
-    match (schedule, tiling) with
-    | Some s, _ ->
-        if not (Schedule.fits p s) then
-          invalid_arg "Kernels.matmul: schedule tiling does not fit the memories";
-        s
-    | None, Some t ->
-        if not (Tiling.fits p t) then
-          invalid_arg "Kernels.matmul: manual tiling does not fit the memories";
-        Schedule.of_tiling p t
-    | None, None -> Schedule.choose p ~m ~k ~n
-  in
+  let sched = ms.Lower.ms_schedule in
   let tl = sched.Schedule.tiling in
   let bi, bk, bj = Tiling.blocks p ~m ~k ~n in
   let ni = Mathx.ceil_div bi tl.Tiling.ti
   and nj = Mathx.ceil_div bj tl.Tiling.tj
   and nk = Mathx.ceil_div bk tl.Tiling.tk in
-  let a_stride = Option.value a_row_stride ~default:k in
-  let b_stride = Option.value b_row_stride ~default:n in
-  let c_stride = Option.value c_row_stride ~default:n in
+  let a_stride = ms.Lower.ms_a_stride
+  and b_stride = ms.Lower.ms_b_stride
+  and c_stride = ms.Lower.ms_c_stride
+  and a_condense = ms.Lower.ms_a_condense in
   (* Condensed A fetch models the on-the-fly im2col unit: the loader reads
      the raw input footprint instead of the expanded patch matrix. Timing
      mode only. *)
@@ -71,10 +70,9 @@ let matmul_steps p ?tiling ?schedule ?bias ?bias_column
   let rows_of gi = Int.min dim (m - (gi * dim)) in
   let kcols_of gk = Int.min dim (k - (gk * dim)) in
   let ncols_of gj = Int.min dim (n - (gj * dim)) in
-  let step s emit =
-    let emit i = emit (insn i) in
+  let step s push =
     if s = 0 then begin
-      emit
+      emit push
         (Isa.Config_ex
            {
              dataflow = sched.Schedule.dataflow;
@@ -83,17 +81,17 @@ let matmul_steps p ?tiling ?schedule ?bias ?bias_column
              a_transpose = false;
              b_transpose = false;
            });
-      emit (Isa.Config_ld { ld_stride_bytes = condense_len a_stride; ld_scale = 1.0; ld_shrunk = false; ld_id = 0 });
-      emit (Isa.Config_ld { ld_stride_bytes = b_stride; ld_scale = 1.0; ld_shrunk = false; ld_id = 1 });
-      emit
+      emit push (Isa.Config_ld { ld_stride_bytes = condense_len a_stride; ld_scale = 1.0; ld_shrunk = false; ld_id = 0 });
+      emit push (Isa.Config_ld { ld_stride_bytes = b_stride; ld_scale = 1.0; ld_shrunk = false; ld_id = 1 });
+      emit push
         (Isa.Config_ld
            {
-             ld_stride_bytes = (if Option.is_some bias_column then 4 else 0);
+             ld_stride_bytes = (if column then 4 else 0);
              ld_scale = 1.0;
              ld_shrunk = false;
              ld_id = 2;
            });
-      emit
+      emit push
         (Isa.Config_st
            { st_stride_bytes = c_stride; st_activation = act; st_scale = scale; st_pool = None })
     end;
@@ -105,17 +103,16 @@ let matmul_steps p ?tiling ?schedule ?bias ?bias_column
     let vk = Int.min tl.Tiling.tk (bk - (k0 * tl.Tiling.tk)) in
     (* Stage the bias (if any) into the C accumulator tile: a stride-0
        broadcast mvin per block. *)
-    (match (bias, bias_column) with
-    | (Some bias_va, _ | None, Some bias_va) when k0 = 0 ->
+    (match bias with
+    | Some bias_va when k0 = 0 ->
         for ii = 0 to vi - 1 do
           for jj = 0 to vj - 1 do
             let gi = (i0 * tl.Tiling.ti) + ii and gj = (j0 * tl.Tiling.tj) + jj in
             let dram_addr =
-              match bias_column with
-              | Some _ -> bias_va + (gi * dim * 4) (* one word per row *)
-              | None -> bias_va + (gj * dim * 4) (* broadcast per column *)
+              if column then bias_va + (gi * dim * 4) (* one word per row *)
+              else bias_va + (gj * dim * 4) (* broadcast per column *)
             in
-            emit
+            emit push
               (Isa.Mvin
                  ( {
                      Isa.dram_addr;
@@ -135,7 +132,7 @@ let matmul_steps p ?tiling ?schedule ?bias ?bias_column
         let w = Int.min max_block_len (vk - !kk) in
         let gk = (k0 * tl.Tiling.tk) + !kk in
         let cols = Int.min (w * dim) (k - (gk * dim)) in
-        emit
+        emit push
           (Isa.Mvin
              ( {
                  Isa.dram_addr = a + condense_off ((gi * dim * a_stride) + (gk * dim));
@@ -155,7 +152,7 @@ let matmul_steps p ?tiling ?schedule ?bias ?bias_column
         let w = Int.min max_block_len (vj - !jj) in
         let gj = (j0 * tl.Tiling.tj) + !jj in
         let cols = Int.min (w * dim) (n - (gj * dim)) in
-        emit
+        emit push
           (Isa.Mvin
              ( {
                  Isa.dram_addr = b + (gk * dim * b_stride) + (gj * dim);
@@ -178,11 +175,9 @@ let matmul_steps p ?tiling ?schedule ?bias ?bias_column
         for ii = 0 to vi - 1 do
           let gi = (i0 * tl.Tiling.ti) + ii in
           let first_of_b = ii = 0 in
-          let accumulate =
-            Option.is_some bias || Option.is_some bias_column || k0 > 0 || kk > 0
-          in
+          let accumulate = Option.is_some bias || k0 > 0 || kk > 0 in
           let c_la = L.accumulator ~accumulate ~row:(c_base ii jj) () in
-          emit
+          emit push
             (Isa.Preload
                {
                  b = (if first_of_b then b_local else L.garbage);
@@ -203,7 +198,7 @@ let matmul_steps p ?tiling ?schedule ?bias ?bias_column
               bd_rows = rows_of gi;
             }
           in
-          emit
+          emit push
             (if first_of_b then Isa.Compute_preloaded args
              else Isa.Compute_accumulated args)
         done
@@ -214,7 +209,7 @@ let matmul_steps p ?tiling ?schedule ?bias ?bias_column
       for ii = 0 to vi - 1 do
         for jj = 0 to vj - 1 do
           let gi = (i0 * tl.Tiling.ti) + ii and gj = (j0 * tl.Tiling.tj) + jj in
-          emit
+          emit push
             (Isa.Mvout
                {
                  Isa.dram_addr = out + (gi * dim * c_stride) + (gj * dim);
@@ -227,11 +222,19 @@ let matmul_steps p ?tiling ?schedule ?bias ?bias_column
   in
   Seq.init (ni * nj * nk) step
 
-let matmul_ops p ?tiling ?schedule ?bias ?bias_column ?act ?scale ?a_row_stride
-    ?b_row_stride ?c_row_stride ?a_condense ~a ~b ~out ~m ~k ~n () =
+let matmul_ops p ?tiling ?bias ?act ?scale ~a ~b ~out ~m ~k ~n () =
+  let schedule =
+    Option.map
+      (fun t ->
+        if not (Tiling.fits p t) then
+          invalid_arg "Kernels.matmul: manual tiling does not fit the memories";
+        Schedule.of_tiling p t)
+      tiling
+  in
+  let bias_kind = if Option.is_some bias then `Broadcast else `None in
   ops
-    (matmul_steps p ?tiling ?schedule ?bias ?bias_column ?act ?scale ?a_row_stride
-       ?b_row_stride ?c_row_stride ?a_condense ~a ~b ~out ~m ~k ~n ())
+    (matmul_steps p ?bias ?act ?scale ~a ~b ~out
+       (Lower.matmul_shape p ?schedule ~bias:bias_kind ~m ~k ~n ()))
 
 let matmul_loop_ws_ops p ?bias ?(act = Peripheral.No_activation) ?(scale = 1.0)
     ~a ~b ~out ~m ~k ~n () =
@@ -258,12 +261,11 @@ let resadd_steps p ?(relu = false) ~x ~y ~out ~elems () =
   let acc_groups = Params.acc_rows p / dim in
   let row_bytes = dim in
   let total_rows = Mathx.ceil_div elems dim in
-  let step g emit =
-    let emit i = emit (insn i) in
+  let step g push =
     if g = 0 then begin
-      emit (Isa.Config_ld { ld_stride_bytes = row_bytes; ld_scale = 1.0; ld_shrunk = true; ld_id = 0 });
-      emit (Isa.Config_ld { ld_stride_bytes = row_bytes; ld_scale = 1.0; ld_shrunk = true; ld_id = 1 });
-      emit
+      emit push (Isa.Config_ld { ld_stride_bytes = row_bytes; ld_scale = 1.0; ld_shrunk = true; ld_id = 0 });
+      emit push (Isa.Config_ld { ld_stride_bytes = row_bytes; ld_scale = 1.0; ld_shrunk = true; ld_id = 1 });
+      emit push
         (Isa.Config_st
            {
              st_stride_bytes = row_bytes;
@@ -279,7 +281,7 @@ let resadd_steps p ?(relu = false) ~x ~y ~out ~elems () =
     let base_off = row * dim in
     let acc_row = g mod acc_groups * dim in
     let mv vaddr ~accumulate id =
-      emit
+      emit push
         (Isa.Mvin
            ( {
                Isa.dram_addr = vaddr + base_off;
@@ -291,7 +293,7 @@ let resadd_steps p ?(relu = false) ~x ~y ~out ~elems () =
     in
     mv x ~accumulate:false 0;
     mv y ~accumulate:true 1;
-    emit
+    emit push
       (Isa.Mvout
          {
            Isa.dram_addr = out + base_off;
@@ -304,136 +306,57 @@ let resadd_steps p ?(relu = false) ~x ~y ~out ~elems () =
 
 (* --- pooling --------------------------------------------------------------- *)
 
-let maxpool_steps p ~cpu ~input ~out ~spec =
+let maxpool_steps p ~input ~out ~spec =
   let open Gem_dnn.Layer in
   let p = Params.validate_exn p in
+  if not p.Params.has_pooling then
+    invalid_arg "Kernels.maxpool: accelerator has no pooling unit";
   let dim = Params.dim p in
   let in_elems = spec.p_in_h * spec.p_in_w * spec.p_ch in
-  let out_h = ((spec.p_in_h + (2 * spec.p_padding) - spec.window) / spec.p_stride) + 1 in
-  let out_w = ((spec.p_in_w + (2 * spec.p_padding) - spec.window) / spec.p_stride) + 1 in
+  let out_h, out_w = pool_out_dims spec in
   let out_elems = out_h * out_w * spec.p_ch in
-  if not p.Params.has_pooling then
-    single
-      (Gem_soc.Soc.Host_work
-         {
-           cycles = Gem_cpu.Cpu_model.pooling_cycles cpu ~elems:out_elems ~window:spec.window;
-           tag = "maxpool(cpu)";
-         })
-  else begin
-    (* The pooling unit works on the store path: stream the input through
-       the scratchpad, write the pooled map back. *)
-    let sp_rows = Params.sp_rows p in
-    let in_rows = Mathx.ceil_div in_elems dim in
-    let out_rows = Mathx.ceil_div out_elems dim in
-    let loads = Mathx.ceil_div in_rows dim and stores = Mathx.ceil_div out_rows dim in
-    (* Interleave loads and pooled stores at the steady-state ratio: step
-       [t] issues loads [t * per, (t + 1) * per) and then store [t]. *)
-    let per = max 1 (Mathx.ceil_div in_rows (max 1 out_rows)) in
-    let step t emit =
-      let emit i = emit (insn i) in
-      if t = 0 then begin
-        emit (Isa.Config_ld { ld_stride_bytes = dim; ld_scale = 1.0; ld_shrunk = false; ld_id = 0 });
-        emit
-          (Isa.Config_st
-             {
-               st_stride_bytes = dim;
-               st_activation = Peripheral.No_activation;
-               st_scale = 1.0;
-               st_pool =
-                 Some { Isa.window = spec.window; stride = spec.p_stride; padding = spec.p_padding };
-             })
-      end;
-      let loaded = Int.min loads ((t + 1) * per) in
-      for g = t * per to loaded - 1 do
-        emit
-          (Isa.Mvin
-             ( {
-                 Isa.dram_addr = input + (g * dim * dim);
-                 local = L.scratchpad ~row:(g * dim mod sp_rows);
-                 cols = dim;
-                 rows = Int.min dim (in_rows - (g * dim));
-               },
-               0 ))
-      done;
-      if t < stores then
-        emit
-          (Isa.Mvout
-             {
-               Isa.dram_addr = out + (t * dim * dim);
-               local = L.scratchpad ~row:(Int.max 0 ((loaded - 1) * dim mod sp_rows));
+  (* The pooling unit works on the store path: stream the input through
+     the scratchpad, write the pooled map back. *)
+  let sp_rows = Params.sp_rows p in
+  let in_rows = Mathx.ceil_div in_elems dim in
+  let out_rows = Mathx.ceil_div out_elems dim in
+  let loads = Mathx.ceil_div in_rows dim and stores = Mathx.ceil_div out_rows dim in
+  (* Interleave loads and pooled stores at the steady-state ratio: step
+     [t] issues loads [t * per, (t + 1) * per) and then store [t]. *)
+  let per = max 1 (Mathx.ceil_div in_rows (max 1 out_rows)) in
+  let step t push =
+    if t = 0 then begin
+      emit push (Isa.Config_ld { ld_stride_bytes = dim; ld_scale = 1.0; ld_shrunk = false; ld_id = 0 });
+      emit push
+        (Isa.Config_st
+           {
+             st_stride_bytes = dim;
+             st_activation = Peripheral.No_activation;
+             st_scale = 1.0;
+             st_pool =
+               Some { Isa.window = spec.window; stride = spec.p_stride; padding = spec.p_padding };
+           })
+    end;
+    let loaded = Int.min loads ((t + 1) * per) in
+    for g = t * per to loaded - 1 do
+      emit push
+        (Isa.Mvin
+           ( {
+               Isa.dram_addr = input + (g * dim * dim);
+               local = L.scratchpad ~row:(g * dim mod sp_rows);
                cols = dim;
-               rows = Int.min dim (out_rows - (t * dim));
-             })
-    in
-    Seq.init (max (Mathx.ceil_div loads per) stores) step
-  end
-
-(* --- host-side work -------------------------------------------------------- *)
-
-let host_elementwise ~cpu ~elems ~tag =
-  Gem_soc.Soc.Host_work
-    { cycles = Gem_cpu.Cpu_model.elementwise_cycles cpu ~elems; tag }
-
-(* --- convolution ------------------------------------------------------------ *)
-
-let conv_steps p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
-    ~patch_scratch () =
-  let open Gem_dnn.Layer in
-  let oh, ow = conv_out_dims spec in
-  let act = if spec.relu then Peripheral.Relu else Peripheral.No_activation in
-  let m = oh * ow in
-  (* A host im2col pass (Fig. 7 left) fills [patch_scratch] ahead of the
-     kernel's first step; a pre-expanded patch matrix is already there. *)
-  let host_im2col ~patch_elems ~tag =
-    match im2col with
-    | Lower.Im_cpu ->
-        single
-          (Gem_soc.Soc.Host_work
-             { cycles = Gem_cpu.Cpu_model.im2col_cycles cpu ~patch_elems; tag })
-    | Lower.Im_accel | Lower.Im_pre -> Seq.empty
+               rows = Int.min dim (in_rows - (g * dim));
+             },
+             0 ))
+    done;
+    if t < stores then
+      emit push
+        (Isa.Mvout
+           {
+             Isa.dram_addr = out + (t * dim * dim);
+             local = L.scratchpad ~row:(Int.max 0 ((loaded - 1) * dim mod sp_rows));
+             cols = dim;
+             rows = Int.min dim (out_rows - (t * dim));
+           })
   in
-  if spec.depthwise then begin
-    (* One skinny matmul per channel: M = output pixels, K = kernel^2,
-       N = 1. Low reuse and a mostly-idle array — the MobileNetV2
-       bottleneck the paper calls out. Each channel's matmul is planned
-       only when the previous channel's steps are spent. *)
-    let k = spec.kernel * spec.kernel in
-    let channel ch =
-      let a_va, a_condense =
-        match im2col with
-        | Lower.Im_cpu | Lower.Im_pre -> (patch_scratch + (ch * m * k), 1.0)
-        | Lower.Im_accel ->
-            let ratio =
-              float_of_int (spec.in_h * spec.in_w) /. float_of_int (m * k)
-            in
-            (input + (ch * spec.in_h * spec.in_w / max 1 spec.in_ch), min 1.0 ratio)
-      in
-      matmul_steps p
-        ?bias:(Option.map (fun b -> b + (4 * ch)) bias)
-        ~act ~scale ~a_row_stride:k ~a_condense ~a:a_va
-        ~b:(weights + (ch * k))
-        ~out:(out + ch) ~c_row_stride:spec.in_ch (* NHWC channel-strided output *)
-        ~m ~k ~n:1 ()
-    in
-    Seq.append
-      (host_im2col ~patch_elems:(m * k * spec.in_ch) ~tag:"im2col(cpu,dw)")
-      (Seq.flat_map channel (Seq.init spec.in_ch Fun.id))
-  end
-  else begin
-    let k = spec.kernel * spec.kernel * spec.in_ch and n = spec.out_ch in
-    Seq.append
-      (host_im2col ~patch_elems:(m * k) ~tag:"im2col(cpu)")
-      (match im2col with
-      | Lower.Im_cpu | Lower.Im_pre ->
-          matmul_steps p ?bias ~act ~scale ~a:patch_scratch ~b:weights ~out ~m ~k ~n ()
-      | Lower.Im_accel ->
-          if not p.Params.has_im2col then
-            invalid_arg "Kernels.conv: accelerator has no im2col block";
-          (* The im2col unit expands on the fly: the A loads read only the
-             raw input footprint. *)
-          let ratio =
-            float_of_int (spec.in_h * spec.in_w * spec.in_ch) /. float_of_int (m * k)
-          in
-          matmul_steps p ?bias ~act ~scale ~a:input ~a_condense:(min 1.0 ratio) ~m ~k ~n
-            ~b:weights ~out ())
-  end
+  Seq.init (max (Mathx.ceil_div loads per) stores) step

@@ -1,9 +1,10 @@
 (** Tuned kernels — the low-level layer of Gemmini's multi-level
-    programming stack (the [tiled_matmul], [tiled_conv], resadd and
-    pooling functions of the C library), emitting RoCC command streams.
+    programming stack (the [tiled_matmul], resadd and pooling functions
+    of the C library), emitting RoCC command streams. A convolution is
+    im2col plus a tiled matmul, planned by {!Lower}.
 
-    Each kernel takes virtual addresses (translation happens in the DMA),
-    picks tile sizes through {!Tiling} (or accepts manual ones), and emits
+    Each kernel takes virtual addresses (translation happens in the DMA)
+    and the shape {!Lower} planned (tile sizes from {!Tiling}), and emits
     the same double-buffered preload/compute structure as the C library:
     B-blocks are kept stationary across the I dimension
     ([Compute_accumulated] reuses resident weights), C tiles live in the
@@ -28,53 +29,35 @@ val ops : steps -> op list
 
 val matmul_steps :
   Gemmini.Params.t ->
-  ?tiling:Tiling.t ->
-  ?schedule:Schedule.t ->
   ?bias:int ->
-  ?bias_column:int ->
   ?act:Gemmini.Peripheral.activation ->
   ?scale:float ->
-  ?a_row_stride:int ->
-  ?b_row_stride:int ->
-  ?c_row_stride:int ->
-  ?a_condense:float ->
   a:int ->
   b:int ->
   out:int ->
-  m:int ->
-  k:int ->
-  n:int ->
-  unit ->
+  Lower.matmul_shape ->
   steps
-(** C = act(scale * (A.B + bias)), int8 in/out, int32 accumulate. One
-    step is one [(i0, j0, k0)] tile: step 0 also configures the units, a
-    [k0 = 0] step stages the bias into the C tile, and the last [k0] step
-    drains it. [schedule] fixes tile sizes, loop order and dataflow (it
-    subsumes and wins over [tiling], which wraps legacy manual tile
-    sizes in the default schedule); when neither is given the kernel runs
-    {!Schedule.choose}.
-    [bias] is the VA of an int32 per-output-column vector, broadcast to
-    every row with a stride-0 mvin. [bias_column] instead biases per
-    output {e row} (each accumulator row loads its own int32 word; used by
-    the transposed batch-1 GEMM lowering; requires [n <= DIM]). Strides are DRAM row strides in bytes
-    (defaults: dense [k]/[n]/[n]). [a_condense] (timing mode only) scales
-    the A-side fetch footprint to model the on-the-fly im2col unit
-    reading the raw input instead of the expanded patch matrix. Raises
-    [Invalid_argument] on an empty problem or a tiling that does not
-    fit, before any step runs. *)
+(** C = act(scale * (A.B + bias)), int8 in/out, int32 accumulate, for the
+    shape {!Lower} planned: its dimensions, schedule (tile sizes, loop
+    order, dataflow), DRAM row strides in bytes, and [ms_a_condense]
+    (timing mode only), which scales the A-side fetch footprint to model
+    the on-the-fly im2col unit reading the raw input instead of the
+    expanded patch matrix. The schedule is taken as given. One step is one
+    [(i0, j0, k0)] tile: step 0 also configures the units, a [k0 = 0]
+    step stages the bias into the C tile, and the last [k0] step drains
+    it. [bias] is the VA of the int32 bias vector, laid out as the
+    shape's [ms_bias] says: per output column, broadcast to every row
+    with a stride-0 mvin, or per output row (each accumulator row loads
+    its own word). Raises [Invalid_argument] on an empty problem, on a
+    [bias] that is missing for a biased shape or given for an unbiased
+    one, or on invalid parameters, before any step runs. *)
 
 val matmul_ops :
   Gemmini.Params.t ->
   ?tiling:Tiling.t ->
-  ?schedule:Schedule.t ->
   ?bias:int ->
-  ?bias_column:int ->
   ?act:Gemmini.Peripheral.activation ->
   ?scale:float ->
-  ?a_row_stride:int ->
-  ?b_row_stride:int ->
-  ?c_row_stride:int ->
-  ?a_condense:float ->
   a:int ->
   b:int ->
   out:int ->
@@ -83,7 +66,11 @@ val matmul_ops :
   n:int ->
   unit ->
   op list
-(** {!matmul_steps}, expanded into a list. *)
+(** A dense matmul (the C library's [tiled_matmul_auto]), expanded into a
+    list: {!matmul_steps} on {!Lower.matmul_shape}, with [bias] broadcast
+    per output column and [tiling] (manual tile sizes in the default
+    schedule) instead of {!Schedule.choose}. Raises [Invalid_argument]
+    if [tiling] does not fit the memories. *)
 
 val matmul_loop_ws_ops :
   Gemmini.Params.t ->
@@ -103,27 +90,6 @@ val matmul_loop_ws_ops :
     expands the tile loop, so the host pays four dispatches instead of
     thousands. Dense strides. *)
 
-val conv_steps :
-  Gemmini.Params.t ->
-  cpu:Gem_cpu.Cpu_model.kind ->
-  im2col:Lower.im2col_choice ->
-  ?bias:int ->
-  ?scale:float ->
-  input:int ->
-  weights:int ->
-  out:int ->
-  spec:Gem_dnn.Layer.conv_spec ->
-  patch_scratch:int ->
-  unit ->
-  steps
-(** Convolution as im2col + tiled matmul, stepped like {!matmul_steps}
-    (the host im2col, if any, ahead of step 0). [patch_scratch] is the VA
-    of the patch matrix: the reusable buffer the host im2col fills, or
-    the one pre-expanded in DRAM.
-    Depthwise convolutions lower to per-channel skinny matmuls (poor
-    array utilization — the MobileNetV2 effect), each planned when its
-    first step is reached. *)
-
 val resadd_steps :
   Gemmini.Params.t ->
   ?relu:bool ->
@@ -138,18 +104,11 @@ val resadd_steps :
     No weight reuse at all — the memory-bound layer class of Fig. 9. *)
 
 val maxpool_steps :
-  Gemmini.Params.t ->
-  cpu:Gem_cpu.Cpu_model.kind ->
-  input:int ->
-  out:int ->
-  spec:Gem_dnn.Layer.pool_spec ->
-  steps
-(** With the pooling unit: data streams through the accelerator's store
-    path, one pooled row group (and the loads it needs) per step.
-    Without: one host-CPU step. *)
-
-val host_elementwise : cpu:Gem_cpu.Cpu_model.kind -> elems:int -> tag:string -> op
-(** Softmax / layernorm / GELU / global-average-pool host work. *)
+  Gemmini.Params.t -> input:int -> out:int -> spec:Gem_dnn.Layer.pool_spec -> steps
+(** Max-pooling through the pooling unit on the store path: the input
+    streams through the scratchpad, one pooled row group (and the loads
+    it needs) per step. Raises [Invalid_argument] on an instance without
+    a pooling unit ({!Lower} plans a host fallback there). *)
 
 val fence : op
 val flush_tlb : op

@@ -1,7 +1,6 @@
 open Gem_util
 open Gem_dnn
 module Soc = Gem_soc.Soc
-module Cpu = Gem_cpu.Cpu_model
 module Fault = Gem_sim.Fault
 
 (* The mode (and every other backend-agnostic lowering decision) lives in
@@ -76,11 +75,6 @@ let gen_weight_matrix ~seed ~idx ~rows ~cols =
 let gen_bias ~seed ~idx ~n =
   let rng = Rng.create ~seed:((seed * 104729) + idx + 1) in
   Array.init n (fun _ -> Rng.int_in rng ~lo:(-128) ~hi:128)
-
-(* --- CPU-only costs (shared with the analytic backend via Lower) ------------ *)
-
-let cpu_layer_cycles = Lower.cpu_layer_cycles
-let cpu_only_cycles = Lower.cpu_only_cycles
 
 (* --- fault policies ---------------------------------------------------------- *)
 
@@ -217,13 +211,8 @@ let allocate_tensors soc core model ~functional =
   let max_patch =
     Array.fold_left
       (fun acc (_, l) ->
-        match l with
-        | Layer.Conv c ->
-            (match Layer.as_matmul l with
-            | Some mm ->
-                let per = mm.Layer.m * mm.Layer.k * mm.Layer.count in
-                max acc (if c.Layer.depthwise then per else per)
-            | None -> acc)
+        match (l, Layer.as_matmul l) with
+        | Layer.Conv _, Some mm -> max acc (mm.Layer.m * mm.Layer.k * mm.Layer.count)
         | _ -> acc)
       0 layers
   in
@@ -250,11 +239,9 @@ let allocate_tensors soc core model ~functional =
 
 (* Functional-mode data staging helpers. *)
 
-(* Batch-1 GEMMs are emitted transposed (see Lower.swapped_matmul); the
-   weights of such layers are therefore stored transposed. *)
-let swapped_matmul = Lower.swapped_matmul
-
-let write_weights soc core tensors ~seed model =
+(* A layer whose planned A operand is its weights (the transposed batch-1
+   GEMM) stores them transposed. *)
+let write_weights soc core tensors ~seed model plan =
   List.iteri
     (fun i (_, l) ->
       match Layer.as_matmul l with
@@ -262,9 +249,14 @@ let write_weights soc core tensors ~seed model =
       | Some mm ->
           let rows = mm.Layer.k and cols = mm.Layer.n in
           let total = mm.Layer.count in
+          let transposed =
+            match plan.(i).Lower.lp_kernel with
+            | Lower.K_matmul { a = `Weights; _ } -> true
+            | _ -> false
+          in
           for inst = 0 to total - 1 do
             let w = gen_weight_matrix ~seed ~idx:((i * 131) + inst) ~rows ~cols in
-            let w = if swapped_matmul l then Matrix.transpose w else w in
+            let w = if transposed then Matrix.transpose w else w in
             let flat = Array.concat (Array.to_list w) in
             Soc.host_write_i8 soc core
               ~vaddr:(tensors.t_weights.(i) + (inst * rows * cols))
@@ -318,68 +310,46 @@ let span_close_marker ~name time_of =
 
 (* A kernel span opens at the issue cursor (dispatch of the kernel's first
    command) and closes at the finish horizon once its commands retire. *)
-let kernel_span name steps =
-  [
-    span_open_marker ~cat:"kernel" ~name Gemmini.Controller.now;
-    steps;
-    span_close_marker ~name Gemmini.Controller.finish_time;
-  ]
+let kernel_span name pieces =
+  (span_open_marker ~cat:"kernel" ~name Gemmini.Controller.now :: pieces)
+  @ [ span_close_marker ~name Gemmini.Controller.finish_time ]
 
-let layer_pieces soc core tensors ~mode ~functional ~idx ~input_va layer =
-  let params = Gemmini.Controller.params (Soc.controller core) in
-  let cpu = Soc.cpu core in
+let host_piece (hw : Lower.host_work) =
+  Kernels.single (Soc.Host_work { cycles = hw.Lower.hw_cycles; tag = hw.Lower.hw_tag })
+
+(* Functional-mode data staging: the host moves the real data of a layer
+   the timing model prices without it, in a marker ahead of the layer's
+   commands. *)
+let staging soc tensors ~idx ~input_va layer =
   let out_va = tensors.t_out.(idx) in
-  (* Functional-mode data staging runs as a host marker ahead of the
-     layer's commands; timing mode emits nothing for it. *)
-  let staging f = if functional then [ marker f ] else [] in
-  let host_work ~elems ~tag =
-    Kernels.single (Kernels.host_elementwise ~cpu ~elems ~tag)
-  in
-  match (mode, layer) with
-  | Cpu_only, l ->
-      [ Kernels.single (Soc.Host_work { cycles = cpu_layer_cycles cpu l; tag = "cpu-layer" }) ]
-  | Accel _, Layer.Elementwise { e_elems; e_name } ->
-      staging (fun core ->
+  match layer with
+  | Layer.Elementwise { e_elems; _ } ->
+      Some
+        (fun core ->
           (* Host ops are identity passes in the functional model. *)
           let data = Soc.host_read_i8 soc core ~vaddr:input_va ~n:e_elems in
           Soc.host_write_i8 soc core ~vaddr:out_va data)
-      @ kernel_span e_name (host_work ~elems:e_elems ~tag:e_name)
-  | Accel _, Layer.Global_avg_pool { g_h; g_w; g_ch } ->
-      staging (fun core ->
+  | Layer.Global_avg_pool { g_h; g_w; g_ch } ->
+      Some
+        (fun core ->
           let t = read_tensor soc core ~vaddr:input_va ~shape:[| 1; g_h; g_w; g_ch |] in
           write_tensor soc core ~vaddr:out_va (Gemmini.Peripheral.avg_pool_global t))
-      @ kernel_span "gap" (host_work ~elems:(g_h * g_w * g_ch) ~tag:"gap")
-  | Accel _, Layer.Max_pool p ->
-      if functional then
-        staging (fun core ->
-            let t =
-              read_tensor soc core ~vaddr:input_va
-                ~shape:[| 1; p.Layer.p_in_h; p.Layer.p_in_w; p.Layer.p_ch |]
-            in
-            let pooled =
-              Gemmini.Peripheral.max_pool ~window:p.Layer.window
-                ~stride:p.Layer.p_stride ~padding:p.Layer.p_padding t
-            in
-            write_tensor soc core ~vaddr:out_va pooled)
-      else
-        kernel_span "maxpool"
-          (Kernels.maxpool_steps params ~cpu ~input:input_va ~out:out_va ~spec:p)
-  | Accel _, Layer.Residual_add { r_h; r_w; r_ch; back1; back2 } ->
-      let operand back =
-        let j = idx - back in
-        if j < 0 then tensors.t_input else tensors.t_out.(j)
-      in
-      kernel_span "resadd"
-        (Kernels.resadd_steps params ~x:(operand back1) ~y:(operand back2)
-           ~out:out_va
-           ~elems:(r_h * r_w * r_ch)
-           ())
-  | Accel { im2col_on_accel }, Layer.Conv spec ->
+  | Layer.Max_pool p ->
+      Some
+        (fun core ->
+          let t =
+            read_tensor soc core ~vaddr:input_va
+              ~shape:[| 1; p.Layer.p_in_h; p.Layer.p_in_w; p.Layer.p_ch |]
+          in
+          let pooled =
+            Gemmini.Peripheral.max_pool ~window:p.Layer.window
+              ~stride:p.Layer.p_stride ~padding:p.Layer.p_padding t
+          in
+          write_tensor soc core ~vaddr:out_va pooled)
+  | Layer.Conv spec ->
       let patch_va = tensors.t_patch.(idx) in
-      let im2col =
-        Lower.resolve_im2col params ~mode:(Accel { im2col_on_accel }) ~functional
-      in
-      staging (fun core ->
+      Some
+        (fun core ->
           (* Materialize the patch matrix so the datapath reads real
              data; the hardware im2col block is modeled in timing mode
              only. *)
@@ -411,44 +381,88 @@ let layer_pieces soc core tensors ~mode ~functional ~idx ~input_va layer =
             let flat = Array.concat (Array.to_list patch) in
             Soc.host_write_i8 soc core ~vaddr:patch_va flat
           end)
-      @ kernel_span "conv"
-          (Kernels.conv_steps params ~cpu ~im2col ~bias:(tensors.t_bias.(idx))
-             ~scale:out_scale ~input:input_va ~weights:(tensors.t_weights.(idx))
-             ~out:out_va ~spec ~patch_scratch:patch_va ())
-  | Accel _, Layer.Matmul mm ->
-      let act =
-        if mm.Layer.relu then Gemmini.Peripheral.Relu
-        else Gemmini.Peripheral.No_activation
-      in
-      let instance i =
-        kernel_span "matmul"
-          (if mm.Layer.m = 1 then
-             (* C^T = W^T . x: the transposed weight matrix is the
-                streaming A operand (page-sequential rows); x and C^T are
-                flat vectors, so no data movement changes. Bias becomes
-                per-row, which the store path cannot broadcast — the
-                kernel biases through the accumulator mvin channel all
-                the same because each output block row sees its own bias
-                word. For the swapped layout the bias is added via a
-                host-free accumulate mvin of the bias vector
-                reinterpreted column-wise. *)
-             Kernels.matmul_steps params
-               ~bias_column:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
-               ~act ~scale:out_scale
-               ~a:(tensors.t_weights.(idx) + (i * mm.Layer.k * mm.Layer.n))
-               ~b:(input_va + (i * mm.Layer.m * mm.Layer.k))
-               ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
-               ~m:mm.Layer.n ~k:mm.Layer.k ~n:1 ()
-           else
-             Kernels.matmul_steps params
-               ~bias:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
-               ~act ~scale:out_scale
-               ~a:(input_va + (i * mm.Layer.m * mm.Layer.k))
-               ~b:(tensors.t_weights.(idx) + (i * mm.Layer.k * mm.Layer.n))
-               ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
-               ~m:mm.Layer.m ~k:mm.Layer.k ~n:mm.Layer.n ())
-      in
-      List.concat_map instance (List.init mm.Layer.count Fun.id)
+  | Layer.Matmul _ | Layer.Residual_add _ -> None
+
+(* The pieces of one planned layer: any functional staging ([staged]),
+   then the plan's kernel over this layer's tensor addresses under its
+   kernel span. *)
+let layer_pieces soc core tensors ~staged ~idx ~input_va layer
+    (lp : Lower.layer_plan) =
+  let params = Gemmini.Controller.params (Soc.controller core) in
+  let out_va = tensors.t_out.(idx) in
+  let spanned pieces =
+    match lp.Lower.lp_span with
+    | None -> pieces
+    | Some name -> kernel_span name pieces
+  in
+  let act relu =
+    if relu then Gemmini.Peripheral.Relu else Gemmini.Peripheral.No_activation
+  in
+  let kernel =
+    match (layer, lp.Lower.lp_kernel) with
+    | Layer.Max_pool _, _ when staged ->
+        (* The staging marker pools on the host: no pooling commands. *)
+        []
+    | _, Lower.K_host hw -> spanned [ host_piece hw ]
+    | _, Lower.K_maxpool { spec } ->
+        spanned [ Kernels.maxpool_steps params ~input:input_va ~out:out_va ~spec ]
+    | Layer.Residual_add { back1; back2; _ }, Lower.K_resadd { elems } ->
+        let operand back =
+          let j = idx - back in
+          if j < 0 then tensors.t_input else tensors.t_out.(j)
+        in
+        spanned
+          [
+            Kernels.resadd_steps params ~x:(operand back1) ~y:(operand back2)
+              ~out:out_va ~elems ();
+          ]
+    | Layer.Conv spec, Lower.K_matmul { prep; a; shape; count } ->
+        (* Instance [ch] is depthwise channel [ch] (a standard conv has
+           the one instance 0); one kernel span covers them all. *)
+        let m = shape.Lower.ms_m and k = shape.Lower.ms_k in
+        let channel ch =
+          let a_va =
+            match a with
+            | `Input ->
+                input_va
+                + (ch * spec.Layer.in_h * spec.Layer.in_w / max 1 spec.Layer.in_ch)
+            | `Patches | `Weights -> tensors.t_patch.(idx) + (ch * m * k)
+          in
+          Kernels.matmul_steps params
+            ~bias:(tensors.t_bias.(idx) + (4 * ch))
+            ~act:(act spec.Layer.relu) ~scale:out_scale ~a:a_va
+            ~b:(tensors.t_weights.(idx) + (ch * k))
+            ~out:(out_va + ch) shape
+        in
+        (* Each channel's steps are built only once its piece is reached. *)
+        spanned
+          (Option.to_list (Option.map host_piece prep)
+          @ List.init count (fun ch () -> channel ch ()))
+    | Layer.Matmul mm, Lower.K_matmul { a; shape; count; _ } ->
+        (* One kernel span per batched instance. The transposed batch-1
+           GEMM streams the weights as A and the input vector as B. *)
+        let instance i =
+          let x = input_va + (i * mm.Layer.m * mm.Layer.k)
+          and w = tensors.t_weights.(idx) + (i * mm.Layer.k * mm.Layer.n) in
+          let a_va, b_va =
+            match a with `Weights -> (w, x) | `Input | `Patches -> (x, w)
+          in
+          spanned
+            [
+              Kernels.matmul_steps params
+                ~bias:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
+                ~act:(act mm.Layer.relu) ~scale:out_scale ~a:a_va ~b:b_va
+                ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
+                shape;
+            ]
+        in
+        List.concat_map instance (List.init count Fun.id)
+    | _, (Lower.K_resadd _ | Lower.K_matmul _) ->
+        invalid_arg "Runtime: layer plan does not match its layer"
+  in
+  match if staged then staging soc tensors ~idx ~input_va layer else None with
+  | Some stage -> marker stage :: kernel
+  | None -> kernel
 
 (* The program over pre-allocated tensors, as the lazy pieces a
    [Soc.program] expands one tile step at a time: the shared core of
@@ -461,13 +475,18 @@ let layer_pieces soc core tensors ~mode ~functional ~idx ~input_va layer =
    dispatched mid-run then reports layer cycles relative to its own start
    rather than to cycle 0. *)
 let network_pieces ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
-    ?on_layer soc core model ~mode ~records ~guard ~tensors =
-  let functional = Option.is_some (Soc.mainmem soc) in
+    ?on_layer soc core model ~mode ~records ~guard ~tensors ~plan =
+  (* Functional runs stage real data around accelerator layers; a
+     software-only run has no accelerator layer to stage for. *)
+  let staged =
+    Option.is_some (Soc.mainmem soc)
+    && match mode with Accel _ -> true | Cpu_only -> false
+  in
   let layers = Array.of_list model.Layer.layers in
-  let cpu = Soc.cpu core in
   let last_finish = ref resume_finish in
   let lower idx =
     let name, layer = layers.(idx) in
+    let lp = plan.(idx) in
     let input_va = if idx = 0 then tensors.t_input else tensors.t_out.(idx - 1) in
     (* The layer span opens at the previous layer's finish horizon (the
        same base lr_cycles measures from), so layer slices tile the
@@ -486,9 +505,9 @@ let network_pieces ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
           records :=
             {
               lr_name = name;
-              lr_class = Layer.class_of layer;
+              lr_class = lp.Lower.lp_class;
               lr_cycles = f - !last_finish;
-              lr_macs = Layer.macs layer;
+              lr_macs = lp.Lower.lp_macs;
             }
             :: !records;
           last_finish := f;
@@ -506,7 +525,7 @@ let network_pieces ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
           [
             marker (fun core ->
                 g.g_layer <- name;
-                g.g_layer_cpu <- cpu_layer_cycles cpu layer;
+                g.g_layer_cpu <- lp.Lower.lp_cpu_cycles;
                 g.g_layer_start <-
                   Gemmini.Controller.finish_time (Soc.controller core);
                 g.g_skip <- false);
@@ -514,7 +533,7 @@ let network_pieces ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
           ]
     in
     head
-    @ layer_pieces soc core tensors ~mode ~functional ~idx ~input_va layer
+    @ layer_pieces soc core tensors ~staged ~idx ~input_va layer lp
     @ [ Kernels.single Kernels.fence; finish_marker ]
   in
   let net_name = model.Layer.model_name in
@@ -541,6 +560,15 @@ let network_pieces ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
     (Seq.append body
        (Seq.return (span_close_marker ~name:net_name Gemmini.Controller.finish_time)))
 
+(* The one lowering decision of an inference: [Lower]'s plan for this
+   core's instance, functional when the SoC carries data. *)
+let plan_model soc core model ~mode =
+  Array.of_list
+    (Lower.plan
+       ~functional:(Option.is_some (Soc.mainmem soc))
+       (Gemmini.Controller.params (Soc.controller core))
+       ~cpu:(Soc.cpu core) ~mode model)
+
 let plan_with ?start_layer ?resume_finish ?on_layer soc core model ~mode
     ~records ~guard =
   (* Tensor allocation always covers the WHOLE network, even when
@@ -550,7 +578,7 @@ let plan_with ?start_layer ?resume_finish ?on_layer soc core model ~mode
   let functional = Option.is_some (Soc.mainmem soc) in
   let tensors = allocate_tensors soc core model ~functional in
   network_pieces ?start_layer ?resume_finish ?on_layer soc core model ~mode
-    ~records ~guard ~tensors
+    ~records ~guard ~tensors ~plan:(plan_model soc core model ~mode)
 
 let plan_ops soc core model ~mode ~records =
   Soc.op_seq (plan_with soc core model ~mode ~records ~guard:None)
@@ -567,6 +595,7 @@ type session = {
   se_model : Layer.model;
   se_mode : mode;
   se_tensors : tensors;
+  se_plan : Lower.layer_plan array;
 }
 
 let make_session soc ~core:core_idx model ~mode =
@@ -578,6 +607,7 @@ let make_session soc ~core:core_idx model ~mode =
     se_model = model;
     se_mode = mode;
     se_tensors = allocate_tensors soc core model ~functional;
+    se_plan = plan_model soc core model ~mode;
   }
 
 let session_core s = s.se_core
@@ -585,6 +615,7 @@ let session_core s = s.se_core
 let request_steps session ~records =
   network_pieces ~rebase:true session.se_soc session.se_core session.se_model
     ~mode:session.se_mode ~records ~guard:None ~tensors:session.se_tensors
+    ~plan:session.se_plan
 
 let make_result soc core_id model mode records total ~faults =
   {
@@ -767,11 +798,13 @@ let run_functional soc ~core:core_idx model ~input ~seed =
     invalid_arg "Runtime.run_functional: SoC is not functional";
   let core = Soc.core soc core_idx in
   let tensors = allocate_tensors soc core model ~functional:true in
+  let mode = Accel { im2col_on_accel = false } in
+  let plan = plan_model soc core model ~mode in
   let pieces =
-    network_pieces soc core model ~mode:(Accel { im2col_on_accel = false })
-      ~records:(ref []) ~guard:None ~tensors
+    network_pieces soc core model ~mode ~records:(ref []) ~guard:None ~tensors
+      ~plan
   in
-  write_weights soc core tensors ~seed model;
+  write_weights soc core tensors ~seed model plan;
   write_tensor soc core ~vaddr:tensors.t_input input;
   ignore (run_on_cores soc [| (core_idx, Soc.program pieces) |]);
   (* Read back the final output with the golden model's shape. *)

@@ -3,10 +3,11 @@
 
     Given a {!Gem_dnn.Layer.model} and an elaborated SoC, the runtime
     allocates virtual memory for every tensor (through the core's page
-    table), lowers each layer onto the accelerator kernels (or onto the
-    host CPU for the software baseline), interposes per-layer fences and
-    bookkeeping markers, and executes the resulting command stream on the
-    simulated SoC.
+    table), lowers each layer as {!Lower.plan} decides (onto the
+    accelerator kernels, or onto the host CPU), placing the kernels over
+    the tensors' addresses, interposes per-layer fences and bookkeeping
+    markers, and executes the resulting command stream on the simulated
+    SoC. Each inference is planned once, never per layer instance.
 
     Two execution styles:
     - {b timing}: shape-only simulation of full networks (what every
@@ -101,7 +102,8 @@ type session
 val make_session :
   Gem_soc.Soc.t -> core:int -> Gem_dnn.Layer.model -> mode:mode -> session
 (** Allocates the model's tensors on the core (deterministic bump
-    allocation, exactly as {!run} would). *)
+    allocation, exactly as {!run} would) and plans the model once; every
+    {!request_steps} reuses both. *)
 
 val session_core : session -> Gem_soc.Soc.core
 
@@ -167,10 +169,6 @@ val run_parallel :
     one guarded {!Gem_soc.Soc.program} per core, interleaved by
     {!Gem_soc.Soc.run_parallel}. A single job is exactly {!run} on core
     0. *)
-
-val cpu_only_cycles :
-  Gem_cpu.Cpu_model.kind -> Gem_dnn.Layer.model -> Gem_sim.Time.cycles
-(** Analytic software baseline (no SoC needed): the Fig. 7 denominators. *)
 
 (* Functional execution (small models). *)
 

@@ -204,49 +204,37 @@ let test_command_counts () =
       List.iter
         (fun (lp : Lower.layer_plan) ->
           match lp.Lower.lp_kernel with
-          | Lower.K_matmul { insts; _ } ->
-              List.iter
-                (fun ((ms : Lower.matmul_shape), _count) ->
-                  let predicted = Backend_analytic.matmul_command_counts p ms in
-                  let ops =
-                    Kernels.matmul_ops p ~schedule:ms.Lower.ms_schedule
-                      ?bias:
-                        (match ms.Lower.ms_bias with
-                        | `Broadcast -> Some 0x10_000
-                        | _ -> None)
-                      ?bias_column:
-                        (match ms.Lower.ms_bias with
-                        | `Column -> Some 0x10_000
-                        | _ -> None)
-                      ~a_row_stride:ms.Lower.ms_a_stride
-                      ~b_row_stride:ms.Lower.ms_b_stride
-                      ~c_row_stride:ms.Lower.ms_c_stride
-                      ~a_condense:ms.Lower.ms_a_condense ~a:0x20_000 ~b:0x40_000
-                      ~out:0x60_000 ~m:ms.Lower.ms_m ~k:ms.Lower.ms_k
-                      ~n:ms.Lower.ms_n ()
-                  in
-                  let emitted = count_stream ops in
-                  if predicted <> emitted then
-                    Alcotest.failf
-                      "%s/%s: predicted \
-                       (cfg=%d bias=%d a=%d b=%d pre=%d comp=%d out=%d) vs \
-                       emitted (cfg=%d bias=%d a=%d b=%d pre=%d comp=%d out=%d)"
-                      name lp.Lower.lp_name predicted.Backend_analytic.mc_configs
-                      predicted.Backend_analytic.mc_bias_mvins
-                      predicted.Backend_analytic.mc_a_mvins
-                      predicted.Backend_analytic.mc_b_mvins
-                      predicted.Backend_analytic.mc_preloads
-                      predicted.Backend_analytic.mc_computes
-                      predicted.Backend_analytic.mc_mvouts
-                      emitted.Backend_analytic.mc_configs
-                      emitted.Backend_analytic.mc_bias_mvins
-                      emitted.Backend_analytic.mc_a_mvins
-                      emitted.Backend_analytic.mc_b_mvins
-                      emitted.Backend_analytic.mc_preloads
-                      emitted.Backend_analytic.mc_computes
-                      emitted.Backend_analytic.mc_mvouts;
-                  incr checked)
-                insts
+          | Lower.K_matmul { shape = ms; _ } ->
+              let predicted = Backend_analytic.matmul_command_counts p ms in
+              let ops =
+                Kernels.ops
+                  (Kernels.matmul_steps p
+                     ?bias:
+                       (if ms.Lower.ms_bias = `None then None
+                        else Some 0x10_000)
+                     ~a:0x20_000 ~b:0x40_000 ~out:0x60_000 ms)
+              in
+              let emitted = count_stream ops in
+              if predicted <> emitted then
+                Alcotest.failf
+                  "%s/%s: predicted \
+                   (cfg=%d bias=%d a=%d b=%d pre=%d comp=%d out=%d) vs \
+                   emitted (cfg=%d bias=%d a=%d b=%d pre=%d comp=%d out=%d)"
+                  name lp.Lower.lp_name predicted.Backend_analytic.mc_configs
+                  predicted.Backend_analytic.mc_bias_mvins
+                  predicted.Backend_analytic.mc_a_mvins
+                  predicted.Backend_analytic.mc_b_mvins
+                  predicted.Backend_analytic.mc_preloads
+                  predicted.Backend_analytic.mc_computes
+                  predicted.Backend_analytic.mc_mvouts
+                  emitted.Backend_analytic.mc_configs
+                  emitted.Backend_analytic.mc_bias_mvins
+                  emitted.Backend_analytic.mc_a_mvins
+                  emitted.Backend_analytic.mc_b_mvins
+                  emitted.Backend_analytic.mc_preloads
+                  emitted.Backend_analytic.mc_computes
+                  emitted.Backend_analytic.mc_mvouts;
+              incr checked
           | _ -> ())
         plans)
     [ "squeezenet1.1"; "mobilenetv2"; "bert-base-seq128" ];

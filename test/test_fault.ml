@@ -339,8 +339,8 @@ let test_params_refused_on_entry () =
            ~issue_cycles:1 ()));
   refused "Kernels.matmul_steps" (fun () ->
       let _ : Gem_sw.Kernels.steps =
-        Gem_sw.Kernels.matmul_steps bad ~a:0 ~b:0x1000 ~out:0x2000 ~m:16 ~k:16
-          ~n:16 ()
+        Gem_sw.Kernels.matmul_steps bad ~a:0 ~b:0x1000 ~out:0x2000
+          (Gem_sw.Lower.matmul_shape bad ~m:16 ~k:16 ~n:16 ())
       in
       ())
 

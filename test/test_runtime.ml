@@ -237,10 +237,34 @@ let op_line = function
 
 let chain h line = Digest.string (h ^ line)
 
-let plan_digest model ~mode =
-  let soc = Soc.create Soc_config.default in
-  let ops = Runtime.plan_ops soc (Soc.core soc 0) model ~mode ~records:(ref []) in
+let stream_digest ops =
   Digest.to_hex (Seq.fold_left (fun h op -> chain h (op_line op)) "" ops)
+
+let plan_digest ?(config = Soc_config.default) model ~mode =
+  let soc = Soc.create config in
+  stream_digest
+    (Runtime.plan_ops soc (Soc.core soc 0) model ~mode ~records:(ref []))
+
+(* An instance with neither a pooling unit nor an im2col block: max-pool
+   falls back to the host, and an on-accelerator im2col request falls
+   back to a host im2col pass. *)
+let bare_config =
+  let core = Soc_config.default_core in
+  {
+    Soc_config.default with
+    cores =
+      [
+        {
+          core with
+          Soc_config.accel =
+            {
+              core.Soc_config.accel with
+              Gemmini.Params.has_pooling = false;
+              has_im2col = false;
+            };
+        };
+      ];
+  }
 
 let guarded_run_digest model =
   let soc = Soc.create Soc_config.default in
@@ -262,50 +286,109 @@ let guarded_run_digest model =
   in
   Printf.sprintf "%s/%d" (Digest.to_hex !h) r.Runtime.r_total_cycles
 
+type pinned = {
+  im2col : string;  (** [plan_ops], im2col on the accelerator *)
+  cpu_im2col : string;  (** [plan_ops], host im2col *)
+  run : string;  (** guarded [Runtime.run] spans / total cycles *)
+  cpu_only : string;  (** [plan_ops], every layer in software *)
+  bare : string;
+      (** [plan_ops] on [bare_config] asking for accelerator im2col:
+          the host max-pool and host im2col fallbacks *)
+}
+
 let lowering_digests =
   [
     ( "resnet50",
-      ( "52986e21236e5c87eb1595f8785a47bd",
-        "7146f93ceae600b4577dfdb9082189a3",
-        "f7d9607db5b354907e75d13b2a36ac77/2215054" ) );
+      {
+        im2col = "52986e21236e5c87eb1595f8785a47bd";
+        cpu_im2col = "7146f93ceae600b4577dfdb9082189a3";
+        run = "f7d9607db5b354907e75d13b2a36ac77/2215054";
+        cpu_only = "c2ed8f6e7222b9d71534c9ac2e2d7e5e";
+        bare = "653b694b77a701c2fd425ea1810c2380";
+      } );
     ( "alexnet",
-      ( "2d3bbefeb1b7ee2788ca9eed40108f4e",
-        "bcfaa29b8a665f8f0858d9f45a781e11",
-        "8938fa92e6e3f365be9ba4a43a0215a1/479790" ) );
+      {
+        im2col = "2d3bbefeb1b7ee2788ca9eed40108f4e";
+        cpu_im2col = "bcfaa29b8a665f8f0858d9f45a781e11";
+        run = "8938fa92e6e3f365be9ba4a43a0215a1/479790";
+        cpu_only = "5dc9365810398951dd692ab38ae5bd6b";
+        bare = "b3ded0208f11b75e952522f5e7e8b3f4";
+      } );
     ( "squeezenet",
-      ( "fe12fb601594781ee37c9c953a78268f",
-        "34b0a9626f92a49dd97319ceb5a84d3d",
-        "bcd2b6fb1929c9410e344f4c90d3ba86/552008" ) );
+      {
+        im2col = "fe12fb601594781ee37c9c953a78268f";
+        cpu_im2col = "34b0a9626f92a49dd97319ceb5a84d3d";
+        run = "bcd2b6fb1929c9410e344f4c90d3ba86/552008";
+        cpu_only = "4d23f757010021fa72f6826f3a8f1079";
+        bare = "1c67d01cdbf438b86a3ed998816032f6";
+      } );
     ( "mobilenetv2",
-      ( "d023e200fed372eccb3fe3d8d16dc944",
-        "91127fac2d8066148298d514f72d4792",
-        "204948e927315fa2f377a19616b9e05c/2928563" ) );
+      {
+        im2col = "d023e200fed372eccb3fe3d8d16dc944";
+        cpu_im2col = "91127fac2d8066148298d514f72d4792";
+        run = "204948e927315fa2f377a19616b9e05c/2928563";
+        cpu_only = "ce91dffd7c4d320e869f041e5c34a89d";
+        bare = "91127fac2d8066148298d514f72d4792";
+      } );
     ( "bert",
-      ( "914e9f9fbe3e363bbfaf84b7e74b2b0a",
-        "914e9f9fbe3e363bbfaf84b7e74b2b0a",
-        "4ec2b14f80f8a19fdbb91b9d636f6c8b/8458633" ) );
+      {
+        im2col = "914e9f9fbe3e363bbfaf84b7e74b2b0a";
+        cpu_im2col = "914e9f9fbe3e363bbfaf84b7e74b2b0a";
+        run = "4ec2b14f80f8a19fdbb91b9d636f6c8b/8458633";
+        cpu_only = "a1c5262df68ed57dedfaa2e4e0f1d8d9";
+        bare = "914e9f9fbe3e363bbfaf84b7e74b2b0a";
+      } );
   ]
 
 let test_lowering_digests () =
+  let accel im2col_on_accel = Runtime.Accel { im2col_on_accel } in
   List.iter
-    (fun (name, (want_im2col, want_cpu_im2col, want_run)) ->
+    (fun (name, want) ->
       let model =
         Gem_dnn.Model_zoo.scale_model ~factor:8
           (Option.get (Gem_dnn.Model_zoo.find name))
       in
-      let got_im2col =
-        plan_digest model ~mode:(Runtime.Accel { im2col_on_accel = true })
+      let got =
+        {
+          im2col = plan_digest model ~mode:(accel true);
+          cpu_im2col = plan_digest model ~mode:(accel false);
+          run = guarded_run_digest model;
+          cpu_only = plan_digest model ~mode:Runtime.Cpu_only;
+          bare = plan_digest ~config:bare_config model ~mode:(accel true);
+        }
       in
-      let got_cpu_im2col =
-        plan_digest model ~mode:(Runtime.Accel { im2col_on_accel = false })
+      let check what field =
+        Alcotest.(check string) (name ^ " " ^ what) (field want) (field got)
       in
-      let got_run = guarded_run_digest model in
-      Alcotest.(check string) (name ^ " plan_ops (accel im2col)") want_im2col
-        got_im2col;
-      Alcotest.(check string) (name ^ " plan_ops (cpu im2col)") want_cpu_im2col
-        got_cpu_im2col;
-      Alcotest.(check string) (name ^ " guarded run spans") want_run got_run)
+      check "plan_ops (accel im2col)" (fun d -> d.im2col);
+      check "plan_ops (cpu im2col)" (fun d -> d.cpu_im2col);
+      check "guarded run spans" (fun d -> d.run);
+      check "plan_ops (cpu only)" (fun d -> d.cpu_only);
+      check "plan_ops (no pooling unit, no im2col block)" (fun d -> d.bare))
     lowering_digests
+
+(* Functional runs stage real data through host markers: the pinned
+   streams show, among the rest, that a functional max-pool is host
+   staging alone, with no pooling commands. *)
+let functional_digests =
+  [
+    (tiny_cnn, "340e044181eb8edcaeea5f14ee2c26a6");
+    (tiny_dw, "482f1c514c9cf82d38403d988d34fd95");
+  ]
+
+let test_functional_digests () =
+  List.iter
+    (fun (model, want) ->
+      let soc = functional_soc () in
+      let got =
+        stream_digest
+          (Runtime.plan_ops soc (Soc.core soc 0) model
+             ~mode:(Runtime.Accel { im2col_on_accel = false })
+             ~records:(ref []))
+      in
+      Alcotest.(check string) (model.Layer.model_name ^ " functional plan_ops")
+        want got)
+    functional_digests
 
 let suite =
   [
@@ -318,4 +401,6 @@ let suite =
     Alcotest.test_case "strided padded conv end-to-end" `Quick test_strided_conv;
     Alcotest.test_case "lowering digests match the reference (zoo/8)" `Quick
       test_lowering_digests;
+    Alcotest.test_case "functional lowering digests (tiny nets)" `Quick
+      test_functional_digests;
   ]

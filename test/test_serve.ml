@@ -149,7 +149,13 @@ let test_batch_parse () =
       Alcotest.(check int) "wait in cycles" 250_000 max_wait
   | _ -> Alcotest.fail "deadline parse");
   Alcotest.(check bool) "bad policy rejected" true
-    (Result.is_error (Batch.policy_of_string "fixed:0"))
+    (Result.is_error (Batch.policy_of_string "fixed:0"));
+  (* A wait past the cycle range would wrap to a 0-cycle deadline. *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true
+        (Result.is_error (Batch.policy_of_string s)))
+    [ "deadline:2:inf"; "deadline:2:1e17"; "deadline:2:nan"; "deadline:2:-1" ]
 
 (* --- SLO accounting ------------------------------------------------------ *)
 
@@ -229,6 +235,32 @@ let test_slo_origin_and_reuse () =
     second.Slo.rp_latency.Gem_util.Stats.Histogram.max;
   Alcotest.(check bool) "p99 from second run only" true
     (second.Slo.rp_latency.Gem_util.Stats.Histogram.p99 < 1e6)
+
+(* A window in which no request arrives has no attainment to report: not
+   a perfect one. *)
+let test_slo_empty_window () =
+  let rp = Slo.analyze ~origin:0 ~offered:0 ~cores:1 ~slos_ms:[ 5.0 ] [] in
+  Alcotest.(check bool) "attainment is NaN" true
+    (Float.is_nan (List.assoc 5.0 rp.Slo.rp_attainment));
+  let r =
+    Serve.run
+      {
+        Serve.default with
+        Serve.sv_model = "mobilenetv2";
+        sv_scale = 32;
+        sv_arrival = Arrival.Poisson { rate_rps = 1e-10 };
+        sv_duration_ms = 1.0;
+        sv_slos_ms = [ 5.0 ];
+      }
+  in
+  Alcotest.(check int) "nothing offered" 0 r.Serve.sr_report.Slo.rp_offered;
+  let lines = String.split_on_char '\n' (Report.render r) in
+  Alcotest.(check bool) "report says n/a" true
+    (List.mem "slo 5.00 ms: n/a (no request offered)" lines);
+  Alcotest.(check bool) "no attainment line" false
+    (List.exists
+       (fun l -> String.ends_with ~suffix:"% attained" l)
+       lines)
 
 (* --- end-to-end sharding on the cycle-accurate SoC ----------------------- *)
 
@@ -632,6 +664,8 @@ let suite =
       test_slo_cycles_range;
     Alcotest.test_case "slo origin + histogram reuse" `Quick
       test_slo_origin_and_reuse;
+    Alcotest.test_case "slo of an empty window is n/a" `Quick
+      test_slo_empty_window;
     Alcotest.test_case "2-core sharding (cycle)" `Slow test_sharding_cycle;
     Alcotest.test_case "2-core sharding (analytic)" `Quick
       test_sharding_analytic;

@@ -526,8 +526,8 @@ let test_cpu_model_sanity () =
     (im2col_cycles Rocket ~patch_elems:10000 / 2)
     (im2col_cycles Boom ~patch_elems:10000);
   Alcotest.(check bool) "baseline ordering matches MAC counts" true
-    (Runtime.cpu_only_cycles Rocket Gem_dnn.Model_zoo.resnet50
-     > Runtime.cpu_only_cycles Rocket Gem_dnn.Model_zoo.squeezenet)
+    (Gem_sw.Lower.cpu_only_cycles Rocket Gem_dnn.Model_zoo.resnet50
+     > Gem_sw.Lower.cpu_only_cycles Rocket Gem_dnn.Model_zoo.squeezenet)
 
 let suite =
   [
