@@ -220,14 +220,18 @@ let rob_clear t =
   t.rob_head <- 0;
   t.rob_len <- 0
 
+(* [rob_head + rob_len] < 2 * cap, so one conditional subtraction wraps
+   an index: no division per retired command. *)
 let retire t finish =
   if finish > t.cmd_finish then t.cmd_finish <- finish;
   let cap = Array.length t.rob in
-  t.rob.((t.rob_head + t.rob_len) mod cap) <- finish;
+  let tail = t.rob_head + t.rob_len in
+  t.rob.(if tail >= cap then tail - cap else tail) <- finish;
   t.rob_len <- t.rob_len + 1;
   if t.rob_len > t.p.Params.max_in_flight then begin
     let oldest = t.rob.(t.rob_head) in
-    t.rob_head <- (t.rob_head + 1) mod cap;
+    let head = t.rob_head + 1 in
+    t.rob_head <- (if head = cap then 0 else head);
     t.rob_len <- t.rob_len - 1;
     if oldest > t.issue then t.issue <- oldest
   end
@@ -409,10 +413,12 @@ let read_block_or_zeros t la ~rows ~cols =
   if Local_addr.is_garbage la then Matrix.create ~rows ~cols
   else Scratchpad.read_block t.spad la ~rows ~cols
 
-let do_compute t (args : Isa.compute_args) ~preloaded =
+(* A compute's operands come as fields, not an [Isa.compute_args]: a
+   compute run issues its commands without building their records. *)
+let do_compute t ~a ~bd ~a_rows ~a_cols ~bd_rows ~bd_cols ~preloaded =
   t.s.computes <- t.s.computes + 1;
   let dim = Params.dim t.p in
-  let a_rows = min args.Isa.a_rows dim and a_cols = min args.Isa.a_cols dim in
+  let a_rows = Int.min a_rows dim and a_cols = Int.min a_cols dim in
   match t.ex_cfg.dataflow with
   | `WS ->
       let pl = t.preload in
@@ -425,7 +431,7 @@ let do_compute t (args : Isa.compute_args) ~preloaded =
       in
       let ex_done =
         Engine.acquire t.engine t.ex_pipe
-          ~now:(max t.issue t.last_ld_finish)
+          ~now:(Int.max t.issue t.last_ld_finish)
           ~occupancy:cycles
       in
       t.s.macs <- t.s.macs + (a_rows * k * out_cols);
@@ -448,17 +454,14 @@ let do_compute t (args : Isa.compute_args) ~preloaded =
                   (Fault.Illegal_inst
                      "accumulate-compute without resident weights")
         in
-        let a =
-          read_block_or_zeros t args.Isa.a ~rows:a_rows ~cols:a_cols
-        in
+        let a = read_block_or_zeros t a ~rows:a_rows ~cols:a_cols in
         let a = if t.ex_cfg.a_transpose then Matrix.transpose a else a in
         let d =
-          if Local_addr.is_garbage args.Isa.bd then None
+          if Local_addr.is_garbage bd then None
           else
             Some
-              (Scratchpad.read_block t.spad args.Isa.bd
-                 ~rows:(min args.Isa.bd_rows dim)
-                 ~cols:(min args.Isa.bd_cols dim))
+              (Scratchpad.read_block t.spad bd ~rows:(Int.min bd_rows dim)
+                 ~cols:(Int.min bd_cols dim))
         in
         (* Zero-pad B to K rows if needed by taking only meaningful dims. *)
         let result =
@@ -474,23 +477,22 @@ let do_compute t (args : Isa.compute_args) ~preloaded =
       if not pl.pl_staged then
         trap t (Fault.Illegal_inst "OS compute without preload");
       let k = a_cols in
-      let out_rows = a_rows and out_cols = min args.Isa.bd_cols dim in
+      let out_rows = a_rows and out_cols = Int.min bd_cols dim in
       let cycles =
         Mesh.pipelined_block_cycles t.p ~dataflow:`OS ~rows:out_rows ~k
           ~cols:out_cols ~preload:false
       in
       let ex_done =
         Engine.acquire t.engine t.ex_pipe
-          ~now:(max t.issue t.last_ld_finish)
+          ~now:(Int.max t.issue t.last_ld_finish)
           ~occupancy:cycles
       in
       t.s.macs <- t.s.macs + (out_rows * k * out_cols);
       if t.functional then begin
-        let a = read_block_or_zeros t args.Isa.a ~rows:out_rows ~cols:k in
+        let a = read_block_or_zeros t a ~rows:out_rows ~cols:k in
         let a = if t.ex_cfg.a_transpose then Matrix.transpose a else a in
         let b =
-          read_block_or_zeros t args.Isa.bd ~rows:(min args.Isa.bd_rows dim)
-            ~cols:out_cols
+          read_block_or_zeros t bd ~rows:(Int.min bd_rows dim) ~cols:out_cols
         in
         let b = if t.ex_cfg.b_transpose then Matrix.transpose b else b in
         let d =
@@ -532,6 +534,92 @@ let do_fence t =
   t.issue <- finish_time t;
   rob_clear t
 
+(* --- compute runs --------------------------------------------------------------
+
+   One tile step's weight-stationary nest, kk -> jj -> ii: per block a
+   Preload (B only on the first ii of a B block) and a Compute. Blocks
+   along each dimension are [dim] wide except the last of the problem,
+   which is ragged. *)
+
+type compute_run = {
+  cr_m : int;
+  cr_k : int;
+  cr_n : int;
+  cr_i0 : int;
+  cr_j0 : int;
+  cr_k0 : int;
+  cr_vi : int;
+  cr_vj : int;
+  cr_vk : int;
+  cr_tk : int;
+  cr_tj : int;
+  cr_a_base : int;
+  cr_b_base : int;
+  cr_accumulate : bool;
+  cr_dim : int;
+}
+
+let[@inline] run_rows r gi = Int.min r.cr_dim (r.cr_m - (gi * r.cr_dim))
+let[@inline] run_kcols r gk = Int.min r.cr_dim (r.cr_k - (gk * r.cr_dim))
+let[@inline] run_ncols r gj = Int.min r.cr_dim (r.cr_n - (gj * r.cr_dim))
+let[@inline] run_a_row r ~ii ~kk = r.cr_a_base + (((ii * r.cr_tk) + kk) * r.cr_dim)
+let[@inline] run_b_row r ~kk ~jj = r.cr_b_base + (((kk * r.cr_tj) + jj) * r.cr_dim)
+let[@inline] run_c_row r ~ii ~jj = ((ii * r.cr_tj) + jj) * r.cr_dim
+
+let run_commands r f =
+  for kk = 0 to r.cr_vk - 1 do
+    let kcols = run_kcols r (r.cr_k0 + kk) in
+    let accumulate = r.cr_accumulate || kk > 0 in
+    for jj = 0 to r.cr_vj - 1 do
+      let ncols = run_ncols r (r.cr_j0 + jj) in
+      let b_local = Local_addr.scratchpad ~row:(run_b_row r ~kk ~jj) in
+      for ii = 0 to r.cr_vi - 1 do
+        let rows = run_rows r (r.cr_i0 + ii) in
+        let first_of_b = ii = 0 in
+        f
+          (Isa.Preload
+             {
+               b = (if first_of_b then b_local else Local_addr.garbage);
+               c = Local_addr.accumulator ~accumulate ~row:(run_c_row r ~ii ~jj) ();
+               b_rows = kcols;
+               b_cols = ncols;
+               c_rows = rows;
+               c_cols = ncols;
+             });
+        let args =
+          {
+            Isa.a = Local_addr.scratchpad ~row:(run_a_row r ~ii ~kk);
+            bd = Local_addr.garbage;
+            a_cols = kcols;
+            a_rows = rows;
+            bd_cols = ncols;
+            bd_rows = rows;
+          }
+        in
+        f (if first_of_b then Isa.Compute_preloaded args else Isa.Compute_accumulated args)
+      done
+    done
+  done
+
+(* The run's bounding box, in O(1). Block sizes only shrink along a
+   dimension, so every size is in [1, dim] when the last one is at least
+   1; and with [tk], [tj] >= 1 each operand's last block reaches furthest
+   into its memory. So when this holds, {!Isa.validate} accepts every
+   command of {!run_commands}. *)
+let run_fits p r =
+  let dim = r.cr_dim in
+  let vi = r.cr_vi and vj = r.cr_vj and vk = r.cr_vk in
+  let last_rows = run_rows r (r.cr_i0 + vi - 1)
+  and last_kcols = run_kcols r (r.cr_k0 + vk - 1)
+  and last_ncols = run_ncols r (r.cr_j0 + vj - 1) in
+  dim >= 1 && dim <= Params.dim p && dim <= 0xFFFF
+  && vi >= 1 && vj >= 1 && vk >= 1 && r.cr_tk >= 1 && r.cr_tj >= 1
+  && last_rows >= 1 && last_kcols >= 1 && last_ncols >= 1
+  && r.cr_a_base >= 0 && r.cr_b_base >= 0
+  && run_a_row r ~ii:(vi - 1) ~kk:(vk - 1) + last_rows <= Params.sp_rows p
+  && run_b_row r ~kk:(vk - 1) ~jj:(vj - 1) + last_kcols <= Params.sp_rows p
+  && run_c_row r ~ii:(vi - 1) ~jj:(vj - 1) + last_rows <= Params.acc_rows p
+
 (* --- the LOOP_WS hardware sequencer ----------------------------------------
 
    Mirrors Gemmini's LoopMatmul.scala: once the host has staged bounds,
@@ -566,7 +654,7 @@ let loop_tile_factors t ~bi ~bk ~bj =
   done;
   !tile
 
-let do_loop_ws t (strides : Isa.loop_strides) ~execute_sub =
+let do_loop_ws t (strides : Isa.loop_strides) ~execute_sub ~execute_run =
   let bounds =
     match t.loop_bounds with
     | Some b -> b
@@ -681,43 +769,24 @@ let do_loop_ws t (strides : Isa.loop_strides) ~execute_sub =
             jj := !jj + w
           done
         done;
-        for kk = 0 to vk - 1 do
-          let gk = (k0 * tk) + kk in
-          for jj = 0 to vj - 1 do
-            let gj = (j0 * tj) + jj in
-            let b_local =
-              Local_addr.scratchpad ~row:(b_base parity + (((kk * tj) + jj) * dim))
-            in
-            for ii = 0 to vi - 1 do
-              let gi = (i0 * ti) + ii in
-              let first_of_b = ii = 0 in
-              let accumulate = bounds.Isa.lw_has_bias || k0 > 0 || kk > 0 in
-              execute_sub
-                (Isa.Preload
-                   {
-                     b = (if first_of_b then b_local else Local_addr.garbage);
-                     c = Local_addr.accumulator ~accumulate ~row:(c_base ii jj) ();
-                     b_rows = kcols_of gk;
-                     b_cols = ncols_of gj;
-                     c_rows = rows_of gi;
-                     c_cols = ncols_of gj;
-                   });
-              let args =
-                {
-                  Isa.a = Local_addr.scratchpad ~row:(a_base parity + (((ii * tk) + kk) * dim));
-                  bd = Local_addr.garbage;
-                  a_cols = kcols_of gk;
-                  a_rows = rows_of gi;
-                  bd_cols = ncols_of gj;
-                  bd_rows = rows_of gi;
-                }
-              in
-              execute_sub
-                (if first_of_b then Isa.Compute_preloaded args
-                 else Isa.Compute_accumulated args)
-            done
-          done
-        done
+        execute_run
+          {
+            cr_m = m;
+            cr_k = k;
+            cr_n = n;
+            cr_i0 = i0 * ti;
+            cr_j0 = j0 * tj;
+            cr_k0 = k0 * tk;
+            cr_vi = vi;
+            cr_vj = vj;
+            cr_vk = vk;
+            cr_tk = tk;
+            cr_tj = tj;
+            cr_a_base = a_base parity;
+            cr_b_base = b_base parity;
+            cr_accumulate = bounds.Isa.lw_has_bias || k0 > 0;
+            cr_dim = dim;
+          }
       done;
       for ii = 0 to vi - 1 do
         for jj = 0 to vj - 1 do
@@ -793,6 +862,14 @@ let span_args t cmd =
       | None -> [])
   | _ -> []
 
+(* The accumulator flags of a run's C addresses, at row 0. *)
+let acc_overwrite = Local_addr.accumulator ~row:0 ()
+let acc_accumulate = Local_addr.accumulator ~accumulate:true ~row:0 ()
+
+let[@inline] count t ~count_insn =
+  if count_insn then t.s.insns <- t.s.insns + 1
+  else t.s.loop_micro_ops <- t.s.loop_micro_ops + 1
+
 let rec execute_with t ~issue_cost ~count_insn (cmd : Isa.t) =
   (* Validation runs before any state moves (insn counters, issue cursor):
      a trapped command has no side effects, so a recovery policy can
@@ -800,8 +877,11 @@ let rec execute_with t ~issue_cost ~count_insn (cmd : Isa.t) =
   (match Isa.validate t.p cmd with
   | Ok () -> ()
   | Error cause -> trap t cause);
-  if count_insn then t.s.insns <- t.s.insns + 1
-  else t.s.loop_micro_ops <- t.s.loop_micro_ops + 1;
+  dispatch t ~issue_cost ~count_insn cmd
+
+(* A command already known to be valid. *)
+and dispatch t ~issue_cost ~count_insn (cmd : Isa.t) =
+  count t ~count_insn;
   (* Span opens at dispatch, closes at the retire high-water mark the
      command reaches — so a span covers queueing as well as service.
      LOOP_WS micro-ops fold into the parent LOOP_WS span. A quiet run
@@ -845,8 +925,10 @@ let rec execute_with t ~issue_cost ~count_insn (cmd : Isa.t) =
   | Isa.Mvout mv -> do_mvout t mv
   | Isa.Preload { b; c; b_cols; b_rows; c_cols; c_rows } ->
       do_preload t ~b ~c ~b_rows ~b_cols ~c_rows ~c_cols
-  | Isa.Compute_preloaded args -> do_compute t args ~preloaded:true
-  | Isa.Compute_accumulated args -> do_compute t args ~preloaded:false
+  | Isa.Compute_preloaded { a; bd; a_cols; a_rows; bd_cols; bd_rows } ->
+      do_compute t ~a ~bd ~a_rows ~a_cols ~bd_rows ~bd_cols ~preloaded:true
+  | Isa.Compute_accumulated { a; bd; a_cols; a_rows; bd_cols; bd_rows } ->
+      do_compute t ~a ~bd ~a_rows ~a_cols ~bd_rows ~bd_cols ~preloaded:false
   | Isa.Loop_ws_bounds b -> t.loop_bounds <- Some b
   | Isa.Loop_ws_addrs a -> t.loop_addrs <- Some a
   | Isa.Loop_ws_outs o -> t.loop_outs <- Some o
@@ -855,10 +937,11 @@ let rec execute_with t ~issue_cost ~count_insn (cmd : Isa.t) =
          the host's RoCC dispatch cost. *)
       do_loop_ws t strides
         ~execute_sub:(execute_with t ~issue_cost:1 ~count_insn:false)
+        ~execute_run:(execute_run_with t ~issue_cost:1 ~count_insn:false)
   | Isa.Flush -> do_flush t
   | Isa.Fence -> do_fence t);
   if span then begin
-    let time = max t.issue t.cmd_finish in
+    let time = Int.max t.issue t.cmd_finish in
     if Engine.live t.engine then
       Engine.emit t.engine
         (Engine.Span_close
@@ -866,7 +949,49 @@ let rec execute_with t ~issue_cost ~count_insn (cmd : Isa.t) =
     else Engine.observe t.engine time
   end
 
+(* A run whose box fits issues exactly its commands' bookkeeping: a live
+   engine dispatches the commands themselves (for their spans); a quiet
+   one loops over the run's ints, Preload (no span) then Compute (a span
+   when host-issued), without building a command. A run that does not
+   fit goes through validation command by command, and traps where its
+   first invalid command would. *)
+and execute_run_with t ~issue_cost ~count_insn r =
+  if not (run_fits t.p r) then run_commands r (execute_with t ~issue_cost ~count_insn)
+  else if Engine.live t.engine then run_commands r (dispatch t ~issue_cost ~count_insn)
+  else
+    for kk = 0 to r.cr_vk - 1 do
+      let kcols = run_kcols r (r.cr_k0 + kk) in
+      let c_row0 = if r.cr_accumulate || kk > 0 then acc_accumulate else acc_overwrite in
+      for jj = 0 to r.cr_vj - 1 do
+        let ncols = run_ncols r (r.cr_j0 + jj) in
+        for ii = 0 to r.cr_vi - 1 do
+          let rows = run_rows r (r.cr_i0 + ii) in
+          let first_of_b = ii = 0 in
+          count t ~count_insn;
+          t.issue <- t.issue + issue_cost;
+          do_preload t
+            ~b:(if first_of_b then Local_addr.scratchpad ~row:(run_b_row r ~kk ~jj)
+                else Local_addr.garbage)
+            ~c:(Local_addr.add_rows c_row0 (run_c_row r ~ii ~jj))
+            ~b_rows:kcols ~b_cols:ncols ~c_rows:rows ~c_cols:ncols;
+          count t ~count_insn;
+          if count_insn then begin
+            t.cmd_finish <- t.issue;
+            Engine.observe t.engine t.issue
+          end;
+          t.issue <- t.issue + issue_cost;
+          do_compute t
+            ~a:(Local_addr.scratchpad ~row:(run_a_row r ~ii ~kk))
+            ~bd:Local_addr.garbage ~a_rows:rows ~a_cols:kcols ~bd_rows:rows
+            ~bd_cols:ncols ~preloaded:first_of_b;
+          if count_insn then Engine.observe t.engine (Int.max t.issue t.cmd_finish)
+        done
+      done
+    done
+
 let execute t cmd = execute_with t ~issue_cost:t.issue_cycles ~count_insn:true cmd
+
+let execute_run t r = execute_run_with t ~issue_cost:t.issue_cycles ~count_insn:true r
 
 let execute_all t cmds = List.iter (execute t) cmds
 

@@ -13,7 +13,8 @@
     The special value with all bits set is "garbage": compute instructions
     use it to mean "no operand". *)
 
-type t
+type t [@@immediate]
+(** An int: records holding one store it without a write barrier. *)
 
 val scratchpad : row:int -> t
 val accumulator : ?accumulate:bool -> ?full_width:bool -> row:int -> unit -> t

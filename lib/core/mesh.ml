@@ -253,7 +253,7 @@ let pipelined_block_cycles p ~dataflow ~rows ~k ~cols ~preload =
          rows k cols);
   match dataflow with
   | `WS ->
-      let occupancy = if preload then max rows (Params.dim p) else rows in
+      let occupancy = if preload then Int.max rows (Params.dim p) else rows in
       occupancy + inter_block_bubble
   | `OS ->
       (* The OS drain shares the vertical ports, so it is not hidden. *)

@@ -9,7 +9,7 @@ type t = {
   set_mask : int;
   tag_shift : int; (* set_shift + log2 sets: addr lsr tag_shift = tag *)
   tags : int array; (* set*ways + way; -1 = invalid *)
-  dirty : bool array;
+  dirty : Bytes.t; (* one byte per slot, '\001' = dirty: 1/8 of a bool array *)
   age : int array; (* larger = more recently used *)
   mutable clock : int;
   (* The line ([addr lsr set_shift]) the last access touched, and its
@@ -30,6 +30,9 @@ type t = {
    millions of times per inference and must not allocate a [Miss] record
    per call. *)
 type result = Hit | Miss | Miss_writeback
+
+let clean_flag = '\000'
+let dirty_flag = '\001'
 
 let hit_rate t = Stats.hit_rate ~hits:t.hits ~total:t.accesses
 
@@ -53,7 +56,7 @@ let create ?engine ?(name = "cache") ~size_bytes ~ways ~line_bytes () =
       set_mask = sets - 1;
       tag_shift = Mathx.log2_exact line_bytes + Mathx.log2_exact sets;
       tags = Array.make (sets * ways) (-1);
-      dirty = Array.make (sets * ways) false;
+      dirty = Bytes.make (sets * ways) clean_flag;
       age = Array.make (sets * ways) 0;
       clock = 0;
       mru_line = -1;
@@ -129,7 +132,7 @@ let access t ~addr ~write =
   if idx >= 0 then begin
     t.hits <- t.hits + 1;
     t.age.(idx) <- t.clock;
-    if write then t.dirty.(idx) <- true;
+    if write then Bytes.set t.dirty idx dirty_flag;
     t.mru_line <- line;
     t.mru_slot <- idx;
     Hit
@@ -139,10 +142,10 @@ let access t ~addr ~write =
     if write then t.write_misses <- t.write_misses + 1
     else t.read_misses <- t.read_misses + 1;
     let idx = base + victim_way t base in
-    let writeback = t.tags.(idx) <> -1 && t.dirty.(idx) in
+    let writeback = t.tags.(idx) <> -1 && Bytes.get t.dirty idx = dirty_flag in
     if writeback then t.writebacks <- t.writebacks + 1;
     t.tags.(idx) <- tag_of t addr;
-    t.dirty.(idx) <- write;
+    Bytes.set t.dirty idx (if write then dirty_flag else clean_flag);
     t.age.(idx) <- t.clock;
     t.mru_line <- line;
     t.mru_slot <- idx;
@@ -174,7 +177,7 @@ let resident_lines t =
 let invalidate_all t =
   t.mru_line <- -1;
   Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) clean_flag;
   Array.fill t.age 0 (Array.length t.age) 0
 
 let accesses t = t.accesses
@@ -201,7 +204,13 @@ let codec =
         geometry "ways" int (fun t -> t.ways);
         geometry "line_bytes" int (fun t -> t.line_bytes);
         sub "tags" int_array (fun t -> t.tags);
-        sub "dirty" (array bool) (fun t -> t.dirty);
+        field "dirty" (array bool)
+          (fun t -> Array.init (Bytes.length t.dirty) (fun i -> Bytes.get t.dirty i = dirty_flag))
+          (fun t flags ->
+            let n = Bytes.length t.dirty in
+            if Array.length flags <> n then
+              fail "expected %d elements, got %d" n (Array.length flags);
+            Array.iteri (fun i d -> Bytes.set t.dirty i (if d then dirty_flag else clean_flag)) flags);
         sub "age" int_array (fun t -> t.age);
         (* The tags just changed under the last-access slot: forget it. *)
         field "clock" int (fun t -> t.clock) (fun t v ->

@@ -40,7 +40,7 @@ val acquire : string
 (** Engine resource acquisition/occupation (arbitration + counters). *)
 
 val event : string
-(** Event ring push + sink fan-out in {e Engine.emit}. *)
+(** Event delivery: the sink fan-out in {e Engine.emit}. *)
 
 val dma : string
 (** DMA burst stepping (per-row translate/acquire walk). *)

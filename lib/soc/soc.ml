@@ -358,6 +358,7 @@ let host_read_i32 t c ~vaddr ~n =
 
 type op =
   | Insn of Gemmini.Isa.t
+  | Compute_run of Gemmini.Controller.compute_run
   | Host_work of { cycles : int; tag : string }
   | Marker of (core -> unit)
 
@@ -367,6 +368,7 @@ module P = Gem_obs.Profile
 
 let exec_op_quiet c = function
   | Insn insn -> Gemmini.Controller.execute c.controller insn
+  | Compute_run r -> Gemmini.Controller.execute_run c.controller r
   | Host_work { cycles; tag = _ } ->
       Gemmini.Controller.host_work c.controller ~cycles
   | Marker f -> f c
@@ -392,7 +394,8 @@ let run_program _t c program =
    one reused buffer, so at most one step's ops are live whatever the
    piece's size. [pieces] is lazy, so a piece is built only once the
    previous one is spent. The buffer is allocated on the first push, so
-   an empty program allocates none. *)
+   an empty program allocates none. With [expand], a compute run is
+   pushed as its commands. *)
 type program = {
   mutable buf : op array;
   mutable len : int;
@@ -401,9 +404,10 @@ type program = {
   mutable steps : steps;  (** the rest of the current piece *)
   mutable pieces : steps Seq.t;
   guard : (core -> op -> unit) option;
+  mutable expand : bool;
 }
 
-let push p op =
+let append p op =
   if p.len = Array.length p.buf then begin
     let bigger = Array.make (max 256 (2 * p.len)) op in
     Array.blit p.buf 0 bigger 0 p.len;
@@ -412,13 +416,20 @@ let push p op =
   Array.unsafe_set p.buf p.len op;
   p.len <- p.len + 1
 
-let program ?guard pieces =
+let push p = function
+  | Compute_run r when p.expand ->
+      Gemmini.Controller.run_commands r (fun i -> append p (Insn i))
+  | op -> append p op
+
+let make ?guard ~expand pieces =
   let p =
     { buf = [||]; len = 0; pos = 0; emit = ignore; steps = Seq.empty; pieces;
-      guard }
+      guard; expand }
   in
   p.emit <- push p;
   p
+
+let program ?guard pieces = make ?guard ~expand:false pieces
 
 let rec refill p =
   match p.steps () with
@@ -446,7 +457,7 @@ let take p =
   op
 
 let op_seq pieces =
-  let p = program pieces in
+  let p = make ~expand:true pieces in
   let rec next () = if has_next p then Seq.Cons (take p, next) else Seq.Nil in
   next
 
@@ -454,6 +465,13 @@ let run_parallel t programs =
   let n = Array.length programs in
   if n > Array.length t.cores_arr then
     invalid_arg "Soc.run_parallel: more programs than cores";
+  (* One dispatch runs a whole compute run, so no other core moves
+     between its commands. A run touches only its own core's pipes, so no
+     shared-resource access changes order and no cycle moves; but a live
+     engine would record the cores' events in another order, so a traced
+     run dispatches command by command. *)
+  let expand = Engine.live t.engine in
+  Array.iter (fun p -> p.expand <- expand) programs;
   let live = Array.make n true in
   let remaining = ref n in
   while !remaining > 0 do

@@ -86,6 +86,10 @@ val host_read_i32 : t -> core -> vaddr:int -> n:int -> int array
 (** Ops: accelerator commands, host work, and bookkeeping markers. *)
 type op =
   | Insn of Gemmini.Isa.t
+  | Compute_run of Gemmini.Controller.compute_run
+      (** a tile step's preload/compute nest in one op: executes as its
+          {!Gemmini.Controller.run_commands} would, through
+          {!Gemmini.Controller.execute_run} *)
   | Host_work of { cycles : int; tag : string }
   | Marker of (core -> unit)
       (** executed (zero cost) when the core reaches this point *)
@@ -107,11 +111,14 @@ val program : ?guard:(core -> op -> unit) -> steps Seq.t -> program
 (** [program ?guard pieces]. With [guard], every op but a {!Marker} runs
     as [guard core op] instead of {!exec_op} — the runtime's fault
     policies wrap each command in their trap handling this way. One
-    handler serves every op, so guarding allocates nothing per op. *)
+    handler serves every op, so guarding allocates nothing per op; a
+    guard sees a {!Compute_run} as one op. *)
 
 val op_seq : steps Seq.t -> op Seq.t
 (** The ops of [program pieces] as an ephemeral [Seq], for consumers that
-    inspect the stream or feed {!run_program}: force each node once. *)
+    inspect the stream or feed {!run_program}: force each node once. Each
+    {!Compute_run} appears as its commands, so the stream is the command
+    stream the SoC executes. *)
 
 val run_program : t -> core -> op Seq.t -> Gem_sim.Time.cycles
 (** Runs a single core's op stream to completion, unguarded; returns its
@@ -122,7 +129,11 @@ val run_parallel : t -> program array -> Gem_sim.Time.cycles array
     simulated-time order — the core whose issue cursor is earliest
     executes its next op, ties going to the lowest core index. Shared-
     resource contention is therefore interleaving-accurate, and every run
-    is deterministic. Returns per-program finish times. One program runs
+    is deterministic. When the engine is live at the start, each
+    {!Compute_run} is dispatched as its commands, so a multi-core trace
+    interleaves the cores' command events as it would command by command;
+    a quiet run dispatches it whole, which moves no cycle. Returns
+    per-program finish times. One program runs
     a single core; an empty program ([program Seq.empty]) leaves its core
     idle. Raises [Invalid_argument] when there are more programs than
     cores. *)

@@ -7,6 +7,11 @@ module Mathx = Gem_util.Mathx
 
 let kind = Backend.Analytic
 
+(* Int comparisons: Stdlib's [max]/[min] are polymorphic out-of-line
+   calls, and the tile walk below makes a dozen per outer tile. *)
+let max = Int.max
+let min = Int.min
+
 (* A closed-form latency estimator for the same lowering the
    cycle-accurate backend executes. Per kernel it walks the outer tile
    grid of the {!Schedule.t} (never the per-row / per-command stream) and
@@ -147,7 +152,7 @@ let dma_work m ~rows ~row_lines ~bus_occ ~translate ~miss_lines ~write =
    latency of the last accesses in flight, weighted by the per-access
    miss probability. *)
 let mem_tail m ~rows ~miss_lines =
-  let p = min 1.0 (float_of_int miss_lines /. float_of_int (max 1 rows)) in
+  let p = Float.min 1.0 (float_of_int miss_lines /. float_of_int (max 1 rows)) in
   let miss = m.dram_lat + m.dram_line in
   m.port_line_occ
   + int_of_float

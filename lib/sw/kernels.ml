@@ -26,7 +26,11 @@ let single op = Seq.return (fun emit -> emit op)
 
 let ops s =
   let acc = ref [] in
-  Seq.iter (fun step -> step (fun op -> acc := op :: !acc)) s;
+  let push = function
+    | Gem_soc.Soc.Compute_run r -> Controller.run_commands r (fun i -> acc := insn i :: !acc)
+    | op -> acc := op :: !acc
+  in
+  Seq.iter (fun step -> step push) s;
   List.rev !acc
 
 (* One step is one (i0, j0, k0) tile of the i0 -> j0 -> k0 nest: step 0
@@ -164,46 +168,27 @@ let matmul_steps p ?bias ?(act = Peripheral.No_activation) ?(scale = 1.0) ~a
         jj := !jj + w
       done
     done;
-    (* Compute: keep each B block stationary across the I dimension. *)
-    for kk = 0 to vk - 1 do
-      let gk = (k0 * tl.Tiling.tk) + kk in
-      for jj = 0 to vj - 1 do
-        let gj = (j0 * tl.Tiling.tj) + jj in
-        let b_local =
-          L.scratchpad ~row:(b_base parity + (((kk * tl.Tiling.tj) + jj) * dim))
-        in
-        for ii = 0 to vi - 1 do
-          let gi = (i0 * tl.Tiling.ti) + ii in
-          let first_of_b = ii = 0 in
-          let accumulate = Option.is_some bias || k0 > 0 || kk > 0 in
-          let c_la = L.accumulator ~accumulate ~row:(c_base ii jj) () in
-          emit push
-            (Isa.Preload
-               {
-                 b = (if first_of_b then b_local else L.garbage);
-                 c = c_la;
-                 b_rows = kcols_of gk;
-                 b_cols = ncols_of gj;
-                 c_rows = rows_of gi;
-                 c_cols = ncols_of gj;
-               });
-          let args =
-            {
-              Isa.a =
-                L.scratchpad ~row:(a_base parity + (((ii * tl.Tiling.tk) + kk) * dim));
-              bd = L.garbage;
-              a_cols = kcols_of gk;
-              a_rows = rows_of gi;
-              bd_cols = ncols_of gj;
-              bd_rows = rows_of gi;
-            }
-          in
-          emit push
-            (if first_of_b then Isa.Compute_preloaded args
-             else Isa.Compute_accumulated args)
-        done
-      done
-    done;
+    (* Compute: keep each B block stationary across the I dimension, as
+       one run. *)
+    push
+      (Gem_soc.Soc.Compute_run
+         {
+           Controller.cr_m = m;
+           cr_k = k;
+           cr_n = n;
+           cr_i0 = i0 * tl.Tiling.ti;
+           cr_j0 = j0 * tl.Tiling.tj;
+           cr_k0 = k0 * tl.Tiling.tk;
+           cr_vi = vi;
+           cr_vj = vj;
+           cr_vk = vk;
+           cr_tk = tl.Tiling.tk;
+           cr_tj = tl.Tiling.tj;
+           cr_a_base = a_base parity;
+           cr_b_base = b_base parity;
+           cr_accumulate = Option.is_some bias || k0 > 0;
+           cr_dim = dim;
+         });
     (* Drain the C tile. *)
     if k0 = nk - 1 then
       for ii = 0 to vi - 1 do

@@ -25,7 +25,8 @@ val single : op -> steps
 (** One step emitting [op]. *)
 
 val ops : steps -> op list
-(** Every step, expanded in order: the list form. *)
+(** Every step, expanded in order: the list form, with each
+    {!Gem_soc.Soc.Compute_run} as its commands. *)
 
 val matmul_steps :
   Gemmini.Params.t ->
@@ -44,7 +45,8 @@ val matmul_steps :
     the on-the-fly im2col unit reading the raw input instead of the
     expanded patch matrix. The schedule is taken as given. One step is one
     [(i0, j0, k0)] tile: step 0 also configures the units, a [k0 = 0]
-    step stages the bias into the C tile, and the last [k0] step drains
+    step stages the bias into the C tile, the step's preload/compute nest
+    is one {!Gem_soc.Soc.Compute_run}, and the last [k0] step drains
     it. [bias] is the VA of the int32 bias vector, laid out as the
     shape's [ms_bias] says: per output column, broadcast to every row
     with a stride-0 mvin, or per output row (each accumulator row loads

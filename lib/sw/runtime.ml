@@ -123,7 +123,17 @@ let watchdog_check guard core =
    runs and low rates never come close to the cap. *)
 let max_reissues = 64
 
-let rec guarded_exec soc guard core op = attempt soc guard core op ~reissues:0
+let rec guarded_exec soc guard core op =
+  match op with
+  | Soc.Compute_run r when Option.is_some guard.g_watchdog ->
+      (* The watchdog is checked before every command, so it trips at the
+         same command whether or not the commands arrive as one run.
+         Without one, the run is one attempt: it touches no memory, so
+         nothing in it can page-fault or bus-error and ask for a
+         re-issue. *)
+      Gemmini.Controller.run_commands r (fun i ->
+          attempt soc guard core (Soc.Insn i) ~reissues:0)
+  | _ -> attempt soc guard core op ~reissues:0
 
 and attempt soc guard core op ~reissues =
   try
@@ -538,8 +548,9 @@ let network_pieces ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
   in
   let net_name = model.Layer.model_name in
   (* The whole program sits under one network-level span. A resumed run
-     does not re-open it: the open event is already in the restored trace
-     ring, so re-emitting would double it and break byte-identity. *)
+     does not re-open it: the interrupted run already emitted the open
+     event, so emitting it again would open the span twice and break
+     byte-identity. *)
   let prologue =
     (if rebase then
        [

@@ -88,7 +88,8 @@ val plan_ops :
     {!Gem_soc.Soc.op_seq} view for {!Gem_soc.Soc.run_program} and for
     consumers that inspect the stream: force each node once. Tensor
     allocation happens immediately; ops are lowered one tile step at a
-    time as the stream is consumed. *)
+    time as the stream is consumed. Compute runs appear as their
+    commands. *)
 
 (* Serving re-entry: one allocation, many inferences. *)
 
@@ -141,7 +142,8 @@ val run :
 
     Checkpoint/restore hooks: [start_layer] skips execution (not
     allocation) of layers before it and suppresses the network span-open
-    marker, which a restored trace ring already carries; [resume]
+    marker, which the interrupted run already emitted (emitting it again
+    would open the span twice); [resume]
     [(records, last_finish)] seeds the salvaged per-layer records and the
     finish horizon the next layer's [lr_cycles] measures from; [on_layer]
     fires after each layer's fence — the SoC is quiesced, so this is

@@ -156,6 +156,30 @@ let test_controller_execute () =
     [ "config_ex"; "config_ld"; "config_st"; "preload"; "compute.preloaded";
       "compute.accumulated" ]
 
+(* A compute run over a 40x50x35 problem in 16-wide blocks: 36
+   preload/compute pairs, ragged in every dimension. Executing it on a
+   quiet timing-mode controller builds no command and allocates nothing. *)
+let test_controller_execute_run () =
+  let pt = Gem_vm.Page_table.create ~node_region_base:0x1000_0000 () in
+  let ptw =
+    Gem_vm.Ptw.create ~page_table:pt
+      ~mem_read:(fun ~now ~paddr:_ ~bytes:_ -> now + 20)
+      ()
+  in
+  let tlb = Gem_vm.Hierarchy.create Gem_vm.Hierarchy.default_config ~ptw in
+  let ctrl =
+    Controller.create ~params:p ~port:Dma.null_port ~tlb ~issue_cycles:1 ()
+  in
+  let run =
+    { Controller.cr_m = 40; cr_k = 50; cr_n = 35; cr_i0 = 0; cr_j0 = 0; cr_k0 = 0;
+      cr_vi = 3; cr_vj = 3; cr_vk = 4; cr_tk = 4; cr_tj = 3; cr_a_base = 0;
+      cr_b_base = 384; cr_accumulate = true; cr_dim = 16 }
+  in
+  Alcotest.(check bool) "the run fits" true (Controller.run_fits p run);
+  Controller.execute_run ctrl run;
+  check_zero "Controller.execute_run (36 blocks)" (fun () ->
+      Controller.execute_run ctrl run)
+
 (* --- the program cursor --------------------------------------------------- *)
 
 module Soc = Gem_soc.Soc
@@ -244,6 +268,8 @@ let suite =
     Alcotest.test_case "Mathx.log2_ceil/log2_exact" `Quick test_mathx_log2;
     Alcotest.test_case "timing Controller.execute staging/compute" `Quick
       test_controller_execute;
+    Alcotest.test_case "timing Controller.execute_run" `Quick
+      test_controller_execute_run;
       Alcotest.test_case "plan_ops: first 1,000 resnet50 ops under 1 MB" `Quick
       test_bounded_lookahead;
     Alcotest.test_case "Runtime.run direct pull == Seq adapter (zoo/8)" `Quick

@@ -546,12 +546,37 @@ let test_watchdog () =
          Fault.cause_label fr.Runtime.fr_fault.Fault.cause = "watchdog-timeout")
        r.Runtime.r_faults)
 
-(* --- deterministic injection ------------------------------------------------ *)
-
 let fault_trace r =
   List.map
     (fun fr -> fr.Runtime.fr_action ^ " " ^ Fault.to_string fr.Runtime.fr_fault)
     r.Runtime.r_faults
+
+(* The watchdog is checked before every command a layer issues, so where
+   it trips (and the cycles the degraded run then charges) depends on the
+   command granularity the guard sees. These figures are resnet50/8 under
+   Degrade, the `run --fault-policy degrade --watchdog N` CLI run: fusing
+   commands into fewer dispatches must not move them. *)
+let test_watchdog_trip_point () =
+  let resnet8 = Gem_dnn.Model_zoo.scale_model ~factor:8 Gem_dnn.Model_zoo.resnet50 in
+  List.iter
+    (fun (limit, cycles, faults, digest) ->
+      let r =
+        Runtime.run ~policy:Runtime.Degrade ~watchdog:limit (single_core_soc ())
+          ~core:0 resnet8 ~mode:accel_mode
+      in
+      let name = Printf.sprintf "watchdog %d" limit in
+      Alcotest.(check int) (name ^ " cycles") cycles r.Runtime.r_total_cycles;
+      Alcotest.(check int) (name ^ " faults") faults (List.length r.Runtime.r_faults);
+      Alcotest.(check string) (name ^ " fault list") digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n"
+                 (List.map2
+                    (fun fr line -> fr.Runtime.fr_layer ^ " " ^ line)
+                    r.Runtime.r_faults (fault_trace r))))))
+    [ (30000, 927_424_249, 22, "8abc6455a01f47f04b22cfdefb20ddfe"); (7777, 2_153_288_255, 72, "8137b62223352fd853f2054479483a53") ]
+
+(* --- deterministic injection ------------------------------------------------ *)
 
 let injected_run ~seed =
   let soc = single_core_soc () in
@@ -764,6 +789,8 @@ let suite =
     Alcotest.test_case "Degrade completes after a forced trap" `Quick
       test_degrade_completes;
     Alcotest.test_case "watchdog timeout" `Quick test_watchdog;
+    Alcotest.test_case "watchdog trip point (resnet50/8)" `Quick
+      test_watchdog_trip_point;
     Alcotest.test_case "injection determinism (single core)" `Quick
       test_injection_determinism;
     Alcotest.test_case "injection determinism (dual core)" `Quick

@@ -8,6 +8,7 @@ module Soc = Gem_soc.Soc
 module Soc_config = Gem_soc.Soc_config
 module Runtime = Gem_sw.Runtime
 module Kernels = Gem_sw.Kernels
+module Lower = Gem_sw.Lower
 module Layer = Gem_dnn.Layer
 
 (* A small accelerator so the tests exercise multi-tile loops. *)
@@ -232,6 +233,7 @@ let test_strided_conv () =
 
 let op_line = function
   | Soc.Insn i -> Gemmini.Isa.to_string i
+  | Soc.Compute_run _ -> Alcotest.fail "plan_ops yields a compute run's commands"
   | Soc.Host_work { cycles; tag } -> Printf.sprintf "host %d %s" cycles tag
   | Soc.Marker _ -> "marker"
 
@@ -390,6 +392,74 @@ let test_functional_digests () =
         want got)
     functional_digests
 
+(* The controller validates a compute run once, by its bounding box, and
+   only runs that fail the box go through per-command validation. Every
+   command the runtime emits (runs expanded) must pass [Isa.validate], and
+   every compute run a planned matmul emits the box check, on every zoo
+   network, preset and lowering mode: a run the box refuses is a kernel
+   bug, never a silent slow path. The runtime only adds tensor addresses
+   to a plan's kernels, and no run holds an address, so the runs of each
+   planned shape are the runs the runtime executes. *)
+let test_kernel_commands_validate () =
+  let presets =
+    [ ("edge", Gemmini.Params.edge); ("default", Gemmini.Params.default);
+      ("cloud", Gemmini.Params.cloud) ]
+  in
+  let modes =
+    [ ("accel im2col", Runtime.Accel { im2col_on_accel = true });
+      ("host im2col", Runtime.Accel { im2col_on_accel = false });
+      ("cpu only", Runtime.Cpu_only) ]
+  in
+  List.iter
+    (fun (preset, params) ->
+      List.iter
+        (fun (mode_name, mode) ->
+          List.iter
+            (fun model ->
+              let model = Gem_dnn.Model_zoo.scale_model ~factor:8 model in
+              let what =
+                Printf.sprintf "%s, %s, %s" model.Layer.model_name preset mode_name
+              in
+              let soc =
+                Soc.create (Soc_config.map_accel (fun _ -> params) Soc_config.default)
+              in
+              let core = Soc.core soc 0 in
+              Seq.iter
+                (function
+                  | Soc.Insn i -> (
+                      match Gemmini.Isa.validate params i with
+                      | Ok () -> ()
+                      | Error c ->
+                          Alcotest.failf "%s: %s refused: %s" what
+                            (Gemmini.Isa.to_string i) (Gem_sim.Fault.cause_detail c))
+                  | Soc.Compute_run _ | Soc.Host_work _ | Soc.Marker _ -> ())
+                (Runtime.plan_ops soc core model ~mode ~records:(ref []));
+              let runs = ref 0 in
+              List.iter
+                (fun lp ->
+                  match lp.Lower.lp_kernel with
+                  | Lower.K_matmul { shape; _ } ->
+                      let bias =
+                        if shape.Lower.ms_bias = `None then None else Some 0
+                      in
+                      Seq.iter
+                        (fun step ->
+                          step (function
+                            | Soc.Compute_run r ->
+                                incr runs;
+                                if not (Gemmini.Controller.run_fits params r) then
+                                  Alcotest.failf "%s, %s: a compute run fails the box check"
+                                    what lp.Lower.lp_name
+                            | Soc.Insn _ | Soc.Host_work _ | Soc.Marker _ -> ()))
+                        (Kernels.matmul_steps params ?bias ~a:0 ~b:0 ~out:0 shape)
+                  | Lower.K_host _ | Lower.K_resadd _ | Lower.K_maxpool _ -> ())
+                (Lower.plan params ~cpu:(Soc.cpu core) ~mode model);
+              if (mode = Runtime.Cpu_only) <> (!runs = 0) then
+                Alcotest.failf "%s: %d compute runs" what !runs)
+            Gem_dnn.Model_zoo.all)
+        modes)
+    presets
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_kernel_matmul;
@@ -403,4 +473,6 @@ let suite =
       test_lowering_digests;
     Alcotest.test_case "functional lowering digests (tiny nets)" `Quick
       test_functional_digests;
+    Alcotest.test_case "kernel commands validate (zoo/8, presets, modes)" `Quick
+      test_kernel_commands_validate;
   ]

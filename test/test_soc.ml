@@ -306,6 +306,103 @@ let test_mobilenet_sink_invariance () =
     (fun cores -> check_sink_invariance ~cores mobilenetv2_32 "mobilenetv2/32")
     [ 1; 2; 4 ]
 
+(* --- compute runs --------------------------------------------------------------
+
+   A kernel hands the controller a tile step's preload/compute nest as one
+   [Compute_run] op. Executed whole (quiet engine, box checked once) or
+   as its commands (each validated), it must leave the same SoC; a live
+   engine must see the same events either way; and a run that does not
+   fit must trap exactly where its commands would. *)
+
+(* 40x50x35 in 16-wide blocks, ragged in every dimension. *)
+let fitting_run =
+  { Gemmini.Controller.cr_m = 40; cr_k = 50; cr_n = 35; cr_i0 = 0; cr_j0 = 0;
+    cr_k0 = 0; cr_vi = 3; cr_vj = 3; cr_vk = 4; cr_tk = 4; cr_tj = 3;
+    cr_a_base = 0; cr_b_base = 384; cr_accumulate = false; cr_dim = 16 }
+
+(* [run] on a fresh SoC, whole or as its commands, after a WS config;
+   returns the SoC, the events a sink saw (when [sink]) and the trap that
+   ended it, if any. *)
+let execute_run ~fused ~sink run =
+  let soc = Soc.create Soc_config.default in
+  let core = Soc.core soc 0 in
+  let events = ref [] in
+  if sink then Engine.add_sink (Soc.engine soc) (fun e -> events := e :: !events);
+  let trap =
+    try
+      Soc.exec_op core
+        (Soc.Insn
+           (Gemmini.Isa.Config_ex
+              { dataflow = `WS; activation = Gemmini.Peripheral.No_activation;
+                sys_shift = 0; a_transpose = false; b_transpose = false }));
+      if fused then Soc.exec_op core (Soc.Compute_run run)
+      else Gemmini.Controller.run_commands run (fun i -> Soc.exec_op core (Soc.Insn i));
+      None
+    with Gem_sim.Fault.Trap f -> Some (Gem_sim.Fault.to_string f)
+  in
+  (soc, List.rev !events, trap)
+
+let check_run_equivalence label run =
+  List.iter
+    (fun sink ->
+      let label = Printf.sprintf "%s (%s)" label (if sink then "live" else "quiet") in
+      let soc_f, events_f, trap_f = execute_run ~fused:true ~sink run in
+      let soc_c, events_c, trap_c = execute_run ~fused:false ~sink run in
+      Alcotest.(check (option string)) (label ^ ": trap") trap_c trap_f;
+      Alcotest.(check bool) (label ^ ": events") true (events_c = events_f);
+      Alcotest.(check bool) (label ^ ": Engine.latency") true
+        (Engine.latency (Soc.engine soc_c) = Engine.latency (Soc.engine soc_f));
+      Alcotest.(check string) (label ^ ": SoC snapshot")
+        (Jsonx.to_string (Soc.snapshot soc_c))
+        (Jsonx.to_string (Soc.snapshot soc_f));
+      Alcotest.(check int) (label ^ ": Engine.now")
+        (Engine.now (Soc.engine soc_c)) (Engine.now (Soc.engine soc_f)))
+    [ false; true ]
+
+let test_compute_run_equals_commands () =
+  let p = Gemmini.Params.default in
+  let sp_rows = Gemmini.Params.sp_rows p in
+  let n = ref 0 in
+  Gemmini.Controller.run_commands fitting_run (fun _ -> incr n);
+  Alcotest.(check int) "two commands per block" (2 * 3 * 3 * 4) !n;
+  Alcotest.(check bool) "fits" true (Gemmini.Controller.run_fits p fitting_run);
+  check_run_equivalence "fitting run" fitting_run;
+  check_run_equivalence "accumulating run"
+    { fitting_run with cr_i0 = 1; cr_vi = 2; cr_k0 = 2; cr_vk = 2; cr_accumulate = true };
+  (* The last A block (rows a_base + 176 .. + 184) ends 8 rows past the
+     scratchpad: the compute reading it traps, after every earlier command
+     ran. *)
+  let over = { fitting_run with cr_a_base = sp_rows - 176 } in
+  Alcotest.(check bool) "over the scratchpad does not fit" false
+    (Gemmini.Controller.run_fits p over);
+  check_run_equivalence "run over the scratchpad" over;
+  let _, _, trap = execute_run ~fused:true ~sink:false over in
+  Alcotest.(check bool) "it traps" true (Option.is_some trap);
+  (* Too wide a block for this array: refused by the box check, then by
+     the first Preload. *)
+  let wide = { fitting_run with cr_dim = 32; cr_b_base = 2 * 3 * 4 * 32 } in
+  Alcotest.(check bool) "wider than DIM does not fit" false
+    (Gemmini.Controller.run_fits p wide);
+  check_run_equivalence "run wider than DIM" wide
+
+(* A quiet multi-core run dispatches each compute run whole, so its cores
+   interleave around whole runs; a live one dispatches their commands.
+   Both must end in the same state, with the same queue-latency
+   histograms, on the network with the most runs. *)
+let test_fused_runs_equal_expanded () =
+  let resnet50_8 = Gem_dnn.Model_zoo.(scale_model ~factor:8 resnet50) in
+  let run ~sink =
+    let soc = Soc.create Soc_config.dual_core in
+    if sink then Engine.add_sink (Soc.engine soc) ignore;
+    let rs = Runtime.run_parallel soc (jobs resnet50_8) in
+    (fingerprint soc rs, Engine.latency (Soc.engine soc))
+  in
+  let quiet, quiet_latency = run ~sink:false in
+  let live, live_latency = run ~sink:true in
+  check_fingerprint "resnet50/8 at 2 cores: quiet vs live" live quiet;
+  Alcotest.(check bool) "resnet50/8 at 2 cores: Engine.latency" true
+    (live_latency = quiet_latency)
+
 let check_restore_continuation ~cores =
   (* Round 1 on one SoC, snapshot, round 2 on the same SoC; a fresh SoC
      restored from the round-1 snapshot must finish round 2 identically. *)
@@ -552,6 +649,10 @@ let suite =
       test_quad_core_sink_invariance;
     Alcotest.test_case "mobilenetv2: sink run equals quiet at 1/2/4 cores"
       `Quick test_mobilenet_sink_invariance;
+    Alcotest.test_case "compute run == its commands (quiet, live, trap)" `Quick
+      test_compute_run_equals_commands;
+    Alcotest.test_case "dual-core: fused runs equal expanded (resnet50/8)" `Quick
+      test_fused_runs_equal_expanded;
     Alcotest.test_case "dual-core: restored round 2 equals continued" `Quick
       test_restore_continuation;
     Alcotest.test_case "quad-core: restored round 2 equals continued" `Quick
