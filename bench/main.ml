@@ -259,7 +259,7 @@ let run_hotpath_bench () =
                   ~rows:16 ~row_bytes:64)
            done);
        (* 16 rows x 4 B inside one L2 line: rows 1-15 are one page run
-          that hits the same line. *)
+          charged as one line run. *)
        measure "dma_mvin_sameline_soc" 50_000 (fun n ->
            for i = 1 to n do
              ignore

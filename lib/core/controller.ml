@@ -199,7 +199,7 @@ let finish_time t =
     (Resource.busy_until t.ex_pipe)
     (Mathx.imax3 t.last_st_finish
        (Resource.busy_until t.st_pipe)
-       (max (Resource.busy_until t.ld_pipe) t.issue))
+       (Int.max (Resource.busy_until t.ld_pipe) t.issue))
 
 let set_issue_cycles t n = t.issue_cycles <- n
 
@@ -282,7 +282,7 @@ let do_mvin t (mv : Isa.mv) id =
   let row_bytes = mv.Isa.cols * eb in
   let stride = cfg.stride in
   let start = Resource.next_free t.ld_pipe ~now:t.issue in
-  let tr =
+  let rows_data =
     Dma.mvin t.dma ~now:start ~vaddr:mv.Isa.dram_addr ~stride_bytes:stride
       ~rows:mv.Isa.rows ~row_bytes
   in
@@ -318,12 +318,14 @@ let do_mvin t (mv : Isa.mv) id =
             ~offset:((b * dim) + r)
             (Array.sub elems lo len)
         done)
-      tr.Dma.rows_data
+      rows_data
   end;
   (* The engine streams on; only consumers of the data wait for it. *)
-  Engine.occupy t.engine t.ld_pipe ~now:t.issue ~start ~until:tr.Dma.engine_free;
-  t.last_ld_finish <- max t.last_ld_finish tr.Dma.finish;
-  retire t tr.Dma.finish
+  let finish = Dma.finish t.dma in
+  Engine.occupy t.engine t.ld_pipe ~now:t.issue ~start
+    ~until:(Dma.engine_free t.dma);
+  t.last_ld_finish <- Int.max t.last_ld_finish finish;
+  retire t finish
 
 let apply_store_path t (elems : int array) =
   (* Accumulator read-out: scale to input type, then activation. *)
@@ -349,36 +351,36 @@ let do_mvout t (mv : Isa.mv) =
     Mathx.imax3 t.issue (Resource.busy_until t.ex_pipe) t.last_ld_finish
   in
   let start = Resource.next_free t.st_pipe ~now:ready in
-  let engine_free, finish =
-    if t.functional then begin
-      let rows_data =
-        Array.init mv.Isa.rows (fun r ->
-            let elems = Scratchpad.read_row t.spad mv.Isa.local ~offset:r in
-            let elems = Array.sub elems 0 mv.Isa.cols in
-            let elems =
-              if Local_addr.is_accumulator mv.Isa.local && not full then
-                apply_store_path t elems
-              else elems
-            in
-            let out_la =
-              (* Encode destination element width through the address the
-                 bytes are derived from: scaled-down rows leave as input
-                 type. *)
-              if Local_addr.is_accumulator mv.Isa.local && not full then
-                Local_addr.scratchpad ~row:0
-              else mv.Isa.local
-            in
-            elems_to_bytes out_la elems)
-      in
-      Dma.mvout t.dma ~now:start ~vaddr:mv.Isa.dram_addr ~stride_bytes:stride
-        ~rows_data ~row_bytes
-    end
-    else
-      Dma.mvout_timing_rows t.dma ~now:start ~vaddr:mv.Isa.dram_addr
-        ~stride_bytes:stride ~rows:mv.Isa.rows ~row_bytes
-  in
-  Engine.occupy t.engine t.st_pipe ~now:ready ~start ~until:engine_free;
-  t.last_st_finish <- max t.last_st_finish finish;
+  if t.functional then begin
+    let rows_data =
+      Array.init mv.Isa.rows (fun r ->
+          let elems = Scratchpad.read_row t.spad mv.Isa.local ~offset:r in
+          let elems = Array.sub elems 0 mv.Isa.cols in
+          let elems =
+            if Local_addr.is_accumulator mv.Isa.local && not full then
+              apply_store_path t elems
+            else elems
+          in
+          let out_la =
+            (* Encode destination element width through the address the
+               bytes are derived from: scaled-down rows leave as input
+               type. *)
+            if Local_addr.is_accumulator mv.Isa.local && not full then
+              Local_addr.scratchpad ~row:0
+            else mv.Isa.local
+          in
+          elems_to_bytes out_la elems)
+    in
+    Dma.mvout t.dma ~now:start ~vaddr:mv.Isa.dram_addr ~stride_bytes:stride
+      ~rows_data ~row_bytes
+  end
+  else
+    Dma.mvout_timing_rows t.dma ~now:start ~vaddr:mv.Isa.dram_addr
+      ~stride_bytes:stride ~rows:mv.Isa.rows ~row_bytes;
+  let finish = Dma.finish t.dma in
+  Engine.occupy t.engine t.st_pipe ~now:ready ~start
+    ~until:(Dma.engine_free t.dma);
+  t.last_st_finish <- Int.max t.last_st_finish finish;
   retire t finish
 
 let do_preload t ~b ~c ~b_rows ~b_cols ~c_rows ~c_cols =

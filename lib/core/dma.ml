@@ -75,12 +75,6 @@ let create ?engine ?(name = "dma") ?(core = -1) p ~port ~tlb =
 let tlb t = t.tlb
 let set_inject t plan = t.inject <- Some plan
 
-type transfer = {
-  engine_free : Time.cycles;
-  finish : Time.cycles;
-  rows_data : int array array;
-}
-
 let page_size = Gem_vm.Page_table.page_size
 
 module P = Gem_obs.Profile
@@ -104,7 +98,7 @@ let rec seg_walk_go t ~write ~data cursor finish va remaining =
   else begin
     let slot = t.tslot in
     let in_page = page_size - (va land (page_size - 1)) in
-    let seg = min in_page remaining in
+    let seg = Int.min in_page remaining in
     Gem_vm.Hierarchy.translate_into t.tlb slot ~now:cursor ~vaddr:va ~write;
     let occupancy = Mathx.ceil_div seg t.p.Params.dma_bus_bytes in
     let bus_done =
@@ -163,23 +157,23 @@ let burst_close t ~time ~name =
    filters off), and its bus slot follows the previous one back to back
    (the private bus is busy exactly until the issue cursor). A run of such
    rows is charged at once: one {!Gem_vm.Hierarchy.repeat}, one
-   {!Resource.acquire_run} on the bus, and one [port.page_run] that still
-   takes every line's port slot, cache lookup and DRAM fill in order, so
-   every counter and resource state ends as the per-row walk leaves it.
+   {!Resource.acquire_run} on the bus, and one [port.page_run] that
+   charges every line's port slot, cache lookup and DRAM fill in order
+   (rows that stay in one L2 line at once), so every counter and resource
+   state ends as the per-row walk leaves it.
    Nothing observes the rows in between, so the path is taken only when
    nothing could: a timing-only transfer on a quiet engine, no injection
    plan (which rolls once per segment), no hierarchy observer. *)
 
-(* How many rows from [j] on lie wholly inside page [key]. Top-level so
-   the scan builds no closure. *)
-let rec run_end ~key ~vaddr ~stride_bytes ~rows ~row_bytes j =
-  let shift = Gem_vm.Page_table.page_bits in
-  if j >= rows then j
-  else
-    let va = vaddr + (j * stride_bytes) in
-    if va asr shift = key && (va + row_bytes - 1) asr shift = key then
-      run_end ~key ~vaddr ~stride_bytes ~rows ~row_bytes (j + 1)
-    else j
+(* How many rows from [r] on lie wholly inside the page of row [r-1]'s
+   last byte, counted from the stride's sign in O(1). *)
+let run_length ~vaddr ~stride_bytes ~rows ~row_bytes r =
+  let row_va = vaddr + (r * stride_bytes) in
+  let page =
+    (row_va - stride_bytes + row_bytes - 1) land lnot (page_size - 1)
+  in
+  Mathx.rows_within ~lo:page ~hi:(page + page_size - row_bytes) ~first:row_va
+    ~stride:stride_bytes ~n:(rows - r)
 
 (* Charges [n] page-run rows, the first at [row_va], issued from [cursor];
    results land in [t.w_cursor] / [t.w_finish] like a segment walk's. *)
@@ -220,10 +214,7 @@ let transfer_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~write ~data =
     let row_va = vaddr + (!r * stride_bytes) in
     let n =
       if coalesce && !r > 0 then
-        let key =
-          (row_va - stride_bytes + row_bytes - 1) asr Gem_vm.Page_table.page_bits
-        in
-        run_end ~key ~vaddr ~stride_bytes ~rows ~row_bytes !r - !r
+        run_length ~vaddr ~stride_bytes ~rows ~row_bytes !r
       else 0
     in
     if n > 0 then begin
@@ -245,8 +236,8 @@ let transfer_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~write ~data =
       seg_walk_go t ~write ~data !cursor !cursor row_va row_bytes;
       incr r
     end;
-    cursor := max !cursor t.w_cursor;
-    finish := max !finish t.w_finish
+    cursor := Int.max !cursor t.w_cursor;
+    finish := Int.max !finish t.w_finish
   done;
   t.w_cursor <- !cursor;
   t.w_finish <- !finish
@@ -275,7 +266,7 @@ let mvin t ~now ~vaddr ~stride_bytes ~rows ~row_bytes =
   transfer_event t ~now ~dir:`Read ~bytes:(rows * row_bytes);
   burst_close t ~time:t.w_finish ~name:"dma-read";
   if !P.on then P.leave P.dma;
-  { engine_free = t.w_cursor; finish = t.w_finish; rows_data }
+  rows_data
 
 let mvout_common t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~data =
   if rows <= 0 || row_bytes <= 0 then invalid_arg "Dma.mvout: empty transfer";
@@ -293,8 +284,7 @@ let mvout_common t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~data =
   t.bytes_out := !(t.bytes_out) + (rows * row_bytes);
   transfer_event t ~now ~dir:`Write ~bytes:(rows * row_bytes);
   burst_close t ~time:t.w_finish ~name:"dma-write";
-  if !P.on then P.leave P.dma;
-  (t.w_cursor, t.w_finish)
+  if !P.on then P.leave P.dma
 
 let mvout t ~now ~vaddr ~stride_bytes ~rows_data ~row_bytes =
   let rows = Array.length rows_data in
@@ -303,6 +293,8 @@ let mvout t ~now ~vaddr ~stride_bytes ~rows_data ~row_bytes =
 let mvout_timing_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes =
   mvout_common t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~data:None
 
+let engine_free t = t.w_cursor
+let finish t = t.w_finish
 let bytes_in t = !(t.bytes_in)
 let bytes_out t = !(t.bytes_out)
 let row_requests t = t.row_requests

@@ -63,15 +63,6 @@ val set_inject : t -> Gem_sim.Inject.t -> unit
 val bus : t -> Gem_sim.Resource.t
 (** The engine-registered DMA link resource. *)
 
-type transfer = {
-  engine_free : Gem_sim.Time.cycles;
-      (** when the DMA engine can issue its next burst: the engine streams
-          ahead with multiple requests outstanding, so in-flight misses do
-          not block it *)
-  finish : Gem_sim.Time.cycles;  (** when all of the burst's data has landed *)
-  rows_data : int array array;  (** per-row bytes; empty when timing-only *)
-}
-
 val mvin :
   t ->
   now:Gem_sim.Time.cycles ->
@@ -79,9 +70,12 @@ val mvin :
   stride_bytes:int ->
   rows:int ->
   row_bytes:int ->
-  transfer
+  int array array
 (** Reads [rows] rows of [row_bytes], the i-th at
-    [vaddr + i*stride_bytes].
+    [vaddr + i*stride_bytes], and returns each row's bytes in functional
+    mode, [[||]] when timing-only. The transfer's timing is read back
+    with {!engine_free} and {!finish}, so a timing-only transfer
+    allocates nothing.
 
     On a quiet engine (no sink), with no injection plan and no hierarchy
     observer, a timing-only transfer charges each run of rows that stay
@@ -97,8 +91,8 @@ val mvout :
   stride_bytes:int ->
   rows_data:int array array ->
   row_bytes:int ->
-  Gem_sim.Time.cycles * Gem_sim.Time.cycles
-(** Writes rows; returns [(engine_free, finish)]. *)
+  unit
+(** Writes rows; the timing is read back as for {!mvin}. *)
 
 val mvout_timing_rows :
   t ->
@@ -107,8 +101,16 @@ val mvout_timing_rows :
   stride_bytes:int ->
   rows:int ->
   row_bytes:int ->
-  Gem_sim.Time.cycles * Gem_sim.Time.cycles
+  unit
 (** Timing-only variant of {!mvout}. *)
+
+val engine_free : t -> Gem_sim.Time.cycles
+(** When the last transfer lets the DMA engine issue its next burst: the
+    engine streams ahead with multiple requests outstanding, so in-flight
+    misses do not block it. *)
+
+val finish : t -> Gem_sim.Time.cycles
+(** When all of the last transfer's data has landed. *)
 
 (* Statistics *)
 

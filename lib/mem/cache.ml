@@ -96,38 +96,43 @@ let set_of t addr = (addr lsr t.set_shift) land t.set_mask
 let tag_of t addr = addr lsr t.tag_shift
 
 (* The way holding [tag] in the set starting at [base], or -1. The lookup
-   and victim helpers are top-level recursive functions over ints so an
-   access builds no closure, tuple or option: [access] runs once per L2
-   line of every DMA burst. *)
+   helpers are top-level recursive functions over ints so an access
+   builds no closure, tuple or option: [access] runs once per L2 line of
+   every DMA burst. *)
 let rec find_way t base tag w =
   if w >= t.ways then -1
   else if t.tags.(base + w) = tag then w
   else find_way t base tag (w + 1)
 
-(* Victim choice: the first invalid way if any, else the least recently
-   used (the first of equal ages). *)
-let rec lru_way t base w best best_age =
-  if w >= t.ways then best
+(* One pass over the set at [base] for a non-MRU access: the slot
+   holding [tag] if any, else [-1 - victim] with the victim the first
+   invalid way, or the least recently used (the first of equal ages)
+   when every way is valid. [free] is the first invalid way seen (-1
+   while none), [lru]/[lru_age] the oldest valid one. A valid tag is
+   never -1 (addresses are non-negative), so invalid ways never match. *)
+let rec scan_set t base tag w free lru lru_age =
+  if w >= t.ways then -1 - (base + if free >= 0 then free else lru)
   else
-    let age = t.age.(base + w) in
-    if age < best_age then lru_way t base (w + 1) w age
-    else lru_way t base (w + 1) best best_age
-
-let victim_way t base =
-  let free = find_way t base (-1) 0 in
-  if free >= 0 then free else lru_way t base 0 0 max_int
+    let slot = base + w in
+    let tg = Array.unsafe_get t.tags slot in
+    if tg = tag then slot
+    else if tg = -1 then
+      scan_set t base tag (w + 1) (if free >= 0 then free else w) lru lru_age
+    else
+      let age = Array.unsafe_get t.age slot in
+      if age < lru_age then scan_set t base tag (w + 1) free w age
+      else scan_set t base tag (w + 1) free lru lru_age
 
 let access t ~addr ~write =
   if addr < 0 then invalid_arg "Cache.access: negative address";
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
   let line = addr lsr t.set_shift in
-  let base = set_of t addr * t.ways in
   let idx =
     if line = t.mru_line then t.mru_slot
     else
-      let w = find_way t base (tag_of t addr) 0 in
-      if w >= 0 then base + w else -1
+      let base = set_of t addr * t.ways in
+      scan_set t base (tag_of t addr) 0 (-1) 0 max_int
   in
   if idx >= 0 then begin
     t.hits <- t.hits + 1;
@@ -138,10 +143,10 @@ let access t ~addr ~write =
     Hit
   end
   else begin
+    let idx = -1 - idx in
     t.misses <- t.misses + 1;
     if write then t.write_misses <- t.write_misses + 1
     else t.read_misses <- t.read_misses + 1;
-    let idx = base + victim_way t base in
     let writeback = t.tags.(idx) <> -1 && Bytes.get t.dirty idx = dirty_flag in
     if writeback then t.writebacks <- t.writebacks + 1;
     t.tags.(idx) <- tag_of t addr;
@@ -151,6 +156,17 @@ let access t ~addr ~write =
     t.mru_slot <- idx;
     if writeback then Miss_writeback else Miss
   end
+
+let mru_line t = t.mru_line
+
+let hit_mru t ~n ~write =
+  if t.mru_line < 0 || n < 1 then
+    invalid_arg "Cache.hit_mru: no last-accessed line, or n < 1";
+  t.accesses <- t.accesses + n;
+  t.hits <- t.hits + n;
+  t.clock <- t.clock + n;
+  t.age.(t.mru_slot) <- t.clock;
+  if write then Bytes.set t.dirty t.mru_slot dirty_flag
 
 let access_range t ~addr ~bytes ~write =
   if bytes < 0 then invalid_arg "Cache.access_range: negative size";

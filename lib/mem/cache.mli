@@ -37,6 +37,16 @@ val access : t -> addr:int -> write:bool -> result
 (** One access to the line containing [addr]. Allocates on miss (evicting
     the set's LRU line) and marks the line dirty on writes. *)
 
+val mru_line : t -> int
+(** The line ([addr / line_bytes]) the last {!access} touched, or -1
+    after {!create}, {!invalidate_all} or a restore. That line is
+    resident: only a later access can evict it. *)
+
+val hit_mru : t -> n:int -> write:bool -> unit
+(** [n] accesses to the {!mru_line}, all hits: the same statistics, LRU
+    clock, age and dirty flag as [n] calls of {!access} on that line
+    leave, in O(1). Requires a last-accessed line and [n >= 1]. *)
+
 val access_range : t -> addr:int -> bytes:int -> write:bool -> int * int * int
 (** [access_range t ~addr ~bytes ~write] touches every line overlapping
     [addr, addr+bytes) and returns [(hits, misses, writebacks)]. *)

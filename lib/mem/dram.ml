@@ -27,7 +27,7 @@ let bytes_per_cycle t = t.bytes_per_cycle
 
 let access t ~now ~bytes ~write =
   if bytes < 0 then invalid_arg "Dram.access: negative size";
-  let occupancy = Gem_util.Mathx.ceil_div (max bytes 1) t.bytes_per_cycle in
+  let occupancy = Gem_util.Mathx.ceil_div (Int.max bytes 1) t.bytes_per_cycle in
   let service_done = Engine.acquire t.engine t.channel ~now ~occupancy in
   if write then t.bytes_written := !(t.bytes_written) + bytes
   else t.bytes_read := !(t.bytes_read) + bytes;

@@ -62,6 +62,41 @@ let acquire_run t ~now ~gap ~occupancy ~n =
   end;
   finish
 
+(* Records the waits [wait], [wait - d], [wait - 2d], ... of [n]
+   requests, each floored at 0: once a wait reaches 0 with [d >= 0],
+   every later one is 0 too, and they are counted at once. *)
+let rec record_waits t ~wait ~d n =
+  if n > 0 then
+    if wait <= 0 && d >= 0 then begin
+      t.requests <- t.requests + n;
+      Array.unsafe_set t.lat_counts 0 (Array.unsafe_get t.lat_counts 0 + n)
+    end
+    else begin
+      (* [wait > 0] here, or [d < 0] and [wait] only grows from
+         [wait_0 >= 0]. *)
+      record_wait t wait;
+      record_waits t ~wait:(wait - d) ~d (n - 1)
+    end
+
+(* Request [j] arrives at [now + j*spacing]. Unrolling [acquire]'s
+   [start_j = max arrival_j (start_(j-1) + occupancy)] gives
+   [start_j = max (now + j*spacing) (start_0 + j*occupancy)] (with
+   [occupancy = 0], [start_0 >= busy_until] stands in for the unmoved
+   slot), so request [j] waits [max 0 (wait_0 - j*(spacing - occupancy))]. *)
+let acquire_spaced t ~now ~spacing ~occupancy ~n =
+  if occupancy < 0 || spacing < 0 || n < 1 then
+    invalid_arg "Resource.acquire_spaced: negative occupancy or spacing, or n < 1";
+  let start = slot t ~now in
+  record_waits t ~wait:(start - now) ~d:(spacing - occupancy) n;
+  let arrival = now + ((n - 1) * spacing) in
+  let queued = start + ((n - 1) * occupancy) in
+  let last = if arrival >= queued then arrival else queued in
+  if occupancy > 0 then begin
+    t.busy_until <- last + occupancy;
+    t.busy_cycles <- t.busy_cycles + (n * occupancy)
+  end;
+  last + occupancy
+
 let next_free t ~now = slot t ~now
 
 let occupy_until t ~now ~start ~until =

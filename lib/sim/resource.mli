@@ -28,6 +28,15 @@ val acquire_run :
     last one's completion. In O(1), every statistic ends as [n] calls of
     {!acquire} leave it. Requires [occupancy >= 0], [gap >= 0], [n >= 1]. *)
 
+val acquire_spaced :
+  t -> now:Time.cycles -> spacing:Time.cycles -> occupancy:Time.cycles ->
+  n:int -> Time.cycles
+(** [n] requests of [occupancy] cycles, the [j]-th arriving at
+    [now + j*spacing] whatever the earlier ones' completions; returns the
+    last one's completion. Every statistic ends as [n] calls of
+    {!acquire} leave it, in time linear only in the requests that wait.
+    Requires [occupancy >= 0], [spacing >= 0], [n >= 1]. *)
+
 val next_free : t -> now:Time.cycles -> Time.cycles
 (** When a request arriving at [now] could start service:
     [max now busy_until]. Pure query, no statistics side effects. *)

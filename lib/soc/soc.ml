@@ -20,6 +20,7 @@ type t = {
   l2 : Cache.t;
   l2_port : Resource.t;
   port_occupancy : Time.cycles; (* port cycles per L2 line *)
+  line_shift : int; (* log2 of the L2 line: a shift, not a division *)
   dram : Dram.t;
   mainmem : Mainmem.t option;
   mutable cores_arr : core array;
@@ -53,7 +54,7 @@ let rec mem_lines soc ~now ~write ~bulk ~last ln finish =
       else Engine.acquire soc.engine soc.l2_port ~now ~occupancy
     in
     let line_done =
-      match Cache.access soc.l2 ~addr:(ln * line) ~write with
+      match Cache.access soc.l2 ~addr:(ln lsl soc.line_shift) ~write with
       | Cache.Hit -> port_done + cfg.Soc_config.l2_hit_latency
       | Cache.Miss ->
           (* Allocate: fetch the line from DRAM. *)
@@ -73,20 +74,50 @@ let rec mem_lines soc ~now ~write ~bulk ~last ln finish =
 
 (* [n] rows of [row_bytes], the i-th arriving at [now + i*spacing] at
    [paddr + i*stride]: every line of every row takes its own port slot,
-   cache lookup and DRAM fill, in the per-row walk's order. *)
+   cache lookup and DRAM fill, in the per-row walk's order.
+
+   Line runs: in a page run ([bulk]), a row lying wholly inside the L2's
+   last-accessed line is a foregone hit, and so is every following row
+   that stays in that line (stride 0 or any sub-line stride, either
+   sign). Such a run takes its port slots in one
+   {!Resource.acquire_spaced} and its hits in one {!Cache.hit_mru}; each
+   row's completion is its slot's plus the hit latency, so the last row's
+   is the run's latest. Every counter and state ends as the walk leaves
+   it. A row that starts a new line takes the walk. *)
 let rec mem_rows soc ~write ~bulk ~spacing ~stride ~row_bytes n now paddr
     finish =
   if n = 0 then finish
   else
-    let line = soc.cfg.Soc_config.l2_line_bytes in
-    mem_rows soc ~write ~bulk ~spacing ~stride ~row_bytes (n - 1)
-      (now + spacing) (paddr + stride)
-      (mem_lines soc ~now ~write ~bulk ~last:((paddr + row_bytes - 1) / line)
-         (paddr / line) finish)
+    let shift = soc.line_shift in
+    let ln = paddr lsr shift in
+    let run =
+      if bulk && ln = Cache.mru_line soc.l2 then
+        let lo = ln lsl shift in
+        Mathx.rows_within ~lo ~hi:(lo + (1 lsl shift) - row_bytes) ~first:paddr
+          ~stride ~n
+      else 0
+    in
+    if run > 0 then begin
+      let port_done =
+        Resource.acquire_spaced soc.l2_port ~now ~spacing
+          ~occupancy:soc.port_occupancy ~n:run
+      in
+      Cache.hit_mru soc.l2 ~n:run ~write;
+      let line_done = port_done + soc.cfg.Soc_config.l2_hit_latency in
+      mem_rows soc ~write ~bulk ~spacing ~stride ~row_bytes (n - run)
+        (now + (run * spacing)) (paddr + (run * stride))
+        (if line_done > finish then line_done else finish)
+    end
+    else
+      mem_rows soc ~write ~bulk ~spacing ~stride ~row_bytes (n - 1)
+        (now + spacing) (paddr + stride)
+        (mem_lines soc ~now ~write ~bulk
+           ~last:((paddr + row_bytes - 1) lsr shift)
+           ln finish)
 
 let mem_access soc ~now ~paddr ~bytes ~write =
   mem_rows soc ~write ~bulk:false ~spacing:0 ~stride:0
-    ~row_bytes:(max bytes 1) 1 now paddr now
+    ~row_bytes:(Int.max bytes 1) 1 now paddr now
 
 let page_run soc ~first ~spacing ~n ~paddr ~stride ~row_bytes ~write =
   let finish =
@@ -140,6 +171,8 @@ let create cfg =
       l2_port;
       port_occupancy =
         Mathx.ceil_div cfg.Soc_config.l2_line_bytes cfg.Soc_config.l2_port_bytes;
+      (* [Cache.create] has checked the line is a power of two. *)
+      line_shift = Mathx.log2_exact cfg.Soc_config.l2_line_bytes;
       dram;
       mainmem = (if cfg.Soc_config.functional then Some (Mainmem.create ()) else None);
       cores_arr = [||];

@@ -22,8 +22,18 @@ let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
 let clamp_f ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
-let imin3 a b c = min a (min b c)
-let imax3 a b c = max a (max b c)
+let rows_within ~lo ~hi ~first ~stride ~n =
+  if n <= 0 || first < lo || first > hi then 0
+  else
+    let fit =
+      if stride > 0 then ((hi - first) / stride) + 1
+      else if stride < 0 then ((first - lo) / -stride) + 1
+      else n
+    in
+    if fit < n then fit else n
+
+let imin3 a b c = Int.min a (Int.min b c)
+let imax3 a b c = Int.max a (Int.max b c)
 
 let sum_list = List.fold_left ( + ) 0
 let sum_listf = List.fold_left ( +. ) 0.

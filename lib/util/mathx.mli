@@ -23,6 +23,13 @@ val clamp : lo:int -> hi:int -> int -> int
 val clamp_f : lo:float -> hi:float -> float -> float
 (** Float version of {!clamp}. *)
 
+val rows_within : lo:int -> hi:int -> first:int -> stride:int -> n:int -> int
+(** How many leading terms of [first + j*stride], [j = 0 .. n-1], lie in
+    [lo, hi]: [0] when [first] does not, else the whole run up to the
+    first term past either end (any stride sign, [0] included), in O(1).
+    With [hi = lo + extent - len], the rows of [len] bytes at those
+    addresses that stay wholly inside [lo, lo + extent). *)
+
 val imin3 : int -> int -> int -> int
 val imax3 : int -> int -> int -> int
 

@@ -1,9 +1,13 @@
-type entry = { mutable vpn : int; mutable ppn : int; mutable age : int }
-
+(* Struct of arrays: slot [i] holds [vpns.(i)] -> [ppns.(i)], last used
+   at clock [ages.(i)]; an invalid slot has vpn -1 and age 0. The index
+   maps a resident vpn to its slot, so a hit allocates nothing and an
+   eviction scans one flat int array. *)
 type t = {
   entries : int;
-  index : (int, entry) Hashtbl.t; (* vpn -> live entry *)
-  slots : entry array;
+  index : (int, int) Hashtbl.t; (* vpn -> slot *)
+  vpns : int array;
+  ppns : int array;
+  ages : int array;
   mutable used : int;
   mutable clock : int;
   mutable lookups : int;
@@ -17,7 +21,9 @@ let create ~entries =
   {
     entries;
     index = Hashtbl.create (max 16 entries);
-    slots = Array.init entries (fun _ -> { vpn = -1; ppn = -1; age = 0 });
+    vpns = Array.make entries (-1);
+    ppns = Array.make entries (-1);
+    ages = Array.make entries 0;
     used = 0;
     clock = 0;
     lookups = 0;
@@ -33,70 +39,77 @@ let lookup t ~vpn =
   t.lookups <- t.lookups + 1;
   t.clock <- t.clock + 1;
   match Hashtbl.find t.index vpn with
-  | e ->
+  | i ->
       t.hits <- t.hits + 1;
-      e.age <- t.clock;
-      e.ppn
+      t.ages.(i) <- t.clock;
+      t.ppns.(i)
   | exception Not_found -> miss
 
 let hit_again t ~vpn ~n =
   match Hashtbl.find t.index vpn with
-  | e ->
+  | i ->
       t.lookups <- t.lookups + n;
       t.hits <- t.hits + n;
       t.clock <- t.clock + n;
-      e.age <- t.clock
+      t.ages.(i) <- t.clock
   | exception Not_found -> invalid_arg "Tlb.hit_again: vpn not resident"
 
 let probe t ~vpn =
-  match Hashtbl.find_opt t.index vpn with Some e -> Some e.ppn | None -> None
+  match Hashtbl.find t.index vpn with
+  | i -> Some t.ppns.(i)
+  | exception Not_found -> None
+
+(* The first slot of lowest age: true LRU, or the first invalidated slot
+   (age 0). A plain loop over ints, so an eviction allocates nothing. *)
+let lru_slot t =
+  let ages = t.ages in
+  let best = ref 0 in
+  for i = 1 to Array.length ages - 1 do
+    if Array.unsafe_get ages i < Array.unsafe_get ages !best then best := i
+  done;
+  !best
 
 let fill t ~vpn ~ppn =
   if t.entries > 0 then begin
     t.clock <- t.clock + 1;
-    match Hashtbl.find_opt t.index vpn with
-    | Some e ->
-        e.ppn <- ppn;
-        e.age <- t.clock
-    | None ->
-        let e =
+    match Hashtbl.find t.index vpn with
+    | i ->
+        t.ppns.(i) <- ppn;
+        t.ages.(i) <- t.clock
+    | exception Not_found ->
+        let i =
           if t.used < t.entries then begin
-            let e = t.slots.(t.used) in
             t.used <- t.used + 1;
-            e
+            t.used - 1
           end
           else begin
-            (* Evict true LRU; the scan only runs on fills of a full TLB. *)
-            let victim = ref t.slots.(0) in
-            Array.iter (fun e -> if e.age < !victim.age then victim := e) t.slots;
-            Hashtbl.remove t.index !victim.vpn;
-            !victim
+            (* The scan only runs on fills of a full TLB. Evicting an
+               invalidated slot removes vpn -1, which is never indexed. *)
+            let i = lru_slot t in
+            Hashtbl.remove t.index t.vpns.(i);
+            i
           end
         in
-        e.vpn <- vpn;
-        e.ppn <- ppn;
-        e.age <- t.clock;
-        Hashtbl.replace t.index vpn e
+        t.vpns.(i) <- vpn;
+        t.ppns.(i) <- ppn;
+        t.ages.(i) <- t.clock;
+        Hashtbl.replace t.index vpn i
   end
 
 let invalidate t ~vpn =
-  match Hashtbl.find_opt t.index vpn with
-  | None -> ()
-  | Some e ->
+  match Hashtbl.find t.index vpn with
+  | exception Not_found -> ()
+  | i ->
       Hashtbl.remove t.index vpn;
-      (* The slot stays allocated but becomes the LRU victim; evicting a
-         vpn of -1 later is a harmless Hashtbl.remove of a missing key. *)
-      e.vpn <- -1;
-      e.ppn <- -1;
-      e.age <- 0
+      (* The slot stays allocated but becomes the LRU victim. *)
+      t.vpns.(i) <- -1;
+      t.ppns.(i) <- -1;
+      t.ages.(i) <- 0
 
 let flush t =
-  Array.iter
-    (fun e ->
-      e.vpn <- -1;
-      e.ppn <- -1;
-      e.age <- 0)
-    t.slots;
+  Array.fill t.vpns 0 t.entries (-1);
+  Array.fill t.ppns 0 t.entries (-1);
+  Array.fill t.ages 0 t.entries 0;
   Hashtbl.reset t.index;
   t.used <- 0
 
@@ -116,20 +129,21 @@ let codec =
     obj
       [ geometry "entries" int (fun t -> t.entries);
         field "slots" (array (ints 3))
-          (fun t -> Array.map (fun e -> [| e.vpn; e.ppn; e.age |]) t.slots)
+          (fun t ->
+            Array.init t.entries (fun i -> [| t.vpns.(i); t.ppns.(i); t.ages.(i) |]))
           (fun t saved ->
             if Array.length saved <> t.entries then
               fail "%d slots for %d entries" (Array.length saved) t.entries;
             Hashtbl.reset t.index;
-            Array.iter2
-              (fun e s ->
-                e.vpn <- s.(0);
-                e.ppn <- s.(1);
-                e.age <- s.(2);
+            Array.iteri
+              (fun i s ->
+                t.vpns.(i) <- s.(0);
+                t.ppns.(i) <- s.(1);
+                t.ages.(i) <- s.(2);
                 (* Invalidated slots stay allocated but carry vpn = -1 and
                    must not re-enter the index. *)
-                if e.vpn >= 0 then Hashtbl.replace t.index e.vpn e)
-              t.slots saved);
+                if s.(0) >= 0 then Hashtbl.replace t.index s.(0) i)
+              saved);
         field "used" int (fun t -> t.used) (fun t v -> t.used <- v);
         field "clock" int (fun t -> t.clock) (fun t v -> t.clock <- v);
         field "lookups" int (fun t -> t.lookups) (fun t v -> t.lookups <- v);

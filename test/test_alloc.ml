@@ -185,6 +185,28 @@ let test_controller_execute_run () =
 module Soc = Gem_soc.Soc
 module Runtime = Gem_sw.Runtime
 
+(* The two same-line shapes of a quiet run, on core 0 of a default SoC:
+   a bias broadcast (16 rows x 4 B at stride 0) and a depthwise load (16
+   rows x 1 B at stride 1). Rows 1-15 are a page run that stays in row
+   0's L2 line, charged as one line run; the caller reads the timing back
+   from the DMA. *)
+let test_same_line_mvin () =
+  let soc = Soc.create Gem_soc.Soc_config.default in
+  let core = Soc.core soc 0 in
+  let dma = Controller.dma (Soc.controller core) in
+  let vaddr = Soc.alloc soc core ~bytes:4096 in
+  let now = ref 0 in
+  List.iter
+    (fun (name, stride_bytes, row_bytes) ->
+      let mvin () =
+        now := !now + 1000;
+        ignore (Dma.mvin dma ~now:!now ~vaddr ~stride_bytes ~rows:16 ~row_bytes)
+      in
+      mvin ();
+      check_zero name mvin)
+    [ ("quiet same-line mvin, stride 0", 0, 4);
+      ("quiet same-line mvin, stride 1", 1, 1) ]
+
 let accel = Runtime.Accel { im2col_on_accel = true }
 
 (* Lowering expands one tile step at a time: the first 1,000 ops of
@@ -268,6 +290,8 @@ let suite =
     Alcotest.test_case "Mathx.log2_ceil/log2_exact" `Quick test_mathx_log2;
     Alcotest.test_case "timing Controller.execute staging/compute" `Quick
       test_controller_execute;
+    Alcotest.test_case "quiet same-line mvin (stride 0 and 1)" `Quick
+      test_same_line_mvin;
     Alcotest.test_case "timing Controller.execute_run" `Quick
       test_controller_execute_run;
       Alcotest.test_case "plan_ops: first 1,000 resnet50 ops under 1 MB" `Quick

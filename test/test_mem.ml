@@ -125,6 +125,89 @@ let qcheck_cache_occupancy =
       done;
       !ok)
 
+(* The replacement rule, one step at a time: the way holding the line,
+   else the first invalid way, else the least recently used (the first
+   of equal ages). [Cache.access] (one pass over the set) must agree with
+   it on every outcome; [Cache.hit_mru ~n] must leave a cache as [n]
+   accesses to its last line leave a twin, and on a write dirty that
+   line even when a read brought it in. *)
+let qcheck_cache_reference =
+  QCheck2.Test.make ~name:"cache: one-pass lookup and hit_mru match a reference"
+    ~count:100
+    QCheck2.Gen.(pair (int_range 0 100000) (int_range 50 400))
+    (fun (seed, steps) ->
+      let ways = 4 and sets = 8 and line = 64 in
+      let make () =
+        Cache.create ~size_bytes:(ways * sets * line) ~ways ~line_bytes:line ()
+      in
+      let c = make () and twin = make () in
+      let tags = Array.make (sets * ways) (-1)
+      and age = Array.make (sets * ways) 0
+      and dirty = Array.make (sets * ways) false
+      and clock = ref 0 in
+      let reference ~addr ~write =
+        incr clock;
+        let ln = addr / line in
+        let base = ln mod sets * ways and tag = ln / sets in
+        let rec find tag w =
+          if w = ways then -1 else if tags.(base + w) = tag then w else find tag (w + 1)
+        in
+        let w = find tag 0 in
+        if w >= 0 then begin
+          age.(base + w) <- !clock;
+          if write then dirty.(base + w) <- true;
+          Cache.Hit
+        end
+        else begin
+          let v =
+            let free = find (-1) 0 in
+            if free >= 0 then free
+            else begin
+              let v = ref 0 in
+              for w = 1 to ways - 1 do
+                if age.(base + w) < age.(base + !v) then v := w
+              done;
+              !v
+            end
+          in
+          let i = base + v in
+          let wb = tags.(i) >= 0 && dirty.(i) in
+          tags.(i) <- tag;
+          age.(i) <- !clock;
+          dirty.(i) <- write;
+          if wb then Cache.Miss_writeback else Cache.Miss
+        end
+      in
+      let rng = Gem_util.Rng.create ~seed in
+      let ok = ref true in
+      for _ = 1 to steps do
+        let write = Gem_util.Rng.bool rng in
+        if Cache.mru_line c >= 0 && Gem_util.Rng.int rng 4 = 0 then begin
+          let n = Gem_util.Rng.int_in rng ~lo:1 ~hi:5 in
+          let addr = (Cache.mru_line c * line) + Gem_util.Rng.int rng line in
+          Cache.hit_mru c ~n ~write;
+          for _ = 1 to n do
+            if Cache.access twin ~addr ~write <> Cache.Hit then ok := false;
+            if reference ~addr ~write <> Cache.Hit then ok := false
+          done
+        end
+        else begin
+          let addr = Gem_util.Rng.int rng (line * sets * ways * 3) in
+          let r = Cache.access c ~addr ~write in
+          if Cache.access twin ~addr ~write <> r then ok := false;
+          if reference ~addr ~write <> r then ok := false
+        end
+      done;
+      let snap c = Gem_util.Snap.snapshot Cache.codec c in
+      let layout =
+        (* the way each line sits in: the victim rule's whole effect *)
+        Option.bind (Gem_util.Jsonx.member "tags" (snap c)) Gem_util.Jsonx.to_list
+        |> Option.map (List.filter_map Gem_util.Jsonx.to_int)
+      in
+      !ok
+      && layout = Some (Array.to_list tags)
+      && Gem_util.Jsonx.to_string (snap c) = Gem_util.Jsonx.to_string (snap twin))
+
 let test_cache_range () =
   let c = Cache.create ~size_bytes:4096 ~ways:4 ~line_bytes:64 () in
   let hits, misses, _ = Cache.access_range c ~addr:0 ~bytes:256 ~write:false in
@@ -174,6 +257,7 @@ let suite =
     Alcotest.test_case "cache writeback" `Quick test_cache_writeback;
     Alcotest.test_case "cache last-line shortcut" `Quick test_cache_last_line;
     Alcotest.test_case "cache range access" `Quick test_cache_range;
+    QCheck_alcotest.to_alcotest qcheck_cache_reference;
     Alcotest.test_case "dram timing" `Quick test_dram_timing;
     Alcotest.test_case "main memory" `Quick test_mainmem;
     QCheck_alcotest.to_alcotest qcheck_cache_occupancy;

@@ -23,6 +23,25 @@ let qcheck_ceil_div =
       let q = Mathx.ceil_div a b in
       q * b >= a && (q - 1) * b < a)
 
+(* The page-run and line-run lengths: the O(1) count must equal a scan
+   that stops at the first row outside [lo, hi], whatever the stride's
+   sign, with the first row inside, outside or on either end. *)
+let qcheck_rows_within =
+  QCheck2.Test.make ~name:"rows_within equals a row scan" ~count:500
+    QCheck2.Gen.(
+      let* lo = int_range 0 200 in
+      let* extent = int_range (-4) 80 in
+      let* first = int_range (lo - 10) (lo + extent + 10) in
+      let* stride = int_range (-40) 40 in
+      let* n = int_range 0 70 in
+      return (lo, lo + extent, first, stride, n))
+    (fun (lo, hi, first, stride, n) ->
+      let rec scan j =
+        let a = first + (j * stride) in
+        if j < n && lo <= a && a <= hi then scan (j + 1) else j
+      in
+      Mathx.rows_within ~lo ~hi ~first ~stride ~n = scan 0)
+
 let test_rng_determinism () =
   let a = Rng.create ~seed:7 and b = Rng.create ~seed:7 in
   for _ = 1 to 100 do
@@ -249,6 +268,7 @@ let suite =
     Alcotest.test_case "fixed point" `Quick test_fixed;
     Alcotest.test_case "tensor" `Quick test_tensor;
     QCheck_alcotest.to_alcotest qcheck_ceil_div;
+    QCheck_alcotest.to_alcotest qcheck_rows_within;
     QCheck_alcotest.to_alcotest qcheck_rng_bounds;
     QCheck_alcotest.to_alcotest qcheck_running_merge;
     QCheck_alcotest.to_alcotest qcheck_rounding_shift;
