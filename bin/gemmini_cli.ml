@@ -4,12 +4,14 @@
      gemmini_cli header     [...]          -- emit gemmini_params.h
      gemmini_cli synth      [...]          -- area/fmax/power estimate
      gemmini_cli run        --model NAME   -- simulate an inference
+     gemmini_cli serve      --model NAME   -- serve an open-loop request stream
      gemmini_cli sweep      --model NAME   -- sweep array sizes
-     gemmini_cli experiment --id fig7      -- reproduce a paper figure *)
+     gemmini_cli xval       [--models L]   -- analytic vs cycle backend
+     gemmini_cli experiment --id fig7      -- reproduce a paper figure
+     gemmini_cli fuzz       [--seed N]     -- differential fuzzing vs golden *)
 
 open Cmdliner
 module Soc = Gem_soc.Soc
-module Soc_config = Gem_soc.Soc_config
 module Runtime = Gem_sw.Runtime
 module Profile = Gem_obs.Profile
 module Metrics = Gem_obs.Metrics
@@ -43,70 +45,59 @@ let metrics_out_term =
            to $(docv) after the run: CSV when $(docv) ends in .csv, \
            pretty JSON otherwise.")
 
-(* Runs [f] under the self-profiler when a report file is requested. The
-   report is written from a [finally] so a trapped run still shows where
-   its host time went. *)
-let with_self_profile self_profile f =
-  match self_profile with
-  | None -> f ()
-  | Some file ->
-      Profile.reset ();
-      Profile.enable ();
-      let t0 = Unix.gettimeofday () in
-      Fun.protect
-        ~finally:(fun () ->
-          Profile.disable ();
-          let total_s = Unix.gettimeofday () -. t0 in
-          Profile.write_file ~total_s file;
-          prerr_string (Profile.render ~total_s ());
-          Printf.eprintf "[profile] wrote %s\n%!" file)
-        f
+(* A combination of flags the subcommand refuses: one "[tag]" line, exit
+   2, nothing on stdout. *)
+let usage tag msg =
+  Printf.eprintf "[%s] %s\n%!" tag msg;
+  exit 2
 
-(* A trap the fault policy does not recover from ends the run: report it
-   as the run's outcome (exit 1), not as an internal error. *)
-let abort_on_trap f =
-  try f ()
-  with Gem_sim.Fault.Trap fault ->
-    Printf.eprintf "[run] aborted: %s\n%!" (Gem_sim.Fault.to_string fault);
-    exit 1
-
-(* A missing directory under an output path, or a missing input file, is
-   a usage error of the subcommand: one "[tag]" line and exit 2, never an
-   uncaught exception. A self-profile report that cannot be written fails
-   inside [with_self_profile]'s [finally], hence the second pattern. *)
-let on_io_error tag f =
-  try f ()
-  with Sys_error msg | Fun.Finally_raised (Sys_error msg) ->
-    Printf.eprintf "[%s] %s\n%!" tag msg;
-    exit 2
-
-(* Every output file's directory is checked before the run starts, so a
-   bad path costs no simulation and prints nothing on stdout: one
-   "[tag]" line naming the path, exit 2. *)
-let check_outputs tag files =
+(* The frame every simulating subcommand runs [f] in:
+   - every output file's directory is checked before the run starts, so a
+     bad path costs no simulation and prints nothing on stdout;
+   - a missing input file, or any other I/O error, is a usage error;
+   - a trap the fault policy does not recover from ends the run with one
+     "[tag] aborted" line and exit 1, not an internal error;
+   - [--self-profile] writes its report from a [finally], so a trapped run
+     still shows where its host time went;
+   - [f] returns how to register the run's metrics, which happens only
+     when [--metrics-out] asks for a snapshot. *)
+let with_outputs tag ?self_profile ?metrics_out outputs f =
   List.iter
     (fun file ->
       let dir = Filename.dirname file in
-      if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-        Printf.eprintf "[%s] cannot write %s: no directory %s\n%!" tag file dir;
-        exit 2
-      end)
-    (List.filter_map Fun.id files)
-
-let write_metrics reg = function
-  | None -> ()
-  | Some file ->
-      Metrics.write_file reg file;
-      Printf.eprintf "[metrics] wrote %s (%d source(s))\n%!" file
-        (Metrics.size reg)
-
-(* A sweep's metrics snapshot (sweep and serve --rates). *)
-let write_dse_metrics rr = function
-  | None -> ()
-  | Some _ as metrics_out ->
-      let reg = Metrics.create () in
-      Gem_dse.Exec.register_metrics reg rr;
-      write_metrics reg metrics_out
+      if not (Sys.file_exists dir && Sys.is_directory dir) then
+        usage tag (Printf.sprintf "cannot write %s: no directory %s" file dir))
+    (List.filter_map Fun.id (self_profile :: metrics_out :: outputs));
+  try
+    let register =
+      try
+        match self_profile with
+        | None -> f ()
+        | Some file ->
+            Profile.reset ();
+            Profile.enable ();
+            let t0 = Unix.gettimeofday () in
+            Fun.protect
+              ~finally:(fun () ->
+                Profile.disable ();
+                let total_s = Unix.gettimeofday () -. t0 in
+                Profile.write_file ~total_s file;
+                prerr_string (Profile.render ~total_s ());
+                Printf.eprintf "[profile] wrote %s\n%!" file)
+              f
+      with Gem_sim.Fault.Trap fault ->
+        Printf.eprintf "[%s] aborted: %s\n%!" tag (Gem_sim.Fault.to_string fault);
+        exit 1
+    in
+    Option.iter
+      (fun file ->
+        let reg = Metrics.create () in
+        register reg;
+        Metrics.write_file reg file;
+        Printf.eprintf "[metrics] wrote %s (%d source(s))\n%!" file
+          (Metrics.size reg))
+      metrics_out
+  with Sys_error msg | Fun.Finally_raised (Sys_error msg) -> usage tag msg
 
 (* --- shared parameter flags -------------------------------------------------- *)
 
@@ -131,6 +122,12 @@ let float_where ~what ok =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* A value a library parses (its error names the bad input) and prints. *)
+let conv_of parse print =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+      fun fmt v -> Format.pp_print_string fmt (print v) )
+
 let probability =
   float_where ~what:"a probability in [0, 1]" (fun p -> p >= 0. && p <= 1.)
 
@@ -149,17 +146,16 @@ let pos_ms =
       | exception Invalid_argument _ -> false)
 
 let preset =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "default" -> Ok Gemmini.Params.default
-    | "edge" -> Ok Gemmini.Params.edge
-    | "cloud" -> Ok Gemmini.Params.cloud
-    | "tpu256" -> Ok (Gemmini.Params.tpu_like ~pes:256)
-    | "nvdla256" -> Ok (Gemmini.Params.nvdla_like ~pes:256)
-    | other -> Error (`Msg (Printf.sprintf "unknown preset %S" other))
-  in
-  let print fmt p = Format.fprintf fmt "%s" (Gemmini.Params.describe p) in
-  Arg.conv (parse, print)
+  conv_of
+    (fun s ->
+      match String.lowercase_ascii s with
+      | "default" -> Ok Gemmini.Params.default
+      | "edge" -> Ok Gemmini.Params.edge
+      | "cloud" -> Ok Gemmini.Params.cloud
+      | "tpu256" -> Ok (Gemmini.Params.tpu_like ~pes:256)
+      | "nvdla256" -> Ok (Gemmini.Params.nvdla_like ~pes:256)
+      | other -> Error (Printf.sprintf "unknown preset %S" other))
+    Gemmini.Params.describe
 
 let params_term =
   let open Term in
@@ -183,24 +179,20 @@ let params_term =
   ret (const build $ preset_arg $ dim $ sp $ acc $ im2col)
 
 let find_model s =
-  match Gem_dnn.Model_zoo.find s with
-  | Some m -> Ok m
-  | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown model %S (available: %s)" s
-             (String.concat ", " Gem_dnn.Model_zoo.names)))
+  Option.to_result
+    ~none:
+      (Printf.sprintf "unknown model %S (available: %s)" s
+         (String.concat ", " Gem_dnn.Model_zoo.names))
+    (Gem_dnn.Model_zoo.find s)
 
 (* A zoo network's name, checked at parse time. *)
-let model_name =
-  let parse s = Result.map (fun _ -> s) (find_model s) in
-  Arg.conv (parse, Format.pp_print_string)
+let model_name = conv_of (fun s -> Result.map (fun _ -> s) (find_model s)) Fun.id
 
 let model_term =
-  let print fmt m = Format.fprintf fmt "%s" m.Gem_dnn.Layer.model_name in
   Arg.(
     value
-    & opt (conv (find_model, print)) Gem_dnn.Model_zoo.resnet50
+    & opt (conv_of find_model (fun m -> m.Gem_dnn.Layer.model_name))
+        Gem_dnn.Model_zoo.resnet50
     & info [ "model" ] ~doc:"DNN to run (resnet50, alexnet, squeezenet1.1, mobilenetv2, bert-base-seq128).")
 
 let scale_term =
@@ -253,17 +245,14 @@ let synth_cmd =
     Term.(const run $ params_term)
 
 let backend_conv =
-  let parse s =
-    match Gem_sw.Backend.kind_of_string s with
-    | Some k -> Ok k
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown backend %S (available: %s)" s
-               (String.concat ", " Gem_sw.Backends.names)))
-  in
-  let print fmt k = Format.fprintf fmt "%s" (Gem_sw.Backend.kind_name k) in
-  Arg.conv (parse, print)
+  conv_of
+    (fun s ->
+      Option.to_result
+        ~none:
+          (Printf.sprintf "unknown backend %S (available: %s)" s
+             (String.concat ", " Gem_sw.Backends.names))
+        (Gem_sw.Backend.kind_of_string s))
+    Gem_sw.Backend.kind_name
 
 let backend_term =
   Arg.(
@@ -276,192 +265,142 @@ let backend_term =
            estimator, orders of magnitude faster, cross-validated in CI).")
 
 let policy_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "abort" -> Ok Runtime.Abort
-    | "retry" | "retry-map" -> Ok Runtime.Retry_map
-    | "degrade" -> Ok Runtime.Degrade
-    | "resume" | "resume-checkpoint" -> Ok Runtime.Resume_checkpoint
-    | other -> Error (`Msg (Printf.sprintf "unknown fault policy %S" other))
-  in
-  let print fmt p = Format.fprintf fmt "%s" (Runtime.policy_desc p) in
-  Arg.conv (parse, print)
+  conv_of
+    (fun s ->
+      match String.lowercase_ascii s with
+      | "abort" -> Ok Runtime.Abort
+      | "retry" | "retry-map" -> Ok Runtime.Retry_map
+      | "degrade" -> Ok Runtime.Degrade
+      | "resume" | "resume-checkpoint" -> Ok Runtime.Resume_checkpoint
+      | other -> Error (Printf.sprintf "unknown fault policy %S" other))
+    Runtime.policy_desc
 
 let run_cmd =
+  let module Persist = Gem_persist.Persist in
   let run p backend model scale im2col_on_accel profile inject_seed inject_rate
       policy watchdog cores trace_out trace_format checkpoint_every
       checkpoint_out restore max_replays self_profile metrics_out =
+    (* The trace collector doubles as the profile's layer breakdown. It
+       watches the one SoC a plain or checkpointing cycle run builds. *)
+    let observed = trace_out <> None || profile in
+    if observed
+       && (backend = Gem_sw.Backend.Analytic || restore <> None
+          || policy = Runtime.Resume_checkpoint)
+    then
+      usage "run"
+        "--trace-out and --profile observe one uninterrupted SoC: the \
+         analytic backend builds none, and --restore and --fault-policy \
+         resume-checkpoint rebuild it mid-network";
+    with_outputs "run" ?self_profile ?metrics_out [ trace_out; checkpoint_out ]
+    @@ fun () ->
+    let restore =
+      Option.map
+        (fun path ->
+          match Persist.load_checkpoint ~path with
+          | Ok ck -> ck
+          | Error msg -> usage "persist" ("cannot restore: " ^ msg))
+        restore
+    in
     let model = Gem_dnn.Model_zoo.scale_model ~factor:scale model in
-    let core_cfg = { Soc_config.default_core with accel = p } in
-    let config =
-      { Soc_config.default with cores = List.init cores (fun _ -> core_cfg) }
+    let options =
+      {
+        Persist.backend;
+        config = Gem_serve.Serve.config_for ~cores p;
+        jobs = Array.make cores (model, Runtime.Accel { im2col_on_accel });
+        policy;
+        watchdog;
+        inject = Option.map (fun seed -> (seed, inject_rate)) inject_seed;
+        checkpoint_every;
+        checkpoint_out;
+        restore;
+        max_replays;
+      }
     in
-    let mode = Runtime.Accel { im2col_on_accel } in
-    let print_header () =
-      Printf.printf "%s on %s%s%s\n" model.Gem_dnn.Layer.model_name
-        (Gemmini.Params.describe p)
-        (if cores > 1 then Printf.sprintf " x %d cores" cores else "")
-        (match backend with
-        | Gem_sw.Backend.Cycle -> ""
-        | k -> Printf.sprintf " [%s backend]" (Gem_sw.Backend.kind_name k))
+    let soc = ref None and collector = ref None in
+    let attach s =
+      soc := Some s;
+      if observed then collector := Some (Gem_sim.Export.attach (Soc.engine s))
     in
-    let print_results results =
-      let horizon = ref 0 in
-      Array.iter
-        (fun r ->
-          horizon := max !horizon r.Runtime.r_total_cycles;
-          (* Dual-core runs label every row with its core so the outputs
-             line up with the core-prefixed component names below. *)
-          let tag =
-            if cores > 1 then Printf.sprintf "core%d: " r.Runtime.r_core else ""
-          in
-          Printf.printf "%stotal %s cycles = %.2f FPS at 1 GHz\n" tag
-            (Gem_util.Table.fmt_int r.Runtime.r_total_cycles)
-            (Gem_sim.Time.fps ~freq_ghz:1.0
-               ~cycles_per_item:r.Runtime.r_total_cycles);
+    let o =
+      try Persist.run ~attach options with Invalid_argument msg -> usage "run" msg
+    in
+    Printf.printf "%s on %s%s%s\n" model.Gem_dnn.Layer.model_name
+      (Gemmini.Params.describe p)
+      (if cores > 1 then Printf.sprintf " x %d cores" cores else "")
+      (match backend with
+      | Gem_sw.Backend.Cycle -> ""
+      | k -> Printf.sprintf " [%s backend]" (Gem_sw.Backend.kind_name k));
+    Array.iter
+      (fun r ->
+        (* Dual-core runs label every row with its core so the outputs
+           line up with the core-prefixed component names below. *)
+        let tag =
+          if cores > 1 then Printf.sprintf "core%d: " r.Runtime.r_core else ""
+        in
+        Printf.printf "%stotal %s cycles = %.2f FPS at 1 GHz\n" tag
+          (Gem_util.Table.fmt_int r.Runtime.r_total_cycles)
+          (Gem_sim.Time.fps ~freq_ghz:1.0
+             ~cycles_per_item:r.Runtime.r_total_cycles);
+        List.iter
+          (fun (k, c) ->
+            Printf.printf "  %s%-12s %s cycles\n" tag
+              (Gem_dnn.Layer.class_name k)
+              (Gem_util.Table.fmt_int c))
+          (Runtime.cycles_by_class r);
+        if r.Runtime.r_faults <> [] then begin
+          Printf.printf "%sfaults handled (%s policy): %d\n" tag
+            (Runtime.policy_desc policy)
+            (List.length r.Runtime.r_faults);
           List.iter
-            (fun (k, c) ->
-              Printf.printf "  %s%-12s %s cycles\n" tag
-                (Gem_dnn.Layer.class_name k)
-                (Gem_util.Table.fmt_int c))
-            (Runtime.cycles_by_class r);
-          if r.Runtime.r_faults <> [] then begin
-            Printf.printf "%sfaults handled (%s policy): %d\n" tag
-              (Runtime.policy_desc policy)
-              (List.length r.Runtime.r_faults);
-            List.iter
-              (fun fr ->
-                Printf.printf "  %s%-8s %-24s %s\n" tag fr.Runtime.fr_action
-                  fr.Runtime.fr_layer
-                  (Gem_sim.Fault.to_string fr.Runtime.fr_fault))
-              r.Runtime.r_faults
-          end)
-        results;
-      !horizon
-    in
-    let persisting =
-      checkpoint_every <> None || checkpoint_out <> None || restore <> None
-      || policy = Runtime.Resume_checkpoint
-    in
-    check_outputs "run" [ trace_out; metrics_out; self_profile; checkpoint_out ];
-    let reg = Metrics.create () in
-    on_io_error "run" @@ fun () ->
-    abort_on_trap @@ fun () ->
-    with_self_profile self_profile @@ fun () ->
-    match backend with
-    | Gem_sw.Backend.Analytic ->
-        if inject_seed <> None || trace_out <> None || profile then
-          prerr_endline
-            "[run] note: --inject-seed/--trace-out/--profile are \
-             cycle-engine features; the analytic backend ignores them";
-        if persisting then begin
-          prerr_endline
-            "[run] checkpoint/restore needs the cycle backend (the \
-             analytic estimator has no simulation state to snapshot)";
-          exit 2
-        end;
-        let rq =
-          Gem_sw.Backend.request ~policy ?watchdog ~config
-            (Array.init cores (fun _ -> (model, mode)))
-        in
-        let results = Gem_sw.Backend_analytic.run rq in
-        print_header ();
-        ignore (print_results results);
-        Array.iter (Runtime.register_metrics reg) results;
-        write_metrics reg metrics_out
-    | Gem_sw.Backend.Cycle when persisting ->
-        if cores > 1 then begin
-          prerr_endline "[run] checkpoint/restore is single-core for now";
-          exit 2
-        end;
-        if trace_out <> None || profile then
-          prerr_endline
-            "[run] note: --trace-out/--profile attach before the run; the \
-             checkpointing driver builds its own SoC, so they are ignored \
-             here";
-        let restore_ck =
-          match restore with
-          | None -> None
-          | Some path -> (
-              match Gem_persist.Persist.load_checkpoint ~path with
-              | Ok ck -> Some ck
-              | Error msg ->
-                  Printf.eprintf "[persist] cannot restore: %s\n%!" msg;
-                  exit 2)
-        in
-        let outcome =
-          (* A checkpoint that does not fit this model or SoC. *)
-          try
-            Gem_persist.Persist.run ~policy ?watchdog
-              ?inject:(Option.map (fun s -> (s, inject_rate)) inject_seed)
-              ?checkpoint_every ?checkpoint_out ?restore:restore_ck
-              ~max_replays ~config ~core:0 model ~mode
-          with Invalid_argument msg when restore_ck <> None ->
-            Printf.eprintf "[persist] cannot restore: %s\n%!" msg;
-            exit 2
-        in
-        print_header ();
-        ignore (print_results [| outcome.Gem_persist.Persist.o_result |]);
-        Option.iter
-          (Printf.eprintf "[persist] resumed at layer %d\n%!")
-          outcome.Gem_persist.Persist.o_resumed_at;
-        if outcome.Gem_persist.Persist.o_checkpoints > 0 then
-          Printf.eprintf "[persist] %d checkpoint(s)%s\n%!"
-            outcome.Gem_persist.Persist.o_checkpoints
-            (match checkpoint_out with
-            | Some f -> Printf.sprintf " -> %s" f
-            | None -> " (in-memory)");
-        if outcome.Gem_persist.Persist.o_replays > 0 then
-          Printf.eprintf "[persist] recovered via %d replay(s)\n%!"
-            outcome.Gem_persist.Persist.o_replays;
-        Runtime.register_metrics reg outcome.Gem_persist.Persist.o_result;
-        write_metrics reg metrics_out
-    | Gem_sw.Backend.Cycle ->
-    let soc = Soc.create config in
-    (match inject_seed with
-    | Some seed -> Soc.arm_injection soc ~seed ~rate:inject_rate
-    | None -> ());
-    (* The trace collector doubles as the profile's layer breakdown; it
-       never perturbs simulated timing. *)
-    let collector =
-      if trace_out <> None || profile then
-        Some (Gem_sim.Export.attach (Soc.engine soc))
-      else None
-    in
-    let rq =
-      Gem_sw.Backend.request ~policy ?watchdog ~config
-        (Array.init cores (fun _ -> (model, mode)))
-    in
-    let results = Gem_sw.Backend_cycle.run_on soc rq in
-    print_header ();
-    let horizon = ref (print_results results) in
-    Gem_sim.Engine.register_metrics (Soc.engine soc) reg;
-    Array.iter (Runtime.register_metrics reg) results;
-    write_metrics reg metrics_out;
-    match collector with
-    | None -> ()
-    | Some c ->
+            (fun fr ->
+              Printf.printf "  %s%-8s %-24s %s\n" tag fr.Runtime.fr_action
+                fr.Runtime.fr_layer
+                (Gem_sim.Fault.to_string fr.Runtime.fr_fault))
+            r.Runtime.r_faults
+        end)
+      o.Persist.o_results;
+    Option.iter
+      (fun ck ->
+        Printf.eprintf "[persist] resumed at layer %d\n%!" ck.Persist.ck_next_layer)
+      restore;
+    if o.Persist.o_checkpoints > 0 then
+      Printf.eprintf "[persist] %d checkpoint(s)%s\n%!" o.Persist.o_checkpoints
+        (match checkpoint_out with
+        | Some f -> Printf.sprintf " -> %s" f
+        | None -> " (in-memory)");
+    if o.Persist.o_replays > 0 then
+      Printf.eprintf "[persist] recovered via %d replay(s)\n%!"
+        o.Persist.o_replays;
+    Option.iter
+      (fun c ->
         Gem_sim.Export.finalize c;
-        (match trace_out with
-        | Some file ->
+        Option.iter
+          (fun file ->
             (match trace_format with
             | `Chrome -> Gem_sim.Export.write_chrome_file c file
             | `Report ->
                 Out_channel.with_open_text file (fun oc ->
                     output_string oc (Gem_sim.Export.report c)));
             Printf.eprintf "[trace] wrote %s (%s)\n%!" file
-              (match trace_format with
-              | `Chrome -> "chrome"
-              | `Report -> "report")
-        | None -> ());
+              (match trace_format with `Chrome -> "chrome" | `Report -> "report"))
+          trace_out;
         if profile then begin
           print_newline ();
           Gem_util.Table.print
-            (Gem_sim.Engine.utilization_table (Soc.engine soc)
-               ~horizon:!horizon ());
+            (Gem_sim.Engine.utilization_table
+               (Soc.engine (Option.get !soc))
+               ~horizon:
+                 (Array.fold_left
+                    (fun h r -> max h r.Runtime.r_total_cycles)
+                    0 o.Persist.o_results)
+               ());
           print_newline ();
           print_string (Gem_sim.Export.report c)
-        end
+        end)
+      !collector;
+    fun reg ->
+      Option.iter (fun s -> Gem_sim.Engine.register_metrics (Soc.engine s) reg) !soc;
+      Array.iter (Runtime.register_metrics reg) o.Persist.o_results
   in
   let im2col =
     Arg.(value & opt bool true & info [ "accel-im2col" ] ~doc:"Use the hardware im2col block.")
@@ -532,8 +471,8 @@ let run_cmd =
       & info [ "restore" ] ~docv:"FILE"
           ~doc:
             "Resume from a checkpoint written by --checkpoint-out. The \
-             resumed run's remaining cycles, profile and trace are \
-             byte-identical to the uninterrupted run's.")
+             resumed run's report and metrics snapshot are byte-identical \
+             to the uninterrupted run's.")
   in
   let max_replays =
     Arg.(
@@ -554,8 +493,7 @@ let run_cmd =
 let sweep_cmd =
   let run model scale backend jobs cache_dir no_cache out self_profile
       metrics_out =
-    check_outputs "dse" [ metrics_out; self_profile ];
-    on_io_error "dse" @@ fun () ->
+    with_outputs "dse" ?self_profile ?metrics_out [] @@ fun () ->
     let name = model.Gem_dnn.Layer.model_name in
     let base = Gem_dse.Point.make ~model:name ~scale ~backend () in
     let dim_axis =
@@ -570,24 +508,19 @@ let sweep_cmd =
     let cache =
       if no_cache then None else Some (Gem_dse.Cache.create ~dir:cache_dir ())
     in
-    let rr =
-      with_self_profile self_profile (fun () ->
-          Gem_dse.Exec.run ~jobs ~cache points)
-    in
-    write_dse_metrics rr metrics_out;
+    let rr = Gem_dse.Exec.run ~jobs ~cache points in
     Printf.eprintf "[dse] %d point(s): %d simulated, %d cached (jobs %d)\n%!"
       (Array.length points) rr.Gem_dse.Exec.simulated rr.Gem_dse.Exec.cached
       jobs;
-    match out with
+    (match out with
     | `Json -> print_string (Gem_dse.Report.json_string rr.Gem_dse.Exec.results)
     | `Csv -> print_string (Gem_dse.Report.csv rr.Gem_dse.Exec.results)
     | `Table ->
-        let display_name =
-          if scale = 1 then name else Printf.sprintf "%s/%d" name scale
-        in
         let t =
           Gem_util.Table.create
-            ~title:(Printf.sprintf "Array-size sweep (%s)" display_name)
+            ~title:
+              (if scale = 1 then Printf.sprintf "Array-size sweep (%s)" name
+               else Printf.sprintf "Array-size sweep (%s/%d)" name scale)
             [ "DIM"; "Cycles"; "FPS@1GHz"; "Area (mm^2)"; "fmax (GHz)" ]
         in
         List.iter
@@ -605,7 +538,8 @@ let sweep_cmd =
                 Gem_util.Table.fmt_f ~dec:2 o.Gem_dse.Outcome.fmax_ghz;
               ])
           rr.Gem_dse.Exec.results;
-        Gem_util.Table.print t
+        Gem_util.Table.print t);
+    fun reg -> Gem_dse.Exec.register_metrics reg rr
   in
   let cache_dir =
     Arg.(
@@ -646,20 +580,22 @@ let fuzz_cmd =
       let undetected =
         List.filter
           (fun mutation ->
-            let detected = ref false in
-            let i = ref 0 in
-            while (not !detected) && !i < count do
-              let case = Gem_check.Gen.case ~force_invalid:false ~seed:(seed + !i) () in
-              let report = Gem_check.Diff.run_case ~mutate:mutation case in
-              if report.Gem_check.Diff.divergences <> [] then detected := true;
-              incr i
-            done;
+            (* The first seed whose case the mutated model answers wrongly. *)
+            let rec first s =
+              if s >= seed + count then None
+              else
+                let case = Gem_check.Gen.case ~force_invalid:false ~seed:s () in
+                let report = Gem_check.Diff.run_case ~mutate:mutation case in
+                if report.Gem_check.Diff.divergences <> [] then Some s
+                else first (s + 1)
+            in
+            let detected = first seed in
             Printf.printf "self-test %-18s %s\n"
               (Gem_check.Golden.mutation_name mutation)
-              (if !detected then
-                 Printf.sprintf "detected (seed %d)" (seed + !i - 1)
-               else "NOT DETECTED");
-            not !detected)
+              (match detected with
+              | Some s -> Printf.sprintf "detected (seed %d)" s
+              | None -> "NOT DETECTED");
+            detected = None)
           Gem_check.Golden.mutations
       in
       if undetected <> [] then exit 1
@@ -675,19 +611,14 @@ let fuzz_cmd =
           Printf.printf "seed %d: %d divergence(s)\n" (seed + i)
             (List.length report.Gem_check.Diff.divergences);
           List.iter (Printf.printf "  %s\n") report.Gem_check.Diff.divergences;
-          let case =
-            if shrink then begin
-              let small = Gem_check.Shrink.minimize_case case in
-              Printf.printf "  shrunk to %d command(s):\n"
-                (List.length small.Gem_check.Gen.program);
-              small
-            end
-            else case
-          in
-          if shrink then
+          let case = if shrink then Gem_check.Shrink.minimize_case case else case in
+          if shrink then begin
+            Printf.printf "  shrunk to %d command(s):\n"
+              (List.length case.Gem_check.Gen.program);
             List.iter
               (fun cmd -> Printf.printf "    %s\n" (Gemmini.Isa.to_string cmd))
-              case.Gem_check.Gen.program;
+              case.Gem_check.Gen.program
+          end;
           Printf.printf "  repro: %s\n" (Gem_check.Diff.repro case)
         end
       done;
@@ -718,8 +649,7 @@ let fuzz_cmd =
 
 let xval_cmd =
   let run models scale budget_file out =
-    check_outputs "xval" [ out ];
-    on_io_error "xval" @@ fun () ->
+    with_outputs "xval" [ out ] @@ fun () ->
     (* The budget is read before the (long) validation, so a bad path
        fails at once. *)
     let budget =
@@ -728,15 +658,10 @@ let xval_cmd =
           match Gem_dse.Xval.load_budget file with
           | Ok budget -> (file, budget)
           | Error msg ->
-              Printf.eprintf "[xval] cannot load budget %s: %s\n%!" file msg;
-              exit 2)
+              usage "xval" (Printf.sprintf "cannot load budget %s: %s" file msg))
         budget_file
     in
-    let models =
-      match models with
-      | [] -> Gem_dse.Xval.default_models
-      | l -> l
-    in
+    let models = if models = [] then Gem_dse.Xval.default_models else models in
     let report = Gem_dse.Xval.validate ~models ~scale () in
     let t =
       Gem_util.Table.create
@@ -769,7 +694,7 @@ let xval_cmd =
             output_char oc '\n');
         Printf.eprintf "[xval] wrote %s\n%!" file)
       out;
-    match budget with
+    (match budget with
     | None -> ()
     | Some (file, budget) -> (
         match Gem_dse.Xval.check report budget with
@@ -777,7 +702,8 @@ let xval_cmd =
         | Error failures ->
             Printf.printf "budget check: FAIL (%s)\n" file;
             List.iter (Printf.printf "  %s\n") failures;
-            exit 1)
+            exit 1));
+    ignore
   in
   let models =
     Arg.(
@@ -812,133 +738,118 @@ let xval_cmd =
     Term.(const run $ models $ scale_term $ budget_file $ out)
 
 let experiment_cmd =
-  let run id quick =
-    match id with
-    | `Table1 -> Gem_experiments.Table1.run ()
-    | `Fig3 -> ignore (Gem_experiments.Fig3.run ())
-    | `Fig4 -> ignore (Gem_experiments.Fig4.run ~quick ())
-    | `Fig6 -> ignore (Gem_experiments.Fig6.run ())
-    | `Fig7 -> ignore (Gem_experiments.Fig7.run ~quick ())
-    | `Fig8 -> ignore (Gem_experiments.Fig8.run ~quick ())
-    | `Fig9 -> ignore (Gem_experiments.Fig9.run ~quick ())
+  let experiments =
+    Gem_experiments.
+      [ ("table1", fun _ -> Table1.run ());
+        ("fig3", fun _ -> ignore (Fig3.run ()));
+        ("fig4", fun quick -> ignore (Fig4.run ~quick ()));
+        ("fig6", fun _ -> ignore (Fig6.run ()));
+        ("fig7", fun quick -> ignore (Fig7.run ~quick ()));
+        ("fig8", fun quick -> ignore (Fig8.run ~quick ()));
+        ("fig9", fun quick -> ignore (Fig9.run ~quick ())) ]
   in
+  let names = List.map fst experiments in
   let id =
-    let ids =
-      Arg.enum
-        [
-          ("table1", `Table1);
-          ("fig3", `Fig3);
-          ("fig4", `Fig4);
-          ("fig6", `Fig6);
-          ("fig7", `Fig7);
-          ("fig8", `Fig8);
-          ("fig9", `Fig9);
-        ]
-    in
-    Arg.(required & opt (some ids) None & info [ "id" ] ~doc:"table1|fig3|fig4|fig6|fig7|fig8|fig9")
+    Arg.(
+      required
+      & opt (some (enum (List.map (fun n -> (n, n)) names))) None
+      & info [ "id" ] ~doc:(String.concat "|" names))
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Channel-scaled models.") in
   Cmd.v (Cmd.info "experiment" ~doc:"Reproduce a table/figure from the paper.")
-    Term.(const run $ id $ quick)
+    Term.(const (fun id quick -> List.assoc id experiments quick) $ id $ quick)
 
 (* --- serve: open-loop multi-core serving ------------------------------------- *)
 
 let serve_cmd =
   let module Serve = Gem_serve.Serve in
+  let default_slos = [ 5.0; 10.0 ] in
   let run p model scale backend cores_list arrival seed batch slos
       duration no_warmup out trace_out warm warm_out rates jobs self_profile
       metrics_out =
-    check_outputs "serve" [ trace_out; metrics_out; self_profile; warm_out ];
-    on_io_error "serve" @@ fun () ->
+    with_outputs "serve" ?self_profile ?metrics_out [ trace_out; warm_out ]
+    @@ fun () ->
     let name = model.Gem_dnn.Layer.model_name in
-    let scenario_for ~cores ~arrival =
-      {
-        Serve.sv_model = name;
-        sv_scale = scale;
-        sv_soc = Serve.config_for ~cores p;
-        sv_backend = backend;
-        sv_mode = Runtime.Accel { im2col_on_accel = true };
-        sv_arrival = arrival;
-        sv_seed = seed;
-        sv_batch = batch;
-        sv_slos_ms = slos;
-        sv_duration_ms = duration;
-        sv_warmup = not no_warmup;
-      }
-    in
     match rates with
-    | None -> (
+    | None ->
         (* Single scenario: full report (or one CSV row) on stdout. *)
         let cores =
           match cores_list with
           | [ n ] -> n
-          | _ ->
-              prerr_endline
-                "[serve] exactly one --cores value without --rates";
-              exit 2
+          | _ -> usage "serve" "exactly one --cores value without --rates"
         in
-        if trace_out <> None && backend <> Gem_sw.Backend.Cycle then begin
-          prerr_endline "[serve] --trace-out needs the cycle backend";
-          exit 2
-        end;
-        let reg = Metrics.create () in
-        let stream = ref None in
+        if trace_out <> None && backend <> Gem_sw.Backend.Cycle then
+          usage "serve" "--trace-out needs the cycle backend";
+        let built = ref None and stream = ref None in
         let attach soc =
+          built := Some soc;
           (* Streaming writer: events land on disk as they retire, so long
              serving runs trace in constant memory. *)
           Option.iter
             (fun file ->
               stream :=
-                Some (Gem_sim.Export.Streaming.attach_file (Soc.engine soc) file))
-            trace_out;
-          if metrics_out <> None then
-            Gem_sim.Engine.register_metrics (Soc.engine soc) reg
+                Some (file, Gem_sim.Export.Streaming.attach_file (Soc.engine soc) file))
+            trace_out
         in
         let result =
-          with_self_profile self_profile (fun () ->
-              try
-                Serve.run ~attach ?warm_in:warm ?warm_out
-                  (scenario_for ~cores ~arrival)
-              with Invalid_argument msg ->
-                Printf.eprintf "[serve] %s\n%!" msg;
-                exit 2)
+          try
+            Serve.run ~attach ?warm_in:warm ?warm_out
+              {
+                Serve.sv_model = name;
+                sv_scale = scale;
+                sv_soc = Serve.config_for ~cores p;
+                sv_backend = backend;
+                sv_mode = Runtime.Accel { im2col_on_accel = true };
+                sv_arrival = arrival;
+                sv_seed = seed;
+                sv_batch = batch;
+                sv_slos_ms = Option.value slos ~default:default_slos;
+                sv_duration_ms = duration;
+                sv_warmup = not no_warmup;
+              }
+          with Invalid_argument msg -> usage "serve" msg
         in
         (match out with
         | `Report -> print_string (Gem_serve.Report.render result)
         | `Csv ->
             print_string Gem_serve.Report.csv_header;
             print_string (Gem_serve.Report.csv_row result));
-        (match (trace_out, !stream) with
-        | Some file, Some s ->
+        Option.iter
+          (fun (file, s) ->
             Gem_sim.Export.Streaming.finish s;
-            Printf.eprintf
-              "[trace] wrote %s (chrome, %d event(s) streamed)\n%!" file
-              (Gem_sim.Export.Streaming.events_written s)
-        | _ -> ());
-        if metrics_out <> None then Serve.register_metrics reg result;
-        write_metrics reg metrics_out)
+            Printf.eprintf "[trace] wrote %s (chrome, %d event(s) streamed)\n%!"
+              file (Gem_sim.Export.Streaming.events_written s))
+          !stream;
+        fun reg ->
+          Option.iter
+            (fun soc -> Gem_sim.Engine.register_metrics (Soc.engine soc) reg)
+            !built;
+          Serve.register_metrics reg result
     | Some rates ->
         (* Throughput-vs-latency curve: arrival-rate x cores sweep through
            the DSE executor (parallelizable with --jobs; results are
            slotted by point index, so any job count prints identical
-           bytes). *)
-        if warm <> None || warm_out <> None || trace_out <> None then begin
-          prerr_endline
-            "[serve] --warm/--warm-out/--trace-out apply to single \
+           bytes). A curve point always warms up and is judged against
+           one SLO. *)
+        if warm <> None || warm_out <> None || trace_out <> None || no_warmup
+        then
+          usage "serve"
+            "--warm/--warm-out/--trace-out/--no-warmup apply to single \
              scenarios, not --rates curves";
-          exit 2
-        end;
-        if cores_list = [] || rates = [] then begin
-          prerr_endline
-            "[serve] --rates curves need at least one rate and one --cores \
-             value";
-          exit 2
-        end;
+        let slo_ms =
+          match slos with
+          | None -> List.hd default_slos
+          | Some [ slo ] -> slo
+          | Some _ -> usage "serve" "a --rates curve takes one --slo-ms value"
+        in
+        if cores_list = [] || rates = [] then
+          usage "serve"
+            "--rates curves need at least one rate and one --cores value";
         let spec =
           {
             Gem_dse.Point.ss_arrival = Gem_serve.Arrival.spec_to_string arrival;
             ss_batch = Gem_serve.Batch.policy_to_string batch;
-            ss_slo_ms = (match slos with s :: _ -> s | [] -> 10.0);
+            ss_slo_ms = slo_ms;
             ss_duration_ms = duration;
             ss_seed = seed;
           }
@@ -952,30 +863,15 @@ let serve_cmd =
           Gem_dse.Sweep.cartesian ~base
             [ Gem_dse.Sweep.cores cores_list; Gem_dse.Sweep.serve_rates rates ]
         in
-        let rr =
-          with_self_profile self_profile (fun () ->
-              Gem_dse.Exec.run ~jobs ~cache:None points)
-        in
-        write_dse_metrics rr metrics_out;
-        print_string (Gem_dse.Report.csv rr.Gem_dse.Exec.results)
+        let rr = Gem_dse.Exec.run ~jobs ~cache:None points in
+        print_string (Gem_dse.Report.csv rr.Gem_dse.Exec.results);
+        fun reg -> Gem_dse.Exec.register_metrics reg rr
   in
   let arrival_conv =
-    let parse s =
-      Result.map_error (fun e -> `Msg e) (Gem_serve.Arrival.spec_of_string s)
-    in
-    let print fmt a =
-      Format.fprintf fmt "%s" (Gem_serve.Arrival.spec_to_string a)
-    in
-    Arg.conv (parse, print)
+    conv_of Gem_serve.Arrival.spec_of_string Gem_serve.Arrival.spec_to_string
   in
   let batch_conv =
-    let parse s =
-      Result.map_error (fun e -> `Msg e) (Gem_serve.Batch.policy_of_string s)
-    in
-    let print fmt b =
-      Format.fprintf fmt "%s" (Gem_serve.Batch.policy_to_string b)
-    in
-    Arg.conv (parse, print)
+    conv_of Gem_serve.Batch.policy_of_string Gem_serve.Batch.policy_to_string
   in
   let cores =
     Arg.(
@@ -1014,9 +910,11 @@ let serve_cmd =
   let slos =
     Arg.(
       value
-      & opt (list pos_ms) [ 5.0; 10.0 ]
+      & opt (some ~none:"5,10" (list pos_ms)) None
       & info [ "slo-ms" ]
-          ~doc:"SLO targets in milliseconds (comma-separated).")
+          ~doc:
+            "SLO targets in milliseconds (comma-separated). A --rates curve \
+             takes one (default 5).")
   in
   let duration =
     Arg.(
@@ -1030,7 +928,8 @@ let serve_cmd =
       & info [ "no-warmup" ]
           ~doc:
             "Skip the untimed per-core warmup inference (cold-start \
-             effects then land on the first requests).")
+             effects then land on the first requests). Single scenarios \
+             only.")
   in
   let out =
     let fmt = Arg.enum [ ("report", `Report); ("csv", `Csv) ] in

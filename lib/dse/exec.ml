@@ -166,31 +166,39 @@ let evaluate (p : Point.t) : Outcome.t =
     match p.Point.backend with
     | Gem_sw.Backend.Analytic -> evaluate_analytic p base model
     | Gem_sw.Backend.Cycle ->
-    let soc = Soc.create p.Point.soc in
-    let hierarchy = Soc.tlb (Soc.core soc 0) in
     let series =
       Option.map
         (fun window -> Gem_util.Stats.Series.create ~window)
         p.Point.tlb_window
     in
-    Option.iter
-      (fun s ->
-        H.set_observer hierarchy
-          (Some
-             (fun now level ->
-               let miss =
-                 match level with
-                 | H.Filter | H.Private -> 0.
-                 | H.Shared | H.Walk -> 1.
-               in
-               Gem_util.Stats.Series.add s ~time:(float_of_int now) miss)))
-      series;
-    let ncores = List.length p.Point.soc.Soc_config.cores in
-    let rq =
-      Gem_sw.Backend.request ~config:p.Point.soc
-        (Array.make ncores (model, p.Point.mode))
+    let built = ref None in
+    let attach soc =
+      built := Some soc;
+      Option.iter
+        (fun s ->
+          H.set_observer (Soc.tlb (Soc.core soc 0))
+            (Some
+               (fun now level ->
+                 let miss =
+                   match level with
+                   | H.Filter | H.Private -> 0.
+                   | H.Shared | H.Walk -> 1.
+                 in
+                 Gem_util.Stats.Series.add s ~time:(float_of_int now) miss)))
+        series
     in
-    let results = Gem_sw.Backend_cycle.run_on soc rq in
+    let ncores = List.length p.Point.soc.Soc_config.cores in
+    let results =
+      (Gem_persist.Persist.run ~attach
+         {
+           Gem_persist.Persist.default with
+           config = p.Point.soc;
+           jobs = Array.make ncores (model, p.Point.mode);
+         })
+        .Gem_persist.Persist.o_results
+    in
+    let soc = Option.get !built in
+    let hierarchy = Soc.tlb (Soc.core soc 0) in
     Option.iter (fun _ -> H.set_observer hierarchy None) series;
     let total =
       Array.fold_left (fun acc r -> max acc r.Runtime.r_total_cycles) 0 results

@@ -157,13 +157,31 @@ let load_checkpoint ~path =
   | Ok (_meta, payload) -> (
       try Ok (Snap.decode checkpoint payload) with Snap.Malformed msg -> Error msg)
 
-(* --- resilient run driver ------------------------------------------------------ *)
+(* --- the run driver ------------------------------------------------------------ *)
+
+type options = {
+  backend : Gem_sw.Backend.kind;
+  config : Gem_soc.Soc_config.t;
+  jobs : (Layer.model * Runtime.mode) array;
+  policy : Runtime.policy;
+  watchdog : int option;
+  inject : (int * float) option;
+  checkpoint_every : int option;
+  checkpoint_out : string option;
+  restore : checkpoint option;
+  max_replays : int;
+}
+
+let default =
+  { backend = Gem_sw.Backend.Cycle; config = Gem_soc.Soc_config.default;
+    jobs = [||]; policy = Runtime.Abort; watchdog = None; inject = None;
+    checkpoint_every = None; checkpoint_out = None; restore = None;
+    max_replays = 3 }
 
 type outcome = {
-  o_result : Runtime.result;
+  o_results : Runtime.result array;
   o_checkpoints : int;
   o_replays : int;
-  o_resumed_at : int option;
 }
 
 (* Recovery replays must not restore the injection RNG cursors exactly:
@@ -180,40 +198,53 @@ let salt_injection soc ~attempt =
         ~seed:(Gem_sim.Inject.seed plan + (attempt * 7919))
         ~rate:(Gem_sim.Inject.rate plan)
 
-let run ?(policy = Runtime.Abort) ?watchdog ?inject ?checkpoint_every
-    ?checkpoint_out ?restore ?(max_replays = 3) ~config ~core model ~mode =
-  let model_name = model.Layer.model_name in
-  let mode_desc = Runtime.mode_desc mode in
-  (match restore with
-  | None -> ()
-  | Some ck ->
+(* Every combination the driver refuses, before anything is built. *)
+let check o =
+  let fail fmt = Printf.ksprintf invalid_arg ("Persist.run: " ^^ fmt) in
+  let persisting =
+    o.checkpoint_every <> None || o.checkpoint_out <> None
+    || o.restore <> None || o.policy = Runtime.Resume_checkpoint
+  in
+  if o.backend = Gem_sw.Backend.Analytic && (persisting || o.inject <> None) then
+    fail
+      "checkpoint/restore and fault injection need the cycle backend (the \
+       analytic estimator has no simulation state)";
+  if persisting && Array.length o.jobs > 1 then
+    fail
+      "checkpoint/restore runs one job (a layer fence quiesces the SoC only \
+       when one core runs)";
+  if Option.fold ~none:false ~some:(fun n -> n <= 0) o.checkpoint_every then
+    fail "checkpoint-every must be positive";
+  match (o.restore, o.jobs) with
+  | Some ck, [| (model, mode) |] ->
+      let model_name = model.Layer.model_name in
+      let mode_desc = Runtime.mode_desc mode in
       if ck.ck_model <> model_name then
-        invalid_arg
-          (Printf.sprintf "Persist.run: checkpoint is of %S, not %S"
-             ck.ck_model model_name);
+        fail "checkpoint is of %S, not %S" ck.ck_model model_name;
       if ck.ck_mode <> mode_desc then
-        invalid_arg
-          (Printf.sprintf "Persist.run: checkpoint mode %S, run mode %S"
-             ck.ck_mode mode_desc);
-      if ck.ck_core <> core then
-        invalid_arg
-          (Printf.sprintf "Persist.run: checkpoint core %d, run core %d"
-             ck.ck_core core));
-  (match checkpoint_every with
-  | Some n when n <= 0 ->
-      invalid_arg "Persist.run: checkpoint-every must be positive"
-  | _ -> ());
+        fail "checkpoint mode %S, run mode %S" ck.ck_mode mode_desc;
+      if ck.ck_core <> 0 then fail "checkpoint core %d, run core 0" ck.ck_core
+  | _ -> ()
+
+let run ?(attach = ignore) o =
+  (* The request checks the job/core shape for both backends. *)
+  let rq =
+    Gem_sw.Backend.request ~policy:o.policy ?watchdog:o.watchdog
+      ~config:o.config o.jobs
+  in
+  check o;
   (* The most recent quiesced state, shared across replays. *)
-  let latest = ref restore in
+  let latest = ref o.restore in
   let checkpoints = ref 0 in
   let replays = ref 0 in
   let rec attempt ~salt =
     let from = !latest in
-    let soc = Soc.create config in
-    let prepare _core =
+    let soc = Soc.create o.config in
+    attach soc;
+    let prepare () =
       match from with
       | None -> (
-          match inject with
+          match o.inject with
           | Some (seed, rate) ->
               Soc.arm_injection soc ~seed:(seed + (salt * 7919)) ~rate
           | None -> ())
@@ -230,38 +261,41 @@ let run ?(policy = Runtime.Abort) ?watchdog ?inject ?checkpoint_every
     let resume =
       Option.map (fun ck -> (ck.ck_records, ck.ck_last_finish)) from
     in
-    let on_layer ~layer ~records ~finish =
-      match checkpoint_every with
-      | Some n when (layer + 1) mod n = 0 ->
-          let ck =
-            {
-              ck_model = model_name;
-              ck_mode = mode_desc;
-              ck_core = core;
-              ck_next_layer = layer + 1;
-              ck_last_finish = finish;
-              ck_records = records;
-              ck_soc = Soc.snapshot soc;
-            }
-          in
-          latest := Some ck;
-          incr checkpoints;
-          Option.iter (fun path -> save_checkpoint ~path ck) checkpoint_out
-      | _ -> ()
+    (* Only a single job checkpoints ([check]), on core 0. *)
+    let on_layer =
+      Option.map
+        (fun n ~layer ~records ~finish ->
+          if (layer + 1) mod n = 0 then begin
+            let model, mode = o.jobs.(0) in
+            let ck =
+              {
+                ck_model = model.Layer.model_name;
+                ck_mode = Runtime.mode_desc mode;
+                ck_core = 0;
+                ck_next_layer = layer + 1;
+                ck_last_finish = finish;
+                ck_records = records;
+                ck_soc = Soc.snapshot soc;
+              }
+            in
+            latest := Some ck;
+            incr checkpoints;
+            Option.iter (fun path -> save_checkpoint ~path ck) o.checkpoint_out
+          end)
+        o.checkpoint_every
     in
     try
-      Runtime.run ~policy ?watchdog ~prepare ~start_layer ?resume ~on_layer
-        soc ~core model ~mode
+      Runtime.run_parallel ~policy:o.policy ?watchdog:o.watchdog ~prepare
+        ~start_layer ?resume ?on_layer soc o.jobs
     with
-    | Fault.Trap _ when policy = Runtime.Resume_checkpoint
-                        && !replays < max_replays ->
+    | Fault.Trap _ when o.policy = Runtime.Resume_checkpoint
+                        && !replays < o.max_replays ->
         incr replays;
         attempt ~salt:!replays
   in
-  let result = attempt ~salt:0 in
-  {
-    o_result = result;
-    o_checkpoints = !checkpoints;
-    o_replays = !replays;
-    o_resumed_at = Option.map (fun ck -> ck.ck_next_layer) restore;
-  }
+  let results =
+    match o.backend with
+    | Gem_sw.Backend.Analytic -> Gem_sw.Backend_analytic.run rq
+    | Gem_sw.Backend.Cycle -> attempt ~salt:0
+  in
+  { o_results = results; o_checkpoints = !checkpoints; o_replays = !replays }

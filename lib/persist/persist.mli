@@ -1,14 +1,16 @@
-(** Deterministic checkpoint/restore for long simulations.
+(** Deterministic checkpoint/restore for long simulations, and the one
+    run driver ({!run}) built around it.
 
     A checkpoint captures the complete mutable state of a run at a fenced
     layer boundary — the {!Gem_sim.Engine} (clock, resource occupancy,
     fault tallies), the whole SoC (scratchpad/accumulator,
     caches, DRAM and main-memory contents, TLBs, page tables, armed
     injection plans with their RNG cursors), and the runtime's progress
-    (completed layers and their records). The golden property, gated in
-    CI: a run restored from any checkpoint finishes with byte-identical
-    cycle counts, profile tables and event streams to the uninterrupted
-    run.
+    (completed layers and their records). The golden property: a run
+    restored from any checkpoint finishes with the uninterrupted run's
+    cycle counts, per-layer records, engine profile and final SoC state
+    (checked by the test suite on every zoo network; CI compares the
+    CLI's report and metrics snapshot).
 
     On disk a checkpoint travels in a versioned envelope whose MD5
     checksum covers the canonical payload serialization, written
@@ -54,33 +56,45 @@ type checkpoint = {
 val save_checkpoint : path:string -> checkpoint -> unit
 val load_checkpoint : path:string -> (checkpoint, string) result
 
-(* --- resilient run driver ---------------------------------------------------- *)
+(* --- the run driver ------------------------------------------------------------ *)
 
-type outcome = {
-  o_result : Gem_sw.Runtime.result;
-  o_checkpoints : int;  (** snapshots taken across all attempts *)
-  o_replays : int;  (** recovery replays performed (Resume_checkpoint) *)
-  o_resumed_at : int option;
-      (** the layer index execution resumed from, when [restore] was given *)
+type options = {
+  backend : Gem_sw.Backend.kind;
+  config : Gem_soc.Soc_config.t;
+  jobs : (Gem_dnn.Layer.model * Gem_sw.Runtime.mode) array;
+      (** one job per core, in core order *)
+  policy : Gem_sw.Runtime.policy;
+  watchdog : int option;
+  inject : (int * float) option;  (** [(seed, rate)] *)
+  checkpoint_every : int option;
+  checkpoint_out : string option;
+  restore : checkpoint option;
+  max_replays : int;
 }
 
-val run :
-  ?policy:Gem_sw.Runtime.policy ->
-  ?watchdog:int ->
-  ?inject:int * float ->
-  ?checkpoint_every:int ->
-  ?checkpoint_out:string ->
-  ?restore:checkpoint ->
-  ?max_replays:int ->
-  config:Gem_soc.Soc_config.t ->
-  core:int ->
-  Gem_dnn.Layer.model ->
-  mode:Gem_sw.Runtime.mode ->
-  outcome
-(** A {!Gem_sw.Runtime.run} with crash-safety around it. The SoC is
-    always built fresh from [config]; tensor allocation is deterministic,
-    so a restored run recomputes the interrupted run's addresses before
-    the snapshot state is overlaid.
+val default : options
+(** The cycle backend on {!Gem_soc.Soc_config.default} under [Abort], with
+    no watchdog, injection or checkpoint and [max_replays = 3]; [jobs] is
+    empty, so set it. *)
+
+type outcome = {
+  o_results : Gem_sw.Runtime.result array;  (** one per job, in job order *)
+  o_checkpoints : int;  (** snapshots taken across all attempts *)
+  o_replays : int;  (** recovery replays performed (Resume_checkpoint) *)
+}
+
+val run : ?attach:(Gem_soc.Soc.t -> unit) -> options -> outcome
+(** The driver behind the CLI's [run] and every cycle-backend DSE point.
+    The analytic backend prices the jobs ({!Gem_sw.Backend_analytic.run});
+    the cycle backend builds the SoC from [config], calls [attach] on it
+    before anything is allocated or simulated (trace collectors, TLB
+    observers), and runs job [i] on core [i] through
+    {!Gem_sw.Runtime.run_parallel}. A run
+    with no checkpoint, restore or [Resume_checkpoint] policy is exactly
+    that one call; the rest adds crash-safety around it.
+
+    Tensor allocation is deterministic, so a restored run recomputes the
+    interrupted run's addresses before the snapshot state is overlaid.
 
     [inject = (seed, rate)] arms deterministic fault injection on a fresh
     run (a restored one re-arms from the snapshot's RNG cursors, so the
@@ -91,10 +105,18 @@ val run :
     [checkpoint_out] additionally persists each snapshot to disk.
 
     [restore] resumes from a checkpoint (shape-checked against [config],
-    model and mode — raises [Invalid_argument] on a mismatch).
+    model and mode).
 
     Under [policy = Resume_checkpoint], a trap triggers a replay from the
-    most recent snapshot (or the run's starting state) with the injection
-    plan re-seeded per attempt — replaying the exact cursors would trip
-    the identical fault forever — up to [max_replays] (default 3) times,
-    after which the trap propagates. *)
+    most recent snapshot (or the run's starting state) on a fresh SoC
+    (passed to [attach] again) with the injection plan re-seeded per
+    attempt — replaying the exact cursors would trip the identical fault
+    forever — up to [max_replays] times, after which the trap propagates.
+
+    Raises [Invalid_argument] before building anything when the options
+    do not combine: no jobs or more jobs than cores; checkpoint, restore,
+    [Resume_checkpoint] or injection on the analytic backend; checkpoint,
+    restore or [Resume_checkpoint] with more than one job (a layer fence
+    quiesces the SoC only when one core runs); a non-positive
+    [checkpoint_every]; or a checkpoint of another model or mode. A
+    checkpoint that does not fit the SoC raises it when it is restored. *)

@@ -1,10 +1,7 @@
 (** The cycle-accurate execution backend: elaborates the SoC and runs
     every job through the event-driven simulator ({!Runtime.run_parallel},
-    job [i] on core [i]). *)
+    job [i] on core [i]). A caller that arms fault injection or attaches
+    observers to the SoC first runs through {!Gem_persist.Persist.run}'s
+    [attach] hook. *)
 
 include Backend.S
-
-val run_on : Gem_soc.Soc.t -> Backend.request -> Runtime.result array
-(** Like [run] but on a caller-elaborated SoC (so fault injection, trace
-    collectors, or TLB observers can be armed first). The request's
-    [bq_config] is assumed to match the SoC. *)

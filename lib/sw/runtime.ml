@@ -693,27 +693,35 @@ let execute soc jobs =
       Array.iter (fun (_, abort, _) -> abort ()) jobs;
       raise (Fault.Trap f)
 
-let run ?(policy = Abort) ?watchdog ?prepare ?(start_layer = 0) ?resume
-    ?on_layer soc ~core model ~mode =
+(* Jobs [(core, model, mode)], each under its own recovery state. *)
+let run_jobs ~policy ~watchdog ?prepare ?(start_layer = 0) ?resume ?on_layer
+    soc jobs =
   let prior_records, resume_finish =
     match resume with None -> ([], 0) | Some (rs, f) -> (rs, f)
   in
-  (* [records] accumulates most-recent-first; seed it with the salvaged
-     prefix so the final result covers the whole network. *)
-  let records = ref (List.rev prior_records) in
-  let job =
-    job ~start_layer ~resume_finish ?on_layer ~records ~policy ~watchdog soc
-      core model ~mode
+  let jobs =
+    Array.map
+      (fun (core, model, mode) ->
+        (* [records] accumulates most-recent-first; seed it with the
+           salvaged prefix so the final result covers the whole network. *)
+        job ~start_layer ~resume_finish ?on_layer
+          ~records:(ref (List.rev prior_records))
+          ~policy ~watchdog soc core model ~mode)
+      jobs
   in
   (* Tensors are allocated by now; [prepare] can perturb the address
      space (e.g. unmap pages) or restore a snapshot before the first
      command issues. *)
-  Option.iter (fun f -> f (Soc.core soc core)) prepare;
-  (execute soc [| job |]).(0)
+  Option.iter (fun f -> f ()) prepare;
+  execute soc jobs
 
-let run_parallel ?(policy = Abort) ?watchdog soc jobs =
-  execute soc
-    (Array.mapi (fun i (model, mode) -> job ~policy ~watchdog soc i model ~mode) jobs)
+let run ?(policy = Abort) ?watchdog soc ~core model ~mode =
+  (run_jobs ~policy ~watchdog soc [| (core, model, mode) |]).(0)
+
+let run_parallel ?(policy = Abort) ?watchdog ?prepare ?start_layer ?resume
+    ?on_layer soc jobs =
+  run_jobs ~policy ~watchdog ?prepare ?start_layer ?resume ?on_layer soc
+    (Array.mapi (fun i (model, mode) -> (i, model, mode)) jobs)
 
 (* --- functional execution and the golden model ------------------------------- *)
 

@@ -122,11 +122,6 @@ val request_steps :
 val run :
   ?policy:policy ->
   ?watchdog:int ->
-  ?prepare:(Gem_soc.Soc.core -> unit) ->
-  ?start_layer:int ->
-  ?resume:layer_record list * Gem_sim.Time.cycles ->
-  ?on_layer:
-    (layer:int -> records:layer_record list -> finish:Gem_sim.Time.cycles -> unit) ->
   Gem_soc.Soc.t ->
   core:int ->
   Gem_dnn.Layer.model ->
@@ -134,20 +129,7 @@ val run :
   result
 (** Single-core inference (timing). [policy] (default {!Abort}) selects
     the trap-recovery behavior; [watchdog] bounds the cycles any single
-    layer may spend before a [Watchdog_timeout] trap fires; [prepare]
-    runs after tensor allocation but before the first command issues
-    (e.g. to unmap pages for recovery tests, or to restore a snapshot —
-    tensor allocation is deterministic, so a resumed run recomputes the
-    interrupted run's addresses before [prepare] overlays its state).
-
-    Checkpoint/restore hooks: [start_layer] skips execution (not
-    allocation) of layers before it and suppresses the network span-open
-    marker, which the interrupted run already emitted (emitting it again
-    would open the span twice); [resume]
-    [(records, last_finish)] seeds the salvaged per-layer records and the
-    finish horizon the next layer's [lr_cycles] measures from; [on_layer]
-    fires after each layer's fence — the SoC is quiesced, so this is
-    where {!Gem_persist} snapshots.
+    layer may spend before a [Watchdog_timeout] trap fires.
 
     When a trap escapes the policy, the still-open layer and network
     spans are closed at the abort horizon before the exception
@@ -162,6 +144,11 @@ val run :
 val run_parallel :
   ?policy:policy ->
   ?watchdog:int ->
+  ?prepare:(unit -> unit) ->
+  ?start_layer:int ->
+  ?resume:layer_record list * Gem_sim.Time.cycles ->
+  ?on_layer:
+    (layer:int -> records:layer_record list -> finish:Gem_sim.Time.cycles -> unit) ->
   Gem_soc.Soc.t ->
   (Gem_dnn.Layer.model * mode) array ->
   result array
@@ -170,7 +157,22 @@ val run_parallel :
     recovery state under the shared [policy]. The same driver as {!run}:
     one guarded {!Gem_soc.Soc.program} per core, interleaved by
     {!Gem_soc.Soc.run_parallel}. A single job is exactly {!run} on core
-    0. *)
+    0.
+
+    [prepare] runs once, after every job's tensor allocation but before
+    the first command issues (e.g. to unmap pages for recovery tests, or
+    to restore a snapshot — tensor allocation is deterministic, so a
+    resumed run recomputes the interrupted run's addresses before
+    [prepare] overlays its state).
+
+    Checkpoint/restore hooks, applied to every job: [start_layer] skips
+    execution (not allocation) of layers before it and suppresses the
+    network span-open marker, which the interrupted run already emitted
+    (emitting it again would open the span twice); [resume]
+    [(records, last_finish)] seeds the salvaged per-layer records and the
+    finish horizon the next layer's [lr_cycles] measures from; [on_layer]
+    fires after each layer's fence. The SoC is quiesced there only when
+    one job runs, so {!Gem_persist} snapshots there with a single job. *)
 
 (* Functional execution (small models). *)
 

@@ -474,9 +474,9 @@ let test_retry_map_resnet () =
   let model = Gem_dnn.Model_zoo.scale_model ~factor:8 Gem_dnn.Model_zoo.resnet50 in
   let soc = single_core_soc () in
   let r =
-    Runtime.run ~policy:Runtime.Retry_map
-      ~prepare:(fun core -> unmap_every soc core ~nth:5)
-      soc ~core:0 model ~mode:accel_mode
+    (Runtime.run_parallel ~policy:Runtime.Retry_map
+       ~prepare:(fun () -> unmap_every soc (Soc.core soc 0) ~nth:5)
+       soc [| (model, accel_mode) |]).(0)
   in
   Alcotest.(check bool) "run completed" true (r.Runtime.r_total_cycles > 0);
   Alcotest.(check bool) "page faults recovered" true
@@ -506,11 +506,12 @@ let test_degrade_completes () =
      layer degrades to the CPU kernel, and the run still completes. *)
   let soc = single_core_soc () in
   let r =
-    Runtime.run ~policy:Runtime.Degrade
-      ~prepare:(fun core ->
-        let lo, _ = Soc.va_extent core in
-        ignore (Soc.unmap_page soc core ~vaddr:lo))
-      soc ~core:0 squeezenet8 ~mode:accel_mode
+    (Runtime.run_parallel ~policy:Runtime.Degrade
+       ~prepare:(fun () ->
+         let core = Soc.core soc 0 in
+         let lo, _ = Soc.va_extent core in
+         ignore (Soc.unmap_page soc core ~vaddr:lo))
+       soc [| (squeezenet8, accel_mode) |]).(0)
   in
   Alcotest.(check bool) "run completed" true (r.Runtime.r_total_cycles > 0);
   (match r.Runtime.r_faults with
@@ -654,10 +655,10 @@ let test_injection_restore_determinism () =
   Soc.arm_injection soc2 ~seed:42 ~rate:0.0005;
   let mid = ref None in
   let _ =
-    Runtime.run ~policy:Runtime.Retry_map
+    Runtime.run_parallel ~policy:Runtime.Retry_map
       ~on_layer:(fun ~layer ~records ~finish ->
         if layer = k then mid := Some (records, finish, Soc.snapshot soc2))
-      soc2 ~core:0 squeezenet8 ~mode:accel_mode
+      soc2 [| (squeezenet8, accel_mode) |]
   in
   let records, finish, soc_json =
     match !mid with
@@ -668,10 +669,10 @@ let test_injection_restore_determinism () =
      is part of the snapshot being restored. *)
   let soc3 = single_core_soc () in
   let r3 =
-    Runtime.run ~policy:Runtime.Retry_map
-      ~prepare:(fun _ -> Soc.restore soc3 soc_json)
-      ~start_layer:(k + 1) ~resume:(records, finish) soc3 ~core:0 squeezenet8
-      ~mode:accel_mode
+    (Runtime.run_parallel ~policy:Runtime.Retry_map
+       ~prepare:(fun () -> Soc.restore soc3 soc_json)
+       ~start_layer:(k + 1) ~resume:(records, finish) soc3
+       [| (squeezenet8, accel_mode) |]).(0)
   in
   let t3 = fault_trace r3 in
   Alcotest.(check int) "same final cycle count" r1.Runtime.r_total_cycles

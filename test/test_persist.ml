@@ -105,10 +105,10 @@ let check_restore_identity model =
   let soc2 = Soc.create Soc_config.default in
   let mid = ref None in
   let _ =
-    Runtime.run
+    Runtime.run_parallel
       ~on_layer:(fun ~layer ~records ~finish ->
         if layer = k then mid := Some (records, finish, Soc.snapshot soc2))
-      soc2 ~core:0 model ~mode:accel_mode
+      soc2 [| (model, accel_mode) |]
   in
   let records, finish, soc_json =
     match !mid with
@@ -117,10 +117,10 @@ let check_restore_identity model =
   in
   let soc3 = Soc.create Soc_config.default in
   let r3 =
-    Runtime.run
-      ~prepare:(fun _ -> Soc.restore soc3 soc_json)
-      ~start_layer:(k + 1) ~resume:(records, finish) soc3 ~core:0 model
-      ~mode:accel_mode
+    (Runtime.run_parallel
+       ~prepare:(fun () -> Soc.restore soc3 soc_json)
+       ~start_layer:(k + 1) ~resume:(records, finish) soc3
+       [| (model, accel_mode) |]).(0)
   in
   Alcotest.(check int)
     (name ^ ": total cycles") r1.Runtime.r_total_cycles
@@ -157,23 +157,59 @@ let test_restore_shape_mismatch () =
     "restore is lossless" (J.to_string snap)
     (J.to_string (Soc.snapshot same))
 
-(* --- the file-level driver (what the CLI runs) --------------------------------- *)
+(* --- the run driver (what the CLI runs) ------------------------------------------- *)
+
+let sq8 = { Persist.default with jobs = [| (squeezenet8, accel_mode) |] }
+let result o = o.Persist.o_results.(0)
+
+(* With no checkpoint the driver is one plain run: the same results as
+   [Runtime.run_parallel] (cycle) or [Backend_analytic.run] (analytic), the
+   SoC it hands [attach] ends in the same state, and the analytic path
+   builds no SoC at all. *)
+let driver_cases =
+  [ ("cycle, 1 core", Gem_sw.Backend.Cycle, Soc_config.default, 1);
+    ("cycle, 2 cores", Gem_sw.Backend.Cycle, Soc_config.dual_core, 2);
+    ("analytic, 1 core", Gem_sw.Backend.Analytic, Soc_config.default, 1);
+    ("analytic, 2 cores", Gem_sw.Backend.Analytic, Soc_config.dual_core, 2) ]
+
+let snapshot_digest soc = Digest.to_hex (Digest.string (J.to_string (Soc.snapshot soc)))
+
+let test_driver_equals_backend (label, backend, config, cores) () =
+  let jobs = Array.make cores (squeezenet8, accel_mode) in
+  let want, want_digest =
+    match backend with
+    | Gem_sw.Backend.Cycle ->
+        let soc = Soc.create config in
+        let results = Runtime.run_parallel soc jobs in
+        (results, Some (snapshot_digest soc))
+    | Gem_sw.Backend.Analytic ->
+        (Gem_sw.Backend_analytic.run (Gem_sw.Backend.request ~config jobs), None)
+  in
+  let built = ref [] in
+  let got =
+    Persist.run
+      ~attach:(fun soc -> built := soc :: !built)
+      { Persist.default with backend; config; jobs }
+  in
+  Alcotest.(check bool) (label ^ ": results") true (want = got.Persist.o_results);
+  Alcotest.(check (option string)) (label ^ ": SoC state") want_digest
+    (match !built with
+    | [] -> None
+    | [ soc ] -> Some (snapshot_digest soc)
+    | _ -> Alcotest.failf "%s: attach called %d times" label (List.length !built));
+  Alcotest.(check int) (label ^ ": no checkpoints") 0 got.Persist.o_checkpoints
 
 let test_driver_file_roundtrip () =
   let path = temp_path ".ckpt" in
-  let config = Soc_config.default in
-  let clean =
-    Persist.run ~config ~core:0 squeezenet8 ~mode:accel_mode
-  in
+  let clean = Persist.run sq8 in
   let ck_run =
-    Persist.run ~checkpoint_every:3 ~checkpoint_out:path ~config ~core:0
-      squeezenet8 ~mode:accel_mode
+    Persist.run { sq8 with checkpoint_every = Some 3; checkpoint_out = Some path }
   in
   Alcotest.(check bool) "checkpoints taken" true (ck_run.Persist.o_checkpoints > 0);
   Alcotest.(check int)
     "checkpointing does not perturb timing"
-    clean.Persist.o_result.Runtime.r_total_cycles
-    ck_run.Persist.o_result.Runtime.r_total_cycles;
+    (result clean).Runtime.r_total_cycles
+    (result ck_run).Runtime.r_total_cycles;
   (* Resume from whatever checkpoint the file holds. *)
   let ck =
     match Persist.load_checkpoint ~path with
@@ -181,21 +217,19 @@ let test_driver_file_roundtrip () =
     | Error msg -> Alcotest.failf "reload failed: %s" msg
   in
   Alcotest.(check bool) "mid-run checkpoint" true (ck.Persist.ck_next_layer > 0);
-  let resumed =
-    Persist.run ~restore:ck ~config ~core:0 squeezenet8 ~mode:accel_mode
-  in
+  let resumed = Persist.run { sq8 with restore = Some ck } in
   Alcotest.(check int)
     "resumed run reproduces the uninterrupted total"
-    clean.Persist.o_result.Runtime.r_total_cycles
-    resumed.Persist.o_result.Runtime.r_total_cycles;
+    (result clean).Runtime.r_total_cycles
+    (result resumed).Runtime.r_total_cycles;
   Alcotest.(check bool)
     "resumed run reproduces the full layer table" true
-    (clean.Persist.o_result.Runtime.r_layers
-    = resumed.Persist.o_result.Runtime.r_layers);
+    ((result clean).Runtime.r_layers
+    = (result resumed).Runtime.r_layers);
   (* Mismatched metadata refuses up front. *)
   (match
-     Persist.run ~restore:ck ~config ~core:0 (scaled "alexnet")
-       ~mode:accel_mode
+     Persist.run
+       { sq8 with restore = Some ck; jobs = [| (scaled "alexnet", accel_mode) |] }
    with
   | _ -> Alcotest.fail "restoring a squeezenet checkpoint into alexnet must raise"
   | exception Invalid_argument _ -> ());
@@ -209,31 +243,37 @@ let test_resume_checkpoint_recovers () =
      remaining draws stay clean. Deterministic: same seeds, same replay
      count, same final total. *)
   let go () =
-    Persist.run ~policy:Runtime.Resume_checkpoint ~inject:(42, 0.00002)
-      ~checkpoint_every:2 ~max_replays:20 ~config:Soc_config.default ~core:0
-      squeezenet8 ~mode:accel_mode
+    Persist.run
+      { sq8 with
+        policy = Runtime.Resume_checkpoint;
+        inject = Some (42, 0.00002);
+        checkpoint_every = Some 2;
+        max_replays = 20 }
   in
   let o1 = go () in
   Alcotest.(check bool) "run completed" true
-    (o1.Persist.o_result.Runtime.r_total_cycles > 0);
+    ((result o1).Runtime.r_total_cycles > 0);
   Alcotest.(check bool) "replays happened" true (o1.Persist.o_replays > 0);
   Alcotest.(check int) "all layers accounted"
     (List.length squeezenet8.Gem_dnn.Layer.layers)
-    (List.length o1.Persist.o_result.Runtime.r_layers);
+    (List.length (result o1).Runtime.r_layers);
   let o2 = go () in
   Alcotest.(check int) "deterministic replay count" o1.Persist.o_replays
     o2.Persist.o_replays;
   Alcotest.(check int) "deterministic final total"
-    o1.Persist.o_result.Runtime.r_total_cycles
-    o2.Persist.o_result.Runtime.r_total_cycles
+    (result o1).Runtime.r_total_cycles
+    (result o2).Runtime.r_total_cycles
 
 let test_resume_checkpoint_bounded () =
   (* A watchdog trip is not transient: every replay re-trips it, so the
      budget must exhaust and the trap propagate instead of looping. *)
   match
-    Persist.run ~policy:Runtime.Resume_checkpoint ~watchdog:50
-      ~checkpoint_every:2 ~max_replays:2 ~config:Soc_config.default ~core:0
-      squeezenet8 ~mode:accel_mode
+    Persist.run
+      { sq8 with
+        policy = Runtime.Resume_checkpoint;
+        watchdog = Some 50;
+        checkpoint_every = Some 2;
+        max_replays = 2 }
   with
   | _ -> Alcotest.fail "exhausted replays must propagate the trap"
   | exception Fault.Trap f ->
@@ -457,6 +497,11 @@ let suite =
     Alcotest.test_case "Resume_checkpoint budget is bounded" `Quick
       test_resume_checkpoint_bounded;
   ]
+  @ List.map
+      (fun ((label, _, _, _) as case) ->
+        Alcotest.test_case ("driver equals the backend: " ^ label) `Quick
+          (test_driver_equals_backend case))
+      driver_cases
   @ List.map
       (fun ((what, _, _) as case) ->
         Alcotest.test_case ("restore refuses: " ^ what) `Quick (test_malformed case))

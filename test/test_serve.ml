@@ -582,15 +582,17 @@ let test_latency_reference_dse () =
   let module Point = Gem_dse.Point in
   let p = Point.make ~label:"ref" ~model:"squeezenet1.1" ~scale:8 () in
   let outcome = Gem_dse.Exec.evaluate p in
-  let soc = Soc.create p.Point.soc in
-  let tbl = reference_sink (Soc.engine soc) in
   let model =
     Gem_dnn.Model_zoo.scale_model ~factor:8
       (Option.get (Gem_dnn.Model_zoo.find "squeezenet1.1"))
   in
+  let sink = ref None in
   ignore
-    (Gem_sw.Backend_cycle.run_on soc
-       (Gem_sw.Backend.request ~config:p.Point.soc [| (model, p.Point.mode) |]));
+    (Gem_persist.Persist.run
+       ~attach:(fun soc -> sink := Some (soc, reference_sink (Soc.engine soc)))
+       { Gem_persist.Persist.default with
+         config = p.Point.soc; jobs = [| (model, p.Point.mode) |] });
+  let soc, tbl = Option.get !sink in
   Alcotest.(check (list (pair string (float 0.))))
     "comp_p95_lat = reference p95"
     (List.map
