@@ -174,10 +174,10 @@ let run_serving_bench () =
         [ ("cycle", Gem_sw.Backend.Cycle); ("analytic", Gem_sw.Backend.Analytic) ])
 
 (* Hot-path bench: allocation per operation for the flattened quiet paths
-   (engine acquire, timing-only DMA transfer on a null port and on the
-   SoC's L2/DRAM port, the multi-core dispatch loop, a whole quiet
-   single-core inference). The bytes/op figures land in the hotpath
-   section of BENCH_results.json, which check_regression.exe gates.
+   (engine acquire, the L2 and TLB lookups, timing-only DMA transfer on a
+   null port and on the SoC's L2/DRAM port, the multi-core dispatch loop,
+   a whole quiet single-core inference). The bytes/op figures land in the
+   hotpath section of BENCH_results.json, which check_regression.exe gates.
    Set-up (SoC elaboration, page mapping) stays outside the measured
    window, so bytes/op is the steady-state cost of one call. *)
 let run_hotpath_bench () =
@@ -223,6 +223,33 @@ let run_hotpath_bench () =
        measure "engine_acquire" 1_000_000 (fun n ->
            for i = 1 to n do
              ignore (Engine.acquire e bus ~now:i ~occupancy:1)
+           done));
+      (* The lookups under each DMA row that starts a new L2 line or
+         page. An access to the default L2 outside its last line: even
+         calls cycle over 1024 resident lines (hits), odd calls stream
+         through fresh lines (misses, half of them writes). A lookup in a
+         512-entry TLB (Fig. 8's largest) that hits for half the vpns and
+         misses for the rest. *)
+      (let cfg = Gem_soc.Soc_config.default in
+       let line_bytes = cfg.Gem_soc.Soc_config.l2_line_bytes in
+       let l2 =
+         Gem_mem.Cache.create ~size_bytes:cfg.l2_size_bytes ~ways:cfg.l2_ways
+           ~line_bytes ()
+       in
+       measure "l2_access_nonmru" 1_000_000 (fun n ->
+           for i = 1 to n do
+             let line = if i land 1 = 0 then (i lsr 1) land 1023 else 1024 + i in
+             ignore
+               (Gem_mem.Cache.access l2 ~addr:(line * line_bytes)
+                  ~write:(i land 2 = 0))
+           done));
+      (let tlb = Gem_vm.Tlb.create ~entries:512 in
+       for vpn = 0 to 511 do
+         Gem_vm.Tlb.fill tlb ~vpn ~ppn:(vpn + 4096)
+       done;
+       measure "tlb_lookup" 1_000_000 (fun n ->
+           for i = 1 to n do
+             ignore (Gem_vm.Tlb.lookup tlb ~vpn:(i * 7 land 1023))
            done));
       (let pt = Gem_vm.Page_table.create ~node_region_base:0x1000_0000 () in
        Gem_vm.Page_table.map_range pt ~vaddr:0 ~bytes:(1 lsl 22)

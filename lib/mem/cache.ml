@@ -18,6 +18,12 @@ type t = {
      can evict it. *)
   mutable mru_line : int;
   mutable mru_slot : int;
+  (* Way hints, one byte per slot: byte [line land hint_mask] holds the
+     way of the last access to a line with that index (its hit, or the
+     victim it filled). A hint is only a guess, confirmed by one tag
+     compare in the line's own set; it is not part of the snapshot. *)
+  hint : Bytes.t;
+  hint_mask : int;
   mutable accesses : int;
   mutable hits : int;
   mutable misses : int;
@@ -46,6 +52,10 @@ let create ?engine ?(name = "cache") ~size_bytes ~ways ~line_bytes () =
   let sets = size_bytes / (ways * line_bytes) in
   if not (Mathx.is_pow2 sets) then
     invalid_arg "Cache.create: set count must be a power of two";
+  (* The largest power of two at most [sets * ways]: never more than one
+     byte per slot, and a multiple of [sets], so lines sharing a hint
+     share a set. *)
+  let hint_lines = 1 lsl (Mathx.log2_ceil ((sets * ways) + 1) - 1) in
   let t =
     {
       size_bytes;
@@ -61,6 +71,8 @@ let create ?engine ?(name = "cache") ~size_bytes ~ways ~line_bytes () =
       clock = 0;
       mru_line = -1;
       mru_slot = 0;
+      hint = Bytes.make hint_lines '\000';
+      hint_mask = hint_lines - 1;
       accesses = 0;
       hits = 0;
       misses = 0;
@@ -123,6 +135,15 @@ let rec scan_set t base tag w free lru lru_age =
       if age < lru_age then scan_set t base tag (w + 1) free w age
       else scan_set t base tag (w + 1) free lru lru_age
 
+(* A hinted way is always inside the set: it is the reset value 0 or a
+   way this cache chose (stored modulo 256, so below [ways]). A hint that
+   passes the tag compare names the slot [scan_set] would return. Either
+   it is way 0, the first the scan tests, or since the last reset the
+   byte was written by the scan that found the tag in that slot or put it
+   there: another line's scan would have rewritten it, and no earlier way
+   can gain the tag while the line is resident. A wrong hint falls through
+   to the scan, which rewrites it; so the scan runs for misses and for
+   hits whose index another line used last. *)
 let access t ~addr ~write =
   if addr < 0 then invalid_arg "Cache.access: negative address";
   t.accesses <- t.accesses + 1;
@@ -131,8 +152,15 @@ let access t ~addr ~write =
   let idx =
     if line = t.mru_line then t.mru_slot
     else
-      let base = set_of t addr * t.ways in
-      scan_set t base (tag_of t addr) 0 (-1) 0 max_int
+      let base = set_of t addr * t.ways and tag = tag_of t addr in
+      let h = line land t.hint_mask in
+      let hinted = base + Char.code (Bytes.unsafe_get t.hint h) in
+      if Array.unsafe_get t.tags hinted = tag then hinted
+      else
+        let idx = scan_set t base tag 0 (-1) 0 max_int in
+        let slot = if idx >= 0 then idx else -1 - idx in
+        Bytes.unsafe_set t.hint h (Char.unsafe_chr ((slot - base) land 255));
+        idx
   in
   if idx >= 0 then begin
     t.hits <- t.hits + 1;
@@ -190,8 +218,12 @@ let probe t ~addr = find_way t (set_of t addr * t.ways) (tag_of t addr) 0 >= 0
 let resident_lines t =
   Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags
 
-let invalidate_all t =
+let forget_last t =
   t.mru_line <- -1;
+  Bytes.fill t.hint 0 (Bytes.length t.hint) '\000'
+
+let invalidate_all t =
+  forget_last t;
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) clean_flag;
   Array.fill t.age 0 (Array.length t.age) 0
@@ -228,10 +260,11 @@ let codec =
               fail "expected %d elements, got %d" n (Array.length flags);
             Array.iteri (fun i d -> Bytes.set t.dirty i (if d then dirty_flag else clean_flag)) flags);
         sub "age" int_array (fun t -> t.age);
-        (* The tags just changed under the last-access slot: forget it. *)
+        (* The tags just changed under the last-access slot and the way
+           hints: forget them. *)
         field "clock" int (fun t -> t.clock) (fun t v ->
             t.clock <- v;
-            t.mru_line <- -1);
+            forget_last t);
         field "accesses" int (fun t -> t.accesses) (fun t v -> t.accesses <- v);
         field "hits" int (fun t -> t.hits) (fun t v -> t.hits <- v);
         field "misses" int (fun t -> t.misses) (fun t v -> t.misses <- v);

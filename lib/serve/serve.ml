@@ -235,7 +235,20 @@ let run_cycle ?hist ?attach ?warm_in ?warm_out sv =
     sr_comp_p95 = comp_p95;
   }
 
+(* Each SLO target names its report row and metrics by its [%g] label,
+   so two targets with one label would register one metric twice. *)
+let check_slos sv =
+  let rec go = function
+    | [] -> ()
+    | l :: rest ->
+        if List.mem l rest then
+          invalid_arg (Printf.sprintf "Gem_serve: SLO target %s ms is given twice" l);
+        go rest
+  in
+  go (List.map (Printf.sprintf "%g") sv.sv_slos_ms)
+
 let run ?hist ?attach ?warm_in ?warm_out ?domains:_ sv =
+  check_slos sv;
   match sv.sv_backend with
   | Gem_sw.Backend.Cycle -> run_cycle ?hist ?attach ?warm_in ?warm_out sv
   | Gem_sw.Backend.Analytic ->

@@ -72,9 +72,10 @@ val run :
     [warm_in] restores one saved by an identical (model, scale, cores)
     scenario instead of re-running the warmup, and the arrival timeline
     is rebased past the restored finish horizon. Raises
-    [Invalid_argument] on an unknown model, a warm-envelope mismatch, a
-    warm snapshot that does not fit this SoC, or warm flags on the
-    analytic backend.
+    [Invalid_argument] on an unknown model, an SLO target given twice
+    (two targets that print alike, such as [5] and [5.0]), a
+    warm-envelope mismatch, a warm snapshot that does not fit this SoC,
+    or warm flags on the analytic backend.
 
     [domains] is accepted and ignored: the SoC has one sequential
     driver. Kept only because the frozen benchmark harness

@@ -62,21 +62,38 @@ let acquire_run t ~now ~gap ~occupancy ~n =
   end;
   finish
 
+(* Records the [n] non-negative waits [wait], [wait - d], ... one latency
+   bucket at a time: the first [c] fall in [wait]'s bucket (all [n] in a
+   constant run, a growing run's clamped last bucket or a shrinking
+   run's bucket 0), they sum to [c*wait - d*c(c-1)/2], and the largest
+   is the first, or the last of a growing run. *)
+let rec record_run t ~wait ~d n =
+  if n > 0 then begin
+    let b = wait lsr lat_shift in
+    let b = if b > lat_buckets - 1 then lat_buckets - 1 else b in
+    let c =
+      if d > 0 then
+        if b = 0 then n else Int.min n (((wait - (b lsl lat_shift)) / d) + 1)
+      else if d < 0 && b < lat_buckets - 1 then
+        Int.min n ((((b + 1) lsl lat_shift) - wait - d - 1) / -d)
+      else n
+    in
+    let last = wait - ((c - 1) * d) in
+    t.requests <- t.requests + c;
+    t.wait_cycles <- t.wait_cycles + (c * wait) - (d * (c * (c - 1) / 2));
+    Array.unsafe_set t.lat_counts b (Array.unsafe_get t.lat_counts b + c);
+    let top = if d < 0 then last else wait in
+    if top > t.lat_max then t.lat_max <- top;
+    record_run t ~wait:(last - d) ~d (n - c)
+  end
+
 (* Records the waits [wait], [wait - d], [wait - 2d], ... of [n]
-   requests, each floored at 0: once a wait reaches 0 with [d >= 0],
-   every later one is 0 too, and they are counted at once. *)
-let rec record_waits t ~wait ~d n =
-  if n > 0 then
-    if wait <= 0 && d >= 0 then begin
-      t.requests <- t.requests + n;
-      Array.unsafe_set t.lat_counts 0 (Array.unsafe_get t.lat_counts 0 + n)
-    end
-    else begin
-      (* [wait > 0] here, or [d < 0] and [wait] only grows from
-         [wait_0 >= 0]. *)
-      record_wait t wait;
-      record_waits t ~wait:(wait - d) ~d (n - 1)
-    end
+   requests, each floored at 0 ([wait >= 0]): with [d > 0] the first
+   [ceil (wait / d)] are positive and the rest are 0. *)
+let record_waits t ~wait ~d n =
+  let positive = if d > 0 then Int.min n ((wait + d - 1) / d) else n in
+  record_run t ~wait ~d positive;
+  if positive < n then record_run t ~wait:0 ~d:0 (n - positive)
 
 (* Request [j] arrives at [now + j*spacing]. Unrolling [acquire]'s
    [start_j = max arrival_j (start_(j-1) + occupancy)] gives

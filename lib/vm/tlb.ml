@@ -1,10 +1,21 @@
+(* The vpn -> slot index, keyed on plain ints: the polymorphic table's
+   generic hash and compare cost a C call each per lookup. A Fibonacci
+   hash (the table keeps its low bits) spreads power-of-two vpn strides
+   over the buckets; nothing iterates the table, so its order is moot. *)
+module Index = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash vpn = (vpn * 0x9E3779B97F4A7C1) lsr 20
+end)
+
 (* Struct of arrays: slot [i] holds [vpns.(i)] -> [ppns.(i)], last used
    at clock [ages.(i)]; an invalid slot has vpn -1 and age 0. The index
    maps a resident vpn to its slot, so a hit allocates nothing and an
    eviction scans one flat int array. *)
 type t = {
   entries : int;
-  index : (int, int) Hashtbl.t; (* vpn -> slot *)
+  index : int Index.t; (* vpn -> slot *)
   vpns : int array;
   ppns : int array;
   ages : int array;
@@ -20,7 +31,7 @@ let create ~entries =
   if entries < 0 then invalid_arg "Tlb.create: negative size";
   {
     entries;
-    index = Hashtbl.create (max 16 entries);
+    index = Index.create (max 16 entries);
     vpns = Array.make entries (-1);
     ppns = Array.make entries (-1);
     ages = Array.make entries 0;
@@ -38,7 +49,7 @@ let entries t = t.entries
 let lookup t ~vpn =
   t.lookups <- t.lookups + 1;
   t.clock <- t.clock + 1;
-  match Hashtbl.find t.index vpn with
+  match Index.find t.index vpn with
   | i ->
       t.hits <- t.hits + 1;
       t.ages.(i) <- t.clock;
@@ -46,7 +57,7 @@ let lookup t ~vpn =
   | exception Not_found -> miss
 
 let hit_again t ~vpn ~n =
-  match Hashtbl.find t.index vpn with
+  match Index.find t.index vpn with
   | i ->
       t.lookups <- t.lookups + n;
       t.hits <- t.hits + n;
@@ -55,7 +66,7 @@ let hit_again t ~vpn ~n =
   | exception Not_found -> invalid_arg "Tlb.hit_again: vpn not resident"
 
 let probe t ~vpn =
-  match Hashtbl.find t.index vpn with
+  match Index.find t.index vpn with
   | i -> Some t.ppns.(i)
   | exception Not_found -> None
 
@@ -72,7 +83,7 @@ let lru_slot t =
 let fill t ~vpn ~ppn =
   if t.entries > 0 then begin
     t.clock <- t.clock + 1;
-    match Hashtbl.find t.index vpn with
+    match Index.find t.index vpn with
     | i ->
         t.ppns.(i) <- ppn;
         t.ages.(i) <- t.clock
@@ -86,21 +97,21 @@ let fill t ~vpn ~ppn =
             (* The scan only runs on fills of a full TLB. Evicting an
                invalidated slot removes vpn -1, which is never indexed. *)
             let i = lru_slot t in
-            Hashtbl.remove t.index t.vpns.(i);
+            Index.remove t.index t.vpns.(i);
             i
           end
         in
         t.vpns.(i) <- vpn;
         t.ppns.(i) <- ppn;
         t.ages.(i) <- t.clock;
-        Hashtbl.replace t.index vpn i
+        Index.replace t.index vpn i
   end
 
 let invalidate t ~vpn =
-  match Hashtbl.find t.index vpn with
+  match Index.find t.index vpn with
   | exception Not_found -> ()
   | i ->
-      Hashtbl.remove t.index vpn;
+      Index.remove t.index vpn;
       (* The slot stays allocated but becomes the LRU victim. *)
       t.vpns.(i) <- -1;
       t.ppns.(i) <- -1;
@@ -110,7 +121,7 @@ let flush t =
   Array.fill t.vpns 0 t.entries (-1);
   Array.fill t.ppns 0 t.entries (-1);
   Array.fill t.ages 0 t.entries 0;
-  Hashtbl.reset t.index;
+  Index.reset t.index;
   t.used <- 0
 
 let occupancy t = t.used
@@ -134,7 +145,7 @@ let codec =
           (fun t saved ->
             if Array.length saved <> t.entries then
               fail "%d slots for %d entries" (Array.length saved) t.entries;
-            Hashtbl.reset t.index;
+            Index.reset t.index;
             Array.iteri
               (fun i s ->
                 t.vpns.(i) <- s.(0);
@@ -142,7 +153,7 @@ let codec =
                 t.ages.(i) <- s.(2);
                 (* Invalidated slots stay allocated but carry vpn = -1 and
                    must not re-enter the index. *)
-                if s.(0) >= 0 then Hashtbl.replace t.index s.(0) i)
+                if s.(0) >= 0 then Index.replace t.index s.(0) i)
               saved);
         field "used" int (fun t -> t.used) (fun t v -> t.used <- v);
         field "clock" int (fun t -> t.clock) (fun t v -> t.clock <- v);

@@ -136,7 +136,9 @@ let test_resource_acquire_run () =
    leave the resource exactly as [n] [acquire]s arriving at
    [now + j*spacing] do. Loads up to 20k cycles and spacings on either
    side of the occupancy make waits that shrink, stay or grow across the
-   64-cycle buckets, into the clamped last one. *)
+   64-cycle buckets, into the clamped last one; runs of up to 400
+   requests cross many buckets either way, as [record_waits] counts one
+   bucket at a time. *)
 let qcheck_resource_acquire_spaced =
   let gen =
     QCheck2.Gen.(
@@ -144,7 +146,7 @@ let qcheck_resource_acquire_spaced =
       let* now = int_range 0 400 in
       let* spacing = oneof [ return 0; int_range 0 8; int_range 0 200 ] in
       let* occupancy = oneof [ return 0; int_range 0 8; int_range 0 200 ] in
-      let* n = int_range 1 80 in
+      let* n = oneof [ int_range 1 80; int_range 1 400 ] in
       return (busy, now, spacing, occupancy, n))
   in
   let print (busy, now, spacing, occupancy, n) =
