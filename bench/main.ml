@@ -359,5 +359,8 @@ let () =
   if all || has "ablations" then run_ablations ~quick ();
   if all || has "serving" then run_serving_bench ();
   if all || has "hotpath" then run_hotpath_bench ();
-  write_results ~quick "BENCH_results.json";
+  (* A partial run would leave check_regression an almost empty file and
+     lose the last full results. *)
+  if all then write_results ~quick "BENCH_results.json"
+  else Printf.printf "\npartial run: BENCH_results.json not written\n";
   Printf.printf "\nDone.\n"

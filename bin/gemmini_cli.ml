@@ -250,7 +250,8 @@ let backend_conv =
       Option.to_result
         ~none:
           (Printf.sprintf "unknown backend %S (available: %s)" s
-             (String.concat ", " Gem_sw.Backends.names))
+             (String.concat ", "
+                (List.map Gem_sw.Backend.kind_name Gem_sw.Backend.all_kinds)))
         (Gem_sw.Backend.kind_of_string s))
     Gem_sw.Backend.kind_name
 
@@ -863,7 +864,10 @@ let serve_cmd =
           Gem_dse.Sweep.cartesian ~base
             [ Gem_dse.Sweep.cores cores_list; Gem_dse.Sweep.serve_rates rates ]
         in
-        let rr = Gem_dse.Exec.run ~jobs ~cache:None points in
+        let rr =
+          try Gem_dse.Exec.run ~jobs ~cache:None points
+          with Invalid_argument msg -> usage "serve" msg
+        in
         print_string (Gem_dse.Report.csv rr.Gem_dse.Exec.results);
         fun reg -> Gem_dse.Exec.register_metrics reg rr
   in

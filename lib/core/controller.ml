@@ -536,276 +536,6 @@ let do_fence t =
   t.issue <- finish_time t;
   rob_clear t
 
-(* --- compute runs --------------------------------------------------------------
-
-   One tile step's weight-stationary nest, kk -> jj -> ii: per block a
-   Preload (B only on the first ii of a B block) and a Compute. Blocks
-   along each dimension are [dim] wide except the last of the problem,
-   which is ragged. *)
-
-type compute_run = {
-  cr_m : int;
-  cr_k : int;
-  cr_n : int;
-  cr_i0 : int;
-  cr_j0 : int;
-  cr_k0 : int;
-  cr_vi : int;
-  cr_vj : int;
-  cr_vk : int;
-  cr_tk : int;
-  cr_tj : int;
-  cr_a_base : int;
-  cr_b_base : int;
-  cr_accumulate : bool;
-  cr_dim : int;
-}
-
-let[@inline] run_rows r gi = Int.min r.cr_dim (r.cr_m - (gi * r.cr_dim))
-let[@inline] run_kcols r gk = Int.min r.cr_dim (r.cr_k - (gk * r.cr_dim))
-let[@inline] run_ncols r gj = Int.min r.cr_dim (r.cr_n - (gj * r.cr_dim))
-let[@inline] run_a_row r ~ii ~kk = r.cr_a_base + (((ii * r.cr_tk) + kk) * r.cr_dim)
-let[@inline] run_b_row r ~kk ~jj = r.cr_b_base + (((kk * r.cr_tj) + jj) * r.cr_dim)
-let[@inline] run_c_row r ~ii ~jj = ((ii * r.cr_tj) + jj) * r.cr_dim
-
-let run_commands r f =
-  for kk = 0 to r.cr_vk - 1 do
-    let kcols = run_kcols r (r.cr_k0 + kk) in
-    let accumulate = r.cr_accumulate || kk > 0 in
-    for jj = 0 to r.cr_vj - 1 do
-      let ncols = run_ncols r (r.cr_j0 + jj) in
-      let b_local = Local_addr.scratchpad ~row:(run_b_row r ~kk ~jj) in
-      for ii = 0 to r.cr_vi - 1 do
-        let rows = run_rows r (r.cr_i0 + ii) in
-        let first_of_b = ii = 0 in
-        f
-          (Isa.Preload
-             {
-               b = (if first_of_b then b_local else Local_addr.garbage);
-               c = Local_addr.accumulator ~accumulate ~row:(run_c_row r ~ii ~jj) ();
-               b_rows = kcols;
-               b_cols = ncols;
-               c_rows = rows;
-               c_cols = ncols;
-             });
-        let args =
-          {
-            Isa.a = Local_addr.scratchpad ~row:(run_a_row r ~ii ~kk);
-            bd = Local_addr.garbage;
-            a_cols = kcols;
-            a_rows = rows;
-            bd_cols = ncols;
-            bd_rows = rows;
-          }
-        in
-        f (if first_of_b then Isa.Compute_preloaded args else Isa.Compute_accumulated args)
-      done
-    done
-  done
-
-(* The run's bounding box, in O(1). Block sizes only shrink along a
-   dimension, so every size is in [1, dim] when the last one is at least
-   1; and with [tk], [tj] >= 1 each operand's last block reaches furthest
-   into its memory. So when this holds, {!Isa.validate} accepts every
-   command of {!run_commands}. *)
-let run_fits p r =
-  let dim = r.cr_dim in
-  let vi = r.cr_vi and vj = r.cr_vj and vk = r.cr_vk in
-  let last_rows = run_rows r (r.cr_i0 + vi - 1)
-  and last_kcols = run_kcols r (r.cr_k0 + vk - 1)
-  and last_ncols = run_ncols r (r.cr_j0 + vj - 1) in
-  dim >= 1 && dim <= Params.dim p && dim <= 0xFFFF
-  && vi >= 1 && vj >= 1 && vk >= 1 && r.cr_tk >= 1 && r.cr_tj >= 1
-  && last_rows >= 1 && last_kcols >= 1 && last_ncols >= 1
-  && r.cr_a_base >= 0 && r.cr_b_base >= 0
-  && run_a_row r ~ii:(vi - 1) ~kk:(vk - 1) + last_rows <= Params.sp_rows p
-  && run_b_row r ~kk:(vk - 1) ~jj:(vj - 1) + last_kcols <= Params.sp_rows p
-  && run_c_row r ~ii:(vi - 1) ~jj:(vj - 1) + last_rows <= Params.acc_rows p
-
-(* --- the LOOP_WS hardware sequencer ----------------------------------------
-
-   Mirrors Gemmini's LoopMatmul.scala: once the host has staged bounds,
-   operand addresses and output addresses with the three configuration
-   commands, a single LOOP_WS executes the whole double-buffered tiled
-   matmul. Sub-commands are issued by the sequencer at one cycle each
-   instead of the host's RoCC dispatch cost — the point of the CISC
-   extension. The staging heuristic is the hardware twin of the software
-   library's (grow tile dims round-robin while the tiles fit). *)
-
-let loop_tile_factors t ~bi ~bk ~bj =
-  let dim = Params.dim t.p in
-  let fits (ti, tk, tj) =
-    (2 * ((ti * tk) + (tk * tj)) * dim) <= Params.sp_rows t.p
-    && ti * tj * dim <= Params.acc_rows t.p
-  in
-  let tile = ref (1, 1, 1) in
-  let continue = ref true in
-  while !continue do
-    continue := false;
-    let try_bump f cap cur =
-      let cand = f !tile in
-      if cur < cap && fits cand then begin
-        tile := cand;
-        continue := true
-      end
-    in
-    let ti, tk, tj = !tile in
-    try_bump (fun (ti, tk, tj) -> (ti + 1, tk, tj)) bi ti;
-    try_bump (fun (ti, tk, tj) -> (ti, tk, tj + 1)) bj tj;
-    try_bump (fun (ti, tk, tj) -> (ti, tk + 1, tj)) bk tk
-  done;
-  !tile
-
-let do_loop_ws t (strides : Isa.loop_strides) ~execute_sub ~execute_run =
-  let bounds =
-    match t.loop_bounds with
-    | Some b -> b
-    | None -> trap t (Fault.Illegal_inst "LOOP_WS without LOOP_WS_CONFIG_BOUNDS")
-  in
-  let addrs =
-    match t.loop_addrs with
-    | Some a -> a
-    | None -> trap t (Fault.Illegal_inst "LOOP_WS without LOOP_WS_CONFIG_ADDRS")
-  in
-  let outs =
-    match t.loop_outs with
-    | Some o -> o
-    | None -> trap t (Fault.Illegal_inst "LOOP_WS without LOOP_WS_CONFIG_OUTS")
-  in
-  let dim = Params.dim t.p in
-  let m = bounds.Isa.lw_m and k = bounds.Isa.lw_k and n = bounds.Isa.lw_n in
-  let bi = Mathx.ceil_div m dim
-  and bk = Mathx.ceil_div k dim
-  and bj = Mathx.ceil_div n dim in
-  let ti, tk, tj = loop_tile_factors t ~bi ~bk ~bj in
-  let a_stride = strides.Isa.lw_a_stride
-  and b_stride = strides.Isa.lw_b_stride
-  and c_stride = strides.Isa.lw_c_stride in
-  let a_tile_rows = ti * tk * dim in
-  let b_tile_rows = tk * tj * dim in
-  let a_base parity = parity * a_tile_rows in
-  let b_base parity = (2 * a_tile_rows) + (parity * b_tile_rows) in
-  let c_base ii jj = ((ii * tj) + jj) * dim in
-  let rows_of gi = min dim (m - (gi * dim)) in
-  let kcols_of gk = min dim (k - (gk * dim)) in
-  let ncols_of gj = min dim (n - (gj * dim)) in
-  let max_block_len = 4 in
-  (* Configure the mover/store channels once. *)
-  execute_sub
-    (Isa.Config_ex
-       {
-         Isa.dataflow = `WS;
-         activation = Peripheral.No_activation;
-         sys_shift = 0;
-         a_transpose = false;
-         b_transpose = false;
-       });
-  execute_sub (Isa.Config_ld { Isa.ld_stride_bytes = a_stride; ld_scale = 1.0; ld_shrunk = false; ld_id = 0 });
-  execute_sub (Isa.Config_ld { Isa.ld_stride_bytes = b_stride; ld_scale = 1.0; ld_shrunk = false; ld_id = 1 });
-  execute_sub (Isa.Config_ld { Isa.ld_stride_bytes = 0; ld_scale = 1.0; ld_shrunk = false; ld_id = 2 });
-  execute_sub
-    (Isa.Config_st
-       {
-         Isa.st_stride_bytes = c_stride;
-         st_activation = bounds.Isa.lw_activation;
-         st_scale = strides.Isa.lw_scale;
-         st_pool = None;
-       });
-  let it = ref 0 in
-  for i0 = 0 to Mathx.ceil_div bi ti - 1 do
-    let vi = min ti (bi - (i0 * ti)) in
-    for j0 = 0 to Mathx.ceil_div bj tj - 1 do
-      let vj = min tj (bj - (j0 * tj)) in
-      if bounds.Isa.lw_has_bias then
-        for ii = 0 to vi - 1 do
-          for jj = 0 to vj - 1 do
-            let gi = (i0 * ti) + ii and gj = (j0 * tj) + jj in
-            execute_sub
-              (Isa.Mvin
-                 ( {
-                     Isa.dram_addr = outs.Isa.lw_bias + (gj * dim * 4);
-                     local = Local_addr.accumulator ~row:(c_base ii jj) ();
-                     cols = ncols_of gj;
-                     rows = rows_of gi;
-                   },
-                   2 ))
-          done
-        done;
-      for k0 = 0 to Mathx.ceil_div bk tk - 1 do
-        let vk = min tk (bk - (k0 * tk)) in
-        let parity = !it land 1 in
-        incr it;
-        for ii = 0 to vi - 1 do
-          let gi = (i0 * ti) + ii in
-          let kk = ref 0 in
-          while !kk < vk do
-            let w = min max_block_len (vk - !kk) in
-            let gk = (k0 * tk) + !kk in
-            execute_sub
-              (Isa.Mvin
-                 ( {
-                     Isa.dram_addr = addrs.Isa.lw_a + (gi * dim * a_stride) + (gk * dim);
-                     local = Local_addr.scratchpad ~row:(a_base parity + (((ii * tk) + !kk) * dim));
-                     cols = min (w * dim) (k - (gk * dim));
-                     rows = rows_of gi;
-                   },
-                   0 ));
-            kk := !kk + w
-          done
-        done;
-        for kk = 0 to vk - 1 do
-          let gk = (k0 * tk) + kk in
-          let jj = ref 0 in
-          while !jj < vj do
-            let w = min max_block_len (vj - !jj) in
-            let gj = (j0 * tj) + !jj in
-            execute_sub
-              (Isa.Mvin
-                 ( {
-                     Isa.dram_addr = addrs.Isa.lw_b + (gk * dim * b_stride) + (gj * dim);
-                     local = Local_addr.scratchpad ~row:(b_base parity + (((kk * tj) + !jj) * dim));
-                     cols = min (w * dim) (n - (gj * dim));
-                     rows = kcols_of gk;
-                   },
-                   1 ));
-            jj := !jj + w
-          done
-        done;
-        execute_run
-          {
-            cr_m = m;
-            cr_k = k;
-            cr_n = n;
-            cr_i0 = i0 * ti;
-            cr_j0 = j0 * tj;
-            cr_k0 = k0 * tk;
-            cr_vi = vi;
-            cr_vj = vj;
-            cr_vk = vk;
-            cr_tk = tk;
-            cr_tj = tj;
-            cr_a_base = a_base parity;
-            cr_b_base = b_base parity;
-            cr_accumulate = bounds.Isa.lw_has_bias || k0 > 0;
-            cr_dim = dim;
-          }
-      done;
-      for ii = 0 to vi - 1 do
-        for jj = 0 to vj - 1 do
-          let gi = (i0 * ti) + ii and gj = (j0 * tj) + jj in
-          execute_sub
-            (Isa.Mvout
-               {
-                 Isa.dram_addr = outs.Isa.lw_c + (gi * dim * c_stride) + (gj * dim);
-                 local = Local_addr.accumulator ~row:(c_base ii jj) ();
-                 cols = ncols_of gj;
-                 rows = rows_of gi;
-               })
-        done
-      done
-    done
-  done
-
 (* Per-command span support. [span_track] is the unit that services a
    command — the trace track its span lands on. Staging commands
    (configs, Preload, the three loop-configuration commands) occupy no
@@ -934,12 +664,7 @@ and dispatch t ~issue_cost ~count_insn (cmd : Isa.t) =
   | Isa.Loop_ws_bounds b -> t.loop_bounds <- Some b
   | Isa.Loop_ws_addrs a -> t.loop_addrs <- Some a
   | Isa.Loop_ws_outs o -> t.loop_outs <- Some o
-  | Isa.Loop_ws strides ->
-      (* The sequencer issues micro-ops at one cycle each, independent of
-         the host's RoCC dispatch cost. *)
-      do_loop_ws t strides
-        ~execute_sub:(execute_with t ~issue_cost:1 ~count_insn:false)
-        ~execute_run:(execute_run_with t ~issue_cost:1 ~count_insn:false)
+  | Isa.Loop_ws strides -> loop_ws t strides
   | Isa.Flush -> do_flush t
   | Isa.Fence -> do_fence t);
   if span then begin
@@ -951,30 +676,79 @@ and dispatch t ~issue_cost ~count_insn (cmd : Isa.t) =
     else Engine.observe t.engine time
   end
 
+(* --- the LOOP_WS hardware sequencer ----------------------------------------
+
+   Mirrors Gemmini's LoopMatmul.scala: once the host has staged bounds,
+   operand addresses and output addresses with the three configuration
+   commands, a single LOOP_WS executes the whole double-buffered tiled
+   matmul — the software library's schedule ({!Tiled_matmul}), with
+   weight-stationary dataflow, a broadcast bias and A fetched as
+   addressed. Sub-commands are issued by the sequencer at one cycle each
+   instead of the host's RoCC dispatch cost — the point of the CISC
+   extension. A tile too large for the instance traps at its first
+   out-of-range sub-command. *)
+and loop_ws t (strides : Isa.loop_strides) =
+  let bounds =
+    match t.loop_bounds with
+    | Some b -> b
+    | None -> trap t (Fault.Illegal_inst "LOOP_WS without LOOP_WS_CONFIG_BOUNDS")
+  in
+  let addrs =
+    match t.loop_addrs with
+    | Some a -> a
+    | None -> trap t (Fault.Illegal_inst "LOOP_WS without LOOP_WS_CONFIG_ADDRS")
+  in
+  let outs =
+    match t.loop_outs with
+    | Some o -> o
+    | None -> trap t (Fault.Illegal_inst "LOOP_WS without LOOP_WS_CONFIG_OUTS")
+  in
+  let m = bounds.Isa.lw_m and k = bounds.Isa.lw_k and n = bounds.Isa.lw_n in
+  let mm =
+    Tiled_matmul.make t.p ~tiling:(Tiled_matmul.choose t.p ~m ~k ~n) ~dataflow:`WS
+      ~bias:
+        (if bounds.Isa.lw_has_bias then Tiled_matmul.Broadcast outs.Isa.lw_bias
+         else Tiled_matmul.No_bias)
+      ~act:bounds.Isa.lw_activation ~scale:strides.Isa.lw_scale
+      ~a_stride:strides.Isa.lw_a_stride ~b_stride:strides.Isa.lw_b_stride
+      ~c_stride:strides.Isa.lw_c_stride ~a_condense:1.0 ~a:addrs.Isa.lw_a ~b:addrs.Isa.lw_b
+      ~out:outs.Isa.lw_c ~m ~k ~n
+  in
+  for s = 0 to Tiled_matmul.steps mm - 1 do
+    Tiled_matmul.step mm s ~cmd:loop_command ~run:loop_run t
+  done
+
+and loop_command t cmd = execute_with t ~issue_cost:1 ~count_insn:false cmd
+and loop_run t r = execute_run_with t ~issue_cost:1 ~count_insn:false r
+
 (* A run whose box fits issues exactly its commands' bookkeeping: a live
    engine dispatches the commands themselves (for their spans); a quiet
    one loops over the run's ints, Preload (no span) then Compute (a span
    when host-issued), without building a command. A run that does not
    fit goes through validation command by command, and traps where its
    first invalid command would. *)
-and execute_run_with t ~issue_cost ~count_insn r =
-  if not (run_fits t.p r) then run_commands r (execute_with t ~issue_cost ~count_insn)
-  else if Engine.live t.engine then run_commands r (dispatch t ~issue_cost ~count_insn)
+and execute_run_with t ~issue_cost ~count_insn (r : Tiled_matmul.compute_run) =
+  if not (Tiled_matmul.run_fits t.p r) then
+    Tiled_matmul.run_commands r (execute_with t ~issue_cost ~count_insn)
+  else if Engine.live t.engine then
+    Tiled_matmul.run_commands r (dispatch t ~issue_cost ~count_insn)
   else
     for kk = 0 to r.cr_vk - 1 do
-      let kcols = run_kcols r (r.cr_k0 + kk) in
+      let kcols = Tiled_matmul.run_kcols r (r.cr_k0 + kk) in
       let c_row0 = if r.cr_accumulate || kk > 0 then acc_accumulate else acc_overwrite in
       for jj = 0 to r.cr_vj - 1 do
-        let ncols = run_ncols r (r.cr_j0 + jj) in
+        let ncols = Tiled_matmul.run_ncols r (r.cr_j0 + jj) in
         for ii = 0 to r.cr_vi - 1 do
-          let rows = run_rows r (r.cr_i0 + ii) in
+          let rows = Tiled_matmul.run_rows r (r.cr_i0 + ii) in
           let first_of_b = ii = 0 in
           count t ~count_insn;
           t.issue <- t.issue + issue_cost;
           do_preload t
-            ~b:(if first_of_b then Local_addr.scratchpad ~row:(run_b_row r ~kk ~jj)
-                else Local_addr.garbage)
-            ~c:(Local_addr.add_rows c_row0 (run_c_row r ~ii ~jj))
+            ~b:
+              (if first_of_b then
+                 Local_addr.scratchpad ~row:(Tiled_matmul.run_b_row r ~kk ~jj)
+               else Local_addr.garbage)
+            ~c:(Local_addr.add_rows c_row0 (Tiled_matmul.run_c_row r ~ii ~jj))
             ~b_rows:kcols ~b_cols:ncols ~c_rows:rows ~c_cols:ncols;
           count t ~count_insn;
           if count_insn then begin
@@ -983,7 +757,7 @@ and execute_run_with t ~issue_cost ~count_insn r =
           end;
           t.issue <- t.issue + issue_cost;
           do_compute t
-            ~a:(Local_addr.scratchpad ~row:(run_a_row r ~ii ~kk))
+            ~a:(Local_addr.scratchpad ~row:(Tiled_matmul.run_a_row r ~ii ~kk))
             ~bd:Local_addr.garbage ~a_rows:rows ~a_cols:kcols ~bd_rows:rows
             ~bd_cols:ncols ~preloaded:first_of_b;
           if count_insn then Engine.observe t.engine (Int.max t.issue t.cmd_finish)

@@ -57,51 +57,12 @@ val execute : t -> Isa.t -> unit
 
 val execute_all : t -> Isa.t list -> unit
 
-(** A compute run: one tile step's weight-stationary preload/compute nest
-    as plain ints, so a kernel hands the controller the whole nest in one
-    op instead of two commands per block. Blocks are indexed globally:
-    block [g] along M covers rows [g*dim, min (m, (g+1)*dim)), and
-    likewise along K and N. The nest is kk -> jj -> ii over
-    [vk x vj x vi] blocks starting at blocks [(i0, j0, k0)]; per block it
-    issues a Preload (B from scratchpad row
-    [b_base + (kk*tj + jj)*dim] on the first ii of each B block, garbage
-    after it; C into accumulator row [(ii*tj + jj)*dim], accumulating when
-    [accumulate] or [kk > 0]) and a Compute (A from scratchpad row
-    [a_base + (ii*tk + kk)*dim]; preloaded on the first ii, accumulated
-    after it). *)
-type compute_run = {
-  cr_m : int;
-  cr_k : int;
-  cr_n : int;
-  cr_i0 : int;
-  cr_j0 : int;
-  cr_k0 : int;
-  cr_vi : int;
-  cr_vj : int;
-  cr_vk : int;
-  cr_tk : int;
-  cr_tj : int;
-  cr_a_base : int;
-  cr_b_base : int;
-  cr_accumulate : bool;
-  cr_dim : int;
-}
-
-val run_commands : compute_run -> (Isa.t -> unit) -> unit
-(** [run_commands r f] calls [f] on each command of the run, in program
-    order: the command stream the run stands for. *)
-
-val run_fits : Params.t -> compute_run -> bool
-(** The run's O(1) bounding-box check: block sizes in [1, DIM] and the
-    last A/B row within the scratchpad, the last C row within the
-    accumulator. When it holds, {!Isa.validate} accepts every command of
-    {!run_commands}. *)
-
-val execute_run : t -> compute_run -> unit
+val execute_run : t -> Tiled_matmul.compute_run -> unit
 (** Executes the run's commands with exactly {!execute}'s timing,
-    counters, spans and traps. A run that {!run_fits} is checked once, not
-    per command, and a quiet engine executes it without building any
-    command; one that does not fit executes its {!run_commands} through
+    counters, spans and traps. A run that {!Tiled_matmul.run_fits} is
+    checked once, not per command, and a quiet engine executes it without
+    building any command; one that does not fit executes its
+    {!Tiled_matmul.run_commands} through
     {!execute}, so it traps where its first invalid command would. *)
 
 val host_work : t -> cycles:int -> unit

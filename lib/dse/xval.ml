@@ -1,6 +1,6 @@
 module J = Gem_util.Jsonx
 module Runtime = Gem_sw.Runtime
-module Backend = Gem_sw.Backend
+module Persist = Gem_persist.Persist
 
 (* --- report ------------------------------------------------------------------- *)
 
@@ -52,9 +52,12 @@ let timed f =
 let validate_model ?(config = Gem_soc.Soc_config.default)
     ?(mode = Runtime.Accel { im2col_on_accel = true }) ~scale name =
   let model = resolve_model ~scale name in
-  let rq = Backend.request ~config [| (model, mode) |] in
-  let cycle_r, cycle_wall = timed (fun () -> Gem_sw.Backend_cycle.run rq) in
-  let ana_r, ana_wall = timed (fun () -> Gem_sw.Backend_analytic.run rq) in
+  let run backend () =
+    (Persist.run { Persist.default with backend; config; jobs = [| (model, mode) |] })
+      .Persist.o_results
+  in
+  let cycle_r, cycle_wall = timed (run Gem_sw.Backend.Cycle) in
+  let ana_r, ana_wall = timed (run Gem_sw.Backend.Analytic) in
   let cycle = cycle_r.(0) and ana = ana_r.(0) in
   let layers =
     (* Both backends walk the same lowering, so the layer lists align

@@ -391,7 +391,7 @@ let host_read_i32 t c ~vaddr ~n =
 
 type op =
   | Insn of Gemmini.Isa.t
-  | Compute_run of Gemmini.Controller.compute_run
+  | Compute_run of Gemmini.Tiled_matmul.compute_run
   | Host_work of { cycles : int; tag : string }
   | Marker of (core -> unit)
 
@@ -451,7 +451,7 @@ let append p op =
 
 let push p = function
   | Compute_run r when p.expand ->
-      Gemmini.Controller.run_commands r (fun i -> append p (Insn i))
+      Gemmini.Tiled_matmul.run_commands r (fun i -> append p (Insn i))
   | op -> append p op
 
 let make ?guard ~expand pieces =

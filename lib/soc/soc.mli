@@ -86,9 +86,9 @@ val host_read_i32 : t -> core -> vaddr:int -> n:int -> int array
 (** Ops: accelerator commands, host work, and bookkeeping markers. *)
 type op =
   | Insn of Gemmini.Isa.t
-  | Compute_run of Gemmini.Controller.compute_run
+  | Compute_run of Gemmini.Tiled_matmul.compute_run
       (** a tile step's preload/compute nest in one op: executes as its
-          {!Gemmini.Controller.run_commands} would, through
+          {!Gemmini.Tiled_matmul.run_commands} would, through
           {!Gemmini.Controller.execute_run} *)
   | Host_work of { cycles : int; tag : string }
   | Marker of (core -> unit)

@@ -26,14 +26,3 @@ let request ?(policy = Runtime.Abort) ?watchdog ~config jobs =
     bq_policy = policy;
     bq_watchdog = watchdog;
   }
-
-module type S = sig
-  val kind : kind
-
-  val run : request -> Runtime.result array
-  (** One result per job, in job order. Contracts shared by every
-      implementation: [r_layers] lists the model's layers in execution
-      order with the classes {!Gem_dnn.Layer.class_of} assigns;
-      [r_total_cycles] is the fenced finish horizon; [r_faults] records
-      policy-handled traps in program order; [Abort] re-raises. *)
-end

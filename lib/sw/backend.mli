@@ -1,10 +1,11 @@
 (** The execution-backend seam.
 
     A backend turns (SoC configuration, jobs, fault policy) into
-    {!Runtime.result}s. Two implementations exist: {!Backend_cycle}
-    drives the cycle-accurate SoC simulator, {!Backend_analytic} prices
-    the same lowering ({!Lower.plan} / {!Schedule.t}) with a closed-form
-    latency model. {!Backends} is the registry. *)
+    {!Runtime.result}s. Two kinds exist: the cycle backend drives the
+    cycle-accurate SoC simulator ({!Runtime.run_parallel}), and
+    {!Backend_analytic} prices the same lowering ({!Lower.plan} /
+    {!Schedule.t}) with a closed-form latency model.
+    [Gem_persist.Persist.run] runs either kind. *)
 
 type kind = Cycle | Analytic
 
@@ -28,14 +29,3 @@ val request :
   request
 (** Validates the job/core shape: at least one job, and no more jobs
     than cores. *)
-
-module type S = sig
-  val kind : kind
-
-  val run : request -> Runtime.result array
-  (** One result per job, in job order. Contracts shared by every
-      implementation: [r_layers] lists the model's layers in execution
-      order with the classes {!Gem_dnn.Layer.class_of} assigns;
-      [r_total_cycles] is the fenced finish horizon; [r_faults] records
-      policy-handled traps in program order; [Abort] re-raises. *)
-end

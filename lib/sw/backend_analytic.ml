@@ -4,8 +4,7 @@ module Layer = Gem_dnn.Layer
 module Cpu = Gem_cpu.Cpu_model
 module Fault = Gem_sim.Fault
 module Mathx = Gem_util.Mathx
-
-let kind = Backend.Analytic
+module Tiled_matmul = Gemmini.Tiled_matmul
 
 (* Int comparisons: Stdlib's [max]/[min] are polymorphic out-of-line
    calls, and the tile walk below makes a dozen per outer tile. *)
@@ -230,8 +229,6 @@ let stream_miss_lines m ~span ~sweeps =
 
 (* --- matmul ------------------------------------------------------------------- *)
 
-let max_block_len = 4
-
 (* Exact command counts of one [Kernels.matmul_steps] invocation, derived
    from the schedule alone. The conformance test diffs these against the
    emitted stream, proving both backends price the same program. *)
@@ -250,18 +247,18 @@ let groups_of total tile =
   let acc = ref 0 in
   for o = 0 to Mathx.ceil_div total tile - 1 do
     let v = min tile (total - (o * tile)) in
-    acc := !acc + Mathx.ceil_div v max_block_len
+    acc := !acc + Mathx.ceil_div v Tiled_matmul.max_block_len
   done;
   !acc
 
 let matmul_command_counts p (ms : Lower.matmul_shape) =
   let tl = ms.Lower.ms_schedule.Schedule.tiling in
   let bi, bk, bj =
-    Tiling.blocks p ~m:ms.Lower.ms_m ~k:ms.Lower.ms_k ~n:ms.Lower.ms_n
+    Tiled_matmul.blocks p ~m:ms.Lower.ms_m ~k:ms.Lower.ms_k ~n:ms.Lower.ms_n
   in
-  let oi = Mathx.ceil_div bi tl.Tiling.ti
-  and oj = Mathx.ceil_div bj tl.Tiling.tj in
-  let gk = groups_of bk tl.Tiling.tk and gj = groups_of bj tl.Tiling.tj in
+  let oi = Mathx.ceil_div bi tl.Tiled_matmul.ti
+  and oj = Mathx.ceil_div bj tl.Tiled_matmul.tj in
+  let gk = groups_of bk tl.Tiled_matmul.tk and gj = groups_of bj tl.Tiled_matmul.tj in
   {
     mc_configs = 5;
     mc_bias_mvins = (if ms.Lower.ms_bias = `None then 0 else bi * bj);
@@ -292,7 +289,7 @@ let col_groups ~dim ~bus ~total ~b0 ~v ~condense =
   let occ = ref 0 and bytes = ref 0 in
   let i = ref 0 in
   while !i < v do
-    let w = min max_block_len (v - !i) in
+    let w = min Tiled_matmul.max_block_len (v - !i) in
     let cols = min (w * dim) (total - ((b0 + !i) * dim)) in
     let b = condense_len condense cols in
     occ := !occ + Mathx.ceil_div b bus;
@@ -318,7 +315,7 @@ let estimate_matmul m c (ms : Lower.matmul_shape) ~reps =
   let mm = ms.Lower.ms_m and kk = ms.Lower.ms_k and nn = ms.Lower.ms_n in
   let sch = ms.Lower.ms_schedule in
   let tl = sch.Schedule.tiling in
-  let ti = tl.Tiling.ti and tk = tl.Tiling.tk and tj = tl.Tiling.tj in
+  let ti = tl.Tiled_matmul.ti and tk = tl.Tiled_matmul.tk and tj = tl.Tiled_matmul.tj in
   let bi = Mathx.ceil_div mm dim
   and bk = Mathx.ceil_div kk dim
   and bj = Mathx.ceil_div nn dim in
@@ -425,10 +422,10 @@ let estimate_matmul m c (ms : Lower.matmul_shape) ~reps =
             col_groups ~dim ~bus:m.bus ~total:nn ~b0:(j0 * tj) ~v:vj
               ~condense:1.0
           in
-          let a_cmds = vi * Mathx.ceil_div vk max_block_len in
-          let b_cmds = vk * Mathx.ceil_div vj max_block_len in
-          let a_rows = rows_i * Mathx.ceil_div vk max_block_len in
-          let b_rows = krows * Mathx.ceil_div vj max_block_len in
+          let a_cmds = vi * Mathx.ceil_div vk Tiled_matmul.max_block_len in
+          let b_cmds = vk * Mathx.ceil_div vj Tiled_matmul.max_block_len in
+          let a_rows = rows_i * Mathx.ceil_div vk Tiled_matmul.max_block_len in
+          let b_rows = krows * Mathx.ceil_div vj Tiled_matmul.max_block_len in
           let a_bytes = bytes_a_row * rows_i in
           let b_bytes = bytes_b_row * krows in
           let work =

@@ -15,7 +15,12 @@
     ({!Gem_dse.Xval}) gates the per-network error against a committed
     budget in CI. *)
 
-include Backend.S
+val run : Backend.request -> Runtime.result array
+(** One result per job, in job order, with the cycle backend's
+    contracts: [r_layers] lists the model's layers in execution order
+    with the classes {!Gem_dnn.Layer.class_of} assigns; [r_total_cycles]
+    is the fenced finish horizon; [r_faults] records policy-handled traps
+    in program order; [Abort] re-raises. *)
 
 (** {1 Estimator detail}
 

@@ -4,7 +4,8 @@
     im2col plus a tiled matmul, planned by {!Lower}.
 
     Each kernel takes virtual addresses (translation happens in the DMA)
-    and the shape {!Lower} planned (tile sizes from {!Tiling}), and emits
+    and the shape {!Lower} planned (tile sizes from
+    {!Gemmini.Tiled_matmul.choose}), and emits
     the same double-buffered preload/compute structure as the C library:
     B-blocks are kept stationary across the I dimension
     ([Compute_accumulated] reuses resident weights), C tiles live in the
@@ -44,10 +45,11 @@ val matmul_steps :
     (timing mode only), which scales the A-side fetch footprint to model
     the on-the-fly im2col unit reading the raw input instead of the
     expanded patch matrix. The schedule is taken as given. One step is one
-    [(i0, j0, k0)] tile: step 0 also configures the units, a [k0 = 0]
-    step stages the bias into the C tile, the step's preload/compute nest
-    is one {!Gem_soc.Soc.Compute_run}, and the last [k0] step drains
-    it. [bias] is the VA of the int32 bias vector, laid out as the
+    [(i0, j0, k0)] tile of {!Gemmini.Tiled_matmul.step}, the generator the
+    LOOP_WS sequencer also runs: step 0 also configures the units, a
+    [k0 = 0] step stages the bias into the C tile, the step's
+    preload/compute nest is one {!Gem_soc.Soc.Compute_run}, and the last
+    [k0] step drains it. [bias] is the VA of the int32 bias vector, laid out as the
     shape's [ms_bias] says: per output column, broadcast to every row
     with a stride-0 mvin, or per output row (each accumulator row loads
     its own word). Raises [Invalid_argument] on an empty problem, on a
@@ -56,7 +58,7 @@ val matmul_steps :
 
 val matmul_ops :
   Gemmini.Params.t ->
-  ?tiling:Tiling.t ->
+  ?tiling:Gemmini.Tiled_matmul.tiling ->
   ?bias:int ->
   ?act:Gemmini.Peripheral.activation ->
   ?scale:float ->
@@ -71,8 +73,9 @@ val matmul_ops :
 (** A dense matmul (the C library's [tiled_matmul_auto]), expanded into a
     list: {!matmul_steps} on {!Lower.matmul_shape}, with [bias] broadcast
     per output column and [tiling] (manual tile sizes in the default
-    schedule) instead of {!Schedule.choose}. Raises [Invalid_argument]
-    if [tiling] does not fit the memories. *)
+    schedule) instead of {!Schedule.choose}. Raises [Invalid_argument],
+    naming the rows the tile needs and the rows the instance has, if
+    [tiling] (or, without it, a 1x1x1 tile) does not fit the memories. *)
 
 val matmul_loop_ws_ops :
   Gemmini.Params.t ->
@@ -87,10 +90,14 @@ val matmul_loop_ws_ops :
   n:int ->
   unit ->
   op list
-(** The CISC path: the same matmul as {!matmul_ops}, issued as three
-    configuration commands plus one [LOOP_WS] — the hardware sequencer
-    expands the tile loop, so the host pays four dispatches instead of
-    thousands. Dense strides. *)
+(** The CISC path: the same matmul as {!matmul_ops} — the sequencer
+    runs the same tile-size rule and step generator
+    ({!Gemmini.Tiled_matmul}), so on an instance with weight-stationary
+    dataflow it issues the same commands — as three
+    configuration commands plus one [LOOP_WS]: the hardware expands the
+    tile loop, so the host pays four dispatches instead of thousands.
+    Dense strides. On an instance too small for one tile it traps at its
+    first out-of-range sub-command. *)
 
 val resadd_steps :
   Gemmini.Params.t ->

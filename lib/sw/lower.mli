@@ -49,7 +49,8 @@ val matmul_shape :
   matmul_shape
 (** A shape with dense A and B rows ([k] and [n] bytes): [bias] defaults
     to [`None], [c_stride] to [n], [a_condense] to 1, and [schedule] to
-    {!Schedule.choose}. *)
+    {!Schedule.choose}, which raises [Invalid_argument] on an instance
+    too small for one tile. *)
 
 type host_work = { hw_cycles : int; hw_tag : string }
 
@@ -90,4 +91,6 @@ val plan :
   layer_plan list
 (** One plan entry per model layer, in execution order. [functional]
     (default [false]) plans a functional run, whose conv layers read a
-    patch matrix pre-expanded in DRAM whatever the mode asks. *)
+    patch matrix pre-expanded in DRAM whatever the mode asks. Raises
+    [Invalid_argument] when a matmul layer meets an instance too small
+    for one tile ({!Schedule.choose}). *)

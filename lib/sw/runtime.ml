@@ -131,7 +131,7 @@ let rec guarded_exec soc guard core op =
          Without one, the run is one attempt: it touches no memory, so
          nothing in it can page-fault or bus-error and ask for a
          re-issue. *)
-      Gemmini.Controller.run_commands r (fun i ->
+      Gemmini.Tiled_matmul.run_commands r (fun i ->
           attempt soc guard core (Soc.Insn i) ~reissues:0)
   | _ -> attempt soc guard core op ~reissues:0
 

@@ -1,18 +1,5 @@
 type dataflow = [ `WS | `OS ]
-
-type loop_order = Output_stationary_outer
-(* The only nest the kernel emitter produces today: i0 -> j0 -> k0 with the
-   C tile resident in the accumulator across the K loop. The variant exists
-   so future emitters (and the analytic model) can name other orders. *)
-
-type t = {
-  tiling : Tiling.t;
-  dataflow : dataflow;
-  loop_order : loop_order;
-  double_buffer : bool;
-}
-
-let dataflow_name = function `WS -> "WS" | `OS -> "OS"
+type t = { tiling : Gemmini.Tiled_matmul.tiling; dataflow : dataflow }
 
 (* Mirrors the controller's reset default: prefer weight-stationary when
    the instance supports it. Every stock preset is [Dataflow.Both], so this
@@ -21,12 +8,7 @@ let pick_dataflow p =
   if Gemmini.Dataflow.supports p.Gemmini.Params.dataflow `WS then `WS else `OS
 
 let of_tiling p tiling =
-  { tiling; dataflow = pick_dataflow p; loop_order = Output_stationary_outer; double_buffer = true }
+  Gemmini.Tiled_matmul.require_fit p tiling;
+  { tiling; dataflow = pick_dataflow p }
 
-let choose p ~m ~k ~n = of_tiling p (Tiling.choose p ~m ~k ~n)
-let fits p t = Tiling.fits p t.tiling
-
-let describe t =
-  Printf.sprintf "%s %s %s" (Tiling.describe t.tiling)
-    (dataflow_name t.dataflow)
-    (if t.double_buffer then "double-buffered" else "single-buffered")
+let choose p ~m ~k ~n = of_tiling p (Gemmini.Tiled_matmul.choose p ~m ~k ~n)

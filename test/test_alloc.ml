@@ -171,11 +171,11 @@ let test_controller_execute_run () =
     Controller.create ~params:p ~port:Dma.null_port ~tlb ~issue_cycles:1 ()
   in
   let run =
-    { Controller.cr_m = 40; cr_k = 50; cr_n = 35; cr_i0 = 0; cr_j0 = 0; cr_k0 = 0;
+    { Gemmini.Tiled_matmul.cr_m = 40; cr_k = 50; cr_n = 35; cr_i0 = 0; cr_j0 = 0; cr_k0 = 0;
       cr_vi = 3; cr_vj = 3; cr_vk = 4; cr_tk = 4; cr_tj = 3; cr_a_base = 0;
       cr_b_base = 384; cr_accumulate = true; cr_dim = 16 }
   in
-  Alcotest.(check bool) "the run fits" true (Controller.run_fits p run);
+  Alcotest.(check bool) "the run fits" true (Gemmini.Tiled_matmul.run_fits p run);
   Controller.execute_run ctrl run;
   check_zero "Controller.execute_run (36 blocks)" (fun () ->
       Controller.execute_run ctrl run)

@@ -1,13 +1,12 @@
-(* The execution-backend seam: the registry, byte-identity of the cycle
-   backend with the pre-seam runtime numbers, layer-walk conformance
-   between implementations (same layers, same order, same classes, same
-   fault-policy behaviour), estimator accuracy against the engine, and
-   the analytic command-count model against the actually emitted
-   streams. *)
+(* The execution-backend seam: the backend kinds, byte-identity of the
+   cycle backend with the pre-seam runtime numbers, layer-walk conformance
+   between the kinds run through [Persist.run] (same layers, same order,
+   same classes, same fault-policy behaviour), estimator accuracy against
+   the engine, and the analytic command-count model against the actually
+   emitted streams. *)
 
 module Backend = Gem_sw.Backend
-module Backends = Gem_sw.Backends
-module Backend_cycle = Gem_sw.Backend_cycle
+module Persist = Gem_persist.Persist
 module Backend_analytic = Gem_sw.Backend_analytic
 module Runtime = Gem_sw.Runtime
 module Lower = Gem_sw.Lower
@@ -25,21 +24,25 @@ let model ~scale name =
 
 let accel_mode = Runtime.Accel { im2col_on_accel = true }
 
-let request ?policy ?watchdog name =
-  Backend.request ?policy ?watchdog ~config:Soc_config.default
-    [| (model ~scale:8 name, accel_mode) |]
+(* One job of [name] at scale 8 on the default SoC, through the run
+   driver. *)
+let run ?(policy = Runtime.Abort) ?watchdog backend name =
+  (Persist.run
+     { Persist.default with backend; policy; watchdog;
+       jobs = [| (model ~scale:8 name, accel_mode) |] })
+    .Persist.o_results
 
 (* --- registry ---------------------------------------------------------------- *)
 
 let test_registry () =
   Alcotest.(check (list string))
-    "registry names" [ "cycle"; "analytic" ] Backends.names;
+    "registry names" [ "cycle"; "analytic" ]
+    (List.map Backend.kind_name Backend.all_kinds);
   List.iter
     (fun k ->
-      let (module B : Backend.S) = Backends.of_kind k in
-      Alcotest.(check string)
-        "of_kind round-trips" (Backend.kind_name k)
-        (Backend.kind_name B.kind))
+      Alcotest.(check (option string))
+        "kind_of_string round-trips" (Some (Backend.kind_name k))
+        (Option.map Backend.kind_name (Backend.kind_of_string (Backend.kind_name k))))
     Backend.all_kinds;
   Alcotest.(check bool)
     "kind_of_string rejects junk" true
@@ -64,7 +67,7 @@ let test_request_shape () =
 (* --- cycle backend = pre-seam runtime, byte-identical ------------------------ *)
 
 let test_cycle_byte_identity () =
-  let results = Backend_cycle.run (request "mobilenetv2") in
+  let results = run Backend.Cycle "mobilenetv2" in
   (* The seed's number for mobilenetv2 at scale 8; the Backend seam must
      not perturb the engine by a single cycle. *)
   Alcotest.(check int)
@@ -82,13 +85,8 @@ let layer_shape (r : Runtime.result) =
 let test_conformance_layers () =
   List.iter
     (fun name ->
-      let rq = request name in
       let shapes =
-        List.map
-          (fun k ->
-            let (module B : Backend.S) = Backends.of_kind k in
-            layer_shape (B.run rq).(0))
-          Backend.all_kinds
+        List.map (fun k -> layer_shape (run k name).(0)) Backend.all_kinds
       in
       match shapes with
       | [] | [ _ ] -> Alcotest.fail "expected at least two backends"
@@ -107,11 +105,10 @@ let test_conformance_layers () =
    a 100k watchdog in both backends; every other layer is below 65k, so
    the trip set is insensitive to estimator error. *)
 let test_watchdog_degrade_parity () =
-  let faulted (module B : Backend.S) =
-    let rq = request ~policy:Runtime.Degrade ~watchdog:100_000 "alexnet" in
+  let faulted k =
     List.map
       (fun (f : Runtime.fault_record) -> (f.Runtime.fr_layer, f.Runtime.fr_action))
-      (B.run rq).(0).Runtime.r_faults
+      (run ~policy:Runtime.Degrade ~watchdog:100_000 k "alexnet").(0).Runtime.r_faults
   in
   let expected = [ ("conv1", "degrade"); ("fc6", "degrade") ] in
   List.iter
@@ -119,17 +116,15 @@ let test_watchdog_degrade_parity () =
       Alcotest.(check (list (pair string string)))
         (Backend.kind_name k ^ ": degraded layers")
         expected
-        (faulted (Backends.of_kind k)))
+        (faulted k))
     Backend.all_kinds
 
 let test_watchdog_abort_parity () =
   List.iter
     (fun k ->
-      let (module B : Backend.S) = Backends.of_kind k in
-      let rq = request ~policy:Runtime.Abort ~watchdog:100_000 "alexnet" in
       let trapped =
         try
-          ignore (B.run rq);
+          ignore (run ~policy:Runtime.Abort ~watchdog:100_000 k "alexnet");
           false
         with Fault.Trap _ -> true
       in
@@ -143,9 +138,8 @@ let test_watchdog_abort_parity () =
 let test_analytic_accuracy () =
   List.iter
     (fun name ->
-      let rq = request name in
-      let cycle = (Backend_cycle.run rq).(0).Runtime.r_total_cycles in
-      let ana = (Backend_analytic.run rq).(0).Runtime.r_total_cycles in
+      let cycle = (run Backend.Cycle name).(0).Runtime.r_total_cycles in
+      let ana = (run Backend.Analytic name).(0).Runtime.r_total_cycles in
       let err =
         Float.abs (float_of_int (ana - cycle)) /. float_of_int cycle
       in

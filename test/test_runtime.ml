@@ -447,7 +447,7 @@ let test_kernel_commands_validate () =
                           step (function
                             | Soc.Compute_run r ->
                                 incr runs;
-                                if not (Gemmini.Controller.run_fits params r) then
+                                if not (Gemmini.Tiled_matmul.run_fits params r) then
                                   Alcotest.failf "%s, %s: a compute run fails the box check"
                                     what lp.Lower.lp_name
                             | Soc.Insn _ | Soc.Host_work _ | Soc.Marker _ -> ()))

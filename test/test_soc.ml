@@ -316,7 +316,7 @@ let test_mobilenet_sink_invariance () =
 
 (* 40x50x35 in 16-wide blocks, ragged in every dimension. *)
 let fitting_run =
-  { Gemmini.Controller.cr_m = 40; cr_k = 50; cr_n = 35; cr_i0 = 0; cr_j0 = 0;
+  { Gemmini.Tiled_matmul.cr_m = 40; cr_k = 50; cr_n = 35; cr_i0 = 0; cr_j0 = 0;
     cr_k0 = 0; cr_vi = 3; cr_vj = 3; cr_vk = 4; cr_tk = 4; cr_tj = 3;
     cr_a_base = 0; cr_b_base = 384; cr_accumulate = false; cr_dim = 16 }
 
@@ -336,7 +336,7 @@ let execute_run ~fused ~sink run =
               { dataflow = `WS; activation = Gemmini.Peripheral.No_activation;
                 sys_shift = 0; a_transpose = false; b_transpose = false }));
       if fused then Soc.exec_op core (Soc.Compute_run run)
-      else Gemmini.Controller.run_commands run (fun i -> Soc.exec_op core (Soc.Insn i));
+      else Gemmini.Tiled_matmul.run_commands run (fun i -> Soc.exec_op core (Soc.Insn i));
       None
     with Gem_sim.Fault.Trap f -> Some (Gem_sim.Fault.to_string f)
   in
@@ -363,9 +363,9 @@ let test_compute_run_equals_commands () =
   let p = Gemmini.Params.default in
   let sp_rows = Gemmini.Params.sp_rows p in
   let n = ref 0 in
-  Gemmini.Controller.run_commands fitting_run (fun _ -> incr n);
+  Gemmini.Tiled_matmul.run_commands fitting_run (fun _ -> incr n);
   Alcotest.(check int) "two commands per block" (2 * 3 * 3 * 4) !n;
-  Alcotest.(check bool) "fits" true (Gemmini.Controller.run_fits p fitting_run);
+  Alcotest.(check bool) "fits" true (Gemmini.Tiled_matmul.run_fits p fitting_run);
   check_run_equivalence "fitting run" fitting_run;
   check_run_equivalence "accumulating run"
     { fitting_run with cr_i0 = 1; cr_vi = 2; cr_k0 = 2; cr_vk = 2; cr_accumulate = true };
@@ -374,7 +374,7 @@ let test_compute_run_equals_commands () =
      ran. *)
   let over = { fitting_run with cr_a_base = sp_rows - 176 } in
   Alcotest.(check bool) "over the scratchpad does not fit" false
-    (Gemmini.Controller.run_fits p over);
+    (Gemmini.Tiled_matmul.run_fits p over);
   check_run_equivalence "run over the scratchpad" over;
   let _, _, trap = execute_run ~fused:true ~sink:false over in
   Alcotest.(check bool) "it traps" true (Option.is_some trap);
@@ -382,7 +382,7 @@ let test_compute_run_equals_commands () =
      the first Preload. *)
   let wide = { fitting_run with cr_dim = 32; cr_b_base = 2 * 3 * 4 * 32 } in
   Alcotest.(check bool) "wider than DIM does not fit" false
-    (Gemmini.Controller.run_fits p wide);
+    (Gemmini.Tiled_matmul.run_fits p wide);
   check_run_equivalence "run wider than DIM" wide
 
 (* A quiet multi-core run dispatches each compute run whole, so its cores

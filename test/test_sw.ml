@@ -5,7 +5,7 @@ open Gem_util
 module P = Gemmini.Params
 module Isa = Gemmini.Isa
 module L = Gemmini.Local_addr
-module Tiling = Gem_sw.Tiling
+module Tiling = Gemmini.Tiled_matmul
 module Kernels = Gem_sw.Kernels
 module Onnx = Gem_sw.Onnx
 module Soc = Gem_soc.Soc
@@ -34,7 +34,9 @@ let qcheck_tiling_maximal =
 
 let test_manual_tiling_rejected () =
   Alcotest.check_raises "oversized manual tiling"
-    (Invalid_argument "Kernels.matmul: manual tiling does not fit the memories")
+    (Invalid_argument
+       "Tiled_matmul: a 100x100x100 tile of DIM blocks needs 640000 scratchpad rows and \
+        160000 accumulator rows; the instance has 16384 and 1024")
     (fun () ->
       ignore
         (Kernels.matmul_ops P.default
