@@ -174,9 +174,9 @@ let run_serving_bench () =
         [ ("cycle", Gem_sw.Backend.Cycle); ("analytic", Gem_sw.Backend.Analytic) ])
 
 (* Hot-path bench: allocation per operation for the flattened quiet paths
-   (engine acquire, the L2 and TLB lookups, timing-only DMA transfer on a
-   null port and on the SoC's L2/DRAM port, the multi-core dispatch loop,
-   a whole quiet single-core inference). The bytes/op figures land in the
+   (engine acquire, the L2 and TLB lookups, TLB eviction, timing-only DMA
+   transfer on a null port and on the SoC's L2/DRAM port, the multi-core
+   dispatch loop, a whole quiet single-core inference). The bytes/op figures land in the
    hotpath section of BENCH_results.json, which check_regression.exe gates.
    Set-up (SoC elaboration, page mapping) stays outside the measured
    window, so bytes/op is the steady-state cost of one call. *)
@@ -250,6 +250,19 @@ let run_hotpath_bench () =
        measure "tlb_lookup" 1_000_000 (fun n ->
            for i = 1 to n do
              ignore (Gem_vm.Tlb.lookup tlb ~vpn:(i * 7 land 1023))
+           done));
+      (* Fills of fresh vpns into a full 512-entry TLB: each one evicts
+         the least recently used entry, as a translation-bound layer's
+         walks do in the shared TLB. *)
+      (let tlb = Gem_vm.Tlb.create ~entries:512 in
+       for vpn = 0 to 511 do
+         Gem_vm.Tlb.fill tlb ~vpn ~ppn:(vpn + 4096)
+       done;
+       let next = ref 512 in
+       measure "tlb_fill_evict" 1_000_000 (fun n ->
+           for _ = 1 to n do
+             Gem_vm.Tlb.fill tlb ~vpn:!next ~ppn:(!next + 4096);
+             incr next
            done));
       (let pt = Gem_vm.Page_table.create ~node_region_base:0x1000_0000 () in
        Gem_vm.Page_table.map_range pt ~vaddr:0 ~bytes:(1 lsl 22)

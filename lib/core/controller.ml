@@ -769,8 +769,6 @@ let execute t cmd = execute_with t ~issue_cost:t.issue_cycles ~count_insn:true c
 
 let execute_run t r = execute_run_with t ~issue_cost:t.issue_cycles ~count_insn:true r
 
-let execute_all t cmds = List.iter (execute t) cmds
-
 type stats = {
   insns : int;
   loop_micro_ops : int;
@@ -959,22 +957,3 @@ let codec =
         field "os_acc" (option os_resident) (fun t -> t.os_acc) (fun t v -> t.os_acc <- v);
         sub "spad" Scratchpad.codec (fun t -> t.spad);
         sub "dma" Dma.codec (fun t -> t.dma) ])
-
-let reset_time t =
-  t.issue <- 0;
-  (* Only this controller's own pipes rewind: the engine may be shared
-     with SoC-level resources whose history other cores still depend on. *)
-  Resource.reset t.ld_pipe;
-  Resource.reset t.ex_pipe;
-  Resource.reset t.st_pipe;
-  t.last_ld_finish <- 0;
-  t.last_st_finish <- 0;
-  rob_clear t;
-  t.s.insns <- 0;
-  t.s.loop_micro_ops <- 0;
-  t.s.loads <- 0;
-  t.s.stores <- 0;
-  t.s.computes <- 0;
-  t.s.macs <- 0;
-  t.s.host_cycles <- 0;
-  t.s.flushes <- 0

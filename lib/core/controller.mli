@@ -55,8 +55,6 @@ val execute : t -> Isa.t -> unit
     without its configuration commands) and faults from the memory
     system underneath. *)
 
-val execute_all : t -> Isa.t list -> unit
-
 val execute_run : t -> Tiled_matmul.compute_run -> unit
 (** Executes the run's commands with exactly {!execute}'s timing,
     counters, spans and traps. A run that {!Tiled_matmul.run_fits} is
@@ -108,10 +106,6 @@ val stats : t -> stats
 
 val utilization : t -> float
 (** MACs performed / (PEs x total cycles). *)
-
-val reset_time : t -> unit
-(** Rewind all clocks and counters to zero (new measurement run); keeps
-    configuration and scratchpad contents. *)
 
 val codec : t Gem_util.Snap.t
 (** Everything the next command's timing or decode depends on: issue

@@ -45,6 +45,8 @@ type t = {
   tslot : Gem_vm.Hierarchy.slot;
   mutable w_cursor : Time.cycles;
   mutable w_finish : Time.cycles;
+  mutable run_page : int; (* physical base of the page a run lies in *)
+  bus_cycles : Mathx.ceil_memo; (* bytes -> bus cycles *)
 }
 
 let create ?engine ?(name = "dma") ?(core = -1) p ~port ~tlb =
@@ -70,6 +72,8 @@ let create ?engine ?(name = "dma") ?(core = -1) p ~port ~tlb =
     tslot = Gem_vm.Hierarchy.make_slot ();
     w_cursor = 0;
     w_finish = 0;
+    run_page = 0;
+    bus_cycles = Mathx.ceil_memo p.Params.dma_bus_bytes;
   }
 
 let tlb t = t.tlb
@@ -100,7 +104,7 @@ let rec seg_walk_go t ~write ~data cursor finish va remaining =
     let in_page = page_size - (va land (page_size - 1)) in
     let seg = Int.min in_page remaining in
     Gem_vm.Hierarchy.translate_into t.tlb slot ~now:cursor ~vaddr:va ~write;
-    let occupancy = Mathx.ceil_div seg t.p.Params.dma_bus_bytes in
+    let occupancy = Mathx.ceil_div_memo t.bus_cycles seg in
     let bus_done =
       Engine.acquire t.engine t.bus ~now:slot.Gem_vm.Hierarchy.s_finish
         ~occupancy
@@ -151,45 +155,55 @@ let burst_close t ~time ~name =
 
 (* --- rows ------------------------------------------------------------------
 
-   Row [r] > 0 that lies wholly inside the page of row [r-1]'s last byte
-   is a foregone conclusion on a quiet SoC: its translation hits where row
-   [r-1] left the page (the filter register, or the private TLB with
-   filters off), and its bus slot follows the previous one back to back
+   On a quiet SoC a row's translation is a foregone conclusion when it
+   lies wholly inside the page of row [r-1]'s last byte (it hits where row
+   [r-1] left the page: the filter register, or the private TLB with
+   filters off), or, for row 0, inside the page its direction's filter
+   register holds when the last request in that direction translated it
+   too (a filter hit). Its bus slot follows the previous one back to back
    (the private bus is busy exactly until the issue cursor). A run of such
    rows is charged at once: one {!Gem_vm.Hierarchy.repeat}, one
    {!Resource.acquire_run} on the bus, and one [port.page_run] that
-   charges every line's port slot, cache lookup and DRAM fill in order
-   (rows that stay in one L2 line at once), so every counter and resource
-   state ends as the per-row walk leaves it.
+   charges every line's port slot, cache lookup and DRAM fill in order,
+   so every counter and resource state ends as the per-row walk leaves it.
    Nothing observes the rows in between, so the path is taken only when
    nothing could: a timing-only transfer on a quiet engine, no injection
    plan (which rolls once per segment), no hierarchy observer. *)
 
-(* How many rows from [r] on lie wholly inside the page of row [r-1]'s
-   last byte, counted from the stride's sign in O(1). *)
-let run_length ~vaddr ~stride_bytes ~rows ~row_bytes r =
+(* How many rows from [r] on lie wholly inside such a page, counted from
+   the stride's sign in O(1); the page's physical base lands in
+   [t.run_page]. [t.tslot] holds the translation of row [r-1]'s last
+   page, or another direction's: row 0 takes the filter's. *)
+let run_length t ~vaddr ~stride_bytes ~rows ~row_bytes ~write r =
   let row_va = vaddr + (r * stride_bytes) in
+  let mask = lnot (page_size - 1) in
   let page =
-    (row_va - stride_bytes + row_bytes - 1) land lnot (page_size - 1)
+    if r > 0 then begin
+      t.run_page <- t.tslot.Gem_vm.Hierarchy.s_paddr land mask;
+      (row_va - stride_bytes + row_bytes - 1) land mask
+    end
+    else
+      let vpn = Gem_vm.Page_table.vpn_of_vaddr row_va in
+      let ppn = Gem_vm.Hierarchy.repeat_ppn t.tlb ~write ~vpn in
+      t.run_page <- ppn lsl Gem_vm.Page_table.page_bits;
+      if ppn = Gem_vm.Tlb.miss then -1 else row_va land mask
   in
-  Mathx.rows_within ~lo:page ~hi:(page + page_size - row_bytes) ~first:row_va
-    ~stride:stride_bytes ~n:(rows - r)
+  if page < 0 then 0
+  else
+    Mathx.rows_within ~lo:page ~hi:(page + page_size - row_bytes)
+      ~first:row_va ~stride:stride_bytes ~n:(rows - r)
 
 (* Charges [n] page-run rows, the first at [row_va], issued from [cursor];
    results land in [t.w_cursor] / [t.w_finish] like a segment walk's. *)
 let page_run t ~cursor ~n ~row_va ~stride_bytes ~row_bytes ~write =
   t.row_requests <- t.row_requests + n;
   let lat = Gem_vm.Hierarchy.repeat t.tlb ~write ~n in
-  let occupancy = Mathx.ceil_div row_bytes t.p.Params.dma_bus_bytes in
+  let occupancy = Mathx.ceil_div_memo t.bus_cycles row_bytes in
   let last_bus =
     Resource.acquire_run t.bus ~now:(cursor + lat) ~gap:lat ~occupancy ~n
   in
   let spacing = lat + occupancy in
-  (* [t.tslot] still holds the translation of row [r-1]'s last page. *)
-  let paddr =
-    t.tslot.Gem_vm.Hierarchy.s_paddr land lnot (page_size - 1)
-    lor (row_va land (page_size - 1))
-  in
+  let paddr = t.run_page lor (row_va land (page_size - 1)) in
   t.w_cursor <- last_bus;
   t.w_finish <-
     t.port.page_run ~first:(last_bus - ((n - 1) * spacing)) ~spacing ~n ~paddr
@@ -213,8 +227,8 @@ let transfer_rows t ~now ~vaddr ~stride_bytes ~rows ~row_bytes ~write ~data =
   while !r < rows do
     let row_va = vaddr + (!r * stride_bytes) in
     let n =
-      if coalesce && !r > 0 then
-        run_length ~vaddr ~stride_bytes ~rows ~row_bytes !r
+      if coalesce then
+        run_length t ~vaddr ~stride_bytes ~rows ~row_bytes ~write !r
       else 0
     in
     if n > 0 then begin

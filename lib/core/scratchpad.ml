@@ -98,9 +98,6 @@ let write_block t la m =
 let sp_rows t = Sram.total_rows t.sp
 let acc_rows t = Sram.total_rows t.acc
 
-let sp_accesses t = Sram.reads t.sp + Sram.writes t.sp
-let acc_accesses t = Sram.reads t.acc + Sram.writes t.acc
-
 let reset_stats t =
   Sram.reset_stats t.sp;
   Sram.reset_stats t.acc

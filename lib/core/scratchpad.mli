@@ -38,10 +38,6 @@ val write_block : t -> Local_addr.t -> Gem_util.Matrix.t -> unit
 val sp_rows : t -> int
 val acc_rows : t -> int
 
-val sp_accesses : t -> int
-(** Total scratchpad row reads+writes. *)
-
-val acc_accesses : t -> int
 val reset_stats : t -> unit
 
 val codec : t Gem_util.Snap.t

@@ -57,7 +57,14 @@ let validate_model ?(config = Gem_soc.Soc_config.default)
       .Persist.o_results
   in
   let cycle_r, cycle_wall = timed (run Gem_sw.Backend.Cycle) in
-  let ana_r, ana_wall = timed (run Gem_sw.Backend.Analytic) in
+  (* One analytic run takes about 0.1 ms, so one host hiccup could decide
+     the speed gate: its wall is the median of five calls, which must all
+     return the same result. *)
+  let ana = List.init 5 (fun _ -> timed (run Gem_sw.Backend.Analytic)) in
+  let ana_r = fst (List.hd ana) in
+  if List.exists (fun (r, _) -> r <> ana_r) ana then
+    invalid_arg "Gem_dse.Xval: analytic runs of one model disagree";
+  let ana_wall = List.nth (List.sort Float.compare (List.map snd ana)) 2 in
   let cycle = cycle_r.(0) and ana = ana_r.(0) in
   let layers =
     (* Both backends walk the same lowering, so the layer lists align

@@ -25,6 +25,7 @@ type network_report = {
   xn_rel_err : float;  (** signed: (analytic - cycle) / cycle *)
   xn_cycle_wall_s : float;
   xn_analytic_wall_s : float;
+      (** the median of five analytic runs, which must all agree *)
   xn_speedup : float;
   xn_layers : layer_error list;
 }

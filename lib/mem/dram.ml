@@ -7,6 +7,7 @@ type t = {
   channel : Resource.t;
   bytes_read : int ref;
   bytes_written : int ref;
+  cycles : Gem_util.Mathx.ceil_memo; (* bytes -> channel cycles *)
 }
 
 let create ?engine ?(name = "dram") ~latency ~bytes_per_cycle () =
@@ -20,14 +21,15 @@ let create ?engine ?(name = "dram") ~latency ~bytes_per_cycle () =
           (Gem_util.Table.fmt_int !bytes_read)
           (Gem_util.Table.fmt_int !bytes_written))
   in
-  { latency; bytes_per_cycle; engine; channel; bytes_read; bytes_written }
+  { latency; bytes_per_cycle; engine; channel; bytes_read; bytes_written;
+    cycles = Gem_util.Mathx.ceil_memo bytes_per_cycle }
 
 let latency t = t.latency
 let bytes_per_cycle t = t.bytes_per_cycle
 
 let access t ~now ~bytes ~write =
   if bytes < 0 then invalid_arg "Dram.access: negative size";
-  let occupancy = Gem_util.Mathx.ceil_div (Int.max bytes 1) t.bytes_per_cycle in
+  let occupancy = Gem_util.Mathx.ceil_div_memo t.cycles (Int.max bytes 1) in
   let service_done = Engine.acquire t.engine t.channel ~now ~occupancy in
   if write then t.bytes_written := !(t.bytes_written) + bytes
   else t.bytes_read := !(t.bytes_read) + bytes;

@@ -51,12 +51,6 @@ let read_i8_array t ~addr ~n = Array.init n (fun i -> read_i8 t ~addr:(addr + i)
 let write_i8_array t ~addr vs =
   Array.iteri (fun i v -> write_i8 t ~addr:(addr + i) v) vs
 
-let read_i32_array t ~addr ~n =
-  Array.init n (fun i -> read_i32 t ~addr:(addr + (4 * i)))
-
-let write_i32_array t ~addr vs =
-  Array.iteri (fun i v -> write_i32 t ~addr:(addr + (4 * i)) v) vs
-
 let touched_pages t = Hashtbl.length t.pages
 
 let hex_of_bytes b =

@@ -28,8 +28,6 @@ val write_i32 : t -> addr:int -> int -> unit
 
 val read_i8_array : t -> addr:int -> n:int -> int array
 val write_i8_array : t -> addr:int -> int array -> unit
-val read_i32_array : t -> addr:int -> n:int -> int array
-val write_i32_array : t -> addr:int -> int array -> unit
 
 val touched_pages : t -> int
 

@@ -36,94 +36,101 @@ let pt_region_base i = 0x4000_0000 + (i * 0x0100_0000)
 let data_base cores = 0x4000_0000 + (cores * 0x0100_0000)
 let va_base = 0x0001_0000
 
-(* One L2+DRAM access path shared by every requester on the SoC. Runs once
-   per cache line of every DMA burst, so the line walk is a top-level
-   tail-recursive function over unboxed ints (a local closure over
-   [last]/[bulk] would be allocated per call): the quiet path
-   allocates nothing. [bulk] takes the port slot through
-   {!Resource.acquire} rather than the engine, for a caller that observes
-   the run's finish itself. *)
-let rec mem_lines soc ~now ~write ~bulk ~last ln finish =
+(* One line of an access whose port slot ends at [port_done]: the L2
+   lookup, and the DRAM fill on a miss. *)
+let line_access soc ~write ~port_done ln =
+  match Cache.access soc.l2 ~addr:(ln lsl soc.line_shift) ~write with
+  | Cache.Hit -> port_done + soc.cfg.Soc_config.l2_hit_latency
+  | Cache.Miss ->
+      (* Allocate: fetch the line from DRAM. *)
+      Dram.access soc.dram ~now:port_done ~bytes:soc.cfg.Soc_config.l2_line_bytes
+        ~write:false
+  | Cache.Miss_writeback ->
+      (* A dirty victim writes back, consuming bandwidth but not adding to
+         the critical path. *)
+      let bytes = soc.cfg.Soc_config.l2_line_bytes in
+      let fetch_done = Dram.access soc.dram ~now:port_done ~bytes ~write:false in
+      ignore (Dram.access soc.dram ~now:port_done ~bytes ~write:true);
+      fetch_done
+
+(* One L2+DRAM access path shared by every requester on the SoC: each
+   line from [ln] to [last] takes its own port slot, all arriving at
+   [now]. Top-level and tail-recursive over unboxed ints, so the quiet
+   path allocates nothing. *)
+let rec mem_lines soc ~now ~write ~last ln finish =
   if ln > last then finish
-  else begin
-    let cfg = soc.cfg in
-    let line = cfg.Soc_config.l2_line_bytes in
-    let occupancy = soc.port_occupancy in
-    let port_done =
-      if bulk then Resource.acquire soc.l2_port ~now ~occupancy
-      else Engine.acquire soc.engine soc.l2_port ~now ~occupancy
-    in
-    let line_done =
-      match Cache.access soc.l2 ~addr:(ln lsl soc.line_shift) ~write with
-      | Cache.Hit -> port_done + cfg.Soc_config.l2_hit_latency
-      | Cache.Miss ->
-          (* Allocate: fetch the line from DRAM. *)
-          Dram.access soc.dram ~now:port_done ~bytes:line ~write:false
-      | Cache.Miss_writeback ->
-          (* A dirty victim writes back, consuming bandwidth but not
-             adding to the critical path. *)
-          let fetch_done =
-            Dram.access soc.dram ~now:port_done ~bytes:line ~write:false
-          in
-          ignore (Dram.access soc.dram ~now:port_done ~bytes:line ~write:true);
-          fetch_done
-    in
-    mem_lines soc ~now ~write ~bulk ~last (ln + 1)
-      (if line_done > finish then line_done else finish)
-  end
-
-(* [n] rows of [row_bytes], the i-th arriving at [now + i*spacing] at
-   [paddr + i*stride]: every line of every row takes its own port slot,
-   cache lookup and DRAM fill, in the per-row walk's order.
-
-   Line runs: in a page run ([bulk]), a row lying wholly inside the L2's
-   last-accessed line is a foregone hit, and so is every following row
-   that stays in that line (stride 0 or any sub-line stride, either
-   sign). Such a run takes its port slots in one
-   {!Resource.acquire_spaced} and its hits in one {!Cache.hit_mru}; each
-   row's completion is its slot's plus the hit latency, so the last row's
-   is the run's latest. Every counter and state ends as the walk leaves
-   it. A row that starts a new line takes the walk. *)
-let rec mem_rows soc ~write ~bulk ~spacing ~stride ~row_bytes n now paddr
-    finish =
-  if n = 0 then finish
   else
-    let shift = soc.line_shift in
-    let ln = paddr lsr shift in
-    let run =
-      if bulk && ln = Cache.mru_line soc.l2 then
-        let lo = ln lsl shift in
-        Mathx.rows_within ~lo ~hi:(lo + (1 lsl shift) - row_bytes) ~first:paddr
-          ~stride ~n
-      else 0
+    let port_done =
+      Engine.acquire soc.engine soc.l2_port ~now ~occupancy:soc.port_occupancy
     in
-    if run > 0 then begin
-      let port_done =
-        Resource.acquire_spaced soc.l2_port ~now ~spacing
-          ~occupancy:soc.port_occupancy ~n:run
-      in
-      Cache.hit_mru soc.l2 ~n:run ~write;
-      let line_done = port_done + soc.cfg.Soc_config.l2_hit_latency in
-      mem_rows soc ~write ~bulk ~spacing ~stride ~row_bytes (n - run)
-        (now + (run * spacing)) (paddr + (run * stride))
-        (if line_done > finish then line_done else finish)
-    end
-    else
-      mem_rows soc ~write ~bulk ~spacing ~stride ~row_bytes (n - 1)
-        (now + spacing) (paddr + stride)
-        (mem_lines soc ~now ~write ~bulk
-           ~last:((paddr + row_bytes - 1) lsr shift)
-           ln finish)
+    let line_done = line_access soc ~write ~port_done ln in
+    mem_lines soc ~now ~write ~last (ln + 1)
+      (if line_done > finish then line_done else finish)
 
 let mem_access soc ~now ~paddr ~bytes ~write =
-  mem_rows soc ~write ~bulk:false ~spacing:0 ~stride:0
-    ~row_bytes:(Int.max bytes 1) 1 now paddr now
+  mem_lines soc ~now ~write
+    ~last:((paddr + Int.max bytes 1 - 1) lsr soc.line_shift)
+    (paddr lsr soc.line_shift) now
+
+(* A page run, in one pass: [n] rows of [row_bytes], row [j] arriving at
+   [now + j*spacing] at [paddr + j*stride]. A row inside one L2 line takes
+   one port slot, so row [k] of a segment of such rows starts at
+   [max (now0 + k*spacing) (start0 + k*occupancy)], and the segment takes
+   its slots in one {!Resource.acquire_spaced} when it ends. The cache sees
+   the rows in order: a {!Cache.access} (and a {!Dram.access} per miss, at
+   the row's slot) for a row that starts a new line, one {!Cache.hit_mru}
+   for the rows after it that stay in that line (a line run). A row that
+   spans lines ends the segment and takes {!mem_lines}. Every counter and
+   state ends as the per-line walk leaves it. *)
+let rec run_rows soc ~write ~spacing ~stride ~row_bytes ~now0 ~start0 k n now
+    paddr finish =
+  let shift = soc.line_shift and occ = soc.port_occupancy in
+  let ln = paddr lsr shift in
+  if n > 0 && (paddr + row_bytes - 1) lsr shift = ln then
+    let line = 1 lsl shift in
+    let run =
+      if ln <> Cache.mru_line soc.l2 then 0
+      else if stride >= line || stride <= -line then 1
+      else
+        let lo = ln lsl shift in
+        Mathx.rows_within ~lo ~hi:(lo + line - row_bytes) ~first:paddr
+          ~stride ~n
+    in
+    let last = Int.max run 1 - 1 in
+    let arrival = now + (last * spacing)
+    and queued = start0 + ((k + last) * occ) in
+    let port_done = (if arrival >= queued then arrival else queued) + occ in
+    let line_done =
+      if run > 0 then begin
+        Cache.hit_mru soc.l2 ~n:run ~write;
+        port_done + soc.cfg.Soc_config.l2_hit_latency
+      end
+      else line_access soc ~write ~port_done ln
+    in
+    run_rows soc ~write ~spacing ~stride ~row_bytes ~now0 ~start0
+      (k + last + 1) (n - last - 1)
+      (now + ((last + 1) * spacing))
+      (paddr + ((last + 1) * stride))
+      (if line_done > finish then line_done else finish)
+  else begin
+    if k > 0 then
+      ignore
+        (Resource.acquire_spaced soc.l2_port ~now:now0 ~spacing ~occupancy:occ
+           ~n:k);
+    if n = 0 then finish
+    else
+      run_from soc ~write ~spacing ~stride ~row_bytes (n - 1) (now + spacing)
+        (paddr + stride)
+        (mem_lines soc ~now ~write ~last:((paddr + row_bytes - 1) lsr shift) ln
+           finish)
+  end
+
+and run_from soc ~write ~spacing ~stride ~row_bytes n now paddr finish =
+  run_rows soc ~write ~spacing ~stride ~row_bytes ~now0:now
+    ~start0:(Resource.next_free soc.l2_port ~now) 0 n now paddr finish
 
 let page_run soc ~first ~spacing ~n ~paddr ~stride ~row_bytes ~write =
-  let finish =
-    mem_rows soc ~write ~bulk:true ~spacing ~stride ~row_bytes n first paddr
-      first
-  in
+  let finish = run_from soc ~write ~spacing ~stride ~row_bytes n first paddr first in
   Engine.observe soc.engine finish;
   finish
 

@@ -3,6 +3,17 @@ let ceil_div a b =
   if a < 0 then invalid_arg "Mathx.ceil_div: negative dividend";
   (a + b - 1) / b
 
+type ceil_memo = { divisor : int; mutable last : int; mutable quot : int }
+
+let ceil_memo divisor = { divisor; last = min_int; quot = 0 }
+
+let ceil_div_memo m a =
+  if a <> m.last then begin
+    m.quot <- ceil_div a m.divisor;
+    m.last <- a
+  end;
+  m.quot
+
 let round_up a b = ceil_div a b * b
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -20,8 +31,6 @@ let log2_exact n =
 
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
-let clamp_f ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
-
 let rows_within ~lo ~hi ~first ~stride ~n =
   if n <= 0 || first < lo || first > hi then 0
   else
@@ -32,7 +41,6 @@ let rows_within ~lo ~hi ~first ~stride ~n =
     in
     if fit < n then fit else n
 
-let imin3 a b c = Int.min a (Int.min b c)
 let imax3 a b c = Int.max a (Int.max b c)
 
 let sum_list = List.fold_left ( + ) 0

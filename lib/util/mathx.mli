@@ -4,6 +4,13 @@ val ceil_div : int -> int -> int
 (** [ceil_div a b] is [a / b] rounded towards positive infinity.
     Requires [b > 0] and [a >= 0]. *)
 
+type ceil_memo
+
+val ceil_memo : int -> ceil_memo
+val ceil_div_memo : ceil_memo -> int -> int
+(** [ceil_div_memo (ceil_memo b) a] is [ceil_div a b], dividing only when
+    [a] differs from the last dividend: for sizes that rarely change. *)
+
 val round_up : int -> int -> int
 (** [round_up a b] is the smallest multiple of [b] that is [>= a]. *)
 
@@ -20,9 +27,6 @@ val log2_exact : int -> int
 val clamp : lo:int -> hi:int -> int -> int
 (** [clamp ~lo ~hi x] restricts [x] to the inclusive range [lo, hi]. *)
 
-val clamp_f : lo:float -> hi:float -> float -> float
-(** Float version of {!clamp}. *)
-
 val rows_within : lo:int -> hi:int -> first:int -> stride:int -> n:int -> int
 (** How many leading terms of [first + j*stride], [j = 0 .. n-1], lie in
     [lo, hi]: [0] when [first] does not, else the whole run up to the
@@ -30,7 +34,6 @@ val rows_within : lo:int -> hi:int -> first:int -> stride:int -> n:int -> int
     With [hi = lo + extent - len], the rows of [len] bytes at those
     addresses that stay wholly inside [lo, lo + extent). *)
 
-val imin3 : int -> int -> int -> int
 val imax3 : int -> int -> int -> int
 
 val sum_list : int list -> int

@@ -280,6 +280,16 @@ let repeat t ~write ~n =
     t.cfg.private_hit_latency
   end
 
+(* A request to [vpn] is such a repeat, and needs no lookup, when filter
+   registers are on and both the filter for its direction and the last
+   request in that direction hold [vpn] (a faulting walk moves the
+   latter but not the former). *)
+let repeat_ppn t ~write ~vpn =
+  let filter = if write then t.filter_write else t.filter_read in
+  let last = if write then t.last_write_vpn else t.last_read_vpn in
+  if t.cfg.filter_registers && filter.vpn = vpn && last = vpn then filter.ppn
+  else Tlb.miss
+
 let translate t ~now ~vaddr ~write =
   let slot = make_slot () in
   translate_into t slot ~now ~vaddr ~write;
@@ -298,10 +308,6 @@ let filter_hits t = t.filter_hits
 let private_hits t = t.private_hits
 let shared_hits t = t.shared_hits
 let walks t = t.walks
-
-let private_hit_rate t =
-  Gem_util.Stats.hit_rate ~hits:t.private_hits
-    ~total:(t.requests - t.filter_hits)
 
 let effective_hit_rate t =
   Gem_util.Stats.hit_rate ~hits:(t.filter_hits + t.private_hits) ~total:t.requests

@@ -79,6 +79,11 @@ val repeat : t -> write:bool -> n:int -> Gem_sim.Time.cycles
     registers on, else a private-TLB hit. Emits no event and observes no
     time. *)
 
+val repeat_ppn : t -> write:bool -> vpn:int -> int
+(** The ppn of [vpn] when a request to it in direction [write] would be
+    a {!repeat} with filter registers on (the filter register and the
+    last request in that direction both hold [vpn]), else {!Tlb.miss}. *)
+
 val invalidate : t -> vpn:int -> unit
 (** Drops one translation from the filter registers and both TLBs (the
     page-unmap shootdown path). The next access re-walks. *)
@@ -107,9 +112,6 @@ val private_hits : t -> int
 
 val shared_hits : t -> int
 val walks : t -> int
-
-val private_hit_rate : t -> float
-(** Private TLB hit rate over requests that reached it. *)
 
 val effective_hit_rate : t -> float
 (** Paper's "private TLB hit rate (including hits on the filter

@@ -6,7 +6,6 @@ let entries_per_node = 1 lsl index_bits
 
 let vpn_of_vaddr vaddr = vaddr lsr page_bits
 let page_offset vaddr = vaddr land (page_size - 1)
-let vaddr_of_vpn vpn = vpn lsl page_bits
 
 type node = {
   paddr : int; (* physical base of this node *)

@@ -16,7 +16,6 @@ val levels : int
 
 val vpn_of_vaddr : int -> int
 val page_offset : int -> int
-val vaddr_of_vpn : int -> int
 
 type t
 

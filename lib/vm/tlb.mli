@@ -4,7 +4,8 @@
     Section V-A case study are both instances of this structure (the paper
     sweeps 4–512 entries, small enough that full associativity is what the
     RTL builds). An [entries = 0] TLB is legal and misses on every lookup —
-    that is the "no shared L2 TLB" design point of Fig. 8. *)
+    that is the "no shared L2 TLB" design point of Fig. 8. Lookups, fills
+    and evictions are O(1) and allocate nothing. *)
 
 type t
 

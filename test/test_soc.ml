@@ -517,11 +517,38 @@ let same_line_transfer rng ~cores =
   (Rng.int rng cores, Rng.bool rng, clear + line + Rng.int rng 64, stride,
    rows, row_bytes)
 
+(* Chains: mvins and mvouts alternate at random over pages 2-3 of the
+   core's region, 1-16 rows of 1-128 B at strides up to 300 B of either
+   sign. Most transfers start in the page the last transfer of their
+   direction ended in, so row 0 joins its page run; some cross into a
+   neighbouring page or start in the other one. *)
+let chain_transfer rng ~cores =
+  let page = Gem_vm.Page_table.page_size in
+  ( Rng.int rng cores, Rng.bool rng,
+    (page * Rng.int_in rng ~lo:2 ~hi:3) + Rng.int rng page,
+    Rng.int_in rng ~lo:(-300) ~hi:300, Rng.int_in rng ~lo:1 ~hi:16,
+    Rng.int_in rng ~lo:1 ~hi:128 )
+
+(* Multi-line rows: 1-32 rows of 65-256 B at a stride of -4 to 4 lines,
+   so on a cold L2 a row's first lines miss and the lines it shares with
+   the previous row hit. *)
+let multi_line_transfer rng ~cores =
+  let rows = Rng.int_in rng ~lo:1 ~hi:32 in
+  let stride = 64 * Rng.int_in rng ~lo:(-4) ~hi:4 in
+  let clear = if stride < 0 then -stride * (rows - 1) else 0 in
+  ( Rng.int rng cores, Rng.bool rng,
+    clear + Rng.int rng (region_bytes - (160 * 64)),
+    stride, rows, Rng.int_in rng ~lo:65 ~hi:256 )
+
 (* Replays [steps] transfers drawn by [draw] on [soc] ([cold] drops the L2
    before each, so every line misses to DRAM); returns every call's
    (engine_free, finish) and the fault trace. A page fault (injected
-   unmap) is serviced by remapping the page, as the runtime does. *)
-let replay ?(draw = random_transfer) ?(cold = false) soc ~seed ~steps =
+   unmap) is serviced by remapping the page, as the runtime does. With
+   [unmap], one step in eight first unmaps page 2 or 3 of the core's
+   region, as an injected unmap does, so the next transfer there faults
+   after its walk has moved the hierarchy's last page. *)
+let replay ?(draw = random_transfer) ?(cold = false) ?(unmap = false) soc
+    ~seed ~steps =
   let cores = Array.length (Soc.cores soc) in
   let bases = Array.map (fun c -> Soc.alloc soc c ~bytes:region_bytes) (Soc.cores soc) in
   let clocks = Array.make cores 0 in
@@ -531,6 +558,10 @@ let replay ?(draw = random_transfer) ?(cold = false) soc ~seed ~steps =
     let core, write, base, stride_bytes, rows, row_bytes = draw rng ~cores in
     if cold then Gem_mem.Cache.invalidate_all (Soc.l2 soc);
     let c = Soc.core soc core in
+    if unmap && Rng.int rng 8 = 0 then
+      ignore
+        (Soc.unmap_page soc c
+           ~vaddr:(bases.(core) + (Gem_vm.Page_table.page_size * Rng.int_in rng ~lo:2 ~hi:3)));
     let dma = Gemmini.Controller.dma (Soc.controller c) in
     let now = clocks.(core) + Rng.int rng 400 in
     let vaddr = bases.(core) + base in
@@ -553,14 +584,14 @@ let replay ?(draw = random_transfer) ?(cold = false) soc ~seed ~steps =
   done;
   (List.rev !results, List.rev !faults)
 
-let twin_run ?inject ?(what = "random") ?draw ?cold ~cores ~filters ~seed ()
-    =
+let twin_run ?inject ?(what = "random") ?draw ?cold ?unmap ~cores ~filters
+    ~seed () =
   let cfg = twin_config ~cores ~filters in
   let run ~sink =
     let soc = Soc.create cfg in
     if sink then Engine.add_sink (Soc.engine soc) ignore;
     Option.iter (fun rate -> Soc.arm_injection soc ~seed ~rate) inject;
-    let results, faults = replay ?draw ?cold soc ~seed ~steps:300 in
+    let results, faults = replay ?draw ?cold ?unmap soc ~seed ~steps:300 in
     (soc, results, faults)
   in
   let label =
@@ -581,19 +612,24 @@ let twin_run ?inject ?(what = "random") ?draw ?cold ~cores ~filters ~seed ()
     (Jsonx.to_string (Soc.snapshot quiet));
   (q_faults, w_faults)
 
-(* Engine.acquire calls one warm 16-row mvin makes. *)
-let mvin_acquires ~stride_bytes ~row_bytes ~sink =
+(* Engine.acquire calls one warm 16-row mvin makes. With [fresh], an mvin
+   from the next page ran last, so the read filter register holds
+   another page than the measured row 0's. *)
+let mvin_acquires ~fresh ~stride_bytes ~row_bytes ~sink =
   let module P = Gem_obs.Profile in
   let soc = Soc.create Soc_config.default in
   if sink then Engine.add_sink (Soc.engine soc) ignore;
   let core = Soc.core soc 0 in
   let dma = Gemmini.Controller.dma (Soc.controller core) in
-  let vaddr = Soc.alloc soc core ~bytes:4096 in
-  let mvin now = ignore (Dma.mvin dma ~now ~vaddr ~stride_bytes ~rows:16 ~row_bytes) in
-  mvin 0;
+  let vaddr = Soc.alloc soc core ~bytes:8192 in
+  let mvin now vaddr =
+    ignore (Dma.mvin dma ~now ~vaddr ~stride_bytes ~rows:16 ~row_bytes)
+  in
+  mvin 0 vaddr;
+  if fresh then mvin 5_000 (vaddr + 4096);
   P.reset ();
   P.enable ();
-  Fun.protect ~finally:P.disable (fun () -> mvin 10_000);
+  Fun.protect ~finally:P.disable (fun () -> mvin 10_000 vaddr);
   let calls =
     List.fold_left
       (fun acc ph -> if ph.P.ph_name = P.acquire then acc + ph.P.ph_calls else acc)
@@ -603,16 +639,24 @@ let mvin_acquires ~stride_bytes ~row_bytes ~sink =
   calls
 
 let test_bulk_rows_equal_walk () =
-  (* Row 0 takes a bus and a port slot; the other 15 rows are coalesced
-     on the quiet SoC and walked one by one on the live one, whether they
-     share row 0's line (4 B at stride 4) or each start a new one (16 B at
-     stride 64). *)
+  (* On the quiet SoC, row 0 in the page the read filter register holds
+     joins the other 15 rows' page run, and takes no Engine.acquire; in a
+     fresh page it takes a bus and a port slot. The live one walks every
+     row, whether the rows share row 0's line (4 B at stride 4) or each
+     start a new one (16 B at stride 64). *)
   List.iter
     (fun (what, stride_bytes, row_bytes) ->
-      Alcotest.(check int) ("quiet " ^ what ^ " rows skip Engine.acquire") 2
-        (mvin_acquires ~stride_bytes ~row_bytes ~sink:false);
-      Alcotest.(check int) ("live engine walks every " ^ what ^ " row") 32
-        (mvin_acquires ~stride_bytes ~row_bytes ~sink:true))
+      List.iter
+        (fun (fresh, page, calls) ->
+          Alcotest.(check int)
+            (Printf.sprintf "quiet %s rows, row 0 in %s page" what page)
+            calls
+            (mvin_acquires ~fresh ~stride_bytes ~row_bytes ~sink:false);
+          Alcotest.(check int)
+            (Printf.sprintf "live engine walks every %s row, %s page" what page)
+            32
+            (mvin_acquires ~fresh ~stride_bytes ~row_bytes ~sink:true))
+        [ (false, "the filter's", 0); (true, "a fresh", 2) ])
     [ ("same-line", 4, 4); ("line-stride", 64, 16) ];
   List.iter
     (fun (cores, filters, seed) ->
@@ -626,8 +670,19 @@ let test_bulk_rows_equal_walk () =
         [ ("random", random_transfer, false);
           ("cold line-stride", line_stride_transfer, true);
           ("line-straddling", straddling_transfer, false);
-          ("same-line runs", same_line_transfer, false) ])
+          ("same-line runs", same_line_transfer, false);
+          ("same-page chains", chain_transfer, false);
+          ("cold multi-line", multi_line_transfer, true) ])
     [ (1, true, 1); (1, false, 2); (2, true, 3); (2, false, 4) ];
+  List.iter
+    (fun (cores, filters, seed) ->
+      let q_faults, w_faults =
+        twin_run ~what:"unmapped chains" ~draw:chain_transfer ~unmap:true
+          ~cores ~filters ~seed ()
+      in
+      Alcotest.(check bool) "an unmapped page faulted" true (q_faults <> []);
+      Alcotest.(check (list string)) "unmap fault trace" w_faults q_faults)
+    [ (1, true, 6); (1, false, 7); (2, true, 8); (2, false, 9) ];
   let q_faults, w_faults =
     twin_run ~inject:0.002 ~cores:2 ~filters:true ~seed:5 ()
   in

@@ -58,6 +58,142 @@ let test_tlb_zero_entries () =
     (Tlb.lookup tlb ~vpn:1);
   Alcotest.(check int) "stats" 1 (Tlb.misses tlb)
 
+(* The age-scan TLB the recency list must equal: slot lookup by a linear
+   scan, eviction into the first slot of lowest age (an invalidated slot,
+   age 0, first), and its state in the layout of [Tlb.codec]. *)
+module Ref_tlb = struct
+  type t = {
+    vpns : int array;
+    ppns : int array;
+    ages : int array;
+    mutable used : int;
+    mutable clock : int;
+    mutable lookups : int;
+    mutable hits : int;
+  }
+
+  let create n =
+    { vpns = Array.make n (-1); ppns = Array.make n (-1); ages = Array.make n 0;
+      used = 0; clock = 0; lookups = 0; hits = 0 }
+
+  let find m vpn =
+    let r = ref (-1) in
+    Array.iteri (fun i v -> if v = vpn && !r < 0 then r := i) m.vpns;
+    !r
+
+  let lookup m vpn =
+    m.lookups <- m.lookups + 1;
+    m.clock <- m.clock + 1;
+    match find m vpn with
+    | -1 -> Tlb.miss
+    | i ->
+        m.hits <- m.hits + 1;
+        m.ages.(i) <- m.clock;
+        m.ppns.(i)
+
+  let hit_again m vpn n =
+    m.lookups <- m.lookups + n;
+    m.hits <- m.hits + n;
+    m.clock <- m.clock + n;
+    m.ages.(find m vpn) <- m.clock
+
+  let fill m vpn ppn =
+    let n = Array.length m.vpns in
+    if n > 0 then begin
+      m.clock <- m.clock + 1;
+      let i =
+        match find m vpn with
+        | -1 when m.used < n ->
+            m.used <- m.used + 1;
+            m.used - 1
+        | -1 ->
+            let best = ref 0 in
+            Array.iteri (fun i a -> if a < m.ages.(!best) then best := i) m.ages;
+            !best
+        | i -> i
+      in
+      m.vpns.(i) <- vpn;
+      m.ppns.(i) <- ppn;
+      m.ages.(i) <- m.clock
+    end
+
+  let invalidate m vpn =
+    match find m vpn with
+    | -1 -> ()
+    | i ->
+        m.vpns.(i) <- -1;
+        m.ppns.(i) <- -1;
+        m.ages.(i) <- 0
+
+  let flush m =
+    Array.fill m.vpns 0 (Array.length m.vpns) (-1);
+    Array.fill m.ppns 0 (Array.length m.vpns) (-1);
+    Array.fill m.ages 0 (Array.length m.vpns) 0;
+    m.used <- 0
+
+  let json m =
+    let open Gem_util.Jsonx in
+    Obj
+      [ ("entries", Int (Array.length m.vpns));
+        ( "slots",
+          List
+            (List.init (Array.length m.vpns) (fun i ->
+                 List [ Int m.vpns.(i); Int m.ppns.(i); Int m.ages.(i) ])) );
+        ("used", Int m.used); ("clock", Int m.clock);
+        ("lookups", Int m.lookups); ("hits", Int m.hits) ]
+end
+
+(* One seeded stream of lookups, repeat hits, fills, invalidations and
+   the odd flush over 2 x entries + 4 vpns, so a full TLB evicts, on the
+   TLB and the reference alike; halfway the TLB is snapshotted and the
+   stream goes on in a fresh TLB restored from it. Every lookup's result
+   must agree, and every fourth operation and at the end the slots,
+   ages, clock, hits and lookups (so every victim, which stays in its
+   slot until it is refilled). *)
+let tlb_matches_reference ~entries seed =
+  let rng = Gem_util.Rng.create ~seed in
+  let tlb = ref (Tlb.create ~entries) and m = Ref_tlb.create entries in
+  let steps = 400 + (4 * entries) in
+  let ok = ref true in
+  for step = 1 to steps do
+    if step = steps / 2 then begin
+      let fresh = Tlb.create ~entries in
+      Gem_util.Snap.restore Tlb.codec fresh
+        (Gem_util.Snap.snapshot Tlb.codec !tlb);
+      tlb := fresh
+    end;
+    let vpn = Gem_util.Rng.int rng ((2 * entries) + 4) in
+    let resident = Ref_tlb.find m vpn >= 0 in
+    (match Gem_util.Rng.int rng 50 with
+    | 0 ->
+        Tlb.flush !tlb;
+        Ref_tlb.flush m
+    | k when k < 17 ->
+        if Tlb.lookup !tlb ~vpn <> Ref_tlb.lookup m vpn then ok := false
+    | k when k < 22 && resident ->
+        let n = 1 + Gem_util.Rng.int rng 5 in
+        Tlb.hit_again !tlb ~vpn ~n;
+        Ref_tlb.hit_again m vpn n
+    | k when k < 42 ->
+        Tlb.fill !tlb ~vpn ~ppn:(step + 1000);
+        Ref_tlb.fill m vpn (step + 1000)
+    | _ ->
+        Tlb.invalidate !tlb ~vpn;
+        Ref_tlb.invalidate m vpn);
+    if
+      (step mod 4 = 0 || step = steps)
+      && Gem_util.Snap.snapshot Tlb.codec !tlb <> Ref_tlb.json m
+    then ok := false
+  done;
+  !ok
+
+let qcheck_tlb_reference =
+  QCheck2.Test.make ~name:"recency-list TLB equals the age-scan reference"
+    ~count:6 (QCheck2.Gen.int_bound 1_000_000) (fun seed ->
+      List.for_all
+        (fun entries -> tlb_matches_reference ~entries seed)
+        [ 1; 16; 512 ])
+
 let test_ptw_timing_and_cache () =
   let pt = mk_pt () in
   Page_table.map_range pt ~vaddr:0 ~bytes:(1 lsl 21) ~paddr:0x40_0000;
@@ -159,5 +295,6 @@ let suite =
     Alcotest.test_case "hierarchy flush" `Quick test_hierarchy_flush;
     Alcotest.test_case "page locality stats" `Quick test_locality_stats;
     QCheck_alcotest.to_alcotest qcheck_map_range;
+    QCheck_alcotest.to_alcotest qcheck_tlb_reference;
     QCheck_alcotest.to_alcotest qcheck_hierarchy_matches_page_table;
   ]
