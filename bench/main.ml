@@ -174,7 +174,7 @@ let run_serving_bench () =
         [ ("cycle", Gem_sw.Backend.Cycle); ("analytic", Gem_sw.Backend.Analytic) ])
 
 (* Hot-path bench: allocation per operation for the flattened quiet paths
-   (engine acquire, the L2 and TLB lookups, TLB eviction, timing-only DMA
+   (engine acquire, the L2 and TLB lookups, L2 and TLB eviction, timing-only DMA
    transfer on a null port and on the SoC's L2/DRAM port, the multi-core
    dispatch loop, a whole quiet single-core inference). The bytes/op figures land in the
    hotpath section of BENCH_results.json, which check_regression.exe gates.
@@ -243,6 +243,27 @@ let run_hotpath_bench () =
                (Gem_mem.Cache.access l2 ~addr:(line * line_bytes)
                   ~write:(i land 2 = 0))
            done));
+      (* Misses into a full default L2: a stream of fresh lines, so every
+         access evicts its set's least recently used line, written by
+         every other access of the stream: about half the victims are
+         dirty. *)
+      (let cfg = Gem_soc.Soc_config.default in
+       let line_bytes = cfg.Gem_soc.Soc_config.l2_line_bytes in
+       let l2 =
+         Gem_mem.Cache.create ~size_bytes:cfg.l2_size_bytes ~ways:cfg.l2_ways
+           ~line_bytes ()
+       in
+       let next = ref 0 in
+       let stream n =
+         for _ = 1 to n do
+           ignore
+             (Gem_mem.Cache.access l2 ~addr:(!next * line_bytes)
+                ~write:(!next land 1 = 0));
+           incr next
+         done
+       in
+       stream (cfg.l2_size_bytes / line_bytes);
+       measure "l2_access_miss" 1_000_000 stream);
       (let tlb = Gem_vm.Tlb.create ~entries:512 in
        for vpn = 0 to 511 do
          Gem_vm.Tlb.fill tlb ~vpn ~ppn:(vpn + 4096)

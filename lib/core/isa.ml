@@ -81,24 +81,6 @@ let funct_loop_ws_outs = 11
 let funct_mvin3 = 14
 let funct_fence = 15
 
-let funct_name f =
-  match f with
-  | 0 -> "CONFIG"
-  | 1 -> "MVIN2"
-  | 2 -> "MVIN"
-  | 3 -> "MVOUT"
-  | 4 -> "COMPUTE_PRELOADED"
-  | 5 -> "COMPUTE_ACCUMULATED"
-  | 6 -> "PRELOAD"
-  | 7 -> "FLUSH"
-  | 8 -> "LOOP_WS"
-  | 9 -> "LOOP_WS_CONFIG_BOUNDS"
-  | 10 -> "LOOP_WS_CONFIG_ADDRS"
-  | 11 -> "LOOP_WS_CONFIG_OUTS"
-  | 14 -> "MVIN3"
-  | 15 -> "FENCE"
-  | _ -> Printf.sprintf "UNKNOWN(%d)" f
-
 (* --- bit packing helpers ------------------------------------------------ *)
 
 let mask width = Int64.sub (Int64.shift_left 1L width) 1L

@@ -120,8 +120,6 @@ val validate : Params.t -> t -> (unit, Gem_sim.Fault.cause) result
     accepted by {!encode} can still be rejected here — encoding checks
     bit-widths, validation checks meaning. *)
 
-val funct_name : int -> string
-
 val mnemonic : t -> string
 (** Constant short name of the command ("mvin", "compute.preloaded", ...);
     the span name used by per-command tracing. Allocation-free. *)

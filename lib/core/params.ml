@@ -147,10 +147,6 @@ let cloud =
     }
 
 let with_im2col b t = { t with has_im2col = b }
-let with_dataflow df t = { t with dataflow = df }
-
-let with_memories ~sp_capacity_bytes ~acc_capacity_bytes t =
-  { t with sp_capacity_bytes; acc_capacity_bytes }
 
 let describe t =
   Printf.sprintf

@@ -84,8 +84,6 @@ val cloud : t
 (** Large instance: 32x32, 512 KB scratchpad, 128 KB accumulator. *)
 
 val with_im2col : bool -> t -> t
-val with_dataflow : Dataflow.t -> t -> t
-val with_memories : sp_capacity_bytes:int -> acc_capacity_bytes:int -> t -> t
 
 val describe : t -> string
 (** One-line human-readable summary. *)

@@ -21,8 +21,6 @@ let scale_to dtype ~scale x =
     Dtype.saturate dtype (int_of_float rounded)
   end
 
-let matrix_scalar_mul ~scale ~out_type m = Matrix.map (scale_to out_type ~scale) m
-
 let conv_output_dim ~in_dim ~kernel ~stride ~padding =
   ((in_dim + (2 * padding) - kernel) / stride) + 1
 

@@ -18,8 +18,6 @@ val scale_to : Dtype.t -> scale:float -> int -> int
     [scale_to Int32 ~scale:1.0] is the identity used for full-width
     reads. *)
 
-val matrix_scalar_mul : scale:float -> out_type:Dtype.t -> Gem_util.Matrix.t -> Gem_util.Matrix.t
-
 (** 2-D max pooling over an NHWC tensor, as performed by the mvout path's
     pooling unit. *)
 val max_pool :

@@ -6,16 +6,12 @@ let name = function Rocket -> "rocket" | Boom -> "boom"
    fitted to the paper's 2,670x / 1,130x ResNet50 speedup pair. *)
 let boom_speedup = 2670. /. 1130.
 
-let speedup_factor = function Rocket -> 1.0 | Boom -> boom_speedup
-
 let scaled kind cycles =
   match kind with
   | Rocket -> cycles
   | Boom -> int_of_float (ceil (float_of_int cycles /. boom_speedup))
 
 let issue_cycles = function Rocket -> 2 | Boom -> 1
-
-let flush_cycles = function Rocket -> 50 | Boom -> 30
 
 (* Rocket cycles/MAC by kernel class; see the .mli for the fit targets. *)
 let conv_cpm = 28.0

@@ -24,9 +24,6 @@ val name : kind -> string
 val issue_cycles : kind -> int
 (** Cost to dispatch one RoCC command to the accelerator. *)
 
-val flush_cycles : kind -> int
-(** Cost of a kernel-launch / fence round trip. *)
-
 (* Software kernel costs (running ON the CPU). *)
 
 val conv_macs_cycles : kind -> macs:int -> int
@@ -48,6 +45,3 @@ val im2col_cycles : kind -> patch_elems:int -> int
 (** Producing the patch matrix for the accelerator when the hardware
     im2col block is absent: [patch_elems] is rows x cols of the patch
     matrix. *)
-
-val speedup_factor : kind -> float
-(** Relative single-thread performance vs Rocket (1.0 for Rocket). *)

@@ -141,13 +141,3 @@ let total_weight_bytes m =
   Gem_util.Mathx.sum_list (List.map (fun (_, l) -> weight_bytes l) m.layers)
 
 let layer_count m = List.length m.layers
-
-let macs_by_class m =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (_, l) ->
-      let k = class_of l in
-      let prev = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
-      Hashtbl.replace tbl k (prev + macs l))
-    m.layers;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []

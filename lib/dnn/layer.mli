@@ -83,4 +83,3 @@ type model = { model_name : string; input_desc : string; layers : (string * t) l
 val total_macs : model -> int
 val total_weight_bytes : model -> int
 val layer_count : model -> int
-val macs_by_class : model -> (klass * int) list

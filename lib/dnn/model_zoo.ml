@@ -5,7 +5,6 @@ let alexnet = Alexnet.model
 let squeezenet = Squeezenet.model
 let mobilenetv2 = Mobilenet.model
 let bert = Bert.model
-let bert_with_seq = Bert.model_with_seq
 
 let all = [ resnet50; alexnet; squeezenet; mobilenetv2; bert ]
 

@@ -8,8 +8,6 @@ val mobilenetv2 : Layer.model
 val bert : Layer.model
 (** BERT-base at sequence length 128. *)
 
-val bert_with_seq : int -> Layer.model
-
 val all : Layer.model list
 
 val find : string -> Layer.model option

@@ -58,20 +58,6 @@ let serve_rates rates =
         rates;
   }
 
-let serve_batches policies =
-  {
-    axis_name = "batch";
-    axis_values =
-      List.map
-        (fun b ->
-          ( b,
-            fun p ->
-              Point.with_serve
-                { (Point.serve_or_default p) with Point.ss_batch = b }
-                p ))
-        policies;
-  }
-
 let cartesian ?(sep = "/") ~base axes =
   let rec expand labels point = function
     | [] ->

@@ -34,11 +34,6 @@ val serve_rates : float list -> axis
     {!Point.serve_or_default}), labeled ["%g"]. The throughput-vs-latency
     curve axis. *)
 
-val serve_batches : string list -> axis
-(** Serving batching-policy axis over
-    {!Gem_serve.Batch.policy_of_string} strings (["none"], ["fixed:4"],
-    ["deadline:8:500"], ...). *)
-
 val cartesian : ?sep:string -> base:Point.t -> axis list -> Point.t array
 (** Product of all axes over [base]; each point's label is the value
     labels joined by [sep] (default ["/"]), appended to the base label

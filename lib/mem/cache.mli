@@ -23,19 +23,18 @@ val create :
   line_bytes:int ->
   unit ->
   t
-(** [size_bytes] must be divisible by [ways * line_bytes] and the number of
-    sets must be a power of two. When [engine] is given, the cache
-    registers a metrics probe (accesses, hit rate, writebacks) in its
-    registry; timing stays with the owner of the cache's port resource. *)
+(** [size_bytes] must be divisible by [ways * line_bytes], the line size
+    and the number of sets must be powers of two, and [ways] at most 255.
+    When [engine] is given, the cache registers a metrics probe
+    (accesses, hit rate, writebacks) in its registry; timing stays with
+    the owner of the cache's port resource. *)
 
-val size_bytes : t -> int
-val ways : t -> int
-val line_bytes : t -> int
 val sets : t -> int
 
 val access : t -> addr:int -> write:bool -> result
-(** One access to the line containing [addr]. Allocates on miss (evicting
-    the set's LRU line) and marks the line dirty on writes. *)
+(** One access to the line containing [addr], in O(1). Allocates on miss
+    (into the lowest invalid way, else evicting the set's LRU line) and
+    marks the line dirty on writes. *)
 
 val mru_line : t -> int
 (** The line ([addr / line_bytes]) the last {!access} touched, or -1
@@ -66,12 +65,10 @@ val accesses : t -> int
 val hits : t -> int
 val misses : t -> int
 val writebacks : t -> int
-val read_misses : t -> int
-val write_misses : t -> int
-val hit_rate : t -> float
 val miss_rate : t -> float
-val reset_stats : t -> unit
 
 val codec : t Gem_util.Snap.t
 (** Full replacement state (tags/dirty/LRU ages) plus statistics; the
-    geometry is checked, not restored. *)
+    geometry is checked, not restored. A restore rebuilds the lookup
+    index and recency lists from the tags and ages, and refuses a valid
+    line whose age is above the clock. *)

@@ -10,7 +10,6 @@ type source =
   | Const_int of int
   | Const_float of float
   | Pull_int of (unit -> int)
-  | Pull_float of (unit -> float)
   | Counter of Stats.Counter.t
   | Hist of Stats.Histogram.t
   | Ser of Stats.Series.t
@@ -33,7 +32,6 @@ let register t name src =
 let int t name v = register t name (Const_int v)
 let float t name v = register t name (Const_float v)
 let pull_int t name f = register t name (Pull_int f)
-let pull_float t name f = register t name (Pull_float f)
 
 let counter t name =
   let c = Stats.Counter.create name in
@@ -70,7 +68,6 @@ let scalar_rows t =
         | Const_int v -> [ (name, J.Int v) ]
         | Const_float v -> [ (name, J.Float v) ]
         | Pull_int f -> [ (name, J.Int (f ())) ]
-        | Pull_float f -> [ (name, J.Float (f ())) ]
         | Counter c -> [ (name, J.Int (Stats.Counter.get c)) ]
         | Hist h -> hist_rows name h
         | Ser _ | Ser_total _ -> [])

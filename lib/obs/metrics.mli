@@ -25,8 +25,6 @@ val float : t -> string -> float -> unit
 val pull_int : t -> string -> (unit -> int) -> unit
 (** A gauge: the closure is called once per snapshot. *)
 
-val pull_float : t -> string -> (unit -> float) -> unit
-
 val counter : t -> string -> Gem_util.Stats.Counter.t
 (** Creates, registers and returns a named push counter. *)
 

@@ -71,10 +71,13 @@ let validate t =
             Printf.sprintf "core %d accelerator: %s" i (String.concat "; " errs)
             :: !errors)
     t.cores;
-  check (t.l2_size_bytes > 0 && t.l2_ways > 0) "L2 geometry must be positive";
-  check
-    (t.l2_size_bytes mod (t.l2_ways * t.l2_line_bytes) = 0)
-    "L2 size must divide into ways x lines";
+  (* Everything [Cache.create] requires of the L2 geometry. *)
+  let way_bytes = max 1 (t.l2_ways * t.l2_line_bytes) in
+  check (t.l2_size_bytes > 0 && t.l2_ways > 0 && t.l2_line_bytes > 0) "L2 geometry must be positive";
+  check (t.l2_ways <= 255) "L2 ways must be at most 255";
+  check (Gem_util.Mathx.is_pow2 t.l2_line_bytes) "L2 line size must be a power of two";
+  check (t.l2_size_bytes mod way_bytes = 0) "L2 size must divide into ways x lines";
+  check (Gem_util.Mathx.is_pow2 (t.l2_size_bytes / way_bytes)) "L2 set count must be a power of two";
   check (t.l2_port_bytes > 0) "L2 port width must be positive";
   check (t.dram_bytes_per_cycle > 0) "DRAM bandwidth must be positive";
   check (t.dram_latency >= 0) "DRAM latency must be non-negative";

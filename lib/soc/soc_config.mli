@@ -45,4 +45,7 @@ val map_accel : (Gemmini.Params.t -> Gemmini.Params.t) -> t -> t
 val map_tlb : (Gem_vm.Hierarchy.config -> Gem_vm.Hierarchy.config) -> t -> t
 
 val validate : t -> (unit, string list) result
+(** Every problem with [t], including any L2 geometry that
+    [Gem_mem.Cache.create] would refuse. *)
+
 val describe : t -> string

@@ -6,9 +6,6 @@ let int32_max = 0x7FFF_FFFF
 let sat8 x = Mathx.clamp ~lo:int8_min ~hi:int8_max x
 let sat32 x = Mathx.clamp ~lo:int32_min ~hi:int32_max x
 
-let is_int8 x = x >= int8_min && x <= int8_max
-let is_int32 x = x >= int32_min && x <= int32_max
-
 let mac32 ~acc a b = sat32 (acc + (a * b))
 
 (* Round-half-to-even division by 2^s, matching the RTL's rounding adder:
@@ -24,20 +21,6 @@ let rounding_shift x s =
     (* Tie (remainder exactly half): round to even. *)
     if rem = half && q land 1 = 1 then q - 1 else q
   end
-
-let scale_and_sat8 ~scale x =
-  let scaled = float_of_int x *. scale in
-  (* Round half to even, like the hardware's float->int conversion. *)
-  let f = Float.round scaled in
-  let f =
-    if Float.abs (scaled -. Float.of_int (int_of_float f)) = 0.5 then
-      (* Float.round rounds half away from zero; fix up ties to even. *)
-      let lower = Float.of_int (int_of_float (floor scaled)) in
-      let upper = lower +. 1. in
-      if Float.rem lower 2. = 0. then lower else upper
-    else f
-  in
-  sat8 (int_of_float f)
 
 let relu x = max x 0
 

@@ -17,9 +17,6 @@ val sat8 : int -> int
 val sat32 : int -> int
 (** Saturate to signed 32-bit range. *)
 
-val is_int8 : int -> bool
-val is_int32 : int -> bool
-
 val mac32 : acc:int -> int -> int -> int
 (** [mac32 ~acc a b] is [sat32 (acc + a*b)] — one PE multiply-accumulate. *)
 
@@ -27,10 +24,6 @@ val rounding_shift : int -> int -> int
 (** [rounding_shift x s] divides [x] by [2^s] with round-half-to-even
     semantics matching Gemmini's hardware rounding. [s = 0] is identity;
     requires [s >= 0]. *)
-
-val scale_and_sat8 : scale:float -> int -> int
-(** Accumulator read-out path: multiply by [scale], round to nearest-even,
-    saturate to int8. This mirrors [ACC_SCALE] in the Gemmini RTL. *)
 
 val relu : int -> int
 (** max(x, 0). *)

@@ -13,7 +13,6 @@ module Running : sig
   val count : t -> int
   val mean : t -> float
   val variance : t -> float
-  val stddev : t -> float
   val min : t -> float
   (** [min] of an empty accumulator is [nan]. *)
 

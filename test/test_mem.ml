@@ -125,28 +125,25 @@ let qcheck_cache_occupancy =
       done;
       !ok)
 
-(* The replacement rule, one step at a time: the way holding the line,
-   else the first invalid way, else the least recently used (the first
-   of equal ages). [Cache.access] (one pass over the set, behind a way
-   hint) must agree with it on every outcome; [Cache.hit_mru ~n] must
-   leave a cache as [n] accesses to its last line leave a twin, and on a
-   write dirty that line even when a read brought it in. The stream also
-   draws lines one hint table apart (they share a hint byte), way counts
-   that are not powers of two, and restores of another cache's state,
-   whose tag array sometimes holds one tag twice in a set: no access
-   stream reaches such a state, but the codec accepts it, and a hint
-   left over from before the restore would pick the later copy. *)
+(* The replacement rule, one step at a time: the way holding the line
+   (the lowest, if a restore put its tag in several), else the first
+   invalid way, else the least recently used (the first of equal ages).
+   [Cache.access] (a line index and a recency list per set) must agree
+   with it on every outcome, and its snapshot must equal the reference's
+   state after every step; [Cache.hit_mru ~n] must leave a cache as [n]
+   accesses to its last line leave a twin, and on a write dirty that
+   line even when a read brought it in. The stream draws 1- to 16-way
+   sets, way counts that are not powers of two, lines in the last line's
+   set (they share its index buckets and list), [invalidate_all], and
+   restores of another cache's state whose tag array sometimes holds one
+   tag twice in a set or invalid ways between valid ones: no access
+   stream reaches such a state, but the codec accepts it. *)
 let qcheck_cache_reference =
-  QCheck2.Test.make ~name:"cache: one-pass lookup and hit_mru match a reference"
+  QCheck2.Test.make ~name:"cache: indexed lookup and hit_mru match a reference"
     ~count:100
-    QCheck2.Gen.(triple (int_range 0 100000) (int_range 50 400) (oneofl [ 3; 4; 6 ]))
+    QCheck2.Gen.(triple (int_range 0 100000) (int_range 50 400) (oneofl [ 1; 3; 4; 6; 16 ]))
     (fun (seed, steps, ways) ->
       let sets = 8 and line = 64 in
-      (* one hint byte per slot, rounded down to a power of two *)
-      let hint_lines =
-        let rec go p = if 2 * p > sets * ways then p else go (2 * p) in
-        go 1
-      in
       let make () =
         Cache.create ~size_bytes:(ways * sets * line) ~ways ~line_bytes:line ()
       in
@@ -193,10 +190,12 @@ let qcheck_cache_reference =
       let list name json = Option.get (J.to_list (Option.get (J.member name json))) in
       let ints name json = Array.of_list (List.filter_map J.to_int (list name json)) in
       let bools name json = Array.of_list (List.filter_map J.to_bool (list name json)) in
+      let int name json = Option.get (Option.bind (J.member name json) J.to_int) in
       let rng = Gem_util.Rng.create ~seed in
       let lines = sets * ways * 3 in
-      (* [other]'s state after its own stream; in half the restores some
-         sets get one tag in several ways *)
+      (* [other]'s state after its own stream; in a third of the restores
+         some sets get one tag in several ways, in another third some ways
+         are invalidated wherever they sit *)
       let restore_other () =
         for _ = 1 to Gem_util.Rng.int rng 40 do
           ignore
@@ -205,13 +204,19 @@ let qcheck_cache_reference =
         done;
         let state = snap other in
         let saved = ints "tags" state in
-        if Gem_util.Rng.bool rng then
-          for set = 0 to sets - 1 do
-            let tag = Gem_util.Rng.int rng (lines / sets) in
-            for w = 0 to ways - 1 do
-              if Gem_util.Rng.bool rng then saved.((set * ways) + w) <- tag
+        (match Gem_util.Rng.int rng 3 with
+        | 0 ->
+            for set = 0 to sets - 1 do
+              let tag = Gem_util.Rng.int rng (lines / sets) in
+              for w = 0 to ways - 1 do
+                if Gem_util.Rng.bool rng then saved.((set * ways) + w) <- tag
+              done
             done
-          done;
+        | 1 ->
+            Array.iteri
+              (fun i _ -> if Gem_util.Rng.int rng 3 = 0 then saved.(i) <- -1)
+              saved
+        | _ -> ());
         let state =
           match state with
           | J.Obj kvs ->
@@ -228,13 +233,28 @@ let qcheck_cache_reference =
         Array.blit saved 0 tags 0 (Array.length tags);
         Array.blit (ints "age" state) 0 age 0 (Array.length age);
         Array.blit (bools "dirty" state) 0 dirty 0 (Array.length dirty);
-        clock := Option.get (Option.bind (J.member "clock" state) J.to_int)
+        clock := int "clock" state
+      in
+      let invalidate () =
+        Cache.invalidate_all c;
+        Cache.invalidate_all twin;
+        Array.fill tags 0 (Array.length tags) (-1);
+        Array.fill age 0 (Array.length age) 0;
+        Array.fill dirty 0 (Array.length dirty) false
+      in
+      let matches () =
+        let state = snap c in
+        ints "tags" state = tags
+        && ints "age" state = age
+        && bools "dirty" state = dirty
+        && int "clock" state = !clock
       in
       let ok = ref true in
       for _ = 1 to steps do
         let write = Gem_util.Rng.bool rng in
         let draw = Gem_util.Rng.int rng 40 in
         if draw = 0 then restore_other ()
+        else if draw = 1 then invalidate ()
         else if Cache.mru_line c >= 0 && draw < 10 then begin
           let n = Gem_util.Rng.int_in rng ~lo:1 ~hi:5 in
           let addr = (Cache.mru_line c * line) + Gem_util.Rng.int rng line in
@@ -248,23 +268,34 @@ let qcheck_cache_reference =
           let ln =
             let mru = Cache.mru_line c in
             if mru >= 0 && draw < 20 then
-              (* a line sharing the last line's hint byte *)
-              if mru >= hint_lines && Gem_util.Rng.bool rng then mru - hint_lines
-              else mru + hint_lines
+              (* another line of the last line's set *)
+              (mru mod sets) + (sets * Gem_util.Rng.int rng (lines / sets))
             else Gem_util.Rng.int rng lines
           in
           let addr = (ln * line) + Gem_util.Rng.int rng line in
           let r = Cache.access c ~addr ~write in
           if Cache.access twin ~addr ~write <> r then ok := false;
           if reference ~addr ~write <> r then ok := false
-        end
+        end;
+        if not (matches ()) then ok := false
       done;
-      let final = snap c in
-      !ok
-      && ints "tags" final = tags
-      && ints "age" final = age
-      && bools "dirty" final = dirty
-      && J.to_string final = J.to_string (snap twin))
+      !ok && J.to_string (snap c) = J.to_string (snap twin))
+
+(* A restored way newer than the restored clock would make the next
+   access's age tie or trail it, so such a state is refused. *)
+let test_cache_restore_age_above_clock () =
+  let c = Cache.create ~size_bytes:4096 ~ways:4 ~line_bytes:64 () in
+  ignore (Cache.access c ~addr:0 ~write:false);
+  let state =
+    match Gem_util.Snap.snapshot Cache.codec c with
+    | Gem_util.Jsonx.Obj kvs ->
+        Gem_util.Jsonx.Obj
+          (List.map (fun (k, v) -> if k = "clock" then (k, Gem_util.Jsonx.Int 0) else (k, v)) kvs)
+    | _ -> assert false
+  in
+  match Gem_util.Snap.restore Cache.codec (Cache.create ~size_bytes:4096 ~ways:4 ~line_bytes:64 ()) state with
+  | () -> Alcotest.fail "restored a way newer than the clock"
+  | exception Gem_util.Snap.Malformed _ -> ()
 
 let test_cache_range () =
   let c = Cache.create ~size_bytes:4096 ~ways:4 ~line_bytes:64 () in
@@ -320,4 +351,6 @@ let suite =
     Alcotest.test_case "main memory" `Quick test_mainmem;
     QCheck_alcotest.to_alcotest qcheck_cache_occupancy;
     QCheck_alcotest.to_alcotest qcheck_mainmem_i32;
+    Alcotest.test_case "cache: restore refuses an age above the clock" `Quick
+      test_cache_restore_age_above_clock;
   ]

@@ -26,6 +26,34 @@ let test_alloc_distinct () =
   let v2 = Soc.alloc soc c0 ~bytes:4096 in
   Alcotest.(check bool) "va grows" true (v2 >= v0 + 10000)
 
+(* [Soc_config.validate] refuses every L2 geometry [Cache.create] would:
+   a 768 KB L2 has 768 sets, a 48 B line is no power of two, and way
+   numbers are bytes. Each such config is an [Error], and [Soc.create]
+   reports it rather than failing inside the cache. *)
+let test_l2_geometry_validated () =
+  let bad =
+    [ ("768 KB", { Soc_config.default with l2_size_bytes = 768 * 1024 });
+      ("48 B line", { Soc_config.default with l2_line_bytes = 48; l2_size_bytes = 48 * 16 * 1024 });
+      ("256 ways", { Soc_config.default with l2_ways = 256; l2_size_bytes = 256 * 64 * 64 });
+      ("0 B line", { Soc_config.default with l2_line_bytes = 0 }) ]
+  in
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.(check bool) (name ^ ": validate refuses") true
+        (Result.is_error (Soc_config.validate cfg));
+      match Soc.create cfg with
+      | _ -> Alcotest.failf "%s: Soc.create accepted it" name
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (name ^ ": reported by validate") true
+            (String.starts_with ~prefix:"Soc: " msg))
+    bad;
+  List.iter
+    (fun cfg ->
+      Alcotest.(check bool) "valid geometry" true (Soc_config.validate cfg = Ok ()))
+    [ Soc_config.default;
+      { Soc_config.default with l2_ways = 255; l2_size_bytes = 255 * 64 * 64 };
+      { Soc_config.default with l2_ways = 3; l2_size_bytes = 3 * 64 * 1024 } ]
+
 let test_host_access_roundtrip () =
   let soc = Soc.create (Soc_config.with_functional true Soc_config.default) in
   let core = Soc.core soc 0 in
@@ -736,4 +764,6 @@ let suite =
     Alcotest.test_case "DMA: bulk row runs equal the per-row walk" `Quick
       test_bulk_rows_equal_walk;
     Alcotest.test_case "CPU cost model sanity" `Quick test_cpu_model_sanity;
+    Alcotest.test_case "L2 geometry: validate refuses what the cache would" `Quick
+      test_l2_geometry_validated;
   ]
