@@ -320,10 +320,24 @@ let run_cmd =
     let soc = ref None and collector = ref None in
     let attach s =
       soc := Some s;
-      if observed then collector := Some (Gem_sim.Export.attach (Soc.engine s))
+      if observed then
+        collector :=
+          Some
+            (Gem_sim.Export.attach
+               ~chrome:
+                 (match (trace_out, trace_format) with
+                 | Some file, `Chrome -> `File file
+                 | _ -> `Off)
+               (Soc.engine s))
     in
+    (* Finalizing on every exit leaves a loadable Chrome file even when a
+       trap aborts the run: its open spans end at the abort horizon. *)
     let o =
-      try Persist.run ~attach options with Invalid_argument msg -> usage "run" msg
+      try
+        Fun.protect
+          ~finally:(fun () -> Option.iter Gem_sim.Export.finalize !collector)
+          (fun () -> Persist.run ~attach options)
+      with Invalid_argument msg -> usage "run" msg
     in
     Printf.printf "%s on %s%s%s\n" model.Gem_dnn.Layer.model_name
       (Gemmini.Params.describe p)
@@ -374,14 +388,11 @@ let run_cmd =
         o.Persist.o_replays;
     Option.iter
       (fun c ->
-        Gem_sim.Export.finalize c;
         Option.iter
           (fun file ->
-            (match trace_format with
-            | `Chrome -> Gem_sim.Export.write_chrome_file c file
-            | `Report ->
-                Out_channel.with_open_text file (fun oc ->
-                    output_string oc (Gem_sim.Export.report c)));
+            if trace_format = `Report then
+              Out_channel.with_open_text file (fun oc ->
+                  output_string oc (Gem_sim.Export.report c));
             Printf.eprintf "[trace] wrote %s (%s)\n%!" file
               (match trace_format with `Chrome -> "chrome" | `Report -> "report"))
           trace_out;
@@ -411,8 +422,10 @@ let run_cmd =
       value & flag
       & info [ "profile" ]
           ~doc:
-            "Print the simulation engine's per-component utilization/wait \
-             table after the run.")
+            "After the run, print the engine's per-component \
+             utilization/wait table, the per-layer profile (kernels, command \
+             count, cycles, share) and the per-component queue-latency \
+             table.")
   in
   let inject_seed =
     Arg.(
@@ -439,7 +452,12 @@ let run_cmd =
       & info [ "watchdog" ] ~doc:"Max cycles any single layer may spend.")
   in
   let trace_out =
-    trace_out_term ~doc:"Write an execution trace of the run to $(docv)."
+    trace_out_term
+      ~doc:
+        "Write an execution trace of the run to $(docv). A Chrome trace \
+         streams to the file as the run goes, in memory bounded by span \
+         nesting depth; a run a trap aborts still leaves a loadable file, \
+         its open spans ended at the abort cycle."
   in
   let trace_format =
     let fmt = Arg.enum [ ("chrome", `Chrome); ("report", `Report) ] in
@@ -784,16 +802,20 @@ let serve_cmd =
         let built = ref None and stream = ref None in
         let attach soc =
           built := Some soc;
-          (* Streaming writer: events land on disk as they retire, so long
-             serving runs trace in constant memory. *)
           Option.iter
             (fun file ->
               stream :=
-                Some (file, Gem_sim.Export.Streaming.attach_file (Soc.engine soc) file))
+                Some
+                  ( file,
+                    Gem_sim.Export.attach ~chrome:(`File file) (Soc.engine soc) ))
             trace_out
         in
         let result =
           try
+            Fun.protect
+              ~finally:(fun () ->
+                Option.iter (fun (_, c) -> Gem_sim.Export.finalize c) !stream)
+            @@ fun () ->
             Serve.run ~attach ?warm_in:warm ?warm_out
               {
                 Serve.sv_model = name;
@@ -816,10 +838,9 @@ let serve_cmd =
             print_string Gem_serve.Report.csv_header;
             print_string (Gem_serve.Report.csv_row result));
         Option.iter
-          (fun (file, s) ->
-            Gem_sim.Export.Streaming.finish s;
+          (fun (file, c) ->
             Printf.eprintf "[trace] wrote %s (chrome, %d event(s) streamed)\n%!"
-              file (Gem_sim.Export.Streaming.events_written s))
+              file (Gem_sim.Export.events_written c))
           !stream;
         fun reg ->
           Option.iter
@@ -944,8 +965,8 @@ let serve_cmd =
   let trace_out =
     trace_out_term
       ~doc:
-        "Write a Chrome trace of the serving run (request > network > \
-         layer spans) to $(docv). Cycle backend only."
+        "Stream a Chrome trace of the serving run (request > network > \
+         layer spans, plus counter tracks) to $(docv). Cycle backend only."
   in
   let warm =
     Arg.(

@@ -2,93 +2,14 @@ module Stats = Gem_util.Stats
 module J = Gem_util.Jsonx
 module Table = Gem_util.Table
 
-(* Per-component windowed series fed by Acquire/Transfer events. *)
-type comp = {
-  c_busy : Stats.Series.t; (* busy cycles, attributed to the start window *)
-  c_backlog : Stats.Series.t; (* outstanding occupancy: finish - request *)
-  c_bytes : Stats.Series.t; (* transferred bytes per window *)
-  mutable c_transfers : int;
-}
-
-type fault_mark = {
-  f_component : string;
-  f_time : Time.cycles;
-  f_kind : string;
-  f_detail : string;
-}
-
-(* Counter-track window width, in cycles. *)
-let window = 65536.
-
-type t = {
-  engine : Engine.t;
-  recorder : Span.t;
-  comps : (string, comp) Hashtbl.t;
-  mutable comp_order : string list; (* first-seen, reversed *)
-  mutable faults : fault_mark list; (* reversed *)
-}
-
-let comp_for t name =
-  match Hashtbl.find_opt t.comps name with
-  | Some c -> c
-  | None ->
-      let c =
-        {
-          c_busy = Stats.Series.create ~window;
-          c_backlog = Stats.Series.create ~window;
-          c_bytes = Stats.Series.create ~window;
-          c_transfers = 0;
-        }
-      in
-      Hashtbl.add t.comps name c;
-      t.comp_order <- name :: t.comp_order;
-      c
-
-let on_event t (ev : Engine.event) =
-  (match ev with
-  | Engine.Acquire { component; time; start; finish } ->
-      let c = comp_for t component in
-      Stats.Series.add c.c_busy ~time:(float_of_int start)
-        (float_of_int (finish - start));
-      Stats.Series.add c.c_backlog ~time:(float_of_int time)
-        (float_of_int (finish - time))
-  | Engine.Transfer { component; time; bytes; _ } ->
-      let c = comp_for t component in
-      c.c_transfers <- c.c_transfers + 1;
-      Stats.Series.add c.c_bytes ~time:(float_of_int time) (float_of_int bytes)
-  | Engine.Fault { component; time; kind; detail } ->
-      t.faults <-
-        { f_component = component; f_time = time; f_kind = kind; f_detail = detail }
-        :: t.faults
-  | Engine.Span_open _ | Engine.Span_close _ | Engine.Translate _
-  | Engine.Note _ ->
-      ());
-  Span.on_event t.recorder ev
-
-let attach engine =
-  let t =
-    {
-      engine;
-      recorder = Span.create ();
-      comps = Hashtbl.create 16;
-      comp_order = [];
-      faults = [];
-    }
-  in
-  Engine.add_sink engine (on_event t);
-  t
-
-let recorder t = t.recorder
-let finalize t = Span.finalize t.recorder ~horizon:(Engine.now t.engine)
-
 (* --- chrome encoder ---------------------------------------------------------
 
-   The one Chrome Trace Event writer behind both exporters. The file is one
-   big JSON array; each record is built as a Jsonx value and printed on its
-   own line, so output stays deterministic and the whole file still parses
-   as standard JSON. One "process" per core scope (shared components form
-   the "soc" process), one "thread" per component; a track's metadata rows
-   are written right before the first record that needs them. *)
+   The file is one big JSON array; each record is built as a Jsonx value
+   and printed on its own line, so output stays deterministic and the whole
+   file still parses as standard JSON. One "process" per core scope (shared
+   components form the "soc" process), one "thread" per component; a
+   track's metadata rows are written right before the first record that
+   needs them. *)
 
 let scope_of_name name =
   match String.index_opt name '/' with
@@ -158,7 +79,7 @@ module Chrome = struct
      is known. Kernels, commands and DMA bursts overlap their siblings
      (issue-side pipelining), so they render as async b/e pairs: "b" at
      open, "e" at close. *)
-  let is_sync cat = cat = "network" || cat = "layer" || cat = "acquire"
+  let is_sync cat = cat = "network" || cat = "layer"
 
   let span_args (s : Span.span) =
     ("span", J.Int s.Span.id)
@@ -241,81 +162,211 @@ module Chrome = struct
   let finish t = t.out "\n]\n"
 end
 
-(* --- batch chrome export ----------------------------------------------------
+(* --- collector ---------------------------------------------------------------
 
-   Tracks appear in engine registration order, which is construction order
-   and thus deterministic; components that emitted events without
-   registering (unit tests with bare engines) follow in sorted order. The
-   batch writer touches every track up front so all metadata leads the
-   file, then replays the recorded spans in recording order, then writes
-   the counter tracks and fault instants. *)
+   One engine sink feeds a non-retaining span recorder whose opens and
+   closes go straight to the Chrome encoder, so memory is bounded by span
+   nesting depth, not run length. Registered components get their tracks
+   up front, in registration order (construction order, so deterministic);
+   components that emit without registering (unit tests with bare engines)
+   get theirs at first use. Fault instants are written as they happen, and
+   the counter tracks at [finalize] from per-component windowed series. *)
 
-let track_names t =
-  let registered = List.map fst (Engine.components t.engine) in
-  let seen = Hashtbl.create 32 in
-  List.iter (fun n -> Hashtbl.replace seen n ()) registered;
-  let extra = ref [] in
-  let note n =
-    if not (Hashtbl.mem seen n) then begin
-      Hashtbl.replace seen n ();
-      extra := n :: !extra
+(* Per-component windowed series fed by Acquire/Transfer events. *)
+type comp = {
+  c_busy : Stats.Series.t; (* busy cycles, attributed to the start window *)
+  c_backlog : Stats.Series.t; (* outstanding occupancy: finish - request *)
+  c_bytes : Stats.Series.t; (* transferred bytes per window *)
+  mutable c_transfers : int;
+}
+
+(* Counter-track window width, in cycles. *)
+let window = 65536.
+
+(* One row of the layer profile, filled in as the layer's spans open; the
+   layer span's end stamp is set when it closes. *)
+type row = {
+  layer : Span.span;
+  mutable kernels : string list; (* distinct, reversed opening order *)
+  mutable commands : int;
+}
+
+type layers = {
+  mutable rows : row list; (* reversed opening order *)
+  open_rows : (int, row) Hashtbl.t; (* open span id -> its layer's row *)
+}
+
+(* A span's layer is itself or its parent's, and a parent is open while
+   its child opens. *)
+let layer_open l (s : Span.span) =
+  let row =
+    if s.Span.cat = "layer" then begin
+      let r = { layer = s; kernels = []; commands = 0 } in
+      l.rows <- r :: l.rows;
+      Some r
     end
+    else Hashtbl.find_opt l.open_rows s.Span.parent
   in
-  List.iter note (List.rev t.comp_order);
-  Span.iter t.recorder (fun s -> note s.Span.component);
-  registered @ List.sort compare !extra
+  Option.iter
+    (fun r ->
+      Hashtbl.replace l.open_rows s.Span.id r;
+      match s.Span.cat with
+      | "kernel" ->
+          if not (List.mem s.Span.name r.kernels) then
+            r.kernels <- s.Span.name :: r.kernels
+      | "command" -> r.commands <- r.commands + 1
+      | _ -> ())
+    row
 
-let write_chrome t out =
-  let enc = Chrome.create out in
-  let names = track_names t in
-  List.iter (fun name -> ignore (Chrome.track enc name)) names;
-  Span.iter t.recorder (fun s ->
-      Chrome.span_open enc s;
-      Chrome.span_close enc s);
-  (* Counter tracks: windowed utilization, outstanding occupancy and
-     transferred bytes per component with activity. *)
+type t = {
+  engine : Engine.t;
+  recorder : Span.t;
+  chrome : Chrome.t option;
+  buffer : Buffer.t option; (* the in-memory destination *)
+  close : unit -> unit;
+  comps : (string, comp) Hashtbl.t;
+  mutable comp_order : string list; (* first-seen, reversed *)
+  layers : layers;
+  mutable finished : bool;
+}
+
+let comp_for t name =
+  match Hashtbl.find_opt t.comps name with
+  | Some c -> c
+  | None ->
+      let c =
+        {
+          c_busy = Stats.Series.create ~window;
+          c_backlog = Stats.Series.create ~window;
+          c_bytes = Stats.Series.create ~window;
+          c_transfers = 0;
+        }
+      in
+      Hashtbl.add t.comps name c;
+      t.comp_order <- name :: t.comp_order;
+      c
+
+let on_event t (ev : Engine.event) =
+  if not t.finished then begin
+    (match (t.chrome, ev) with
+    | Some _, Engine.Acquire { component; time; start; finish } ->
+        let c = comp_for t component in
+        Stats.Series.add c.c_busy ~time:(float_of_int start)
+          (float_of_int (finish - start));
+        Stats.Series.add c.c_backlog ~time:(float_of_int time)
+          (float_of_int (finish - time))
+    | Some _, Engine.Transfer { component; time; bytes; _ } ->
+        let c = comp_for t component in
+        c.c_transfers <- c.c_transfers + 1;
+        Stats.Series.add c.c_bytes ~time:(float_of_int time)
+          (float_of_int bytes)
+    | Some enc, Engine.Fault { component; time; kind; detail } ->
+        Chrome.fault enc ~component ~time ~kind ~detail
+    | _ -> ());
+    Span.on_event t.recorder ev
+  end
+
+let attach ?(chrome = `Memory) engine =
+  let buffer, out, close =
+    match chrome with
+    | `Memory ->
+        let b = Buffer.create 65536 in
+        (Some b, Some (Buffer.add_string b), ignore)
+    | `File path ->
+        let oc = open_out path in
+        (None, Some (output_string oc), fun () -> close_out oc)
+    | `Off -> (None, None, ignore)
+  in
+  let enc = Option.map Chrome.create out in
+  Option.iter
+    (fun enc ->
+      List.iter
+        (fun (name, _) -> ignore (Chrome.track enc name))
+        (Engine.components engine))
+    enc;
+  let layers = { rows = []; open_rows = Hashtbl.create 64 } in
+  let observer =
+    {
+      Span.on_open =
+        (fun s ->
+          layer_open layers s;
+          match enc with Some enc -> Chrome.span_open enc s | None -> ());
+      on_close =
+        (fun s ->
+          Hashtbl.remove layers.open_rows s.Span.id;
+          match enc with Some enc -> Chrome.span_close enc s | None -> ());
+    }
+  in
+  let t =
+    {
+      engine;
+      recorder = Span.create observer;
+      chrome = enc;
+      buffer;
+      close;
+      comps = Hashtbl.create 16;
+      comp_order = [];
+      layers;
+      finished = false;
+    }
+  in
+  Engine.add_sink engine (on_event t);
+  t
+
+let recorder t = t.recorder
+
+(* Counter tracks: windowed utilization, outstanding occupancy and
+   transferred bytes per component with activity. *)
+let write_counters t enc =
   List.iter
     (fun name ->
-      match Hashtbl.find_opt t.comps name with
-      | None -> ()
-      | Some c ->
-          let pid, _ = Chrome.track enc name in
-          let counter suffix ~key time v =
-            Chrome.counter enc ~name:(name ^ suffix) ~pid
-              ~ts:(int_of_float time) ~key v
-          in
-          Array.iter
-            (fun (time, sum, _) ->
-              counter " util %" ~key:"value" time
-                (J.Float (100. *. sum /. window)))
-            (Stats.Series.window_totals c.c_busy);
-          Array.iter
-            (fun (time, mean) ->
-              counter " outstanding" ~key:"cycles" time (J.Float mean))
-            (Stats.Series.windows c.c_backlog);
-          if c.c_transfers > 0 then
-            Array.iter
-              (fun (time, sum, _) ->
-                counter " bytes" ~key:"value" time (J.Int (int_of_float sum)))
-              (Stats.Series.window_totals c.c_bytes))
-    names;
-  List.iter
-    (fun f ->
-      Chrome.fault enc ~component:f.f_component ~time:f.f_time ~kind:f.f_kind
-        ~detail:f.f_detail)
-    (List.rev t.faults);
-  Chrome.finish enc
+      let c = Hashtbl.find t.comps name in
+      let pid, _ = Chrome.track enc name in
+      let counter suffix ~key time v =
+        Chrome.counter enc ~name:(name ^ suffix) ~pid ~ts:(int_of_float time)
+          ~key v
+      in
+      Array.iter
+        (fun (time, sum, _) ->
+          counter " util %" ~key:"value" time (J.Float (100. *. sum /. window)))
+        (Stats.Series.window_totals c.c_busy);
+      Array.iter
+        (fun (time, mean) -> counter " outstanding" ~key:"cycles" time (J.Float mean))
+        (Stats.Series.windows c.c_backlog);
+      if c.c_transfers > 0 then
+        Array.iter
+          (fun (time, sum, _) ->
+            counter " bytes" ~key:"value" time (J.Int (int_of_float sum)))
+          (Stats.Series.window_totals c.c_bytes))
+    (List.rev t.comp_order)
 
-let chrome_string t =
-  let buf = Buffer.create 65536 in
-  write_chrome t (Buffer.add_string buf);
-  Buffer.contents buf
+let finalize t =
+  if not t.finished then begin
+    Span.finalize t.recorder ~horizon:(Engine.now t.engine);
+    Option.iter
+      (fun enc ->
+        write_counters t enc;
+        Chrome.finish enc)
+      t.chrome;
+    t.finished <- true;
+    t.close ()
+  end
+
+let events_written t =
+  match t.chrome with Some enc -> enc.Chrome.records | None -> 0
+
+let in_memory t what =
+  match t.buffer with
+  | Some b ->
+      finalize t;
+      b
+  | None -> invalid_arg ("Export." ^ what ^ ": the trace was not kept in memory")
+
+let chrome_string t = Buffer.contents (in_memory t "chrome_string")
 
 let write_chrome_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> write_chrome t (output_string oc))
+  let b = in_memory t "write_chrome_file" in
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b)
 
 (* --- text report ---------------------------------------------------------- *)
 
@@ -324,42 +375,19 @@ let fmt_cycles f = if Float.is_nan f then "-" else Table.fmt_f ~dec:1 f
 let report t =
   let horizon = Engine.now t.engine in
   let buf = Buffer.create 4096 in
-  (* Per-layer breakdown from the span tree. *)
-  let layers = ref [] and kernels = Hashtbl.create 16 in
-  let commands = Hashtbl.create 16 in
-  (* layer id of a span: nearest ancestor with cat = "layer" *)
-  let rec layer_of id =
-    if id < 0 then -1
-    else
-      let s = Span.get t.recorder id in
-      if s.Span.cat = "layer" then id else layer_of s.Span.parent
-  in
-  Span.iter t.recorder (fun s ->
-      match s.Span.cat with
-      | "layer" -> layers := s :: !layers
-      | "kernel" ->
-          let l = layer_of s.Span.parent in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt kernels l) in
-          if not (List.mem s.Span.name prev) then
-            Hashtbl.replace kernels l (s.Span.name :: prev)
-      | "command" ->
-          let l = layer_of s.Span.parent in
-          Hashtbl.replace commands l
-            (Option.value ~default:0 (Hashtbl.find_opt commands l) + 1)
-      | _ -> ());
-  let layers = List.rev !layers in
+  let rows = List.rev t.layers.rows in
   (* Multi-core runs repeat layer names; prefix each row with its core so
      rows line up with the core-prefixed component names elsewhere. *)
   let scopes =
     List.sort_uniq compare
-      (List.map (fun (s : Span.span) -> scope_of_name s.Span.component) layers)
+      (List.map (fun r -> scope_of_name r.layer.Span.component) rows)
   in
   let label (s : Span.span) =
     match scopes with
     | [] | [ _ ] -> s.Span.name
     | _ -> scope_of_name s.Span.component ^ ":" ^ s.Span.name
   in
-  if layers <> [] then begin
+  if rows <> [] then begin
     let tbl =
       Table.create
         ~title:
@@ -369,7 +397,8 @@ let report t =
     in
     List.iter (fun i -> Table.set_align tbl i Table.Right) [ 2; 3; 4 ];
     List.iter
-      (fun (s : Span.span) ->
+      (fun r ->
+        let s = r.layer in
         let cycles = max 0 (s.Span.t1 - s.Span.t0) in
         let share =
           if horizon <= 0 then 0.
@@ -378,16 +407,12 @@ let report t =
         Table.add_row tbl
           [
             label s;
-            String.concat "+"
-              (List.rev
-                 (Option.value ~default:[]
-                    (Hashtbl.find_opt kernels s.Span.id)));
-            Table.fmt_int
-              (Option.value ~default:0 (Hashtbl.find_opt commands s.Span.id));
+            String.concat "+" (List.rev r.kernels);
+            Table.fmt_int r.commands;
             Table.fmt_int cycles;
             Table.fmt_pct share;
           ])
-      layers;
+      rows;
     Buffer.add_string buf (Table.render tbl);
     Buffer.add_char buf '\n'
   end;
@@ -421,69 +446,3 @@ let report t =
       (Printf.sprintf "span anomalies: %d orphan close(s), %d forced close(s)\n"
          orphans forced);
   Buffer.contents buf
-
-(* --- streaming chrome export ----------------------------------------------
-
-   The batch exporter keeps the whole span tree until it writes; long
-   serving runs would grow without bound. The streaming writer feeds a
-   non-retaining span recorder whose opens and closes go straight to the
-   encoder, so memory is bounded by span nesting depth, not run length.
-   Because the simulation is deterministic, so is first-appearance track
-   order, and two identical runs stream byte-identical files. *)
-
-module Streaming = struct
-  type t = {
-    engine : Engine.t;
-    enc : Chrome.t;
-    spans : Span.t;
-    mutable close : unit -> unit;
-    mutable finished : bool;
-  }
-
-  let attach engine ~out =
-    let enc = Chrome.create out in
-    let t =
-      {
-        engine;
-        enc;
-        spans =
-          Span.create
-            ~observer:
-              {
-                Span.on_open = Chrome.span_open enc;
-                on_close = Chrome.span_close enc;
-              }
-            ();
-        close = ignore;
-        finished = false;
-      }
-    in
-    Engine.add_sink engine (fun ev ->
-        if not t.finished then
-          match ev with
-          | Engine.Fault { component; time; kind; detail } ->
-              Chrome.fault enc ~component ~time ~kind ~detail
-          | Engine.Span_open _ | Engine.Span_close _ -> Span.on_event t.spans ev
-          | Engine.Acquire _ | Engine.Transfer _ | Engine.Translate _
-          | Engine.Note _ ->
-              ());
-    t
-
-  let attach_file engine path =
-    let oc = open_out path in
-    let t = attach engine ~out:(output_string oc) in
-    t.close <- (fun () -> close_out oc);
-    t
-
-  let finish t =
-    if not t.finished then begin
-      Span.finalize t.spans ~horizon:(Engine.now t.engine);
-      Chrome.finish t.enc;
-      t.finished <- true;
-      t.close ()
-    end
-
-  let events_written t = t.enc.Chrome.records
-  let orphan_closes t = Span.orphan_closes t.spans
-  let forced_closes t = Span.forced_closes t.spans
-end

@@ -1,23 +1,25 @@
-(** Trace collection and export: Chrome Trace Event JSON and text reports.
+(** Trace collection and export: a streaming Chrome Trace Event writer and
+    a text report.
 
-    An [Export.t] is an engine sink that aggregates the event stream into
-    - a {!Span.t} recorder (the network > layer > kernel > command tree),
-    - windowed {e time series}: busy occupancy, outstanding backlog and
-      transferred bytes per 65536-cycle window of simulated time.
+    An [Export.t] is an engine sink that drives a {!Span} recorder (the
+    network > layer > kernel > command tree) and keeps nothing that grows
+    with run length except one row per layer:
 
-    Two export formats:
-
-    - {!write_chrome} emits Chrome Trace Event JSON, loadable in Perfetto
-      ({:https://ui.perfetto.dev}) or [chrome://tracing]. One process lane
-      per core (shared memory-system components form a ["soc"] lane), one
-      thread track per registered component, X slices for network/layer
-      spans, async b/e pairs for kernels, ISA commands and DMA bursts
-      (these overlap their siblings, which sync slices cannot express),
-      and counter tracks for windowed utilization, outstanding occupancy
-      and transferred bytes. Timestamps are cycle numbers presented as
-      microseconds. Output is deterministic byte-for-byte: fixed track
-      order, insertion-order spans, and {!Gem_util.Jsonx} printing. The
-      record encoder is the one {!Streaming} uses.
+    - The Chrome Trace Event JSON, loadable in Perfetto
+      ({:https://ui.perfetto.dev}) or [chrome://tracing], streams to its
+      destination as the run goes. One process lane per core (shared
+      memory-system components form a ["soc"] lane) and one thread track
+      per component: every component registered at {!attach} gets its
+      track metadata up front, in {!Engine.components} order, and any
+      other at first use. Async kernel, command, DMA and request spans
+      write their ["b"] half at open and their ["e"] half at close (they
+      overlap their siblings, which sync slices cannot express); network
+      and layer spans write one X slice at close; faults write an instant
+      as they happen. {!finalize} adds the counter tracks — utilization,
+      outstanding occupancy and transferred bytes per 65536-cycle window,
+      a few floats per window and component — and closes the array.
+      Timestamps are cycle numbers presented as microseconds. A
+      deterministic run writes a byte-identical file every time.
 
     - {!report} renders a plain-text hierarchical profile: per-layer
       breakdown (cycles, share of total, kernels, command count) plus a
@@ -30,64 +32,42 @@
 
 type t
 
-val attach : Engine.t -> t
+val attach : ?chrome:[ `Memory | `File of string | `Off ] -> Engine.t -> t
 (** Registers the collector as a sink on [engine] (making it
-    {!Engine.live}) and returns it. *)
-
-val recorder : t -> Span.t
+    {!Engine.live}) and writes the Chrome array opener and the registered
+    tracks' metadata to [chrome]:
+    - [`File path] streams into a freshly opened file, which {!finalize}
+      closes;
+    - [`Off] encodes no Chrome record at all, for a run that wants only
+      the {!report};
+    - [`Memory], the default, streams into a buffer that {!chrome_string}
+      and {!write_chrome_file} read. For tests and short runs; the
+      default is kept for the benchmark harness ([perfbench/workloads.ml]),
+      which traces one request with [attach e]. *)
 
 val finalize : t -> unit
-(** {!Span.finalize} at the engine clock ({!Engine.now}). Call after the
-    run, before exporting. Idempotent in effect: already-closed spans are
-    untouched. *)
-
-val write_chrome : t -> (string -> unit) -> unit
-(** Streams the JSON through the callback (called many times with small
-    chunks); full-model traces reach hundreds of MB, so no intermediate
-    whole-file string is built. *)
-
-val chrome_string : t -> string
-(** {!write_chrome} into a buffer. For tests and small runs. *)
-
-val write_chrome_file : t -> string -> unit
-(** {!write_chrome} into a file (buffered). *)
+(** Force-closes any still-open spans at the engine clock
+    ({!Engine.now}), writes the counter tracks and the array closer, and
+    releases the output. Call once after the run, or when a trap aborts
+    it: the file then still loads, with every span ended at the abort
+    horizon. Idempotent; events arriving after it are ignored. *)
 
 val report : t -> string
 (** The plain-text hierarchical profile. Ends with a ["span anomalies"]
-    line when closes were orphaned or forced. *)
+    line when closes were orphaned or forced. Call after {!finalize}. *)
 
-(** Constant-memory Chrome-trace writer for arbitrarily long runs.
+val events_written : t -> int
+(** Chrome records written so far (0 for [`Off]). *)
 
-    An engine sink that drives a non-retaining {!Span} recorder and
-    writes each span as it opens and closes instead of buffering the
-    whole span tree: async spans (kernel, command, dma, request) write
-    their ["b"] half at open and ["e"] half at close; sync slices
-    (network/layer) are written at close, so live memory is bounded by
-    span nesting depth, not run length. This is what [serve --trace-out]
-    uses.
+val chrome_string : t -> string
+(** {!finalize}, then the whole [`Memory] trace. Raises
+    [Invalid_argument] for any other destination. *)
 
-    It shares the batch exporter's span stack and record encoder, so both
-    write the same span records and tracks for one run. Differences:
-    track metadata appears at first use rather than up front, and there
-    are no counter tracks — attach a batch collector alongside when those
-    are needed. A deterministic run
-    streams a byte-identical file every time. *)
-module Streaming : sig
-  type t
+val write_chrome_file : t -> string -> unit
+(** {!finalize}, then writes the [`Memory] trace to a file. Raises
+    [Invalid_argument] for any other destination. Kept for the benchmark
+    harness. *)
 
-  val attach : Engine.t -> out:(string -> unit) -> t
-  (** Writes the array opener immediately and registers the sink.
-      The engine becomes {!Engine.live}. *)
-
-  val attach_file : Engine.t -> string -> t
-  (** {!attach} to a freshly opened file; {!finish} closes it. *)
-
-  val finish : t -> unit
-  (** Force-closes any still-open spans at the engine clock, writes
-      the array closer, and releases the output. Idempotent; events
-      arriving after [finish] are ignored. *)
-
-  val events_written : t -> int
-  val orphan_closes : t -> int
-  val forced_closes : t -> int
-end
+val recorder : t -> Span.t
+(** The span recorder, for its counts. Kept for the benchmark harness,
+    which reads {!Span.count}. *)

@@ -4,10 +4,10 @@
     with a parent link and free-form attributes. Components open and close
     spans by emitting {!Engine.Span_open}/{!Engine.Span_close} events —
     usually via {!emit_open}/{!emit_close}, which only advance the clock
-    unless the engine is {!Engine.live} — and a recorder attached as an engine sink
-    rebuilds the tree:
+    unless the engine is {!Engine.live} — and a recorder fed those events
+    follows the tree:
 
-    {v network > layer > kernel > ISA command > resource acquisition v}
+    {v network > layer > kernel > ISA command v}
 
     Nesting is tracked per {e scope}: the [coreN] prefix of the component
     name. Each scope keeps its own stack of open spans, so interleaved
@@ -22,14 +22,13 @@
     {!forced_closes}), so one missing close cannot corrupt the rest of the
     tree.
 
-    A recorder can instead report every open and close to an {!observer}
-    as it happens and keep no closed spans at all: live memory is then
-    bounded by nesting depth. This is how the streaming Chrome writer
-    ({!Export.Streaming}) follows the same stack discipline without a
-    copy of it. *)
+    The recorder keeps only its open-span stacks: it reports every open
+    and close to an {!observer} as it happens and drops a span once it is
+    closed, so live memory is bounded by nesting depth, not run length.
+    {!Export} is the observer behind every trace and profile. *)
 
 type span = {
-  id : int;  (** index in recording order; stable span identifier *)
+  id : int;  (** index in opening order; stable span identifier *)
   parent : int;  (** [id] of the enclosing span, [-1] for roots *)
   name : string;
   cat : string;  (** hierarchy level: network/layer/kernel/command/... *)
@@ -47,24 +46,13 @@ type observer = {
 }
 
 type t
-(** A span recorder; feed it events via {!on_event} or {!attach}. *)
+(** A span recorder; feed it events via {!on_event}, usually as an
+    {!Engine.add_sink} sink. *)
 
-val create : ?acquire_spans:(string -> bool) -> ?observer:observer -> unit -> t
-(** [acquire_spans component] decides whether [Acquire] events on
-    [component] become leaf spans (category ["acquire"], spanning service
-    start to finish). Default: never — full runs see millions of acquires,
-    which belong in histograms, not individual spans.
-
-    Without an [observer] the recorder keeps every span for {!get} and
-    {!iter}. With one, it reports each span open and close (acquire spans
-    open and close at once) and retains nothing: a closed span is dropped
-    once [on_close] returns. *)
-
-val attach : ?acquire_spans:(string -> bool) -> Engine.t -> t
-(** {!create} + {!Engine.add_sink}. *)
+val create : observer -> t
 
 val on_event : t -> Engine.event -> unit
-(** Processes one event; non-span, non-acquire events are ignored. *)
+(** Processes one event; non-span events are ignored. *)
 
 val finalize : t -> horizon:Time.cycles -> unit
 (** Force-closes every still-open span at [horizon] (counted in
@@ -92,16 +80,7 @@ val emit_close : Engine.t -> component:string -> time:Time.cycles -> string -> u
 (* --- accessors ----------------------------------------------------------- *)
 
 val count : t -> int
-(** Spans recorded so far; ids are [0 .. count - 1]. *)
-
-val get : t -> int -> span
-(** Raises [Invalid_argument] for an out-of-range id, and for every id
-    when the recorder has an observer (it retains nothing). *)
-
-val iter : t -> (span -> unit) -> unit
-(** Retained spans in recording order (parents before their children). *)
-
-val to_list : t -> span list
+(** Spans opened so far; ids are [0 .. count - 1]. *)
 
 val open_count : t -> int
 (** Spans currently open across all scopes. *)

@@ -690,22 +690,34 @@ let test_injection_restore_determinism () =
 
 module Span = Gem_sim.Span
 
-let network_span rc =
-  List.find_opt (fun s -> s.Span.cat = "network") (Span.to_list rc)
+(* A recorder on [soc]'s engine, and the network span it saw open (the
+   record's end stamp fills in when the span closes). *)
+let span_recorder soc =
+  let network = ref None in
+  let rc =
+    Span.create
+      {
+        Span.on_open =
+          (fun s -> if s.Span.cat = "network" then network := Some s);
+        on_close = ignore;
+      }
+  in
+  Engine.add_sink (Soc.engine soc) (Span.on_event rc);
+  (rc, fun () -> !network)
 
 let test_degrade_final_layer_closes_network_span () =
   (* A watchdog trap fires on every layer — the final one included. The
      Degrade handler must still emit the network-close marker, and clean
      span accounting must hold: nothing orphaned, nothing left open. *)
   let soc = single_core_soc () in
-  let rc = Span.attach (Soc.engine soc) in
+  let rc, network_span = span_recorder soc in
   let r =
     Runtime.run ~policy:Runtime.Degrade ~watchdog:50 soc ~core:0 squeezenet8
       ~mode:accel_mode
   in
   Alcotest.(check bool) "degraded run completed" true
     (r.Runtime.r_total_cycles > 0);
-  (match network_span rc with
+  (match network_span () with
   | None -> Alcotest.fail "network span missing"
   | Some s ->
       Alcotest.(check bool) "network span closed" true (s.Span.t1 >= 0));
@@ -717,11 +729,11 @@ let test_abort_closes_network_span () =
      still-open layer and network spans at the abort horizon before
      re-raising, so an aborted trace is still a well-formed tree. *)
   let soc = single_core_soc () in
-  let rc = Span.attach (Soc.engine soc) in
+  let rc, network_span = span_recorder soc in
   (match Runtime.run ~watchdog:50 soc ~core:0 squeezenet8 ~mode:accel_mode with
   | _ -> Alcotest.fail "watchdog under Abort must raise"
   | exception Fault.Trap _ -> ());
-  (match network_span rc with
+  (match network_span () with
   | None -> Alcotest.fail "network span missing"
   | Some s ->
       Alcotest.(check bool) "network span closed on abort" true
@@ -733,7 +745,7 @@ let test_clean_run_span_accounting () =
   (* Guard rails for the abort-path closer: a clean run must not pick up
      spurious closes from it. *)
   let soc = single_core_soc () in
-  let rc = Span.attach (Soc.engine soc) in
+  let rc, _ = span_recorder soc in
   let _ = Runtime.run soc ~core:0 squeezenet8 ~mode:accel_mode in
   Alcotest.(check int) "no orphan closes" 0 (Span.orphan_closes rc);
   Alcotest.(check int) "no forced closes" 0 (Span.forced_closes rc);

@@ -369,24 +369,18 @@ let test_domains_ignored () =
 module Export = Gem_sim.Export
 module J = Gem_util.Jsonx
 
-(* The CLI's serve --trace-out path: a streaming writer attached to the
-   SoC engine before the run, finished after it. *)
+(* The CLI's serve --trace-out path: a streaming collector attached to the
+   SoC engine before the run, finalized after it. *)
 let streamed_serve () =
-  let buf = Buffer.create (1 lsl 16) in
-  let stream = ref None in
+  let collector = ref None in
   let r =
     Serve.run
       ~attach:(fun soc ->
-        stream :=
-          Some
-            (Export.Streaming.attach
-               (Gem_soc.Soc.engine soc)
-               ~out:(Buffer.add_string buf)))
+        collector := Some (Export.attach (Gem_soc.Soc.engine soc)))
       tiny_scenario
   in
-  let s = Option.get !stream in
-  Export.Streaming.finish s;
-  (Buffer.contents buf, s, r)
+  let c = Option.get !collector in
+  (Export.chrome_string c, Export.recorder c, r)
 
 let test_serve_trace_request_spans () =
   let text, s, r = streamed_serve () in
@@ -435,8 +429,8 @@ let test_serve_trace_request_spans () =
         request_events;
       Alcotest.(check (list int)) "no dangling requests" [] !stack)
     pids;
-  Alcotest.(check int) "no orphan closes" 0 (Export.Streaming.orphan_closes s);
-  Alcotest.(check int) "no forced closes" 0 (Export.Streaming.forced_closes s)
+  Alcotest.(check int) "no orphan closes" 0 (Gem_sim.Span.orphan_closes s);
+  Alcotest.(check int) "no forced closes" 0 (Gem_sim.Span.forced_closes s)
 
 let test_serve_trace_deterministic () =
   let a, _, ra = streamed_serve () in
