@@ -405,22 +405,26 @@ let observed_run ?(chrome = `Off) ?(cores = 1) ?inject ?(policy = Runtime.Abort)
   Export.finalize c;
   c
 
-let test_report_pinned () =
-  let check label want c =
-    Alcotest.(check string) label want
-      (Digest.to_hex (Digest.string (Export.report c)))
-  in
-  check "squeezenet1.1/8" "c8b1a522653090a5ef7659d32fc7f693"
-    (observed_run "squeezenet1.1" ~scale:8);
-  check "squeezenet1.1/8 on 2 cores" "45bf79d366e4fc90b1ea7f80750f20b5"
-    (observed_run "squeezenet1.1" ~scale:8 ~cores:2);
+let check_report label want c =
+  Alcotest.(check string) label want
+    (Digest.to_hex (Digest.string (Export.report c)))
+
+let test_report_pinned_1core () =
+  check_report "squeezenet1.1/8" "c8b1a522653090a5ef7659d32fc7f693"
+    (observed_run "squeezenet1.1" ~scale:8)
+
+let test_report_pinned_2core () =
+  check_report "squeezenet1.1/8 on 2 cores" "45bf79d366e4fc90b1ea7f80750f20b5"
+    (observed_run "squeezenet1.1" ~scale:8 ~cores:2)
+
+let test_report_pinned_degraded () =
   let degraded =
     observed_run "squeezenet1.1" ~scale:8 ~inject:(3, 0.01)
       ~policy:Runtime.Degrade
   in
   Alcotest.(check int) "degraded run forces closes" 58
     (Span.forced_closes (Export.recorder degraded));
-  check "squeezenet1.1/8 degraded under injection"
+  check_report "squeezenet1.1/8 degraded under injection"
     "4b27f29eb6d2807815133d93d9a73774" degraded;
   Alcotest.(check int) "no Chrome record encoded" 0
     (Export.events_written degraded)
@@ -446,15 +450,17 @@ let sorted_records text =
     (List.sort compare lines);
   (List.length lines, String.length text, Digest.to_hex (Digest.string (Buffer.contents b)))
 
-let test_chrome_records_pinned () =
-  let check label want c =
-    Alcotest.(check (triple int int string)) label want
-      (sorted_records (Export.chrome_string c))
-  in
-  check "mobilenet/32"
+let check_records label want c =
+  Alcotest.(check (triple int int string)) label want
+    (sorted_records (Export.chrome_string c))
+
+let test_chrome_pinned_mobilenet () =
+  check_records "mobilenet/32"
     (119_347, 14_024_689, "0df8c3126f44d71efdb72a2f90815ecb")
-    (observed_run ~chrome:`Memory "mobilenet" ~scale:32);
-  check "squeezenet1.1/8 on 2 cores"
+    (observed_run ~chrome:`Memory "mobilenet" ~scale:32)
+
+let test_chrome_pinned_2core () =
+  check_records "squeezenet1.1/8 on 2 cores"
     (85_063, 10_148_837, "58b00df25c6639ed5d04b4b4a18ffd53")
     (observed_run ~chrome:`Memory "squeezenet1.1" ~scale:8 ~cores:2)
 
@@ -486,7 +492,14 @@ let suite =
       test_streaming_valid_and_paired;
     Alcotest.test_case "streaming: finish idempotent" `Quick
       test_streaming_finish_idempotent;
-    Alcotest.test_case "report: pinned texts" `Quick test_report_pinned;
-    Alcotest.test_case "chrome: pinned record multisets" `Quick
-      test_chrome_records_pinned;
+    Alcotest.test_case "report: pinned squeezenet1.1/8" `Quick
+      test_report_pinned_1core;
+    Alcotest.test_case "report: pinned squeezenet1.1/8 on 2 cores" `Quick
+      test_report_pinned_2core;
+    Alcotest.test_case "report: pinned degraded run" `Quick
+      test_report_pinned_degraded;
+    Alcotest.test_case "chrome: pinned mobilenet/32 records" `Quick
+      test_chrome_pinned_mobilenet;
+    Alcotest.test_case "chrome: pinned squeezenet1.1/8 on 2 cores records"
+      `Quick test_chrome_pinned_2core;
   ]
